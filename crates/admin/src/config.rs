@@ -70,17 +70,6 @@ impl std::fmt::Display for ConfigError {
 
 impl std::error::Error for ConfigError {}
 
-/// The declared default for `sql.vectorized`: true unless the
-/// `ODBIS_SQL_VECTORIZED` environment variable opts the whole process into
-/// the row-executor ablation (`off`/`0`/`false`), as the CI ablation job
-/// does.
-fn vectorized_default() -> bool {
-    !matches!(
-        std::env::var("ODBIS_SQL_VECTORIZED").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
-}
-
 /// The declared default for `durability.fsync`: the `ODBIS_DURABILITY_FSYNC`
 /// environment variable when set (the CI durability job exports `always`),
 /// otherwise `never` — crash-safe against process death, not power loss.
@@ -88,17 +77,6 @@ fn fsync_default() -> String {
     match std::env::var("ODBIS_DURABILITY_FSYNC").as_deref() {
         Ok(v) if v.eq_ignore_ascii_case("always") => "always".to_string(),
         _ => "never".to_string(),
-    }
-}
-
-/// The declared default for `durability.format`: the
-/// `ODBIS_DURABILITY_FORMAT` environment variable when set to `json` (the
-/// CI persist job A/Bs both formats), otherwise `segments` — binary
-/// columnar segments with incremental checkpoints.
-fn format_default() -> String {
-    match std::env::var("ODBIS_DURABILITY_FORMAT").as_deref() {
-        Ok(v) if v.eq_ignore_ascii_case("json") => "json".to_string(),
-        _ => "segments".to_string(),
     }
 }
 
@@ -136,12 +114,10 @@ impl PlatformConfig {
             ("reporting.default_chart", ConfigValue::from("bar")),
             ("etl.reject_threshold", ConfigValue::Int(1_000)),
             ("olap.preaggregation", ConfigValue::Bool(true)),
-            ("sql.vectorized", ConfigValue::Bool(vectorized_default())),
             // 0 = auto: let the engine size its worker pool to the machine.
             ("sql.parallelism", ConfigValue::Int(0)),
             ("sql.optimizer_rules", ConfigValue::from("all")),
             ("durability.fsync", ConfigValue::Str(fsync_default())),
-            ("durability.format", ConfigValue::Str(format_default())),
             ("telemetry.enabled", ConfigValue::Bool(true)),
             ("telemetry.slow_ms", ConfigValue::Int(250)),
             ("chaos.enabled", ConfigValue::Bool(false)),
@@ -296,6 +272,29 @@ mod tests {
             cfg.get_int("t", "platform.name"),
             Err(ConfigError::TypeMismatch { .. })
         ));
+    }
+
+    /// The knobs that used to select the retired row executor and JSON
+    /// checkpoint format are gone, not merely ignored: setting one is an
+    /// error an operator sees.
+    #[test]
+    fn retired_twin_selectors_are_unknown_keys() {
+        let cfg = PlatformConfig::with_defaults();
+        assert_eq!(cfg.keys().len(), 17);
+        for (key, value) in [
+            ("sql.vectorized", ConfigValue::Bool(false)),
+            ("durability.format", ConfigValue::from("json")),
+        ] {
+            assert_eq!(
+                cfg.set_for_tenant("t", key, value.clone()),
+                Err(ConfigError::UnknownKey(key.to_string()))
+            );
+            assert_eq!(
+                cfg.set(key, value),
+                Err(ConfigError::UnknownKey(key.to_string()))
+            );
+            assert!(matches!(cfg.get("t", key), Err(ConfigError::UnknownKey(_))));
+        }
     }
 
     #[test]

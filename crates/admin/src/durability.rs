@@ -17,8 +17,6 @@ pub struct DurabilityStatus {
     pub tenant: String,
     /// Effective fsync policy (`"always"` / `"never"`).
     pub fsync: String,
-    /// Effective checkpoint format (`"segments"` / `"json"`).
-    pub format: String,
     /// WAL records appended since the log was opened.
     pub wal_appends: u64,
     /// WAL bytes appended since the log was opened.
@@ -78,7 +76,7 @@ pub trait DurabilityHook: Send + Sync {
     fn tenants(&self) -> Vec<String>;
     /// Durability state of one tenant.
     fn status(&self, tenant: &str) -> Result<DurabilityStatus, DurabilityError>;
-    /// Checkpoint one tenant's warehouse (fold WAL into snapshot).
+    /// Checkpoint one tenant's warehouse (fold the WAL into its segments).
     fn checkpoint(&self, tenant: &str) -> Result<CheckpointOutcome, DurabilityError>;
 }
 
@@ -167,7 +165,6 @@ mod tests {
             Ok(DurabilityStatus {
                 tenant: tenant.to_string(),
                 fsync: "never".into(),
-                format: "segments".into(),
                 wal_appends: 3,
                 wal_bytes: 120,
                 wal_file_len: 120,

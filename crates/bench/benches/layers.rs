@@ -62,13 +62,14 @@ fn fig4_layer_roundtrip(c: &mut Criterion) {
     // + layers 4-5: the full HTTP round trip through the web tier
     let server = HttpServer::start(build_router(Arc::clone(&platform)), 4).unwrap();
     let addr = server.addr().to_string();
+    let bearer = format!("Bearer {token}");
     group.bench_function("full_http_roundtrip", |b| {
         b.iter(|| {
             let (status, _, _) = http_request(
                 &addr,
                 "POST",
-                "/sql",
-                &[("x-tenant", "acme"), ("x-token", &token)],
+                "/api/v1/sql",
+                &[("x-tenant", "acme"), ("Authorization", &bearer)],
                 query.as_bytes(),
             )
             .unwrap();

@@ -1,56 +1,34 @@
 //! One-shot A8 probe: runs the full persist cycle (load → full checkpoint
 //! → one-dirty-table incremental checkpoint → crash → recover → cold scan)
-//! under both checkpoint formats and prints the comparison that
-//! `BENCH_persist.json` records.
+//! and prints its absolute numbers. The JSON side `BENCH_persist.json`
+//! compares against was retired; the file says at which commit to rerun it.
 //!
 //! Run with: `cargo run --release -p odbis-bench --example persist_probe`
 
-use odbis_bench::persist::{run_cycle, ROWS, TABLES};
-use odbis_storage::SnapshotFormat;
+use odbis_bench::persist::{run_cycle, PersistRun, ROWS, TABLES};
 
 fn main() {
     println!("warehouse: {TABLES} tables x {ROWS} rows, BI-shaped columns");
-    let mut results = Vec::new();
-    for format in [SnapshotFormat::Segments, SnapshotFormat::Json] {
-        // min-of-3: the container is noisy, the floor is the stable figure
-        let runs: Vec<_> = (0..3).map(|_| run_cycle(format)).collect();
-        let best =
-            |f: fn(&odbis_bench::persist::PersistRun) -> u64| runs.iter().map(f).min().unwrap();
-        println!("--- format={}", format.as_str());
-        println!(
-            "  full checkpoint   : {:>8} us  ({} tables flushed)",
-            best(|r| r.full_checkpoint_us),
-            runs[0].full_tables_flushed
-        );
-        println!(
-            "  incr checkpoint   : {:>8} us  ({} of {TABLES} tables flushed)",
-            best(|r| r.incr_checkpoint_us),
-            runs[0].incr_tables_flushed
-        );
-        println!(
-            "  footprint         : {:>8} bytes",
-            best(|r| r.footprint_bytes)
-        );
-        println!("  recovery          : {:>8} us", best(|r| r.recovery_us));
-        println!(
-            "  cold scan         : {:>8} rows/s",
-            runs.iter().map(|r| r.cold_scan_rows_per_s).max().unwrap()
-        );
-        results.push((
-            format.as_str(),
-            best(|r| r.incr_checkpoint_us),
-            best(|r| r.footprint_bytes),
-        ));
-    }
-    let (_, seg_incr, seg_fp) = results[0];
-    let (_, json_incr, json_fp) = results[1];
-    println!("--- segments vs json");
+    // min-of-3: the container is noisy, the floor is the stable figure
+    let runs: Vec<PersistRun> = (0..3).map(|_| run_cycle()).collect();
+    let best = |f: fn(&PersistRun) -> u64| runs.iter().map(f).min().unwrap();
     println!(
-        "  incr checkpoint speedup : {:.2}x",
-        json_incr as f64 / seg_incr.max(1) as f64
+        "  full checkpoint   : {:>8} us  ({} tables flushed)",
+        best(|r| r.full_checkpoint_us),
+        runs[0].full_tables_flushed
     );
     println!(
-        "  footprint ratio         : {:.2}x smaller",
-        json_fp as f64 / seg_fp.max(1) as f64
+        "  incr checkpoint   : {:>8} us  ({} of {TABLES} tables flushed)",
+        best(|r| r.incr_checkpoint_us),
+        runs[0].incr_tables_flushed
+    );
+    println!(
+        "  footprint         : {:>8} bytes",
+        best(|r| r.footprint_bytes)
+    );
+    println!("  recovery          : {:>8} us", best(|r| r.recovery_us));
+    println!(
+        "  cold scan         : {:>8} rows/s",
+        runs.iter().map(|r| r.cold_scan_rows_per_s).max().unwrap()
     );
 }

@@ -1,22 +1,21 @@
-//! Checkpoint-format workload: a synthetic BI warehouse for comparing the
-//! binary columnar segment checkpoint against the JSON snapshot it
-//! replaced (experiment A8).
+//! Checkpoint workload: a synthetic BI warehouse for timing the binary
+//! columnar segment checkpoint (experiment A8; the JSON snapshot it was
+//! compared against is retired, its recorded ratios are in
+//! `BENCH_persist.json`).
 //!
 //! The warehouse is shaped like the paper's on-demand BI tenants: several
 //! fact tables whose columns are exactly the shapes the segment encodings
 //! target — low-cardinality dimension strings (dict), near-sorted dates
 //! (rle/bitpack), sequential ids (bitpack) and measures (plain). The
 //! incremental scenario mutates **one** table out of N and checkpoints:
-//! segments re-encode only the dirty table, JSON rewrites the world.
+//! only the dirty table is re-encoded.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use odbis_storage::{
-    Column, DataType, Database, DurableStore, FsyncPolicy, Schema, SnapshotFormat, Value, WalSink,
-};
+use odbis_storage::{Column, DataType, Database, DurableStore, FsyncPolicy, Schema, Value, WalSink};
 
 /// Tables in the synthetic warehouse.
 pub const TABLES: usize = 8;
@@ -76,15 +75,10 @@ pub fn fact_row(i: i64) -> Vec<Value> {
     ]
 }
 
-/// Open a durable store in `dir` under `format` and load a `tables`×`rows`
-/// warehouse through journaled `insert_many` statements.
-pub fn build_warehouse_sized(
-    dir: &Path,
-    format: SnapshotFormat,
-    tables: usize,
-    rows: usize,
-) -> (Database, DurableStore) {
-    let (db, store) = DurableStore::open_with_format(dir, FsyncPolicy::Never, format).unwrap();
+/// Open a durable store in `dir` and load a `tables`×`rows` warehouse
+/// through journaled `insert_many` statements.
+pub fn build_warehouse_sized(dir: &Path, tables: usize, rows: usize) -> (Database, DurableStore) {
+    let (db, store) = DurableStore::open(dir, FsyncPolicy::Never).unwrap();
     db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
     for t in 0..tables {
         let name = format!("fact_{t}");
@@ -99,8 +93,8 @@ pub fn build_warehouse_sized(
 }
 
 /// [`build_warehouse_sized`] at the standard [`TABLES`]×[`ROWS`] scale.
-pub fn build_warehouse(dir: &Path, format: SnapshotFormat) -> (Database, DurableStore) {
-    build_warehouse_sized(dir, format, TABLES, ROWS)
+pub fn build_warehouse(dir: &Path) -> (Database, DurableStore) {
+    build_warehouse_sized(dir, TABLES, ROWS)
 }
 
 /// Mutate one table (append `n` rows to `fact_0`) so exactly one table is
@@ -124,15 +118,15 @@ pub fn touch_one_table(db: &Database, n: usize) {
     }
 }
 
-/// Total bytes of checkpoint artifacts (snapshot.json, manifest,
-/// segments) under `dir` — the on-disk footprint a tenant pays at rest.
+/// Total bytes of checkpoint artifacts (manifest, segments) under `dir` —
+/// the on-disk footprint a tenant pays at rest.
 pub fn checkpoint_footprint(dir: &Path) -> u64 {
     let mut total = 0;
     if let Ok(entries) = std::fs::read_dir(dir) {
         for e in entries.flatten() {
             let name = e.file_name();
             let name = name.to_string_lossy();
-            if name == "snapshot.json" || name == "manifest.json" || name.ends_with(".seg") {
+            if name == "manifest.json" || name.ends_with(".seg") {
                 total += e.metadata().map(|m| m.len()).unwrap_or(0);
             }
         }
@@ -140,7 +134,7 @@ pub fn checkpoint_footprint(dir: &Path) -> u64 {
     total
 }
 
-/// Timings (µs) and sizes (bytes) for one format's full cycle.
+/// Timings (µs) and sizes (bytes) for one full cycle.
 #[derive(Debug, Clone)]
 pub struct PersistRun {
     /// Checkpoint with every table dirty (first fold after load).
@@ -159,17 +153,17 @@ pub struct PersistRun {
     pub cold_scan_rows_per_s: u64,
 }
 
-/// Run the A8 cycle under one format: load → full checkpoint → dirty one
-/// table → incremental checkpoint → crash (drop) → recover → scan all.
-pub fn run_cycle(format: SnapshotFormat) -> PersistRun {
-    run_cycle_sized(format, TABLES, ROWS)
+/// Run the A8 cycle: load → full checkpoint → dirty one table →
+/// incremental checkpoint → crash (drop) → recover → scan all.
+pub fn run_cycle() -> PersistRun {
+    run_cycle_sized(TABLES, ROWS)
 }
 
 /// [`run_cycle`] at an explicit warehouse scale (the smoke test uses a
 /// tiny one so debug-mode `cargo test` stays fast).
-pub fn run_cycle_sized(format: SnapshotFormat, tables: usize, rows: usize) -> PersistRun {
-    let dir = scratch_dir(format.as_str());
-    let (db, store) = build_warehouse_sized(&dir, format, tables, rows);
+pub fn run_cycle_sized(tables: usize, rows: usize) -> PersistRun {
+    let dir = scratch_dir("cycle");
+    let (db, store) = build_warehouse_sized(&dir, tables, rows);
 
     let t = Instant::now();
     let full = store.checkpoint(&db).unwrap();
@@ -184,8 +178,7 @@ pub fn run_cycle_sized(format: SnapshotFormat, tables: usize, rows: usize) -> Pe
     drop((db, store)); // crash boundary
 
     let t = Instant::now();
-    let (recovered, _store) =
-        DurableStore::open_with_format(&dir, FsyncPolicy::Never, format).unwrap();
+    let (recovered, _store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
     let recovery_us = t.elapsed().as_micros() as u64;
 
     let t = Instant::now();
@@ -218,13 +211,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cycle_runs_and_segments_flush_incrementally() {
+    fn cycle_runs_and_flushes_incrementally() {
         // tiny scale: this is a smoke test of the harness, not the bench
-        let seg = run_cycle_sized(SnapshotFormat::Segments, 3, 1_000);
-        assert_eq!(seg.full_tables_flushed, 3);
-        assert_eq!(seg.incr_tables_flushed, 1);
-        let json = run_cycle_sized(SnapshotFormat::Json, 3, 1_000);
-        assert_eq!(json.incr_tables_flushed, 3); // JSON always rewrites
-        assert!(seg.footprint_bytes < json.footprint_bytes);
+        let run = run_cycle_sized(3, 1_000);
+        assert_eq!(run.full_tables_flushed, 3);
+        assert_eq!(run.incr_tables_flushed, 1);
+        assert!(run.footprint_bytes > 0);
     }
 }

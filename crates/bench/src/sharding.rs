@@ -129,7 +129,7 @@ pub fn insert_http(addr: &str, tenant: &str, token: &str, id: i64) -> bool {
             addr,
             "POST",
             "/api/v1/sql",
-            &[("x-tenant", tenant), ("x-token", token)],
+            &[("x-tenant", tenant), ("Authorization", &format!("Bearer {token}"))],
             format!("INSERT INTO f VALUES ({id})").as_bytes(),
         ),
         Ok((200, _, _))

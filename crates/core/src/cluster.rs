@@ -11,9 +11,9 @@
 //! an acknowledged write:
 //!
 //! 1. **Checkpoint** — the source folds its WAL so the image is small;
-//! 2. **Ship image** — the checkpoint artifact (manifest + segments,
-//!    or JSON snapshot) is copied byte-for-byte to the target's
-//!    staging directory together with a warm-up WAL tail;
+//! 2. **Ship image** — the checkpoint artifact (manifest + segments)
+//!    is copied byte-for-byte to the target's staging directory
+//!    together with a warm-up WAL tail;
 //! 3. **Drain** — the source acquires the tenant's write fence: every
 //!    in-flight gated call completes, new ones block;
 //! 4. **Final tail** — with the source quiescent, WAL frames above the
@@ -380,7 +380,7 @@ impl Cluster {
             // so the shipped image must be refreshed or they would be
             // dropped at cutover. Quiescent under the fence, the stamp is
             // stable — re-read it and re-export if it advanced.
-            let image = if store.checkpoint_lsn()? == image.last_lsn {
+            let image = if store.checkpoint_lsn() == image.last_lsn {
                 image
             } else {
                 store.export_checkpoint()?

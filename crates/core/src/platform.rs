@@ -24,9 +24,7 @@ use odbis_olap::{
 };
 use odbis_reporting::{Dashboard, RenderedReport, ReportTemplate, ReportingService};
 use odbis_sql::{Engine, QueryResult};
-use odbis_storage::{
-    Database, DbResult, DurableStore, FsyncPolicy, SnapshotFormat, Wal, WalRecord, WalSink,
-};
+use odbis_storage::{Database, DbResult, DurableStore, FsyncPolicy, Wal, WalRecord, WalSink};
 use odbis_telemetry::Telemetry;
 use odbis_tenancy::{ServiceKind, SubscriptionPlan, TenantRegistry, UsageMeter};
 use parking_lot::{Mutex, RwLock};
@@ -81,7 +79,7 @@ pub struct TenantWorkspace {
     publish_lock: Mutex<()>,
     /// MDDWS projects by name.
     pub projects: Mutex<HashMap<String, DwProject>>,
-    /// The tenant's durable store (snapshot + WAL), when the platform was
+    /// The tenant's durable store (checkpoint + WAL), when the platform was
     /// booted with a data directory. `None` for in-memory platforms.
     pub durable: Option<Arc<DurableStore>>,
 }
@@ -203,7 +201,7 @@ impl TenantWorkspace {
     }
 
     /// Open (or recover) a durable workspace rooted at `dir`: load the
-    /// snapshot, replay the WAL, and journal every future warehouse
+    /// checkpoint, replay the WAL, and journal every future warehouse
     /// mutation through a telemetry-metered sink. Re-provisioning a tenant
     /// over an existing directory recovers exactly the committed state.
     /// (WAL replay happens before the sink is attached, so recovery never
@@ -212,10 +210,9 @@ impl TenantWorkspace {
         tenant_id: &str,
         dir: PathBuf,
         policy: FsyncPolicy,
-        format: SnapshotFormat,
         telemetry: Arc<Telemetry>,
     ) -> PlatformResult<Self> {
-        let (db, store) = DurableStore::open_with_format(dir, policy, format)?;
+        let (db, store) = DurableStore::open(dir, policy)?;
         let warehouse = Arc::new(db);
         let store = Arc::new(store);
         let deltas = Arc::new(DeltaBuffer::default());
@@ -404,7 +401,6 @@ impl DurabilityHook for TenantDurability {
         Ok(DurabilityStatus {
             tenant: tenant.to_string(),
             fsync: store.wal().policy().as_str().to_string(),
-            format: store.format().as_str().to_string(),
             wal_appends: stats.appends,
             wal_bytes: stats.bytes,
             wal_file_len: stats.file_len,
@@ -465,7 +461,6 @@ pub struct OdbisPlatform {
     /// (tenant → platform → `ODBIS_LIMITS_*` defaults) on every request.
     pub admission: Arc<odbis_web::AdmissionControl>,
     sql: Engine,
-    sql_rows: Engine,
     workspaces: Arc<RwLock<HashMap<String, Arc<TenantWorkspace>>>>,
     data_dir: Option<PathBuf>,
     /// Cluster membership, `None` for a standalone node. Set once by
@@ -492,7 +487,7 @@ impl OdbisPlatform {
     }
 
     /// Boot a durable platform rooted at `dir`: every tenant provisioned
-    /// afterwards gets a write-ahead log plus snapshot under
+    /// afterwards gets a write-ahead log plus checkpoint under
     /// `dir/<tenant>/`, and re-provisioning over an existing directory
     /// recovers the committed state.
     pub fn with_data_dir(dir: impl Into<PathBuf>) -> Self {
@@ -532,7 +527,6 @@ impl OdbisPlatform {
             context,
             admission,
             sql: Engine::new(),
-            sql_rows: Engine::with_row_execution(),
             workspaces,
             data_dir,
             cluster: RwLock::new(None),
@@ -659,18 +653,10 @@ impl OdbisPlatform {
                         .get_str(id, "durability.fsync")
                         .unwrap_or_else(|_| "never".into()),
                 );
-                let format = SnapshotFormat::parse(
-                    &self
-                        .admin
-                        .config
-                        .get_str(id, "durability.format")
-                        .unwrap_or_else(|_| "segments".into()),
-                );
                 Arc::new(TenantWorkspace::durable(
                     id,
                     root.join(id),
                     policy,
-                    format,
                     Arc::clone(&self.admin.telemetry),
                 )?)
             }
@@ -691,7 +677,7 @@ impl OdbisPlatform {
 
     // ---- durability ----------------------------------------------------------
 
-    /// Checkpoint a tenant's durable store: fold the WAL into the snapshot
+    /// Checkpoint a tenant's durable store: fold the WAL into its segments
     /// and truncate the log. Admin-only; errors with `NotFound` when the
     /// platform (or the tenant) has no durable store.
     pub fn checkpoint_tenant(
@@ -860,25 +846,16 @@ impl OdbisPlatform {
 
     /// Execute raw SQL in the tenant warehouse (designer capability).
     ///
-    /// SELECTs run on the vectorized columnar path unless the tenant's
-    /// `sql.vectorized` setting is explicitly `false` (ablation switch,
-    /// mirroring `olap.preaggregation`). Two further per-tenant knobs tune
-    /// the engine: `sql.parallelism` (worker count for morsel-parallel
-    /// execution, `0` = auto) and `sql.optimizer_rules` (rule-set spec such
-    /// as `"all"`, `"none"`, or `"-reorder,-prune"`).
+    /// Two per-tenant knobs tune the engine: `sql.parallelism` (worker
+    /// count for morsel-parallel execution, `0` = auto) and
+    /// `sql.optimizer_rules` (rule-set spec such as `"all"`, `"none"`, or
+    /// `"-reorder,-prune"`).
     pub fn sql(&self, tenant: &str, token: &str, sql: &str) -> PlatformResult<QueryResult> {
         self.traced(tenant, ServiceKind::Metadata, "sql", |span| {
             span.set_detail(sql);
             self.authorize(tenant, token, "ETL_DESIGN")?;
             let ws = self.workspace(tenant)?;
-            let mut engine = if matches!(
-                self.admin.config.get(tenant, "sql.vectorized"),
-                Ok(odbis_admin::ConfigValue::Bool(false))
-            ) {
-                self.sql_rows.clone()
-            } else {
-                self.sql.clone()
-            };
+            let mut engine = self.sql.clone();
             if let Ok(odbis_admin::ConfigValue::Int(n)) =
                 self.admin.config.get(tenant, "sql.parallelism")
             {
@@ -1404,28 +1381,6 @@ mod tests {
     }
 
     #[test]
-    fn sql_vectorized_config_toggles_execution_path() {
-        let (p, token) = boot();
-        p.sql("acme", &token, "CREATE TABLE t (x INT, y TEXT)")
-            .unwrap();
-        p.sql(
-            "acme",
-            &token,
-            "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, NULL)",
-        )
-        .unwrap();
-        let q = "SELECT y, COUNT(*) AS n FROM t WHERE x > 1 GROUP BY y";
-        let vectorized = p.sql("acme", &token, q).unwrap();
-        p.admin
-            .config
-            .set_for_tenant("acme", "sql.vectorized", false.into())
-            .unwrap();
-        let row_based = p.sql("acme", &token, q).unwrap();
-        assert_eq!(vectorized.columns, row_based.columns);
-        assert_eq!(vectorized.rows, row_based.rows);
-    }
-
-    #[test]
     fn sql_parallelism_and_rules_config_apply_per_tenant() {
         let (p, token) = boot();
         p.sql("acme", &token, "CREATE TABLE t (x INT, y TEXT)")
@@ -1934,7 +1889,7 @@ mod durability_tests {
         let prom = p.admin.telemetry.render_prometheus();
         assert!(prom.contains("odbis_wal_appends_total{tenant=\"acme\"}"));
         assert!(prom.contains("odbis_checkpoints_total{tenant=\"acme\"} 1"));
-        // post-checkpoint restart recovers from the snapshot alone
+        // post-checkpoint restart recovers from the checkpoint alone
         drop(p);
         let (p2, token2) = boot_durable(&dir);
         let r = p2.sql("acme", &token2, "SELECT COUNT(*) FROM t").unwrap();

@@ -1,20 +1,17 @@
 //! The platform's HTTP API: Figure 4's UI layer, serving the web-browser
 //! access tool of Figure 1 and the web-service delivery channel.
 //!
-//! The API is versioned: every route lives under the `/api/v1` prefix,
-//! and the surface is self-describing — `GET /api/v1` answers with the
-//! live route index (method, path, auth requirement, deprecation)
-//! generated from the router registrations themselves, so it cannot
-//! drift from the code the way a hand-maintained table would. The
-//! original unprefixed paths are kept as deprecated aliases — they serve
-//! the same handlers but answer with a `Deprecation: true` header and a
-//! `Link` header pointing at the successor route.
+//! The API is versioned: every route lives under the `/api/v1` prefix —
+//! there is one route tree, and any other path is a 404 envelope — and
+//! the surface is self-describing: `GET /api/v1` answers with the live
+//! route index (method, path, auth requirement) generated from the router
+//! registrations themselves, so it cannot drift from the code the way a
+//! hand-maintained table would.
 //!
 //! Authenticated routes read the tenant from the `x-tenant` header and the
-//! session token from `Authorization: Bearer <token>` (preferred) or the
-//! legacy `x-token` header — both injected as request attributes by the
-//! security filter, the Spring-Security-chain analogue of the paper's
-//! architecture.
+//! session token from `Authorization: Bearer <token>` — both injected as
+//! request attributes by the security filter, the Spring-Security-chain
+//! analogue of the paper's architecture.
 //!
 //! Every response carries an `X-Request-Id` header — adopted from the
 //! client's, or minted — and the same id is embedded in error envelopes
@@ -61,120 +58,46 @@ pub const MAX_PAGE_LIMIT: usize = 1_000;
 /// default 30 000). Bigger asks are a 400, mirroring [`MAX_PAGE_LIMIT`].
 pub const MAX_WATCH_TIMEOUT_MS: u64 = 60_000;
 
-type SharedHandler = Arc<dyn Fn(&HttpRequest, &PathParams) -> HttpResponse + Send + Sync>;
-
-/// One registered route as advertised by the `GET /api/v1` index.
-struct RouteSpec {
-    method: &'static str,
-    path: String,
-    /// `"public"`, `"session"`, or the privilege the handler checks.
-    auth: &'static str,
-    /// `Some(successor)` when the route is a deprecated legacy alias.
-    successor: Option<String>,
-}
-
 /// Route registrar: every registration goes through here so the route
 /// table served by `GET /api/v1` is generated from the same calls that
 /// populate the router — they cannot disagree.
 struct ApiRoutes {
     router: Router,
-    specs: Vec<RouteSpec>,
+    /// One `{"method","path","auth"}` entry per registration; `auth` is
+    /// `"public"`, `"session"`, or the privilege the handler checks.
+    index: Vec<serde_json::Value>,
 }
 
 impl ApiRoutes {
     fn new() -> Self {
         ApiRoutes {
             router: Router::new(),
-            specs: Vec::new(),
+            index: Vec::new(),
         }
     }
 
-    /// Register `path` under the `/api/v1` prefix and, for compatibility,
-    /// at its legacy unprefixed location. The legacy alias serves the
-    /// same handler but stamps deprecation headers on the response.
-    fn versioned(
+    /// Register `path` (given without the prefix) under `/api/v1`.
+    fn route(
         &mut self,
         method: Method,
         path: &str,
         auth: &'static str,
         handler: impl Fn(&HttpRequest, &PathParams) -> HttpResponse + Send + Sync + 'static,
     ) {
-        let handler: SharedHandler = Arc::new(handler);
-        let canonical = format!("{API_PREFIX}{path}");
-        let h = Arc::clone(&handler);
-        self.router
-            .route(method, &canonical, move |req, params| {
-                finish_moved_redirect(req, h(req, params))
-            });
-        self.specs.push(RouteSpec {
-            method: method.as_str(),
-            path: canonical.clone(),
-            auth,
-            successor: None,
-        });
-        let link = format!("<{canonical}>; rel=\"successor-version\"");
-        self.router.route(method, path, move |req, params| {
-            finish_moved_redirect(req, handler(req, params))
-                .with_header("Deprecation", "true")
-                .with_header("Link", &link)
-        });
-        self.specs.push(RouteSpec {
-            method: method.as_str(),
-            path: path.to_string(),
-            auth,
-            successor: Some(canonical),
-        });
-    }
-
-    /// Register a route that exists only at its canonical `/api/v1` path
-    /// (no legacy alias ever shipped for it).
-    fn canonical(
-        &mut self,
-        method: Method,
-        path: &str,
-        auth: &'static str,
-        handler: impl Fn(&HttpRequest, &PathParams) -> HttpResponse + Send + Sync + 'static,
-    ) {
-        self.router.route(method, path, move |req, params| {
+        let path = format!("{API_PREFIX}{path}");
+        self.router.route(method, &path, move |req, params| {
             finish_moved_redirect(req, handler(req, params))
         });
-        self.specs.push(RouteSpec {
-            method: method.as_str(),
-            path: path.to_string(),
-            auth,
-            successor: None,
-        });
+        self.index
+            .push(serde_json::json!({ "method": method.as_str(), "path": path, "auth": auth }));
     }
 
-    /// Serialize the registry and mount it at `GET /api/v1`, consuming the
+    /// Mount the index (which lists itself) at `GET /api/v1`, consuming the
     /// registrar into the finished router.
     fn finish(mut self) -> Router {
-        self.specs.push(RouteSpec {
-            method: "GET",
-            path: API_PREFIX.to_string(),
-            auth: "public",
-            successor: None,
-        });
-        let routes: Vec<serde_json::Value> = self
-            .specs
-            .iter()
-            .map(|s| match &s.successor {
-                Some(succ) => serde_json::json!({
-                    "method": s.method,
-                    "path": s.path,
-                    "auth": s.auth,
-                    "deprecated": true,
-                    "successor": succ,
-                }),
-                None => serde_json::json!({
-                    "method": s.method,
-                    "path": s.path,
-                    "auth": s.auth,
-                    "deprecated": false,
-                }),
-            })
-            .collect();
-        let index = serde_json::json!({ "api": "v1", "routes": routes }).to_string();
+        self.index
+            .push(serde_json::json!({ "method": "GET", "path": API_PREFIX, "auth": "public" }));
+        let index = serde_json::json!({ "api": "v1", "routes": self.index }).to_string();
         self.router.route(Method::Get, API_PREFIX, move |_, _| {
             HttpResponse::json(index.clone())
         });
@@ -230,17 +153,16 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     router.finally(|| odbis_telemetry::set_ambient_request_id(None));
 
     // security filter: stash tenant/token as request attributes; public
-    // paths pass through
+    // paths pass through, and so does anything outside the one route tree
+    // (it can only be a 404)
     router.filter(|req| {
-        const PUBLIC: [&str; 6] = [
-            "/health",
-            "/login",
+        const PUBLIC: [&str; 4] = [
             "/api/v1",
             "/api/v1/health",
             "/api/v1/login",
             "/api/v1/metrics",
         ];
-        if PUBLIC.contains(&req.path.as_str()) {
+        if PUBLIC.contains(&req.path.as_str()) || !req.path.starts_with(API_PREFIX) {
             return None;
         }
         let token = req
@@ -248,7 +170,6 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
             .and_then(|h| h.strip_prefix("Bearer "))
             .map(str::trim)
             .filter(|t| !t.is_empty())
-            .or_else(|| req.header("x-token"))
             .map(str::to_string);
         match (req.header("x-tenant").map(str::to_string), token) {
             (Some(t), Some(tok)) => {
@@ -259,7 +180,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
             _ => Some(error_envelope(
                 401,
                 "unauthorized",
-                "x-tenant plus Authorization: Bearer <token> (or x-token) required",
+                "x-tenant plus Authorization: Bearer <token> required",
             )),
         }
     });
@@ -277,8 +198,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     let p = Arc::clone(&platform);
     router.filter(move |req| {
         p.cluster_node()?;
-        const NODE_LOCAL: [&str; 5] = [
-            "/health",
+        const NODE_LOCAL: [&str; 4] = [
             "/api/v1",
             "/api/v1/health",
             "/api/v1/metrics",
@@ -289,7 +209,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
         }
         let tenant = match req.attributes.get("tenant") {
             Some(t) => t.clone(),
-            None if req.path == "/login" || req.path == "/api/v1/login" => {
+            None if req.path == "/api/v1/login" => {
                 parse_login(&req.body_text())?.0
             }
             None => return None,
@@ -310,7 +230,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
             );
         }
         let mut fwd: Vec<(&str, &str)> = Vec::new();
-        for h in ["x-tenant", "x-token", "authorization", "content-type", "accept", "x-request-id"] {
+        for h in ["x-tenant", "authorization", "content-type", "accept", "x-request-id"] {
             if let Some(v) = req.header(h) {
                 fwd.push((h, v));
             }
@@ -320,7 +240,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                 let mut resp = HttpResponse::status(status)
                     .with_header("X-Odbis-Owner", &owner)
                     .with_body(body);
-                for h in ["content-type", "x-watch-cursor", "retry-after", "deprecation", "link"] {
+                for h in ["content-type", "x-watch-cursor", "retry-after"] {
                     if let Some(v) = headers.get(h) {
                         resp = resp.with_header(h, v);
                     }
@@ -335,19 +255,19 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
         }
     });
 
-    api.versioned(Method::Get, "/health", "public", |_, _| {
+    api.route(Method::Get, "/health", "public", |_, _| {
         HttpResponse::json("{\"status\":\"up\",\"platform\":\"ODBIS\",\"api\":\"v1\"}")
     });
 
     let p = Arc::clone(&platform);
-    api.versioned(Method::Post, "/login", "public", move |req, _| {
+    api.route(Method::Post, "/login", "public", move |req, _| {
         let body = req.body_text();
         let creds = parse_login(&body);
         let Some((tenant, user, password)) = creds else {
             return error_envelope(
                 400,
                 "bad_request",
-                "body must be {\"tenant\",\"user\",\"password\"} or `<tenant> <user> <password>`",
+                "body must be {\"tenant\",\"user\",\"password\"}",
             );
         };
         match p.login(&tenant, &user, &password) {
@@ -359,7 +279,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     });
 
     let p = Arc::clone(&platform);
-    api.canonical(Method::Get, "/api/v1/metrics", "public", move |_, _| {
+    api.route(Method::Get, "/metrics", "public", move |_, _| {
         let mut body = p.admin.telemetry.render_prometheus();
         // live-session gauge per tenant realm (expired sessions are swept
         // on login and excluded from the count either way)
@@ -382,7 +302,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     });
 
     let p = Arc::clone(&platform);
-    api.versioned(Method::Post, "/sql", "ETL_DESIGN", move |req, _| {
+    api.route(Method::Post, "/sql", "ETL_DESIGN", move |req, _| {
         let (tenant, token) = creds(req);
         match p.sql(&tenant, &token, &req.body_text()) {
             Ok(result) => HttpResponse::json(result_json(&result)),
@@ -391,7 +311,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     });
 
     let p = Arc::clone(&platform);
-    api.versioned(Method::Get, "/datasets", "DATASET_RUN", move |req, _| {
+    api.route(Method::Get, "/datasets", "DATASET_RUN", move |req, _| {
         let (tenant, token) = creds(req);
         match p
             .authorize(&tenant, &token, "DATASET_RUN")
@@ -411,7 +331,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     });
 
     let p = Arc::clone(&platform);
-    api.versioned(
+    api.route(
         Method::Get,
         "/datasets/:name",
         "DATASET_RUN",
@@ -441,9 +361,9 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     );
 
     let p = Arc::clone(&platform);
-    api.canonical(
+    api.route(
         Method::Get,
-        "/api/v1/datasets/:name/watch",
+        "/datasets/:name/watch",
         "DATASET_RUN",
         move |req, params| {
             let Some(name) = params.get("name") else {
@@ -514,7 +434,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     );
 
     let p = Arc::clone(&platform);
-    api.versioned(Method::Post, "/mdx", "CUBE_QUERY", move |req, _| {
+    api.route(Method::Post, "/mdx", "CUBE_QUERY", move |req, _| {
         let (tenant, token) = creds(req);
         match p.mdx(&tenant, &token, &req.body_text()) {
             Ok(cells) => {
@@ -542,7 +462,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     });
 
     let p = Arc::clone(&platform);
-    api.versioned(Method::Get, "/admin/usage", "ADMIN_USERS", move |req, _| {
+    api.route(Method::Get, "/admin/usage", "ADMIN_USERS", move |req, _| {
         let (tenant, token) = creds(req);
         match p.authorize(&tenant, &token, "ADMIN_USERS") {
             Ok(_) => {
@@ -565,9 +485,9 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     });
 
     let p = Arc::clone(&platform);
-    api.canonical(
+    api.route(
         Method::Get,
-        "/api/v1/admin/invoice",
+        "/admin/invoice",
         "ADMIN_USERS",
         move |req, _| {
             let (tenant, token) = creds(req);
@@ -599,9 +519,9 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     );
 
     let p = Arc::clone(&platform);
-    api.canonical(
+    api.route(
         Method::Get,
-        "/api/v1/admin/slowlog",
+        "/admin/slowlog",
         "ADMIN_USERS",
         move |req, _| {
             let (tenant, token) = creds(req);
@@ -632,9 +552,9 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     );
 
     let p = Arc::clone(&platform);
-    api.canonical(
+    api.route(
         Method::Get,
-        "/api/v1/admin/durability",
+        "/admin/durability",
         "ADMIN_CONFIG",
         move |req, _| {
             let (tenant, token) = creds(req);
@@ -643,7 +563,6 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                     serde_json::json!({
                         "tenant": s.tenant,
                         "fsync": s.fsync,
-                        "format": s.format,
                         "walAppends": s.wal_appends,
                         "walBytes": s.wal_bytes,
                         "walFileLen": s.wal_file_len,
@@ -657,9 +576,9 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     );
 
     let p = Arc::clone(&platform);
-    api.canonical(
+    api.route(
         Method::Post,
-        "/api/v1/admin/checkpoint",
+        "/admin/checkpoint",
         "ADMIN_CONFIG",
         move |req, _| {
             let (tenant, token) = creds(req);
@@ -680,9 +599,9 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     );
 
     let p = Arc::clone(&platform);
-    api.canonical(
+    api.route(
         Method::Post,
-        "/api/v1/admin/failpoints",
+        "/admin/failpoints",
         "ADMIN_CONFIG",
         move |req, _| {
             let (tenant, token) = creds(req);
@@ -732,9 +651,9 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     );
 
     let p = Arc::clone(&platform);
-    api.canonical(
+    api.route(
         Method::Get,
-        "/api/v1/admin/cluster",
+        "/admin/cluster",
         "ADMIN_CONFIG",
         move |req, _| {
             let (tenant, token) = creds(req);
@@ -780,9 +699,9 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     );
 
     let p = Arc::clone(&platform);
-    api.canonical(
+    api.route(
         Method::Post,
-        "/api/v1/admin/migrate",
+        "/admin/migrate",
         "ADMIN_CONFIG",
         move |req, _| {
             let (tenant, token) = creds(req);
@@ -873,24 +792,11 @@ pub fn serve_platform(
         .start()
 }
 
-/// Parse a login body: preferred JSON `{"tenant","user","password"}`, with
-/// the legacy whitespace-separated triple accepted for old clients.
+/// Parse a login body: JSON `{"tenant","user","password"}`.
 fn parse_login(body: &str) -> Option<(String, String, String)> {
-    if let Ok(v) = serde_json::from_str::<serde_json::Value>(body) {
-        if let (Some(t), Some(u), Some(p)) = (
-            v.get("tenant").and_then(|x| x.as_str()),
-            v.get("user").and_then(|x| x.as_str()),
-            v.get("password").and_then(|x| x.as_str()),
-        ) {
-            return Some((t.to_string(), u.to_string(), p.to_string()));
-        }
-        return None;
-    }
-    let mut parts = body.split_whitespace();
-    match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(t), Some(u), Some(p), None) => Some((t.to_string(), u.to_string(), p.to_string())),
-        _ => None,
-    }
+    let v = serde_json::from_str::<serde_json::Value>(body).ok()?;
+    let field = |k: &str| v.get(k).and_then(|x| x.as_str()).map(str::to_string);
+    Some((field("tenant")?, field("user")?, field("password")?))
 }
 
 fn creds(req: &HttpRequest) -> (String, String) {
@@ -1077,21 +983,60 @@ mod tests {
     }
 
     #[test]
-    fn health_is_public_on_both_paths() {
+    fn health_is_public() {
         let (server, _p, _t) = serve();
         let addr = server.addr().to_string();
         let (status, body) = http_get(&addr, "/api/v1/health").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("\"up\""));
-        // legacy alias still answers, but flagged deprecated
-        let (status, headers, _) = http_request(&addr, "GET", "/health", &[], b"").unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(headers.get("deprecation").map(String::as_str), Some("true"));
-        assert!(headers["link"].contains("/api/v1/health"));
+    }
+
+    fn assert_envelope(status: u16, body: &str, want_status: u16, want_kind: &str) {
+        assert_eq!(status, want_status, "{body}");
+        let v: serde_json::Value = serde_json::from_str(body)
+            .unwrap_or_else(|_| panic!("body is not a JSON envelope: {body}"));
+        assert_eq!(v["error"]["kind"], want_kind, "{body}");
+        assert!(v["error"]["message"].as_str().is_some(), "{body}");
+        assert!(v["error"]["request_id"].as_str().is_some(), "{body}");
+    }
+
+    /// The pre-`/api/v1` surface is gone, not redirected: the unprefixed
+    /// paths are plain route misses (with or without credentials), the
+    /// `x-token` header authenticates nobody, and a whitespace login body
+    /// is malformed.
+    #[test]
+    fn retired_surface_answers_with_error_envelopes() {
+        let (server, _p, token) = serve();
+        let addr = server.addr().to_string();
+        let bearer = format!("Bearer {token}");
+        let authed = [("x-tenant", "acme"), ("Authorization", bearer.as_str())];
+        for (method, path, body) in [
+            ("POST", "/login", "acme root pw"),
+            ("GET", "/datasets", ""),
+            ("POST", "/sql", "SELECT 1"),
+            ("GET", "/health", ""),
+        ] {
+            for headers in [&authed[..], &[]] {
+                let (status, _, resp) =
+                    http_request(&addr, method, path, headers, body.as_bytes()).unwrap();
+                assert_envelope(status, &resp, 404, "not_found");
+            }
+        }
+        let (status, _, resp) = http_request(
+            &addr,
+            "GET",
+            "/api/v1/datasets",
+            &[("x-tenant", "acme"), ("x-token", token.as_str())],
+            b"",
+        )
+        .unwrap();
+        assert_envelope(status, &resp, 401, "unauthorized");
+        let (status, resp) = odbis_web::http_post(&addr, "/api/v1/login", "acme root pw").unwrap();
+        assert_envelope(status, &resp, 400, "bad_request");
     }
 
     #[test]
-    fn login_accepts_json_and_legacy_bodies() {
+    fn login_accepts_json_bodies_only() {
         let (server, _p, _t) = serve();
         let addr = server.addr().to_string();
         let (status, body) = odbis_web::http_post(
@@ -1100,10 +1045,6 @@ mod tests {
             "{\"tenant\":\"acme\",\"user\":\"root\",\"password\":\"pw\"}",
         )
         .unwrap();
-        assert_eq!(status, 200);
-        assert!(body.contains("token"));
-        // legacy whitespace triple on the legacy path
-        let (status, body) = odbis_web::http_post(&addr, "/login", "acme root pw").unwrap();
         assert_eq!(status, 200);
         assert!(body.contains("token"));
         // wrong password → 401 with the error envelope
@@ -1171,11 +1112,12 @@ mod tests {
         token: &str,
         body: &str,
     ) -> (u16, String, ()) {
+        let bearer = format!("Bearer {token}");
         let (status, _, resp) = http_request(
             addr,
             method,
             path,
-            &[("x-tenant", "acme"), ("x-token", token)],
+            &[("x-tenant", "acme"), ("Authorization", bearer.as_str())],
             body.as_bytes(),
         )
         .unwrap();
@@ -1230,23 +1172,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_sql_alias_still_works_with_deprecation_header() {
-        let (server, _p, token) = serve();
-        let addr = server.addr().to_string();
-        let (status, headers, _) = http_request(
-            &addr,
-            "POST",
-            "/sql",
-            &[("x-tenant", "acme"), ("x-token", token.as_str())],
-            b"CREATE TABLE t (x INT)",
-        )
-        .unwrap();
-        assert_eq!(status, 200);
-        assert_eq!(headers.get("deprecation").map(String::as_str), Some("true"));
-        assert!(headers["link"].contains("/api/v1/sql"));
-    }
-
-    #[test]
     fn metrics_scrape_reflects_traffic() {
         let (server, _p, token) = serve();
         let addr = server.addr().to_string();
@@ -1298,11 +1223,12 @@ mod tests {
     fn binary_body_is_rejected_cleanly() {
         let (server, _p, token) = serve();
         let addr = server.addr().to_string();
+        let bearer = format!("Bearer {token}");
         let (status, _, body) = http_request(
             &addr,
             "POST",
             "/api/v1/sql",
-            &[("x-tenant", "acme"), ("x-token", token.as_str())],
+            &[("x-tenant", "acme"), ("Authorization", bearer.as_str())],
             &[0xff, 0xfe, 0x00, 0x80, 0xc3],
         )
         .unwrap();
@@ -1490,13 +1416,14 @@ mod tests {
             .as_str()
             .unwrap()
             .to_string();
+        let bearer = format!("Bearer {token}");
 
         // writes through the non-owner are proxied (and marked as such)
         let (status, headers, body) = http_request(
             &other_addr,
             "POST",
             "/api/v1/sql",
-            &[("x-tenant", "acme"), ("x-token", &token)],
+            &[("x-tenant", "acme"), ("Authorization", &bearer)],
             b"CREATE TABLE kv (k INT, v TEXT)",
         )
         .unwrap();
@@ -1507,7 +1434,7 @@ mod tests {
                 &other_addr,
                 "POST",
                 "/api/v1/sql",
-                &[("x-tenant", "acme"), ("x-token", &token)],
+                &[("x-tenant", "acme"), ("Authorization", &bearer)],
                 format!("INSERT INTO kv VALUES ({i}, 'v{i}')").as_bytes(),
             )
             .unwrap();
@@ -1518,7 +1445,7 @@ mod tests {
             &owner_addr,
             "POST",
             "/api/v1/sql",
-            &[("x-tenant", "acme"), ("x-token", &token)],
+            &[("x-tenant", "acme"), ("Authorization", &bearer)],
             b"SELECT COUNT(*) FROM kv",
         )
         .unwrap();
@@ -1530,7 +1457,7 @@ mod tests {
             &other_addr,
             "GET",
             "/api/v1/admin/cluster",
-            &[("x-tenant", "acme"), ("x-token", &token)],
+            &[("x-tenant", "acme"), ("Authorization", &bearer)],
             b"",
         )
         .unwrap();
@@ -1544,7 +1471,7 @@ mod tests {
             &owner_addr,
             "POST",
             "/api/v1/admin/migrate",
-            &[("x-tenant", "acme"), ("x-token", &token)],
+            &[("x-tenant", "acme"), ("Authorization", &bearer)],
             format!("{{\"target\":\"{other_id}\"}}").as_bytes(),
         )
         .unwrap();
@@ -1558,7 +1485,7 @@ mod tests {
             &owner_addr,
             "POST",
             "/api/v1/sql",
-            &[("x-tenant", "acme"), ("x-token", &token)],
+            &[("x-tenant", "acme"), ("Authorization", &bearer)],
             b"SELECT COUNT(*) FROM kv",
         )
         .unwrap();
@@ -1581,7 +1508,7 @@ mod tests {
             &owner_addr,
             "POST",
             "/api/v1/sql",
-            &[("x-tenant", "acme"), ("x-token", &token)],
+            &[("x-tenant", "acme"), ("Authorization", &bearer)],
             b"SELECT COUNT(*) FROM kv",
         )
         .unwrap();

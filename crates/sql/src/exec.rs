@@ -1,23 +1,23 @@
 //! Plan execution: materialized, operator-at-a-time.
 //!
-//! Three equivalent paths exist. [`run`] is the row-at-a-time executor over
-//! `Vec<Vec<Value>>`. [`run_batch`] is the serial vectorized executor over
-//! columnar [`Batch`]es: scans, filters, projections, and aggregations stay
-//! column-wise; joins, sorts, DISTINCT, and VALUES pivot to rows at their
-//! boundary and share the same row-level kernels as the row path, so both
-//! executors return identical results. [`run_batch_with`] adds
-//! morsel-driven parallelism on top of the vectorized operators: table
-//! scans emit fixed-size morsels ([`MORSEL_ROWS`] rows) that flow through
-//! filters and projections on a scoped worker pool, equi-joins become
-//! partitioned hash joins, and aggregation runs two-phase (per-worker
-//! partial states merged in worker order). Every parallel operator is
-//! written to reproduce the serial output ordering exactly, so all three
-//! paths stay bit-for-bit interchangeable.
+//! Two walkers over [`PlanNode`] exist. [`run_columnar`] → `exec_morsels` is
+//! the executor every production SELECT takes: table scans emit fixed-size
+//! morsels ([`MORSEL_ROWS`] rows) of columnar [`Batch`]es that flow through
+//! filters and projections column-wise on a scoped worker pool, equi-joins
+//! become partitioned hash joins, and aggregation runs two-phase
+//! (per-worker partial states merged in worker order). With one worker the
+//! pool runs inline, so the serial executor is this same walker at
+//! `threads = 1`, and every parallel operator reproduces the serial output
+//! ordering exactly. [`run`] is the row-at-a-time interpreter over
+//! `Vec<Vec<Value>>`, reachable only through
+//! [`crate::Engine::with_row_execution`]: the differential suites use it as
+//! their oracle. Joins, sorts and top-k pivot to rows at their boundary and
+//! share one set of row-level kernels between the two walkers.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
-use odbis_storage::{Batch, ColumnData, ColumnVec, Database, Value};
+use odbis_storage::{Batch, ColumnData, ColumnVec, Database, DbError, DbResult, Table, Value};
 
 use crate::ast::{AggFunc, BinOp, JoinKind};
 use crate::error::{SqlError, SqlResult};
@@ -62,15 +62,7 @@ pub fn run(db: &Database, plan: &Plan) -> SqlResult<Vec<Vec<Value>>> {
             hi,
             residual,
         } => {
-            let candidates: Vec<Vec<Value>> = db.read_table(table, |t| {
-                let idx = t
-                    .index(index)
-                    .ok_or_else(|| odbis_storage::DbError::IndexNotFound(index.clone()))?;
-                let ids = idx.range(lo.as_deref(), hi.as_deref());
-                ids.into_iter()
-                    .map(|id| t.get(id).map(<[Value]>::to_vec))
-                    .collect::<Result<Vec<_>, _>>()
-            })??;
+            let candidates = db.read_table(table, |t| index_rows(t, index, lo, hi))??;
             match residual {
                 None => Ok(candidates),
                 Some(pred) => {
@@ -161,138 +153,30 @@ pub fn run(db: &Database, plan: &Plan) -> SqlResult<Vec<Vec<Value>>> {
     }
 }
 
-/// Execute a read-only plan column-wise, producing a [`Batch`].
-///
-/// Table scans, filters, projections, aggregations, and LIMIT are fully
-/// vectorized. Joins, sorts, DISTINCT, index probes, and VALUES pivot
-/// through rows at their boundary (sharing the row path's kernels), then
-/// re-batch their output.
-pub fn run_batch(db: &Database, plan: &Plan) -> SqlResult<Batch> {
-    let arity = plan.schema.len();
-    match &plan.node {
-        PlanNode::TableScan {
-            table,
-            filter,
-            projection,
-        } => {
-            let batch = match projection {
-                None => db.scan_batch(table)?,
-                Some(cols) => db.scan_batch_cols(table, cols)?,
-            };
-            match filter {
-                None => Ok(batch),
-                Some(pred) => Ok(batch.filter(&keep_mask(pred, &batch)?)),
-            }
-        }
-        PlanNode::IndexScan { .. } => {
-            // index probes fetch scattered rows; batch the fetched result
-            let rows = run(db, plan)?;
-            Ok(Batch::from_rows(arity, rows)?)
-        }
-        PlanNode::Filter { input, predicate } => {
-            let batch = run_batch(db, input)?;
-            Ok(batch.filter(&keep_mask(predicate, &batch)?))
-        }
-        PlanNode::Project { input, exprs } => {
-            let batch = run_batch(db, input)?;
-            let cols: Vec<Arc<ColumnVec>> = exprs
-                .iter()
-                .map(|e| e.eval_batch(&batch))
-                .collect::<SqlResult<_>>()?;
-            Ok(Batch::new(cols, batch.num_rows())?)
-        }
-        PlanNode::Join {
-            kind,
-            left,
-            right,
-            on,
-        } => {
-            let lrows = run_batch(db, left)?.to_rows();
-            let rrows = run_batch(db, right)?.to_rows();
-            let rows = join_rows(
-                *kind,
-                &lrows,
-                &rrows,
-                left.schema.len(),
-                right.schema.len(),
-                on,
-            )?;
-            Ok(Batch::from_rows(arity, rows)?)
-        }
-        PlanNode::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-        } => {
-            let batch = run_batch(db, input)?;
-            let rows = aggregate_batch(&batch, group_exprs, aggs)?;
-            Ok(Batch::from_rows(arity, rows)?)
-        }
-        PlanNode::Sort { input, keys } => {
-            let mut rows = run_batch(db, input)?.to_rows();
-            sort_rows(&mut rows, keys);
-            Ok(Batch::from_rows(arity, rows)?)
-        }
-        PlanNode::Distinct { input } => {
-            let rows = run_batch(db, input)?.to_rows();
-            let mut seen = HashSet::new();
-            let mut out = Vec::new();
-            for row in rows {
-                if seen.insert(row.clone()) {
-                    out.push(row);
-                }
-            }
-            Ok(Batch::from_rows(arity, out)?)
-        }
-        PlanNode::Limit {
-            input,
-            limit,
-            offset,
-        } => {
-            if let (
-                PlanNode::Sort {
-                    input: sort_input,
-                    keys,
-                },
-                Some(l),
-            ) = (&input.node, limit)
-            {
-                let rows = run_batch(db, sort_input)?.to_rows();
-                let top = top_k(rows, keys, offset.saturating_add(*l));
-                let out: Vec<Vec<Value>> = top.into_iter().skip(*offset).collect();
-                return Ok(Batch::from_rows(arity, out)?);
-            }
-            let batch = run_batch(db, input)?;
-            let n = batch.num_rows();
-            let end = limit.map_or(n, |l| (offset + l).min(n));
-            let start = (*offset).min(n);
-            Ok(batch.slice(start, end.max(start)))
-        }
-        PlanNode::Values { rows } => Ok(Batch::from_rows(arity, rows.clone())?),
-    }
+/// The rows of `table` whose `index` key lies in `[lo, hi]` (either bound
+/// optional), in index order — the fetch both walkers' `IndexScan` share.
+fn index_rows(
+    table: &Table,
+    index: &str,
+    lo: &Option<Vec<Value>>,
+    hi: &Option<Vec<Value>>,
+) -> DbResult<Vec<Vec<Value>>> {
+    let idx = table
+        .index(index)
+        .ok_or_else(|| DbError::IndexNotFound(index.to_string()))?;
+    idx.range(lo.as_deref(), hi.as_deref())
+        .into_iter()
+        .map(|id| table.get(id).map(<[Value]>::to_vec))
+        .collect()
 }
 
 /// Rows per morsel: the unit of work handed to parallel operators.
 pub const MORSEL_ROWS: usize = 4096;
 
-/// Execution tuning knobs threaded from the engine.
-#[derive(Debug, Clone, Copy)]
-pub struct ExecOptions {
-    /// Worker threads for morsel-parallel operators (`<= 1` = serial).
-    pub parallelism: usize,
-}
-
-/// Execute a read-only plan with the given options, producing a [`Batch`].
-///
-/// With `parallelism <= 1` this is exactly [`run_batch`]. Otherwise the
-/// plan runs morsel-parallel and the output morsels are concatenated; all
-/// parallel operators preserve the serial output ordering, so the result
-/// is identical to the serial executors'.
-pub fn run_batch_with(db: &Database, plan: &Plan, opts: ExecOptions) -> SqlResult<Batch> {
-    if opts.parallelism <= 1 {
-        return run_batch(db, plan);
-    }
-    let morsels = exec_morsels(db, plan, opts.parallelism)?;
+/// Execute a read-only plan column-wise on `threads` workers, producing a
+/// [`Batch`]: the in-order concatenation of the plan's output morsels.
+pub fn run_columnar(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Batch> {
+    let morsels = exec_morsels(db, plan, threads)?;
     Ok(Batch::concat(plan.schema.len(), &morsels)?)
 }
 
@@ -390,8 +274,23 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
             let start = (*offset).min(n);
             Ok(vec![batch.slice(start, end.max(start))])
         }
-        // Index probes fetch scattered rows and VALUES is tiny: run serial.
-        PlanNode::IndexScan { .. } | PlanNode::Values { .. } => Ok(vec![run_batch(db, plan)?]),
+        PlanNode::IndexScan {
+            table,
+            index,
+            lo,
+            hi,
+            residual,
+        } => {
+            // An index probe fetches scattered rows: they become one
+            // morsel, and the residual runs over it column-wise.
+            let rows = db.read_table(table, |t| index_rows(t, index, lo, hi))??;
+            let batch = Batch::from_rows(arity, rows)?;
+            Ok(vec![match residual {
+                None => batch,
+                Some(pred) => batch.filter(&keep_mask(pred, &batch)?),
+            }])
+        }
+        PlanNode::Values { rows } => Ok(vec![Batch::from_rows(arity, rows.clone())?]),
     }
 }
 
@@ -1016,44 +915,6 @@ fn aggregate(
     state.finish(group_exprs, aggs)
 }
 
-/// Vectorized hash aggregation: group keys and aggregate arguments are
-/// evaluated as whole columns up front, then folded into the shared
-/// accumulators in one pass over the batch. When the group columns are
-/// typed and hashable they are dictionary-encoded into dense group ids so
-/// the accumulation loop indexes a vector instead of hashing a
-/// `Vec<Value>` per row.
-fn aggregate_batch(
-    input: &Batch,
-    group_exprs: &[BExpr],
-    aggs: &[AggExpr],
-) -> SqlResult<Vec<Vec<Value>>> {
-    let n = input.num_rows();
-    let group_cols: Vec<Arc<ColumnVec>> = group_exprs
-        .iter()
-        .map(|g| g.eval_batch(input))
-        .collect::<SqlResult<_>>()?;
-    let arg_cols: Vec<Option<Arc<ColumnVec>>> = aggs
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| e.eval_batch(input)).transpose())
-        .collect::<SqlResult<_>>()?;
-    if !group_exprs.is_empty() && aggs.iter().all(|a| !a.distinct) {
-        if let Some((gids, keys)) = group_ids(&group_cols, n) {
-            return aggregate_by_gid(&gids, keys, &arg_cols, aggs);
-        }
-    }
-    let mut state = GroupState::new();
-    let mut key = Vec::with_capacity(group_cols.len());
-    for i in 0..n {
-        key.clear();
-        key.extend(group_cols.iter().map(|c| c.value(i)));
-        let entry = state.entry(&key, aggs);
-        for (ai, col) in arg_cols.iter().enumerate() {
-            GroupState::accumulate(entry, ai, col.as_ref().map(|c| c.value(i)))?;
-        }
-    }
-    state.finish(group_exprs, aggs)
-}
-
 /// FxHash-style multiply-xor hasher for the aggregation hot path. Not
 /// DoS-resistant, which is fine for query-local tables that never outlive
 /// one statement.
@@ -1177,64 +1038,11 @@ fn group_ids(group_cols: &[Arc<ColumnVec>], n: usize) -> Option<(Vec<u32>, Vec<V
     Some((gids, keys))
 }
 
-/// Fold aggregate argument columns into per-group accumulators indexed by
-/// dense group id, column-at-a-time. Count/Sum/Avg over typed numeric
-/// columns run over the raw slices; everything else goes through the same
-/// per-value [`Acc::update`] the generic path uses.
-fn aggregate_by_gid(
-    gids: &[u32],
-    keys: Vec<Vec<Value>>,
-    arg_cols: &[Option<Arc<ColumnVec>>],
-    aggs: &[AggExpr],
-) -> SqlResult<Vec<Vec<Value>>> {
-    let ngroups = keys.len();
-    let (accs, numeric) = fold_by_gid(gids, ngroups, arg_cols, aggs)?;
-    let mut out = Vec::with_capacity(ngroups);
-    for (g, key) in keys.into_iter().enumerate() {
-        let mut row = key;
-        for (ai, agg) in aggs.iter().enumerate() {
-            row.push(accs[g][ai].finish(agg.func, numeric[g][ai])?);
-        }
-        out.push(row);
-    }
-    Ok(out)
-}
-
-/// Per-group accumulator state: one `Acc` per aggregate per group, plus
-/// the still-numeric flag each accumulator carries for AVG/SUM coercion.
-type GroupAccs = (Vec<Vec<Acc>>, Vec<Vec<bool>>);
-
-/// The accumulation loop of the dense-id path, shared by the serial
-/// finisher ([`aggregate_by_gid`]) and the parallel partial pass.
-fn fold_by_gid(
-    gids: &[u32],
-    ngroups: usize,
-    arg_cols: &[Option<Arc<ColumnVec>>],
-    aggs: &[AggExpr],
-) -> SqlResult<GroupAccs> {
-    let mut accs: Vec<Vec<Acc>> = (0..ngroups)
-        .map(|_| aggs.iter().map(|a| Acc::new(a.distinct)).collect())
-        .collect();
-    let mut numeric: Vec<Vec<bool>> = vec![vec![true; aggs.len()]; ngroups];
-    for (ai, (agg, col)) in aggs.iter().zip(arg_cols).enumerate() {
-        match col {
-            None => {
-                // COUNT(*) counts every row, nulls included.
-                for &g in gids {
-                    accs[g as usize][ai].count += 1;
-                }
-            }
-            Some(col) => {
-                accumulate_column(gids, col, ai, agg.func, &mut accs, &mut numeric)?;
-            }
-        }
-    }
-    Ok((accs, numeric))
-}
-
 /// Fold one morsel into a running [`GroupState`] (the partial phase of
-/// two-phase parallel aggregation). Reuses the dense group-id fast path
-/// per morsel when the group columns allow it.
+/// two-phase aggregation). Group keys and aggregate arguments are evaluated
+/// as whole columns up front; when the group columns are typed and hashable
+/// they are dictionary-encoded into dense group ids so the accumulation
+/// loop indexes a vector instead of hashing a `Vec<Value>` per row.
 fn accumulate_batch_into(
     state: &mut GroupState,
     input: &Batch,
@@ -1252,7 +1060,25 @@ fn accumulate_batch_into(
         .collect::<SqlResult<_>>()?;
     if !group_exprs.is_empty() && aggs.iter().all(|a| !a.distinct) {
         if let Some((gids, keys)) = group_ids(&group_cols, n) {
-            let (accs, numeric) = fold_by_gid(&gids, keys.len(), &arg_cols, aggs)?;
+            // one `Acc` per aggregate per group, plus the still-numeric
+            // flag each carries for AVG/SUM coercion, folded column-at-a-time
+            let mut accs: Vec<Vec<Acc>> = (0..keys.len())
+                .map(|_| aggs.iter().map(|a| Acc::new(a.distinct)).collect())
+                .collect();
+            let mut numeric: Vec<Vec<bool>> = vec![vec![true; aggs.len()]; keys.len()];
+            for (ai, (agg, col)) in aggs.iter().zip(&arg_cols).enumerate() {
+                match col {
+                    None => {
+                        // COUNT(*) counts every row, nulls included.
+                        for &g in &gids {
+                            accs[g as usize][ai].count += 1;
+                        }
+                    }
+                    Some(col) => {
+                        accumulate_column(&gids, col, ai, agg.func, &mut accs, &mut numeric)?;
+                    }
+                }
+            }
             for ((key, accs), numeric) in keys.into_iter().zip(accs).zip(numeric) {
                 let entry = state.entry(&key, aggs);
                 for (ai, acc) in accs.into_iter().enumerate() {

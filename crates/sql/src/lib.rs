@@ -177,14 +177,14 @@ impl Default for Engine {
     }
 }
 
-/// Default worker count for morsel-parallel execution: env
-/// `ODBIS_SQL_PARALLELISM` when set, otherwise the machine's available
-/// parallelism.
-fn parallelism_default() -> usize {
-    match std::env::var("ODBIS_SQL_PARALLELISM") {
-        Ok(v) => v.trim().parse().ok().filter(|&n| n >= 1).unwrap_or(1),
-        Err(_) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-    }
+/// Worker count for morsel-parallel execution from the value of env
+/// `ODBIS_SQL_PARALLELISM`: a positive integer is taken as given; unset,
+/// `0` or anything unparsable means auto — the machine's available
+/// parallelism — exactly like `0` in the `sql.parallelism` config key.
+fn parallelism_from(spec: Option<&str>) -> usize {
+    spec.and_then(|v| v.trim().parse().ok())
+        .filter(|&n| n >= 1)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Default optimizer rule set: env `ODBIS_SQL_OPTIMIZER_RULES` when set
@@ -205,7 +205,7 @@ impl Engine {
         Engine {
             use_indexes: true,
             vectorized: true,
-            parallelism: parallelism_default(),
+            parallelism: parallelism_from(std::env::var("ODBIS_SQL_PARALLELISM").ok().as_deref()),
             rules: rules_default(),
         }
     }
@@ -219,9 +219,9 @@ impl Engine {
         }
     }
 
-    /// Engine that executes row-at-a-time instead of over columnar batches
-    /// (the pre-columnar baseline; kept for ablations and as the reference
-    /// side of the differential harness).
+    /// Engine that executes row-at-a-time instead of over columnar batches:
+    /// the oracle side of the differential suites. No config key or
+    /// environment variable selects it.
     pub fn with_row_execution() -> Self {
         Engine {
             vectorized: false,
@@ -229,8 +229,8 @@ impl Engine {
         }
     }
 
-    /// Set the worker count for morsel-parallel execution (`<= 1` =
-    /// serial vectorized execution).
+    /// Set the worker count for morsel-parallel execution (`<= 1` runs the
+    /// same operators inline on the calling thread).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism.max(1);
         self
@@ -244,20 +244,9 @@ impl Engine {
         self
     }
 
-    /// Whether SELECTs run on the vectorized columnar path.
-    pub fn is_vectorized(&self) -> bool {
-        self.vectorized
-    }
-
     /// Worker count used by morsel-parallel execution.
     pub fn parallelism(&self) -> usize {
         self.parallelism
-    }
-
-    fn exec_options(&self) -> exec::ExecOptions {
-        exec::ExecOptions {
-            parallelism: self.parallelism,
-        }
     }
 
     /// Parse, plan, optimize and execute one statement.
@@ -296,7 +285,7 @@ impl Engine {
                 let plan = optimizer::optimize(plan, db, self.use_indexes, &self.rules);
                 let columns: Vec<String> = plan.schema.iter().map(|c| c.name.clone()).collect();
                 if self.vectorized {
-                    let batch = exec::run_batch_with(db, &plan, self.exec_options())?;
+                    let batch = exec::run_columnar(db, &plan, self.parallelism)?;
                     Ok(QueryResult::from_batch(columns, &batch))
                 } else {
                     Ok(QueryResult {
@@ -394,7 +383,7 @@ impl Engine {
         let plan = planner::plan_select(db, &sel)?;
         let plan = optimizer::optimize(plan, db, self.use_indexes, &self.rules);
         let columns: Vec<String> = plan.schema.iter().map(|c| c.name.clone()).collect();
-        let batch = exec::run_batch_with(db, &plan, self.exec_options())?;
+        let batch = exec::run_columnar(db, &plan, self.parallelism)?;
         Ok((columns, batch))
     }
 
@@ -950,6 +939,17 @@ mod tests {
             // a width the minimum divides exactly still evaluates
             let r = engine.execute(&db, "SELECT TUMBLE(t, 2) FROM ev").unwrap();
             assert_eq!(r.rows[0][0], Value::Int(i64::MIN));
+        }
+    }
+
+    #[test]
+    fn parallelism_env_zero_and_garbage_mean_auto() {
+        let auto = parallelism_from(None);
+        assert!(auto >= 1);
+        assert_eq!(parallelism_from(Some("3")), 3);
+        assert_eq!(parallelism_from(Some(" 2 ")), 2);
+        for spec in ["0", "", "lots", "-1"] {
+            assert_eq!(parallelism_from(Some(spec)), auto, "spec {spec:?}");
         }
     }
 

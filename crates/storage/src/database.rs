@@ -403,12 +403,6 @@ impl Database {
         self.read_table(table, |t| t.scan_batch())
     }
 
-    /// Columnar snapshot of selected physical columns (see
-    /// [`Table::scan_batch_cols`]).
-    pub fn scan_batch_cols(&self, table: &str, cols: &[usize]) -> DbResult<Batch> {
-        self.read_table(table, |t| t.scan_batch_cols(cols))
-    }
-
     /// Split a table snapshot into morsels for parallel execution (see
     /// [`Table::scan_partitions`]). The table read lock is held for one
     /// acquisition only: every morsel is a slice of the same immutable

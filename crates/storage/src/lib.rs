@@ -17,8 +17,7 @@
 //!   and recovery ([`Wal`] / [`DurableStore`], see the [`wal`] module);
 //! * binary columnar checkpoint segments with CRC-checked encoded blocks,
 //!   zone maps, and incremental flushing (the [`segment`] and [`manifest`]
-//!   modules, selected via [`SnapshotFormat`]);
-//! * exact [`TableStats`] for the SQL optimizer.
+//!   modules) — the one checkpoint format [`DurableStore`] writes.
 //!
 //! ```
 //! use odbis_storage::{Column, Database, DataType, Schema, Value};
@@ -43,7 +42,6 @@ pub mod manifest;
 mod persist;
 mod schema;
 pub mod segment;
-mod stats;
 mod table;
 mod value;
 pub mod wal;
@@ -55,7 +53,6 @@ pub use manifest::{Manifest, SegmentEntry};
 pub use persist::{load_snapshot, save_snapshot, SNAPSHOT_VERSION};
 pub use schema::{resolve_column, Column, Schema};
 pub use segment::{scan_segment, Encoding, SegmentScan, BLOCK_ROWS};
-pub use stats::{ColumnStats, TableStats};
 pub use table::{Index, RowId, Table};
 pub use value::{
     date_to_days, days_to_date, format_date, format_timestamp, is_leap_year, parse_date,
@@ -63,5 +60,5 @@ pub use value::{
 };
 pub use wal::{
     read_wal, replay_record, CheckpointImage, CheckpointReport, DurableStore, FsyncPolicy,
-    SnapshotFormat, Wal, WalEntry, WalRecord, WalSink, WalStats, WalTail,
+    Wal, WalEntry, WalRecord, WalSink, WalStats, WalTail,
 };

@@ -788,6 +788,11 @@ fn parse_header(bytes: &[u8], origin: &Path) -> DbResult<SegmentHeader> {
     let mut blocks = Vec::with_capacity(ncols);
     for _ in 0..ncols {
         let nblocks = read_u32(bytes, &mut pos, "block count")? as usize;
+        // every block frame is at least its 8-byte header: a count past
+        // that is damage, not a reason to reserve gigabytes
+        if nblocks > (bytes.len() - pos) / 8 {
+            return Err(corrupt("block count exceeds segment size"));
+        }
         let mut col_blocks = Vec::with_capacity(nblocks);
         for _ in 0..nblocks {
             let start = pos;

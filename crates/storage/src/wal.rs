@@ -24,22 +24,23 @@
 //!
 //! ## Checkpoint protocol
 //!
-//! [`DurableStore::checkpoint`] folds the log into the JSON snapshot:
+//! [`DurableStore::checkpoint`] folds the log into columnar segments:
 //! holding the catalog read lock (excludes DDL) plus *every* table's read
 //! lock in canonical order (excludes appenders, who journal under their
-//! table's write lock), it writes a snapshot stamped with the last
-//! assigned LSN, then truncates the log. The LSN stamp is read only after
-//! all table read locks are held, so every assigned LSN corresponds to an
-//! applied mutation visible in the snapshot cut. If the process dies
-//! *between* snapshot and truncation, recovery still converges: replay
-//! skips every record whose LSN is `<=` the snapshot's `last_lsn`, so
-//! pre-checkpoint frames left in the log are no-ops.
+//! table's write lock), it writes a segment per dirty table and a manifest
+//! stamped with the last assigned LSN, then truncates the log. The LSN
+//! stamp is read only after all table read locks are held, so every
+//! assigned LSN corresponds to an applied mutation visible in the cut. If
+//! the process dies *between* the manifest swap and the truncation,
+//! recovery still converges: replay skips every record whose LSN is `<=`
+//! the manifest's `last_lsn`, so pre-checkpoint frames left in the log are
+//! no-ops.
 //!
 //! ## Recovery invariants
 //!
-//! [`DurableStore::open`] yields exactly the committed prefix: snapshot
-//! state, plus every fully-written post-snapshot record, in append order.
-//! Row ids are stable across recovery (snapshots preserve tombstone slots
+//! [`DurableStore::open`] yields exactly the committed prefix: checkpoint
+//! state, plus every fully-written post-checkpoint record, in append order.
+//! Row ids are stable across recovery (segments preserve tombstone slots
 //! and replayed inserts re-allocate the same slot), so `Update`/`Delete`
 //! records always land on the row they journaled.
 
@@ -57,7 +58,6 @@ use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::manifest::{self, Manifest, SegmentEntry};
 use crate::segment;
-use crate::table::Table;
 
 /// Map a triggered failpoint into the storage error domain. Injected
 /// faults surface as [`DbError::Io`] — the same class a real disk failure
@@ -512,9 +512,8 @@ pub fn replay_record(db: &Database, record: &WalRecord) -> DbResult<()> {
 pub struct CheckpointReport {
     /// Tables captured in the checkpoint cut.
     pub tables: usize,
-    /// Tables actually re-encoded to disk. Under [`SnapshotFormat::Json`]
-    /// every table is rewritten, so this equals `tables`; under
-    /// [`SnapshotFormat::Segments`] only dirty tables are flushed.
+    /// Tables actually re-encoded to disk: only those dirty since the
+    /// last checkpoint.
     pub tables_flushed: usize,
     /// Log bytes folded into the checkpoint and discarded.
     pub wal_bytes_folded: u64,
@@ -522,41 +521,10 @@ pub struct CheckpointReport {
     pub micros: u64,
 }
 
-/// Which on-disk checkpoint format a [`DurableStore`] writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotFormat {
-    /// The row-oriented `snapshot.json` full rewrite — the v1 format, kept
-    /// for A/B comparison via `durability.format = json`.
-    Json,
-    /// Binary columnar segments plus a `manifest.json` commit point;
-    /// checkpoints are incremental (only dirty tables are re-encoded).
-    /// The default.
-    #[default]
-    Segments,
-}
-
-impl SnapshotFormat {
-    /// Parse a `durability.format` config value (`"json"` / `"segments"`,
-    /// case-insensitive); anything else falls back to the default,
-    /// [`SnapshotFormat::Segments`].
-    pub fn parse(s: &str) -> SnapshotFormat {
-        if s.eq_ignore_ascii_case("json") {
-            SnapshotFormat::Json
-        } else {
-            SnapshotFormat::Segments
-        }
-    }
-
-    /// The config spelling of this format.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SnapshotFormat::Json => "json",
-            SnapshotFormat::Segments => "segments",
-        }
-    }
-}
-
-const SNAPSHOT_FILE: &str = "snapshot.json";
+/// The retired row-oriented checkpoint artifact. [`DurableStore::open`]
+/// still reads one left by an older build, and folds it into segments
+/// before returning.
+const LEGACY_SNAPSHOT_FILE: &str = "snapshot.json";
 const MANIFEST_FILE: &str = "manifest.json";
 
 /// A byte-level copy of a store's checkpoint artifact, produced by
@@ -570,7 +538,7 @@ pub struct CheckpointImage {
     /// image and must be shipped separately as a [`WalTail`].
     pub last_lsn: u64,
     /// `(file name, raw bytes)` pairs relative to the store directory —
-    /// the manifest plus its segments, or a lone JSON snapshot. Empty
+    /// the manifest plus its segments. Empty
     /// when the store has never checkpointed (`last_lsn` is then 0 and
     /// the WAL tail carries the whole history).
     pub files: Vec<(String, Vec<u8>)>,
@@ -593,18 +561,14 @@ pub struct WalTail {
 }
 
 /// A checkpoint + log pair rooted in one directory: the durable home of
-/// one tenant's warehouse. Depending on the [`SnapshotFormat`], the
-/// checkpoint artifact is either `snapshot.json` or `manifest.json` plus
-/// immutable `seg-*.seg` columnar segment files; `wal.log` sits alongside
-/// either.
+/// one tenant's warehouse. The checkpoint artifact is `manifest.json` plus
+/// immutable `seg-*.seg` columnar segment files; `wal.log` sits alongside.
 pub struct DurableStore {
     dir: PathBuf,
     wal: Arc<Wal>,
-    format: SnapshotFormat,
     /// Live segments as of the last successful manifest swap (or of
-    /// recovery). `None` when the last checkpoint artifact is not a
-    /// manifest, which forces the next segment checkpoint to flush every
-    /// table.
+    /// recovery). `None` until the first checkpoint, which therefore
+    /// flushes every table.
     manifest: Mutex<Option<Manifest>>,
     /// Next segment id to allocate. Monotonic, never reused, so a fresh
     /// segment can never collide with a crash-orphaned file.
@@ -615,48 +579,39 @@ impl std::fmt::Debug for DurableStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DurableStore")
             .field("dir", &self.dir)
-            .field("format", &self.format)
             .field("wal", &self.wal)
             .finish()
     }
 }
 
 impl DurableStore {
-    /// Recover the database persisted under `dir` (created if absent) in
-    /// the default checkpoint format. See [`DurableStore::open_with_format`].
-    pub fn open(
-        dir: impl Into<PathBuf>,
-        policy: FsyncPolicy,
-    ) -> DbResult<(Database, DurableStore)> {
-        Self::open_with_format(dir, policy, SnapshotFormat::default())
-    }
-
     /// Recover the database persisted under `dir` (created if absent):
-    /// load the newest checkpoint artifact — columnar segments via
-    /// `manifest.json`, or `snapshot.json` — then replay every committed
-    /// `wal.log` record with a newer LSN, truncate any torn tail, and open
-    /// the log for appending. `format` selects what *future* checkpoints
-    /// write; recovery always accepts both formats, so a store can be
-    /// flipped between them across restarts.
+    /// load the checkpoint — columnar segments via `manifest.json` — then
+    /// replay every committed `wal.log` record with a newer LSN, truncate
+    /// any torn tail, and open the log for appending.
     ///
-    /// Both artifacts can coexist only in the crash window between one
-    /// format's commit rename and the cleanup of the other's artifact — in
-    /// that window both are valid images of the same history, and the
-    /// higher LSN cut is picked because it needs less replay (on a tie the
-    /// states are identical and segments win).
+    /// A directory last checkpointed by a build that still wrote the
+    /// row-oriented `snapshot.json` is upgraded in place: the snapshot is
+    /// loaded, the WAL tail replayed over it, and the result checkpointed
+    /// as segments before `open` returns, after which the legacy file is
+    /// gone. Both artifacts coexist only in the crash window between that
+    /// checkpoint's manifest rename and the removal — both are then valid
+    /// images of the same history, and the higher LSN cut is picked (on a
+    /// tie the states are identical and the manifest wins). A crash
+    /// anywhere inside the upgrade leaves a directory this same procedure
+    /// recovers; a failed upgrade fails the `open`.
     ///
     /// The returned [`Database`] is *not* yet journaled — the caller
     /// attaches a sink (plain [`DurableStore::wal`] or a metering wrapper)
     /// via [`Database::set_wal_sink`] once it has wrapped it as needed.
-    pub fn open_with_format(
+    pub fn open(
         dir: impl Into<PathBuf>,
         policy: FsyncPolicy,
-        format: SnapshotFormat,
     ) -> DbResult<(Database, DurableStore)> {
         odbis_chaos::check("store.open").map_err(chaos_err)?;
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
+        let legacy_path = dir.join(LEGACY_SNAPSHOT_FILE);
         let manifest_path = dir.join(MANIFEST_FILE);
         let wal_path = dir.join("wal.log");
         let loaded_manifest = if manifest_path.exists() {
@@ -664,45 +619,42 @@ impl DurableStore {
         } else {
             None
         };
-        let json_state = if snapshot_path.exists() {
-            Some(persist::load_snapshot_with_lsn(&snapshot_path)?)
+        let legacy = if legacy_path.exists() {
+            Some(persist::load_snapshot_with_lsn(&legacy_path)?)
         } else {
             None
         };
-        let use_segments = match (&loaded_manifest, &json_state) {
-            (Some(m), Some((_, json_lsn))) => m.last_lsn >= *json_lsn,
-            (Some(_), None) => true,
-            _ => false,
-        };
-        // Even when recovering from JSON, a stale manifest still pins the
-        // segment-id floor so fresh segments never reuse an orphan's name.
+        let had_legacy = legacy.is_some();
+        // Even when recovering from a legacy snapshot, a stale manifest
+        // still pins the segment-id floor so fresh segments never reuse an
+        // orphan's name.
         let next_seg_id = loaded_manifest.as_ref().map_or(1, |m| m.next_seg_id);
-        let (db, snap_lsn, live_manifest) = if use_segments {
-            let m = loaded_manifest.expect("use_segments implies a manifest");
-            let db = Database::new();
-            for entry in &m.tables {
-                let (table, _seg_lsn) = segment::read_segment(&dir.join(&entry.file))?;
-                if !table.name.eq_ignore_ascii_case(&entry.table) {
-                    return Err(DbError::Corrupt(format!(
-                        "segment {} holds table '{}' but the manifest says '{}'",
-                        entry.file, table.name, entry.table
-                    )));
+        let (db, snap_lsn, live_manifest) = match (loaded_manifest, legacy) {
+            (Some(m), Some((db, lsn))) if lsn > m.last_lsn => (db, lsn, None),
+            (None, Some((db, lsn))) => (db, lsn, None),
+            (Some(m), _) => {
+                let db = Database::new();
+                for entry in &m.tables {
+                    let (table, _seg_lsn) = segment::read_segment(&dir.join(&entry.file))?;
+                    if !table.name.eq_ignore_ascii_case(&entry.table) {
+                        return Err(DbError::Corrupt(format!(
+                            "segment {} holds table '{}' but the manifest says '{}'",
+                            entry.file, table.name, entry.table
+                        )));
+                    }
+                    db.adopt_table(table)?;
                 }
-                db.adopt_table(table)?;
+                let lsn = m.last_lsn;
+                (db, lsn, Some(m))
             }
-            let lsn = m.last_lsn;
-            (db, lsn, Some(m))
-        } else if let Some((db, lsn)) = json_state {
-            (db, lsn, None)
-        } else {
-            (Database::new(), 0, None)
+            (None, None) => (Database::new(), 0, None),
         };
         let (entries, valid_len) = read_wal(&wal_path)?;
         let mut max_lsn = snap_lsn;
         for entry in &entries {
             max_lsn = max_lsn.max(entry.lsn);
             if entry.lsn <= snap_lsn {
-                continue; // already folded into the snapshot
+                continue; // already folded into the checkpoint
             }
             replay_record(&db, &entry.record).map_err(|e| {
                 DbError::Corrupt(format!(
@@ -725,16 +677,23 @@ impl DurableStore {
             }
         }
         let wal = Wal::open(&wal_path, policy, max_lsn + 1)?;
-        Ok((
-            db,
-            DurableStore {
-                dir,
-                wal: Arc::new(wal),
-                format,
-                manifest: Mutex::new(live_manifest),
-                seg_counter: AtomicU64::new(next_seg_id),
-            },
-        ))
+        // The snapshot was the newer image: fold it (and the tail just
+        // replayed) into segments. The manifest rename inside is the commit
+        // point that supersedes the legacy file.
+        let upgrade = had_legacy && live_manifest.is_none();
+        let store = DurableStore {
+            dir,
+            wal: Arc::new(wal),
+            manifest: Mutex::new(live_manifest),
+            seg_counter: AtomicU64::new(next_seg_id),
+        };
+        if upgrade {
+            store.checkpoint(&db)?;
+        }
+        if had_legacy {
+            std::fs::remove_file(&legacy_path)?;
+        }
+        Ok((db, store))
     }
 
     /// The directory holding the checkpoint artifacts and `wal.log`.
@@ -747,14 +706,8 @@ impl DurableStore {
         &self.wal
     }
 
-    /// The checkpoint format this store writes.
-    pub fn format(&self) -> SnapshotFormat {
-        self.format
-    }
-
     /// The live segment manifest after the last checkpoint or recovery.
-    /// `None` when the current checkpoint artifact is `snapshot.json` (or
-    /// the store has never checkpointed).
+    /// `None` when the store has never checkpointed.
     pub fn live_manifest(&self) -> Option<Manifest> {
         self.manifest.lock().clone()
     }
@@ -765,56 +718,23 @@ impl DurableStore {
     /// (canonical acquisition order): appends happen under a table's write
     /// lock, so once the read locks are held no append is in flight and
     /// the artifact, the LSN stamp, and the truncation see one consistent
-    /// cut of the history. Crash-safe at every step — both formats commit
-    /// through one fsynced atomic rename (`persist`'s
+    /// cut of the history. Crash-safe at every step — the checkpoint
+    /// commits through one fsynced atomic rename (`persist`'s
     /// write-tmp/fsync/rename/fsync-dir discipline), and a crash before
     /// the truncation just leaves already-folded frames that replay as
     /// no-ops (their LSNs are `<=` the artifact's `last_lsn`).
     ///
-    /// Under [`SnapshotFormat::Segments`] the checkpoint is *incremental*:
-    /// only tables dirty since the last flush are re-encoded; clean
-    /// tables' immutable segments are carried over by reference. A
-    /// carried-over segment stamped at an older LSN is still a valid image
-    /// at the new cut precisely because its table has no mutation in
-    /// between — the WAL can hold no record for it above the old stamp.
-    /// The manifest rename is the single commit point: until it lands,
-    /// recovery sees the previous manifest and the previous (still
-    /// intact) segments.
+    /// The checkpoint is *incremental*: only tables dirty since the last
+    /// flush are re-encoded; clean tables' immutable segments are carried
+    /// over by reference. A carried-over segment stamped at an older LSN
+    /// is still a valid image at the new cut precisely because its table
+    /// has no mutation in between — the WAL can hold no record for it
+    /// above the old stamp. The manifest rename is the single commit
+    /// point: until it lands, recovery sees the previous manifest and the
+    /// previous (still intact) segments.
     pub fn checkpoint(&self, db: &Database) -> DbResult<CheckpointReport> {
         odbis_chaos::check("checkpoint.begin").map_err(chaos_err)?;
         let start = Instant::now();
-        match self.format {
-            SnapshotFormat::Json => self.checkpoint_json(db, start),
-            SnapshotFormat::Segments => self.checkpoint_segments(db, start),
-        }
-    }
-
-    fn checkpoint_json(&self, db: &Database, start: Instant) -> DbResult<CheckpointReport> {
-        let snapshot_path = self.dir.join(SNAPSHOT_FILE);
-        db.with_tables_marked(|views| {
-            let tables: Vec<&Table> = views.iter().map(|v| v.table).collect();
-            persist::write_tables(&tables, &snapshot_path, self.wal.last_lsn())?;
-            for v in views {
-                v.dirty.store(false, Ordering::Relaxed);
-            }
-            let folded = self.wal.reset()?;
-            // The JSON snapshot is now the sole checkpoint artifact: drop
-            // segment-format leftovers. Best-effort — an unreferenced
-            // segment or stale manifest is harmless because recovery
-            // prefers the newer artifact.
-            *self.manifest.lock() = None;
-            let _ = std::fs::remove_file(self.dir.join(MANIFEST_FILE));
-            self.remove_unreferenced_segments(&[]);
-            Ok(CheckpointReport {
-                tables: views.len(),
-                tables_flushed: views.len(),
-                wal_bytes_folded: folded,
-                micros: start.elapsed().as_micros() as u64,
-            })
-        })
-    }
-
-    fn checkpoint_segments(&self, db: &Database, start: Instant) -> DbResult<CheckpointReport> {
         let manifest_path = self.dir.join(MANIFEST_FILE);
         db.with_tables_marked(|views| {
             // The cut: read only after every table read lock is held.
@@ -855,7 +775,6 @@ impl DurableStore {
             let keep: Vec<String> = next.tables.iter().map(|e| e.file.clone()).collect();
             *live = Some(next);
             drop(live);
-            let _ = std::fs::remove_file(self.dir.join(SNAPSHOT_FILE));
             self.remove_unreferenced_segments(&keep);
             let folded = self.wal.reset()?;
             Ok(CheckpointReport {
@@ -869,8 +788,7 @@ impl DurableStore {
 
     /// Export the current checkpoint artifact as a byte-level image for
     /// shipping to another node: the raw `manifest.json` plus every
-    /// referenced `seg-*.seg` file (or `snapshot.json` under the JSON
-    /// format), stamped with the artifact's fold LSN. Together with the
+    /// referenced `seg-*.seg` file, stamped with the artifact's fold LSN. Together with the
     /// WAL tail above that stamp ([`DurableStore::export_wal_tail`]) the
     /// image reproduces the store exactly.
     ///
@@ -881,33 +799,24 @@ impl DurableStore {
     pub fn export_checkpoint(&self) -> DbResult<CheckpointImage> {
         odbis_chaos::check("migrate.export.image").map_err(chaos_err)?;
         let live = self.manifest.lock();
-        if let Some(m) = live.as_ref() {
-            let mut files = Vec::with_capacity(m.tables.len() + 1);
-            files.push((
-                MANIFEST_FILE.to_string(),
-                std::fs::read(self.dir.join(MANIFEST_FILE))?,
-            ));
-            for entry in &m.tables {
-                files.push((entry.file.clone(), std::fs::read(self.dir.join(&entry.file))?));
-            }
+        let Some(m) = live.as_ref() else {
+            // never checkpointed: the WAL alone is the whole history
             return Ok(CheckpointImage {
-                last_lsn: m.last_lsn,
-                files,
+                last_lsn: 0,
+                files: Vec::new(),
             });
+        };
+        let mut files = Vec::with_capacity(m.tables.len() + 1);
+        files.push((
+            MANIFEST_FILE.to_string(),
+            std::fs::read(self.dir.join(MANIFEST_FILE))?,
+        ));
+        for entry in &m.tables {
+            files.push((entry.file.clone(), std::fs::read(self.dir.join(&entry.file))?));
         }
-        drop(live);
-        let snapshot_path = self.dir.join(SNAPSHOT_FILE);
-        if snapshot_path.exists() {
-            let (_, lsn) = persist::load_snapshot_with_lsn(&snapshot_path)?;
-            return Ok(CheckpointImage {
-                last_lsn: lsn,
-                files: vec![(SNAPSHOT_FILE.to_string(), std::fs::read(&snapshot_path)?)],
-            });
-        }
-        // never checkpointed: the WAL alone is the whole history
         Ok(CheckpointImage {
-            last_lsn: 0,
-            files: Vec::new(),
+            last_lsn: m.last_lsn,
+            files,
         })
     }
 
@@ -919,15 +828,8 @@ impl DurableStore {
     /// a newer cut, so the frames between the shipped image's stamp and
     /// the new cut survive only in the newer artifact and the image must
     /// be re-exported before the final tail.
-    pub fn checkpoint_lsn(&self) -> DbResult<u64> {
-        if let Some(m) = self.manifest.lock().as_ref() {
-            return Ok(m.last_lsn);
-        }
-        let snapshot_path = self.dir.join(SNAPSHOT_FILE);
-        if snapshot_path.exists() {
-            return Ok(persist::load_snapshot_with_lsn(&snapshot_path)?.1);
-        }
-        Ok(0)
+    pub fn checkpoint_lsn(&self) -> u64 {
+        self.manifest.lock().as_ref().map_or(0, |m| m.last_lsn)
     }
 
     /// Export every committed WAL frame with LSN strictly greater than
@@ -976,7 +878,7 @@ impl DurableStore {
     /// target node's (not yet opened) store directory. Any artifact from
     /// a previous attempt is removed first so a retried migration can
     /// never mix two generations; after staging,
-    /// [`DurableStore::open_with_format`] on `dir` recovers exactly the
+    /// [`DurableStore::open`] on `dir` recovers exactly the
     /// shipped state (frame CRCs re-verified by [`read_wal`], segment
     /// block CRCs by the segment reader).
     pub fn import_image(dir: impl AsRef<Path>, image: &CheckpointImage, tail: &[u8]) -> DbResult<()> {
@@ -986,7 +888,7 @@ impl DurableStore {
         for leftover in std::fs::read_dir(dir)?.flatten() {
             let name = leftover.file_name();
             let Some(name) = name.to_str() else { continue };
-            if name == SNAPSHOT_FILE
+            if name == LEGACY_SNAPSHOT_FILE
                 || name == MANIFEST_FILE
                 || name == "wal.log"
                 || (name.starts_with("seg-") && name.ends_with(".seg"))
@@ -996,13 +898,13 @@ impl DurableStore {
         }
         // Dependency order, made durable as we go: segments and the WAL
         // tail are written and fsynced (files, then the directory) before
-        // the artifact head (manifest or snapshot) is written, then the
+        // the artifact head (the manifest) is written, then the
         // head itself is fsynced the same way. The head is what recovery
         // trusts, so it must never become durable before the bytes it
         // references — a crash mid-stage leaves either no head (recovery
         // sees an empty store and the migration retries) or a head whose
         // segments and tail are all fully on disk.
-        let is_head = |n: &str| n == MANIFEST_FILE || n == SNAPSHOT_FILE;
+        let is_head = |n: &str| n == MANIFEST_FILE;
         for (name, bytes) in image.files.iter().filter(|(n, _)| !is_head(n)) {
             write_synced(&dir.join(name), bytes)?;
         }
@@ -1100,75 +1002,71 @@ mod tests {
     /// with LSN continuity for further writes.
     #[test]
     fn export_import_round_trip_reproduces_the_store() {
-        for format in [SnapshotFormat::Segments, SnapshotFormat::Json] {
-            let src_dir = tmp_dir(&format!("mig-src-{}", format.as_str()));
-            let dst_dir = tmp_dir(&format!("mig-dst-{}", format.as_str()));
-            let (db, store) =
-                DurableStore::open_with_format(&src_dir, FsyncPolicy::Never, format).unwrap();
-            db.create_table("people", people_schema()).unwrap();
+        let src_dir = tmp_dir("mig-src");
+        let dst_dir = tmp_dir("mig-dst");
+        let (db, store) = DurableStore::open(&src_dir, FsyncPolicy::Never).unwrap();
+        db.create_table("people", people_schema()).unwrap();
+        store
+            .wal()
+            .append_record(&WalRecord::CreateTable {
+                name: "people".into(),
+                schema: people_schema(),
+            })
+            .unwrap();
+        for i in 0..5i64 {
+            let row = vec![Value::Int(i), Value::from(format!("pre-{i}"))];
+            db.insert("people", row.clone()).unwrap();
             store
                 .wal()
-                .append_record(&WalRecord::CreateTable {
-                    name: "people".into(),
-                    schema: people_schema(),
-                })
-                .unwrap();
-            for i in 0..5i64 {
-                let row = vec![Value::Int(i), Value::from(format!("pre-{i}"))];
-                db.insert("people", row.clone()).unwrap();
-                store
-                    .wal()
-                    .append_record(&WalRecord::Insert {
-                        table: "people".into(),
-                        row,
-                    })
-                    .unwrap();
-            }
-            store.checkpoint(&db).unwrap();
-            // post-checkpoint writes land only in the WAL tail
-            for i in 5..8i64 {
-                let row = vec![Value::Int(i), Value::from(format!("post-{i}"))];
-                db.insert("people", row.clone()).unwrap();
-                store
-                    .wal()
-                    .append_record(&WalRecord::Insert {
-                        table: "people".into(),
-                        row,
-                    })
-                    .unwrap();
-            }
-            let image = store.export_checkpoint().unwrap();
-            assert!(image.last_lsn > 0, "{format:?}: checkpoint stamped");
-            let tail = store.export_wal_tail(image.last_lsn).unwrap();
-            assert_eq!(tail.frames, 3, "{format:?}: three post-checkpoint frames");
-            assert_eq!(tail.last_lsn, store.wal().last_lsn());
-            assert!(tail.first_lsn > image.last_lsn);
-
-            DurableStore::import_image(&dst_dir, &image, &tail.bytes).unwrap();
-            let (db2, store2) =
-                DurableStore::open_with_format(&dst_dir, FsyncPolicy::Never, format).unwrap();
-            assert_eq!(db2.row_count("people").unwrap(), 8);
-            // LSN continuity: the target continues above everything shipped
-            let next = store2
-                .wal()
-                .append_record(&WalRecord::Delete {
+                .append_record(&WalRecord::Insert {
                     table: "people".into(),
-                    id: 0,
+                    row,
                 })
                 .unwrap();
-            assert!(next > tail.last_lsn, "{format:?}: {next} > {}", tail.last_lsn);
+        }
+        store.checkpoint(&db).unwrap();
+        // post-checkpoint writes land only in the WAL tail
+        for i in 5..8i64 {
+            let row = vec![Value::Int(i), Value::from(format!("post-{i}"))];
+            db.insert("people", row.clone()).unwrap();
+            store
+                .wal()
+                .append_record(&WalRecord::Insert {
+                    table: "people".into(),
+                    row,
+                })
+                .unwrap();
+        }
+        let image = store.export_checkpoint().unwrap();
+        assert!(image.last_lsn > 0, "checkpoint stamped");
+        assert_eq!(image.last_lsn, store.checkpoint_lsn());
+        let tail = store.export_wal_tail(image.last_lsn).unwrap();
+        assert_eq!(tail.frames, 3, "three post-checkpoint frames");
+        assert_eq!(tail.last_lsn, store.wal().last_lsn());
+        assert!(tail.first_lsn > image.last_lsn);
 
-            // an empty tail (migration right after checkpoint) also works
-            let dst2 = tmp_dir(&format!("mig-dst2-{}", format.as_str()));
-            let empty = store.export_wal_tail(store.wal().last_lsn()).unwrap();
-            assert_eq!((empty.frames, empty.bytes.len()), (0, 0));
-            DurableStore::import_image(&dst2, &image, &empty.bytes).unwrap();
-            let (db3, _store3) =
-                DurableStore::open_with_format(&dst2, FsyncPolicy::Never, format).unwrap();
-            assert_eq!(db3.row_count("people").unwrap(), 5);
-            for d in [&src_dir, &dst_dir, &dst2] {
-                let _ = std::fs::remove_dir_all(d);
-            }
+        DurableStore::import_image(&dst_dir, &image, &tail.bytes).unwrap();
+        let (db2, store2) = DurableStore::open(&dst_dir, FsyncPolicy::Never).unwrap();
+        assert_eq!(db2.row_count("people").unwrap(), 8);
+        // LSN continuity: the target continues above everything shipped
+        let next = store2
+            .wal()
+            .append_record(&WalRecord::Delete {
+                table: "people".into(),
+                id: 0,
+            })
+            .unwrap();
+        assert!(next > tail.last_lsn, "{next} > {}", tail.last_lsn);
+
+        // an empty tail (migration right after checkpoint) also works
+        let dst2 = tmp_dir("mig-dst2");
+        let empty = store.export_wal_tail(store.wal().last_lsn()).unwrap();
+        assert_eq!((empty.frames, empty.bytes.len()), (0, 0));
+        DurableStore::import_image(&dst2, &image, &empty.bytes).unwrap();
+        let (db3, _store3) = DurableStore::open(&dst2, FsyncPolicy::Never).unwrap();
+        assert_eq!(db3.row_count("people").unwrap(), 5);
+        for d in [&src_dir, &dst_dir, &dst2] {
+            let _ = std::fs::remove_dir_all(d);
         }
     }
 
@@ -1315,7 +1213,6 @@ mod tests {
     fn segments_checkpoint_is_incremental() {
         let dir = tmp_dir("incremental");
         let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-        assert_eq!(store.format(), SnapshotFormat::Segments);
         db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
         for t in ["a", "b", "c"] {
             db.create_table(t, people_schema()).unwrap();
@@ -1344,100 +1241,6 @@ mod tests {
         assert_eq!(store2.live_manifest().unwrap(), m);
         assert!(!dir.join("snapshot.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn json_format_still_checkpoints_and_recovers() {
-        let dir = tmp_dir("jsonfmt");
-        let (db, store) =
-            DurableStore::open_with_format(&dir, FsyncPolicy::Never, SnapshotFormat::Json).unwrap();
-        db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-        db.create_table("people", people_schema()).unwrap();
-        db.insert("people", vec![1.into(), "ana".into()]).unwrap();
-        let report = store.checkpoint(&db).unwrap();
-        assert_eq!(report.tables_flushed, 1);
-        assert!(dir.join("snapshot.json").exists());
-        assert!(!dir.join("manifest.json").exists());
-        assert!(store.live_manifest().is_none());
-        drop(db);
-        let (back, _) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-        assert_eq!(back.row_count("people").unwrap(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn format_flip_cleans_up_the_other_artifact() {
-        let dir = tmp_dir("flip");
-        // checkpoint as segments first
-        {
-            let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-            db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-            db.create_table("people", people_schema()).unwrap();
-            db.insert("people", vec![1.into(), "ana".into()]).unwrap();
-            store.checkpoint(&db).unwrap();
-            assert!(dir.join("manifest.json").exists());
-        }
-        // reopen pinned to json: recovery reads the segments, the next
-        // checkpoint replaces them with a snapshot and GCs the seg files
-        {
-            let (db, store) =
-                DurableStore::open_with_format(&dir, FsyncPolicy::Never, SnapshotFormat::Json)
-                    .unwrap();
-            db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-            assert_eq!(db.row_count("people").unwrap(), 1);
-            db.insert("people", vec![2.into(), "bo".into()]).unwrap();
-            store.checkpoint(&db).unwrap();
-            assert!(dir.join("snapshot.json").exists());
-            assert!(!dir.join("manifest.json").exists());
-            let segs: Vec<_> = std::fs::read_dir(&dir)
-                .unwrap()
-                .flatten()
-                .filter(|e| e.file_name().to_string_lossy().ends_with(".seg"))
-                .collect();
-            assert!(segs.is_empty(), "json checkpoint must GC segment files");
-        }
-        // and back to segments
-        let (db, _) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-        assert_eq!(db.row_count("people").unwrap(), 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn coexisting_artifacts_resolve_to_the_higher_lsn() {
-        // Simulate the crash window where a segments checkpoint committed
-        // its manifest but died before deleting the older snapshot.json.
-        let dir = tmp_dir("coexist");
-        {
-            let (db, store) =
-                DurableStore::open_with_format(&dir, FsyncPolicy::Never, SnapshotFormat::Json)
-                    .unwrap();
-            db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-            db.create_table("people", people_schema()).unwrap();
-            db.insert("people", vec![1.into(), "ana".into()]).unwrap();
-            store.checkpoint(&db).unwrap();
-        }
-        let stale_snapshot = std::fs::read(dir.join("snapshot.json")).unwrap();
-        {
-            let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-            db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-            db.insert("people", vec![2.into(), "bo".into()]).unwrap();
-            store.checkpoint(&db).unwrap();
-        }
-        // resurrect the stale lower-LSN snapshot next to the manifest
-        std::fs::write(dir.join("snapshot.json"), &stale_snapshot).unwrap();
-        let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-        assert_eq!(db.row_count("people").unwrap(), 2, "manifest must win");
-        assert!(store.live_manifest().is_some());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn snapshot_format_parses() {
-        assert_eq!(SnapshotFormat::parse("json"), SnapshotFormat::Json);
-        assert_eq!(SnapshotFormat::parse("JSON"), SnapshotFormat::Json);
-        assert_eq!(SnapshotFormat::parse("segments"), SnapshotFormat::Segments);
-        assert_eq!(SnapshotFormat::parse("bogus"), SnapshotFormat::Segments);
-        assert_eq!(SnapshotFormat::default().as_str(), "segments");
     }
 
     #[test]

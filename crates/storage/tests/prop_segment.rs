@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use odbis_storage::segment::{choose_encoding, decode_block, encode_block, Encoding};
 use odbis_storage::{
-    Column, DataType, DurableStore, FsyncPolicy, Schema, SnapshotFormat, Value, WalSink,
+    Column, DataType, DurableStore, FsyncPolicy, Schema, Value, WalSink,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -263,9 +263,7 @@ fn random_tables_survive_segment_checkpoint_and_recovery() {
     let mut rng = StdRng::seed_from_u64(seed);
     for case in 0..25 {
         let dir = tmp_dir("tables");
-        let (live, store) =
-            DurableStore::open_with_format(&dir, FsyncPolicy::Never, SnapshotFormat::Segments)
-                .unwrap();
+        let (live, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
         live.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
 
         let ntables = rng.random_range(1..4i64);
@@ -329,9 +327,8 @@ fn random_tables_survive_segment_checkpoint_and_recovery() {
                 .unwrap_or_else(|e| panic!("case {case} (seed {seed}): tail insert: {e}"));
         }
 
-        let (recovered, _) =
-            DurableStore::open_with_format(&dir, FsyncPolicy::Never, SnapshotFormat::Segments)
-                .unwrap_or_else(|e| panic!("case {case} (seed {seed}): recovery failed: {e}"));
+        let (recovered, _) = DurableStore::open(&dir, FsyncPolicy::Never)
+            .unwrap_or_else(|e| panic!("case {case} (seed {seed}): recovery failed: {e}"));
         assert_eq!(
             live.table_names(),
             recovered.table_names(),

@@ -9,8 +9,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use odbis_storage::{
-    read_wal, Column, DataType, Database, DurableStore, FsyncPolicy, Schema, SnapshotFormat, Value,
-    WalSink,
+    read_wal, Column, DataType, Database, DurableStore, FsyncPolicy, Schema, Value, WalSink,
 };
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -289,38 +288,6 @@ fn ddl_history_recovers_and_checkpoints() {
     assert_eq!(recovered.table_names(), vec!["orders".to_string()]);
     assert_same_table(&live, &recovered, "orders");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Format differential: the same history checkpointed as binary segments
-/// and as a JSON snapshot must recover to byte-identical scan results —
-/// same rows, same row ids, same indexes.
-#[test]
-fn segment_and_json_recoveries_are_identical() {
-    let run = |format: SnapshotFormat| {
-        let dir = tmp_dir(&format!("fmtdiff-{}", format.as_str()));
-        let (live, store) = DurableStore::open_with_format(&dir, policy(), format).unwrap();
-        live.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-        run_history(&live);
-        store.checkpoint(&live).unwrap();
-        // post-checkpoint tail so recovery exercises checkpoint + replay
-        live.insert("orders", vec![20.into(), "eu".into(), 5.0.into()])
-            .unwrap();
-        live.write_table("orders", |t| t.delete(2))
-            .unwrap()
-            .unwrap();
-        let (recovered, _) = DurableStore::open_with_format(&dir, policy(), format).unwrap();
-        assert_same_table(&live, &recovered, "orders");
-        (dir, recovered)
-    };
-    let (dir_seg, seg) = run(SnapshotFormat::Segments);
-    let (dir_json, json) = run(SnapshotFormat::Json);
-    assert_same_table(&seg, &json, "orders");
-    assert_eq!(
-        seg.scan_batch("orders").unwrap().num_rows(),
-        json.scan_batch("orders").unwrap().num_rows()
-    );
-    let _ = std::fs::remove_dir_all(&dir_seg);
-    let _ = std::fs::remove_dir_all(&dir_json);
 }
 
 /// A crash that kills the manifest swap leaves the *previous* manifest and

@@ -225,23 +225,14 @@ fn invoice_prices_all_services_and_needs_admin() {
 }
 
 #[test]
-fn api_v1_and_legacy_paths_serve_the_same_routes() {
+fn versioned_surface_serves_login_and_error_envelopes() {
     let platform = Arc::new(OdbisPlatform::new());
     let token = drive_traffic(&platform);
     let server = HttpServer::start(build_router(Arc::clone(&platform)), 2).unwrap();
     let addr = server.addr().to_string();
 
-    // the canonical path answers without deprecation headers
-    let (status, headers, v1_body) = auth(&addr, "GET", "/api/v1/datasets", &token, "");
+    let (status, _, _) = auth(&addr, "GET", "/api/v1/datasets", &token, "");
     assert_eq!(status, 200);
-    assert!(!headers.contains_key("deprecation"));
-
-    // the legacy alias returns the same payload, flagged deprecated
-    let (status, headers, legacy_body) = auth(&addr, "GET", "/datasets", &token, "");
-    assert_eq!(status, 200);
-    assert_eq!(headers.get("deprecation").map(String::as_str), Some("true"));
-    assert!(headers["link"].contains("/api/v1/datasets"));
-    assert_eq!(v1_body, legacy_body);
 
     // JSON login on the canonical path
     let (status, _, body) = http_request(
@@ -291,11 +282,15 @@ fn self_description_index_advertises_the_route_table() {
         find("POST", "/api/v1/admin/failpoints")["auth"],
         "ADMIN_CONFIG"
     );
-    assert_eq!(find("GET", "/api/v1/datasets")["deprecated"], false);
-    // legacy aliases are flagged deprecated and point at their successor
-    let legacy = find("GET", "/datasets");
-    assert_eq!(legacy["deprecated"], true);
-    assert_eq!(legacy["successor"], "/api/v1/datasets");
+    // one route tree: each handler is listed once, under the prefix
+    let mut listed: Vec<String> = routes
+        .iter()
+        .map(|r| format!("{} {}", r["method"], r["path"]))
+        .collect();
+    assert!(listed.iter().all(|l| l.contains(" \"/api/v1")), "{body}");
+    listed.sort();
+    listed.dedup();
+    assert_eq!(listed.len(), routes.len(), "duplicate registration: {body}");
     // the index lists itself
     assert_eq!(find("GET", "/api/v1")["auth"], "public");
 

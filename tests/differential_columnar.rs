@@ -1,7 +1,7 @@
 //! Differential harness for the columnar data plane: every query in the
-//! corpus runs through the row-at-a-time executor and the vectorized
-//! batch path, and the results must be identical — same columns, same
-//! rows, same order.
+//! corpus runs through the production batch executor and through the
+//! row-at-a-time interpreter kept as its oracle, and the results must be
+//! identical — same columns, same rows, same order.
 
 use std::sync::Arc;
 
@@ -197,6 +197,76 @@ fn both_paths_agree_on_errors() {
     }
 }
 
+/// `IndexScan` and `Values` leaves, which the batch walker executes itself
+/// (one fetched morsel, residual evaluated column-wise): every shape of
+/// range and residual must match the row oracle exactly — same rows, same
+/// index order — inline (1 thread) and on the worker pool (4).
+#[test]
+fn index_scan_and_values_leaves_match_the_row_oracle() {
+    let db = corpus_db();
+    let oracle = Engine::with_row_execution();
+    let index_queries = [
+        // point hit, point miss
+        "SELECT * FROM edge WHERE id = 3",
+        "SELECT * FROM edge WHERE id = 99",
+        // empty ranges: inverted bounds, and bounds past either end
+        "SELECT id FROM edge WHERE val BETWEEN 50 AND 40",
+        "SELECT id FROM edge WHERE val > 1000",
+        "SELECT id FROM edge WHERE val < -1000",
+        // unbounded below: the range sweeps the NULL keys, the residual drops them
+        "SELECT id, val FROM edge WHERE val < 20",
+        "SELECT id, val FROM edge WHERE val <= 10",
+        // unbounded above
+        "SELECT id, val FROM edge WHERE val >= 10",
+        "SELECT id, val FROM edge WHERE 0 < val",
+        // residuals: extra conjuncts, 3VL over NULL cells, LIKE, OR, IS NULL
+        "SELECT id FROM edge WHERE val >= 0 AND score < 3.0",
+        "SELECT id FROM edge WHERE val > 5 AND flag",
+        "SELECT id FROM edge WHERE val > -100 AND NOT flag",
+        "SELECT id FROM edge WHERE val <= 40 AND (grp = 'a' OR grp IS NULL)",
+        "SELECT id FROM edge WHERE val >= 0 AND label LIKE '%eta'",
+        "SELECT id FROM edge WHERE val >= -7 AND score IS NULL",
+        "SELECT id FROM edge WHERE val BETWEEN -7 AND 40 AND d >= DATE '2020-01-01'",
+        // an index leaf under projection, aggregation, sort and limit
+        "SELECT id, val * 2 AS twice, UPPER(label) AS up FROM edge WHERE val >= 10",
+        "SELECT grp, COUNT(*) AS n, SUM(val) AS s FROM edge WHERE val > -100 GROUP BY grp",
+        "SELECT id FROM edge WHERE val >= 0 ORDER BY id DESC LIMIT 2",
+        // a wider range on the generated fact table, with a float residual
+        "SELECT id, cost FROM fact_admission WHERE id BETWEEN 100 AND 160 AND cost > 1500.0",
+        "SELECT COUNT(*) AS n FROM fact_admission WHERE id >= 450",
+    ];
+    let values_queries = [
+        "SELECT 1 + 2 AS three, UPPER('ok') AS ok",
+        "SELECT NULL AS n, 1.5 AS f, DATE '2020-01-01' AS d, TRUE AS t",
+        "SELECT 'a' || 'b'",
+    ];
+    for sql in index_queries {
+        let plan = oracle.explain(&db, sql).unwrap();
+        assert!(plan.contains("IndexScan"), "not an index plan: {sql}\n{plan}");
+    }
+    for sql in values_queries {
+        let plan = oracle.explain(&db, sql).unwrap();
+        assert!(plan.contains("Values"), "not a VALUES plan: {sql}\n{plan}");
+    }
+    for threads in [1usize, 4] {
+        let engine = Engine::new().with_parallelism(threads);
+        for sql in index_queries.iter().chain(&values_queries) {
+            let reference = oracle
+                .execute(&db, sql)
+                .unwrap_or_else(|e| panic!("row oracle failed for {sql}: {e}"));
+            let candidate = engine
+                .execute(&db, sql)
+                .unwrap_or_else(|e| panic!("batch walker ({threads} threads) failed for {sql}: {e}"));
+            assert_same(sql, &reference, &candidate, &format!("{threads} threads"));
+        }
+    }
+    // a residual that errors on a fetched row errors on both walkers
+    let failing = "SELECT id FROM edge WHERE val >= 0 AND 100 / val > 5";
+    assert!(oracle.explain(&db, failing).unwrap().contains("IndexScan"));
+    assert!(oracle.execute(&db, failing).is_err());
+    assert!(Engine::new().with_parallelism(1).execute(&db, failing).is_err());
+}
+
 // ---------------------------------------------------------------------------
 // Seeded random-query generator: star-schema queries (joins, group-by,
 // order/limit) checked across four engine configurations. The seeds are the
@@ -310,7 +380,7 @@ fn gen_query(rng: &mut StdRng) -> String {
 }
 
 /// Every generated query must agree across all four engine configurations:
-/// row-at-a-time reference, serial vectorized, morsel-parallel vectorized,
+/// row-at-a-time oracle, the batch walker on one worker, on four workers,
 /// and vectorized with the whole optimizer pipeline disabled.
 #[test]
 fn random_star_queries_agree_across_engine_configs() {

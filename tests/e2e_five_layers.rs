@@ -10,11 +10,12 @@ use odbis_tenancy::{ServiceKind, SubscriptionPlan};
 use odbis_web::{http_request, HttpServer};
 
 fn auth_get(addr: &str, path: &str, token: &str) -> (u16, String) {
+    let bearer = format!("Bearer {token}");
     let (status, _, body) = http_request(
         addr,
         "GET",
         path,
-        &[("x-tenant", "clinic"), ("x-token", token)],
+        &[("x-tenant", "clinic"), ("Authorization", bearer.as_str())],
         b"",
     )
     .unwrap();
@@ -22,11 +23,12 @@ fn auth_get(addr: &str, path: &str, token: &str) -> (u16, String) {
 }
 
 fn auth_post(addr: &str, path: &str, token: &str, body: &str) -> (u16, String) {
+    let bearer = format!("Bearer {token}");
     let (status, _, resp) = http_request(
         addr,
         "POST",
         path,
-        &[("x-tenant", "clinic"), ("x-token", token)],
+        &[("x-tenant", "clinic"), ("Authorization", bearer.as_str())],
         body.as_bytes(),
     )
     .unwrap();
@@ -52,7 +54,12 @@ fn request_traverses_all_five_layers() {
     let addr = server.addr().to_string();
 
     // login over the wire
-    let (status, body) = odbis_web::http_post(&addr, "/login", "clinic cio pw").unwrap();
+    let (status, body) = odbis_web::http_post(
+        &addr,
+        "/api/v1/login",
+        "{\"tenant\":\"clinic\",\"user\":\"cio\",\"password\":\"pw\"}",
+    )
+    .unwrap();
     assert_eq!(status, 200);
     let token = serde_json::from_str::<serde_json::Value>(&body).unwrap()["token"]
         .as_str()
@@ -62,14 +69,14 @@ fn request_traverses_all_five_layers() {
     // layer 1 (technical resources): DDL+DML land in the storage engine
     let (status, _) = auth_post(
         &addr,
-        "/sql",
+        "/api/v1/sql",
         &token,
         "CREATE TABLE admissions (dept TEXT, cost DOUBLE)",
     );
     assert_eq!(status, 200);
     let (status, _) = auth_post(
         &addr,
-        "/sql",
+        "/api/v1/sql",
         &token,
         "INSERT INTO admissions VALUES ('Cardiology', 1200), ('Oncology', 3400), ('Cardiology', 800)",
     );
@@ -89,7 +96,7 @@ fn request_traverses_all_five_layers() {
             },
         )
         .unwrap();
-    let (status, body) = auth_get(&addr, "/datasets/cost_by_dept", &token);
+    let (status, body) = auth_get(&addr, "/api/v1/datasets/cost_by_dept", &token);
     assert_eq!(status, 200);
     let v: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert_eq!(v["rows"][0][0], "Cardiology");
@@ -101,12 +108,12 @@ fn request_traverses_all_five_layers() {
         .meter()
         .usage("clinic", ServiceKind::Metadata);
     assert!(mds_units > 0, "usage must be metered");
-    let (status, usage) = auth_get(&addr, "/admin/usage", &token);
+    let (status, usage) = auth_get(&addr, "/api/v1/admin/usage", &token);
     assert_eq!(status, 200);
     assert!(usage.contains("clinic"));
 
     // unauthorized access is rejected at the boundary (layer 3 security)
-    let (status, _) = auth_get(&addr, "/datasets/cost_by_dept", "forged-token");
+    let (status, _) = auth_get(&addr, "/api/v1/datasets/cost_by_dept", "forged-token");
     assert_eq!(status, 403);
 
     assert!(server.requests_served() >= 5);

@@ -144,8 +144,12 @@ fn all_stack_boxes_work_together() {
     let web_sm = Arc::clone(&sm);
     let web_repo = repo.clone();
     router.filter(move |req| {
-        let Some(token) = req.header("x-token").map(str::to_string) else {
-            return Some(HttpResponse::unauthorized("x-token header required"));
+        let Some(token) = req
+            .header("authorization")
+            .and_then(|h| h.strip_prefix("Bearer "))
+            .map(str::to_string)
+        else {
+            return Some(HttpResponse::unauthorized("bearer token required"));
         };
         match web_sm.authenticate(&token) {
             Ok(user) => {
@@ -173,6 +177,7 @@ fn all_stack_boxes_work_together() {
     });
     let server = HttpServer::start(router, 2).unwrap();
     let addr = server.addr().to_string();
+    let bearer = format!("Bearer {}", session.token);
     // no token → 401 (filter short-circuit); the filter closure returns
     // None for missing header which falls through — so check real cases:
     let (status, body) = {
@@ -180,7 +185,7 @@ fn all_stack_boxes_work_together() {
             &addr,
             "GET",
             "/reports/1",
-            &[("x-token", session.token.as_str())],
+            &[("Authorization", bearer.as_str())],
             b"",
         )
         .unwrap();
@@ -197,7 +202,7 @@ fn all_stack_boxes_work_together() {
         &addr,
         "GET",
         "/reports/999",
-        &[("x-token", session.token.as_str())],
+        &[("Authorization", bearer.as_str())],
         b"",
     )
     .unwrap();
