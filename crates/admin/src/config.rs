@@ -80,18 +80,6 @@ fn fsync_default() -> String {
     }
 }
 
-/// The declared default for an admission-control limit: the corresponding
-/// `ODBIS_LIMITS_*` environment variable when it parses as an integer,
-/// otherwise `fallback`. Admission limits default open (`limits.rate` 0 =
-/// unlimited) so a bare checkout behaves exactly as before; operators and
-/// the noisy-neighbor suites opt tenants in per deployment.
-fn limit_default(env: &str, fallback: i64) -> i64 {
-    std::env::var(env)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(fallback)
-}
-
 /// Declared-key configuration store with platform defaults and per-tenant
 /// overrides. Reads resolve tenant → platform → declared default.
 pub struct PlatformConfig {
@@ -110,9 +98,6 @@ impl PlatformConfig {
     pub fn with_defaults() -> Self {
         let mut declared = BTreeMap::new();
         for (k, v) in [
-            ("reporting.max_rows", ConfigValue::Int(10_000)),
-            ("reporting.default_chart", ConfigValue::from("bar")),
-            ("etl.reject_threshold", ConfigValue::Int(1_000)),
             ("olap.preaggregation", ConfigValue::Bool(true)),
             // 0 = auto: let the engine size its worker pool to the machine.
             ("sql.parallelism", ConfigValue::Int(0)),
@@ -121,27 +106,17 @@ impl PlatformConfig {
             ("telemetry.enabled", ConfigValue::Bool(true)),
             ("telemetry.slow_ms", ConfigValue::Int(250)),
             ("chaos.enabled", ConfigValue::Bool(false)),
-            // per-tenant admission control (requests/second; 0 = unlimited)
-            (
-                "limits.rate",
-                ConfigValue::Int(limit_default("ODBIS_LIMITS_RATE", 0)),
-            ),
+            // Per-tenant admission control (requests/second). Limits
+            // default open (0 = unlimited); operators and the
+            // noisy-neighbor suites opt tenants in per deployment.
+            ("limits.rate", ConfigValue::Int(0)),
             // bucket capacity above the rate (0 = one second of rate)
-            (
-                "limits.burst",
-                ConfigValue::Int(limit_default("ODBIS_LIMITS_BURST", 0)),
-            ),
+            ("limits.burst", ConfigValue::Int(0)),
             // in-flight requests a tenant may hold past its rate before 429
-            (
-                "limits.queue_depth",
-                ConfigValue::Int(limit_default("ODBIS_LIMITS_QUEUE_DEPTH", 64)),
-            ),
-            ("delivery.mobile_row_cap", ConfigValue::Int(20)),
+            ("limits.queue_depth", ConfigValue::Int(64)),
             // shard router: answer non-local tenants with 307 + Location
             // instead of proxying to the owner node
             ("cluster.redirect", ConfigValue::Bool(false)),
-            ("security.session_minutes", ConfigValue::Int(30)),
-            ("platform.name", ConfigValue::from("ODBIS")),
         ] {
             declared.insert(k.to_string(), v);
         }
@@ -243,14 +218,14 @@ mod tests {
     #[test]
     fn resolution_order_tenant_platform_default() {
         let cfg = PlatformConfig::with_defaults();
-        assert_eq!(cfg.get_int("t1", "reporting.max_rows").unwrap(), 10_000);
-        cfg.set("reporting.max_rows", 5_000i64.into()).unwrap();
-        assert_eq!(cfg.get_int("t1", "reporting.max_rows").unwrap(), 5_000);
-        cfg.set_for_tenant("t1", "reporting.max_rows", 100i64.into())
+        assert_eq!(cfg.get_int("t1", "telemetry.slow_ms").unwrap(), 250);
+        cfg.set("telemetry.slow_ms", 5_000i64.into()).unwrap();
+        assert_eq!(cfg.get_int("t1", "telemetry.slow_ms").unwrap(), 5_000);
+        cfg.set_for_tenant("t1", "telemetry.slow_ms", 100i64.into())
             .unwrap();
-        assert_eq!(cfg.get_int("t1", "reporting.max_rows").unwrap(), 100);
+        assert_eq!(cfg.get_int("t1", "telemetry.slow_ms").unwrap(), 100);
         // other tenants still see the platform override
-        assert_eq!(cfg.get_int("t2", "reporting.max_rows").unwrap(), 5_000);
+        assert_eq!(cfg.get_int("t2", "telemetry.slow_ms").unwrap(), 5_000);
     }
 
     #[test]
@@ -261,7 +236,7 @@ mod tests {
             Err(ConfigError::UnknownKey(_))
         ));
         assert!(matches!(
-            cfg.set("reporting.max_rows", "lots".into()),
+            cfg.set("telemetry.slow_ms", "lots".into()),
             Err(ConfigError::TypeMismatch { .. })
         ));
         assert!(matches!(
@@ -269,21 +244,27 @@ mod tests {
             Err(ConfigError::UnknownKey(_))
         ));
         assert!(matches!(
-            cfg.get_int("t", "platform.name"),
+            cfg.get_int("t", "durability.fsync"),
             Err(ConfigError::TypeMismatch { .. })
         ));
     }
 
     /// The knobs that used to select the retired row executor and JSON
-    /// checkpoint format are gone, not merely ignored: setting one is an
-    /// error an operator sees.
+    /// checkpoint format, and the six keys no code ever read, are gone,
+    /// not merely ignored: setting one is an error an operator sees.
     #[test]
     fn retired_twin_selectors_are_unknown_keys() {
         let cfg = PlatformConfig::with_defaults();
-        assert_eq!(cfg.keys().len(), 17);
+        assert_eq!(cfg.keys().len(), 11);
         for (key, value) in [
             ("sql.vectorized", ConfigValue::Bool(false)),
             ("durability.format", ConfigValue::from("json")),
+            ("reporting.max_rows", ConfigValue::Int(10_000)),
+            ("reporting.default_chart", ConfigValue::from("bar")),
+            ("etl.reject_threshold", ConfigValue::Int(1_000)),
+            ("delivery.mobile_row_cap", ConfigValue::Int(20)),
+            ("security.session_minutes", ConfigValue::Int(30)),
+            ("platform.name", ConfigValue::from("ODBIS")),
         ] {
             assert_eq!(
                 cfg.set_for_tenant("t", key, value.clone()),

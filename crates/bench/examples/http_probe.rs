@@ -4,12 +4,10 @@
 //! Part 1 opens a herd of keep-alive connections against the epoll
 //! reactor, holds them all, and samples request latency across the herd —
 //! idle connections must cost a file descriptor, not a thread. The
-//! threaded backend's cap (one pinned worker per live connection) is
-//! measured alongside for contrast. The full-size run (10k connections)
-//! needs ~20k descriptors across both ends, so the server runs in a child
-//! process (`--serve-ping` mode, line protocol on stdin/stdout) and each
-//! side stays inside a stock 20k `ulimit -n`; `--quick` keeps everything
-//! in-process at 500 connections.
+//! full-size run (10k connections) needs ~20k descriptors across both
+//! ends, so the server runs in a child process (`--serve-ping` mode, line
+//! protocol on stdin/stdout) and each side stays inside a stock 20k
+//! `ulimit -n`; `--quick` keeps everything in-process at 500 connections.
 //!
 //! Part 2 configures a rate limit on one tenant, blasts it from parallel
 //! clients, and checks the other tenant's paced p99 against its solo
@@ -24,7 +22,6 @@ use std::process::{Command, Stdio};
 
 use odbis_bench::http::{
     noisy_neighbor, open_herd, pct, ping_server, reactor_connection_scaling, sample_herd,
-    threaded_connection_cap,
 };
 
 /// Child mode: serve `/ping` on the reactor, print the address, then
@@ -37,7 +34,7 @@ fn serve_ping() {
     for line in stdin.lock().lines() {
         match line.as_deref() {
             Ok("report") => {
-                println!("OPEN {}", server.connections_open().unwrap_or(0));
+                println!("OPEN {}", server.connections_open());
             }
             Ok(_) => {}
             Err(_) => break,
@@ -94,9 +91,6 @@ fn main() {
     let quiet_requests = if quick { 100 } else { 400 };
 
     println!("== connection scaling ==");
-    let cap = threaded_connection_cap(4).expect("threaded cap probe");
-    println!("threaded backend, 4 workers: {cap} concurrently-responsive connections");
-
     let (target, held, open_secs, p50, p99, sampled) = if quick {
         let s = reactor_connection_scaling(target, sample).expect("reactor scaling probe");
         (

@@ -1,6 +1,5 @@
 //! HTTP server benchmarks for experiment A7: connection scaling of the
-//! epoll reactor vs the thread-per-connection cap of the threaded
-//! backend, and noisy-neighbor isolation under per-tenant admission
+//! epoll reactor and noisy-neighbor isolation under per-tenant admission
 //! control. The `http_probe` example drives these and its output is
 //! recorded in `BENCH_http.json`.
 
@@ -12,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use odbis::{serve_platform, OdbisPlatform};
 use odbis_tenancy::SubscriptionPlan;
-use odbis_web::{Backend, HttpResponse, HttpServer, Method, Router};
+use odbis_web::{HttpResponse, HttpServer, Method, Router};
 
 fn ping_router() -> Router {
     let mut r = Router::new();
@@ -20,14 +19,13 @@ fn ping_router() -> Router {
     r
 }
 
-/// A reactor-backed `/ping` server with a long idle timeout — the target
-/// of the connection-scaling probe. Public so the probe example can run
+/// A `/ping` server with a long idle timeout — the target of the
+/// connection-scaling probe. Public so the probe example can run
 /// it in a separate process: holding both ends of 10k connections needs
 /// ~20k descriptors, more than one process gets on a stock `ulimit -n`.
 pub fn ping_server(workers: usize) -> std::io::Result<HttpServer> {
     HttpServer::builder(ping_router())
         .workers(workers)
-        .backend(Backend::Reactor)
         .idle_timeout(Duration::from_secs(600))
         .start()
 }
@@ -96,7 +94,7 @@ fn round_trip(stream: &mut TcpStream) -> Duration {
     t0.elapsed()
 }
 
-/// Result of the reactor connection-scaling probe.
+/// Result of the connection-scaling probe.
 pub struct ConnScaling {
     /// Connections asked for.
     pub target: usize,
@@ -112,15 +110,15 @@ pub struct ConnScaling {
     pub open_secs: f64,
 }
 
-/// Open `target` keep-alive connections against a reactor-backed server,
-/// round-trip one request on each so every connection is established and
-/// parsed, hold them all open, then sample `sample` round-trips across
-/// the set to show the server still answers with the whole herd idle.
+/// Open `target` keep-alive connections against the server, round-trip
+/// one request on each so every connection is established and parsed,
+/// hold them all open, then sample `sample` round-trips across the set
+/// to show the server still answers with the whole herd idle.
 pub fn reactor_connection_scaling(target: usize, sample: usize) -> std::io::Result<ConnScaling> {
     let server = ping_server(2)?;
     let addr = server.addr().to_string();
     let mut herd = open_herd(&addr, target)?;
-    let held = server.connections_open().unwrap_or(0) as usize;
+    let held = server.connections_open() as usize;
     let lat = sample_herd(&mut herd, sample);
     let result = ConnScaling {
         target,
@@ -133,38 +131,6 @@ pub fn reactor_connection_scaling(target: usize, sample: usize) -> std::io::Resu
     drop(herd);
     server.shutdown();
     Ok(result)
-}
-
-/// How many keep-alive connections the threaded backend can actually
-/// serve at once: each live connection pins a worker thread, so the
-/// (workers + 1)-th connection's request stalls until someone hangs up.
-/// Returns the number of concurrently-responsive connections observed.
-pub fn threaded_connection_cap(workers: usize) -> std::io::Result<usize> {
-    let server = HttpServer::builder(ping_router())
-        .workers(workers)
-        .backend(Backend::Threaded)
-        .start()?;
-    let addr = server.addr();
-
-    let mut responsive = 0usize;
-    let mut conns = Vec::new();
-    for _ in 0..workers + 4 {
-        let mut s = TcpStream::connect(addr)?;
-        // short timeout: a stalled request means the pool is pinned out
-        s.set_read_timeout(Some(Duration::from_millis(500)))?;
-        s.write_all(b"GET /ping HTTP/1.1\r\nHost: bench\r\n\r\n")?;
-        let mut buf = [0u8; 1024];
-        match s.read(&mut buf) {
-            Ok(n) if n > 0 => responsive += 1,
-            _ => {
-                break;
-            }
-        }
-        conns.push(s); // hold the connection, pinning its worker
-    }
-    drop(conns);
-    server.shutdown();
-    Ok(responsive)
 }
 
 /// Result of the noisy-neighbor probe.

@@ -16,7 +16,7 @@ use odbis_olap::{
 };
 use odbis_storage::Value;
 use odbis_tenancy::SubscriptionPlan;
-use odbis_web::{http_request, Backend, HttpServer};
+use odbis_web::{http_request, HttpServer};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -163,9 +163,9 @@ pub struct Freshness {
 }
 
 /// End-to-end freshness: a long-poll watcher parks on the dataset's
-/// table over HTTP (reactor backend), a SQL write commits, and the span
-/// until the watcher's response is back on the client counts as the
-/// staleness window a pull-based client would have polled across.
+/// table over HTTP, a SQL write commits, and the span until the watcher's
+/// response is back on the client counts as the staleness window a
+/// pull-based client would have polled across.
 pub fn watch_freshness(writes: usize) -> Freshness {
     let platform = Arc::new(OdbisPlatform::new());
     platform
@@ -189,7 +189,6 @@ pub fn watch_freshness(writes: usize) -> Freshness {
         .expect("dataset");
     let server = HttpServer::builder(build_router(Arc::clone(&platform)))
         .workers(2)
-        .backend(Backend::Reactor)
         .start()
         .expect("server");
     let addr = server.addr().to_string();

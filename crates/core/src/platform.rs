@@ -458,7 +458,7 @@ pub struct OdbisPlatform {
     pub context: ApplicationContext,
     /// Per-tenant HTTP admission control, resolving `limits.rate`,
     /// `limits.burst` and `limits.queue_depth` from the platform config
-    /// (tenant → platform → `ODBIS_LIMITS_*` defaults) on every request.
+    /// (tenant → platform → declared default) on every request.
     pub admission: Arc<odbis_web::AdmissionControl>,
     sql: Engine,
     workspaces: Arc<RwLock<HashMap<String, Arc<TenantWorkspace>>>>,

@@ -8,8 +8,8 @@
 //! past the cursor the subscription completes immediately (a missed
 //! update is replayed, never skipped), otherwise it parks until a bump
 //! intersects its table set or its timeout lapses. Completion is a
-//! callback, so on the reactor backend a parked watcher costs a file
-//! descriptor and a heap entry here — no worker thread.
+//! callback, so a parked watcher costs a file descriptor and a heap
+//! entry here — no worker thread.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -177,26 +177,6 @@ impl Default for Engine {
     }
 }
 
-/// Worker count for morsel-parallel execution from the value of env
-/// `ODBIS_SQL_PARALLELISM`: a positive integer is taken as given; unset,
-/// `0` or anything unparsable means auto — the machine's available
-/// parallelism — exactly like `0` in the `sql.parallelism` config key.
-fn parallelism_from(spec: Option<&str>) -> usize {
-    spec.and_then(|v| v.trim().parse().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Default optimizer rule set: env `ODBIS_SQL_OPTIMIZER_RULES` when set
-/// (see [`optimizer::RuleSet::from_spec`] for the grammar), otherwise all
-/// rules.
-fn rules_default() -> optimizer::RuleSet {
-    match std::env::var("ODBIS_SQL_OPTIMIZER_RULES") {
-        Ok(spec) => optimizer::RuleSet::from_spec(&spec),
-        Err(_) => optimizer::RuleSet::all(),
-    }
-}
-
 impl Engine {
     /// Engine with all optimizations enabled (vectorized columnar
     /// execution, the full optimizer rule pipeline, index selection, and
@@ -205,8 +185,8 @@ impl Engine {
         Engine {
             use_indexes: true,
             vectorized: true,
-            parallelism: parallelism_from(std::env::var("ODBIS_SQL_PARALLELISM").ok().as_deref()),
-            rules: rules_default(),
+            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            rules: optimizer::RuleSet::all(),
         }
     }
 
@@ -939,17 +919,6 @@ mod tests {
             // a width the minimum divides exactly still evaluates
             let r = engine.execute(&db, "SELECT TUMBLE(t, 2) FROM ev").unwrap();
             assert_eq!(r.rows[0][0], Value::Int(i64::MIN));
-        }
-    }
-
-    #[test]
-    fn parallelism_env_zero_and_garbage_mean_auto() {
-        let auto = parallelism_from(None);
-        assert!(auto >= 1);
-        assert_eq!(parallelism_from(Some("3")), 3);
-        assert_eq!(parallelism_from(Some(" 2 ")), 2);
-        for spec in ["0", "", "lots", "-1"] {
-            assert_eq!(parallelism_from(Some(spec)), auto, "spec {spec:?}");
         }
     }
 

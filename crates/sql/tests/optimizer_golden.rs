@@ -5,9 +5,6 @@
 //! proving both the rewrite itself and that every rule can be disabled
 //! independently — the other rules keep firing in the ablated snapshots
 //! (e.g. `cols=[..]` pruning stays visible when only pushdown is off).
-//! The last test drives the same ablation through the
-//! `ODBIS_SQL_OPTIMIZER_RULES` environment default that backs the
-//! `sql.optimizer_rules` platform config key.
 
 use odbis_sql::Engine;
 use odbis_storage::Database;
@@ -154,15 +151,4 @@ fn index_selection_golden_renders_residual() {
         "Project [id] (1 exprs)\n\
          \x20 TableScan fact cols=[id, year, cost] filter=Binary { op: And, left: Binary { op: Eq, left: Column(1), right: Literal(Int(2009)) }, right: Binary { op: Gt, left: Column(2), right: Literal(Float(150.0)) } }\n"
     );
-}
-
-#[test]
-fn env_default_ablates_rules_like_spec() {
-    let db = star_db();
-    let q = "SELECT d.name FROM fact f JOIN dim d ON f.dept_id = d.dept_id";
-    std::env::set_var("ODBIS_SQL_OPTIMIZER_RULES", "-prune");
-    let via_env = Engine::new().explain(&db, q).unwrap();
-    std::env::remove_var("ODBIS_SQL_OPTIMIZER_RULES");
-    assert_eq!(via_env, explain(&db, "-prune", q));
-    assert_ne!(via_env, explain(&db, "all", q));
 }

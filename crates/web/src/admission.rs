@@ -10,8 +10,8 @@
 //!
 //! Limits resolve per tenant through a caller-supplied resolver (the
 //! platform wires this to `limits.rate` / `limits.burst` /
-//! `limits.queue_depth` configuration, with `ODBIS_LIMITS_*` environment
-//! defaults). A rate of 0 means the tenant is unlimited.
+//! `limits.queue_depth` configuration). A rate of 0 means the tenant is
+//! unlimited.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -160,8 +160,8 @@ impl AdmissionControl {
         }
     }
 
-    /// Gate one parsed request — the single entry point both server
-    /// backends call. Requests without an `X-Tenant` header are not gated
+    /// Gate one parsed request — the single entry point the server
+    /// calls. Requests without an `X-Tenant` header are not gated
     /// (`Ok(None)`); gated requests return the tenant to
     /// [`complete`](Self::complete) later (`Ok(Some(tenant))`), or a
     /// ready-to-send 429 in the structured envelope with `Retry-After`

@@ -1,9 +1,9 @@
-//! HTTP/1.1 request/response types and wire parsing — both the blocking
-//! reader used by the threaded server and the incremental
-//! [`RequestParser`] the event-loop reactor feeds byte chunks into.
+//! HTTP/1.1 request/response types and wire parsing: the incremental
+//! [`RequestParser`] the reactor feeds byte chunks into is the only code
+//! that turns bytes into an [`HttpRequest`].
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// HTTP methods the platform serves.
@@ -101,75 +101,6 @@ impl HttpRequest {
         String::from_utf8_lossy(&self.body).into_owned()
     }
 
-    /// Parse one request from a stream. Returns `None` on a cleanly closed
-    /// connection, `Err` on malformed input.
-    ///
-    /// Wraps the stream in a throwaway [`BufReader`]; with keep-alive
-    /// connections use [`HttpRequest::read_from_buffered`] with one reader
-    /// per connection so pipelined bytes are not lost between requests.
-    pub fn read_from(stream: &mut impl Read) -> Result<Option<HttpRequest>, String> {
-        Self::read_from_buffered(&mut BufReader::new(stream))
-    }
-
-    /// Parse one request from an existing buffered reader (the
-    /// per-connection loop of the server's keep-alive handling).
-    pub fn read_from_buffered(reader: &mut impl BufRead) -> Result<Option<HttpRequest>, String> {
-        let mut line = String::new();
-        let n = match reader.read_line(&mut line) {
-            Ok(n) => n,
-            // an idle keep-alive connection hitting the read timeout is a
-            // quiet end of conversation, not a malformed request
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                ) =>
-            {
-                return Ok(None)
-            }
-            Err(e) => return Err(format!("read error: {e}")),
-        };
-        if n == 0 {
-            return Ok(None);
-        }
-        let (method, path, query) = parse_request_line(&line)?;
-        let mut headers = BTreeMap::new();
-        loop {
-            let mut hline = String::new();
-            reader
-                .read_line(&mut hline)
-                .map_err(|e| format!("header read error: {e}"))?;
-            let hline = hline.trim_end();
-            if hline.is_empty() {
-                break;
-            }
-            if let Some((k, v)) = hline.split_once(':') {
-                headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
-            }
-        }
-        let len: usize = headers
-            .get("content-length")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        if len > 16 * 1024 * 1024 {
-            return Err("request body too large".to_string());
-        }
-        let mut body = vec![0u8; len];
-        if len > 0 {
-            reader
-                .read_exact(&mut body)
-                .map_err(|e| format!("body read error: {e}"))?;
-        }
-        Ok(Some(HttpRequest {
-            method,
-            path,
-            query,
-            headers,
-            body,
-            attributes: BTreeMap::new(),
-        }))
-    }
-
     /// Whether the client asked for the connection to be closed after this
     /// request (`Connection: close`). HTTP/1.1 defaults to keep-alive.
     pub fn wants_close(&self) -> bool {
@@ -239,9 +170,9 @@ pub struct RequestParser {
 
 /// Cap on the request head (request line + headers) — a connection that
 /// streams more than this without a blank line is attacking, not talking.
-const MAX_HEAD_BYTES: usize = 64 * 1024;
-/// Cap on a request body, matching the blocking reader.
-const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
+/// Cap on a request body.
+pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
 impl RequestParser {
     /// Empty parser for a fresh connection.
@@ -278,7 +209,7 @@ impl RequestParser {
             }
             return Ok(None);
         };
-        if head_len > MAX_HEAD_BYTES {
+        if head_len + 4 > MAX_HEAD_BYTES {
             return Err("request head too large".to_string());
         }
         let head = std::str::from_utf8(&self.buf[..head_len])
@@ -289,13 +220,27 @@ impl RequestParser {
         let mut headers = BTreeMap::new();
         for hline in lines {
             if let Some((k, v)) = hline.split_once(':') {
-                headers.insert(k.trim().to_ascii_lowercase(), v.trim().to_string());
+                let (k, v) = (k.trim().to_ascii_lowercase(), v.trim());
+                if k == "content-length" && headers.get(&k).is_some_and(|first| first != v) {
+                    return Err("conflicting Content-Length headers".to_string());
+                }
+                headers.insert(k, v.to_string());
             }
         }
-        let len: usize = headers
-            .get("content-length")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
+        // Framing the parser cannot honor must end the connection: bytes
+        // of a body it mis-measured would otherwise be parsed as the next
+        // pipelined request (a request desync on a shared socket).
+        if headers.contains_key("transfer-encoding") {
+            return Err("Transfer-Encoding is not supported".to_string());
+        }
+        let len: usize = match headers.get("content-length") {
+            None => 0,
+            // digits only: `parse` alone would accept a leading `+`
+            Some(v) if !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) => {
+                v.parse().unwrap_or(usize::MAX)
+            }
+            Some(v) => return Err(format!("bad Content-Length {v:?}")),
+        };
         if len > MAX_BODY_BYTES {
             return Err("request body too large".to_string());
         }
@@ -321,8 +266,7 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Parse `GET /path?query HTTP/1.1` into its parts (shared by the
-/// blocking reader and the incremental parser).
+/// Parse `GET /path?query HTTP/1.1` into its parts.
 fn parse_request_line(line: &str) -> Result<(Method, String, BTreeMap<String, String>), String> {
     let mut parts = line.trim_end().split(' ');
     let method = parts
@@ -410,7 +354,7 @@ enum SlotState {
     Pending,
     /// The response arrived before anyone claimed the slot.
     Ready(Box<HttpResponse>),
-    /// A backend claimed the slot; completion calls this waker.
+    /// The server claimed the slot; completion calls this waker.
     Waker(Box<dyn FnOnce(HttpResponse) + Send>),
     /// The response was delivered; later completions are dropped.
     Done,
@@ -419,13 +363,11 @@ enum SlotState {
 /// The completion slot behind a deferred response (see
 /// [`HttpResponse::deferred`]). A handler returns the placeholder
 /// immediately and keeps the slot; whoever later calls
-/// [`ResponseSlot::fulfill`] supplies the real response. The serving
-/// backend either blocks on [`ResponseSlot::wait`] (threaded pool) or
-/// installs a waker with [`ResponseSlot::complete_with`] (reactor), so a
-/// parked long-poll costs a file descriptor rather than a worker thread.
+/// [`ResponseSlot::fulfill`] supplies the real response. The server
+/// installs a waker with [`ResponseSlot::complete_with`], so a parked
+/// long-poll costs a file descriptor rather than a worker thread.
 pub struct ResponseSlot {
     state: std::sync::Mutex<SlotState>,
-    cv: std::sync::Condvar,
 }
 
 impl std::fmt::Debug for ResponseSlot {
@@ -438,24 +380,21 @@ impl Default for ResponseSlot {
     fn default() -> Self {
         ResponseSlot {
             state: std::sync::Mutex::new(SlotState::Pending),
-            cv: std::sync::Condvar::new(),
         }
     }
 }
 
 impl ResponseSlot {
-    /// Deliver the real response. The first call wins: it wakes a blocked
-    /// [`ResponseSlot::wait`], fires an installed waker, or parks the
-    /// response for whichever arrives first. Every later call is a no-op,
-    /// which is what makes racing completers (a data change vs. the
-    /// timeout sweeper) safe.
+    /// Deliver the real response. The first call wins: it fires an
+    /// installed waker, or parks the response for the waker to find when
+    /// it is installed. Every later call is a no-op, which is what makes
+    /// racing completers (a data change vs. the timeout sweeper) safe.
     pub fn fulfill(&self, response: HttpResponse) {
         let waker = {
             let mut state = self.state.lock().unwrap();
             match std::mem::replace(&mut *state, SlotState::Done) {
                 SlotState::Pending => {
                     *state = SlotState::Ready(Box::new(response));
-                    self.cv.notify_all();
                     return;
                 }
                 SlotState::Waker(w) => w,
@@ -488,29 +427,6 @@ impl ResponseSlot {
         };
         waker(ready);
     }
-
-    /// Block until the response is fulfilled, up to `cap`. `None` means
-    /// the cap elapsed with nothing delivered (the completer is expected
-    /// to enforce its own timeout well under the cap; this is the
-    /// backend's last-resort bound on a lost completion).
-    pub fn wait(&self, cap: std::time::Duration) -> Option<HttpResponse> {
-        let deadline = std::time::Instant::now() + cap;
-        let mut state = self.state.lock().unwrap();
-        loop {
-            if let SlotState::Ready(_) = &*state {
-                match std::mem::replace(&mut *state, SlotState::Done) {
-                    SlotState::Ready(r) => return Some(*r),
-                    _ => unreachable!("state was Ready under the lock"),
-                }
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (guard, _) = self.cv.wait_timeout(state, deadline - now).unwrap();
-            state = guard;
-        }
-    }
 }
 
 /// An HTTP response under construction.
@@ -523,7 +439,7 @@ pub struct HttpResponse {
     /// Body bytes.
     pub body: Vec<u8>,
     /// When set, this response is a placeholder: the real one arrives
-    /// through the slot. Backends take it with
+    /// through the slot. The server takes it with
     /// [`HttpResponse::take_deferred`]; the placeholder's own
     /// status/body are never written to the wire.
     pub(crate) deferred: Option<std::sync::Arc<ResponseSlot>>,
@@ -544,7 +460,7 @@ impl HttpResponse {
     /// placeholder now and fulfills the [`ResponseSlot`] later — from a
     /// data-change notification, a timeout sweeper, whatever completes
     /// first. Headers stamped on the placeholder (request id, deprecation
-    /// notices) are merged into the fulfilled response by the backend,
+    /// notices) are merged into the fulfilled response by the server,
     /// unless the fulfilled response set the same header itself.
     pub fn deferred() -> (Self, std::sync::Arc<ResponseSlot>) {
         let slot = std::sync::Arc::new(ResponseSlot::default());
@@ -553,8 +469,8 @@ impl HttpResponse {
         (resp, slot)
     }
 
-    /// Take the deferred slot out of a placeholder response (backends
-    /// call this once, right after dispatch). `None` for ordinary
+    /// Take the deferred slot out of a placeholder response (the server
+    /// calls this once, right after dispatch). `None` for ordinary
     /// responses.
     pub fn take_deferred(&mut self) -> Option<std::sync::Arc<ResponseSlot>> {
         self.deferred.take()
@@ -623,21 +539,15 @@ impl HttpResponse {
         String::from_utf8_lossy(&self.body).into_owned()
     }
 
-    /// Serialize to the wire, closing the connection afterwards
-    /// (`Connection: close`). The per-connection server loop uses
-    /// [`HttpResponse::write_to_conn`] to keep the connection open.
-    pub fn write_to(&self, stream: &mut impl Write) -> std::io::Result<()> {
-        self.write_to_conn(stream, false)
-    }
-
-    /// Serialize to the wire with an explicit connection disposition: the
+    /// Write the wire form with an explicit connection disposition: the
     /// emitted `Connection` header matches what the server actually does
     /// with the socket.
-    pub fn write_to_conn(&self, stream: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
+    fn write_to_conn(&self, stream: &mut impl Write, keep_alive: bool) -> std::io::Result<()> {
         let reason = match self.status {
             200 => "OK",
             201 => "Created",
             204 => "No Content",
+            307 => "Temporary Redirect",
             400 => "Bad Request",
             401 => "Unauthorized",
             402 => "Payment Required",
@@ -645,8 +555,11 @@ impl HttpResponse {
             404 => "Not Found",
             405 => "Method Not Allowed",
             406 => "Not Acceptable",
+            409 => "Conflict",
             429 => "Too Many Requests",
             500 => "Internal Server Error",
+            501 => "Not Implemented",
+            502 => "Bad Gateway",
             503 => "Service Unavailable",
             504 => "Gateway Timeout",
             _ => "Status",
@@ -658,8 +571,7 @@ impl HttpResponse {
         write!(stream, "Content-Length: {}\r\n", self.body.len())?;
         let conn = if keep_alive { "keep-alive" } else { "close" };
         write!(stream, "Connection: {conn}\r\n\r\n")?;
-        stream.write_all(&self.body)?;
-        stream.flush()
+        stream.write_all(&self.body)
     }
 
     /// Serialize to a byte buffer with the given connection disposition —
@@ -677,6 +589,13 @@ impl HttpResponse {
 mod tests {
     use super::*;
 
+    /// Feed `raw` whole and take the first parse result.
+    fn parse(raw: &[u8]) -> Result<Option<HttpRequest>, String> {
+        let mut p = RequestParser::new();
+        p.feed(raw);
+        p.try_next()
+    }
+
     #[test]
     fn parse_request_from_wire() {
         let raw = b"POST /api/reports?limit=5&name=q1 HTTP/1.1\r\n\
@@ -684,7 +603,7 @@ mod tests {
                     Content-Type: application/json\r\n\
                     Content-Length: 7\r\n\
                     \r\n{\"a\":1}";
-        let req = HttpRequest::read_from(&mut &raw[..]).unwrap().unwrap();
+        let req = parse(raw).unwrap().unwrap();
         assert_eq!(req.method, Method::Post);
         assert_eq!(req.path, "/api/reports");
         assert_eq!(req.query_param("limit"), Some("5"));
@@ -693,13 +612,35 @@ mod tests {
     }
 
     #[test]
-    fn closed_connection_and_garbage() {
-        let empty: &[u8] = b"";
-        assert!(HttpRequest::read_from(&mut &empty[..]).unwrap().is_none());
-        let bad = b"BREW /coffee HTTP/1.1\r\n\r\n";
-        assert!(HttpRequest::read_from(&mut &bad[..]).is_err());
-        let badver = b"GET / SPDY/99\r\n\r\n";
-        assert!(HttpRequest::read_from(&mut &badver[..]).is_err());
+    fn empty_input_and_garbage() {
+        assert!(parse(b"").unwrap().is_none());
+        assert!(parse(b"BREW /coffee HTTP/1.1\r\n\r\n").is_err());
+        assert!(parse(b"GET / SPDY/99\r\n\r\n").is_err());
+    }
+
+    /// Framing the parser cannot measure is an error, never a guess: a
+    /// guessed length of 0 would leave the body in the buffer to be parsed
+    /// as the next pipelined request.
+    #[test]
+    fn unmeasurable_framing_is_rejected_not_desynced() {
+        let smuggled = "GET /admin HTTP/1.1\r\n\r\n";
+        for framing in [
+            "Content-Length: abc",
+            "Content-Length: -1",
+            "Content-Length: +27",
+            "Content-Length: 1e3",
+            "Content-Length:",
+            "Content-Length: 27\r\nContent-Length: 0",
+            "Transfer-Encoding: chunked",
+            "Transfer-Encoding: chunked\r\nContent-Length: 27",
+        ] {
+            let mut p = RequestParser::new();
+            p.feed(format!("POST /x HTTP/1.1\r\n{framing}\r\n\r\n{smuggled}").as_bytes());
+            assert!(p.try_next().is_err(), "{framing:?} must be rejected");
+        }
+        // a repeated Content-Length that agrees is one length
+        let raw = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi";
+        assert_eq!(parse(raw).unwrap().unwrap().body_text(), "hi");
     }
 
     #[test]
@@ -732,43 +673,29 @@ mod tests {
     }
 
     #[test]
-    fn buffered_reader_parses_pipelined_requests() {
-        let raw: &[u8] = b"GET /a HTTP/1.1\r\n\r\nGET /b HTTP/1.1\r\nConnection: close\r\n\r\n";
-        let mut reader = BufReader::new(raw);
-        let first = HttpRequest::read_from_buffered(&mut reader)
-            .unwrap()
-            .unwrap();
-        assert_eq!(first.path, "/a");
-        assert!(!first.wants_close());
-        let second = HttpRequest::read_from_buffered(&mut reader)
-            .unwrap()
-            .unwrap();
-        assert_eq!(second.path, "/b");
-        assert!(second.wants_close());
-        assert!(HttpRequest::read_from_buffered(&mut reader)
-            .unwrap()
-            .is_none());
-    }
-
-    #[test]
     fn response_round_trip() {
         let resp = HttpResponse::json("{\"ok\":true}").with_header("X-Trace", "1");
-        let mut buf = Vec::new();
-        resp.write_to(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = String::from_utf8(resp.to_bytes(false)).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Type: application/json"));
         assert!(text.contains("X-Trace: 1"));
         assert!(text.contains("Connection: close"));
         assert!(text.ends_with("{\"ok\":true}"));
+        // statuses the shard router emits carry their reason phrase
+        for (status, reason) in [
+            (307, "Temporary Redirect"),
+            (409, "Conflict"),
+            (501, "Not Implemented"),
+            (502, "Bad Gateway"),
+        ] {
+            let wire = HttpResponse::status(status).to_bytes(false);
+            assert!(wire.starts_with(format!("HTTP/1.1 {status} {reason}\r\n").as_bytes()));
+        }
     }
 
     #[test]
     fn connection_header_matches_disposition() {
-        let resp = HttpResponse::text("hi");
-        let mut buf = Vec::new();
-        resp.write_to_conn(&mut buf, true).unwrap();
-        let text = String::from_utf8(buf).unwrap();
+        let text = String::from_utf8(HttpResponse::text("hi").to_bytes(true)).unwrap();
         assert!(text.contains("Connection: keep-alive"));
         assert!(!text.contains("Connection: close"));
     }

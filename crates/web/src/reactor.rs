@@ -1,9 +1,8 @@
-//! Event-loop HTTP server: a hand-rolled epoll reactor.
+//! The HTTP server's engine: a hand-rolled epoll reactor.
 //!
-//! The threaded backend ([`crate::threaded`]) spends one OS thread per
-//! concurrent connection, so its concurrency ceiling is the pool size and
-//! 10k mostly-idle keep-alive clients would need 10k stacks. This module
-//! replaces that with the classic reactor shape:
+//! A thread per connection would cap concurrency at the pool size and
+//! spend 10k stacks on 10k mostly-idle keep-alive clients. The server has
+//! the classic reactor shape instead:
 //!
 //! - one **reactor thread** owns every socket, registered edge-triggered
 //!   with epoll; idle connections cost a file descriptor and a small
@@ -24,8 +23,10 @@
 //! epoll is reached through raw syscalls (`sys` below) because the
 //! workspace is offline and carries no `libc`; everything else — the
 //! nonblocking listener, the streams, the worker wake pipe
-//! (`UnixStream::pair`) — is plain `std`. Non-Linux builds fall back to
-//! the threaded backend via the [`crate::server`] facade.
+//! (`UnixStream::pair`) — is plain `std`. The syscall numbers and the
+//! `epoll_event` layout are per-architecture, which is why the crate
+//! builds for Linux x86_64 and aarch64 only (see the `compile_error!` in
+//! `lib.rs`).
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -335,7 +336,7 @@ impl Conn {
     /// and dispatch. Returns `false` to tear the connection down.
     fn on_readable(&mut self, token: u64, ctx: &Ctx) -> bool {
         // chaos: the connection dies before the request is read — the
-        // client saw zero response bytes (mirrors the threaded backend)
+        // client saw zero response bytes
         if odbis_chaos::triggered("http.read") {
             return false;
         }
@@ -399,7 +400,7 @@ impl Conn {
                 }
                 Err(e) => {
                     ctx.served.fetch_add(1, Ordering::Relaxed);
-                    let resp = HttpResponse::bad_request(&e);
+                    let resp = malformed_response(&e);
                     if !self.queue_response(resp.to_bytes(false), true) {
                         return false;
                     }
@@ -478,9 +479,36 @@ fn overloaded_response() -> HttpResponse {
         )
 }
 
-/// The reactor-backed HTTP server. Usually constructed through the
-/// [`crate::ServerBuilder`] facade rather than directly.
-pub struct ReactorServer {
+/// 400 for bytes that are not a request the parser can frame; the
+/// connection closes behind it, since the rest of the stream has no
+/// request boundary left to trust.
+fn malformed_response(reason: &str) -> HttpResponse {
+    HttpResponse::status(400)
+        .with_header("Content-Type", "application/json")
+        .with_body(
+            serde_json::json!({
+                "error": serde_json::json!({ "kind": "bad_request", "message": reason })
+            })
+            .to_string(),
+        )
+}
+
+/// Headers the router stamped on a deferred placeholder (the request id)
+/// carry over to the response that takes its place, unless that response
+/// set the same header itself.
+fn inherit_headers(mut response: HttpResponse, placeholder: HttpResponse) -> HttpResponse {
+    for (k, v) in placeholder.headers {
+        response.headers.entry(k).or_insert(v);
+    }
+    response
+}
+
+/// A running HTTP server — the reproduction's stand-in for the Tomcat
+/// container that "all services run under" in the ODBIS technical
+/// architecture (§3.3). Binds a real loopback socket; see
+/// [`crate::ServerBuilder`] for worker count, admission control and the
+/// idle timeout.
+pub struct HttpServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     served: Arc<AtomicU64>,
@@ -490,17 +518,17 @@ pub struct ReactorServer {
     workers: Vec<JoinHandle<()>>,
 }
 
-impl ReactorServer {
+impl HttpServer {
     /// Start serving `router` on an ephemeral loopback port: one reactor
     /// thread plus `worker_count` handler workers. `admission` gates
     /// requests per tenant; `idle_timeout` reaps keep-alive connections
     /// that go quiet.
-    pub fn start(
+    pub(crate) fn spawn(
         router: Router,
         worker_count: usize,
         admission: Option<Arc<AdmissionControl>>,
         idle_timeout: Duration,
-    ) -> io::Result<ReactorServer> {
+    ) -> io::Result<HttpServer> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
@@ -555,7 +583,7 @@ impl ReactorServer {
             })?;
         let reactor_thread = std::thread::spawn(move || reactor.run());
 
-        Ok(ReactorServer {
+        Ok(HttpServer {
             addr,
             shutdown,
             served,
@@ -602,7 +630,7 @@ impl ReactorServer {
     }
 }
 
-impl Drop for ReactorServer {
+impl Drop for HttpServer {
     fn drop(&mut self) {
         self.stop();
     }
@@ -635,29 +663,22 @@ fn spawn_worker(
                 // instead of occupying this worker. The waker re-enters
                 // the event loop exactly like a finished dispatch, so a
                 // parked watcher costs an fd, not a pool thread.
-                if let Ok(mut wake_tx) = wake.try_clone() {
-                    let placeholder = response;
-                    let completions = Arc::clone(&completions);
-                    slot.complete_with(move |mut resp| {
-                        for (k, v) in placeholder.headers {
-                            resp.headers.entry(k).or_insert(v);
-                        }
-                        let bytes = resp.to_bytes(!close_after);
-                        completions.lock().push((token, bytes, close_after));
-                        let _ = wake_tx.write(&[1]);
-                    });
-                    continue;
-                }
-                // no wake pipe to hand the waker (clone failed): degrade
-                // to the threaded pool's blocking behavior
                 let placeholder = response;
-                let mut real = slot
-                    .wait(Duration::from_secs(75))
-                    .unwrap_or_else(|| HttpResponse::status(504));
-                for (k, v) in placeholder.headers {
-                    real.headers.entry(k).or_insert(v);
+                match wake.try_clone() {
+                    Ok(mut wake_tx) => {
+                        let completions = Arc::clone(&completions);
+                        slot.complete_with(move |real| {
+                            let bytes = inherit_headers(real, placeholder).to_bytes(!close_after);
+                            completions.lock().push((token, bytes, close_after));
+                            let _ = wake_tx.write(&[1]);
+                        });
+                        continue;
+                    }
+                    // no wake pipe to hand the waker (out of fds): shed
+                    // the poll with a retryable 503 rather than hold this
+                    // worker until it completes
+                    Err(_) => response = inherit_headers(overloaded_response(), placeholder),
                 }
-                response = real;
             }
             let bytes = response.to_bytes(!close_after);
             completions.lock().push((token, bytes, close_after));
@@ -857,10 +878,6 @@ mod tests {
         r
     }
 
-    fn start(router: Router, workers: usize) -> ReactorServer {
-        ReactorServer::start(router, workers, None, Duration::from_secs(60)).unwrap()
-    }
-
     fn read_to_end(stream: &mut TcpStream) -> String {
         let mut buf = String::new();
         let _ = stream.read_to_string(&mut buf);
@@ -887,19 +904,8 @@ mod tests {
     }
 
     #[test]
-    fn serves_basic_requests() {
-        let server = start(test_router(), 2);
-        let (status, body) = crate::client::http_get(&server.addr().to_string(), "/hello").unwrap();
-        assert_eq!((status, body.as_str()), (200, "world"));
-        let (status, _) = crate::client::http_get(&server.addr().to_string(), "/missing").unwrap();
-        assert_eq!(status, 404);
-        assert_eq!(server.requests_served(), 2);
-        server.shutdown();
-    }
-
-    #[test]
     fn pipelined_requests_answer_in_order() {
-        let server = start(test_router(), 4);
+        let server = HttpServer::start(test_router(), 4).unwrap();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
         // three requests in one write; the last asks for close
         stream
@@ -917,9 +923,29 @@ mod tests {
         assert_eq!(server.requests_served(), 3);
     }
 
+    /// A body the parser cannot measure ends the conversation: one 400
+    /// envelope, then EOF — the bytes after the head are never served as
+    /// a second request.
+    #[test]
+    fn bad_content_length_gets_a_400_envelope_and_a_closed_socket() {
+        let server = HttpServer::start(test_router(), 1).unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream
+            .write_all(
+                b"POST /hello HTTP/1.1\r\nContent-Length: abc\r\n\r\nGET /hello HTTP/1.1\r\n\r\n",
+            )
+            .unwrap();
+        let all = read_to_end(&mut stream);
+        assert!(all.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{all}");
+        assert!(all.contains("Connection: close"), "{all}");
+        assert!(all.contains(r#"{"error":{"kind":"bad_request","#), "{all}");
+        assert_eq!(all.matches("HTTP/1.1 ").count(), 1, "desync: {all}");
+        assert_eq!(server.requests_served(), 1);
+    }
+
     #[test]
     fn idle_connections_cost_nothing_but_fds() {
-        let server = start(test_router(), 1);
+        let server = HttpServer::start(test_router(), 1).unwrap();
         let mut idle = Vec::new();
         for _ in 0..200 {
             idle.push(TcpStream::connect(server.addr()).unwrap());
@@ -942,7 +968,7 @@ mod tests {
 
     #[test]
     fn slow_loris_does_not_block_other_clients() {
-        let server = start(test_router(), 1);
+        let server = HttpServer::start(test_router(), 1).unwrap();
         // a half-written request parks in its parser buffer...
         let mut loris = TcpStream::connect(server.addr()).unwrap();
         loris.write_all(b"GET /hello HT").unwrap();
@@ -955,8 +981,11 @@ mod tests {
 
     #[test]
     fn idle_timeout_reaps_quiet_connections() {
-        let server =
-            ReactorServer::start(test_router(), 1, None, Duration::from_millis(150)).unwrap();
+        let server = HttpServer::builder(test_router())
+            .workers(1)
+            .idle_timeout(Duration::from_millis(150))
+            .start()
+            .unwrap();
         let mut conn = TcpStream::connect(server.addr()).unwrap();
         let t0 = Instant::now();
         while server.connections_open() == 0 && t0.elapsed() < Duration::from_secs(2) {
@@ -977,8 +1006,11 @@ mod tests {
             burst: 1.0,
             queue_depth: 0,
         }));
-        let server =
-            ReactorServer::start(test_router(), 2, Some(gate), Duration::from_secs(60)).unwrap();
+        let server = HttpServer::builder(test_router())
+            .workers(2)
+            .admission(gate)
+            .start()
+            .unwrap();
         let send = |label: &str| {
             let mut s = TcpStream::connect(server.addr()).unwrap();
             s.write_all(

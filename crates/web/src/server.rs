@@ -1,64 +1,32 @@
-//! The HTTP server facade: one `HttpServer` type over two backends.
-//!
-//! - **reactor** ([`crate::reactor`]): the epoll event loop — the default
-//!   on Linux. Idle keep-alive connections cost a file descriptor, not a
-//!   thread, so concurrency scales to the fd limit instead of pool size.
-//! - **threaded** ([`crate::threaded`]): the original thread-per-connection
-//!   pool — the portable fallback and the bench ablation baseline.
-//!
-//! [`ServerBuilder`] picks the backend (`Backend::Auto` honors the
-//! `ODBIS_HTTP_SERVER` environment variable, values `reactor` or
-//! `threaded`) and carries the cross-cutting options: worker count,
-//! per-tenant [`AdmissionControl`], and the keep-alive idle timeout.
-//! `HttpServer::start(router, workers)` keeps the historical one-call
-//! construction for the common case.
+//! Starting the HTTP server: [`ServerBuilder`] carries the options that
+//! cut across requests — worker count, per-tenant [`AdmissionControl`],
+//! the keep-alive idle timeout — and `HttpServer::start(router, workers)`
+//! is the one-call construction for the common case. The server itself
+//! is the epoll event loop in [`crate::reactor`].
 
-use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::admission::AdmissionControl;
+use crate::reactor::HttpServer;
 use crate::router::Router;
-use crate::threaded::ThreadedServer;
-
-#[cfg(all(
-    target_os = "linux",
-    any(target_arch = "x86_64", target_arch = "aarch64")
-))]
-use crate::reactor::ReactorServer;
-
-/// Which server implementation to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Backend {
-    /// `ODBIS_HTTP_SERVER` if set, else the reactor where supported,
-    /// else the threaded pool.
-    #[default]
-    Auto,
-    /// The thread-per-connection pool.
-    Threaded,
-    /// The epoll event loop (falls back to threaded on platforms without
-    /// it).
-    Reactor,
-}
 
 /// Builder for an [`HttpServer`].
 pub struct ServerBuilder {
     router: Router,
     workers: usize,
     admission: Option<Arc<AdmissionControl>>,
-    backend: Backend,
     idle_timeout: Duration,
 }
 
 impl ServerBuilder {
-    /// Start from a router with defaults: 4 workers, auto backend, no
-    /// admission control, 60 s keep-alive idle timeout.
+    /// Start from a router with defaults: 4 workers, no admission
+    /// control, 60 s keep-alive idle timeout.
     pub fn new(router: Router) -> ServerBuilder {
         ServerBuilder {
             router,
             workers: 4,
             admission: None,
-            backend: Backend::Auto,
             idle_timeout: Duration::from_secs(60),
         }
     }
@@ -75,14 +43,8 @@ impl ServerBuilder {
         self
     }
 
-    /// Force a specific backend.
-    pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// How long a keep-alive connection may sit idle before the reactor
-    /// hangs up (the threaded backend keeps its fixed read timeout).
+    /// How long a keep-alive connection may sit idle before the server
+    /// hangs up.
     pub fn idle_timeout(mut self, idle_timeout: Duration) -> Self {
         self.idle_timeout = idle_timeout;
         self
@@ -90,53 +52,13 @@ impl ServerBuilder {
 
     /// Bind an ephemeral loopback port and start serving.
     pub fn start(self) -> std::io::Result<HttpServer> {
-        let backend = match self.backend {
-            Backend::Auto => match std::env::var("ODBIS_HTTP_SERVER").as_deref() {
-                Ok("threaded") => Backend::Threaded,
-                Ok("reactor") => Backend::Reactor,
-                _ => Backend::Reactor,
-            },
-            explicit => explicit,
-        };
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        if backend == Backend::Reactor {
-            let inner =
-                ReactorServer::start(self.router, self.workers, self.admission, self.idle_timeout)?;
-            return Ok(HttpServer {
-                inner: Inner::Reactor(inner),
-            });
-        }
-        let _ = backend; // non-Linux: every choice lands on the pool
-        let inner = ThreadedServer::start(self.router, self.workers, self.admission)?;
-        Ok(HttpServer {
-            inner: Inner::Threaded(inner),
-        })
+        HttpServer::spawn(self.router, self.workers, self.admission, self.idle_timeout)
     }
-}
-
-enum Inner {
-    Threaded(ThreadedServer),
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    Reactor(ReactorServer),
-}
-
-/// A running HTTP server — the reproduction's stand-in for the Tomcat
-/// container that "all services run under" in the ODBIS technical
-/// architecture (§3.3). Binds a real loopback socket; see [`ServerBuilder`]
-/// for backend selection and admission control.
-pub struct HttpServer {
-    inner: Inner,
 }
 
 impl HttpServer {
     /// Start serving `router` on an ephemeral loopback port with
-    /// `worker_count` workers and the default (auto) backend.
+    /// `worker_count` workers and default options.
     pub fn start(router: Router, worker_count: usize) -> std::io::Result<HttpServer> {
         ServerBuilder::new(router).workers(worker_count).start()
     }
@@ -146,70 +68,9 @@ impl HttpServer {
         ServerBuilder::new(router)
     }
 
-    /// The bound address (`127.0.0.1:<port>`).
-    pub fn addr(&self) -> SocketAddr {
-        match &self.inner {
-            Inner::Threaded(s) => s.addr(),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Inner::Reactor(s) => s.addr(),
-        }
-    }
-
     /// Base URL, e.g. `http://127.0.0.1:38311`.
     pub fn base_url(&self) -> String {
         format!("http://{}", self.addr())
-    }
-
-    /// Requests served so far (responses produced, including 4xx/5xx).
-    pub fn requests_served(&self) -> u64 {
-        match &self.inner {
-            Inner::Threaded(s) => s.requests_served(),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Inner::Reactor(s) => s.requests_served(),
-        }
-    }
-
-    /// Connections currently held open, when the backend tracks them
-    /// (`None` on the threaded pool, which has no central registry).
-    pub fn connections_open(&self) -> Option<u64> {
-        match &self.inner {
-            Inner::Threaded(_) => None,
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Inner::Reactor(s) => Some(s.connections_open()),
-        }
-    }
-
-    /// Which backend is serving: `"reactor"` or `"threaded"`.
-    pub fn backend_name(&self) -> &'static str {
-        match &self.inner {
-            Inner::Threaded(_) => "threaded",
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Inner::Reactor(_) => "reactor",
-        }
-    }
-
-    /// Stop accepting and join all threads.
-    pub fn shutdown(self) {
-        match self.inner {
-            Inner::Threaded(s) => s.shutdown(),
-            #[cfg(all(
-                target_os = "linux",
-                any(target_arch = "x86_64", target_arch = "aarch64")
-            ))]
-            Inner::Reactor(s) => s.shutdown(),
-        }
     }
 }
 
@@ -242,36 +103,6 @@ mod tests {
         let (status, _) = http_get(&server.addr().to_string(), "/missing").unwrap();
         assert_eq!(status, 404);
         assert_eq!(server.requests_served(), 3);
-        server.shutdown();
-    }
-
-    #[test]
-    fn default_backend_is_the_reactor_on_linux() {
-        let server = HttpServer::start(test_router(), 1).unwrap();
-        #[cfg(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        ))]
-        assert_eq!(server.backend_name(), "reactor");
-        #[cfg(not(all(
-            target_os = "linux",
-            any(target_arch = "x86_64", target_arch = "aarch64")
-        )))]
-        assert_eq!(server.backend_name(), "threaded");
-        server.shutdown();
-    }
-
-    #[test]
-    fn threaded_backend_can_be_forced() {
-        let server = HttpServer::builder(test_router())
-            .workers(1)
-            .backend(Backend::Threaded)
-            .start()
-            .unwrap();
-        assert_eq!(server.backend_name(), "threaded");
-        assert_eq!(server.connections_open(), None);
-        let (status, body) = http_get(&server.addr().to_string(), "/hello").unwrap();
-        assert_eq!((status, body.as_str()), (200, "world"));
         server.shutdown();
     }
 
@@ -405,60 +236,49 @@ mod tests {
     /// A deferred response parks the connection, not the worker: with one
     /// worker, a long-poll in flight must not block other requests, and
     /// the fulfilled response must still carry the placeholder's headers
-    /// (the request id the router stamped). Exercised on both backends.
+    /// (the request id the router stamped).
     #[test]
     fn deferred_response_frees_the_worker_and_keeps_headers() {
         use std::sync::Mutex;
-        for backend in [Backend::Reactor, Backend::Threaded] {
-            let slots: Arc<Mutex<Vec<Arc<crate::http::ResponseSlot>>>> =
-                Arc::new(Mutex::new(Vec::new()));
-            let mut r = test_router();
-            let parked = Arc::clone(&slots);
-            r.route(Method::Get, "/park", move |_, _| {
-                let (resp, slot) = HttpResponse::deferred();
-                parked.lock().unwrap().push(slot);
-                resp
-            });
-            // threaded backend with 1 worker would block on the parked
-            // poll; give it 2 so the probe request can get through there
-            let workers = if backend == Backend::Reactor { 1 } else { 2 };
-            let server = HttpServer::builder(r)
-                .workers(workers)
-                .backend(backend)
-                .start()
-                .unwrap();
-            let addr = server.addr().to_string();
-            let addr2 = addr.clone();
-            let poll = std::thread::spawn(move || {
-                crate::client::http_request(&addr2, "GET", "/park", &[], b"").unwrap()
-            });
-            // the parked poll must not stop an ordinary request
-            let t0 = std::time::Instant::now();
-            let (status, body) = http_get(&addr, "/hello").unwrap();
-            assert_eq!((status, body.as_str()), (200, "world"));
-            assert!(
-                t0.elapsed() < Duration::from_secs(2),
-                "{}: probe stalled behind a parked poll",
-                server.backend_name()
-            );
-            // fulfill the parked slot; the long-poll completes with the
-            // real response plus the router-stamped request id
-            let slot = loop {
-                if let Some(s) = slots.lock().unwrap().pop() {
-                    break s;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            };
-            slot.fulfill(HttpResponse::text("woken"));
-            let (status, headers, body) = poll.join().unwrap();
-            assert_eq!((status, body.as_str()), (200, "woken"));
-            assert!(
-                headers.contains_key("x-request-id"),
-                "{}: placeholder headers lost: {headers:?}",
-                server.backend_name()
-            );
-            server.shutdown();
-        }
+        let slots: Arc<Mutex<Vec<Arc<crate::http::ResponseSlot>>>> =
+            Arc::new(Mutex::new(Vec::new()));
+        let mut r = test_router();
+        let parked = Arc::clone(&slots);
+        r.route(Method::Get, "/park", move |_, _| {
+            let (resp, slot) = HttpResponse::deferred();
+            parked.lock().unwrap().push(slot);
+            resp
+        });
+        let server = HttpServer::start(r, 1).unwrap();
+        let addr = server.addr().to_string();
+        let addr2 = addr.clone();
+        let poll = std::thread::spawn(move || {
+            crate::client::http_request(&addr2, "GET", "/park", &[], b"").unwrap()
+        });
+        // the parked poll must not stop an ordinary request
+        let t0 = std::time::Instant::now();
+        let (status, body) = http_get(&addr, "/hello").unwrap();
+        assert_eq!((status, body.as_str()), (200, "world"));
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "probe stalled behind a parked poll"
+        );
+        // fulfill the parked slot; the long-poll completes with the
+        // real response plus the router-stamped request id
+        let slot = loop {
+            if let Some(s) = slots.lock().unwrap().pop() {
+                break s;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        slot.fulfill(HttpResponse::text("woken"));
+        let (status, headers, body) = poll.join().unwrap();
+        assert_eq!((status, body.as_str()), (200, "woken"));
+        assert!(
+            headers.contains_key("x-request-id"),
+            "placeholder headers lost: {headers:?}"
+        );
+        server.shutdown();
     }
 
     #[test]

@@ -440,14 +440,13 @@ fn noisy_tenant_throttled_while_quiet_tenant_sails_through() {
     server.shutdown();
 }
 
-/// 100 parked long-poll watchers on a 2-worker reactor must not starve
+/// 100 parked long-poll watchers on a 2-worker server must not starve
 /// the pool: a parked watcher costs a file descriptor, not a worker
 /// thread, so unrelated requests keep flowing underneath, and one commit
 /// wakes every watcher with the same new cursor.
 #[test]
 fn hundred_parked_watchers_do_not_starve_the_worker_pool() {
     use odbis_metadata::DataSet;
-    use odbis_web::Backend;
 
     const WATCHERS: usize = 100;
 
@@ -472,13 +471,9 @@ fn hundred_parked_watchers_do_not_starve_the_worker_pool() {
         )
         .unwrap();
 
-    // the reactor backend is the one that parks watchers off-thread; two
-    // workers would deadlock immediately if watchers held worker threads
-    let server = odbis_web::HttpServer::builder(build_router(Arc::clone(&platform)))
-        .workers(2)
-        .backend(Backend::Reactor)
-        .start()
-        .unwrap();
+    // two workers would deadlock immediately if watchers held worker
+    // threads
+    let server = odbis_web::HttpServer::start(build_router(Arc::clone(&platform)), 2).unwrap();
     let addr = server.addr().to_string();
 
     let hub = Arc::clone(&platform.workspace("acme").unwrap().watch);

@@ -136,19 +136,25 @@ fn assert_same_unordered(sql: &str, reference: &QueryResult, candidate: &QueryRe
     );
 }
 
+/// Worker counts every corpus test runs under: inline on the calling
+/// thread, and the morsel pool.
+const THREADS: [usize; 2] = [1, 4];
+
 #[test]
 fn vectorized_path_matches_row_path() {
     let db = corpus_db();
     let row_engine = Engine::with_row_execution();
-    let vec_engine = Engine::new();
     for sql in CORPUS {
         let reference = row_engine
             .execute(&db, sql)
             .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
-        let candidate = vec_engine
-            .execute(&db, sql)
-            .unwrap_or_else(|e| panic!("vectorized path failed for {sql}: {e}"));
-        assert_same(sql, &reference, &candidate, "vectorized+indexes");
+        for threads in THREADS {
+            let candidate = Engine::new()
+                .with_parallelism(threads)
+                .execute(&db, sql)
+                .unwrap_or_else(|e| panic!("vectorized path failed for {sql}: {e}"));
+            assert_same(sql, &reference, &candidate, "vectorized+indexes");
+        }
     }
 }
 
@@ -158,15 +164,17 @@ fn vectorized_path_matches_row_path_without_indexes() {
     // TableScan); results must not depend on it on either path.
     let db = corpus_db();
     let row_engine = Engine::with_row_execution();
-    let vec_engine = Engine::without_index_selection();
     for sql in CORPUS {
         let reference = row_engine
             .execute(&db, sql)
             .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
-        let candidate = vec_engine
-            .execute(&db, sql)
-            .unwrap_or_else(|e| panic!("vectorized (no index) path failed for {sql}: {e}"));
-        assert_same_unordered(sql, &reference, &candidate, "vectorized-no-indexes");
+        for threads in THREADS {
+            let candidate = Engine::without_index_selection()
+                .with_parallelism(threads)
+                .execute(&db, sql)
+                .unwrap_or_else(|e| panic!("vectorized (no index) path failed for {sql}: {e}"));
+            assert_same_unordered(sql, &reference, &candidate, "vectorized-no-indexes");
+        }
     }
 }
 
@@ -177,7 +185,6 @@ fn both_paths_agree_on_errors() {
     // compared — but whether a query errors must match.
     let db = corpus_db();
     let row_engine = Engine::with_row_execution();
-    let vec_engine = Engine::new();
     let failing = [
         "SELECT 1 / 0",
         "SELECT id, 100 / val AS q FROM edge", // val = 0 on one row
@@ -188,12 +195,14 @@ fn both_paths_agree_on_errors() {
     ];
     for sql in &failing {
         let row = row_engine.execute(&db, sql);
-        let vec = vec_engine.execute(&db, sql);
         assert!(row.is_err(), "row path unexpectedly succeeded for: {sql}");
-        assert!(
-            vec.is_err(),
-            "vectorized path unexpectedly succeeded for: {sql}"
-        );
+        for threads in THREADS {
+            let vec = Engine::new().with_parallelism(threads).execute(&db, sql);
+            assert!(
+                vec.is_err(),
+                "vectorized path ({threads} threads) unexpectedly succeeded for: {sql}"
+            );
+        }
     }
 }
 
@@ -248,7 +257,7 @@ fn index_scan_and_values_leaves_match_the_row_oracle() {
         let plan = oracle.explain(&db, sql).unwrap();
         assert!(plan.contains("Values"), "not a VALUES plan: {sql}\n{plan}");
     }
-    for threads in [1usize, 4] {
+    for threads in THREADS {
         let engine = Engine::new().with_parallelism(threads);
         for sql in index_queries.iter().chain(&values_queries) {
             let reference = oracle
@@ -464,11 +473,13 @@ fn multi_morsel_aggregates_agree_across_parallelism() {
 #[test]
 fn batch_entry_point_matches_row_pivoted_result() {
     let db = corpus_db();
-    let engine = Engine::new();
-    for sql in CORPUS.iter().filter(|s| s.starts_with("SELECT")) {
-        let result = engine.execute(&db, sql).unwrap();
-        let (columns, batch) = engine.execute_select_batch(&db, sql).unwrap();
-        assert_eq!(result.columns, columns, "columns for: {sql}");
-        assert_eq!(result.rows, batch.to_rows(), "rows for: {sql}");
+    for threads in THREADS {
+        let engine = Engine::new().with_parallelism(threads);
+        for sql in CORPUS.iter().filter(|s| s.starts_with("SELECT")) {
+            let result = engine.execute(&db, sql).unwrap();
+            let (columns, batch) = engine.execute_select_batch(&db, sql).unwrap();
+            assert_eq!(result.columns, columns, "columns for: {sql}");
+            assert_eq!(result.rows, batch.to_rows(), "rows for: {sql}");
+        }
     }
 }
