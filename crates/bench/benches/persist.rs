@@ -65,8 +65,7 @@ fn recovery(c: &mut Criterion) {
     c.bench_function("persist_recovery_8x10k", |b| {
         b.iter(|| {
             let (db, _store) =
-                odbis_storage::DurableStore::open(&dir, odbis_storage::FsyncPolicy::Never)
-                    .unwrap();
+                odbis_storage::DurableStore::open(&dir, odbis_storage::FsyncPolicy::Never).unwrap();
             assert_eq!(db.scan("fact_0").unwrap().len(), odbis_bench::persist::ROWS);
             db
         })

@@ -34,9 +34,7 @@
 
 use std::time::Duration;
 
-use odbis_bench::sharding::{
-    migrate_under_load, timed_write_throughput, BenchCluster, Routing,
-};
+use odbis_bench::sharding::{migrate_under_load, timed_write_throughput, BenchCluster, Routing};
 
 const TENANTS: usize = 6;
 const WORKERS_PER_NODE: usize = 2;
@@ -69,7 +67,9 @@ fn main() {
         rates.push(t.acked_per_sec);
     }
     let scale3 = rates[2] / rates[0];
-    println!("  (all nodes share one vCPU in this container: the ratio is the shared-core ceiling)");
+    println!(
+        "  (all nodes share one vCPU in this container: the ratio is the shared-core ceiling)"
+    );
 
     println!();
     println!("phase 2: router tax on the 3-node cluster");
@@ -101,7 +101,9 @@ fn main() {
     let direct_p50 = p50_of(&owner_addr, 50_000_000);
     let proxied_p50 = p50_of(&other_addr, 60_000_000);
     let proxy_tax = proxied_p50 as f64 / direct_p50 as f64;
-    println!("  single writer p50: direct {direct_p50}us, proxied {proxied_p50}us ({proxy_tax:.2}x)");
+    println!(
+        "  single writer p50: direct {direct_p50}us, proxied {proxied_p50}us ({proxy_tax:.2}x)"
+    );
     // informational: the whole fleet funneled through one entry node
     let funneled = timed_write_throughput(&cluster, Routing::FixedEntry, warmup, window);
     cluster.teardown();

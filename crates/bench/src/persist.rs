@@ -15,7 +15,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use odbis_storage::{Column, DataType, Database, DurableStore, FsyncPolicy, Schema, Value, WalSink};
+use odbis_storage::{
+    Column, DataType, Database, DurableStore, FsyncPolicy, Schema, Value, WalSink,
+};
 
 /// Tables in the synthetic warehouse.
 pub const TABLES: usize = 8;

@@ -66,7 +66,12 @@ impl BenchCluster {
     /// handler workers and fsync=always durability), provision
     /// `tenant_count` tenants pinned round-robin across the nodes, log
     /// each in and create its `f` fact table.
-    pub fn start(node_count: usize, workers_per_node: usize, tenant_count: usize, tag: &str) -> BenchCluster {
+    pub fn start(
+        node_count: usize,
+        workers_per_node: usize,
+        tenant_count: usize,
+        tag: &str,
+    ) -> BenchCluster {
         let root = std::env::var("ODBIS_BENCH_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| std::env::temp_dir())
@@ -86,7 +91,12 @@ impl BenchCluster {
                 .expect("start node server");
             let addr = server.addr().to_string();
             fabric.map().set_addr(&id, &addr);
-            nodes.push(BenchNode { id, addr, platform, server });
+            nodes.push(BenchNode {
+                id,
+                addr,
+                platform,
+                server,
+            });
         }
 
         let mut tokens = Vec::new();
@@ -104,7 +114,12 @@ impl BenchCluster {
                 .expect("create fact table");
             tokens.push((tenant, token));
         }
-        BenchCluster { fabric, nodes, tokens, root }
+        BenchCluster {
+            fabric,
+            nodes,
+            tokens,
+            root,
+        }
     }
 
     /// Address of the node currently owning `tenant`, per the map.
@@ -129,7 +144,10 @@ pub fn insert_http(addr: &str, tenant: &str, token: &str, id: i64) -> bool {
             addr,
             "POST",
             "/api/v1/sql",
-            &[("x-tenant", tenant), ("Authorization", &format!("Bearer {token}"))],
+            &[
+                ("x-tenant", tenant),
+                ("Authorization", &format!("Bearer {token}"))
+            ],
             format!("INSERT INTO f VALUES ({id})").as_bytes(),
         ),
         Ok((200, _, _))
@@ -179,8 +197,11 @@ pub fn timed_write_throughput(
             let map = Arc::clone(cluster.fabric.map());
             let (tenant, token) = (tenant.clone(), token.clone());
             let entry = entry.clone();
-            let (stop, counting, latencies) =
-                (Arc::clone(&stop), Arc::clone(&counting), Arc::clone(&latencies));
+            let (stop, counting, latencies) = (
+                Arc::clone(&stop),
+                Arc::clone(&counting),
+                Arc::clone(&latencies),
+            );
             std::thread::spawn(move || {
                 let mut id = (w as i64 + 1) * 10_000_000;
                 while !stop.load(Ordering::Relaxed) {
@@ -253,7 +274,8 @@ pub fn migrate_under_load(
     let workers: Vec<_> = (0..writer_count as i64)
         .map(|w| {
             let (origin, tenant, token) = (origin.clone(), tenant.to_string(), token.to_string());
-            let (stop, acked, rejected) = (Arc::clone(&stop), Arc::clone(&acked), Arc::clone(&rejected));
+            let (stop, acked, rejected) =
+                (Arc::clone(&stop), Arc::clone(&acked), Arc::clone(&rejected));
             std::thread::spawn(move || {
                 let mut id = (w + 1) * 10_000_000;
                 while !stop.load(Ordering::Relaxed) {
@@ -325,7 +347,11 @@ mod tests {
         assert!(t.p99_micros >= t.p50_micros);
         let (tenant, token) = cluster.tokens[0].clone();
         let owner = cluster.fabric.map().owner(&tenant).unwrap();
-        let target = if owner == "node-0" { "node-1" } else { "node-0" };
+        let target = if owner == "node-0" {
+            "node-1"
+        } else {
+            "node-0"
+        };
         let demo = migrate_under_load(&cluster, &tenant, &token, target, 2);
         assert!(demo.lost.is_empty(), "acked writes lost: {:?}", demo.lost);
         assert_eq!(demo.report.to, target);

@@ -314,7 +314,13 @@ impl Cluster {
             .map(|(k, v)| (k.clone(), Arc::clone(v)))
             .collect();
         for (node_id, platform) in &nodes {
-            platform.provision_identity(id, display_name, plan.clone(), admin_user, admin_password)?;
+            platform.provision_identity(
+                id,
+                display_name,
+                plan.clone(),
+                admin_user,
+                admin_password,
+            )?;
             if *node_id == owner {
                 platform.attach_workspace(id)?;
             }

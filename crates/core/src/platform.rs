@@ -540,7 +540,12 @@ impl OdbisPlatform {
     /// node does not own will be proxied (or redirected) to their owner
     /// by the web layer, and this node becomes a valid migration
     /// source/target for the fabric.
-    pub fn join_cluster(&self, node_id: &str, map: Arc<ClusterMap>, fabric: std::sync::Weak<Cluster>) {
+    pub fn join_cluster(
+        &self,
+        node_id: &str,
+        map: Arc<ClusterMap>,
+        fabric: std::sync::Weak<Cluster>,
+    ) {
         *self.cluster.write() = Some(ClusterNode {
             node_id: node_id.to_string(),
             map,
@@ -559,7 +564,10 @@ impl OdbisPlatform {
     /// The cluster fabric this node belongs to, when it is clustered and
     /// the fabric is still alive.
     pub fn cluster_fabric(&self) -> Option<Arc<Cluster>> {
-        self.cluster.read().as_ref().and_then(|n| n.fabric.upgrade())
+        self.cluster
+            .read()
+            .as_ref()
+            .and_then(|n| n.fabric.upgrade())
     }
 
     /// Route a tenant's request: local when standalone, when this node

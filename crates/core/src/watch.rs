@@ -317,14 +317,26 @@ mod tests {
             completer(tx),
         );
         let o = rx.try_recv().expect("must complete synchronously");
-        assert_eq!(o, WatchOutcome { changed: true, cursor: v });
+        assert_eq!(
+            o,
+            WatchOutcome {
+                changed: true,
+                cursor: v
+            }
+        );
         assert_eq!(hub.parked(), 0);
         // a fresh hub at version 0 answers a stale-high cursor with 0
         let hub = Arc::new(WatchHub::new());
         let (tx, rx) = mpsc::channel();
         hub.subscribe(vec!["t".into()], 7, Duration::from_secs(60), completer(tx));
         let o = rx.try_recv().expect("must complete synchronously");
-        assert_eq!(o, WatchOutcome { changed: true, cursor: 0 });
+        assert_eq!(
+            o,
+            WatchOutcome {
+                changed: true,
+                cursor: 0
+            }
+        );
     }
 
     #[test]

@@ -209,12 +209,14 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
         }
         let tenant = match req.attributes.get("tenant") {
             Some(t) => t.clone(),
-            None if req.path == "/api/v1/login" => {
-                parse_login(&req.body_text())?.0
-            }
+            None if req.path == "/api/v1/login" => parse_login(&req.body_text())?.0,
             None => return None,
         };
-        let ClusterRoute::Remote { node_id: owner, addr } = p.cluster_route(&tenant) else {
+        let ClusterRoute::Remote {
+            node_id: owner,
+            addr,
+        } = p.cluster_route(&tenant)
+        else {
             return None;
         };
         let target = target_with_query(req);
@@ -230,7 +232,13 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
             );
         }
         let mut fwd: Vec<(&str, &str)> = Vec::new();
-        for h in ["x-tenant", "authorization", "content-type", "accept", "x-request-id"] {
+        for h in [
+            "x-tenant",
+            "authorization",
+            "content-type",
+            "accept",
+            "x-request-id",
+        ] {
             if let Some(v) = req.header(h) {
                 fwd.push((h, v));
             }
@@ -1428,7 +1436,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 200, "proxied create: {body}");
-        assert_eq!(headers.get("x-odbis-owner").map(String::as_str), Some(owner.as_str()));
+        assert_eq!(
+            headers.get("x-odbis-owner").map(String::as_str),
+            Some(owner.as_str())
+        );
         for i in 0..4 {
             let (status, _, _) = http_request(
                 &other_addr,
@@ -1490,7 +1501,10 @@ mod tests {
         )
         .unwrap();
         assert_eq!(status, 200, "post-migration query: {body}");
-        assert_eq!(headers.get("x-odbis-owner").map(String::as_str), Some(other_id));
+        assert_eq!(
+            headers.get("x-odbis-owner").map(String::as_str),
+            Some(other_id)
+        );
         assert!(body.contains('4'), "all four rows survived: {body}");
 
         // redirect mode: the tenant opts out of proxying

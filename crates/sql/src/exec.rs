@@ -4,25 +4,33 @@
 //! the executor every production SELECT takes: table scans emit fixed-size
 //! morsels ([`MORSEL_ROWS`] rows) of columnar [`Batch`]es that flow through
 //! filters and projections column-wise on a scoped worker pool, equi-joins
-//! become partitioned hash joins, and aggregation runs two-phase
-//! (per-worker partial states merged in worker order). With one worker the
-//! pool runs inline, so the serial executor is this same walker at
+//! hash the typed key columns of the smaller side, probe the other side's
+//! morsels into row-index pairs and materialise the output late with
+//! [`Batch::gather`], and aggregation runs two-phase (one partial state per
+//! worker, alive across all of that worker's morsels, merged in worker
+//! order). The calling thread is the pool's first worker, so with one
+//! worker the pool runs inline: the serial executor is this same walker at
 //! `threads = 1`, and every parallel operator reproduces the serial output
-//! ordering exactly. [`run`] is the row-at-a-time interpreter over
-//! `Vec<Vec<Value>>`, reachable only through
+//! ordering exactly. [`run`] is the
+//! row-at-a-time interpreter over `Vec<Vec<Value>>`, reachable only through
 //! [`crate::Engine::with_row_execution`]: the differential suites use it as
-//! their oracle. Joins, sorts and top-k pivot to rows at their boundary and
-//! share one set of row-level kernels between the two walkers.
+//! their oracle. Sorts, DISTINCT and top-k (which run on post-aggregate row
+//! counts), index probes and the no-equi-key nested-loop join pivot to rows
+//! at their boundary and share row-level kernels with the oracle.
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use odbis_storage::{Batch, ColumnData, ColumnVec, Database, DbError, DbResult, Table, Value};
+use odbis_storage::{
+    Batch, ColumnData, ColumnVec, DataType, Database, DbError, DbResult, Table, Value, NULL_ROW,
+};
 
-use crate::ast::{AggFunc, BinOp, JoinKind};
+use crate::ast::{AggFunc, JoinKind};
 use crate::error::{SqlError, SqlResult};
 use crate::expr::{keep_mask, truth, BExpr};
-use crate::plan::{AggExpr, Plan, PlanNode};
+use crate::plan::{equi_pairs, AggExpr, Plan, PlanNode};
 
 /// Execute a read-only plan, producing materialized rows.
 pub fn run(db: &Database, plan: &Plan) -> SqlResult<Vec<Vec<Value>>> {
@@ -322,37 +330,57 @@ fn morsel_ranges(n: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// Map `f` over `items` on a scoped worker pool, preserving item order.
-/// Errors are reported deterministically: the first failing item (by input
-/// position) wins, regardless of which worker hit it first.
+/// Split `items` into one contiguous chunk per worker and map `f` over the
+/// chunks on a scoped worker pool, preserving chunk order. The calling
+/// thread is the first worker — it maps the first chunk itself instead of
+/// sleeping until the others finish — so `threads` workers cost
+/// `threads - 1` spawns, and one worker (or one item) spawns nothing.
+fn par_chunks<T: Send, R: Send>(
+    items: Vec<T>,
+    threads: usize,
+    f: impl Fn(Vec<T>) -> R + Sync,
+) -> Vec<R> {
+    let mut chunks = split_chunks(items, threads).into_iter();
+    let Some(first) = chunks.next() else {
+        return Vec::new();
+    };
+    let f = &f;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = chunks.map(|c| s.spawn(move || f(c))).collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(f(first));
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("morsel worker panicked")),
+        );
+        out
+    })
+}
+
+/// Map `f` over `items` on the worker pool ([`par_chunks`]), preserving
+/// item order. Errors are reported deterministically: the first failing
+/// item (by input position) wins, regardless of which worker hit it first.
 fn par_map<T: Send, R: Send>(
     items: Vec<T>,
     threads: usize,
     f: impl Fn(T) -> SqlResult<R> + Sync,
 ) -> SqlResult<Vec<R>> {
-    if threads <= 1 || items.len() <= 1 {
-        return items.into_iter().map(f).collect();
-    }
-    let chunks = split_chunks(items, threads);
-    let f = &f;
-    let per_chunk: Vec<Vec<SqlResult<R>>> = std::thread::scope(|s| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|c| s.spawn(move || c.into_iter().map(f).collect::<Vec<_>>()))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("morsel worker panicked"))
-            .collect()
+    let per_chunk = par_chunks(items, threads, |chunk| {
+        chunk.into_iter().map(&f).collect::<SqlResult<Vec<R>>>()
     });
-    per_chunk.into_iter().flatten().collect()
+    let per_chunk = per_chunk.into_iter().collect::<SqlResult<Vec<_>>>()?;
+    Ok(per_chunk.into_iter().flatten().collect())
 }
 
-/// Partitioned hash join: both sides execute morsel-parallel, the smaller
-/// side becomes the build table, and probing fans out over morsels. Output
-/// order matches the serial kernel ([`join_rows`]) exactly: probing the
-/// left side preserves its natural order, and the build-left variant
-/// canonicalizes via a `(left, right)` pair sort.
+/// Columnar hash join: both sides execute morsel-parallel, the smaller
+/// side is concatenated and becomes the build table, probing fans out over
+/// morsels into `(probe row, build row)` index pairs, and output columns
+/// are gathered from those pairs only once the residual (whatever `on`
+/// holds beyond the equi-conjuncts) has been evaluated column-wise over the
+/// candidates. Output order matches the serial kernel ([`join_rows`])
+/// exactly: probing the left side preserves its natural order, and the
+/// build-left variant canonicalizes via a `(left, right)` pair sort.
 fn parallel_join(
     db: &Database,
     kind: JoinKind,
@@ -363,108 +391,291 @@ fn parallel_join(
 ) -> SqlResult<Vec<Batch>> {
     let l_arity = left.schema.len();
     let r_arity = right.schema.len();
-    let arity = l_arity + r_arity;
-    let lrows = Batch::concat(l_arity, &exec_morsels(db, left, threads)?)?.to_rows();
-    let rrows = Batch::concat(r_arity, &exec_morsels(db, right, threads)?)?.to_rows();
-    let eq_pairs = equi_pairs(on, l_arity);
-    if eq_pairs.is_empty() {
+    let lmorsels = exec_morsels(db, left, threads)?;
+    let rmorsels = exec_morsels(db, right, threads)?;
+    let (pairs, residual) = equi_pairs(on, l_arity);
+    let residual = residual.map(|pred| Residual::new(pred, l_arity));
+    if pairs.is_empty() {
         // No equi-keys: fall back to the serial nested-loop kernel.
+        let lrows = Batch::concat(l_arity, &lmorsels)?.to_rows();
+        let rrows = Batch::concat(r_arity, &rmorsels)?.to_rows();
         let rows = join_rows(kind, &lrows, &rrows, l_arity, r_arity, on)?;
-        return Ok(vec![Batch::from_rows(arity, rows)?]);
+        return Ok(vec![Batch::from_rows(l_arity + r_arity, rows)?]);
     }
-    if kind == JoinKind::Inner && lrows.len() < rrows.len() {
+    let (lkeys, rkeys): (Vec<usize>, Vec<usize>) = pairs.into_iter().unzip();
+    let total = |morsels: &[Batch]| morsels.iter().map(Batch::num_rows).sum::<usize>();
+    let (l_rows, r_rows) = (total(&lmorsels), total(&rmorsels));
+    if l_rows.max(r_rows) >= NULL_ROW as usize {
+        return Err(SqlError::Eval(
+            "join input exceeds the 32-bit row index".into(),
+        ));
+    }
+    if kind == JoinKind::Inner && l_rows < r_rows {
         // Build on the (smaller) left side, probe right morsels, then
         // canonicalize: the serial kernel emits matches ordered by
         // (left row, right row), which is exactly the sorted pair order.
-        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        for (li, lrow) in lrows.iter().enumerate() {
-            let key: Vec<Value> = eq_pairs.iter().map(|&(i, _)| lrow[i].clone()).collect();
-            if key.iter().any(Value::is_null) {
-                continue;
+        // The sort scatters right rows across morsels, so this variant
+        // concatenates the probe side too.
+        let lbatch = Batch::concat(l_arity, &lmorsels)?;
+        let rbatch = Batch::concat(r_arity, &rmorsels)?;
+        let table = JoinTable::build(&lbatch, &lkeys, std::slice::from_ref(&rbatch), &rkeys);
+        let chunks = par_map(morsel_ranges(r_rows), threads, |(lo, hi)| {
+            let (mut ri, mut li) = table.probe(&rbatch, &rkeys, lo, hi);
+            if let Some(residual) = &residual {
+                let keep = residual.keep(&lbatch, &li, &rbatch, &ri)?;
+                retain_pairs(&mut li, &mut ri, &keep);
             }
-            table.entry(key).or_default().push(li);
-        }
-        let pair_chunks = par_map(morsel_ranges(rrows.len()), threads, |(lo, hi)| {
-            let mut pairs = Vec::new();
-            for (ri, rrow) in lrows_window(&rrows, lo, hi) {
-                let key: Vec<Value> = eq_pairs.iter().map(|&(_, j)| rrow[j].clone()).collect();
-                if key.iter().any(Value::is_null) {
-                    continue;
-                }
-                if let Some(lis) = table.get(&key) {
-                    for &li in lis {
-                        let mut combined = lrows[li].clone();
-                        combined.extend(rrow.iter().cloned());
-                        if truth(&on.eval(&combined)?) == Some(true) {
-                            pairs.push((li, ri));
-                        }
-                    }
-                }
-            }
-            Ok(pairs)
+            Ok(li.into_iter().zip(ri).collect::<Vec<(u32, u32)>>())
         })?;
-        let mut pairs: Vec<(usize, usize)> = pair_chunks.into_iter().flatten().collect();
+        let mut pairs: Vec<(u32, u32)> = chunks.into_iter().flatten().collect();
         pairs.sort_unstable();
         return par_map(morsel_ranges(pairs.len()), threads, |(lo, hi)| {
-            let rows: Vec<Vec<Value>> = pairs[lo..hi]
-                .iter()
-                .map(|&(li, ri)| {
-                    let mut combined = lrows[li].clone();
-                    combined.extend(rrows[ri].iter().cloned());
-                    combined
-                })
-                .collect();
-            Ok(Batch::from_rows(arity, rows)?)
+            let (li, ri): (Vec<u32>, Vec<u32>) = pairs[lo..hi].iter().copied().unzip();
+            joined(&lbatch, &li, &rbatch, &ri)
         });
     }
     // Build on the right side, probe left morsels in natural order. LEFT
-    // joins always take this path: the per-probe-row matched flag (and its
-    // NULL extension) is chunk-local.
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (ri, rrow) in rrows.iter().enumerate() {
-        let key: Vec<Value> = eq_pairs.iter().map(|&(_, j)| rrow[j].clone()).collect();
-        if key.iter().any(Value::is_null) {
-            continue;
+    // joins always take this path: the unmatched rows (and their NULL
+    // extension) are morsel-local.
+    let rbatch = Batch::concat(r_arity, &rmorsels)?;
+    let table = JoinTable::build(&rbatch, &rkeys, &lmorsels, &lkeys);
+    par_map(lmorsels, threads, |m| {
+        let (mut li, mut ri) = table.probe(&m, &lkeys, 0, m.num_rows());
+        if let Some(residual) = &residual {
+            let keep = residual.keep(&m, &li, &rbatch, &ri)?;
+            retain_pairs(&mut li, &mut ri, &keep);
         }
-        table.entry(key).or_default().push(ri);
-    }
-    par_map(morsel_ranges(lrows.len()), threads, |(lo, hi)| {
-        let mut out = Vec::new();
-        for (_, lrow) in lrows_window(&lrows, lo, hi) {
-            let key: Vec<Value> = eq_pairs.iter().map(|&(i, _)| lrow[i].clone()).collect();
-            let mut matched = false;
-            if !key.iter().any(Value::is_null) {
-                if let Some(ris) = table.get(&key) {
-                    for &ri in ris {
-                        let mut combined = lrow.clone();
-                        combined.extend(rrows[ri].iter().cloned());
-                        if truth(&on.eval(&combined)?) == Some(true) {
-                            out.push(combined);
-                            matched = true;
-                        }
-                    }
-                }
-            }
-            if !matched && kind == JoinKind::Left {
-                let mut combined = lrow.clone();
-                combined.extend(std::iter::repeat_n(Value::Null, r_arity));
-                out.push(combined);
-            }
+        if kind == JoinKind::Left {
+            null_extend(&mut li, &mut ri, m.num_rows());
         }
-        Ok(Batch::from_rows(arity, out)?)
+        joined(&m, &li, &rbatch, &ri)
     })
 }
 
-/// Enumerated window `[lo, hi)` over a row slice.
-fn lrows_window(
-    rows: &[Vec<Value>],
-    lo: usize,
-    hi: usize,
-) -> impl Iterator<Item = (usize, &Vec<Value>)> {
-    rows[lo..hi]
-        .iter()
-        .enumerate()
-        .map(move |(k, r)| (lo + k, r))
+/// Late materialisation of join output: row `k` is `left[li[k]]` followed
+/// by `right[ri[k]]` (all NULL where `ri[k]` is [`NULL_ROW`]).
+fn joined(left: &Batch, li: &[u32], right: &Batch, ri: &[u32]) -> SqlResult<Batch> {
+    let mut cols = left.gather(li).columns().to_vec();
+    cols.extend_from_slice(right.gather(ri).columns());
+    Ok(Batch::new(cols, li.len())?)
+}
+
+/// What `ON` holds beyond the equi-conjuncts, rebound over just the columns
+/// it reads: candidate pairs gather those columns to be filtered, and the
+/// full-width gather ([`joined`]) happens once, for the survivors.
+struct Residual {
+    pred: BExpr,
+    /// The joined-row ordinals `pred` reads, ascending; `pred`'s column `k`
+    /// is `cols[k]`.
+    cols: Vec<usize>,
+    l_arity: usize,
+}
+
+impl Residual {
+    fn new(mut pred: BExpr, l_arity: usize) -> Self {
+        let mut cols = Vec::new();
+        pred.for_each_column(&mut |c| cols.push(c));
+        cols.sort_unstable();
+        cols.dedup();
+        pred.map_columns(&|c| cols.binary_search(&c).expect("a column it reads"));
+        Residual {
+            pred,
+            cols,
+            l_arity,
+        }
+    }
+
+    /// One flag per candidate pair `(left[li[k]], right[ri[k]])`.
+    fn keep(&self, left: &Batch, li: &[u32], right: &Batch, ri: &[u32]) -> SqlResult<Vec<bool>> {
+        let cols = self
+            .cols
+            .iter()
+            .map(|&c| match c.checked_sub(self.l_arity) {
+                None => Arc::new(left.column(c).gather(li)),
+                Some(c) => Arc::new(right.column(c).gather(ri)),
+            })
+            .collect();
+        keep_mask(&self.pred, &Batch::new(cols, li.len())?)
+    }
+}
+
+/// Drop the candidate pairs whose residual flag is false.
+fn retain_pairs(a: &mut Vec<u32>, b: &mut Vec<u32>, keep: &[bool]) {
+    for side in [a, b] {
+        let mut flags = keep.iter();
+        side.retain(|_| *flags.next().expect("one flag per pair"));
+    }
+}
+
+/// The LEFT-join extension: every probe row in `0..n` left without a pair
+/// gets `(row, NULL_ROW)` spliced in at its position (`probe` ascends).
+fn null_extend(probe: &mut Vec<u32>, build: &mut Vec<u32>, n: usize) {
+    let mut out_p = Vec::with_capacity(probe.len().max(n));
+    let mut out_b = Vec::with_capacity(probe.len().max(n));
+    let mut k = 0;
+    for row in 0..n as u32 {
+        let first = k;
+        while probe.get(k) == Some(&row) {
+            k += 1;
+        }
+        if k == first {
+            out_p.push(row);
+            out_b.push(NULL_ROW);
+        } else {
+            out_p.extend_from_slice(&probe[first..k]);
+            out_b.extend_from_slice(&build[first..k]);
+        }
+    }
+    *probe = out_p;
+    *build = out_b;
+}
+
+/// Whether a key column pair hashes and compares on its raw typed data:
+/// both sides hold the same hashable variant. Any other pairing (`Int` =
+/// `Float`, `Date` = `Timestamp`, anything `Mixed`) goes through [`Value`],
+/// whose `Hash`/`Eq` define the cross-type matches.
+fn typed_key_pair(a: &ColumnData, b: &ColumnData) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b)
+        && !matches!(a, ColumnData::Float(_) | ColumnData::Mixed(_))
+}
+
+/// Hash the key of rows `lo..hi`, one column at a time, alongside a flag
+/// for keys holding a NULL (which never match).
+fn hash_keys(cols: &[&ColumnVec], typed: &[bool], lo: usize, hi: usize) -> (Vec<u64>, Vec<bool>) {
+    let mut hashes = vec![0u64; hi - lo];
+    let mut null = vec![false; hi - lo];
+    for (col, &typed) in cols.iter().zip(typed) {
+        macro_rules! fold {
+            ($keys:expr) => {
+                for (h, key) in hashes.iter_mut().zip($keys) {
+                    let mut state = FastHasher(*h);
+                    key.hash(&mut state);
+                    *h = state.finish();
+                }
+            };
+        }
+        match (typed, col.data()) {
+            (true, ColumnData::Int(v) | ColumnData::Timestamp(v)) => fold!(&v[lo..hi]),
+            (true, ColumnData::Date(v)) => fold!(&v[lo..hi]),
+            (true, ColumnData::Bool(v)) => fold!(&v[lo..hi]),
+            (true, ColumnData::Text(v)) => fold!(&v[lo..hi]),
+            _ => fold!((lo..hi).map(|i| col.value(i))),
+        }
+        for (flag, i) in null.iter_mut().zip(lo..hi) {
+            *flag |= col.is_null(i);
+        }
+    }
+    (hashes, null)
+}
+
+/// SQL equality of two non-NULL key cells, on the raw data when the pair is
+/// typed (see [`typed_key_pair`]).
+fn keys_equal(a: &ColumnVec, i: usize, b: &ColumnVec, j: usize) -> bool {
+    match (a.data(), b.data()) {
+        (ColumnData::Int(x), ColumnData::Int(y))
+        | (ColumnData::Timestamp(x), ColumnData::Timestamp(y)) => x[i] == y[j],
+        (ColumnData::Date(x), ColumnData::Date(y)) => x[i] == y[j],
+        (ColumnData::Bool(x), ColumnData::Bool(y)) => x[i] == y[j],
+        (ColumnData::Text(x), ColumnData::Text(y)) => x[i] == y[j],
+        _ => a.value(i) == b.value(j),
+    }
+}
+
+/// The build side of a hash join: per-row key hashes threaded into bucket
+/// chains, so a build key costs no allocation and any number of key columns
+/// share one layout. Chains ascend by build row, which is the serial
+/// kernel's match order.
+struct JoinTable<'a> {
+    keys: Vec<&'a ColumnVec>,
+    /// Per key column: hashed on raw typed data (else through [`Value`]).
+    typed: Vec<bool>,
+    hashes: Vec<u64>,
+    /// Bucket (the top `64 - shift` hash bits) → first build row.
+    heads: Vec<u32>,
+    /// Build row → next row of its bucket; [`NULL_ROW`] ends a chain.
+    next: Vec<u32>,
+    shift: u32,
+}
+
+impl<'a> JoinTable<'a> {
+    /// Hash `build`'s `build_keys` columns. `probes` are the batches that
+    /// will be probed on their `probe_keys` columns: a key pair is typed
+    /// only if every one of them agrees with the build column's layout.
+    fn build(
+        build: &'a Batch,
+        build_keys: &[usize],
+        probes: &[Batch],
+        probe_keys: &[usize],
+    ) -> Self {
+        let keys: Vec<&ColumnVec> = build_keys.iter().map(|&c| &**build.column(c)).collect();
+        let typed: Vec<bool> = keys
+            .iter()
+            .zip(probe_keys)
+            .map(|(key, &pc)| {
+                probes
+                    .iter()
+                    .filter(|p| !p.is_empty())
+                    .all(|p| typed_key_pair(key.data(), p.column(pc).data()))
+            })
+            .collect();
+        let n = build.num_rows();
+        let (hashes, null) = hash_keys(&keys, &typed, 0, n);
+        let bits = (2 * n).next_power_of_two().trailing_zeros().max(4);
+        let shift = u64::BITS - bits;
+        let mut heads = vec![NULL_ROW; 1 << bits];
+        let mut next = vec![NULL_ROW; n];
+        for row in (0..n).rev() {
+            if !null[row] {
+                let head = &mut heads[(hashes[row] >> shift) as usize];
+                next[row] = *head;
+                *head = row as u32;
+            }
+        }
+        JoinTable {
+            keys,
+            typed,
+            hashes,
+            heads,
+            next,
+            shift,
+        }
+    }
+
+    /// Candidate pairs `(probe row, build row)` for `probe`'s rows
+    /// `lo..hi`: equal non-NULL keys, in probe order then build order.
+    fn probe(
+        &self,
+        probe: &Batch,
+        probe_keys: &[usize],
+        lo: usize,
+        hi: usize,
+    ) -> (Vec<u32>, Vec<u32>) {
+        let cols: Vec<&ColumnVec> = probe_keys.iter().map(|&c| &**probe.column(c)).collect();
+        let (hashes, null) = hash_keys(&cols, &self.typed, lo, hi);
+        let mut probe_rows = Vec::with_capacity(hi - lo);
+        let mut build_rows = Vec::with_capacity(hi - lo);
+        for (row, (hash, null)) in (lo..hi).zip(hashes.into_iter().zip(null)) {
+            if null {
+                continue;
+            }
+            let mut at = self.heads[(hash >> self.shift) as usize];
+            while at != NULL_ROW {
+                let b = at as usize;
+                if self.hashes[b] == hash
+                    && self
+                        .keys
+                        .iter()
+                        .zip(&cols)
+                        .all(|(key, col)| keys_equal(key, b, col, row))
+                {
+                    probe_rows.push(row as u32);
+                    build_rows.push(at);
+                }
+                at = self.next[b];
+            }
+        }
+        (probe_rows, build_rows)
+    }
 }
 
 /// Two-phase parallel aggregation: workers fold contiguous morsel chunks
@@ -477,17 +688,13 @@ fn parallel_aggregate(
     aggs: &[AggExpr],
     threads: usize,
 ) -> SqlResult<GroupState> {
-    let chunks = split_chunks(morsels, threads);
-    let states = par_map(chunks, threads, |chunk| {
-        let mut st = GroupState::new();
-        for m in &chunk {
-            accumulate_batch_into(&mut st, m, group_exprs, aggs)?;
-        }
-        Ok(st)
-    })?;
-    let mut global = GroupState::new();
-    for st in states {
-        global.merge(st, aggs)?;
+    let mut states = par_chunks(morsels, threads, |chunk| {
+        aggregate_chunk(&chunk, group_exprs, aggs)
+    })
+    .into_iter();
+    let mut global = states.next().unwrap_or_else(|| Ok(GroupState::new()))?;
+    for state in states {
+        global.merge(state?)?;
     }
     Ok(global)
 }
@@ -575,7 +782,7 @@ fn join_rows(
     r_arity: usize,
     on: &BExpr,
 ) -> SqlResult<Vec<Vec<Value>>> {
-    let eq_pairs = equi_pairs(on, l_arity);
+    let (eq_pairs, _) = equi_pairs(on, l_arity);
     let mut out = Vec::new();
     if !eq_pairs.is_empty() {
         // build on the right side
@@ -627,48 +834,6 @@ fn join_rows(
         }
     }
     Ok(out)
-}
-
-/// Hash-joinable equi-conjuncts of `on`: pairs `(i, j)` where the
-/// condition contains `Col(i) = Col(j')` with `i` on the left side and
-/// `j' = j + l_arity` on the right (either written orientation).
-fn equi_pairs(on: &BExpr, l_arity: usize) -> Vec<(usize, usize)> {
-    let mut cs = Vec::new();
-    collect_conjuncts(on, &mut cs);
-    let mut eq_pairs: Vec<(usize, usize)> = Vec::new();
-    for c in &cs {
-        if let BExpr::Binary {
-            op: BinOp::Eq,
-            left: a,
-            right: b,
-        } = c
-        {
-            match (&**a, &**b) {
-                (BExpr::Column(i), BExpr::Column(j)) if *i < l_arity && *j >= l_arity => {
-                    eq_pairs.push((*i, *j - l_arity));
-                }
-                (BExpr::Column(j), BExpr::Column(i)) if *i < l_arity && *j >= l_arity => {
-                    eq_pairs.push((*i, *j - l_arity));
-                }
-                _ => {}
-            }
-        }
-    }
-    eq_pairs
-}
-
-fn collect_conjuncts(e: &BExpr, out: &mut Vec<BExpr>) {
-    if let BExpr::Binary {
-        op: BinOp::And,
-        left,
-        right,
-    } = e
-    {
-        collect_conjuncts(left, out);
-        collect_conjuncts(right, out);
-    } else {
-        out.push(e.clone());
-    }
 }
 
 /// One accumulator per (group, aggregate).
@@ -800,14 +965,12 @@ impl Acc {
 /// accumulators, per-aggregate numeric-input flags).
 struct GroupState {
     groups: HashMap<Vec<Value>, (usize, Vec<Acc>, Vec<bool>)>,
-    order: Vec<Vec<Value>>,
 }
 
 impl GroupState {
     fn new() -> Self {
         GroupState {
             groups: HashMap::new(),
-            order: Vec::new(),
         }
     }
 
@@ -816,12 +979,10 @@ impl GroupState {
     /// not on every row.
     fn entry(&mut self, key: &[Value], aggs: &[AggExpr]) -> &mut (usize, Vec<Acc>, Vec<bool>) {
         if !self.groups.contains_key(key) {
-            let owned = key.to_vec();
-            self.order.push(owned.clone());
             self.groups.insert(
-                owned,
+                key.to_vec(),
                 (
-                    self.order.len() - 1,
+                    self.groups.len(),
                     aggs.iter().map(|a| Acc::new(a.distinct)).collect(),
                     vec![true; aggs.len()],
                 ),
@@ -853,14 +1014,22 @@ impl GroupState {
     /// Merge another partial state into this one. `other`'s groups are
     /// visited in its first-seen order, so merging worker states in
     /// worker (= scan) order preserves the global first-seen order.
-    fn merge(&mut self, other: GroupState, aggs: &[AggExpr]) -> SqlResult<()> {
-        let GroupState { mut groups, order } = other;
-        for key in order {
-            let (_, accs, numeric) = groups.remove(&key).expect("ordered key present");
-            let entry = self.entry(&key, aggs);
-            for (ai, acc) in accs.into_iter().enumerate() {
-                entry.1[ai].merge(acc)?;
-                entry.2[ai] &= numeric[ai];
+    fn merge(&mut self, other: GroupState) -> SqlResult<()> {
+        let mut theirs: Vec<_> = other.groups.into_iter().collect();
+        theirs.sort_unstable_by_key(|(_, (ord, ..))| *ord);
+        for (key, (_, accs, numeric)) in theirs {
+            let ord = self.groups.len();
+            match self.groups.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert((ord, accs, numeric));
+                }
+                Entry::Occupied(mut slot) => {
+                    let entry = slot.get_mut();
+                    for (ai, acc) in accs.into_iter().enumerate() {
+                        entry.1[ai].merge(acc)?;
+                        entry.2[ai] &= numeric[ai];
+                    }
+                }
             }
         }
         Ok(())
@@ -950,164 +1119,284 @@ impl FastHasher {
 
 type FastMap<K, V> = HashMap<K, V, std::hash::BuildHasherDefault<FastHasher>>;
 
-/// Dictionary-encode one group column: a per-row code assigned in
-/// first-seen order plus the distinct values. Returns `None` for column
-/// shapes the dense-id path does not handle (floats are not hashable,
-/// `Mixed` has no single type).
-fn dictionary_codes(col: &ColumnVec, n: usize) -> Option<(Vec<u32>, Vec<Value>)> {
-    let nulls = col.nulls();
-    let mut codes = Vec::with_capacity(n);
-    let mut dict: Vec<Value> = Vec::new();
-    let mut null_code: Option<u32> = None;
-    macro_rules! encode {
-        ($vals:expr, $to_key:expr, $to_value:expr) => {{
-            let mut map: FastMap<_, u32> = FastMap::default();
-            for (i, raw) in $vals.iter().enumerate().take(n) {
-                if nulls.is_some_and(|m| m[i]) {
-                    codes.push(*null_code.get_or_insert_with(|| {
-                        dict.push(Value::Null);
-                        (dict.len() - 1) as u32
-                    }));
-                } else {
-                    codes.push(*map.entry($to_key(raw)).or_insert_with(|| {
-                        dict.push($to_value(raw));
-                        (dict.len() - 1) as u32
-                    }));
-                }
-            }
-        }};
+/// A [`Dictionary`]'s key → code map, in the shape its column layout needs.
+enum KeyCodes {
+    /// `Int`/`Date`/`Timestamp`/`Bool` keys, widened to `i64`.
+    Words(FastMap<i64, u32>),
+    /// `Text` keys; each distinct string is cloned once, on first sight.
+    Texts(FastMap<String, u32>),
+}
+
+/// One group column's running dictionary: a typed key → code map that
+/// assigns codes in first-seen order and lives across morsels.
+struct Dictionary {
+    /// The column layout the keys were read from.
+    ty: DataType,
+    codes: KeyCodes,
+    /// Code → key.
+    values: Vec<Value>,
+    null_code: Option<u32>,
+}
+
+impl Dictionary {
+    /// A dictionary for `col`'s layout; `None` for the layouts the dense
+    /// path does not handle (floats are not hashable, `Mixed` has no
+    /// single type).
+    fn for_column(col: &ColumnVec) -> Option<Self> {
+        let ty = col.data_type()?;
+        let codes = match ty {
+            DataType::Float => return None,
+            DataType::Text => KeyCodes::Texts(FastMap::default()),
+            _ => KeyCodes::Words(FastMap::default()),
+        };
+        Some(Dictionary {
+            ty,
+            codes,
+            values: Vec::new(),
+            null_code: None,
+        })
     }
-    match col.data() {
-        ColumnData::Int(v) => encode!(v, |r: &i64| *r, |r: &i64| Value::Int(*r)),
-        ColumnData::Date(v) => encode!(v, |r: &i32| *r as i64, |r: &i32| Value::Date(*r)),
-        ColumnData::Timestamp(v) => encode!(v, |r: &i64| *r, |r: &i64| Value::Timestamp(*r)),
-        ColumnData::Bool(v) => encode!(v, |r: &bool| *r, |r: &bool| Value::Bool(*r)),
-        ColumnData::Text(v) => {
-            // Keyed by &str borrowed from the column so each distinct string
-            // is cloned once, on first sight.
-            let mut map: FastMap<&str, u32> = FastMap::default();
-            for (i, raw) in v.iter().enumerate().take(n) {
-                if nulls.is_some_and(|m| m[i]) {
-                    codes.push(*null_code.get_or_insert_with(|| {
-                        dict.push(Value::Null);
-                        (dict.len() - 1) as u32
-                    }));
+
+    /// The code of every row of `col`, extending the dictionary with keys
+    /// not seen before. `None` when `col` has another layout than the one
+    /// this dictionary was started for.
+    fn encode(&mut self, col: &ColumnVec) -> Option<Vec<u32>> {
+        if col.data_type() != Some(self.ty) {
+            return None;
+        }
+        /// Append `key` to the code → key list; its code.
+        fn push(values: &mut Vec<Value>, key: Value) -> u32 {
+            values.push(key);
+            (values.len() - 1) as u32
+        }
+        let nulls = col.nulls();
+        let values = &mut self.values;
+        let null_code = &mut self.null_code;
+        // One code per row: the NULL code, or `code_of` the raw key.
+        macro_rules! codes {
+            ($raws:expr, |$raw:ident| $code_of:expr) => {
+                $raws
+                    .iter()
+                    .enumerate()
+                    .map(|(i, $raw)| {
+                        if nulls.is_some_and(|m| m[i]) {
+                            *null_code.get_or_insert_with(|| push(values, Value::Null))
+                        } else {
+                            $code_of
+                        }
+                    })
+                    .collect()
+            };
+        }
+        macro_rules! word {
+            ($map:expr, $raw:expr, $variant:path) => {
+                *$map
+                    .entry(i64::from(*$raw))
+                    .or_insert_with(|| push(values, $variant(*$raw)))
+            };
+        }
+        Some(match (&mut self.codes, col.data()) {
+            (KeyCodes::Words(map), ColumnData::Int(v)) => codes!(v, |r| word!(map, r, Value::Int)),
+            (KeyCodes::Words(map), ColumnData::Timestamp(v)) => {
+                codes!(v, |r| word!(map, r, Value::Timestamp))
+            }
+            (KeyCodes::Words(map), ColumnData::Date(v)) => {
+                codes!(v, |r| word!(map, r, Value::Date))
+            }
+            (KeyCodes::Words(map), ColumnData::Bool(v)) => {
+                codes!(v, |r| word!(map, r, Value::Bool))
+            }
+            (KeyCodes::Texts(map), ColumnData::Text(v)) => codes!(v, |r| {
+                if let Some(&code) = map.get(r.as_str()) {
+                    code
                 } else {
-                    codes.push(*map.entry(raw.as_str()).or_insert_with(|| {
-                        dict.push(Value::Text(raw.clone()));
-                        (dict.len() - 1) as u32
-                    }));
+                    let code = push(values, Value::Text(r.clone()));
+                    map.insert(r.clone(), code);
+                    code
+                }
+            }),
+            _ => return None,
+        })
+    }
+}
+
+/// Dense-id aggregation state for one or two typed group columns, alive
+/// across a run of morsels: the typed key → group id maps, the first-seen
+/// key list and one flat accumulator vector per aggregate (indexed by group
+/// id), so the accumulation loops index vectors instead of hashing a
+/// `Vec<Value>` per row and nothing is allocated per group per morsel.
+struct DenseGroups {
+    dicts: Vec<Dictionary>,
+    /// Two group columns: both codes fit in 32 bits, so packing them into
+    /// a `u64` is an exact composite key → group id.
+    pair_ids: FastMap<u64, u32>,
+    /// Group id → key, in first-seen order.
+    keys: Vec<Vec<Value>>,
+    /// `[aggregate][group id]`.
+    accs: Vec<Vec<Acc>>,
+    /// `[aggregate][group id]`: every argument so far was numeric.
+    numeric: Vec<Vec<bool>>,
+}
+
+impl DenseGroups {
+    /// State for these (one or two) group columns' layouts; `None` when
+    /// one of them has no dictionary.
+    fn for_columns(group_cols: &[Arc<ColumnVec>], n_aggs: usize) -> Option<Self> {
+        Some(DenseGroups {
+            dicts: group_cols
+                .iter()
+                .map(|c| Dictionary::for_column(c))
+                .collect::<Option<_>>()?,
+            pair_ids: FastMap::default(),
+            keys: Vec::new(),
+            accs: vec![Vec::new(); n_aggs],
+            numeric: vec![Vec::new(); n_aggs],
+        })
+    }
+
+    /// Each row's group id, registering groups not seen before. `None`
+    /// when a group column changed layout since this state was started.
+    fn group_ids(&mut self, group_cols: &[Arc<ColumnVec>]) -> Option<Vec<u32>> {
+        let mut codes: Vec<Vec<u32>> = self
+            .dicts
+            .iter_mut()
+            .zip(group_cols)
+            .map(|(d, c)| d.encode(c))
+            .collect::<Option<_>>()?;
+        let gids = if let [c0, c1] = codes.as_slice() {
+            let (d0, d1) = (&self.dicts[0].values, &self.dicts[1].values);
+            let mut gids = Vec::with_capacity(c0.len());
+            for (&a, &b) in c0.iter().zip(c1) {
+                let packed = (u64::from(a) << 32) | u64::from(b);
+                gids.push(*self.pair_ids.entry(packed).or_insert_with(|| {
+                    self.keys
+                        .push(vec![d0[a as usize].clone(), d1[b as usize].clone()]);
+                    (self.keys.len() - 1) as u32
+                }));
+            }
+            gids
+        } else {
+            // one column: its dictionary code is the group id
+            let values = &self.dicts[0].values;
+            let known = self.keys.len();
+            self.keys
+                .extend(values[known..].iter().map(|v| vec![v.clone()]));
+            codes.swap_remove(0)
+        };
+        for (accs, numeric) in self.accs.iter_mut().zip(&mut self.numeric) {
+            accs.resize(self.keys.len(), Acc::new(false));
+            numeric.resize(self.keys.len(), true);
+        }
+        Some(gids)
+    }
+
+    /// Fold one morsel's aggregate arguments into the rows' groups.
+    fn fold(
+        &mut self,
+        gids: &[u32],
+        arg_cols: &[Option<Arc<ColumnVec>>],
+        aggs: &[AggExpr],
+    ) -> SqlResult<()> {
+        for (ai, (agg, col)) in aggs.iter().zip(arg_cols).enumerate() {
+            let accs = &mut self.accs[ai];
+            match col {
+                None => {
+                    // COUNT(*) counts every row, nulls included.
+                    for &g in gids {
+                        accs[g as usize].count += 1;
+                    }
+                }
+                Some(col) => {
+                    accumulate_column(gids, col, agg.func, accs, &mut self.numeric[ai])?;
                 }
             }
         }
-        ColumnData::Float(_) | ColumnData::Mixed(_) => return None,
+        Ok(())
     }
-    Some((codes, dict))
+
+    fn into_state(self) -> GroupState {
+        let mut accs: Vec<_> = self.accs.into_iter().map(Vec::into_iter).collect();
+        let mut numeric: Vec<_> = self.numeric.into_iter().map(Vec::into_iter).collect();
+        let mut state = GroupState::new();
+        for (ord, key) in self.keys.into_iter().enumerate() {
+            let entry = (
+                ord,
+                accs.iter_mut().filter_map(Iterator::next).collect(),
+                numeric.iter_mut().filter_map(Iterator::next).collect(),
+            );
+            state.groups.insert(key, entry);
+        }
+        state
+    }
 }
 
-/// Dense group ids for up to two typed group columns: each row's id plus
-/// the distinct keys in first-seen order. `None` falls back to the generic
-/// `Vec<Value>` hash path.
-fn group_ids(group_cols: &[Arc<ColumnVec>], n: usize) -> Option<(Vec<u32>, Vec<Vec<Value>>)> {
-    if group_cols.is_empty() || group_cols.len() > 2 {
-        return None;
-    }
-    let encoded: Vec<(Vec<u32>, Vec<Value>)> = group_cols
-        .iter()
-        .map(|c| dictionary_codes(c, n))
-        .collect::<Option<_>>()?;
-    if encoded.len() == 1 {
-        let (codes, dict) = encoded.into_iter().next().expect("one encoded column");
-        let keys = dict.into_iter().map(|v| vec![v]).collect();
-        return Some((codes, keys));
-    }
-    // Two columns: the per-column codes both fit in 32 bits, so packing
-    // them into a u64 is an exact composite key.
-    let (c0, d0) = &encoded[0];
-    let (c1, d1) = &encoded[1];
-    let mut map: FastMap<u64, u32> = FastMap::default();
-    let mut gids = Vec::with_capacity(n);
-    let mut keys: Vec<Vec<Value>> = Vec::new();
-    for i in 0..n {
-        let packed = ((c0[i] as u64) << 32) | c1[i] as u64;
-        gids.push(*map.entry(packed).or_insert_with(|| {
-            keys.push(vec![d0[c0[i] as usize].clone(), d1[c1[i] as usize].clone()]);
-            (keys.len() - 1) as u32
-        }));
-    }
-    Some((gids, keys))
-}
-
-/// Fold one morsel into a running [`GroupState`] (the partial phase of
+/// Fold one worker's morsels into a [`GroupState`] (the partial phase of
 /// two-phase aggregation). Group keys and aggregate arguments are evaluated
-/// as whole columns up front; when the group columns are typed and hashable
-/// they are dictionary-encoded into dense group ids so the accumulation
-/// loop indexes a vector instead of hashing a `Vec<Value>` per row.
-fn accumulate_batch_into(
-    state: &mut GroupState,
-    input: &Batch,
+/// as whole columns per morsel; while the group columns stay typed and
+/// hashable the rows fold into one [`DenseGroups`] that lives across the
+/// morsels and becomes a `GroupState` once, at the end. A morsel whose
+/// group columns have another layout closes that run (first-seen order is
+/// kept: earlier runs merge first) and either starts the next one or, for
+/// `Float`/`Mixed` keys, DISTINCT aggregates and global aggregates, takes
+/// the generic `Vec<Value>` hash path.
+fn aggregate_chunk(
+    chunk: &[Batch],
     group_exprs: &[BExpr],
     aggs: &[AggExpr],
-) -> SqlResult<()> {
-    let n = input.num_rows();
-    let group_cols: Vec<Arc<ColumnVec>> = group_exprs
-        .iter()
-        .map(|g| g.eval_batch(input))
-        .collect::<SqlResult<_>>()?;
-    let arg_cols: Vec<Option<Arc<ColumnVec>>> = aggs
-        .iter()
-        .map(|a| a.arg.as_ref().map(|e| e.eval_batch(input)).transpose())
-        .collect::<SqlResult<_>>()?;
-    if !group_exprs.is_empty() && aggs.iter().all(|a| !a.distinct) {
-        if let Some((gids, keys)) = group_ids(&group_cols, n) {
-            // one `Acc` per aggregate per group, plus the still-numeric
-            // flag each carries for AVG/SUM coercion, folded column-at-a-time
-            let mut accs: Vec<Vec<Acc>> = (0..keys.len())
-                .map(|_| aggs.iter().map(|a| Acc::new(a.distinct)).collect())
-                .collect();
-            let mut numeric: Vec<Vec<bool>> = vec![vec![true; aggs.len()]; keys.len()];
-            for (ai, (agg, col)) in aggs.iter().zip(&arg_cols).enumerate() {
-                match col {
-                    None => {
-                        // COUNT(*) counts every row, nulls included.
-                        for &g in &gids {
-                            accs[g as usize][ai].count += 1;
-                        }
-                    }
-                    Some(col) => {
-                        accumulate_column(&gids, col, ai, agg.func, &mut accs, &mut numeric)?;
-                    }
+) -> SqlResult<GroupState> {
+    let dense_eligible = matches!(group_exprs.len(), 1 | 2) && aggs.iter().all(|a| !a.distinct);
+    let mut state = GroupState::new();
+    let mut dense: Option<DenseGroups> = None;
+    let mut key = Vec::with_capacity(group_exprs.len());
+    for input in chunk {
+        let group_cols: Vec<Arc<ColumnVec>> = group_exprs
+            .iter()
+            .map(|g| g.eval_batch(input))
+            .collect::<SqlResult<_>>()?;
+        let arg_cols: Vec<Option<Arc<ColumnVec>>> = aggs
+            .iter()
+            .map(|a| a.arg.as_ref().map(|e| e.eval_batch(input)).transpose())
+            .collect::<SqlResult<_>>()?;
+        if dense_eligible {
+            let mut gids = dense.as_mut().and_then(|d| d.group_ids(&group_cols));
+            if gids.is_none() {
+                if let Some(run) = dense.take() {
+                    state.merge(run.into_state())?;
                 }
+                dense = DenseGroups::for_columns(&group_cols, aggs.len());
+                gids = dense.as_mut().and_then(|d| d.group_ids(&group_cols));
             }
-            for ((key, accs), numeric) in keys.into_iter().zip(accs).zip(numeric) {
-                let entry = state.entry(&key, aggs);
-                for (ai, acc) in accs.into_iter().enumerate() {
-                    entry.1[ai].merge(acc)?;
-                    entry.2[ai] &= numeric[ai];
-                }
+            if let (Some(run), Some(gids)) = (&mut dense, gids) {
+                run.fold(&gids, &arg_cols, aggs)?;
+                continue;
             }
-            return Ok(());
+        }
+        for i in 0..input.num_rows() {
+            key.clear();
+            key.extend(group_cols.iter().map(|c| c.value(i)));
+            let entry = state.entry(&key, aggs);
+            for (ai, col) in arg_cols.iter().enumerate() {
+                GroupState::accumulate(entry, ai, col.as_ref().map(|c| c.value(i)))?;
+            }
         }
     }
-    let mut key = Vec::with_capacity(group_cols.len());
-    for i in 0..n {
-        key.clear();
-        key.extend(group_cols.iter().map(|c| c.value(i)));
-        let entry = state.entry(&key, aggs);
-        for (ai, col) in arg_cols.iter().enumerate() {
-            GroupState::accumulate(entry, ai, col.as_ref().map(|c| c.value(i)))?;
+    match dense {
+        Some(run) if state.groups.is_empty() => Ok(run.into_state()),
+        Some(run) => {
+            state.merge(run.into_state())?;
+            Ok(state)
         }
+        None => Ok(state),
     }
-    Ok(())
 }
 
+/// Fold one aggregate's argument column into its per-group accumulators.
 fn accumulate_column(
     gids: &[u32],
     col: &ColumnVec,
-    ai: usize,
     func: AggFunc,
-    accs: &mut [Vec<Acc>],
-    numeric: &mut [Vec<bool>],
+    accs: &mut [Acc],
+    numeric: &mut [bool],
 ) -> SqlResult<()> {
     let nulls = col.nulls();
     match (col.data(), func) {
@@ -1118,7 +1407,7 @@ fn accumulate_column(
                 if nulls.is_some_and(|m| m[i]) {
                     continue;
                 }
-                let acc = &mut accs[g as usize][ai];
+                let acc = &mut accs[g as usize];
                 acc.count += 1;
                 match acc.sum_i.checked_add(v[i]) {
                     Some(s) => acc.sum_i = s,
@@ -1132,7 +1421,7 @@ fn accumulate_column(
                 if nulls.is_some_and(|m| m[i]) {
                     continue;
                 }
-                let acc = &mut accs[g as usize][ai];
+                let acc = &mut accs[g as usize];
                 acc.count += 1;
                 acc.all_int = false;
                 acc.sum_f += v[i];
@@ -1144,11 +1433,168 @@ fn accumulate_column(
                 let v = col.value(i);
                 let g = g as usize;
                 if !v.is_null() && v.as_f64().is_none() {
-                    numeric[g][ai] = false;
+                    numeric[g] = false;
                 }
-                accs[g][ai].update(&v)?;
+                accs[g].update(&v)?;
             }
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ast::BinOp;
+    use crate::plan::PlanCol;
+
+    fn values(rows: Vec<Vec<Value>>) -> Plan {
+        let arity = rows.first().map_or(0, Vec::len);
+        Plan {
+            node: PlanNode::Values { rows },
+            schema: (0..arity)
+                .map(|c| PlanCol::unqualified(format!("c{c}")))
+                .collect(),
+        }
+    }
+
+    fn join(kind: JoinKind, left: Plan, right: Plan, on: BExpr) -> Plan {
+        let mut schema = left.schema.clone();
+        schema.extend(right.schema.clone());
+        Plan {
+            node: PlanNode::Join {
+                kind,
+                left: Box::new(left),
+                right: Box::new(right),
+                on,
+            },
+            schema,
+        }
+    }
+
+    fn binary(op: BinOp, left: BExpr, right: BExpr) -> BExpr {
+        BExpr::Binary {
+            op,
+            left: Box::new(left),
+            right: Box::new(right),
+        }
+    }
+
+    /// `VALUES` leaves are the one way a heterogeneous (`Mixed`) column
+    /// reaches a join: the keys must then match exactly as [`Value`]'s
+    /// cross-type `Eq` says (`1 = 1.0`, a date = its midnight timestamp,
+    /// `3 <> '3'`), in the oracle's order, for both build orientations.
+    #[test]
+    fn mixed_key_columns_join_like_the_row_oracle() {
+        let day = 86_400_000_000i64;
+        let a = vec![
+            vec![Value::Int(1), Value::from("a0")],
+            vec![Value::Float(2.0), Value::from("a1")],
+            vec![Value::from("x"), Value::from("a2")],
+            vec![Value::Null, Value::from("a3")],
+            vec![Value::Date(1), Value::from("a4")],
+            vec![Value::Int(3), Value::from("a5")],
+            vec![Value::Bool(true), Value::from("a6")],
+            vec![Value::Int(1), Value::from("a7")],
+        ];
+        let b = vec![
+            vec![Value::Float(1.0), Value::Int(10)],
+            vec![Value::Int(2), Value::Int(11)],
+            vec![Value::from("x"), Value::Int(12)],
+            vec![Value::Null, Value::Int(13)],
+            vec![Value::Timestamp(day), Value::Int(14)],
+            vec![Value::from("3"), Value::Int(15)],
+            vec![Value::Int(1), Value::Int(16)],
+            vec![Value::Bool(true), Value::Int(17)],
+            vec![Value::Timestamp(day + 1), Value::Int(18)],
+            vec![Value::Float(2.5), Value::Int(19)],
+        ];
+        let db = Database::new();
+        for (left, right) in [(&a, &b), (&b, &a)] {
+            let on = binary(BinOp::Eq, BExpr::Column(0), BExpr::Column(2));
+            for kind in [JoinKind::Inner, JoinKind::Left] {
+                let plan = join(
+                    kind,
+                    values(left.clone()),
+                    values(right.clone()),
+                    on.clone(),
+                );
+                let expected = run(&db, &plan).unwrap();
+                // 1 (twice) × {1.0, 1}, 2.0 × 2, 'x', the date, TRUE
+                let matches = expected.iter().filter(|r| !r[2].is_null()).count();
+                assert_eq!(matches, 8, "{kind:?}");
+                for threads in [1, 4] {
+                    let got = run_columnar(&db, &plan, threads).unwrap().to_rows();
+                    assert_eq!(expected, got, "{kind:?} at {threads} threads");
+                }
+            }
+        }
+    }
+
+    /// A key column pair is hashed on its raw data only when both sides
+    /// hold the same hashable layout.
+    #[test]
+    fn only_same_layout_hashable_pairs_are_typed() {
+        let int = ColumnData::Int(vec![1]);
+        assert!(typed_key_pair(&int, &ColumnData::Int(vec![2, 3])));
+        assert!(typed_key_pair(
+            &ColumnData::Text(vec![]),
+            &ColumnData::Text(vec!["a".into()])
+        ));
+        assert!(!typed_key_pair(&int, &ColumnData::Float(vec![1.0])));
+        assert!(!typed_key_pair(&int, &ColumnData::Timestamp(vec![1])));
+        assert!(!typed_key_pair(
+            &ColumnData::Date(vec![1]),
+            &ColumnData::Timestamp(vec![1])
+        ));
+        assert!(!typed_key_pair(
+            &ColumnData::Float(vec![1.0]),
+            &ColumnData::Float(vec![1.0])
+        ));
+        assert!(!typed_key_pair(
+            &ColumnData::Mixed(vec![Value::Int(1)]),
+            &ColumnData::Mixed(vec![Value::Int(1)])
+        ));
+    }
+
+    #[test]
+    fn null_extension_splices_unmatched_probe_rows_in_place() {
+        let (mut p, mut b) = (vec![1, 1, 3], vec![7, 9, 2]);
+        null_extend(&mut p, &mut b, 5);
+        assert_eq!(p, vec![0, 1, 1, 2, 3, 4]);
+        assert_eq!(b, vec![NULL_ROW, 7, 9, NULL_ROW, 2, NULL_ROW]);
+        let (mut p, mut b) = (Vec::new(), Vec::new());
+        null_extend(&mut p, &mut b, 2);
+        assert_eq!((p, b), (vec![0, 1], vec![NULL_ROW, NULL_ROW]));
+    }
+
+    /// The pool keeps item order at every worker count, maps the first
+    /// chunk on the calling thread, and reports the error of the first
+    /// failing item by position, whichever worker reached one first.
+    #[test]
+    fn pool_keeps_order_and_the_first_error_by_position() {
+        let caller = std::thread::current().id();
+        for threads in [1, 2, 3, 4, 8, 40] {
+            let items: Vec<usize> = (0..37).collect();
+            let doubled = par_map(items.clone(), threads, |i| Ok(i * 2)).unwrap();
+            assert_eq!(doubled, (0..37).map(|i| i * 2).collect::<Vec<_>>());
+            let on_caller = par_chunks(items.clone(), threads, |chunk| {
+                (chunk[0], std::thread::current().id() == caller)
+            });
+            assert_eq!(on_caller.len(), threads.min(37));
+            for (first_item, same_thread) in on_caller {
+                assert_eq!(same_thread, first_item == 0, "{threads} threads");
+            }
+            // items 9, 20 and 36 fail; the later ones fail sooner
+            let failed = par_map(items, threads, |i| {
+                if matches!(i, 9 | 20 | 36) {
+                    std::thread::sleep(std::time::Duration::from_millis(36 - i as u64));
+                    return Err(SqlError::Eval(format!("item {i}")));
+                }
+                Ok(i)
+            });
+            assert_eq!(failed, Err(SqlError::Eval("item 9".into())), "{threads}");
+        }
+        assert!(par_chunks(Vec::<u8>::new(), 4, |c| c.len()).is_empty());
+    }
 }

@@ -490,6 +490,31 @@ impl BExpr {
     }
 }
 
+/// Split a predicate into its top-level AND conjuncts.
+pub(crate) fn conjuncts(e: &BExpr, out: &mut Vec<BExpr>) {
+    if let BExpr::Binary {
+        op: BinOp::And,
+        left,
+        right,
+    } = e
+    {
+        conjuncts(left, out);
+        conjuncts(right, out);
+    } else {
+        out.push(e.clone());
+    }
+}
+
+/// The left-deep AND of `cs` in order (`None` when there are none): the
+/// inverse of [`conjuncts`].
+pub(crate) fn and_all(cs: Vec<BExpr>) -> Option<BExpr> {
+    cs.into_iter().reduce(|acc, c| BExpr::Binary {
+        op: BinOp::And,
+        left: Box::new(acc),
+        right: Box::new(c),
+    })
+}
+
 /// SQL truth of a value: `Some(bool)` for booleans (and numerics, where
 /// non-zero is true), `None` for NULL.
 pub fn truth(v: &Value) -> Option<bool> {

@@ -214,7 +214,11 @@ impl ScalarFunc {
                         let w_us = w.checked_mul(1_000_000).ok_or_else(|| {
                             SqlError::Eval(format!("TUMBLE width {w}s overflows microseconds"))
                         })?;
-                        Value::Timestamp(t.div_euclid(w_us).checked_mul(w_us).ok_or_else(|| overflow(*t))?)
+                        Value::Timestamp(
+                            t.div_euclid(w_us)
+                                .checked_mul(w_us)
+                                .ok_or_else(|| overflow(*t))?,
+                        )
                     }
                     Value::Date(d) => {
                         let w = i32::try_from(w).map_err(|_| {
@@ -226,7 +230,9 @@ impl ScalarFunc {
                                 .ok_or_else(|| overflow(i64::from(*d)))?,
                         )
                     }
-                    Value::Int(i) => Value::Int(i.div_euclid(w).checked_mul(w).ok_or_else(|| overflow(*i))?),
+                    Value::Int(i) => {
+                        Value::Int(i.div_euclid(w).checked_mul(w).ok_or_else(|| overflow(*i))?)
+                    }
                     Value::Float(f) => {
                         let w = w as f64;
                         Value::Float((f / w).floor() * w)

@@ -902,9 +902,7 @@ mod tests {
     fn tumble_extreme_values_error_on_both_engines() {
         for engine in [Engine::new(), Engine::with_row_execution()] {
             let db = Database::new();
-            engine
-                .execute(&db, "CREATE TABLE ev (t BIGINT)")
-                .unwrap();
+            engine.execute(&db, "CREATE TABLE ev (t BIGINT)").unwrap();
             // i64::MIN has no positive literal; build it arithmetically
             engine
                 .execute(&db, "INSERT INTO ev VALUES (-9223372036854775807 - 1)")

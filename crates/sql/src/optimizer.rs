@@ -28,7 +28,7 @@ use std::collections::BTreeSet;
 use odbis_storage::{Database, Value};
 
 use crate::ast::{BinOp, JoinKind};
-use crate::expr::BExpr;
+use crate::expr::{and_all, conjuncts, BExpr};
 use crate::plan::{Plan, PlanNode, PlanSchema};
 
 /// Catalog context the rules rewrite against.
@@ -221,34 +221,6 @@ fn map_children(mut plan: Plan, f: &mut impl FnMut(Plan) -> Plan) -> Plan {
         leaf => leaf,
     };
     plan
-}
-
-/// Split a predicate into its top-level AND conjuncts.
-pub(crate) fn conjuncts(e: &BExpr, out: &mut Vec<BExpr>) {
-    if let BExpr::Binary {
-        op: BinOp::And,
-        left,
-        right,
-    } = e
-    {
-        conjuncts(left, out);
-        conjuncts(right, out);
-    } else {
-        out.push(e.clone());
-    }
-}
-
-fn and_all(mut cs: Vec<BExpr>) -> Option<BExpr> {
-    let first = if cs.is_empty() {
-        return None;
-    } else {
-        cs.remove(0)
-    };
-    Some(cs.into_iter().fold(first, |acc, c| BExpr::Binary {
-        op: BinOp::And,
-        left: Box::new(acc),
-        right: Box::new(c),
-    }))
 }
 
 fn filter_over(input: Plan, predicate: Option<BExpr>) -> Plan {

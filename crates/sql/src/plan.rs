@@ -2,8 +2,8 @@
 
 use odbis_storage::Value;
 
-use crate::ast::{AggFunc, JoinKind};
-use crate::expr::BExpr;
+use crate::ast::{AggFunc, BinOp, JoinKind};
+use crate::expr::{and_all, conjuncts, BExpr};
 
 /// One output column of a plan node.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,6 +108,36 @@ pub enum PlanNode {
     Values { rows: Vec<Vec<Value>> },
 }
 
+/// What makes a join hash-joinable: the equi-conjuncts of `on` as pairs
+/// `(i, j)` — the condition contains `Col(i) = Col(j + l_arity)` with `i`
+/// on the left side, in either written orientation — and the residual, the
+/// AND of every other conjunct in written order (`None` when `on` is
+/// nothing but those equalities). No pairs means a nested-loop join.
+pub fn equi_pairs(on: &BExpr, l_arity: usize) -> (Vec<(usize, usize)>, Option<BExpr>) {
+    let mut cs = Vec::new();
+    conjuncts(on, &mut cs);
+    let mut pairs = Vec::new();
+    let mut rest = Vec::new();
+    for c in cs {
+        if let BExpr::Binary {
+            op: BinOp::Eq,
+            left: a,
+            right: b,
+        } = &c
+        {
+            if let (BExpr::Column(a), BExpr::Column(b)) = (&**a, &**b) {
+                let (i, j) = (*a.min(b), *a.max(b));
+                if i < l_arity && j >= l_arity {
+                    pairs.push((i, j - l_arity));
+                    continue;
+                }
+            }
+        }
+        rest.push(c);
+    }
+    (pairs, and_all(rest))
+}
+
 impl Plan {
     /// Render the plan as an indented tree (the `EXPLAIN` output).
     pub fn explain(&self) -> String {
@@ -165,9 +195,35 @@ impl Plan {
                 input.fmt_into(out, depth + 1);
             }
             PlanNode::Join {
-                kind, left, right, ..
+                kind,
+                left,
+                right,
+                on,
             } => {
-                out.push_str(&format!("{pad}Join {kind:?}\n"));
+                // The build side follows run-time row counts: not rendered.
+                let (pairs, residual) = equi_pairs(on, left.schema.len());
+                if pairs.is_empty() {
+                    out.push_str(&format!("{pad}Join {kind:?} nested-loop on={on:?}"));
+                } else {
+                    let name = |c: &PlanCol| match &c.qualifier {
+                        Some(q) => format!("{q}.{}", c.name),
+                        None => c.name.clone(),
+                    };
+                    let keys: Vec<String> = pairs
+                        .iter()
+                        .map(|&(i, j)| {
+                            format!("{} = {}", name(&left.schema[i]), name(&right.schema[j]))
+                        })
+                        .collect();
+                    out.push_str(&format!(
+                        "{pad}Join {kind:?} hash keys=[{}]",
+                        keys.join(", ")
+                    ));
+                    if let Some(r) = residual {
+                        out.push_str(&format!(" residual={r:?}"));
+                    }
+                }
+                out.push('\n');
                 left.fmt_into(out, depth + 1);
                 right.fmt_into(out, depth + 1);
             }

@@ -51,7 +51,7 @@ fn pushdown_through_join_golden() {
     assert_eq!(
         explain(&db, "all", q),
         "Project [id, name] (2 exprs)\n\
-         \x20 Join Inner\n\
+         \x20 Join Inner hash keys=[f.dept_id = d.dept_id]\n\
          \x20   TableScan fact cols=[id, dept_id, cost] filter=Binary { op: Gt, left: Column(2), right: Literal(Float(150.0)) }\n\
          \x20   TableScan dim filter=Binary { op: Gt, left: Column(2), right: Literal(Int(30)) }\n"
     );
@@ -61,7 +61,7 @@ fn pushdown_through_join_golden() {
         explain(&db, "-pushdown", q),
         "Project [id, name] (2 exprs)\n\
          \x20 Filter Binary { op: And, left: Binary { op: Gt, left: Column(2), right: Literal(Float(150.0)) }, right: Binary { op: Gt, left: Column(5), right: Literal(Int(30)) } }\n\
-         \x20   Join Inner\n\
+         \x20   Join Inner hash keys=[f.dept_id = d.dept_id]\n\
          \x20     TableScan fact cols=[id, dept_id, cost]\n\
          \x20     TableScan dim\n"
     );
@@ -75,14 +75,14 @@ fn projection_pruning_golden() {
     assert_eq!(
         explain(&db, "all", q),
         "Project [name] (1 exprs)\n\
-         \x20 Join Inner\n\
+         \x20 Join Inner hash keys=[f.dept_id = d.dept_id]\n\
          \x20   TableScan fact cols=[dept_id]\n\
          \x20   TableScan dim cols=[dept_id, name]\n"
     );
     assert_eq!(
         explain(&db, "-prune", q),
         "Project [name] (1 exprs)\n\
-         \x20 Join Inner\n\
+         \x20 Join Inner hash keys=[f.dept_id = d.dept_id]\n\
          \x20   TableScan fact\n\
          \x20   TableScan dim\n"
     );
@@ -100,8 +100,8 @@ fn join_reorder_golden() {
         explain(&db, "all", q),
         "Project [id, name, label] (3 exprs)\n\
          \x20 Project [id, name, label] (3 exprs)\n\
-         \x20   Join Inner\n\
-         \x20     Join Inner\n\
+         \x20   Join Inner hash keys=[f.year = y.year]\n\
+         \x20     Join Inner hash keys=[d.dept_id = f.dept_id]\n\
          \x20       TableScan dim cols=[dept_id, name]\n\
          \x20       TableScan fact cols=[id, dept_id, year]\n\
          \x20     TableScan dim_year\n"
@@ -110,11 +110,42 @@ fn join_reorder_golden() {
     assert_eq!(
         explain(&db, "-reorder", q),
         "Project [id, name, label] (3 exprs)\n\
-         \x20 Join Inner\n\
-         \x20   Join Inner\n\
+         \x20 Join Inner hash keys=[f.year = y.year]\n\
+         \x20   Join Inner hash keys=[f.dept_id = d.dept_id]\n\
          \x20     TableScan fact cols=[id, dept_id, year]\n\
          \x20     TableScan dim cols=[dept_id, name]\n\
          \x20   TableScan dim_year\n"
+    );
+}
+
+#[test]
+fn join_algorithm_golden() {
+    let db = star_db();
+    // Equi-conjuncts in either orientation become hash keys; whatever else
+    // `ON` holds is the residual evaluated over the key matches.
+    assert_eq!(
+        explain(
+            &db,
+            "all",
+            "SELECT f.id FROM fact f LEFT JOIN dim_year y \
+             ON f.year = y.year AND f.cost > 150.0 AND y.year = f.dept_id"
+        ),
+        "Project [id] (1 exprs)\n\
+         \x20 Join Left hash keys=[f.year = y.year, f.dept_id = y.year] residual=Binary { op: Gt, left: Column(3), right: Literal(Float(150.0)) }\n\
+         \x20   TableScan fact\n\
+         \x20   TableScan dim_year cols=[year]\n"
+    );
+    // No column = column conjunct across the sides: nested loop.
+    assert_eq!(
+        explain(
+            &db,
+            "all",
+            "SELECT f.id FROM fact f JOIN dim d ON f.dept_id < d.dept_id"
+        ),
+        "Project [id] (1 exprs)\n\
+         \x20 Join Inner nested-loop on=Binary { op: Lt, left: Column(1), right: Column(2) }\n\
+         \x20   TableScan fact cols=[id, dept_id]\n\
+         \x20   TableScan dim cols=[dept_id]\n"
     );
 }
 

@@ -15,6 +15,10 @@ use std::sync::Arc;
 use crate::error::{DbError, DbResult};
 use crate::value::{DataType, Value};
 
+/// The [`ColumnVec::gather`] / [`Batch::gather`] index that selects no
+/// source row: the output slot is NULL (a LEFT join's unmatched side).
+pub const NULL_ROW: u32 = u32::MAX;
+
 /// Typed backing storage for one column of a [`Batch`].
 ///
 /// The typed variants hold unboxed primitives (null slots hold a default and
@@ -86,6 +90,33 @@ impl ColumnData {
             ColumnData::Date(v) => ColumnData::Date(pick(v, keep)),
             ColumnData::Timestamp(v) => ColumnData::Timestamp(pick(v, keep)),
             ColumnData::Mixed(v) => ColumnData::Mixed(pick(v, keep)),
+        }
+    }
+
+    fn gather(&self, idx: &[u32]) -> ColumnData {
+        fn take<T: Clone + Default>(v: &[T], idx: &[u32]) -> Vec<T> {
+            idx.iter()
+                .map(|&i| match i {
+                    NULL_ROW => T::default(),
+                    i => v[i as usize].clone(),
+                })
+                .collect()
+        }
+        match self {
+            ColumnData::Bool(v) => ColumnData::Bool(take(v, idx)),
+            ColumnData::Int(v) => ColumnData::Int(take(v, idx)),
+            ColumnData::Float(v) => ColumnData::Float(take(v, idx)),
+            ColumnData::Text(v) => ColumnData::Text(take(v, idx)),
+            ColumnData::Date(v) => ColumnData::Date(take(v, idx)),
+            ColumnData::Timestamp(v) => ColumnData::Timestamp(take(v, idx)),
+            ColumnData::Mixed(v) => ColumnData::Mixed(
+                idx.iter()
+                    .map(|&i| match i {
+                        NULL_ROW => Value::Null,
+                        i => v[i as usize].clone(),
+                    })
+                    .collect(),
+            ),
         }
     }
 
@@ -255,6 +286,25 @@ impl ColumnVec {
                 .collect()
         });
         ColumnVec { data, nulls }
+    }
+
+    /// The rows at `idx`, in that order and with repeats (late
+    /// materialisation of a join's output): slot `k` holds source row
+    /// `idx[k]`, or NULL where `idx[k]` is [`NULL_ROW`]. The typed layout is
+    /// kept, even for an empty `idx`.
+    ///
+    /// # Panics
+    /// Panics if an index other than [`NULL_ROW`] is out of range.
+    pub fn gather(&self, idx: &[u32]) -> ColumnVec {
+        let nulls = (self.nulls.is_some() || idx.contains(&NULL_ROW)).then(|| {
+            idx.iter()
+                .map(|&i| i == NULL_ROW || self.is_null(i as usize))
+                .collect()
+        });
+        ColumnVec {
+            data: self.data.gather(idx),
+            nulls,
+        }
     }
 
     /// The contiguous sub-column `[start, end)`.
@@ -466,6 +516,18 @@ impl Batch {
         }
     }
 
+    /// The rows at `idx`, column by column (see [`ColumnVec::gather`]).
+    pub fn gather(&self, idx: &[u32]) -> Batch {
+        Batch {
+            columns: self
+                .columns
+                .iter()
+                .map(|c| Arc::new(c.gather(idx)))
+                .collect(),
+            rows: idx.len(),
+        }
+    }
+
     /// Concatenate `parts` row-wise into one batch of `arity` columns —
     /// the reassembly point of the morsel-parallel executor.
     ///
@@ -655,6 +717,97 @@ mod tests {
         // out-of-range slice clamps
         assert_eq!(batch.slice(2, 99).num_rows(), 1);
         assert_eq!(batch.slice(99, 99).num_rows(), 0);
+    }
+
+    #[test]
+    fn gather_picks_repeats_and_null_extends_every_layout() {
+        let rows = vec![
+            vec![
+                Value::Bool(true),
+                Value::Int(1),
+                Value::Float(1.5),
+                Value::from("a"),
+                Value::Date(10),
+                Value::Timestamp(100),
+                Value::Int(7),
+            ],
+            vec![
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+                Value::Null,
+            ],
+            vec![
+                Value::Bool(false),
+                Value::Int(3),
+                Value::Float(3.5),
+                Value::from("c"),
+                Value::Date(30),
+                Value::Timestamp(300),
+                Value::from("mixed"),
+            ],
+        ];
+        let batch = Batch::from_rows(7, rows.clone()).unwrap();
+        assert!(matches!(batch.column(6).data(), ColumnData::Mixed(_)));
+        // out of order, a repeat, a source NULL row and the NULL_ROW sentinel
+        let idx = [2, 0, NULL_ROW, 1, 2];
+        let got = batch.gather(&idx);
+        let null_row = vec![Value::Null; 7];
+        let expected = vec![
+            rows[2].clone(),
+            rows[0].clone(),
+            null_row,
+            rows[1].clone(),
+            rows[2].clone(),
+        ];
+        assert_eq!(got.num_rows(), 5);
+        assert_eq!(got.to_rows(), expected);
+        for c in 0..7 {
+            // the typed layout survives the gather
+            assert_eq!(
+                std::mem::discriminant(got.column(c).data()),
+                std::mem::discriminant(batch.column(c).data()),
+                "column {c}"
+            );
+            assert_eq!(got.column(c).null_count(), 2, "column {c}");
+        }
+    }
+
+    #[test]
+    fn gather_null_bitmaps_and_empty_index_lists() {
+        // no source bitmap and no sentinel: the output carries none either
+        let dense = ColumnVec::from_values(vec![Value::Int(5), Value::Int(6)]);
+        let picked = dense.gather(&[1, 1, 0]);
+        assert_eq!(picked.values(), vec![6i64.into(), 6i64.into(), 5i64.into()]);
+        assert!(picked.nulls().is_none());
+        // the sentinel alone creates one
+        let extended = dense.gather(&[0, NULL_ROW]);
+        assert_eq!(extended.nulls(), Some(&[false, true][..]));
+        assert_eq!(extended.values(), vec![Value::Int(5), Value::Null]);
+        // an empty (typed) source gathers to all-NULL: a LEFT join against
+        // an empty build side
+        let empty_text = ColumnVec::new(ColumnData::Text(Vec::new()), None);
+        let nulls = empty_text.gather(&[NULL_ROW, NULL_ROW]);
+        assert!(matches!(nulls.data(), ColumnData::Text(_)));
+        assert_eq!(nulls.values(), vec![Value::Null; 2]);
+        // an empty index list keeps the typed layout and the column count
+        let batch = Batch::from_rows(3, sample_rows()).unwrap();
+        let none = batch.gather(&[]);
+        assert_eq!((none.num_rows(), none.num_columns()), (0, 3));
+        assert!(matches!(none.column(0).data(), ColumnData::Int(_)));
+        assert!(matches!(none.column(1).data(), ColumnData::Text(_)));
+        assert!(matches!(none.column(2).data(), ColumnData::Float(_)));
+        // zero-column batches keep the gathered row count
+        assert_eq!(
+            Batch::new(Vec::new(), 5)
+                .unwrap()
+                .gather(&[4, 0])
+                .num_rows(),
+            2
+        );
     }
 
     #[test]

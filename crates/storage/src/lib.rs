@@ -46,7 +46,7 @@ mod table;
 mod value;
 pub mod wal;
 
-pub use batch::{Batch, ColumnBuilder, ColumnData, ColumnVec};
+pub use batch::{Batch, ColumnBuilder, ColumnData, ColumnVec, NULL_ROW};
 pub use database::{Database, Txn};
 pub use error::{DbError, DbResult};
 pub use manifest::{Manifest, SegmentEntry};
@@ -59,6 +59,6 @@ pub use value::{
     parse_timestamp, DataType, Value,
 };
 pub use wal::{
-    read_wal, replay_record, CheckpointImage, CheckpointReport, DurableStore, FsyncPolicy,
-    Wal, WalEntry, WalRecord, WalSink, WalStats, WalTail,
+    read_wal, replay_record, CheckpointImage, CheckpointReport, DurableStore, FsyncPolicy, Wal,
+    WalEntry, WalRecord, WalSink, WalStats, WalTail,
 };

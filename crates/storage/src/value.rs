@@ -277,13 +277,15 @@ impl std::hash::Hash for Value {
                 3u8.hash(state);
                 s.hash(state);
             }
+            // Date and Timestamp that compare equal must hash equal; widen to
+            // i128 like `cmp_total`: a full-range date in µs overflows i64.
             Value::Date(d) => {
                 4u8.hash(state);
-                (i64::from(*d) * 86_400_000_000).hash(state);
+                (i128::from(*d) * 86_400_000_000).hash(state);
             }
             Value::Timestamp(t) => {
                 4u8.hash(state);
-                t.hash(state);
+                i128::from(*t).hash(state);
             }
         }
     }
@@ -493,6 +495,24 @@ mod tests {
         let mut set = HashSet::new();
         set.insert(Value::Int(7));
         assert!(set.contains(&Value::Float(7.0)));
+    }
+
+    #[test]
+    fn hash_consistent_with_eq_for_date_timestamp_over_the_full_range() {
+        use std::collections::HashSet;
+        // a full-range date in µs overflows i64: hashing must not panic
+        let mut set = HashSet::new();
+        set.insert(Value::Date(i32::MIN));
+        set.insert(Value::Date(i32::MAX));
+        assert!(set.contains(&Value::Date(i32::MAX)));
+        assert!(!set.contains(&Value::Timestamp(i64::MAX)));
+        for d in [-3i32, 0, 1, 106_751_991] {
+            let ts = Value::Timestamp(i64::from(d) * 86_400_000_000);
+            assert_eq!(Value::Date(d), ts);
+            set.insert(Value::Date(d));
+            assert!(set.contains(&ts), "Timestamp of day {d} not found");
+            assert!(HashSet::from([ts]).contains(&Value::Date(d)));
+        }
     }
 
     #[test]

@@ -812,7 +812,10 @@ impl DurableStore {
             std::fs::read(self.dir.join(MANIFEST_FILE))?,
         ));
         for entry in &m.tables {
-            files.push((entry.file.clone(), std::fs::read(self.dir.join(&entry.file))?));
+            files.push((
+                entry.file.clone(),
+                std::fs::read(self.dir.join(&entry.file))?,
+            ));
         }
         Ok(CheckpointImage {
             last_lsn: m.last_lsn,
@@ -881,7 +884,11 @@ impl DurableStore {
     /// [`DurableStore::open`] on `dir` recovers exactly the
     /// shipped state (frame CRCs re-verified by [`read_wal`], segment
     /// block CRCs by the segment reader).
-    pub fn import_image(dir: impl AsRef<Path>, image: &CheckpointImage, tail: &[u8]) -> DbResult<()> {
+    pub fn import_image(
+        dir: impl AsRef<Path>,
+        image: &CheckpointImage,
+        tail: &[u8],
+    ) -> DbResult<()> {
         odbis_chaos::check("migrate.import.stage").map_err(chaos_err)?;
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;

@@ -113,10 +113,9 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
     for round in 0..=rounds {
         // recovery itself always runs clean: the fault was the crash
         odbis_chaos::clear();
-        let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never)
-            .unwrap_or_else(|e| {
-                panic!("{case} round {round}: recovery must never fail: {e} (seed {seed})")
-            });
+        let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap_or_else(|e| {
+            panic!("{case} round {round}: recovery must never fail: {e} (seed {seed})")
+        });
         let got = present_pks(&db);
         // resolve last round's ambiguous op by observing what recovered
         match pending.take() {
@@ -449,7 +448,10 @@ fn legacy_snapshot_upgrades_to_segments_on_open() {
     let (dir, expected, stamp) = legacy_dir("upgrade");
     let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
     assert_eq!(image(&db), image(&expected));
-    assert!(image(&db).contains("ix_payload"), "the secondary index survives");
+    assert!(
+        image(&db).contains("ix_payload"),
+        "the secondary index survives"
+    );
     // the upgrade folded snapshot + tail into one segment checkpoint
     let m = store.live_manifest().expect("upgraded to a manifest");
     assert!(m.last_lsn > stamp);
@@ -496,8 +498,7 @@ fn coexisting_artifacts_resolve_to_the_higher_lsn() {
         let (db, store) = DurableStore::open(&stale, FsyncPolicy::Never).unwrap();
         db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
         db.create_table("t", schema()).unwrap();
-        db.insert("t", vec![77.into(), "stale".into()])
-            .unwrap();
+        db.insert("t", vec![77.into(), "stale".into()]).unwrap();
         store.checkpoint(&db).unwrap();
         assert!(store.checkpoint_lsn() < stamp);
     }

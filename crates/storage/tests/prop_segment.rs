@@ -17,9 +17,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use odbis_storage::segment::{choose_encoding, decode_block, encode_block, Encoding};
-use odbis_storage::{
-    Column, DataType, DurableStore, FsyncPolicy, Schema, Value, WalSink,
-};
+use odbis_storage::{Column, DataType, DurableStore, FsyncPolicy, Schema, Value, WalSink};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 

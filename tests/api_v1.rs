@@ -782,7 +782,8 @@ fn watch_contract_across_live_migration() {
         "INSERT INTO admissions VALUES ('Cardiology', 2010, 1200)",
     )
     .unwrap();
-    src.define_dataset("clinic", &token, dataset.clone()).unwrap();
+    src.define_dataset("clinic", &token, dataset.clone())
+        .unwrap();
 
     // the client's cursor, minted on the source hub: strictly positive
     let (status, _, body) = auth(
@@ -824,7 +825,10 @@ fn watch_contract_across_live_migration() {
     let v: serde_json::Value = serde_json::from_str(&body).unwrap();
     assert_eq!(v["changed"], true, "resync is signalled as a change");
     let resynced = v["cursor"].as_u64().unwrap();
-    assert!(resynced < carried, "authoritative cursor comes from the target");
+    assert!(
+        resynced < carried,
+        "authoritative cursor comes from the target"
+    );
     assert_eq!(headers["x-watch-cursor"], resynced.to_string());
 
     // from the authoritative cursor the protocol is back to normal: a
@@ -838,9 +842,7 @@ fn watch_contract_across_live_migration() {
             auth(
                 &src_addr,
                 "GET",
-                &format!(
-                    "/api/v1/datasets/total_cost/watch?cursor={resynced}&timeout_ms=9000"
-                ),
+                &format!("/api/v1/datasets/total_cost/watch?cursor={resynced}&timeout_ms=9000"),
                 &token,
                 "",
             )
@@ -931,7 +933,13 @@ fn request_racing_a_cutover_gets_a_redirect_not_an_error() {
         let src_addr = src_addr.clone();
         let token = token.clone();
         std::thread::spawn(move || {
-            auth(&src_addr, "POST", "/api/v1/sql", &token, "INSERT INTO t VALUES (7)")
+            auth(
+                &src_addr,
+                "POST",
+                "/api/v1/sql",
+                &token,
+                "INSERT INTO t VALUES (7)",
+            )
         })
     };
     // the filter routes the request Local, then it sleeps; flip ownership

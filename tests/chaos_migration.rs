@@ -132,7 +132,11 @@ fn abort_at_every_phase_keeps_source_ownership_and_all_acked_writes() {
     odbis_chaos::clear();
     let root = tmp_dir("abort");
     let (fabric, src, dst, token, owner) = boot_cluster(&root);
-    let dst_id = if owner == "node-a" { "node-b" } else { "node-a" };
+    let dst_id = if owner == "node-a" {
+        "node-b"
+    } else {
+        "node-a"
+    };
 
     src.sql(TENANT, &token, "CREATE TABLE t (id INT PRIMARY KEY)")
         .unwrap();
@@ -201,7 +205,11 @@ fn concurrent_writers_lose_nothing_across_a_live_migration() {
     odbis_chaos::clear();
     let root = tmp_dir("load");
     let (fabric, src, _dst, token, owner) = boot_cluster(&root);
-    let dst_id = if owner == "node-a" { "node-b" } else { "node-a" };
+    let dst_id = if owner == "node-a" {
+        "node-b"
+    } else {
+        "node-a"
+    };
     src.sql(TENANT, &token, "CREATE TABLE t (id INT PRIMARY KEY)")
         .unwrap();
 
@@ -273,7 +281,11 @@ fn checkpoint_racing_the_ship_phase_loses_no_acked_writes() {
     odbis_chaos::clear();
     let root = tmp_dir("ckpt-race");
     let (fabric, src, dst, token, owner) = boot_cluster(&root);
-    let dst_id = if owner == "node-a" { "node-b" } else { "node-a" };
+    let dst_id = if owner == "node-a" {
+        "node-b"
+    } else {
+        "node-a"
+    };
 
     src.sql(TENANT, &token, "CREATE TABLE t (id INT PRIMARY KEY)")
         .unwrap();
@@ -336,7 +348,11 @@ fn run_migration_case(case: &str, spec_template: &str, rounds: usize, seed: u64)
     let mut floor = 0u64;
     // home holds the workspace right now; away is the migration target
     let (mut home, mut away) = (Arc::clone(&src), Arc::clone(&dst));
-    let mut away_id = if owner == "node-a" { "node-b" } else { "node-a" };
+    let mut away_id = if owner == "node-a" {
+        "node-b"
+    } else {
+        "node-a"
+    };
 
     for round in 0..rounds {
         let spec = spec_template.replace("{r}", &rng.random_range(1..u64::MAX >> 1).to_string());
@@ -376,7 +392,11 @@ fn run_migration_case(case: &str, spec_template: &str, rounds: usize, seed: u64)
             fabric.migrate(TENANT, away_id).unwrap();
             std::mem::swap(&mut home, &mut away);
         }
-        away_id = if away_id == "node-a" { "node-b" } else { "node-a" };
+        away_id = if away_id == "node-a" {
+            "node-b"
+        } else {
+            "node-a"
+        };
 
         // invariants at the end of every round
         let present = present_ids(&home, &token);

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use odbis_bench::workloads;
 use odbis_sql::{Engine, QueryResult};
-use odbis_storage::Database;
+use odbis_storage::{Database, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -192,7 +192,13 @@ fn both_paths_agree_on_errors() {
         "SELECT id, val % 0 AS m FROM edge",   // modulo by zero
         "SELECT ghost FROM edge",              // unknown column
         "SELECT id FROM edge WHERE label + 1 > 0", // text arithmetic
+        // a join residual that raises an evaluation error (val = 0) on a key match
+        "SELECT e.id FROM edge e JOIN edge e2 ON e.id = e2.id AND 100 / e2.val > 5",
     ];
+    assert!(matches!(
+        row_engine.execute(&db, failing[6]),
+        Err(odbis_sql::SqlError::Eval(_))
+    ));
     for sql in &failing {
         let row = row_engine.execute(&db, sql);
         assert!(row.is_err(), "row path unexpectedly succeeded for: {sql}");
@@ -203,6 +209,25 @@ fn both_paths_agree_on_errors() {
                 "vectorized path ({threads} threads) unexpectedly succeeded for: {sql}"
             );
         }
+    }
+    // The same residual error raised on the worker pool only: `ja` is two
+    // morsels, and the rows that divide by zero all sit in the second, which
+    // a spawned worker probes while the calling thread's morsel succeeds.
+    let db = join_db(GENERATOR_SEEDS[0], 0);
+    let pooled = "SELECT a.id FROM ja a JOIN jb b \
+                  ON a.ki = b.ki AND 100 / (CASE WHEN a.id >= 4200 THEN 0 ELSE 1 END) > 5";
+    let engines = [
+        row_engine,
+        Engine::new().with_parallelism(1),
+        Engine::new().with_parallelism(4),
+    ];
+    for engine in &engines {
+        assert!(matches!(
+            engine.execute(&db, pooled),
+            Err(odbis_sql::SqlError::Eval(_))
+        ));
+        let below = pooled.replace("4200", "9000"); // no such row: no error
+        assert!(!engine.execute(&db, &below).unwrap().rows.is_empty());
     }
 }
 
@@ -251,7 +276,10 @@ fn index_scan_and_values_leaves_match_the_row_oracle() {
     ];
     for sql in index_queries {
         let plan = oracle.explain(&db, sql).unwrap();
-        assert!(plan.contains("IndexScan"), "not an index plan: {sql}\n{plan}");
+        assert!(
+            plan.contains("IndexScan"),
+            "not an index plan: {sql}\n{plan}"
+        );
     }
     for sql in values_queries {
         let plan = oracle.explain(&db, sql).unwrap();
@@ -263,9 +291,9 @@ fn index_scan_and_values_leaves_match_the_row_oracle() {
             let reference = oracle
                 .execute(&db, sql)
                 .unwrap_or_else(|e| panic!("row oracle failed for {sql}: {e}"));
-            let candidate = engine
-                .execute(&db, sql)
-                .unwrap_or_else(|e| panic!("batch walker ({threads} threads) failed for {sql}: {e}"));
+            let candidate = engine.execute(&db, sql).unwrap_or_else(|e| {
+                panic!("batch walker ({threads} threads) failed for {sql}: {e}")
+            });
             assert_same(sql, &reference, &candidate, &format!("{threads} threads"));
         }
     }
@@ -273,7 +301,10 @@ fn index_scan_and_values_leaves_match_the_row_oracle() {
     let failing = "SELECT id FROM edge WHERE val >= 0 AND 100 / val > 5";
     assert!(oracle.explain(&db, failing).unwrap().contains("IndexScan"));
     assert!(oracle.execute(&db, failing).is_err());
-    assert!(Engine::new().with_parallelism(1).execute(&db, failing).is_err());
+    assert!(Engine::new()
+        .with_parallelism(1)
+        .execute(&db, failing)
+        .is_err());
 }
 
 // ---------------------------------------------------------------------------
@@ -419,55 +450,379 @@ fn random_star_queries_agree_across_engine_configs() {
     }
 }
 
-/// Multi-morsel check: at 20k fact rows the scan splits into several
-/// morsels, exercising the per-worker partial accumulators and the ordered
-/// merge. Integer aggregates (COUNT/SUM-of-INT/MIN/MAX) must be *exactly*
-/// equal across every configuration; float SUM/AVG are checked to a
-/// relative tolerance because the merge-tree shape changes with the worker
-/// count and float addition is not associative.
+// ---------------------------------------------------------------------------
+// Seeded join generator: the columnar hash join against the row oracle's
+// kernel, ordered — the join defines its output order, so no ORDER BY.
+// ---------------------------------------------------------------------------
+
+/// Tables with the same columns — `ja` spans two 4096-row morsels (one per
+/// worker when a probe of it fans out), `jb` is a fraction of one, `je` is
+/// empty — so either can be the left side and both build orientations run;
+/// `jx` is as long as the caller asks (several morsels per worker). Every
+/// key column draws from a small domain (N:M duplicates) and is NULL one
+/// time in ten; `kf` and `kts` are `ki` and
+/// `kd` in the wider type, off by a fraction half the time; `kn` is NULL
+/// throughout, which an index probe's row pivot degrades to `Mixed`.
+fn join_db(seed: u64, jx_rows: usize) -> Arc<Database> {
+    let db = Database::new();
+    let engine = Engine::new();
+    let mut rng = StdRng::seed_from_u64(seed);
+    for (table, rows) in [("ja", 5_000), ("jb", 60), ("je", 0), ("jx", jx_rows)] {
+        engine
+            .execute(
+                &db,
+                &format!(
+                    "CREATE TABLE {table} (id INT PRIMARY KEY, ki INT, kt TEXT, kd DATE, \
+                     kb BOOLEAN, kf DOUBLE, kts TIMESTAMP, kn INT, k2 INT, v INT)"
+                ),
+            )
+            .expect("join DDL");
+        let mut data = Vec::with_capacity(rows);
+        for id in 0..rows as i64 {
+            let ki = rng.random_range(0..16i64);
+            let kd = 18_262 + rng.random_range(0..16i32); // 2020-01-01 ..
+            let off = i64::from(rng.random_bool(0.5));
+            let mut row = vec![
+                Value::Int(id),
+                Value::Int(ki),
+                Value::Text(format!("t{}", rng.random_range(0..16i64))),
+                Value::Date(kd),
+                Value::Bool(rng.random_bool(0.5)),
+                Value::Float(ki as f64 + 0.5 * off as f64),
+                Value::Timestamp(i64::from(kd) * 86_400_000_000 + off),
+                Value::Null,
+                Value::Int(rng.random_range(0..3i64)),
+                Value::Int(rng.random_range(0..12i64)),
+            ];
+            for key in &mut row[1..7] {
+                if rng.random_bool(0.1) {
+                    *key = Value::Null;
+                }
+            }
+            data.push(row);
+        }
+        db.insert_many(table, data).expect("join rows");
+    }
+    Arc::new(db)
+}
+
+/// One random two-table join: key pairing, INNER or LEFT, an optional
+/// non-equi conjunct, which table is on the left, and filters that cut a
+/// side below a morsel, empty it, or turn its scan into an index probe.
+fn gen_join(rng: &mut StdRng) -> String {
+    const KEYS: [&str; 12] = [
+        "a.ki = b.ki",
+        "b.kt = a.kt",
+        "a.kd = b.kd",
+        "a.kb = b.kb",
+        "a.kts = b.kts",
+        "a.ki = b.kf",
+        "a.kf = b.ki",
+        "a.kd = b.kts",
+        "b.kd = a.kts",
+        "a.ki = b.ki AND a.k2 = b.k2",
+        "a.kt = b.kt AND b.kd = a.kd",
+        "a.ki = b.kn",
+    ];
+    let key = KEYS[rng.random_range(0..KEYS.len())];
+    let (left, right) = match rng.random_range(0..8u32) {
+        0 => ("ja", "je"),
+        1 => ("je", "jb"),
+        2..=4 => ("ja", "jb"),
+        _ => ("jb", "ja"),
+    };
+    let kind = if rng.random_bool(0.4) {
+        "LEFT JOIN"
+    } else {
+        "JOIN"
+    };
+    let residual = match rng.random_range(0..10u32) {
+        // a.v >= 11 fails against every b.v: LEFT rows whose only
+        // candidates the residual rejects
+        0..=2 => " AND a.v < b.v",
+        3 => " AND a.v + b.v <> 7 AND b.kt IS NOT NULL",
+        _ => "",
+    };
+    let mut filters: Vec<String> = Vec::new();
+    if key.contains("kb") {
+        // BOOLEAN keys pair half of each side with half of the other
+        filters.push("a.id < 400".into());
+        filters.push("b.id < 400".into());
+    }
+    if rng.random_bool(0.3) {
+        filters.push(format!("a.id < {}", rng.random_range(0..3000i64)));
+    }
+    if rng.random_bool(0.2) {
+        filters.push(format!("b.id >= {}", rng.random_range(0..70i64)));
+    }
+    if rng.random_bool(0.2) {
+        filters.push(format!("b.v > {}", rng.random_range(3..14i64)));
+    }
+    let where_clause = if filters.is_empty() {
+        String::new()
+    } else {
+        format!(" WHERE {}", filters.join(" AND "))
+    };
+    format!(
+        "SELECT a.id, b.id, a.ki, b.kt, b.kd, a.v, b.v FROM {left} a {kind} {right} b \
+         ON {key}{residual}{where_clause}"
+    )
+}
+
+/// Every generated join, inline and on four workers, equals the row
+/// oracle's `join_rows` row for row and in order.
+#[test]
+fn random_joins_match_the_row_oracle_in_order() {
+    let oracle = Engine::with_row_execution();
+    let engines = THREADS.map(|t| (t, Engine::new().with_parallelism(t)));
+    for seed in GENERATOR_SEEDS {
+        let db = join_db(seed, 0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut matched, mut extended) = (0usize, 0usize);
+        for i in 0..QUERIES_PER_SEED {
+            let sql = gen_join(&mut rng);
+            let reference = oracle
+                .execute(&db, &sql)
+                .unwrap_or_else(|e| panic!("row oracle failed (seed {seed}, #{i}) for {sql}: {e}"));
+            matched += reference.rows.iter().filter(|r| !r[1].is_null()).count();
+            extended += reference.rows.iter().filter(|r| r[1].is_null()).count();
+            for (threads, engine) in &engines {
+                let candidate = engine.execute(&db, &sql).unwrap_or_else(|e| {
+                    panic!("hash join ({threads} threads, seed {seed}, #{i}) failed for {sql}: {e}")
+                });
+                assert_same(&sql, &reference, &candidate, &format!("{threads} threads"));
+            }
+        }
+        // the corpus is not vacuous: pairs were produced and LEFT rows extended
+        assert!(
+            matched > 10_000 && extended > 1_000,
+            "{matched} / {extended}"
+        );
+    }
+}
+
+/// The shapes the generator may not draw every run, pinned: each key
+/// pairing on each side of a morsel boundary, the build-left orientation,
+/// an index-probed (row-pivoted, `Mixed` where all NULL) side, a LEFT
+/// join whose every candidate fails the residual, and probes that give
+/// each of four workers several morsels.
+#[test]
+fn pinned_join_shapes_match_the_row_oracle_in_order() {
+    let db = join_db(GENERATOR_SEEDS[0], 70_000);
+    let oracle = Engine::with_row_execution();
+    let queries = [
+        "SELECT a.id, b.id FROM ja a JOIN jb b ON a.ki = b.ki",
+        "SELECT a.id, b.id FROM jb a JOIN ja b ON a.ki = b.ki",
+        "SELECT a.id, b.id FROM ja a LEFT JOIN jb b ON a.kt = b.kt",
+        "SELECT a.id, b.id FROM jb a LEFT JOIN ja b ON a.kd = b.kd",
+        "SELECT a.id, b.id FROM ja a JOIN jb b ON a.kb = b.kb WHERE a.id < 300",
+        "SELECT a.id, b.id FROM jb a JOIN ja b ON a.ki = b.kf",
+        "SELECT a.id, b.id FROM ja a LEFT JOIN jb b ON a.kd = b.kts",
+        "SELECT a.id, b.id FROM jb a JOIN ja b ON a.ki = b.ki AND a.k2 = b.k2 AND a.v < b.v",
+        "SELECT a.id, b.id FROM ja a LEFT JOIN jb b ON a.ki = b.ki AND a.v < b.v WHERE a.v >= 11",
+        "SELECT a.id, a.kn, b.id FROM jb a LEFT JOIN ja b ON a.kn = b.ki WHERE a.id >= 10",
+        "SELECT a.id, b.id FROM ja a JOIN jb b ON a.ki = b.ki WHERE b.id >= 10",
+        "SELECT a.id, b.id FROM ja a LEFT JOIN je b ON a.ki = b.ki",
+        "SELECT a.id, b.id FROM je a JOIN ja b ON a.kt = b.kt",
+        "SELECT a.id, b.id, c.id FROM ja a JOIN jb b ON a.ki = b.ki JOIN jb c ON b.kt = c.kt \
+         WHERE a.id < 500",
+        // eighteen probe morsels: four or five per worker at four threads
+        "SELECT a.id, b.id FROM jx a JOIN jb b ON a.ki = b.id",
+        "SELECT a.id, b.id FROM jx a LEFT JOIN jb b ON a.ki = b.id AND a.v < b.v",
+        "SELECT a.id, b.id FROM jb a JOIN jx b ON a.ki = b.ki",
+        "SELECT a.id, b.id FROM jx a JOIN jb b ON a.ki = b.kf",
+        "SELECT a.id, b.id FROM jx a JOIN jb b ON a.kt = b.kt AND a.k2 = b.k2",
+        "SELECT b.kt, COUNT(*) AS n, SUM(a.v) AS s FROM jx a JOIN jb b ON a.ki = b.id GROUP BY b.kt",
+    ];
+    for sql in queries {
+        let reference = oracle
+            .execute(&db, sql)
+            .unwrap_or_else(|e| panic!("row oracle failed for {sql}: {e}"));
+        for threads in THREADS {
+            let candidate = Engine::new()
+                .with_parallelism(threads)
+                .execute(&db, sql)
+                .unwrap_or_else(|e| panic!("hash join ({threads} threads) failed for {sql}: {e}"));
+            assert_same(sql, &reference, &candidate, &format!("{threads} threads"));
+        }
+    }
+    let all_fail = &queries[8];
+    let rows = oracle.execute(&db, all_fail).unwrap().rows;
+    assert!(!rows.is_empty() && rows.iter().all(|r| r[1].is_null()));
+    let probed = oracle.explain(&db, queries[9]).unwrap();
+    assert!(
+        probed.contains("IndexScan") && probed.contains("hash keys"),
+        "{probed}"
+    );
+}
+
+/// `Value`'s hash widens like its ordering: a full-range date does not
+/// overflow (a debug-build panic before) in DISTINCT, in the oracle's join
+/// table, or on the `Date = Timestamp` pairing that hashes through `Value`.
+#[test]
+fn full_range_dates_hash_in_distinct_and_joins() {
+    let db = Database::new();
+    Engine::new()
+        .execute(
+            &db,
+            "CREATE TABLE span (id INT PRIMARY KEY, d DATE, ts TIMESTAMP)",
+        )
+        .unwrap();
+    let day = 86_400_000_000i64;
+    db.insert_many(
+        "span",
+        vec![
+            vec![Value::Int(0), Value::Date(i32::MAX), Value::Timestamp(day)],
+            vec![
+                Value::Int(1),
+                Value::Date(i32::MIN),
+                Value::Timestamp(i64::MAX),
+            ],
+            vec![Value::Int(2), Value::Date(1), Value::Timestamp(0)],
+            vec![Value::Int(3), Value::Date(i32::MAX), Value::Null],
+        ],
+    )
+    .unwrap();
+    let engines = [
+        Engine::with_row_execution(),
+        Engine::new().with_parallelism(1),
+        Engine::new().with_parallelism(4),
+    ];
+    for engine in &engines {
+        let distinct = engine.execute(&db, "SELECT DISTINCT d FROM span").unwrap();
+        assert_eq!(
+            distinct.rows,
+            vec![
+                vec![Value::Date(i32::MAX)],
+                vec![Value::Date(i32::MIN)],
+                vec![Value::Date(1)]
+            ]
+        );
+        let same_type = engine
+            .execute(
+                &db,
+                "SELECT a.id, b.id FROM span a JOIN span b ON a.d = b.d",
+            )
+            .unwrap();
+        assert_eq!(same_type.rows.len(), 6); // 2×2 at i32::MAX, plus two singles
+        let cross_type = engine
+            .execute(
+                &db,
+                "SELECT a.id, b.id FROM span a JOIN span b ON a.d = b.ts",
+            )
+            .unwrap();
+        assert_eq!(cross_type.rows, vec![vec![Value::Int(2), Value::Int(0)]]);
+    }
+}
+
+/// Rows equal cell for cell, floats to a relative 1e-9: the merge-tree
+/// shape changes with the worker count and float addition is not
+/// associative. Everything else — integer aggregates, keys, row order —
+/// is exact.
+fn assert_rows_close(expected: &QueryResult, got: &QueryResult, label: &str) {
+    assert_eq!(expected.columns, got.columns, "{label}");
+    assert_eq!(expected.rows.len(), got.rows.len(), "{label}");
+    for (e, g) in expected.rows.iter().zip(&got.rows) {
+        for (a, b) in e.iter().zip(g) {
+            match (a, b) {
+                (Value::Float(x), Value::Float(y)) => {
+                    let scale = x.abs().max(y.abs()).max(1.0);
+                    assert!((x - y).abs() <= 1e-9 * scale, "{label}: {x} vs {y}");
+                }
+                _ => assert_eq!(a, b, "{label}: {e:?} vs {g:?}"),
+            }
+        }
+    }
+}
+
+/// Multi-morsel check: at 70k rows a scan splits into eighteen morsels, so
+/// every worker of two, four or eight folds several, exercising the
+/// per-worker partial states (which live across a worker's morsels) and
+/// the ordered merge. Against the row oracle, at
+/// every worker count: integer aggregates (COUNT/SUM-of-INT/MIN/MAX) and
+/// the first-seen group order — no ORDER BY on the wide cases — must be
+/// *exactly* equal; float SUM/AVG to a relative tolerance.
 #[test]
 fn multi_morsel_aggregates_agree_across_parallelism() {
-    let db = Arc::new(workloads::healthcare_db(20_000, 11));
-    let reference = Engine::new().with_parallelism(1);
-    let exact_queries = [
+    let db = workloads::healthcare_db(70_000, 11);
+    // `wide`: eighteen morsels. `cust` has 8 750 keys whose first sightings
+    // spread over every morsel, `seg` × `k2` is a two-column key, `gn` is
+    // NULL one time in seven, `gf` is a float key.
+    Engine::new()
+        .execute(
+            &db,
+            "CREATE TABLE wide (id INT PRIMARY KEY, cust INT, seg TEXT, k2 INT, gn INT, \
+             gf DOUBLE, amount INT, price DOUBLE)",
+        )
+        .unwrap();
+    let mut rng = StdRng::seed_from_u64(GENERATOR_SEEDS[0]);
+    let rows: Vec<Vec<Value>> = (0..70_000i64)
+        .map(|id| {
+            let cust = if id % 2 == 0 {
+                id / 8
+            } else {
+                rng.random_range(0..=id / 8)
+            };
+            vec![
+                Value::Int(id),
+                Value::Int(cust),
+                Value::Text(format!("s{}", rng.random_range(0..9i64))),
+                Value::Int(rng.random_range(0..5i64)),
+                if id % 7 == 3 {
+                    Value::Null
+                } else {
+                    Value::Int(rng.random_range(0..40i64))
+                },
+                Value::Float(rng.random_range(0..25i64) as f64 / 4.0),
+                Value::Int(rng.random_range(-500..5_000i64)),
+                Value::Float(rng.random_range(0.0..900.0)),
+            ]
+        })
+        .collect();
+    db.insert_many("wide", rows).unwrap();
+    let db = Arc::new(db);
+    let queries = [
         "SELECT dept_id, COUNT(*) AS n, SUM(stay_days) AS days, MIN(id) AS lo, MAX(id) AS hi \
          FROM fact_admission GROUP BY dept_id ORDER BY dept_id",
         "SELECT year, COUNT(*) AS n FROM fact_admission WHERE stay_days > 7 \
          GROUP BY year ORDER BY year",
+        "SELECT dept_id, SUM(cost) AS total, AVG(cost) AS mean \
+         FROM fact_admission GROUP BY dept_id ORDER BY dept_id",
+        // high cardinality, keys first seen in every morsel
+        "SELECT cust, COUNT(*) AS n, SUM(amount) AS s, MIN(amount) AS lo, MAX(id) AS hi, \
+         AVG(price) AS p FROM wide GROUP BY cust",
+        // two-column key, one of them text
+        "SELECT seg, k2, COUNT(*) AS n, SUM(amount) AS s, MAX(price) AS hi FROM wide GROUP BY seg, k2",
+        // NULLs in the group column form one group, in first-seen position
+        "SELECT gn, COUNT(*) AS n, COUNT(gn) AS nn, SUM(amount) AS s FROM wide GROUP BY gn",
+        // float and heterogeneous keys stay on the generic path
+        "SELECT gf, COUNT(*) AS n, SUM(amount) AS s FROM wide GROUP BY gf",
+        "SELECT CASE WHEN id % 2 = 0 THEN k2 ELSE seg END AS k, COUNT(*) AS n, SUM(amount) AS s \
+         FROM wide GROUP BY CASE WHEN id % 2 = 0 THEN k2 ELSE seg END",
+        // a key whose layout changes between morsels (INT, then mixed,
+        // then TEXT): dense runs close and reopen in first-seen order
+        "SELECT CASE WHEN id < 5000 THEN k2 ELSE seg END AS k, COUNT(*) AS n, MIN(amount) AS lo \
+         FROM wide GROUP BY CASE WHEN id < 5000 THEN k2 ELSE seg END",
+        // DISTINCT aggregates bypass the dense path
+        "SELECT seg, COUNT(DISTINCT cust) AS custs, SUM(amount) AS s FROM wide GROUP BY seg",
+        // three group columns: more than the dense path packs
+        "SELECT seg, k2, gn, COUNT(*) AS n FROM wide GROUP BY seg, k2, gn",
     ];
-    let float_queries = ["SELECT dept_id, SUM(cost) AS total, AVG(cost) AS mean \
-         FROM fact_admission GROUP BY dept_id ORDER BY dept_id"];
-    for workers in [2usize, 4, 8] {
-        let engine = Engine::new().with_parallelism(workers);
-        for sql in exact_queries {
-            let expected = reference.execute(&db, sql).unwrap();
-            let got = engine.execute(&db, sql).unwrap();
-            assert_eq!(expected.rows, got.rows, "workers={workers} for: {sql}");
-        }
-        for sql in float_queries {
-            let expected = reference.execute(&db, sql).unwrap();
-            let got = engine.execute(&db, sql).unwrap();
-            assert_eq!(
-                expected.rows.len(),
-                got.rows.len(),
-                "workers={workers} for: {sql}"
-            );
-            for (e, g) in expected.rows.iter().zip(&got.rows) {
-                for (a, b) in e.iter().zip(g) {
-                    match (a, b) {
-                        (odbis_storage::Value::Float(x), odbis_storage::Value::Float(y)) => {
-                            let scale = x.abs().max(y.abs()).max(1.0);
-                            assert!(
-                                (x - y).abs() <= 1e-9 * scale,
-                                "workers={workers}: {x} vs {y} for: {sql}"
-                            );
-                        }
-                        _ => assert_eq!(a, b, "workers={workers} for: {sql}"),
-                    }
-                }
-            }
+    let oracle = Engine::with_row_execution();
+    for sql in queries {
+        let expected = oracle
+            .execute(&db, sql)
+            .unwrap_or_else(|e| panic!("row oracle failed for {sql}: {e}"));
+        for workers in [1usize, 2, 4, 8] {
+            let got = Engine::new()
+                .with_parallelism(workers)
+                .execute(&db, sql)
+                .unwrap_or_else(|e| panic!("workers={workers} failed for {sql}: {e}"));
+            assert_rows_close(&expected, &got, &format!("workers={workers} for: {sql}"));
         }
     }
+    let groups = oracle.execute(&db, queries[3]).unwrap().rows.len();
+    assert!(groups >= 2_000, "{groups} cust groups");
 }
 
 #[test]
