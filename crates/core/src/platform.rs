@@ -15,7 +15,7 @@ use odbis_admin::{
     AdminService, CheckpointOutcome, DurabilityError, DurabilityHook, DurabilityStatus,
 };
 use odbis_delivery::{Channel, DeliveryService, ReportPayload};
-use odbis_esb::{Endpoint, Message, MessageBus};
+use odbis_esb::{Endpoint, Message, MessageBus, Payload};
 use odbis_etl::{EtlJob, JobReport, JobRunner, JobScheduler};
 use odbis_mddws::DwProject;
 use odbis_metadata::{DataSet, DataSource, MetadataService};
@@ -24,7 +24,10 @@ use odbis_olap::{
 };
 use odbis_reporting::{Dashboard, RenderedReport, ReportTemplate, ReportingService};
 use odbis_sql::{Engine, QueryResult};
-use odbis_storage::{Database, DbResult, DurableStore, FsyncPolicy, Wal, WalRecord, WalSink};
+use odbis_storage::{
+    decode_record, encode_record, Database, DbResult, DurableStore, FsyncPolicy, Wal, WalRecord,
+    WalSink,
+};
 use odbis_telemetry::Telemetry;
 use odbis_tenancy::{ServiceKind, SubscriptionPlan, TenantRegistry, UsageMeter};
 use parking_lot::{Mutex, RwLock};
@@ -264,13 +267,10 @@ impl TenantWorkspace {
                     .header("seq")
                     .and_then(|s| s.parse().ok())
                     .ok_or_else(|| "delta event missing seq header".to_string())?;
-                let text = msg
-                    .payload
-                    .as_text()
-                    .ok_or_else(|| "delta payload is not text".to_string())?;
-                let json = serde_json::from_str::<serde_json::Value>(text)
-                    .map_err(|e| format!("delta payload is not JSON: {e}"))?;
-                let record = odbis_storage::jsoncodec::record_from_json(&json)
+                let Payload::Binary(bytes) = &msg.payload else {
+                    return Err("delta payload is not binary".to_string());
+                };
+                let record = decode_record(bytes)
                     .map_err(|e| format!("delta payload is not a WAL record: {e}"))?;
                 if let Some(delta) = record_to_delta(&record) {
                     cache.write().apply_delta(&engine, seq, &delta);
@@ -329,8 +329,9 @@ impl TenantWorkspace {
             }
             let seq = self.delta_seq.fetch_add(1, Ordering::Relaxed) + 1;
             max_seq = seq;
-            let payload = odbis_storage::jsoncodec::record_to_json(record).to_string();
-            let msg = Message::json(payload)
+            let mut payload = Vec::with_capacity(64);
+            encode_record(&mut payload, record);
+            let msg = Message::binary(payload)
                 .with_header("seq", seq.to_string())
                 .with_header("table", delta.table());
             if self.bus.send(DELTA_CHANNEL, msg).is_ok() {
@@ -1886,7 +1887,9 @@ mod durability_tests {
         let before = p.durability_status("acme", &token).unwrap();
         assert!(before.wal_appends >= 6);
         assert!(before.wal_file_len > 0);
-        assert_eq!(before.fsync, "never");
+        // the declared default: what the CI durability job exports, else never
+        let declared = std::env::var("ODBIS_DURABILITY_FSYNC").unwrap_or_default();
+        assert_eq!(before.fsync, FsyncPolicy::parse(&declared).as_str());
         let outcome = p.checkpoint_tenant("acme", &token).unwrap();
         assert_eq!(outcome.tenant, "acme");
         assert_eq!(outcome.tables, 1);

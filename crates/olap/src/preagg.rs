@@ -132,8 +132,8 @@ pub enum DeltaOutcome {
 }
 
 /// One warehouse write event, as derived from a WAL-acked record. This is
-/// the payload of the `warehouse.delta` ESB channel (serialized as the
-/// underlying WAL record); the cache consumes it via
+/// the payload of the `warehouse.delta` ESB channel (carried as the
+/// underlying WAL record's binary encoding); the cache consumes it via
 /// [`AggregateCache::apply_delta`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TableDelta {

@@ -210,7 +210,7 @@ impl Database {
         Ok(())
     }
 
-    /// Adopt a fully-built table (snapshot recovery), preserving its row
+    /// Adopt a fully-built table (segment recovery), preserving its row
     /// slots verbatim so journaled row ids stay valid.
     pub(crate) fn adopt_table(&self, table: Table) -> DbResult<()> {
         let mut tables = self.tables.write();
@@ -224,7 +224,7 @@ impl Database {
             CatalogEntry {
                 name,
                 table: Arc::new(RwLock::new(table)),
-                // adopted tables come straight from a snapshot/segment, so
+                // adopted tables come straight from a segment, so
                 // their on-disk image is current until something mutates
                 // them (WAL replay goes through `write_table`, which marks)
                 dirty: Arc::new(AtomicBool::new(false)),
@@ -234,25 +234,17 @@ impl Database {
     }
 
     /// Run `f` with shared access to every table at once — one consistent
-    /// cut across the whole database, for checkpointing.
+    /// cut across the whole database, for checkpointing — handing it each
+    /// table's dirty flag alongside the read-locked table, so incremental
+    /// checkpoints can skip clean tables and mark flushed ones clean while
+    /// the cut is still held (the read locks exclude every writer, so no
+    /// mutation can race the clear).
     ///
     /// Holds the catalog read lock (excludes DDL) and acquires every
     /// table's read lock in canonical order (excludes writers table by
     /// table). Because WAL appends happen under a table's write lock, no
     /// append can be in flight once all read locks are held: every LSN the
     /// WAL has assigned corresponds to a mutation visible in this cut.
-    pub(crate) fn with_tables_read<R>(&self, f: impl FnOnce(&[&Table]) -> R) -> R {
-        self.with_tables_marked(|views| {
-            let refs: Vec<&Table> = views.iter().map(|v| v.table).collect();
-            f(&refs)
-        })
-    }
-
-    /// Like [`Database::with_tables_read`], but hands the checkpointer each
-    /// table's dirty flag alongside the read-locked table, so incremental
-    /// checkpoints can skip clean tables and mark flushed ones clean while
-    /// the cut is still held (the read locks exclude every writer, so no
-    /// mutation can race the clear).
     pub(crate) fn with_tables_marked<R>(&self, f: impl FnOnce(&[TableView<'_>]) -> R) -> R {
         let catalog = self.tables.read();
         let mut entries: Vec<&CatalogEntry> = catalog.values().collect();

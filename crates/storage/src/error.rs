@@ -38,9 +38,9 @@ pub enum DbError {
     RowNotFound(u64),
     /// The transaction was already completed (committed or rolled back).
     TxnClosed,
-    /// A snapshot file could not be read or written.
+    /// A store file (log, segment, manifest) could not be read or written.
     Io(String),
-    /// A snapshot file was structurally invalid.
+    /// A store file was structurally invalid.
     Corrupt(String),
     /// Generic invalid-argument error with context.
     Invalid(String),
@@ -76,7 +76,7 @@ impl fmt::Display for DbError {
             DbError::RowNotFound(id) => write!(f, "row id {id} not found"),
             DbError::TxnClosed => write!(f, "transaction already completed"),
             DbError::Io(e) => write!(f, "storage I/O error: {e}"),
-            DbError::Corrupt(e) => write!(f, "corrupt snapshot: {e}"),
+            DbError::Corrupt(e) => write!(f, "corrupt store data: {e}"),
             DbError::Invalid(e) => write!(f, "invalid argument: {e}"),
         }
     }

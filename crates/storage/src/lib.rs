@@ -12,12 +12,14 @@
 //! * columnar [`Batch`]es produced by vectorized scans
 //!   ([`Table::scan_batch`] / [`Database::scan_batch`]);
 //! * a concurrent [`Database`] catalog with undo-log [`Txn`] transactions;
-//! * JSON snapshot persistence ([`save_snapshot`] / [`load_snapshot`]);
 //! * crash-safe durability: a checksummed write-ahead log with checkpoint
-//!   and recovery ([`Wal`] / [`DurableStore`], see the [`wal`] module);
+//!   and recovery ([`Wal`] / [`DurableStore`], see the [`wal`] module),
+//!   whose records have one binary encoding ([`encode_record`] /
+//!   [`decode_record`]) shared with the platform's delta bus;
 //! * binary columnar checkpoint segments with CRC-checked encoded blocks,
 //!   zone maps, and incremental flushing (the [`segment`] and [`manifest`]
-//!   modules) — the one checkpoint format [`DurableStore`] writes.
+//!   modules) — the one checkpoint format, and the value codec the log
+//!   records reuse.
 //!
 //! ```
 //! use odbis_storage::{Column, Database, DataType, Schema, Value};
@@ -37,7 +39,6 @@
 mod batch;
 mod database;
 mod error;
-pub mod jsoncodec;
 pub mod manifest;
 mod persist;
 mod schema;
@@ -50,7 +51,6 @@ pub use batch::{Batch, ColumnBuilder, ColumnData, ColumnVec, NULL_ROW};
 pub use database::{Database, Txn};
 pub use error::{DbError, DbResult};
 pub use manifest::{Manifest, SegmentEntry};
-pub use persist::{load_snapshot, save_snapshot, SNAPSHOT_VERSION};
 pub use schema::{resolve_column, Column, Schema};
 pub use segment::{scan_segment, Encoding, SegmentScan, BLOCK_ROWS};
 pub use table::{Index, RowId, Table};
@@ -59,6 +59,6 @@ pub use value::{
     parse_timestamp, DataType, Value,
 };
 pub use wal::{
-    read_wal, replay_record, CheckpointImage, CheckpointReport, DurableStore, FsyncPolicy, Wal,
-    WalEntry, WalRecord, WalSink, WalStats, WalTail,
+    decode_record, encode_record, read_wal, replay_record, CheckpointImage, CheckpointReport,
+    DurableStore, FsyncPolicy, Wal, WalEntry, WalRecord, WalSink, WalStats, WalTail,
 };

@@ -128,7 +128,7 @@ fn req_str(v: &Json, key: &str) -> DbResult<String> {
 
 /// Load the manifest at `path`. Strict: a missing or malformed field is
 /// [`DbError::Corrupt`] — a half-written manifest must never silently
-/// masquerade as an empty store (mirrors the snapshot `last_lsn` rule).
+/// masquerade as an empty store.
 pub(crate) fn load_manifest(path: &Path) -> DbResult<Manifest> {
     let text = std::fs::read_to_string(path)?;
     let root: Json = serde_json::from_str(&text)

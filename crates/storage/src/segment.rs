@@ -1,8 +1,7 @@
 //! Binary columnar segments: the on-disk checkpoint format.
 //!
 //! A segment is the immutable columnar image of one table at one LSN cut.
-//! Where the JSON snapshot re-serializes every row of every table on each
-//! checkpoint, a segment stores each column as a sequence of CRC-checked
+//! It stores each column as a sequence of CRC-checked
 //! blocks (the same CRC-32 framing discipline as the WAL), compressed with
 //! whichever lightweight encoding fits the data — dictionary, run-length,
 //! frame-of-reference bitpacking, or plain — and carries a min/max zone map
@@ -41,8 +40,11 @@
 //! `RowId` it had when the segment was written.
 //!
 //! Tombstoned slots are represented only in the live bitmap — their row
-//! images are gone, which is one of the ways segments end up smaller than
-//! the JSON snapshot they replace.
+//! images are gone.
+//!
+//! The tagged value codec below is also the WAL's: every value of a
+//! journaled row is written with `write_value` (see [`crate::wal`]), and
+//! the schema JSON of the meta frame is what a `CreateTable` record carries.
 
 use std::path::Path;
 
@@ -50,10 +52,10 @@ use serde_json::{Map, Number, Value as Json};
 
 use crate::batch::{Batch, ColumnVec};
 use crate::error::{DbError, DbResult};
-use crate::jsoncodec::{schema_from_json, schema_to_json};
 use crate::persist::write_atomic;
+use crate::schema::{Column, Schema};
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{DataType, Value};
 use crate::wal::crc32;
 
 /// Magic bytes opening every segment file.
@@ -118,6 +120,9 @@ impl Encoding {
 
 // ---- tagged value codec ---------------------------------------------------
 
+// Segments never write `TAG_NULL`: their null bitmaps carry nulls, and
+// `decode_block` refuses the tag. Only WAL rows hold it.
+const TAG_NULL: u8 = 0;
 const TAG_BOOL: u8 = 1;
 const TAG_INT: u8 = 2;
 const TAG_FLOAT: u8 = 3;
@@ -147,14 +152,11 @@ fn value_size(v: &Value) -> usize {
     }
 }
 
-fn write_value(out: &mut Vec<u8>, v: &Value) {
+/// Append `v` as one tag byte plus its fixed-width little-endian payload
+/// (text: `u32` length, then UTF-8 bytes). Floats keep their exact bits.
+pub(crate) fn write_value(out: &mut Vec<u8>, v: &Value) {
     match v {
-        // Nulls never reach the value codec (the null bitmap carries them);
-        // encode defensively as a zero-length text so decode stays total.
-        Value::Null => {
-            out.push(TAG_TEXT);
-            out.extend_from_slice(&0u32.to_le_bytes());
-        }
+        Value::Null => out.push(TAG_NULL),
         Value::Bool(b) => {
             out.push(TAG_BOOL);
             out.push(*b as u8);
@@ -183,36 +185,47 @@ fn write_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn take<'a>(b: &'a [u8], pos: &mut usize, n: usize, what: &str) -> DbResult<&'a [u8]> {
+/// The next `n` bytes at `*pos`, advancing past them; a short buffer is
+/// [`DbError::Corrupt`], so a length field is checked before anything
+/// sized by it is allocated.
+pub(crate) fn take<'a>(b: &'a [u8], pos: &mut usize, n: usize, what: &str) -> DbResult<&'a [u8]> {
     let end = pos
         .checked_add(n)
         .filter(|&e| e <= b.len())
-        .ok_or_else(|| DbError::Corrupt(format!("segment truncated reading {what}")))?;
+        .ok_or_else(|| DbError::Corrupt(format!("truncated reading {what}")))?;
     let s = &b[*pos..end];
     *pos = end;
     Ok(s)
 }
 
-fn read_u8(b: &[u8], pos: &mut usize, what: &str) -> DbResult<u8> {
+pub(crate) fn read_u8(b: &[u8], pos: &mut usize, what: &str) -> DbResult<u8> {
     Ok(take(b, pos, 1, what)?[0])
 }
 
-fn read_u32(b: &[u8], pos: &mut usize, what: &str) -> DbResult<u32> {
+pub(crate) fn read_u32(b: &[u8], pos: &mut usize, what: &str) -> DbResult<u32> {
     Ok(u32::from_le_bytes(
         take(b, pos, 4, what)?.try_into().unwrap(),
     ))
 }
 
-fn read_u64(b: &[u8], pos: &mut usize, what: &str) -> DbResult<u64> {
+pub(crate) fn read_u64(b: &[u8], pos: &mut usize, what: &str) -> DbResult<u64> {
     Ok(u64::from_le_bytes(
         take(b, pos, 8, what)?.try_into().unwrap(),
     ))
 }
 
-fn read_value(b: &[u8], pos: &mut usize) -> DbResult<Value> {
+/// Decode one [`write_value`] encoding. Strict, so every accepted byte
+/// string is the canonical encoding of what it decodes to: a bool byte
+/// other than 0/1 or an unknown tag is [`DbError::Corrupt`].
+pub(crate) fn read_value(b: &[u8], pos: &mut usize) -> DbResult<Value> {
     let tag = read_u8(b, pos, "value tag")?;
     Ok(match tag {
-        TAG_BOOL => Value::Bool(read_u8(b, pos, "bool")? != 0),
+        TAG_NULL => Value::Null,
+        TAG_BOOL => match read_u8(b, pos, "bool")? {
+            0 => Value::Bool(false),
+            1 => Value::Bool(true),
+            other => return Err(DbError::Corrupt(format!("bool byte {other}"))),
+        },
         TAG_INT => Value::Int(i64::from_le_bytes(
             take(b, pos, 8, "int")?.try_into().unwrap(),
         )),
@@ -224,7 +237,7 @@ fn read_value(b: &[u8], pos: &mut usize) -> DbResult<Value> {
             let bytes = take(b, pos, len, "text bytes")?;
             Value::Text(
                 std::str::from_utf8(bytes)
-                    .map_err(|_| DbError::Corrupt("segment text not UTF-8".into()))?
+                    .map_err(|_| DbError::Corrupt("text value not UTF-8".into()))?
                     .to_string(),
             )
         }
@@ -509,6 +522,11 @@ pub fn encode_block(out: &mut Vec<u8>, values: &[Value], forced: Option<Encoding
 /// anywhere in the block surfaces as [`DbError::Corrupt`].
 pub fn decode_block(bytes: &[u8], pos: &mut usize) -> DbResult<DecodedBlock> {
     let body = read_frame(bytes, pos, "column block")?;
+    // a block's nulls live in its bitmap, never in its values
+    let read_value = |b: &[u8], p: &mut usize| match read_value(b, p)? {
+        Value::Null => Err(DbError::Corrupt(format!("value tag {TAG_NULL} in a block"))),
+        v => Ok(v),
+    };
     let mut p = 0usize;
     let encoding = Encoding::from_code(read_u8(body, &mut p, "encoding")?)?;
     let rows = read_u32(body, &mut p, "block rows")? as usize;
@@ -625,41 +643,187 @@ fn read_frame<'a>(bytes: &'a [u8], pos: &mut usize, what: &str) -> DbResult<&'a 
     Ok(body)
 }
 
+// ---- schema JSON ----------------------------------------------------------
+
+fn corrupt(msg: impl Into<String>) -> DbError {
+    DbError::Corrupt(msg.into())
+}
+
+fn obj(entries: Vec<(&str, Json)>) -> Json {
+    let mut m = Map::new();
+    for (k, v) in entries {
+        m.insert(k.to_string(), v);
+    }
+    Json::Object(m)
+}
+
+/// The `key` field of `v` through `as_kind` (e.g. `Json::as_str`), or
+/// [`DbError::Corrupt`] naming the field.
+fn field<'a, T>(v: &'a Json, key: &str, as_kind: fn(&'a Json) -> Option<T>) -> DbResult<T> {
+    v.get(key)
+        .and_then(as_kind)
+        .ok_or_else(|| corrupt(format!("missing or mistyped field '{key}'")))
+}
+
+/// A column default as JSON: `Int` and `Bool` and `Text` natively, `Float`
+/// as `{"f": n}` (`"nan"`/`"inf"`/`"-inf"` when not finite), `Date` and
+/// `Timestamp` as `{"date": d}` / `{"us": t}`.
+fn default_to_json(v: &Value) -> Json {
+    match v {
+        Value::Null => Json::Null,
+        Value::Bool(b) => Json::Bool(*b),
+        Value::Int(i) => Json::Number(Number::from(*i)),
+        Value::Float(f) => obj(vec![(
+            "f",
+            match Number::from_f64(*f) {
+                Some(n) => Json::Number(n),
+                None if f.is_nan() => Json::String("nan".into()),
+                None if *f > 0.0 => Json::String("inf".into()),
+                None => Json::String("-inf".into()),
+            },
+        )]),
+        Value::Text(s) => Json::String(s.clone()),
+        Value::Date(d) => obj(vec![("date", Json::Number(Number::from(*d as i64)))]),
+        Value::Timestamp(us) => obj(vec![("us", Json::Number(Number::from(*us)))]),
+    }
+}
+
+fn default_from_json(v: &Json) -> DbResult<Value> {
+    match v {
+        Json::Null => Ok(Value::Null),
+        Json::Bool(b) => Ok(Value::Bool(*b)),
+        Json::String(s) => Ok(Value::Text(s.clone())),
+        Json::Number(_) => v
+            .as_i64()
+            .map(Value::Int)
+            .or_else(|| v.as_f64().map(Value::Float))
+            .ok_or_else(|| corrupt("unreadable number")),
+        Json::Object(_) => {
+            if let Some(f) = v.get("f") {
+                return match f {
+                    Json::String(s) => Ok(Value::Float(match s.as_str() {
+                        "nan" => f64::NAN,
+                        "inf" => f64::INFINITY,
+                        "-inf" => f64::NEG_INFINITY,
+                        other => return Err(corrupt(format!("bad float literal '{other}'"))),
+                    })),
+                    _ => f
+                        .as_f64()
+                        .map(Value::Float)
+                        .ok_or_else(|| corrupt("bad float value")),
+                };
+            }
+            if let Some(d) = v.get("date") {
+                return d
+                    .as_i64()
+                    .map(|d| Value::Date(d as i32))
+                    .ok_or_else(|| corrupt("bad date value"));
+            }
+            if let Some(us) = v.get("us") {
+                return us
+                    .as_i64()
+                    .map(Value::Timestamp)
+                    .ok_or_else(|| corrupt("bad timestamp value"));
+            }
+            Err(corrupt("unknown scalar object"))
+        }
+        Json::Array(_) => Err(corrupt("array is not a scalar")),
+    }
+}
+
+/// A schema as JSON: columns (name, type, `not_null`, optional default)
+/// plus primary-key column names. The segment meta frame embeds it, and
+/// a `CreateTable` WAL record carries its text.
+pub(crate) fn schema_to_json(schema: &Schema) -> Json {
+    let columns: Vec<Json> = schema
+        .columns()
+        .iter()
+        .map(|c| {
+            let mut fields = vec![
+                ("name", Json::String(c.name.clone())),
+                ("type", Json::String(c.data_type.name().to_string())),
+                ("not_null", Json::Bool(c.not_null)),
+            ];
+            if let Some(d) = &c.default {
+                fields.push(("default", default_to_json(d)));
+            }
+            obj(fields)
+        })
+        .collect();
+    let pk: Vec<Json> = schema
+        .primary_key()
+        .iter()
+        .map(|&i| Json::String(schema.columns()[i].name.clone()))
+        .collect();
+    obj(vec![
+        ("columns", Json::Array(columns)),
+        ("pk", Json::Array(pk)),
+    ])
+}
+
+fn schema_from_json(v: &Json) -> DbResult<Schema> {
+    let mut columns = Vec::new();
+    for c in field(v, "columns", Json::as_array)? {
+        let name = field(c, "name", Json::as_str)?;
+        let ty = field(c, "type", Json::as_str)?;
+        let data_type = DataType::parse(ty)
+            .ok_or_else(|| corrupt(format!("unknown data type '{ty}' for column {name}")))?;
+        let mut col = Column::new(name, data_type);
+        if field(c, "not_null", Json::as_bool)? {
+            col = col.not_null();
+        }
+        if let Some(d) = c.get("default") {
+            if !d.is_null() {
+                col = col.with_default(default_from_json(d)?);
+            }
+        }
+        columns.push(col);
+    }
+    let schema = Schema::new(columns).map_err(|e| corrupt(e.to_string()))?;
+    let pk: Vec<&str> = field(v, "pk", Json::as_array)?
+        .iter()
+        .map(|p| {
+            p.as_str()
+                .ok_or_else(|| corrupt("pk entry is not a string"))
+        })
+        .collect::<DbResult<_>>()?;
+    if pk.is_empty() {
+        return Ok(schema);
+    }
+    schema
+        .with_primary_key(&pk)
+        .map_err(|e| corrupt(e.to_string()))
+}
+
+/// Parse the text [`schema_to_json`] renders.
+pub(crate) fn schema_from_text(text: &str) -> DbResult<Schema> {
+    let json: Json =
+        serde_json::from_str(text).map_err(|e| corrupt(format!("schema not JSON: {e}")))?;
+    schema_from_json(&json)
+}
+
 // ---- whole-segment write / read -------------------------------------------
 
 fn meta_json(table: &Table, slots: usize) -> Vec<u8> {
-    let mut meta = Map::new();
-    meta.insert("name".to_string(), Json::String(table.name.clone()));
-    meta.insert("schema".to_string(), schema_to_json(table.schema()));
-    meta.insert(
-        "indexes".to_string(),
-        Json::Array(
-            table
-                .indexes()
-                .iter()
-                .map(|ix| {
-                    let mut o = Map::new();
-                    o.insert("name".to_string(), Json::String(ix.name.clone()));
-                    o.insert(
-                        "columns".to_string(),
-                        Json::Array(
-                            ix.columns
-                                .iter()
-                                .map(|&c| Json::Number(Number::from(c as i64)))
-                                .collect(),
-                        ),
-                    );
-                    o.insert("unique".to_string(), Json::Bool(ix.unique));
-                    Json::Object(o)
-                })
-                .collect(),
-        ),
-    );
-    meta.insert(
-        "slots".to_string(),
-        Json::Number(Number::from(slots as i64)),
-    );
-    Json::Object(meta).to_string().into_bytes()
+    let indexes = table.indexes().iter().map(|ix| {
+        let columns = ix
+            .columns
+            .iter()
+            .map(|&c| Json::Number(Number::from(c as i64)));
+        obj(vec![
+            ("name", Json::String(ix.name.clone())),
+            ("columns", Json::Array(columns.collect())),
+            ("unique", Json::Bool(ix.unique)),
+        ])
+    });
+    obj(vec![
+        ("name", Json::String(table.name.clone())),
+        ("schema", schema_to_json(table.schema())),
+        ("indexes", Json::Array(indexes.collect())),
+        ("slots", Json::Number(Number::from(slots as i64))),
+    ])
+    .to_string()
+    .into_bytes()
 }
 
 /// Serialize `table` (already read-locked by the caller) into the segment
@@ -734,44 +898,22 @@ fn parse_header(bytes: &[u8], origin: &Path) -> DbResult<SegmentHeader> {
         std::str::from_utf8(meta_bytes).map_err(|_| corrupt("segment meta not UTF-8"))?;
     let meta: Json = serde_json::from_str(meta_text)
         .map_err(|e| corrupt(&format!("segment meta not JSON: {e}")))?;
-    let name = meta
-        .get("name")
-        .and_then(Json::as_str)
-        .ok_or_else(|| corrupt("segment meta missing name"))?
-        .to_string();
+    let name = field(&meta, "name", Json::as_str)?.to_string();
     let schema = schema_from_json(
         meta.get("schema")
-            .ok_or_else(|| corrupt("segment meta missing schema"))?,
+            .ok_or_else(|| corrupt("meta missing schema"))?,
     )?;
     let mut indexes = Vec::new();
-    for ix in meta
-        .get("indexes")
-        .and_then(Json::as_array)
-        .ok_or_else(|| corrupt("segment meta missing indexes"))?
-    {
-        let iname = ix
-            .get("name")
-            .and_then(Json::as_str)
-            .ok_or_else(|| corrupt("index missing name"))?;
-        let cols = ix
-            .get("columns")
-            .and_then(Json::as_array)
-            .ok_or_else(|| corrupt("index missing columns"))?
+    for ix in field(&meta, "indexes", Json::as_array)? {
+        let cols = field(ix, "columns", Json::as_array)?
             .iter()
-            .map(|c| c.as_i64().map(|i| i as usize))
+            .map(|c| c.as_u64().map(|i| i as usize))
             .collect::<Option<Vec<usize>>>()
             .ok_or_else(|| corrupt("index column not a number"))?;
-        let unique = ix
-            .get("unique")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| corrupt("index missing unique flag"))?;
-        indexes.push((iname.to_string(), cols, unique));
+        let iname = field(ix, "name", Json::as_str)?.to_string();
+        indexes.push((iname, cols, field(ix, "unique", Json::as_bool)?));
     }
-    let slots = meta
-        .get("slots")
-        .and_then(Json::as_i64)
-        .filter(|s| *s >= 0)
-        .ok_or_else(|| corrupt("segment meta missing slots"))? as usize;
+    let slots = field(&meta, "slots", Json::as_u64)? as usize;
 
     let bitmap = read_frame(bytes, &mut pos, "live bitmap")?;
     if bitmap.len() != slots.div_ceil(8) {
@@ -815,7 +957,7 @@ fn parse_header(bytes: &[u8], origin: &Path) -> DbResult<SegmentHeader> {
 }
 
 /// Read a segment back into a [`Table`], returning it with the segment's
-/// `last_lsn` stamp. Slot-preserving, like the JSON snapshot loader: the
+/// `last_lsn` stamp. Slot-preserving: the
 /// live bitmap re-creates tombstones so every surviving row keeps its
 /// `RowId`, and index entries are rebuilt from the rows (re-verifying
 /// uniqueness). Every block's CRC is verified on the way through.
@@ -1173,15 +1315,38 @@ mod tests {
     }
 
     #[test]
-    fn segments_are_smaller_than_json_for_typical_bi_data() {
-        let t = wide_table(5000);
-        let path = tmp("size");
-        let seg_bytes = write_segment(&t, &path, 1).unwrap();
-        let json_bytes = crate::jsoncodec::table_to_json(&t).to_string().len() as u64;
-        assert!(
-            seg_bytes < json_bytes / 2,
-            "segment {seg_bytes}B should be well under half the JSON {json_bytes}B"
-        );
-        let _ = std::fs::remove_file(&path);
+    fn null_tag_inside_a_block_is_corrupt() {
+        // a plain block holding Int(7): re-frame it with the value's tag
+        // byte set to TAG_NULL and a CRC that matches
+        let mut buf = Vec::new();
+        encode_block(&mut buf, &[Value::Int(7)], Some(Encoding::Plain));
+        let mut body = buf[8..].to_vec();
+        let tag_at = body.len() - 9;
+        assert_eq!(body[tag_at], TAG_INT);
+        body[tag_at] = TAG_NULL;
+        body.truncate(tag_at + 1);
+        let mut forged = Vec::new();
+        frame(&mut forged, &body);
+        let err = decode_block(&forged, &mut 0).unwrap_err();
+        assert!(matches!(err, DbError::Corrupt(_)), "{err:?}");
+    }
+
+    #[test]
+    fn schema_json_round_trips_defaults_and_keys() {
+        let schema = Schema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::new("name", DataType::Text).not_null(),
+            Column::new("score", DataType::Float).with_default(Value::Float(f64::NEG_INFINITY)),
+            Column::new("born", DataType::Date).with_default(Value::Date(-3)),
+        ])
+        .unwrap()
+        .with_primary_key(&["id", "name"])
+        .unwrap();
+        let text = schema_to_json(&schema).to_string();
+        assert_eq!(schema_from_text(&text).unwrap(), schema);
+        assert!(matches!(
+            schema_from_text(r#"{"columns":[]}"#),
+            Err(DbError::Corrupt(_))
+        ));
     }
 }

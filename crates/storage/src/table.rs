@@ -26,7 +26,7 @@ pub struct Index {
     pub columns: Vec<usize>,
     /// Whether duplicate keys are rejected.
     pub unique: bool,
-    // Not serialized: snapshot loading rebuilds indexes from the rows
+    // Not serialized: segment loading rebuilds indexes from the rows
     // (JSON map keys must be strings, and rebuilding re-verifies uniqueness).
     #[serde(skip)]
     entries: BTreeMap<Vec<Value>, Vec<RowId>>,
@@ -131,7 +131,7 @@ pub struct Table {
     indexes: Vec<Index>,
     live: usize,
     // Memoized columnar image of the live rows, rebuilt lazily after any
-    // mutation. Skipped by snapshots: it is derived state.
+    // mutation. Skipped by segments: it is derived state.
     #[serde(skip)]
     batch_cache: std::sync::OnceLock<Arc<Batch>>,
     // When armed, every successful mutation queues a WAL record here; the
@@ -178,13 +178,13 @@ impl Table {
         &self.schema
     }
 
-    /// All row slots including tombstones (`None`), for snapshot encoding:
+    /// All row slots including tombstones (`None`), for segment encoding:
     /// preserving tombstones keeps `RowId`s stable across a round trip.
     pub(crate) fn raw_rows(&self) -> &[Option<Vec<Value>>] {
         &self.rows
     }
 
-    /// Reassemble a table from decoded snapshot parts: raw row slots
+    /// Reassemble a table from decoded segment parts: raw row slots
     /// (tombstones included) and index definitions `(name, columns,
     /// unique)`. Index entries are rebuilt from the rows, re-verifying
     /// uniqueness.
@@ -246,7 +246,7 @@ impl Table {
         }
     }
 
-    /// Rebuild every index's entries from the stored rows (after snapshot
+    /// Rebuild every index's entries from the stored rows (after segment
     /// deserialization, which skips them). Re-verifies uniqueness.
     pub(crate) fn rebuild_indexes(&mut self) -> DbResult<()> {
         for idx in &mut self.indexes {

@@ -10,17 +10,33 @@
 //! The log is a sequence of self-delimiting frames:
 //!
 //! ```text
-//! ┌────────────┬────────────┬────────────┬──────────────────┐
-//! │ len: u32LE │ crc: u32LE │ lsn: u64LE │ payload (JSON)   │
-//! └────────────┴────────────┴────────────┴──────────────────┘
+//! ┌────────────┬────────────┬────────────┬──────────────────────────┐
+//! │ len: u32LE │ crc: u32LE │ lsn: u64LE │ payload: one WalRecord   │
+//! └────────────┴────────────┴────────────┴──────────────────────────┘
 //! ```
 //!
 //! `len` counts the lsn plus payload bytes (so `len >= 8`); `crc` is
-//! CRC-32 (IEEE) over those same bytes. The payload is the JSON encoding
-//! of one [`WalRecord`] (see [`crate::jsoncodec`]). A frame is *committed* iff it is fully
-//! present and its checksum verifies; recovery reads the longest valid
-//! frame prefix and truncates anything after it (a torn tail from a crash
-//! mid-append), so a partial write can never poison the log.
+//! CRC-32 (IEEE) over those same bytes. The payload is the one binary
+//! encoding of a [`WalRecord`] ([`encode_record`] / [`decode_record`]),
+//! which the `warehouse.delta` bus channel carries too:
+//!
+//! ```text
+//! op u8                                  // 1 create_table … 10 drop_index
+//! names    u32LE length + UTF-8          // table, then index / schema
+//! id       u64LE                         // update, delete, undelete
+//! row      u32LE count + tagged values   // segment value codec, Null = tag 0
+//! rows     u32LE count + rows            // insert_many
+//! schema   u32LE length + schema JSON    // create_table: the segment meta's
+//! columns  u32LE count + names, unique u8 // create_index
+//! ```
+//!
+//! A frame is *committed* iff it is fully present and its checksum
+//! verifies. Recovery reads the longest committed frame prefix and
+//! truncates anything after it (a torn tail from a crash mid-append), so
+//! a partial write can never poison the log. A committed frame whose
+//! payload does not decode is not a torn write — it is damage or a log
+//! from an older format — so recovery refuses it with
+//! [`DbError::Corrupt`] and truncates nothing: refuse, don't truncate.
 //!
 //! ## Checkpoint protocol
 //!
@@ -52,12 +68,15 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::database::Database;
 use crate::error::{DbError, DbResult};
 use crate::manifest::{self, Manifest, SegmentEntry};
-use crate::segment;
+use crate::persist;
+use crate::schema::Schema;
+use crate::segment::{self, read_u32, read_u64, read_u8, read_value, take, write_value};
+use crate::table::RowId;
+use crate::value::Value;
 
 /// Map a triggered failpoint into the storage error domain. Injected
 /// faults surface as [`DbError::Io`] — the same class a real disk failure
@@ -66,10 +85,6 @@ use crate::segment;
 fn chaos_err(e: odbis_chaos::FailpointError) -> DbError {
     DbError::Io(e.to_string())
 }
-use crate::persist;
-use crate::schema::Schema;
-use crate::table::RowId;
-use crate::value::Value;
 
 /// When the log file is flushed to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -105,8 +120,7 @@ impl FsyncPolicy {
 
 /// One journaled mutation. The log replays these against a recovering
 /// [`Database`] in LSN order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(tag = "op", rename_all = "snake_case")]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// `CREATE TABLE`.
     CreateTable {
@@ -189,6 +203,169 @@ pub enum WalRecord {
         /// Index name.
         name: String,
     },
+}
+
+const OP_CREATE_TABLE: u8 = 1;
+const OP_DROP_TABLE: u8 = 2;
+const OP_INSERT: u8 = 3;
+const OP_INSERT_MANY: u8 = 4;
+const OP_UPDATE: u8 = 5;
+const OP_DELETE: u8 = 6;
+const OP_UNDELETE: u8 = 7;
+const OP_TRUNCATE: u8 = 8;
+const OP_CREATE_INDEX: u8 = 9;
+const OP_DROP_INDEX: u8 = 10;
+
+/// Append the binary encoding of `record` to `out` — the byte format of a
+/// WAL frame payload and of a `warehouse.delta` event (layout in the
+/// module docs).
+pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
+    fn put_str(out: &mut Vec<u8>, s: &str) {
+        out.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        out.extend_from_slice(s.as_bytes());
+    }
+    fn put_row(out: &mut Vec<u8>, row: &[Value]) {
+        out.extend_from_slice(&(row.len() as u32).to_le_bytes());
+        for v in row {
+            write_value(out, v);
+        }
+    }
+    // every record opens with its op byte and the table it names
+    let (op, table) = match record {
+        WalRecord::CreateTable { name, .. } => (OP_CREATE_TABLE, name),
+        WalRecord::DropTable { name } => (OP_DROP_TABLE, name),
+        WalRecord::Insert { table, .. } => (OP_INSERT, table),
+        WalRecord::InsertMany { table, .. } => (OP_INSERT_MANY, table),
+        WalRecord::Update { table, .. } => (OP_UPDATE, table),
+        WalRecord::Delete { table, .. } => (OP_DELETE, table),
+        WalRecord::Undelete { table, .. } => (OP_UNDELETE, table),
+        WalRecord::Truncate { table } => (OP_TRUNCATE, table),
+        WalRecord::CreateIndex { table, .. } => (OP_CREATE_INDEX, table),
+        WalRecord::DropIndex { table, .. } => (OP_DROP_INDEX, table),
+    };
+    out.push(op);
+    put_str(out, table);
+    match record {
+        WalRecord::CreateTable { schema, .. } => {
+            put_str(out, &segment::schema_to_json(schema).to_string())
+        }
+        WalRecord::Insert { row, .. } => put_row(out, row),
+        WalRecord::InsertMany { rows, .. } => {
+            out.extend_from_slice(&(rows.len() as u32).to_le_bytes());
+            for row in rows {
+                put_row(out, row);
+            }
+        }
+        WalRecord::Update { id, row, .. } | WalRecord::Undelete { id, row, .. } => {
+            out.extend_from_slice(&id.to_le_bytes());
+            put_row(out, row);
+        }
+        WalRecord::Delete { id, .. } => out.extend_from_slice(&id.to_le_bytes()),
+        WalRecord::CreateIndex {
+            name,
+            columns,
+            unique,
+            ..
+        } => {
+            put_str(out, name);
+            out.extend_from_slice(&(columns.len() as u32).to_le_bytes());
+            for c in columns {
+                put_str(out, c);
+            }
+            out.push(*unique as u8);
+        }
+        WalRecord::DropIndex { name, .. } => put_str(out, name),
+        WalRecord::DropTable { .. } | WalRecord::Truncate { .. } => {}
+    }
+}
+
+/// Decode one [`encode_record`] payload, which must be consumed exactly.
+/// Total and bounded: any byte string yields `Ok` or [`DbError::Corrupt`],
+/// and a count field is checked against the bytes left before anything is
+/// reserved for it.
+pub fn decode_record(bytes: &[u8]) -> DbResult<WalRecord> {
+    type Item<T> = fn(&[u8], &mut usize) -> DbResult<T>;
+    /// A `u32` count, then that many items of at least `min` bytes each;
+    /// a count the rest of the payload cannot hold is refused up front.
+    fn list<T>(b: &[u8], p: &mut usize, min: usize, item: Item<T>) -> DbResult<Vec<T>> {
+        let n = read_u32(b, p, "count")? as usize;
+        if n > (b.len() - *p) / min {
+            let left = b.len() - *p;
+            return Err(DbError::Corrupt(format!(
+                "count {n} exceeds the {left} bytes left"
+            )));
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(item(b, p)?);
+        }
+        Ok(items)
+    }
+    fn text(b: &[u8], p: &mut usize) -> DbResult<String> {
+        let len = read_u32(b, p, "string length")? as usize;
+        std::str::from_utf8(take(b, p, len, "string")?)
+            .map(str::to_string)
+            .map_err(|_| DbError::Corrupt("string not UTF-8".into()))
+    }
+    fn row(b: &[u8], p: &mut usize) -> DbResult<Vec<Value>> {
+        list(b, p, 1, read_value)
+    }
+    let (b, p) = (bytes, &mut 0usize);
+    let op = read_u8(b, p, "op")?;
+    if !(OP_CREATE_TABLE..=OP_DROP_INDEX).contains(&op) {
+        return Err(DbError::Corrupt(format!("unknown wal op {op}")));
+    }
+    let table = text(b, p)?;
+    let record = match op {
+        OP_CREATE_TABLE => WalRecord::CreateTable {
+            name: table,
+            schema: segment::schema_from_text(&text(b, p)?)?,
+        },
+        OP_DROP_TABLE => WalRecord::DropTable { name: table },
+        OP_INSERT => WalRecord::Insert {
+            table,
+            row: row(b, p)?,
+        },
+        OP_INSERT_MANY => WalRecord::InsertMany {
+            table,
+            rows: list(b, p, 4, row)?,
+        },
+        OP_UPDATE => WalRecord::Update {
+            table,
+            id: read_u64(b, p, "row id")?,
+            row: row(b, p)?,
+        },
+        OP_DELETE => WalRecord::Delete {
+            table,
+            id: read_u64(b, p, "row id")?,
+        },
+        OP_UNDELETE => WalRecord::Undelete {
+            table,
+            id: read_u64(b, p, "row id")?,
+            row: row(b, p)?,
+        },
+        OP_TRUNCATE => WalRecord::Truncate { table },
+        OP_CREATE_INDEX => WalRecord::CreateIndex {
+            table,
+            name: text(b, p)?,
+            columns: list(b, p, 4, text)?,
+            unique: match read_u8(b, p, "unique flag")? {
+                0 => false,
+                1 => true,
+                other => return Err(DbError::Corrupt(format!("unique flag {other}"))),
+            },
+        },
+        OP_DROP_INDEX => WalRecord::DropIndex {
+            table,
+            name: text(b, p)?,
+        },
+        _ => unreachable!("op {op} was range-checked above"),
+    };
+    if *p != b.len() {
+        let extra = b.len() - *p;
+        return Err(DbError::Corrupt(format!("{extra} bytes after the record")));
+    }
+    Ok(record)
 }
 
 /// Destination for journaled mutations. [`Database::set_wal_sink`] attaches
@@ -284,31 +461,7 @@ impl Wal {
     /// included). The record is on disk (per the fsync policy) when this
     /// returns.
     pub fn append_record(&self, record: &WalRecord) -> DbResult<u64> {
-        let payload = crate::jsoncodec::record_payload(record);
-        let mut file = self.file.lock();
-        // LSN assignment under the file lock: file order == LSN order.
-        let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
-        let mut frame = Vec::with_capacity(16 + payload.len());
-        Self::push_frame(&mut frame, lsn, &payload);
-        odbis_chaos::check("wal.write").map_err(chaos_err)?;
-        if odbis_chaos::triggered("wal.write.short") {
-            // Torn write: half the frame reaches the disk, then the device
-            // fails. Recovery must treat the partial frame as a torn tail.
-            let half = frame.len() / 2;
-            let _ = file.write_all(&frame[..half]);
-            self.file_len.fetch_add(half as u64, Ordering::Relaxed);
-            return Err(DbError::Io("injected failpoint wal.write.short".into()));
-        }
-        file.write_all(&frame)?;
-        odbis_chaos::check("wal.fsync").map_err(chaos_err)?;
-        if self.policy == FsyncPolicy::Always {
-            file.sync_data()?;
-        }
-        let n = frame.len() as u64;
-        self.appends.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(n, Ordering::Relaxed);
-        self.file_len.fetch_add(n, Ordering::Relaxed);
-        Ok(n)
+        self.append_batch(std::slice::from_ref(record))
     }
 
     /// Group commit: append every record in one buffer with a single
@@ -321,16 +474,17 @@ impl Wal {
         if records.is_empty() {
             return Ok(0);
         }
-        let mut buf = Vec::with_capacity(records.len() * 80);
+        let mut buf = Vec::with_capacity(records.len() * 128);
         let mut starts = Vec::with_capacity(records.len());
         for record in records {
             let start = buf.len();
             starts.push(start);
             buf.extend_from_slice(&[0u8; 16]); // len+crc+lsn placeholder
-            crate::jsoncodec::record_payload_into(&mut buf, record);
+            encode_record(&mut buf, record);
             let payload_len = buf.len() - start - 16;
             buf[start..start + 4].copy_from_slice(&((8 + payload_len) as u32).to_le_bytes());
         }
+        // LSN assignment under the file lock: file order == LSN order.
         let mut file = self.file.lock();
         let first = self
             .next_lsn
@@ -343,6 +497,8 @@ impl Wal {
         }
         odbis_chaos::check("wal.write").map_err(chaos_err)?;
         if odbis_chaos::triggered("wal.write.short") {
+            // Torn write: half the buffer reaches the disk, then the device
+            // fails. Recovery must treat the partial frame as a torn tail.
             let half = buf.len() / 2;
             let _ = file.write_all(&buf[..half]);
             self.file_len.fetch_add(half as u64, Ordering::Relaxed);
@@ -361,17 +517,6 @@ impl Wal {
         Ok(n)
     }
 
-    /// Encode one `[len][crc][lsn][payload]` frame onto `buf`.
-    fn push_frame(buf: &mut Vec<u8>, lsn: u64, payload: &[u8]) {
-        let start = buf.len();
-        buf.extend_from_slice(&((8 + payload.len()) as u32).to_le_bytes());
-        buf.extend_from_slice(&[0u8; 4]); // crc placeholder
-        buf.extend_from_slice(&lsn.to_le_bytes());
-        buf.extend_from_slice(payload);
-        let crc = crc32(&buf[start + 8..]);
-        buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-    }
-
     /// Highest LSN assigned so far (0 if none).
     pub fn last_lsn(&self) -> u64 {
         self.next_lsn.load(Ordering::Relaxed) - 1
@@ -387,8 +532,8 @@ impl Wal {
         }
     }
 
-    /// Truncate the log to empty (checkpoint has folded it into the
-    /// snapshot). The LSN counter keeps running — LSNs are never reused.
+    /// Truncate the log to empty (checkpoint has folded it into
+    /// segments). The LSN counter keeps running — LSNs are never reused.
     /// Returns the number of bytes discarded.
     fn reset(&self) -> DbResult<u64> {
         odbis_chaos::check("wal.reset").map_err(chaos_err)?;
@@ -426,13 +571,20 @@ pub struct WalEntry {
 /// past this is treated as a torn tail instead of a gigabyte allocation.
 const MAX_FRAME_LEN: u32 = 64 << 20;
 
+/// How to carry a store from the JSON era (a `snapshot.json`, or frames
+/// whose payload is JSON text) forward; the segment format is unchanged.
+const UPGRADE_HINT: &str = "to upgrade, open the directory once with a build at commit a759f95 \
+     and checkpoint it, which folds the log into segments this build reads";
+
 /// Read every committed frame of the log at `path`, returning the decoded
 /// entries and the length of the valid prefix. A missing file reads as
-/// empty. Torn or corrupt bytes after the last valid frame are *not* an
-/// error — they are the expected shape of a crash mid-append — and simply
-/// end the scan.
+/// empty. Torn bytes after the last committed frame are *not* an error —
+/// they are the expected shape of a crash mid-append — and simply end the
+/// scan. A frame whose CRC verifies but whose payload does not decode is
+/// [`DbError::Corrupt`] naming its LSN and byte offset.
 pub fn read_wal(path: impl AsRef<Path>) -> DbResult<(Vec<WalEntry>, u64)> {
-    let bytes = match std::fs::read(path.as_ref()) {
+    let path = path.as_ref();
+    let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
         Err(e) => return Err(e.into()),
@@ -453,15 +605,18 @@ pub fn read_wal(path: impl AsRef<Path>) -> DbResult<(Vec<WalEntry>, u64)> {
             break;
         }
         let lsn = u64::from_le_bytes(body[..8].try_into().unwrap());
-        let Ok(payload) = std::str::from_utf8(&body[8..]) else {
-            break;
-        };
-        let Ok(json) = serde_json::from_str::<serde_json::Value>(payload) else {
-            break;
-        };
-        let Ok(record) = crate::jsoncodec::record_from_json(&json) else {
-            break;
-        };
+        let record = decode_record(&body[8..]).map_err(|e| {
+            let why = match e {
+                DbError::Corrupt(m) => m,
+                other => other.to_string(),
+            };
+            DbError::Corrupt(format!(
+                "{}: frame at lsn {lsn} (byte offset {pos}) passes its CRC but does not \
+                 decode ({why}); it is damage or a log from the JSON era, nothing was \
+                 truncated; {UPGRADE_HINT}",
+                path.display()
+            ))
+        })?;
         pos = body_start + len as usize;
         entries.push(WalEntry {
             lsn,
@@ -521,10 +676,6 @@ pub struct CheckpointReport {
     pub micros: u64,
 }
 
-/// The retired row-oriented checkpoint artifact. [`DurableStore::open`]
-/// still reads one left by an older build, and folds it into segments
-/// before returning.
-const LEGACY_SNAPSHOT_FILE: &str = "snapshot.json";
 const MANIFEST_FILE: &str = "manifest.json";
 
 /// A byte-level copy of a store's checkpoint artifact, produced by
@@ -590,16 +741,10 @@ impl DurableStore {
     /// replay every committed `wal.log` record with a newer LSN, truncate
     /// any torn tail, and open the log for appending.
     ///
-    /// A directory last checkpointed by a build that still wrote the
-    /// row-oriented `snapshot.json` is upgraded in place: the snapshot is
-    /// loaded, the WAL tail replayed over it, and the result checkpointed
-    /// as segments before `open` returns, after which the legacy file is
-    /// gone. Both artifacts coexist only in the crash window between that
-    /// checkpoint's manifest rename and the removal — both are then valid
-    /// images of the same history, and the higher LSN cut is picked (on a
-    /// tie the states are identical and the manifest wins). A crash
-    /// anywhere inside the upgrade leaves a directory this same procedure
-    /// recovers; a failed upgrade fails the `open`.
+    /// A directory from the JSON era — one holding a `snapshot.json`, or a
+    /// log whose committed frames do not decode — is refused with
+    /// [`DbError::Corrupt`] naming the file or LSN, before any file is
+    /// touched; the message says how to upgrade it.
     ///
     /// The returned [`Database`] is *not* yet journaled — the caller
     /// attaches a sink (plain [`DurableStore::wal`] or a metering wrapper)
@@ -611,44 +756,33 @@ impl DurableStore {
         odbis_chaos::check("store.open").map_err(chaos_err)?;
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let legacy_path = dir.join(LEGACY_SNAPSHOT_FILE);
+        let snapshot = dir.join("snapshot.json");
+        if snapshot.exists() {
+            return Err(DbError::Corrupt(format!(
+                "{} is a JSON-era checkpoint this build does not read; {UPGRADE_HINT}",
+                snapshot.display()
+            )));
+        }
         let manifest_path = dir.join(MANIFEST_FILE);
         let wal_path = dir.join("wal.log");
-        let loaded_manifest = if manifest_path.exists() {
+        let live_manifest = if manifest_path.exists() {
             Some(manifest::load_manifest(&manifest_path)?)
         } else {
             None
         };
-        let legacy = if legacy_path.exists() {
-            Some(persist::load_snapshot_with_lsn(&legacy_path)?)
-        } else {
-            None
-        };
-        let had_legacy = legacy.is_some();
-        // Even when recovering from a legacy snapshot, a stale manifest
-        // still pins the segment-id floor so fresh segments never reuse an
-        // orphan's name.
-        let next_seg_id = loaded_manifest.as_ref().map_or(1, |m| m.next_seg_id);
-        let (db, snap_lsn, live_manifest) = match (loaded_manifest, legacy) {
-            (Some(m), Some((db, lsn))) if lsn > m.last_lsn => (db, lsn, None),
-            (None, Some((db, lsn))) => (db, lsn, None),
-            (Some(m), _) => {
-                let db = Database::new();
-                for entry in &m.tables {
-                    let (table, _seg_lsn) = segment::read_segment(&dir.join(&entry.file))?;
-                    if !table.name.eq_ignore_ascii_case(&entry.table) {
-                        return Err(DbError::Corrupt(format!(
-                            "segment {} holds table '{}' but the manifest says '{}'",
-                            entry.file, table.name, entry.table
-                        )));
-                    }
-                    db.adopt_table(table)?;
-                }
-                let lsn = m.last_lsn;
-                (db, lsn, Some(m))
+        let db = Database::new();
+        for entry in live_manifest.iter().flat_map(|m| &m.tables) {
+            let (table, _seg_lsn) = segment::read_segment(&dir.join(&entry.file))?;
+            if !table.name.eq_ignore_ascii_case(&entry.table) {
+                return Err(DbError::Corrupt(format!(
+                    "segment {} holds table '{}' but the manifest says '{}'",
+                    entry.file, table.name, entry.table
+                )));
             }
-            (None, None) => (Database::new(), 0, None),
-        };
+            db.adopt_table(table)?;
+        }
+        let snap_lsn = live_manifest.as_ref().map_or(0, |m| m.last_lsn);
+        let next_seg_id = live_manifest.as_ref().map_or(1, |m| m.next_seg_id);
         let (entries, valid_len) = read_wal(&wal_path)?;
         let mut max_lsn = snap_lsn;
         for entry in &entries {
@@ -677,22 +811,12 @@ impl DurableStore {
             }
         }
         let wal = Wal::open(&wal_path, policy, max_lsn + 1)?;
-        // The snapshot was the newer image: fold it (and the tail just
-        // replayed) into segments. The manifest rename inside is the commit
-        // point that supersedes the legacy file.
-        let upgrade = had_legacy && live_manifest.is_none();
         let store = DurableStore {
             dir,
             wal: Arc::new(wal),
             manifest: Mutex::new(live_manifest),
             seg_counter: AtomicU64::new(next_seg_id),
         };
-        if upgrade {
-            store.checkpoint(&db)?;
-        }
-        if had_legacy {
-            std::fs::remove_file(&legacy_path)?;
-        }
         Ok((db, store))
     }
 
@@ -895,8 +1019,7 @@ impl DurableStore {
         for leftover in std::fs::read_dir(dir)?.flatten() {
             let name = leftover.file_name();
             let Some(name) = name.to_str() else { continue };
-            if name == LEGACY_SNAPSHOT_FILE
-                || name == MANIFEST_FILE
+            if name == MANIFEST_FILE
                 || name == "wal.log"
                 || (name.starts_with("seg-") && name.ends_with(".seg"))
             {
@@ -1197,9 +1320,9 @@ mod tests {
     }
 
     #[test]
-    fn replay_skips_records_already_in_snapshot() {
-        // Simulate a crash between snapshot write and wal truncation: the
-        // snapshot holds everything, and the stale log must replay as no-ops.
+    fn replay_skips_records_already_in_checkpoint() {
+        // Simulate a crash between the manifest swap and wal truncation: the
+        // segments hold everything, and the stale log must replay as no-ops.
         let dir = tmp_dir("skip");
         let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
         db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
@@ -1246,7 +1369,6 @@ mod tests {
         assert_eq!(back.row_count("a").unwrap(), 1);
         assert_eq!(back.row_count("b").unwrap(), 2);
         assert_eq!(store2.live_manifest().unwrap(), m);
-        assert!(!dir.join("snapshot.json").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

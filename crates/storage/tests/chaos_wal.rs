@@ -1,4 +1,4 @@
-//! Seeded chaos suite for the WAL + snapshot durability layer.
+//! Seeded chaos suite for the WAL + segment checkpoint durability layer.
 //!
 //! Each case runs a randomized multi-round workload against a
 //! [`DurableStore`] with one fault policy armed, "crashing" (dropping the
@@ -13,7 +13,8 @@
 //!  2. no acknowledged write is ever lost,
 //!  3. nothing that was never attempted appears,
 //!  4. WAL LSNs stay strictly monotonic across faults and recoveries,
-//!  5. the live snapshot is never torn (recovery parses it every round).
+//!  5. the live checkpoint is never torn (recovery reads its manifest and
+//!     segments every round).
 //!
 //! Every case prints its seed; rerun a failure with
 //! `ODBIS_CHAOS_SEED=<seed> cargo test --test chaos_wal`.
@@ -23,8 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use odbis_storage::{
-    read_wal, save_snapshot, Column, DataType, Database, DbError, DurableStore, FsyncPolicy,
-    Schema, Value, WalSink,
+    read_wal, Column, DataType, Database, DurableStore, FsyncPolicy, Schema, Value, WalSink,
 };
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -185,7 +185,7 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
                 }
             } else {
                 // a failed checkpoint never changes logical state: the
-                // snapshot is written aside + renamed, the log truncated
+                // manifest is written aside + renamed, the log truncated
                 // only after a successful rename
                 let _ = store.checkpoint(&db);
             }
@@ -256,7 +256,7 @@ fn survives_manifest_write_failures() {
 #[test]
 fn survives_checkpoint_fsync_failures() {
     // the shared fsync site fires for tmp-file and directory syncs of
-    // snapshots, segments, and manifests alike
+    // segments and manifests alike
     run_case("snapfsync", "snapshot.fsync=err-every-nth(3)", 5);
 }
 
@@ -361,209 +361,4 @@ fn disabling_torn_tail_repair_loses_committed_writes() {
 
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&dir2);
-}
-
-// ------------------------------------------------- legacy snapshot.json
-//
-// Stores last checkpointed in the retired row-oriented `snapshot.json`
-// format: `DurableStore::open` still reads the file, folds it (plus the
-// WAL tail) into columnar segments once, and removes it — with no
-// operator step and no acked write lost, whatever step of that first
-// checkpoint a crash interrupts.
-
-const LEGACY: &str = "snapshot.json";
-
-/// A directory as a `durability.format=json` build left it: a
-/// `snapshot.json` stamped at its fold LSN plus only the WAL frames above
-/// that stamp — an insert, an update and a delete on top of a snapshot
-/// that already holds a tombstone before live rows and a secondary index.
-/// Returns the directory, the expected live state and the stamp.
-fn legacy_dir(name: &str) -> (std::path::PathBuf, Database, u64) {
-    let dir = tmp_dir(name);
-    let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-    db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-    db.create_table("t", schema()).unwrap();
-    for (i, name) in ["ana", "bo", "cy", "di"].into_iter().enumerate() {
-        db.insert("t", vec![(i as i64).into(), name.into()])
-            .unwrap();
-    }
-    db.write_table("t", |t| t.create_index("ix_payload", &["payload"], false))
-        .unwrap()
-        .unwrap();
-    db.write_table("t", |t| t.delete(0)).unwrap().unwrap();
-    // the legacy checkpoint: a full JSON rewrite stamped with the cut ...
-    let stamp = store.wal().last_lsn();
-    assert!(stamp > 0);
-    let path = dir.join(LEGACY);
-    save_snapshot(&db, &path).unwrap();
-    let unstamped = std::fs::read_to_string(&path).unwrap();
-    assert_eq!(unstamped.matches("\"last_lsn\":0").count(), 1);
-    let stamped = unstamped.replace("\"last_lsn\":0", &format!("\"last_lsn\":{stamp}"));
-    std::fs::write(&path, stamped).unwrap();
-    // ... then a tail of writes the snapshot does not hold
-    db.insert("t", vec![9.into(), "zoe".into()]).unwrap();
-    db.write_table("t", |t| t.update(2, vec![2.into(), "cyd".into()]))
-        .unwrap()
-        .unwrap();
-    db.write_table("t", |t| t.delete(1)).unwrap().unwrap();
-    drop(store);
-    // the JSON checkpoint truncated the log: keep only the frames above it
-    let wal_path = dir.join("wal.log");
-    let (entries, valid) = read_wal(&wal_path).unwrap();
-    let folded = entries.iter().rfind(|e| e.lsn <= stamp).unwrap().end_offset;
-    let bytes = std::fs::read(&wal_path).unwrap();
-    std::fs::write(&wal_path, &bytes[folded as usize..valid as usize]).unwrap();
-    (dir, db, stamp)
-}
-
-/// Row ids and rows of `t` plus each index's ids in key order, rendered
-/// for exact comparison.
-fn image(db: &Database) -> String {
-    db.read_table("t", |t| {
-        let rows: Vec<_> = t.scan().collect();
-        let mut indexes: Vec<_> = t
-            .indexes()
-            .iter()
-            .map(|ix| (&ix.name, ix.ordered_ids()))
-            .collect();
-        indexes.sort();
-        format!("{rows:?} {indexes:?}")
-    })
-    .unwrap()
-}
-
-fn file_names(dir: &std::path::Path) -> Vec<String> {
-    let mut names: Vec<String> = std::fs::read_dir(dir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .collect();
-    names.sort();
-    names
-}
-
-#[test]
-fn legacy_snapshot_upgrades_to_segments_on_open() {
-    let _x = odbis_chaos::exclusive();
-    let (dir, expected, stamp) = legacy_dir("upgrade");
-    let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-    assert_eq!(image(&db), image(&expected));
-    assert!(
-        image(&db).contains("ix_payload"),
-        "the secondary index survives"
-    );
-    // the upgrade folded snapshot + tail into one segment checkpoint
-    let m = store.live_manifest().expect("upgraded to a manifest");
-    assert!(m.last_lsn > stamp);
-    assert_eq!(store.checkpoint_lsn(), m.last_lsn);
-    assert_eq!(store.wal().stats().file_len, 0);
-    let upgraded = ["manifest.json", "seg-00000001.seg", "wal.log"];
-    assert_eq!(file_names(&dir), upgraded);
-    let shipped = store.export_checkpoint().unwrap();
-    assert!(shipped.files.iter().all(|(n, _)| n != LEGACY));
-    // new writes journal above everything the legacy store assigned
-    db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-    db.insert("t", vec![10.into(), "al".into()]).unwrap();
-    assert!(store.wal().last_lsn() > m.last_lsn);
-    let live = image(&db);
-    drop((db, store));
-    // the second open is an ordinary segment recovery
-    let (again, store2) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-    assert_eq!(image(&again), live);
-    assert_eq!(store2.live_manifest().unwrap(), m);
-    assert_eq!(file_names(&dir), upgraded);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn coexisting_artifacts_resolve_to_the_higher_lsn() {
-    let _x = odbis_chaos::exclusive();
-    // The crash window of the upgrade itself: the manifest committed but
-    // the process died before the snapshot was removed.
-    let (dir, expected, _) = legacy_dir("manifest-wins");
-    let stale_snapshot = std::fs::read(dir.join(LEGACY)).unwrap();
-    drop(DurableStore::open(&dir, FsyncPolicy::Never).unwrap());
-    std::fs::write(dir.join(LEGACY), &stale_snapshot).unwrap();
-    let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-    assert_eq!(image(&db), image(&expected), "manifest must win");
-    assert!(store.live_manifest().is_some());
-    assert!(!dir.join(LEGACY).exists());
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // The mirror image, left by a JSON checkpoint that died before
-    // removing the older manifest: the snapshot is the newer cut.
-    let (dir, expected, stamp) = legacy_dir("snapshot-wins");
-    let stale = tmp_dir("stale-manifest");
-    {
-        let (db, store) = DurableStore::open(&stale, FsyncPolicy::Never).unwrap();
-        db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
-        db.create_table("t", schema()).unwrap();
-        db.insert("t", vec![77.into(), "stale".into()]).unwrap();
-        store.checkpoint(&db).unwrap();
-        assert!(store.checkpoint_lsn() < stamp);
-    }
-    for f in ["manifest.json", "seg-00000001.seg"] {
-        std::fs::copy(stale.join(f), dir.join(f)).unwrap();
-    }
-    let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-    assert_eq!(image(&db), image(&expected), "snapshot must win");
-    // fresh segments are numbered above the stale manifest's floor
-    assert_eq!(
-        file_names(&dir),
-        ["manifest.json", "seg-00000002.seg", "wal.log"]
-    );
-    assert_eq!(store.live_manifest().unwrap().next_seg_id, 3);
-    for d in [&dir, &stale] {
-        let _ = std::fs::remove_dir_all(d);
-    }
-}
-
-#[test]
-fn corrupt_legacy_snapshot_is_an_error_not_an_empty_store() {
-    let _x = odbis_chaos::exclusive();
-    let (dir, _, _) = legacy_dir("corrupt");
-    let path = dir.join(LEGACY);
-    let good = std::fs::read(&path).unwrap();
-    for damaged in [&good[..good.len() / 2], b"not json at all".as_slice()] {
-        std::fs::write(&path, damaged).unwrap();
-        let err = DurableStore::open(&dir, FsyncPolicy::Never).unwrap_err();
-        assert!(matches!(err, DbError::Corrupt(_)), "got {err:?}");
-        // nothing was upgraded or thrown away on the way to the error
-        assert_eq!(file_names(&dir), ["snapshot.json", "wal.log"]);
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Every step of the upgrade checkpoint can fail (the failpoints model a
-/// crash at that step): the `open` fails, the directory still holds every
-/// acked write, and the next `open` completes the upgrade.
-#[test]
-fn upgrade_interrupted_at_any_step_loses_nothing() {
-    let _x = odbis_chaos::exclusive();
-    for site in [
-        "checkpoint.begin",
-        "segment.write",
-        "segment.write.short",
-        "segment.rename",
-        "manifest.write",
-        "manifest.write.short",
-        "manifest.rename",
-        "snapshot.fsync",
-        "wal.reset",
-    ] {
-        let (dir, expected, _) = legacy_dir(&format!("crash-{site}"));
-        odbis_chaos::clear();
-        odbis_chaos::apply_spec(&format!("{site}=return-err")).unwrap();
-        let failed = DurableStore::open(&dir, FsyncPolicy::Never);
-        odbis_chaos::clear();
-        assert!(
-            failed.is_err(),
-            "{site}: a failed upgrade must fail the open"
-        );
-        let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
-        assert_eq!(image(&db), image(&expected), "{site}");
-        assert!(store.live_manifest().is_some(), "{site}");
-        assert!(!dir.join(LEGACY).exists(), "{site}");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

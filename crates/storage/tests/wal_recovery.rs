@@ -8,8 +8,10 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use odbis_storage::wal::crc32;
 use odbis_storage::{
-    read_wal, Column, DataType, Database, DurableStore, FsyncPolicy, Schema, Value, WalSink,
+    encode_record, read_wal, Column, DataType, Database, DbError, DurableStore, FsyncPolicy,
+    Schema, Value, WalRecord, WalSink,
 };
 
 fn tmp_dir(name: &str) -> std::path::PathBuf {
@@ -211,8 +213,14 @@ fn recovery_after_torn_tail_accepts_new_writes() {
 
 /// Differential: a recovered database equals the live one that wrote the
 /// history, in all three persistence regimes.
+///
+/// Every test here that checkpoints holds `odbis_chaos::exclusive()`:
+/// `failed_manifest_swap_rolls_back_to_previous_checkpoint` arms
+/// `manifest.rename` process-wide, and a sibling checkpoint running while
+/// it is armed fails.
 #[test]
 fn recovered_database_matches_live_across_regimes() {
+    let _x = odbis_chaos::exclusive();
     // regime 1: WAL only (no checkpoint ever taken)
     {
         let dir = tmp_dir("diff-wal");
@@ -223,7 +231,7 @@ fn recovered_database_matches_live_across_regimes() {
         assert_same_table(&live, &recovered, "orders");
         let _ = std::fs::remove_dir_all(&dir);
     }
-    // regime 2: snapshot only (checkpoint taken, log empty afterwards)
+    // regime 2: segments only (checkpoint taken, log empty afterwards)
     {
         let dir = tmp_dir("diff-snap");
         let (live, store) = DurableStore::open(&dir, policy()).unwrap();
@@ -237,7 +245,7 @@ fn recovered_database_matches_live_across_regimes() {
         assert_same_table(&live, &recovered, "orders");
         let _ = std::fs::remove_dir_all(&dir);
     }
-    // regime 3: snapshot + trailing WAL records
+    // regime 3: segments + trailing WAL records
     {
         let dir = tmp_dir("diff-both");
         let (live, store) = DurableStore::open(&dir, policy()).unwrap();
@@ -264,6 +272,7 @@ fn recovered_database_matches_live_across_regimes() {
 /// after the drop must not resurrect anything.
 #[test]
 fn ddl_history_recovers_and_checkpoints() {
+    let _x = odbis_chaos::exclusive();
     let dir = tmp_dir("ddl");
     let (live, store) = DurableStore::open(&dir, policy()).unwrap();
     live.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
@@ -317,6 +326,7 @@ fn failed_manifest_swap_rolls_back_to_previous_checkpoint() {
 /// recovery — never as silently wrong data.
 #[test]
 fn corrupted_segment_is_detected_at_recovery() {
+    let _x = odbis_chaos::exclusive();
     let dir = tmp_dir("segcorrupt");
     {
         let (live, store) = DurableStore::open(&dir, policy()).unwrap();
@@ -335,7 +345,7 @@ fn corrupted_segment_is_detected_at_recovery() {
     bytes[mid] ^= 0x01;
     std::fs::write(&seg, &bytes).unwrap();
     match DurableStore::open(&dir, policy()) {
-        Err(odbis_storage::DbError::Corrupt(m)) => {
+        Err(DbError::Corrupt(m)) => {
             assert!(m.contains("crc") || m.contains("segment"), "message: {m}")
         }
         Err(e) => panic!("expected Corrupt, got {e:?}"),
@@ -348,6 +358,7 @@ fn corrupted_segment_is_detected_at_recovery() {
 /// resurrected pre-checkpoint log can never alias a post-checkpoint record.
 #[test]
 fn lsns_monotonic_across_checkpoint_and_reopen() {
+    let _x = odbis_chaos::exclusive();
     let dir = tmp_dir("lsn");
     let last = {
         let (db, store) = DurableStore::open(&dir, policy()).unwrap();
@@ -371,5 +382,111 @@ fn lsns_monotonic_across_checkpoint_and_reopen() {
         "lsns sorted: {lsns:?}"
     );
     assert!(lsns.last().copied().unwrap() > last);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ------------------------------------------------------ refuse, don't truncate
+
+/// Every file in `dir` with its bytes, sorted by name.
+fn dir_image(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// `open` must fail with `Corrupt` naming `needle`, leaving every file
+/// byte-identical.
+fn assert_refused(dir: &std::path::Path, needle: &str) {
+    let before = dir_image(dir);
+    match DurableStore::open(dir, policy()) {
+        Err(DbError::Corrupt(m)) => {
+            assert!(m.contains(needle), "message must name {needle}: {m}");
+            assert!(
+                m.contains("a759f95"),
+                "message must say how to upgrade: {m}"
+            );
+        }
+        Err(e) => panic!("expected Corrupt, got {e:?}"),
+        Ok(_) => panic!("open must refuse, not recover"),
+    }
+    assert!(dir_image(dir) == before, "a refused open changed a file");
+}
+
+/// One `[len][crc][lsn][payload]` frame with a CRC that verifies.
+fn frame(lsn: u64, payload: &[u8]) -> Vec<u8> {
+    let mut body = lsn.to_le_bytes().to_vec();
+    body.extend_from_slice(payload);
+    let mut out = (body.len() as u32).to_le_bytes().to_vec();
+    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    out.extend_from_slice(&body);
+    out
+}
+
+/// A frame whose CRC verifies but whose payload does not decode is damage
+/// or a JSON-era log, not a torn tail: recovery refuses it by LSN instead
+/// of truncating it and every committed frame after it.
+#[test]
+fn crc_valid_frame_that_does_not_decode_is_refused_not_truncated() {
+    let payload = |r: WalRecord| {
+        let mut out = Vec::new();
+        encode_record(&mut out, &r);
+        out
+    };
+    let create = payload(WalRecord::CreateTable {
+        name: "orders".into(),
+        schema: orders_schema(),
+    });
+    let insert = payload(WalRecord::Insert {
+        table: "orders".into(),
+        row: vec![1.into(), "eu".into(), 1.0.into()],
+    });
+    let json_era = br#"{"op":"insert","table":"orders","row":[1,"eu",{"f":1.0}]}"#;
+    for (case, log, needle) in [
+        (
+            "garbage",
+            [frame(1, &create), frame(2, &[0xEE; 24]), frame(3, &insert)].concat(),
+            "lsn 2",
+        ),
+        (
+            "json-era",
+            [frame(1, json_era), frame(2, &insert)].concat(),
+            "lsn 1",
+        ),
+    ] {
+        let dir = tmp_dir(case);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("wal.log"), log).unwrap();
+        assert_refused(&dir, needle);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A `snapshot.json` — the JSON-era checkpoint — is refused by name, even
+/// beside a valid segment checkpoint, and nothing is read past it.
+#[test]
+fn snapshot_json_is_refused_by_name() {
+    let _x = odbis_chaos::exclusive();
+    let dir = tmp_dir("snapshot-json");
+    {
+        let (db, store) = DurableStore::open(&dir, policy()).unwrap();
+        db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
+        run_history(&db);
+        store.checkpoint(&db).unwrap();
+        db.insert("orders", vec![9.into(), "eu".into(), 9.0.into()])
+            .unwrap();
+    }
+    std::fs::write(
+        dir.join("snapshot.json"),
+        r#"{"version":1,"last_lsn":0,"tables":[]}"#,
+    )
+    .unwrap();
+    assert_refused(&dir, "snapshot.json");
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -5,8 +5,8 @@
 //!
 //! 1. **No committed write is lost** — every SQL write the platform
 //!    acknowledged with `Ok` is present after recovery.
-//! 2. **Snapshots are never torn** — recovery always succeeds, under
-//!    snapshot-write, snapshot-rename and WAL-reset faults included.
+//! 2. **Checkpoints are never torn** — recovery always succeeds, under
+//!    manifest-rename, checkpoint-entry and WAL-reset faults included.
 //! 3. **Per-tenant isolation** — one tenant's faults never corrupt or leak
 //!    into another tenant's data.
 //! 4. **Usage metering is monotonic** — metered units never decrease,
@@ -104,6 +104,9 @@ fn units_for(p: &OdbisPlatform, tenant: &str) -> u64 {
 /// wedges is *pending* — its commit point is ambiguous (an fsync fault
 /// leaves the frame durable, a write fault leaves nothing) — and is
 /// resolved by observing what recovery actually produced.
+///
+/// Every site the spec arms must inject at least one fault over the run,
+/// so a case cannot pass vacuously on a site nothing reaches.
 fn run_platform_case(case: &str, policy_spec: &str, rounds: usize, seed: u64) {
     let _x = odbis_chaos::exclusive();
     odbis_chaos::clear();
@@ -114,13 +117,18 @@ fn run_platform_case(case: &str, policy_spec: &str, rounds: usize, seed: u64) {
     let mut shadow: [BTreeSet<i64>; 2] = [BTreeSet::new(), BTreeSet::new()];
     let mut pending: [Option<i64>; 2] = [None, None];
     let mut next: [i64; 2] = PK_BASE;
+    let sites: Vec<&str> = policy_spec
+        .split(';')
+        .map(|entry| entry.split('=').next().unwrap())
+        .collect();
+    let mut injected = vec![0u64; sites.len()];
 
     for round in 0..rounds {
         let (p, tokens) = boot(&dir);
 
         for i in 0..2 {
             // invariant 2: recovery itself succeeded (boot didn't panic,
-            // the table reads back) even after snapshot/WAL faults
+            // the table reads back) even after checkpoint/WAL faults
             let got = present_ids(&p, i, &tokens[i]);
             // resolve the ambiguous op from the previous crash
             if let Some(pk) = pending[i].take() {
@@ -145,6 +153,11 @@ fn run_platform_case(case: &str, policy_spec: &str, rounds: usize, seed: u64) {
 
         let spec = policy_spec.replace("{r}", &seed.wrapping_add(round as u64).to_string());
         odbis_chaos::apply_spec(&spec).unwrap();
+        // one checkpoint per tenant up front, so every armed checkpoint
+        // site is reached each round however early the tenants wedge
+        for i in 0..2 {
+            let _ = p.checkpoint_tenant(TENANTS[i], &tokens[i]);
+        }
 
         let mut wedged = [false, false];
         for _ in 0..24 {
@@ -178,7 +191,7 @@ fn run_platform_case(case: &str, policy_spec: &str, rounds: usize, seed: u64) {
                     wedged[i] = true;
                 }
             }
-            // occasional checkpoints exercise snapshot + WAL-reset sites;
+            // occasional checkpoints exercise manifest + WAL-reset sites;
             // a failed checkpoint must not change logical state
             if !wedged[i] && rng.random_range(0..6i64) == 0 {
                 let _ = p.checkpoint_tenant(TENANTS[i], &tokens[i]);
@@ -186,6 +199,9 @@ fn run_platform_case(case: &str, policy_spec: &str, rounds: usize, seed: u64) {
         }
 
         // crash: disarm, then drop the platform without checkpointing
+        for (n, site) in injected.iter_mut().zip(&sites) {
+            *n += odbis_chaos::triggered_count(site);
+        }
         odbis_chaos::clear();
         drop(p);
     }
@@ -215,6 +231,12 @@ fn run_platform_case(case: &str, policy_spec: &str, rounds: usize, seed: u64) {
         shadow[0].len() + shadow[1].len() >= 5,
         "workload acknowledged almost nothing under {policy_spec} (seed {seed})"
     );
+    for (site, n) in sites.iter().zip(&injected) {
+        assert!(
+            *n > 0,
+            "{case}: {site} never injected a fault (seed {seed})"
+        );
+    }
 }
 
 // --------------------------------------------------------- the fault matrix
@@ -243,7 +265,7 @@ fn platform_survives_probabilistic_write_faults() {
 fn platform_survives_snapshot_and_checkpoint_faults() {
     run_platform_case(
         "snap",
-        "snapshot.rename=err-every-nth(2);checkpoint.begin=err-every-nth(3);wal.reset=err-every-nth(2)",
+        "manifest.rename=err-every-nth(2);checkpoint.begin=err-every-nth(3);wal.reset=err-every-nth(2)",
         3,
         seed(),
     );
@@ -261,7 +283,7 @@ fn chaos_platform_sweep_many_seeds() {
         run_platform_case("sweep-prob", "wal.write=err-with-prob(0.3,{r})", 3, s);
         run_platform_case(
             "sweep-compound",
-            "wal.fsync=err-every-nth(4);snapshot.rename=err-every-nth(2)",
+            "wal.fsync=err-every-nth(4);manifest.rename=err-every-nth(2)",
             3,
             s,
         );
@@ -715,8 +737,7 @@ fn platform_invariants_hold_under_combined_dispatch_and_wal_faults() {
 fn duplicated_delta_events_are_idempotent() {
     use odbis::DELTA_CHANNEL;
     use odbis_esb::Message;
-    use odbis_storage::jsoncodec::record_to_json;
-    use odbis_storage::wal::WalRecord;
+    use odbis_storage::{encode_record, WalRecord};
 
     let _x = odbis_chaos::exclusive();
     odbis_chaos::clear();
@@ -735,21 +756,24 @@ fn duplicated_delta_events_are_idempotent() {
 
     // replay sequences n, n-1 … 1 with a poison row the warehouse never
     // saw: every one is a duplicate and must be skipped wholesale
-    let poison = record_to_json(&WalRecord::Insert {
-        table: "fact_sales".into(),
-        row: vec![
-            Value::Int(999),
-            Value::Int(1),
-            Value::Int(2011),
-            Value::Float(1_000_000.0),
-        ],
-    })
-    .to_string();
+    let mut poison = Vec::new();
+    encode_record(
+        &mut poison,
+        &WalRecord::Insert {
+            table: "fact_sales".into(),
+            row: vec![
+                Value::Int(999),
+                Value::Int(1),
+                Value::Int(2011),
+                Value::Float(1_000_000.0),
+            ],
+        },
+    );
     for dup_seq in (1..=n).rev() {
         ws.bus
             .send(
                 DELTA_CHANNEL,
-                Message::json(poison.clone())
+                Message::binary(poison.clone())
                     .with_header("seq", dup_seq.to_string())
                     .with_header("table", "fact_sales"),
             )

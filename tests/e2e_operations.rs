@@ -1,5 +1,5 @@
 //! Operational end-to-end scenarios: scheduled ETL refresh feeding live
-//! dashboards, warehouse snapshot/restore, and subscription bursting.
+//! dashboards, warehouse checkpoint/reopen, and subscription bursting.
 
 use std::sync::Arc;
 
@@ -10,7 +10,7 @@ use odbis_etl::{
 use odbis_metadata::{DataSet, DataSource, MetadataService};
 use odbis_reporting::{Dashboard, KpiSpec, ReportingService, Widget};
 use odbis_sql::Engine;
-use odbis_storage::{load_snapshot, save_snapshot, Database, Value};
+use odbis_storage::{Database, DurableStore, FsyncPolicy, Value, WalSink};
 
 /// The nightly-refresh loop: a scheduled job rebuilds a mart; the
 /// dashboard reads the mart through a data set and sees fresh numbers
@@ -91,27 +91,30 @@ fn scheduled_refresh_feeds_live_dashboard() {
     assert_eq!(scheduler.history("refresh-mart").len(), 2);
 }
 
-/// Checkpoint a tenant warehouse to disk and restore it byte-identically —
-/// the platform's persistence story.
+/// Checkpoint a tenant warehouse to disk, drop it, and reopen it: rows,
+/// the secondary index and uniqueness all come back — the platform's
+/// persistence story.
 #[test]
 fn warehouse_snapshot_round_trip() {
-    let warehouse = Database::new();
+    let dir = std::env::temp_dir().join(format!("odbis-e2e-ckpt-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     let engine = Engine::new();
-    engine
-        .execute_script(
-            &warehouse,
-            "CREATE TABLE facts (id INT PRIMARY KEY, v DOUBLE, label TEXT);
-             CREATE INDEX ix_label ON facts (label);
-             INSERT INTO facts VALUES (1, 1.5, 'a'), (2, 2.5, 'b'), (3, NULL, NULL);",
-        )
-        .unwrap();
-    let path = std::env::temp_dir().join(format!("odbis-e2e-snap-{}.json", std::process::id()));
-    save_snapshot(&warehouse, &path).unwrap();
-    let restored = load_snapshot(&path).unwrap();
-    assert_eq!(
-        restored.scan("facts").unwrap(),
+    let before = {
+        let (warehouse, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
+        warehouse.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
+        engine
+            .execute_script(
+                &warehouse,
+                "CREATE TABLE facts (id INT PRIMARY KEY, v DOUBLE, label TEXT);
+                 CREATE INDEX ix_label ON facts (label);
+                 INSERT INTO facts VALUES (1, 1.5, 'a'), (2, 2.5, 'b'), (3, NULL, NULL);",
+            )
+            .unwrap();
+        store.checkpoint(&warehouse).unwrap();
         warehouse.scan("facts").unwrap()
-    );
+    };
+    let (restored, _store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
+    assert_eq!(restored.scan("facts").unwrap(), before);
     // secondary index was rebuilt and still answers queries via the planner
     let explain = engine
         .explain(&restored, "SELECT id FROM facts WHERE label = 'a'")
@@ -125,7 +128,7 @@ fn warehouse_snapshot_round_trip() {
     assert!(engine
         .execute(&restored, "INSERT INTO facts VALUES (1, 9.9, 'dup')")
         .is_err());
-    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Subscription bursting: one report event fans out to every subscriber on
