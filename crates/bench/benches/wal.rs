@@ -105,7 +105,7 @@ fn wal_append_overhead(c: &mut Criterion) {
                 insert_rows(&db, n);
                 live += n;
                 if live >= 100_000 {
-                    db.write_table("orders", |t| t.truncate()).unwrap();
+                    db.truncate("orders").unwrap();
                     live = 0;
                 }
             })
@@ -118,7 +118,7 @@ fn wal_append_overhead(c: &mut Criterion) {
                 insert_rows(&db, n);
                 live += n;
                 if live >= 100_000 {
-                    db.write_table("orders", |t| t.truncate()).unwrap();
+                    db.truncate("orders").unwrap();
                     live = 0;
                     // fold the log while the table is empty, the way a
                     // deployment checkpoints off-peak; bounds the WAL file
@@ -138,7 +138,7 @@ fn wal_append_overhead(c: &mut Criterion) {
                     insert_batched(&db, n, 100);
                     live += n;
                     if live >= 100_000 {
-                        db.write_table("orders", |t| t.truncate()).unwrap();
+                        db.truncate("orders").unwrap();
                         live = 0;
                     }
                 })
@@ -152,7 +152,7 @@ fn wal_append_overhead(c: &mut Criterion) {
                 insert_batched(&db, n, 100);
                 live += n;
                 if live >= 100_000 {
-                    db.write_table("orders", |t| t.truncate()).unwrap();
+                    db.truncate("orders").unwrap();
                     live = 0;
                     store.checkpoint(&db).unwrap();
                 }

@@ -115,7 +115,6 @@ pub fn dirty_one_table(db: &Database, n: usize) {
 pub fn touch_one_table(db: &Database, n: usize) {
     for i in 0..n as i64 {
         db.write_table("fact_0", |t| t.update(i as u64, fact_row(i)))
-            .unwrap()
             .unwrap();
     }
 }

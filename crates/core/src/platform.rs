@@ -88,8 +88,9 @@ pub struct TenantWorkspace {
 }
 
 /// A [`WalSink`] stage that buffers every journaled mutation for delta
-/// publication. The sink runs under the database's catalog lock, so it
-/// must only buffer — publication happens later, outside that lock, in
+/// publication, one entry per journaled record — a multi-row INSERT is
+/// one. The sink runs under the written table's lock, so it must only
+/// buffer — publication happens later, outside that lock, in
 /// [`TenantWorkspace::publish_deltas`]. For in-memory workspaces this is
 /// the whole sink; durable workspaces chain it behind the WAL append so
 /// only acknowledged writes ever become delta events.
@@ -111,12 +112,7 @@ impl DeltaBuffer {
 }
 
 impl WalSink for DeltaBuffer {
-    fn append(&self, record: &WalRecord) -> DbResult<()> {
-        self.records.lock().push(record.clone());
-        Ok(())
-    }
-
-    fn append_batch(&self, records: &[WalRecord]) -> DbResult<()> {
+    fn append(&self, records: &[WalRecord]) -> DbResult<()> {
         self.records.lock().extend_from_slice(records);
         Ok(())
     }
@@ -179,17 +175,11 @@ struct MeteredWal {
 }
 
 impl WalSink for MeteredWal {
-    fn append(&self, record: &WalRecord) -> DbResult<()> {
-        let bytes = self.wal.append_record(record)?;
-        self.telemetry.record_wal_append(&self.tenant, bytes);
-        self.deltas.append(record)
-    }
-
-    fn append_batch(&self, records: &[WalRecord]) -> DbResult<()> {
+    fn append(&self, records: &[WalRecord]) -> DbResult<()> {
         let bytes = self.wal.append_batch(records)?;
         self.telemetry
             .record_wal_batch(&self.tenant, records.len() as u64, bytes);
-        self.deltas.append_batch(records)
+        self.deltas.append(records)
     }
 }
 
@@ -1905,6 +1895,81 @@ mod durability_tests {
         let (p2, token2) = boot_durable(&dir);
         let r = p2.sql("acme", &token2, "SELECT COUNT(*) FROM t").unwrap();
         assert_eq!(r.rows[0][0], odbis_storage::Value::Int(5));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A 100-row INSERT is one WAL append and one delta event: one bus
+    /// message, one preagg fold — and the folded cell equals the table.
+    #[test]
+    fn hundred_row_insert_is_one_append_and_one_delta() {
+        let dir = tmp_dir("batch");
+        let (p, token) = boot_durable(&dir);
+        p.sql(
+            "acme",
+            &token,
+            "CREATE TABLE f (region TEXT, amount DOUBLE)",
+        )
+        .unwrap();
+        p.sql("acme", &token, "INSERT INTO f VALUES ('EU', 1), ('US', 2)")
+            .unwrap();
+        let level = odbis_olap::LevelDef {
+            name: "region".into(),
+            column: "region".into(),
+        };
+        let cube = CubeDef {
+            name: "c".into(),
+            fact_table: "f".into(),
+            dimensions: vec![odbis_olap::DimensionDef {
+                name: "geo".into(),
+                table: None,
+                fact_fk: String::new(),
+                dim_key: String::new(),
+                levels: vec![level],
+            }],
+            measures: vec![odbis_olap::MeasureDef {
+                name: "revenue".into(),
+                column: "amount".into(),
+                aggregator: odbis_olap::Aggregator::Sum,
+            }],
+        };
+        p.register_cube("acme", &token, cube).unwrap();
+        let by_region = vec![LevelRef::new("geo", "region")];
+        p.materialize_aggregate("acme", &token, "c", by_region, vec!["revenue".into()])
+            .unwrap();
+
+        let ws = p.workspace("acme").unwrap();
+        let appends = p.durability_status("acme", &token).unwrap().wal_appends;
+        // integer literals into a DOUBLE column: the delta carries the
+        // coerced floats the table stores
+        let values: Vec<String> = (0..100)
+            .map(|i| format!("('{}', {i})", ["EU", "US"][i % 2]))
+            .collect();
+        let sql = format!("INSERT INTO f VALUES {}", values.join(", "));
+        Engine::new().execute(&ws.warehouse, &sql).unwrap();
+        let after = p.durability_status("acme", &token).unwrap().wal_appends;
+        assert_eq!(after - appends, 1, "one record for the whole statement");
+        let publication = ws.publish_deltas();
+        assert_eq!(publication.published, 1);
+        assert!(!publication.recovered, "folded, not rebuilt");
+
+        let mdx = "SELECT revenue BY geo.region FROM c";
+        let folded = p.mdx("acme", &token, mdx).unwrap();
+        let eu = (0..100).step_by(2).sum::<usize>() as f64 + 1.0;
+        assert_eq!(
+            folded.cell(&["EU".into()]).unwrap(),
+            &[odbis_storage::Value::Float(eu)]
+        );
+        let cache = &ws.agg_cache;
+        cache.write().mark_all_stale();
+        cache.write().rebuild_stale(&ws.cubes);
+        let rebuilt = p.mdx("acme", &token, mdx).unwrap();
+        for region in ["EU", "US"] {
+            assert_eq!(
+                folded.cell(&[region.into()]),
+                rebuilt.cell(&[region.into()]),
+                "{region}"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -4,7 +4,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use odbis_sql::Engine;
-use odbis_storage::{Column, Database, Schema, Value};
+use odbis_storage::{Column, Database, DbError, Schema, Value};
 
 use crate::frame::{parse_csv, Frame};
 use crate::transform::Transform;
@@ -262,23 +262,23 @@ impl JobRunner {
                 .create_table(&loader.table, schema)
                 .map_err(|e| EtlError::Storage(e.to_string()))?;
         }
-        if loader.mode == LoadMode::Replace {
-            self.db
-                .write_table(&loader.table, |t| t.truncate())
-                .map_err(|e| EtlError::Storage(e.to_string()))?;
-        }
-        let mut loaded = 0usize;
+        // one statement: a replace load that the log refuses leaves the
+        // old rows in place
         self.db
             .write_table(&loader.table, |t| {
+                if loader.mode == LoadMode::Replace {
+                    t.truncate();
+                }
+                let mut loaded = 0usize;
                 for row in &frame.rows {
                     match t.insert_row(row) {
                         Ok(_) => loaded += 1,
                         Err(_) => rejects.push(row.clone()),
                     }
                 }
+                Ok::<_, DbError>(loaded)
             })
-            .map_err(|e| EtlError::Storage(e.to_string()))?;
-        Ok(loaded)
+            .map_err(|e| EtlError::Storage(e.to_string()))
     }
 }
 

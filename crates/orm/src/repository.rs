@@ -82,7 +82,7 @@ impl<E: Entity> Repository<E> {
         match self.find_row_id(&id)? {
             Some(rid) => {
                 self.db
-                    .write_table(&self.meta.table, |t| t.update(rid, entity.to_row()))??;
+                    .write_table(&self.meta.table, |t| t.update(rid, entity.to_row()))?;
                 Ok(())
             }
             None => self.insert(entity),
@@ -136,7 +136,7 @@ impl<E: Entity> Repository<E> {
         match self.find_row_id(&id)? {
             None => Ok(false),
             Some(rid) => {
-                self.db.write_table(&self.meta.table, |t| t.delete(rid))??;
+                self.db.write_table(&self.meta.table, |t| t.delete(rid))?;
                 Ok(true)
             }
         }
@@ -144,7 +144,7 @@ impl<E: Entity> Repository<E> {
 
     /// Delete everything (truncate).
     pub fn delete_all(&self) -> OrmResult<()> {
-        self.db.write_table(&self.meta.table, |t| t.truncate())?;
+        self.db.truncate(&self.meta.table)?;
         Ok(())
     }
 }

@@ -100,7 +100,7 @@ fn reader_proceeds_while_writer_holds_another_table() {
                     .recv_timeout(Duration::from_secs(30))
                     .expect("reader blocked behind a writer of an unrelated table");
                 assert_eq!(n, 1);
-                t.insert(vec![10.into(), 20.into(), "w".into()]).unwrap();
+                t.insert(vec![10.into(), 20.into(), "w".into()])
             })
             .unwrap();
         })
@@ -118,14 +118,14 @@ fn late_statements_on_a_dropped_table_fail_cleanly() {
     #[derive(Default)]
     struct CaptureSink(parking_lot::Mutex<Vec<String>>);
     impl WalSink for CaptureSink {
-        fn append(&self, record: &odbis_storage::wal::WalRecord) -> Result<(), DbError> {
+        fn append(&self, records: &[odbis_storage::wal::WalRecord]) -> Result<(), DbError> {
             use odbis_storage::wal::WalRecord as R;
-            let line = match record {
+            let lines = records.iter().map(|record| match record {
                 R::DropTable { name } => format!("drop:{name}"),
                 R::Insert { table, .. } | R::InsertMany { table, .. } => format!("ins:{table}"),
                 other => format!("other:{other:?}"),
-            };
-            self.0.lock().push(line);
+            });
+            self.0.lock().extend(lines);
             Ok(())
         }
     }
@@ -234,7 +234,7 @@ fn seeded_stress_readers_writers_ddl_checkpoint() {
                                 .lookup(&[Value::Int(victim)])[0]
                         })
                         .unwrap();
-                    db.write_table(&table, |t| t.delete(id)).unwrap().unwrap();
+                    db.write_table(&table, |t| t.delete(id)).unwrap();
                 }
             }
             (table, committed)
@@ -391,7 +391,7 @@ fn multi_table_read_is_one_consistent_cut() {
                     })
                     .unwrap();
                 if let Some(&id) = id.first() {
-                    db.write_table("a_side", |t| t.delete(id)).unwrap().unwrap();
+                    db.write_table("a_side", |t| t.delete(id)).unwrap();
                     let _ = db.insert("b_side", vec![k.into(), (2 * k).into(), "b".into()]);
                     k = (k + 1) % 8;
                     // replace the moved row so the supply never runs dry

@@ -62,14 +62,12 @@ fn run_history(db: &Database) {
     db.write_table("orders", |t| {
         t.create_index("ix_region", &["region"], false)
     })
-    .unwrap()
     .unwrap();
     db.write_table("orders", |t| {
         t.update(1, vec![1.into(), "apac".into(), 99.0.into()])
     })
-    .unwrap()
     .unwrap();
-    db.write_table("orders", |t| t.delete(3)).unwrap().unwrap();
+    db.write_table("orders", |t| t.delete(3)).unwrap();
 }
 
 /// Assert two databases hold identical state for `table`: same live rows at
@@ -254,13 +252,10 @@ fn recovered_database_matches_live_across_regimes() {
         store.checkpoint(&live).unwrap();
         live.insert("orders", vec![10.into(), "eu".into(), 1.0.into()])
             .unwrap();
-        live.write_table("orders", |t| t.delete(0))
-            .unwrap()
-            .unwrap();
+        live.write_table("orders", |t| t.delete(0)).unwrap();
         live.write_table("orders", |t| {
             t.update(2, vec![2.into(), "latam".into(), 7.5.into()])
         })
-        .unwrap()
         .unwrap();
         let (recovered, _) = DurableStore::open(&dir, policy()).unwrap();
         assert_same_table(&live, &recovered, "orders");
@@ -285,7 +280,6 @@ fn ddl_history_recovers_and_checkpoints() {
     live.insert("tmp", vec![Value::Int(1)]).unwrap();
     live.drop_table("tmp").unwrap();
     live.write_table("orders", |t| t.drop_index("ix_region"))
-        .unwrap()
         .unwrap();
     let (recovered, _) = DurableStore::open(&dir, policy()).unwrap();
     assert_eq!(recovered.table_names(), vec!["orders".to_string()]);

@@ -189,15 +189,6 @@ impl Telemetry {
         out
     }
 
-    /// Meter one WAL append for `tenant` (`bytes` includes frame overhead).
-    pub fn record_wal_append(&self, tenant: &str, bytes: u64) {
-        self.wal
-            .lock()
-            .entry(tenant.to_string())
-            .or_default()
-            .record_append(bytes);
-    }
-
     /// Meter a group-committed batch of `records` WAL appends for `tenant`
     /// in one lock acquisition (`bytes` is the whole batch, frames
     /// included).
@@ -340,7 +331,7 @@ mod tests {
     fn reset_clears_everything() {
         let t = Arc::new(Telemetry::new());
         drop(t.span("acme", "MDS", "sql", 0));
-        t.record_wal_append("acme", 64);
+        t.record_wal_batch("acme", 1, 64);
         assert!(!t.snapshot().is_empty());
         t.reset();
         assert!(t.snapshot().is_empty());
@@ -352,9 +343,9 @@ mod tests {
     #[test]
     fn wal_counters_accumulate_and_render() {
         let t = Arc::new(Telemetry::new());
-        t.record_wal_append("acme", 100);
-        t.record_wal_append("acme", 50);
-        t.record_wal_append("beta", 7);
+        t.record_wal_batch("acme", 1, 100);
+        t.record_wal_batch("acme", 1, 50);
+        t.record_wal_batch("beta", 1, 7);
         t.record_checkpoint("acme", 1500);
         let snap = t.wal_snapshot();
         assert_eq!(snap.len(), 2);

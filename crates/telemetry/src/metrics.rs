@@ -194,11 +194,6 @@ impl Default for WalCounters {
 }
 
 impl WalCounters {
-    pub(crate) fn record_append(&mut self, bytes: u64) {
-        self.appends += 1;
-        self.bytes += bytes;
-    }
-
     pub(crate) fn record_batch(&mut self, records: u64, bytes: u64) {
         self.appends += records;
         self.bytes += bytes;

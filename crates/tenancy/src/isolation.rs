@@ -60,7 +60,6 @@ impl SharedSchema {
             .write_table(name, |t| {
                 t.create_index(&format!("ix_{name}_tenant"), &[TENANT_COLUMN], false)
             })
-            .and_then(|r| r)
             .map_err(|e| TenancyError::PlanLimit(format!("index failed: {e}")))?;
         Ok(())
     }
