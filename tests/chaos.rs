@@ -101,8 +101,9 @@ fn units_for(p: &OdbisPlatform, tenant: &str) -> u64 {
 ///
 /// The shadow model mirrors the WAL-level suite: acknowledged writes are
 /// committed to the shadow set; the single op that errors before a tenant
-/// wedges is *pending* — its commit point is ambiguous (an fsync fault
-/// leaves the frame durable, a write fault leaves nothing) — and is
+/// wedges is *pending* — its commit point is ambiguous (a refused append
+/// is cut back off the log, but a torn write poisons the log and leaves
+/// its whole frames before the tear for recovery) — and is
 /// resolved by observing what recovery actually produced.
 ///
 /// Every site the spec arms must inject at least one fault over the run,
