@@ -1,7 +1,7 @@
 //! Streaming-BI benchmarks for experiment A9: the cost of keeping a
-//! materialized aggregate fresh by folding sequenced delta events versus
+//! materialized aggregate fresh by folding insert deltas versus
 //! recomputing it from the fact table, and the end-to-end freshness
-//! latency of the push path (warehouse write → delta event → aggregate
+//! latency of the push path (warehouse write → delta → aggregate
 //! maintenance → long-poll watcher woken over HTTP). The
 //! `streaming_probe` example drives these and its output is recorded in
 //! `BENCH_streaming.json`.
@@ -78,7 +78,7 @@ pub struct DeltaVsRecompute {
     pub rows: usize,
     /// Single-row writes folded through the delta path.
     pub writes: usize,
-    /// Median microseconds to fold one sequenced insert delta.
+    /// Median microseconds to fold one single-row insert delta.
     pub delta_p50_us: u64,
     /// p99 microseconds for the fold.
     pub delta_p99_us: u64,
@@ -134,7 +134,7 @@ pub fn delta_vs_recompute(rows: usize, writes: usize, seed: u64) -> DeltaVsRecom
             rows: vec![row],
         };
         let t0 = Instant::now();
-        let report = cache.apply_delta(&engine, (i + 1) as u64, &delta);
+        let report = cache.apply_deltas(&engine, vec![delta], |_| false);
         lat.push(t0.elapsed().as_micros() as u64);
         assert_eq!(report.folded, 1, "the write must fold, not rebuild");
     }

@@ -40,7 +40,7 @@ mod web_api;
 pub use cluster::{Cluster, ClusterMap, ClusterNode, ClusterRoute, MigrationReport};
 pub use context::ApplicationContext;
 pub use error::{PlatformError, PlatformResult};
-pub use platform::{DeltaPublication, OdbisPlatform, TenantWorkspace, DELTA_CHANNEL};
+pub use platform::{OdbisPlatform, TenantWorkspace};
 pub use watch::{WatchHub, WatchOutcome};
 pub use web_api::{
     build_router, serve_platform, API_PREFIX, DEFAULT_PAGE_LIMIT, MAX_PAGE_LIMIT,

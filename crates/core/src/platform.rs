@@ -8,37 +8,31 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use odbis_admin::{
     AdminService, CheckpointOutcome, DurabilityError, DurabilityHook, DurabilityStatus,
 };
 use odbis_delivery::{Channel, DeliveryService, ReportPayload};
-use odbis_esb::{Endpoint, Message, MessageBus, Payload};
+use odbis_esb::MessageBus;
 use odbis_etl::{EtlJob, JobReport, JobRunner, JobScheduler};
 use odbis_mddws::DwProject;
 use odbis_metadata::{DataSet, DataSource, MetadataService};
 use odbis_olap::{
-    AggregateCache, CellSet, CubeDef, CubeEngine, LevelRef, MaterializedAggregate, TableDelta,
+    AggregateCache, CellSet, CubeDef, CubeEngine, LevelRef, MaterializedAggregate, OlapError,
+    TableDelta,
 };
 use odbis_reporting::{Dashboard, RenderedReport, ReportTemplate, ReportingService};
 use odbis_sql::{Engine, QueryResult};
-use odbis_storage::{
-    decode_record, encode_record, Database, DbResult, DurableStore, FsyncPolicy, Wal, WalRecord,
-    WalSink,
-};
+use odbis_storage::{Database, DbResult, DurableStore, FsyncPolicy, Wal, WalRecord, WalSink};
 use odbis_telemetry::Telemetry;
 use odbis_tenancy::{ServiceKind, SubscriptionPlan, TenantRegistry, UsageMeter};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::cluster::{Cluster, ClusterMap, ClusterNode, ClusterRoute};
 use crate::context::ApplicationContext;
 use crate::error::{PlatformError, PlatformResult};
 use crate::watch::WatchHub;
-
-/// The ESB channel warehouse deltas are published on, one per tenant bus.
-pub const DELTA_CHANNEL: &str = "warehouse.delta";
 
 /// Per-tenant workspace: the tenant's logical slice of the shared backend
 /// — its warehouse, metadata, cubes, jobs and DW projects. Physically the
@@ -59,26 +53,20 @@ pub struct TenantWorkspace {
     /// Registered cube definitions.
     pub cube_defs: RwLock<HashMap<String, CubeDef>>,
     /// Materialized-aggregate cache consulted by MDX queries when the
-    /// `olap.preaggregation` setting is on. Maintained incrementally by
-    /// delta events on [`TenantWorkspace::bus`]; `Arc` so the bus handler
-    /// (registered before the workspace exists) can hold it too.
-    pub agg_cache: Arc<RwLock<AggregateCache>>,
-    /// The tenant's delivery service.
+    /// `olap.preaggregation` setting is on, maintained incrementally by
+    /// [`TenantWorkspace::publish_deltas`].
+    pub agg_cache: RwLock<AggregateCache>,
+    /// The tenant's delivery service (it owns the tenant's service bus).
     pub delivery: Arc<DeliveryService>,
-    /// The tenant's service bus: delivery channels plus the
-    /// [`DELTA_CHANNEL`] the warehouse delta events ride.
-    pub bus: Arc<MessageBus>,
     /// Journaled-but-unpublished warehouse mutations, drained by
-    /// [`TenantWorkspace::publish_deltas`]. Records land here from the
+    /// [`TenantWorkspace::publish_deltas`]. Deltas land here from the
     /// WAL sink, i.e. only once the write is acknowledged.
     pub deltas: Arc<DeltaBuffer>,
     /// The workspace watch hub long-poll subscriptions park on.
     pub watch: Arc<WatchHub>,
-    /// Monotonic sequence stamped on every published delta event — the
-    /// idempotency key redelivered duplicates are detected by.
-    delta_seq: AtomicU64,
-    /// Serializes [`TenantWorkspace::publish_deltas`] so sequence
-    /// assignment and bus publication cannot interleave across threads.
+    /// Held while the delta buffer is drained into the aggregate cache,
+    /// so batches apply in commit order, and while an aggregate is built,
+    /// so no batch is drained between the build and its registration.
     publish_lock: Mutex<()>,
     /// MDDWS projects by name.
     pub projects: Mutex<HashMap<String, DwProject>>,
@@ -87,55 +75,51 @@ pub struct TenantWorkspace {
     pub durable: Option<Arc<DurableStore>>,
 }
 
-/// A [`WalSink`] stage that buffers every journaled mutation for delta
-/// publication, one entry per journaled record — a multi-row INSERT is
-/// one. The sink runs under the written table's lock, so it must only
-/// buffer — publication happens later, outside that lock, in
-/// [`TenantWorkspace::publish_deltas`]. For in-memory workspaces this is
-/// the whole sink; durable workspaces chain it behind the WAL append so
-/// only acknowledged writes ever become delta events.
+/// A [`WalSink`] stage that turns every journaled record into the
+/// [`TableDelta`] the aggregate cache applies, one per record — a
+/// multi-row INSERT is one. The sink runs under the written table's lock,
+/// so it must only buffer — application happens later, outside that
+/// lock, in [`TenantWorkspace::publish_deltas`]. For in-memory workspaces
+/// this is the whole sink; durable workspaces chain it behind the WAL
+/// append so only acknowledged writes ever become deltas.
 #[derive(Default)]
 pub struct DeltaBuffer {
-    records: Mutex<Vec<WalRecord>>,
+    deltas: Mutex<Vec<TableDelta>>,
 }
 
 impl DeltaBuffer {
     /// Take everything buffered so far.
-    pub fn drain(&self) -> Vec<WalRecord> {
-        std::mem::take(&mut *self.records.lock())
+    fn drain(&self) -> Vec<TableDelta> {
+        std::mem::take(&mut *self.deltas.lock())
     }
 
-    /// Number of buffered, not-yet-published records.
+    /// Number of buffered, not-yet-published deltas.
     pub fn pending(&self) -> usize {
-        self.records.lock().len()
+        self.deltas.lock().len()
+    }
+
+    /// Whether a buffered delta writes `table`.
+    fn touches(&self, table: &str) -> bool {
+        self.deltas
+            .lock()
+            .iter()
+            .any(|d| d.table().eq_ignore_ascii_case(table))
     }
 }
 
 impl WalSink for DeltaBuffer {
     fn append(&self, records: &[WalRecord]) -> DbResult<()> {
-        self.records.lock().extend_from_slice(records);
+        self.deltas
+            .lock()
+            .extend(records.iter().filter_map(record_to_delta));
         Ok(())
     }
-}
-
-/// Outcome of one delta publication pass (see
-/// [`TenantWorkspace::publish_deltas`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeltaPublication {
-    /// Delta events published on the workspace bus.
-    pub published: u64,
-    /// Whether a lost delivery was detected and compensated for with a
-    /// full rebuild of the aggregate cache.
-    pub recovered: bool,
-    /// The watch-hub version after this publication; `None` when no
-    /// table changed.
-    pub version: Option<u64>,
 }
 
 /// The scope of one journaled mutation as seen by the maintenance layer:
 /// which table changed, and whether the change is row-additive (foldable),
 /// arbitrary (rebuild), or structural removal. Index maintenance does not
-/// change query results, so index records publish nothing.
+/// change query results, so index records become no delta.
 fn record_to_delta(record: &WalRecord) -> Option<TableDelta> {
     match record {
         WalRecord::Insert { table, row } => Some(TableDelta::Insert {
@@ -168,9 +152,9 @@ struct MeteredWal {
     wal: Arc<Wal>,
     telemetry: Arc<Telemetry>,
     /// Acked records are buffered here for delta publication. Appending
-    /// after the WAL write is what pins the ISSUE's guarantee: a delta
-    /// event can only describe a write the log accepted — an unacked
-    /// write never reaches subscribers or the aggregate cache.
+    /// after the WAL write is the guarantee: a delta can only describe a
+    /// write the log accepted — an unacked write never reaches the
+    /// aggregate cache or a watcher.
     deltas: Arc<DeltaBuffer>,
 }
 
@@ -239,37 +223,7 @@ impl TenantWorkspace {
         let etl = Arc::new(JobRunner::new(Arc::clone(&warehouse)));
         let scheduler = Arc::new(JobScheduler::new(Arc::clone(&etl)));
         let cubes = Arc::new(CubeEngine::new(Arc::clone(&warehouse)));
-        let bus = Arc::new(MessageBus::new());
-        let agg_cache = Arc::new(RwLock::new(AggregateCache::new()));
-        // The maintenance subscriber: decode the journaled record, fold it
-        // into every covered aggregate (or mark for rebuild). The bus runs
-        // service activators under its own lock, so the handler takes only
-        // the agg-cache lock — MDX readers and the publish path never hold
-        // both in the opposite order.
-        bus.create_channel(DELTA_CHANNEL)
-            .map_err(|e| PlatformError::Internal(format!("esb: {e}")))?;
-        let cache = Arc::clone(&agg_cache);
-        let engine = Arc::clone(&cubes);
-        bus.subscribe(
-            DELTA_CHANNEL,
-            Endpoint::ServiceActivator(Box::new(move |msg: &Message| {
-                let seq: u64 = msg
-                    .header("seq")
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| "delta event missing seq header".to_string())?;
-                let Payload::Binary(bytes) = &msg.payload else {
-                    return Err("delta payload is not binary".to_string());
-                };
-                let record = decode_record(bytes)
-                    .map_err(|e| format!("delta payload is not a WAL record: {e}"))?;
-                if let Some(delta) = record_to_delta(&record) {
-                    cache.write().apply_delta(&engine, seq, &delta);
-                }
-                Ok(())
-            })),
-        )
-        .map_err(|e| PlatformError::Internal(format!("esb: {e}")))?;
-        let delivery = Arc::new(DeliveryService::new(Arc::clone(&bus))?);
+        let delivery = Arc::new(DeliveryService::new(Arc::new(MessageBus::new()))?);
         Ok(TenantWorkspace {
             warehouse,
             mds,
@@ -278,72 +232,64 @@ impl TenantWorkspace {
             scheduler,
             cubes,
             cube_defs: RwLock::new(HashMap::new()),
-            agg_cache,
+            agg_cache: RwLock::new(AggregateCache::new()),
             delivery,
-            bus,
             deltas,
             watch: Arc::new(WatchHub::new()),
-            delta_seq: AtomicU64::new(0),
             publish_lock: Mutex::new(()),
             projects: Mutex::new(HashMap::new()),
             durable,
         })
     }
 
-    /// Drain the journaled-delta buffer and publish each record as a
-    /// sequenced event on [`DELTA_CHANNEL`], pumping the bus so the
-    /// aggregate-maintenance subscriber folds them in before this call
-    /// returns; then bump the watch hub for every touched table.
-    ///
-    /// Loss-safety: an event the bus dead-letters (after redelivery) never
-    /// reached the cache, which the sequence check detects — the cache is
-    /// rebuilt wholesale and its sequence resynced, so a dropped delta can
-    /// degrade freshness cost but never correctness. Duplicate deliveries
-    /// are skipped inside the cache by the same sequence numbers.
-    pub fn publish_deltas(&self) -> DeltaPublication {
-        let _guard = self.publish_lock.lock();
-        let records = self.deltas.drain();
-        let mut outcome = DeltaPublication::default();
-        if records.is_empty() {
-            return outcome;
+    /// Drain the delta buffer into the aggregate cache — inserts fold into
+    /// the aggregates over their table, other mutations rebuild only the
+    /// aggregates over theirs — then bump the watch hub for every touched
+    /// table. Returns the number of deltas applied.
+    pub fn publish_deltas(&self) -> usize {
+        self.apply_buffered(&self.publish_lock.lock())
+    }
+
+    /// Build an aggregate over the current warehouse and register it. The
+    /// buffered deltas are applied first, so the build does not read a
+    /// row that a later publication would fold in again; if rows commit
+    /// while it builds, it is registered stale and the next publication
+    /// rebuilds it. Returns the number of cells built.
+    fn materialize(
+        &self,
+        cube: &CubeDef,
+        axes: Vec<LevelRef>,
+        measures: Vec<String>,
+    ) -> Result<usize, OlapError> {
+        let held = self.publish_lock.lock();
+        self.apply_buffered(&held);
+        let mut agg = MaterializedAggregate::build(&self.cubes, cube, axes, measures)?;
+        if agg.tables().iter().any(|t| self.deltas.touches(t)) {
+            agg.mark_stale();
         }
+        let cells = agg.len();
+        self.agg_cache.write().add(agg);
+        Ok(cells)
+    }
+
+    /// [`Self::publish_deltas`], for a caller holding `publish_lock`.
+    fn apply_buffered(&self, _held: &MutexGuard<'_, ()>) -> usize {
+        let deltas = self.deltas.drain();
+        if deltas.is_empty() {
+            return 0;
+        }
+        let applied = deltas.len();
         let mut touched: Vec<String> = Vec::new();
-        let mut max_seq = 0u64;
-        for record in &records {
-            let Some(delta) = record_to_delta(record) else {
-                continue; // index maintenance: no visible data change
-            };
-            let table = delta.table().to_string();
-            if !touched.contains(&table) {
-                touched.push(table);
-            }
-            let seq = self.delta_seq.fetch_add(1, Ordering::Relaxed) + 1;
-            max_seq = seq;
-            let mut payload = Vec::with_capacity(64);
-            encode_record(&mut payload, record);
-            let msg = Message::binary(payload)
-                .with_header("seq", seq.to_string())
-                .with_header("table", delta.table());
-            if self.bus.send(DELTA_CHANNEL, msg).is_ok() {
-                outcome.published += 1;
+        for d in &deltas {
+            if !touched.iter().any(|t| t == d.table()) {
+                touched.push(d.table().to_string());
             }
         }
-        let _ = self.bus.pump();
-        if outcome.published > 0 {
-            let mut cache = self.agg_cache.write();
-            if cache.last_seq() < max_seq {
-                // the tail event (at least) was dropped: the subscriber
-                // never saw it, so no gap-detection fired inside the cache
-                cache.mark_all_stale();
-                cache.rebuild_stale(&self.cubes);
-                cache.resync(max_seq);
-                outcome.recovered = true;
-            }
-        }
-        if !touched.is_empty() {
-            outcome.version = Some(self.watch.bump(&touched));
-        }
-        outcome
+        self.agg_cache
+            .write()
+            .apply_deltas(&self.cubes, deltas, |t| self.deltas.touches(t));
+        self.watch.bump(&touched);
+        applied
     }
 }
 
@@ -1097,10 +1043,8 @@ impl OdbisPlatform {
                     .get(cube_name)
                     .cloned()
                     .ok_or_else(|| PlatformError::Olap(format!("unknown cube {cube_name}")))?;
-                let agg = MaterializedAggregate::build(&ws.cubes, &cube, axes, measures)?;
-                let cells = agg.len();
+                let cells = ws.materialize(&cube, axes, measures)?;
                 span.set_rows(cells as u64);
-                ws.agg_cache.write().add(agg);
                 self.admin
                     .meter_usage(tenant, ServiceKind::Analysis, 1 + cells as u64);
                 Ok(cells)
@@ -1482,12 +1426,39 @@ mod tests {
     }
 }
 
+/// Cube `name` over `fact (region TEXT, amount DOUBLE)`: SUM(amount) as
+/// `revenue`, by the degenerate level `geo.region`.
+#[cfg(test)]
+fn region_cube(name: &str, fact: &str) -> CubeDef {
+    CubeDef {
+        name: name.into(),
+        fact_table: fact.into(),
+        dimensions: vec![odbis_olap::DimensionDef {
+            name: "geo".into(),
+            table: None,
+            fact_fk: String::new(),
+            dim_key: String::new(),
+            levels: vec![odbis_olap::LevelDef {
+                name: "region".into(),
+                column: "region".into(),
+            }],
+        }],
+        measures: vec![odbis_olap::MeasureDef {
+            name: "revenue".into(),
+            column: "amount".into(),
+            aggregator: odbis_olap::Aggregator::Sum,
+        }],
+    }
+}
+
 #[cfg(test)]
 mod preagg_tests {
     use super::*;
+    use odbis_olap::CubeQuery;
+    use odbis_storage::Value;
 
-    #[test]
-    fn mdx_answers_from_materialized_aggregate_when_enabled() {
+    /// Tenant `acme` with table `f` holding `rows` and cube `c` over it.
+    fn region_fact(rows: &str) -> (OdbisPlatform, String) {
         let p = OdbisPlatform::new();
         p.provision_tenant("acme", "Acme", SubscriptionPlan::standard(), "root", "pw")
             .unwrap();
@@ -1498,42 +1469,39 @@ mod preagg_tests {
             "CREATE TABLE f (region TEXT, amount DOUBLE)",
         )
         .unwrap();
-        p.sql(
-            "acme",
-            &token,
-            "INSERT INTO f VALUES ('EU', 10), ('EU', 20), ('US', 5)",
-        )
-        .unwrap();
-        let cube = CubeDef {
-            name: "c".into(),
-            fact_table: "f".into(),
-            dimensions: vec![odbis_olap::DimensionDef {
-                name: "geo".into(),
-                table: None,
-                fact_fk: String::new(),
-                dim_key: String::new(),
-                levels: vec![odbis_olap::LevelDef {
-                    name: "region".into(),
-                    column: "region".into(),
-                }],
-            }],
-            measures: vec![odbis_olap::MeasureDef {
-                name: "revenue".into(),
-                column: "amount".into(),
-                aggregator: odbis_olap::Aggregator::Sum,
-            }],
-        };
-        p.register_cube("acme", &token, cube).unwrap();
-        let cells = p
-            .materialize_aggregate(
-                "acme",
-                &token,
-                "c",
-                vec![LevelRef::new("geo", "region")],
-                vec!["revenue".into()],
-            )
+        p.sql("acme", &token, &format!("INSERT INTO f VALUES {rows}"))
             .unwrap();
-        assert_eq!(cells, 2);
+        p.register_cube("acme", &token, region_cube("c", "f"))
+            .unwrap();
+        (p, token)
+    }
+
+    /// Materialize revenue by region for `cube`; returns its cell count.
+    fn materialize(p: &OdbisPlatform, token: &str, cube: &str) -> usize {
+        let by_region = vec![LevelRef::new("geo", "region")];
+        p.materialize_aggregate("acme", token, cube, by_region, vec!["revenue".into()])
+            .unwrap()
+    }
+
+    /// Cube `c`'s EU revenue from its aggregate (`None` while the
+    /// aggregate is stale) and from a live query.
+    fn eu_revenue(p: &OdbisPlatform) -> (Option<Value>, Value) {
+        let ws = p.workspace("acme").unwrap();
+        let q = CubeQuery {
+            axes: vec![LevelRef::new("geo", "region")],
+            slices: vec![],
+            measures: vec!["revenue".into()],
+        };
+        let eu = |cells: CellSet| cells.cell(&["EU".into()]).unwrap()[0].clone();
+        let cached = ws.agg_cache.read().try_answer("c", &q).map(eu);
+        let live = eu(ws.cubes.query(&region_cube("c", "f"), &q).unwrap());
+        (cached, live)
+    }
+
+    #[test]
+    fn mdx_answers_from_materialized_aggregate_when_enabled() {
+        let (p, token) = region_fact("('EU', 10), ('EU', 20), ('US', 5)");
+        assert_eq!(materialize(&p, &token, "c"), 2);
         // the materialized aggregate answers covered MDX queries
         let via_cache = p
             .mdx("acme", &token, "SELECT revenue BY geo.region FROM c")
@@ -1567,58 +1535,25 @@ mod preagg_tests {
         );
     }
 
-    #[test]
-    fn etl_load_invalidates_materialized_aggregates() {
-        let p = OdbisPlatform::new();
-        p.provision_tenant("acme", "Acme", SubscriptionPlan::standard(), "root", "pw")
-            .unwrap();
-        let token = p.login("acme", "root", "pw").unwrap();
-        p.sql(
-            "acme",
-            &token,
-            "CREATE TABLE f (region TEXT, amount DOUBLE)",
-        )
-        .unwrap();
-        p.sql("acme", &token, "INSERT INTO f VALUES ('EU', 10), ('US', 5)")
-            .unwrap();
-        let cube = CubeDef {
-            name: "c".into(),
-            fact_table: "f".into(),
-            dimensions: vec![odbis_olap::DimensionDef {
-                name: "geo".into(),
-                table: None,
-                fact_fk: String::new(),
-                dim_key: String::new(),
-                levels: vec![odbis_olap::LevelDef {
-                    name: "region".into(),
-                    column: "region".into(),
-                }],
-            }],
-            measures: vec![odbis_olap::MeasureDef {
-                name: "revenue".into(),
-                column: "amount".into(),
-                aggregator: odbis_olap::Aggregator::Sum,
-            }],
-        };
-        p.register_cube("acme", &token, cube).unwrap();
-        p.materialize_aggregate(
-            "acme",
-            &token,
-            "c",
-            vec![LevelRef::new("geo", "region")],
-            vec!["revenue".into()],
-        )
-        .unwrap();
-        // load more fact rows through the integration service
-        let job = EtlJob {
+    /// A load of `csv` into `f` in `mode`.
+    fn load_f(mode: odbis_etl::LoadMode, csv: &str) -> EtlJob {
+        EtlJob {
             name: "load_f".into(),
-            extractor: odbis_etl::Extractor::Csv("region,amount\nEU,90\n".into()),
+            extractor: odbis_etl::Extractor::Csv(csv.into()),
             transforms: vec![],
             loader: odbis_etl::Loader {
                 table: "f".into(),
-                mode: odbis_etl::LoadMode::Append,
+                mode,
             },
-        };
+        }
+    }
+
+    #[test]
+    fn etl_load_invalidates_materialized_aggregates() {
+        let (p, token) = region_fact("('EU', 10), ('US', 5)");
+        materialize(&p, &token, "c");
+        // load more fact rows through the integration service
+        let job = load_f(odbis_etl::LoadMode::Append, "region,amount\nEU,90\n");
         let report = p.run_etl("acme", &token, &job).unwrap();
         assert_eq!(report.loaded, 1);
         // the pre-ETL aggregate must not answer any more
@@ -1638,83 +1573,35 @@ mod preagg_tests {
     /// aggregate over the untouched `g` registered, fresh, and answering.
     #[test]
     fn etl_load_leaves_unrelated_cubes_aggregate_intact() {
-        let p = OdbisPlatform::new();
-        p.provision_tenant("acme", "Acme", SubscriptionPlan::standard(), "root", "pw")
-            .unwrap();
-        let token = p.login("acme", "root", "pw").unwrap();
-        let degenerate_cube = |name: &str, fact: &str| CubeDef {
-            name: name.into(),
-            fact_table: fact.into(),
-            dimensions: vec![odbis_olap::DimensionDef {
-                name: "geo".into(),
-                table: None,
-                fact_fk: String::new(),
-                dim_key: String::new(),
-                levels: vec![odbis_olap::LevelDef {
-                    name: "region".into(),
-                    column: "region".into(),
-                }],
-            }],
-            measures: vec![odbis_olap::MeasureDef {
-                name: "revenue".into(),
-                column: "amount".into(),
-                aggregator: odbis_olap::Aggregator::Sum,
-            }],
-        };
-        for (fact, seed_rows) in [
-            ("f", "('EU', 10), ('US', 5)"),
-            ("g", "('EU', 7), ('APAC', 3)"),
-        ] {
-            p.sql(
-                "acme",
-                &token,
-                &format!("CREATE TABLE {fact} (region TEXT, amount DOUBLE)"),
-            )
-            .unwrap();
-            p.sql(
-                "acme",
-                &token,
-                &format!("INSERT INTO {fact} VALUES {seed_rows}"),
-            )
-            .unwrap();
-        }
-        p.register_cube("acme", &token, degenerate_cube("c", "f"))
-            .unwrap();
-        p.register_cube("acme", &token, degenerate_cube("d", "g"))
+        let (p, token) = region_fact("('EU', 10), ('US', 5)");
+        p.sql(
+            "acme",
+            &token,
+            "CREATE TABLE g (region TEXT, amount DOUBLE)",
+        )
+        .unwrap();
+        p.sql(
+            "acme",
+            &token,
+            "INSERT INTO g VALUES ('EU', 7), ('APAC', 3)",
+        )
+        .unwrap();
+        p.register_cube("acme", &token, region_cube("d", "g"))
             .unwrap();
         for cube in ["c", "d"] {
-            p.materialize_aggregate(
-                "acme",
-                &token,
-                cube,
-                vec![LevelRef::new("geo", "region")],
-                vec!["revenue".into()],
-            )
-            .unwrap();
+            materialize(&p, &token, cube);
         }
 
         // the ETL load touches only `f`
-        p.run_etl(
-            "acme",
-            &token,
-            &EtlJob {
-                name: "load_f".into(),
-                extractor: odbis_etl::Extractor::Csv("region,amount\nEU,90\n".into()),
-                transforms: vec![],
-                loader: odbis_etl::Loader {
-                    table: "f".into(),
-                    mode: odbis_etl::LoadMode::Append,
-                },
-            },
-        )
-        .unwrap();
+        let job = load_f(odbis_etl::LoadMode::Append, "region,amount\nEU,90\n");
+        p.run_etl("acme", &token, &job).unwrap();
 
         // both aggregates are still registered (the pre-fix blanket clear
         // left the cache empty here) and the unrelated one still answers
         // straight from its cells
         let ws = p.workspace("acme").unwrap();
         assert_eq!(ws.agg_cache.read().len(), 2, "an aggregate was evicted");
-        let q = odbis_olap::CubeQuery {
+        let q = CubeQuery {
             axes: vec![LevelRef::new("geo", "region")],
             slices: vec![],
             measures: vec!["revenue".into()],
@@ -1727,24 +1614,66 @@ mod preagg_tests {
         assert_eq!(
             unrelated.cells,
             vec![
-                (
-                    vec![odbis_storage::Value::Text("APAC".into())],
-                    vec![odbis_storage::Value::Float(3.0)]
-                ),
-                (
-                    vec![odbis_storage::Value::Text("EU".into())],
-                    vec![odbis_storage::Value::Float(7.0)]
-                ),
+                (vec![Value::Text("APAC".into())], vec![Value::Float(3.0)]),
+                (vec![Value::Text("EU".into())], vec![Value::Float(7.0)]),
             ]
         );
         // and the loaded cube's aggregate reflects the new rows via MDX
         let loaded = p
             .mdx("acme", &token, "SELECT revenue BY geo.region FROM c")
             .unwrap();
+        assert_eq!(loaded.cell(&["EU".into()]).unwrap(), &[Value::Float(100.0)]);
+    }
+
+    // A build or rebuild reads the live table, which may already hold rows
+    // whose deltas are not applied yet; the three cases below each folded
+    // such a row in a second time, and the aggregate silently diverged.
+
+    /// A replace load journals `Truncate` then `InsertMany`: the rebuild
+    /// the truncate forces reads the loaded rows (20 for 10 when they
+    /// were also folded in).
+    #[test]
+    fn replace_load_into_an_aggregated_fact_table_counts_rows_once() {
+        let (p, token) = region_fact("('EU', 10), ('US', 5)");
+        materialize(&p, &token, "c");
+        let job = load_f(odbis_etl::LoadMode::Replace, "region,amount\nEU,10\n");
+        p.run_etl("acme", &token, &job).unwrap();
         assert_eq!(
-            loaded.cell(&["EU".into()]).unwrap(),
-            &[odbis_storage::Value::Float(100.0)]
+            eu_revenue(&p),
+            (Some(Value::Float(10.0)), Value::Float(10.0))
         );
+    }
+
+    /// An UPDATE and an INSERT commit before one publication: the
+    /// UPDATE's rebuild reads the inserted row (11 for 6 when it was also
+    /// folded in).
+    #[test]
+    fn update_and_insert_published_together_count_the_insert_once() {
+        let (p, token) = region_fact("('EU', 10), ('US', 5)");
+        materialize(&p, &token, "c");
+        let ws = p.workspace("acme").unwrap();
+        let sql = Engine::new();
+        sql.execute(&ws.warehouse, "UPDATE f SET amount = 1 WHERE region = 'EU'")
+            .unwrap();
+        sql.execute(&ws.warehouse, "INSERT INTO f VALUES ('EU', 5)")
+            .unwrap();
+        ws.publish_deltas();
+        assert_eq!(eu_revenue(&p), (Some(Value::Float(6.0)), Value::Float(6.0)));
+    }
+
+    /// A row commits and an aggregate is built before the row's delta is
+    /// published: the build reads the row (11 for 6 when the publication
+    /// also folded it in).
+    #[test]
+    fn row_committed_before_a_build_is_not_folded_in_again() {
+        let (p, token) = region_fact("('EU', 1), ('US', 5)");
+        let ws = p.workspace("acme").unwrap();
+        Engine::new()
+            .execute(&ws.warehouse, "INSERT INTO f VALUES ('EU', 5)")
+            .unwrap();
+        materialize(&p, &token, "c");
+        ws.publish_deltas();
+        assert_eq!(eu_revenue(&p), (Some(Value::Float(6.0)), Value::Float(6.0)));
     }
 }
 
@@ -1898,8 +1827,8 @@ mod durability_tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A 100-row INSERT is one WAL append and one delta event: one bus
-    /// message, one preagg fold — and the folded cell equals the table.
+    /// A 100-row INSERT is one WAL append and one delta: one preagg fold,
+    /// and the folded cells equal a live query.
     #[test]
     fn hundred_row_insert_is_one_append_and_one_delta() {
         let dir = tmp_dir("batch");
@@ -1912,27 +1841,8 @@ mod durability_tests {
         .unwrap();
         p.sql("acme", &token, "INSERT INTO f VALUES ('EU', 1), ('US', 2)")
             .unwrap();
-        let level = odbis_olap::LevelDef {
-            name: "region".into(),
-            column: "region".into(),
-        };
-        let cube = CubeDef {
-            name: "c".into(),
-            fact_table: "f".into(),
-            dimensions: vec![odbis_olap::DimensionDef {
-                name: "geo".into(),
-                table: None,
-                fact_fk: String::new(),
-                dim_key: String::new(),
-                levels: vec![level],
-            }],
-            measures: vec![odbis_olap::MeasureDef {
-                name: "revenue".into(),
-                column: "amount".into(),
-                aggregator: odbis_olap::Aggregator::Sum,
-            }],
-        };
-        p.register_cube("acme", &token, cube).unwrap();
+        let cube = region_cube("c", "f");
+        p.register_cube("acme", &token, cube.clone()).unwrap();
         let by_region = vec![LevelRef::new("geo", "region")];
         p.materialize_aggregate("acme", &token, "c", by_region, vec!["revenue".into()])
             .unwrap();
@@ -1948,28 +1858,20 @@ mod durability_tests {
         Engine::new().execute(&ws.warehouse, &sql).unwrap();
         let after = p.durability_status("acme", &token).unwrap().wal_appends;
         assert_eq!(after - appends, 1, "one record for the whole statement");
-        let publication = ws.publish_deltas();
-        assert_eq!(publication.published, 1);
-        assert!(!publication.recovered, "folded, not rebuilt");
+        assert_eq!(ws.publish_deltas(), 1, "one delta for the whole statement");
 
-        let mdx = "SELECT revenue BY geo.region FROM c";
-        let folded = p.mdx("acme", &token, mdx).unwrap();
+        let q = odbis_olap::CubeQuery {
+            axes: vec![LevelRef::new("geo", "region")],
+            slices: vec![],
+            measures: vec!["revenue".into()],
+        };
+        let folded = ws.agg_cache.read().try_answer("c", &q).expect("fresh");
         let eu = (0..100).step_by(2).sum::<usize>() as f64 + 1.0;
         assert_eq!(
             folded.cell(&["EU".into()]).unwrap(),
             &[odbis_storage::Value::Float(eu)]
         );
-        let cache = &ws.agg_cache;
-        cache.write().mark_all_stale();
-        cache.write().rebuild_stale(&ws.cubes);
-        let rebuilt = p.mdx("acme", &token, mdx).unwrap();
-        for region in ["EU", "US"] {
-            assert_eq!(
-                folded.cell(&[region.into()]),
-                rebuilt.cell(&[region.into()]),
-                "{region}"
-            );
-        }
+        assert_eq!(folded.cells, ws.cubes.query(&cube, &q).unwrap().cells);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

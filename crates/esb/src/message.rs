@@ -71,15 +71,6 @@ impl Message {
         }
     }
 
-    /// New binary message.
-    pub fn binary(payload: Vec<u8>) -> Self {
-        Message {
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
-            headers: BTreeMap::new(),
-            payload: Payload::Binary(payload),
-        }
-    }
-
     /// Builder-style header setter.
     pub fn with_header(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
         self.headers.insert(key.into(), value.into());

@@ -7,10 +7,10 @@
 //! an internal SUM+COUNT pair), so a warehouse write costs one cell update
 //! instead of a full rebuild. Writes a fold cannot express — updates,
 //! deletes, truncates, dimension-table changes — mark the aggregate stale
-//! and it is rebuilt from the engine. Delta application is idempotent:
-//! [`AggregateCache::apply_delta`] tracks a monotonic sequence number, so
-//! a redelivered event is skipped and a *gap* in the sequence (a lost
-//! event) conservatively marks every aggregate stale.
+//! and it is rebuilt from the engine. [`AggregateCache::apply_deltas`]
+//! takes a whole batch of deltas at once: it applies all of them, then
+//! rebuilds each stale aggregate once, so a rebuild never reads a row
+//! that a later delta in the batch would fold in a second time.
 
 use std::collections::HashMap;
 
@@ -131,10 +131,9 @@ pub enum DeltaOutcome {
     Unrelated,
 }
 
-/// One warehouse write event, as derived from a WAL-acked record. This is
-/// the payload of the `warehouse.delta` ESB channel (carried as the
-/// underlying WAL record's binary encoding); the cache consumes it via
-/// [`AggregateCache::apply_delta`].
+/// One warehouse write as the maintenance layer sees it, derived from a
+/// WAL-acknowledged record when the platform buffers it; the cache
+/// consumes a batch of them via [`AggregateCache::apply_deltas`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TableDelta {
     /// Rows appended to `table` (INSERT / bulk load in append mode).
@@ -232,7 +231,7 @@ impl MaterializedAggregate {
     }
 
     /// Mark the cells invalid (a write arrived that a fold cannot
-    /// express, or a delta event was lost).
+    /// express, or the cells may already hold rows a fold would add).
     pub fn mark_stale(&mut self) {
         self.stale = true;
     }
@@ -609,26 +608,23 @@ fn build_cells(
     Ok(cells)
 }
 
-/// What one [`AggregateCache::apply_delta`] call did, for telemetry and
+/// What one [`AggregateCache::apply_deltas`] call did, for telemetry and
 /// tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaReport {
-    /// Aggregates that folded the rows in place.
+    /// Insert deltas folded in place, counted once per aggregate.
     pub folded: usize,
     /// Aggregates rebuilt from the engine (stale, or fold impossible).
     pub rebuilt: usize,
     /// Aggregates dropped (fact table gone, or rebuild failed).
     pub dropped: usize,
-    /// The event was a redelivered duplicate and was skipped entirely.
-    pub duplicate: bool,
 }
 
 /// A cache of materialized aggregates consulted before hitting the fact
-/// table, kept fresh by sequenced delta events.
+/// table, kept fresh by batches of warehouse deltas.
 #[derive(Debug, Default)]
 pub struct AggregateCache {
     aggregates: Vec<MaterializedAggregate>,
-    last_seq: u64,
 }
 
 impl AggregateCache {
@@ -658,115 +654,79 @@ impl AggregateCache {
         self.aggregates.clear();
     }
 
-    /// The highest delta sequence number applied so far.
-    pub fn last_seq(&self) -> u64 {
-        self.last_seq
-    }
-
-    /// Fast-forward [`Self::last_seq`] to `seq` after an out-of-band
-    /// recovery (e.g. a dead-lettered delta was compensated for with a
-    /// full rebuild), so the next live event is not misread as a second
-    /// gap. Never moves the sequence backwards.
-    pub fn resync(&mut self, seq: u64) {
-        self.last_seq = self.last_seq.max(seq);
-    }
-
-    /// Mark every aggregate stale (used when a delta event was lost and
-    /// the exact scope of the miss is unknown).
-    pub fn mark_all_stale(&mut self) {
-        for a in &mut self.aggregates {
-            a.mark_stale();
-        }
-    }
-
-    /// Rebuild every stale aggregate; aggregates whose rebuild fails
-    /// (e.g. their tables were dropped) are removed. Returns how many
-    /// rebuilds ran.
-    pub fn rebuild_stale(&mut self, engine: &CubeEngine) -> usize {
-        let mut rebuilt = 0;
-        self.aggregates.retain_mut(|a| {
-            if !a.is_stale() {
-                return true;
-            }
-            rebuilt += 1;
-            a.rebuild(engine).is_ok()
-        });
-        rebuilt
-    }
-
-    /// Apply one sequenced warehouse delta to every registered aggregate.
+    /// Apply a batch of warehouse deltas, in commit order, to every
+    /// registered aggregate, then rebuild each aggregate the batch left
+    /// stale — once, after the whole batch.
     ///
-    /// Idempotency and loss-safety live here: `seq` must be the event's
-    /// per-warehouse monotonic sequence number. A `seq` at or below
-    /// [`Self::last_seq`] is a redelivered duplicate and is skipped; a
-    /// `seq` that skips ahead means an event was lost, so every aggregate
-    /// is conservatively marked stale before this event applies. Stale
-    /// aggregates are rebuilt before the call returns, so the cache never
-    /// serves a half-maintained cell. Pass `seq = 0` for unsequenced
-    /// (direct, non-ESB) application.
-    pub fn apply_delta(
+    /// `Insert` rows move into one [`Batch`] that every fresh aggregate
+    /// over the table folds. `Mutate`, a dimension-table insert and a
+    /// ragged insert (rows of unequal arity) mark the dependent aggregates
+    /// stale; `Drop` of a fact table removes its aggregates. A stale
+    /// aggregate takes no folds: its rebuild reads those rows anyway.
+    ///
+    /// A rebuild reads the live tables, which may already hold rows whose
+    /// deltas are still waiting to be applied — `unapplied(table)` says
+    /// whether `table` has any. An aggregate rebuilt over such a table is
+    /// marked stale again, so those rows are not folded in a second time:
+    /// the next batch rebuilds it, and until then queries go live.
+    pub fn apply_deltas(
         &mut self,
         engine: &CubeEngine,
-        seq: u64,
-        delta: &TableDelta,
+        deltas: Vec<TableDelta>,
+        unapplied: impl Fn(&str) -> bool,
     ) -> DeltaReport {
         let mut report = DeltaReport::default();
-        if seq != 0 {
-            if seq <= self.last_seq {
-                report.duplicate = true;
-                return report;
-            }
-            if seq > self.last_seq + 1 {
-                self.mark_all_stale();
-            }
-            self.last_seq = seq;
-        }
-        let db = engine.database().clone();
-        // A ragged delta (rows of unequal arity) cannot become a Batch;
-        // treat it like a mutation so dependent aggregates rebuild.
-        let (batch, ragged) = match delta {
-            TableDelta::Insert { rows, .. } if !rows.is_empty() => {
-                match Batch::from_rows(rows[0].len(), rows.clone()) {
-                    Ok(b) => (Some(b), false),
-                    Err(_) => (None, true),
-                }
-            }
-            _ => (None, false),
-        };
-        self.aggregates.retain_mut(|a| {
+        let db = engine.database();
+        for delta in deltas {
             match delta {
-                TableDelta::Insert { table, .. } => {
-                    if let Some(batch) = &batch {
-                        match a.apply_delta(&db, table, batch) {
+                TableDelta::Insert { table, rows } => {
+                    let arity = rows.first().map_or(0, Vec::len);
+                    let Ok(batch) = Batch::from_rows(arity, rows) else {
+                        self.mark_stale_over(&table);
+                        continue;
+                    };
+                    for a in self.aggregates.iter_mut().filter(|a| !a.is_stale()) {
+                        match a.apply_delta(db, &table, &batch) {
                             Ok(DeltaOutcome::Folded) => report.folded += 1,
                             Ok(DeltaOutcome::NeedsRebuild) | Err(_) => a.mark_stale(),
                             Ok(DeltaOutcome::Unrelated) => {}
                         }
-                    } else if ragged && a.depends_on(table) {
-                        a.mark_stale();
                     }
                 }
-                TableDelta::Mutate { table } => {
-                    if a.depends_on(table) {
-                        a.mark_stale();
-                    }
-                }
+                TableDelta::Mutate { table } => self.mark_stale_over(&table),
                 TableDelta::Drop { table } => {
-                    if table.eq_ignore_ascii_case(&a.def.fact_table) {
-                        report.dropped += 1;
-                        return false;
-                    }
-                    if a.depends_on(table) {
-                        a.mark_stale();
-                    }
+                    let before = self.aggregates.len();
+                    self.aggregates
+                        .retain(|a| !a.def.fact_table.eq_ignore_ascii_case(&table));
+                    report.dropped += before - self.aggregates.len();
+                    self.mark_stale_over(&table);
                 }
+            }
+        }
+        self.aggregates.retain_mut(|a| {
+            if !a.is_stale() {
+                return true;
+            }
+            report.rebuilt += 1;
+            if a.rebuild(engine).is_err() {
+                report.dropped += 1;
+                return false;
+            }
+            if a.tables().iter().any(|t| unapplied(t)) {
+                a.mark_stale();
             }
             true
         });
-        let before = self.aggregates.len();
-        report.rebuilt = self.rebuild_stale(engine);
-        report.dropped += before - self.aggregates.len();
         report
+    }
+
+    /// Mark every aggregate that reads `table` stale.
+    fn mark_stale_over(&mut self, table: &str) {
+        for a in &mut self.aggregates {
+            if a.depends_on(table) {
+                a.mark_stale();
+            }
+        }
     }
 
     /// Answer from the cache if any fresh aggregate covers the query.
@@ -965,19 +925,6 @@ mod tests {
 
     // ------------------------------------------------ delta maintenance
 
-    fn insert_fact(db: &Database, rows: &str) -> Vec<Vec<Value>> {
-        let sql = format!("INSERT INTO fact_sales VALUES {rows}");
-        Engine::new().execute(db, &sql).unwrap();
-        // return the literal rows for the delta, freshest-last
-        Engine::new()
-            .execute(
-                db,
-                "SELECT id, store_id, year, month, amount, qty FROM fact_sales",
-            )
-            .unwrap()
-            .rows
-    }
-
     #[test]
     fn insert_delta_matches_rebuild_across_snowflake_and_degenerate_axes() {
         let db = Arc::new(sales_db());
@@ -1148,14 +1095,11 @@ mod tests {
             .unwrap(),
         );
         // an unrelated table's write leaves the aggregate untouched
-        let r = cache.apply_delta(
-            &engine,
-            1,
-            &TableDelta::Insert {
-                table: "somewhere_else".into(),
-                rows: vec![vec![1.into()]],
-            },
-        );
+        let unrelated = TableDelta::Insert {
+            table: "somewhere_else".into(),
+            rows: vec![vec![1.into()]],
+        };
+        let r = cache.apply_deltas(&engine, vec![unrelated], |_| false);
         assert_eq!((r.folded, r.rebuilt, r.dropped), (0, 0, 0));
         assert_eq!(cache.len(), 1);
         // a mutation of the fact table forces a rebuild — and the rebuilt
@@ -1163,13 +1107,10 @@ mod tests {
         Engine::new()
             .execute(&db, "UPDATE fact_sales SET amount = 110 WHERE id = 1")
             .unwrap();
-        let r = cache.apply_delta(
-            &engine,
-            2,
-            &TableDelta::Mutate {
-                table: "fact_sales".into(),
-            },
-        );
+        let mutate = TableDelta::Mutate {
+            table: "fact_sales".into(),
+        };
+        let r = cache.apply_deltas(&engine, vec![mutate], |_| false);
         assert_eq!(r.rebuilt, 1);
         let q = CubeQuery {
             axes: vec![LevelRef::new("store", "region")],
@@ -1182,8 +1123,12 @@ mod tests {
         );
     }
 
+    /// A rebuild reads the live table, so a row it already counts must
+    /// not be folded in again: the batch's rebuild runs after its last
+    /// delta, and a rebuild over a table with unapplied deltas stays
+    /// stale until they arrive.
     #[test]
-    fn duplicate_seq_is_skipped_and_gap_marks_stale() {
+    fn rows_a_rebuild_read_are_not_folded_again() {
         let db = Arc::new(sales_db());
         let engine = CubeEngine::new(Arc::clone(&db));
         let cube = sales_cube();
@@ -1197,50 +1142,56 @@ mod tests {
             )
             .unwrap(),
         );
-        let rows = insert_fact(&db, "(5, 1, 2011, 1, 5, 1)");
-        let newest = vec![rows.last().unwrap().clone()];
-        let delta = TableDelta::Insert {
-            table: "fact_sales".into(),
-            rows: newest,
-        };
-        let r = cache.apply_delta(&engine, 1, &delta);
-        assert_eq!(r.folded, 1);
-        // redelivery of the same sequence number must not double-fold
-        let r = cache.apply_delta(&engine, 1, &delta);
-        assert!(r.duplicate);
         let q = CubeQuery {
             axes: vec![LevelRef::new("store", "region")],
             slices: vec![],
             measures: vec!["revenue".into()],
         };
+        let mutate = || TableDelta::Mutate {
+            table: "fact_sales".into(),
+        };
+        let insert = |id: i64| {
+            Engine::new()
+                .execute(
+                    &db,
+                    &format!("INSERT INTO fact_sales VALUES ({id}, 1, 2011, 1, 5, 1)"),
+                )
+                .unwrap();
+            TableDelta::Insert {
+                table: "fact_sales".into(),
+                rows: vec![vec![
+                    id.into(),
+                    1.into(),
+                    2011.into(),
+                    1.into(),
+                    Value::Float(5.0),
+                    1.into(),
+                ]],
+            }
+        };
+
+        // UPDATE then INSERT in one batch: one rebuild, no fold
+        Engine::new()
+            .execute(&db, "UPDATE fact_sales SET amount = 1 WHERE id = 1")
+            .unwrap();
+        let batch = vec![mutate(), insert(5)];
+        let r = cache.apply_deltas(&engine, batch, |_| false);
+        assert_eq!((r.folded, r.rebuilt), (0, 1));
         assert_eq!(
             cache.try_answer("sales", &q).unwrap().cells,
             engine.query(&cube, &q).unwrap().cells
         );
-        // a sequence gap (event 2 lost, event 3 arrives) forces a rebuild,
-        // which reads the warehouse and converges anyway
-        Engine::new()
-            .execute(&db, "INSERT INTO fact_sales VALUES (6, 2, 2012, 1, 7, 1)")
-            .unwrap();
-        Engine::new()
-            .execute(&db, "INSERT INTO fact_sales VALUES (7, 3, 2012, 2, 9, 1)")
-            .unwrap();
-        let r = cache.apply_delta(
-            &engine,
-            3,
-            &TableDelta::Insert {
-                table: "fact_sales".into(),
-                rows: vec![vec![
-                    7.into(),
-                    3.into(),
-                    2012.into(),
-                    2.into(),
-                    Value::Float(9.0),
-                    1.into(),
-                ]],
-            },
-        );
+
+        // row 6 is in the table the rebuild reads, its delta is not
+        let late = insert(6);
+        let r = cache.apply_deltas(&engine, vec![mutate()], |t| t == "fact_sales");
         assert_eq!(r.rebuilt, 1);
+        assert!(
+            cache.try_answer("sales", &q).is_none(),
+            "stale, not doubled"
+        );
+        let r = cache.apply_deltas(&engine, vec![late], |_| false);
+        assert_eq!((r.folded, r.rebuilt), (0, 1));
         assert_eq!(
             cache.try_answer("sales", &q).unwrap().cells,
             engine.query(&cube, &q).unwrap().cells
@@ -1262,13 +1213,10 @@ mod tests {
             )
             .unwrap(),
         );
-        let r = cache.apply_delta(
-            &engine,
-            1,
-            &TableDelta::Drop {
-                table: "fact_sales".into(),
-            },
-        );
+        let drop = TableDelta::Drop {
+            table: "fact_sales".into(),
+        };
+        let r = cache.apply_deltas(&engine, vec![drop], |_| false);
         assert_eq!(r.dropped, 1);
         assert!(cache.is_empty());
     }

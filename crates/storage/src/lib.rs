@@ -15,7 +15,7 @@
 //! * crash-safe durability: a checksummed write-ahead log with checkpoint
 //!   and recovery ([`Wal`] / [`DurableStore`], see the [`wal`] module),
 //!   whose records have one binary encoding ([`encode_record`] /
-//!   [`decode_record`]) shared with the platform's delta bus;
+//!   [`decode_record`]);
 //! * binary columnar checkpoint segments with CRC-checked encoded blocks,
 //!   zone maps, and incremental flushing (the [`segment`] and [`manifest`]
 //!   modules) — the one checkpoint format, and the value codec the log

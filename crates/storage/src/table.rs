@@ -480,7 +480,7 @@ impl Table {
 
     /// Insert a row, validated and coerced against the schema in place.
     /// Returns the new row id; a failed row leaves no trace. The journal
-    /// gets the stored image, so the delta a subscriber folds holds exactly
+    /// gets the stored image, so the delta the preagg folds holds exactly
     /// the values a scan returns.
     pub fn insert(&mut self, row: Vec<Value>) -> DbResult<RowId> {
         let row = self.schema.check_row(&self.name, row)?;

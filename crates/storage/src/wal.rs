@@ -30,8 +30,7 @@
 //!
 //! `len` counts the lsn plus payload bytes (so `len >= 8`); `crc` is
 //! CRC-32 (IEEE) over those same bytes. The payload is the one binary
-//! encoding of a [`WalRecord`] ([`encode_record`] / [`decode_record`]),
-//! which the `warehouse.delta` bus channel carries too:
+//! encoding of a [`WalRecord`] ([`encode_record`] / [`decode_record`]):
 //!
 //! ```text
 //! op u8                                  // 1 create_table … 10 drop_index
@@ -229,8 +228,7 @@ const OP_CREATE_INDEX: u8 = 9;
 const OP_DROP_INDEX: u8 = 10;
 
 /// Append the binary encoding of `record` to `out` — the byte format of a
-/// WAL frame payload and of a `warehouse.delta` event (layout in the
-/// module docs).
+/// WAL frame payload (layout in the module docs).
 pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
     fn put_str(out: &mut Vec<u8>, s: &str) {
         out.extend_from_slice(&(s.len() as u32).to_le_bytes());

@@ -1,6 +1,6 @@
 //! Seeded property tests for the one binary encoding of a [`WalRecord`]
 //! (`encode_record` / `decode_record`), the byte format of every WAL frame
-//! and every `warehouse.delta` event.
+//! payload.
 //!
 //! 1. **Round trip** — every variant, with pinned edge values and ~4 000
 //!    seeded records, decodes bit-exactly (NaN payloads, `-0.0` and all),

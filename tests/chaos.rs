@@ -460,20 +460,23 @@ fn socket_faults_drop_connections_but_never_kill_the_server() {
     server.shutdown();
 }
 
-// --------------------------------------------------- delta-propagation chaos
+// ------------------------------------------------------ delta maintenance
 //
-// The streaming-BI delta pipeline (warehouse write → WAL ack → ESB event →
-// incremental aggregate maintenance) under the esb.dispatch / WAL failpoint
-// matrix. The invariant: no matter how delta events are dropped, retried or
-// duplicated, a materialized aggregate never *diverges* — every answer it
-// gives equals a live query against the warehouse. Losses may cost a
-// rebuild (freshness), never correctness.
+// The streaming-BI delta pipeline (warehouse write → WAL ack → delta
+// buffer → incremental aggregate maintenance) under random writes and WAL
+// faults. The invariant: a materialized aggregate never *diverges* — every
+// answer it gives equals a live query against the warehouse — and a write
+// the log refused never becomes a delta.
 
-/// Star schema + cube + two materialized aggregates on an in-memory
-/// platform; returns the cube definition for live-query comparison.
-fn delta_platform() -> (OdbisPlatform, String, odbis_olap::CubeDef) {
+/// Star schema + cube + two materialized aggregates, on a platform
+/// journaled under `dir` or, without one, in memory; returns the cube
+/// definition for live-query comparison.
+fn delta_platform(dir: Option<&std::path::Path>) -> (OdbisPlatform, String, odbis_olap::CubeDef) {
     use odbis_olap::{Aggregator, CubeDef, DimensionDef, LevelDef, LevelRef, MeasureDef};
-    let p = OdbisPlatform::new();
+    let p = match dir {
+        Some(dir) => OdbisPlatform::with_data_dir(dir.to_path_buf()),
+        None => OdbisPlatform::new(),
+    };
     p.provision_tenant("acme", "Acme", SubscriptionPlan::standard(), "root", "pw")
         .unwrap();
     let token = p.login("acme", "root", "pw").unwrap();
@@ -592,210 +595,75 @@ fn assert_preaggs_converged(p: &OdbisPlatform, cube: &odbis_olap::CubeDef, ctx: 
     }
 }
 
-/// Random warehouse writes while `esb.dispatch` faults under `spec`:
-/// after every write the aggregates must equal a live query. Returns the
-/// workspace delta counters for the caller's fault-specific assertions.
-fn run_delta_chaos_case(case: &str, spec: &str, seed: u64) -> (u64, usize) {
-    let _x = odbis_chaos::exclusive();
-    odbis_chaos::clear();
-    eprintln!("chaos case {case} seed={seed} (rerun: ODBIS_CHAOS_SEED={seed})");
-    let (p, token, cube) = delta_platform();
-    let mut rng = StdRng::seed_from_u64(seed);
-
-    odbis_chaos::apply_spec(spec).unwrap();
+/// Random INSERT / UPDATE / DELETE traffic: after every write the
+/// aggregates must equal a live query.
+#[test]
+fn random_writes_never_diverge_preaggs() {
+    let s = seed();
+    eprintln!("chaos case delta-random seed={s} (rerun: ODBIS_CHAOS_SEED={s})");
+    let (p, token, cube) = delta_platform(None);
+    let mut rng = StdRng::seed_from_u64(s);
     let mut next_id = 3i64;
     for step in 0..20 {
         let roll = rng.random_range(0..10i64);
-        if roll < 7 {
+        let sql = if roll < 7 {
             let store = rng.random_range(1..=3i64);
             let year = rng.random_range(2008..=2012i64);
             let amount = rng.random_range(10..5_000i64) as f64 / 10.0;
-            p.sql(
-                "acme",
-                &token,
-                &format!("INSERT INTO fact_sales VALUES ({next_id}, {store}, {year}, {amount:?})"),
-            )
-            .unwrap();
             next_id += 1;
+            format!(
+                "INSERT INTO fact_sales VALUES ({}, {store}, {year}, {amount:?})",
+                next_id - 1
+            )
         } else if roll < 9 {
             let id = rng.random_range(1..next_id);
             let amount = rng.random_range(10..5_000i64) as f64 / 10.0;
-            p.sql(
-                "acme",
-                &token,
-                &format!("UPDATE fact_sales SET amount = {amount:?} WHERE id = {id}"),
-            )
-            .unwrap();
+            format!("UPDATE fact_sales SET amount = {amount:?} WHERE id = {id}")
         } else {
             let id = rng.random_range(1..next_id);
-            p.sql(
-                "acme",
-                &token,
-                &format!("DELETE FROM fact_sales WHERE id = {id}"),
-            )
-            .unwrap();
-        }
-        assert_preaggs_converged(&p, &cube, &format!("{case}, step {step}, seed {seed}"));
+            format!("DELETE FROM fact_sales WHERE id = {id}")
+        };
+        p.sql("acme", &token, &sql).unwrap();
+        assert_preaggs_converged(&p, &cube, &format!("delta-random, step {step}, seed {s}"));
     }
-    odbis_chaos::clear();
-    let ws = p.workspace("acme").unwrap();
-    let redeliveries = ws.bus.redelivery_count();
-    let dead = ws
-        .bus
-        .take_dead_letters()
-        .into_iter()
-        .filter(|m| m.header("seq").is_some())
-        .count();
-    (redeliveries, dead)
 }
 
-/// Hard drop: every dispatch attempt fails, so every delta event
-/// dead-letters. The publish path's loss check must rebuild and resync —
-/// the aggregates stay exactly consistent with the warehouse throughout.
-#[test]
-fn dropped_delta_events_never_diverge_preaggs() {
-    let (_, dead) = run_delta_chaos_case("delta-drop", "esb.dispatch=return-err", seed());
-    assert!(dead > 0, "no delta event was ever dropped — failpoint dead");
-}
-
-/// Flaky dispatch: some attempts fail and are redelivered (at-least-once),
-/// some messages exhaust their budget and drop. Sequence numbers keep the
-/// redeliveries idempotent and the gap/tail checks repair the drops.
-#[test]
-fn flaky_delta_dispatch_redelivers_without_divergence() {
-    let (redeliveries, _) =
-        run_delta_chaos_case("delta-flaky", "esb.dispatch=err-every-nth(2)", seed());
-    assert!(
-        redeliveries > 0,
-        "the flaky dispatcher never exercised redelivery"
-    );
-}
-
-/// Probabilistic dispatch faults layered over WAL write faults: the delta
-/// source (the WAL ack) and the delta transport (the bus) failing together
-/// must still never produce a divergent cell for acknowledged writes.
+/// WAL write faults under the delta path, on a durable workspace: a
+/// refused INSERT leaves no delta behind, and the aggregates equal a live
+/// query after every step, refused or acknowledged.
 #[test]
 fn combined_wal_and_dispatch_faults_never_diverge_preaggs() {
     let _x = odbis_chaos::exclusive();
     odbis_chaos::clear();
     let s = seed();
-    eprintln!("chaos case delta-combined seed={s} (rerun: ODBIS_CHAOS_SEED={s})");
-    let (p, token, cube) = delta_platform();
+    eprintln!("chaos case delta-wal seed={s} (rerun: ODBIS_CHAOS_SEED={s})");
+    let dir = tmp_dir("delta-wal");
+    let (p, token, cube) = delta_platform(Some(dir.as_path()));
+    let ws = p.workspace("acme").unwrap();
     let mut rng = StdRng::seed_from_u64(s);
-    odbis_chaos::apply_spec(&format!(
-        "esb.dispatch=err-with-prob(0.3,{s});wal.write=err-with-prob(0.15,{})",
-        s.wrapping_add(1)
-    ))
-    .unwrap();
-    let mut acked = 0;
+    odbis_chaos::apply_spec("wal.write=err-every-nth(3)").unwrap();
+    let (mut acked, mut refused) = (0, 0);
     for step in 0..20i64 {
         let next_id = 3 + step;
         let store = rng.random_range(1..=3i64);
         let amount = rng.random_range(10..5_000i64) as f64 / 10.0;
-        // in-memory workspaces have no WAL, so wal.write faults here hit
-        // other machinery; the write itself may still fail structurally —
-        // only acknowledged writes owe the convergence guarantee
-        if p.sql(
-            "acme",
-            &token,
-            &format!("INSERT INTO fact_sales VALUES ({next_id}, {store}, 2010, {amount:?})"),
-        )
-        .is_ok()
-        {
+        let sql = format!("INSERT INTO fact_sales VALUES ({next_id}, {store}, 2010, {amount:?})");
+        if p.sql("acme", &token, &sql).is_ok() {
             acked += 1;
+        } else {
+            refused += 1;
+            assert_eq!(
+                ws.deltas.pending(),
+                0,
+                "a refused INSERT left a delta behind (step {step}, seed {s})"
+            );
         }
-        assert_preaggs_converged(&p, &cube, &format!("delta-combined, step {step}, seed {s}"));
+        assert_preaggs_converged(&p, &cube, &format!("delta-wal, step {step}, seed {s}"));
     }
+    let triggered = odbis_chaos::triggered_count("wal.write");
     odbis_chaos::clear();
-    assert!(acked > 0, "no insert was ever acknowledged");
-}
-
-/// The five platform invariants (durability, recovery, isolation,
-/// monotonic metering, structured errors) hold with the delta dispatcher
-/// faulting underneath the whole workload.
-#[test]
-fn platform_invariants_hold_under_esb_dispatch_faults() {
-    run_platform_case("esb", "esb.dispatch=err-every-nth(2)", 3, seed());
-}
-
-/// Same, with dispatch and WAL fsync faults combined — the full matrix
-/// corner where the delta source and transport degrade at once.
-#[test]
-fn platform_invariants_hold_under_combined_dispatch_and_wal_faults() {
-    run_platform_case(
-        "esb-wal",
-        "esb.dispatch=err-every-nth(3);wal.fsync=err-every-nth(4)",
-        3,
-        seed(),
-    );
-}
-
-/// A duplicated delta event — redelivered *after* it already applied,
-/// carrying a poison payload that is not in the warehouse — must be
-/// skipped by its sequence number. If idempotency ever regressed, the
-/// poison row would fold in and the convergence check would fail.
-#[test]
-fn duplicated_delta_events_are_idempotent() {
-    use odbis::DELTA_CHANNEL;
-    use odbis_esb::Message;
-    use odbis_storage::{encode_record, WalRecord};
-
-    let _x = odbis_chaos::exclusive();
-    odbis_chaos::clear();
-    let (p, token, cube) = delta_platform();
-    let ws = p.workspace("acme").unwrap();
-
-    // one clean insert so the cache sits at some applied sequence n
-    p.sql(
-        "acme",
-        &token,
-        "INSERT INTO fact_sales VALUES (3, 3, 2011, 55.5)",
-    )
-    .unwrap();
-    let n = ws.agg_cache.read().last_seq();
-    assert!(n > 0, "the insert's delta never reached the cache");
-
-    // replay sequences n, n-1 … 1 with a poison row the warehouse never
-    // saw: every one is a duplicate and must be skipped wholesale
-    let mut poison = Vec::new();
-    encode_record(
-        &mut poison,
-        &WalRecord::Insert {
-            table: "fact_sales".into(),
-            row: vec![
-                Value::Int(999),
-                Value::Int(1),
-                Value::Int(2011),
-                Value::Float(1_000_000.0),
-            ],
-        },
-    );
-    for dup_seq in (1..=n).rev() {
-        ws.bus
-            .send(
-                DELTA_CHANNEL,
-                Message::binary(poison.clone())
-                    .with_header("seq", dup_seq.to_string())
-                    .with_header("table", "fact_sales"),
-            )
-            .unwrap();
-        ws.bus.pump().unwrap();
-        assert_preaggs_converged(&p, &cube, &format!("duplicate seq {dup_seq} of {n}"));
-    }
-    assert_eq!(
-        ws.agg_cache.read().last_seq(),
-        n,
-        "a duplicate must never advance the applied sequence"
-    );
-
-    // and the pipeline still works after the duplicate storm
-    p.sql(
-        "acme",
-        &token,
-        "INSERT INTO fact_sales VALUES (4, 2, 2012, 12.25)",
-    )
-    .unwrap();
-    assert_preaggs_converged(&p, &cube, "post-duplicate insert");
+    assert!(triggered > 0, "wal.write never injected a fault");
+    assert!(acked > 0 && refused > 0, "acked {acked}, refused {refused}");
 }
 
 /// The new chaos telemetry rides the normal metrics scrape: triggered

@@ -23,8 +23,8 @@ use rand::{RngExt, SeedableRng};
 const SEEDS: [u64; 2] = [3_405_691_582, 195_948_557];
 /// Sequences per seed — ≥100 total across both seeds.
 const SEQUENCES_PER_SEED: usize = 60;
-/// Warehouse writes per sequence, each followed by a full differential
-/// check of every registered aggregate.
+/// Delta batches per sequence, each followed by a full differential check
+/// of every registered aggregate.
 const STEPS_PER_SEQUENCE: usize = 6;
 
 // ---------------------------------------------------------------- schema
@@ -255,9 +255,10 @@ fn verify_all(
 // -------------------------------------------------------- the sequences
 
 /// One random warehouse-write sequence: fresh star schema, 1–3 random
-/// aggregate shapes, then [`STEPS_PER_SEQUENCE`] random writes, each
-/// applied to the warehouse *and* propagated as a sequenced delta, each
-/// followed by a full differential check.
+/// aggregate shapes, then [`STEPS_PER_SEQUENCE`] batches of 1–3 random
+/// writes, each write applied to the warehouse *and* turned into a delta,
+/// each batch applied to the cache at once and followed by a full
+/// differential check.
 fn run_sequence(seed: u64, sequence: usize, rng: &mut StdRng) {
     let db = Arc::new(star_db());
     let sql = Engine::new();
@@ -290,77 +291,80 @@ fn run_sequence(seed: u64, sequence: usize, rng: &mut StdRng) {
         shapes.push((cube, axes, measures));
     }
 
-    let mut seq: u64 = 0;
     for step in 0..STEPS_PER_SEQUENCE {
-        let roll = rng.random_range(0..100i64);
-        let delta = if roll < 50 {
-            // single-row (or small) INSERT — the hot fold path
-            let rows: Vec<Vec<Value>> = (0..rng.random_range(1..=3usize))
-                .map(|_| {
-                    let row = gen_fact_row(rng, next_id, max_store);
-                    next_id += 1;
-                    row
-                })
-                .collect();
-            sql.execute(&db, &insert_sql("fact_sales", &rows)).unwrap();
-            TableDelta::Insert {
-                table: "fact_sales".into(),
-                rows,
-            }
-        } else if roll < 65 {
-            // bulk load: one delta event carrying many rows
-            let rows: Vec<Vec<Value>> = (0..rng.random_range(10..=30usize))
-                .map(|_| {
-                    let row = gen_fact_row(rng, next_id, max_store);
-                    next_id += 1;
-                    row
-                })
-                .collect();
-            sql.execute(&db, &insert_sql("fact_sales", &rows)).unwrap();
-            TableDelta::Insert {
-                table: "fact_sales".into(),
-                rows,
-            }
-        } else if roll < 75 {
-            // UPDATE: not foldable, dependent aggregates must rebuild
-            let id = rng.random_range(1..next_id.max(2));
-            let amount = rng.random_range(10..50_000i64) as f64 / 10.0;
-            sql.execute(
-                &db,
-                &format!("UPDATE fact_sales SET amount = {amount:?} WHERE id = {id}"),
-            )
-            .unwrap();
-            TableDelta::Mutate {
-                table: "fact_sales".into(),
-            }
-        } else if roll < 85 {
-            // DELETE: likewise rebuild-only
-            let id = rng.random_range(1..next_id.max(2));
-            sql.execute(&db, &format!("DELETE FROM fact_sales WHERE id = {id}"))
+        // one publication: 1–3 writes commit before their deltas apply,
+        // so a rebuild one of them forces reads the others' rows too
+        let mut batch = Vec::new();
+        for _ in 0..rng.random_range(1..=3usize) {
+            let roll = rng.random_range(0..100i64);
+            batch.push(if roll < 50 {
+                // single-row (or small) INSERT — the hot fold path
+                let rows: Vec<Vec<Value>> = (0..rng.random_range(1..=3usize))
+                    .map(|_| {
+                        let row = gen_fact_row(rng, next_id, max_store);
+                        next_id += 1;
+                        row
+                    })
+                    .collect();
+                sql.execute(&db, &insert_sql("fact_sales", &rows)).unwrap();
+                TableDelta::Insert {
+                    table: "fact_sales".into(),
+                    rows,
+                }
+            } else if roll < 65 {
+                // bulk load: one delta carrying many rows
+                let rows: Vec<Vec<Value>> = (0..rng.random_range(10..=30usize))
+                    .map(|_| {
+                        let row = gen_fact_row(rng, next_id, max_store);
+                        next_id += 1;
+                        row
+                    })
+                    .collect();
+                sql.execute(&db, &insert_sql("fact_sales", &rows)).unwrap();
+                TableDelta::Insert {
+                    table: "fact_sales".into(),
+                    rows,
+                }
+            } else if roll < 75 {
+                // UPDATE: not foldable, dependent aggregates must rebuild
+                let id = rng.random_range(1..next_id.max(2));
+                let amount = rng.random_range(10..50_000i64) as f64 / 10.0;
+                sql.execute(
+                    &db,
+                    &format!("UPDATE fact_sales SET amount = {amount:?} WHERE id = {id}"),
+                )
                 .unwrap();
-            TableDelta::Mutate {
-                table: "fact_sales".into(),
-            }
-        } else {
-            // dimension-table insert: rebuilds snowflaked aggregates,
-            // leaves purely degenerate ones untouched
-            let row = vec![
-                Value::Int(next_store),
-                Value::Text(["EU", "US", "APAC"][rng.random_range(0..3usize)].into()),
-                Value::Text(format!("C{next_store}")),
-                Value::Text(format!("City{next_store}")),
-            ];
-            sql.execute(&db, &insert_sql("dim_store", std::slice::from_ref(&row)))
-                .unwrap();
-            max_store = next_store;
-            next_store += 1;
-            TableDelta::Insert {
-                table: "dim_store".into(),
-                rows: vec![row],
-            }
-        };
-        seq += 1;
-        cache.apply_delta(&engine, seq, &delta);
+                TableDelta::Mutate {
+                    table: "fact_sales".into(),
+                }
+            } else if roll < 85 {
+                // DELETE: likewise rebuild-only
+                let id = rng.random_range(1..next_id.max(2));
+                sql.execute(&db, &format!("DELETE FROM fact_sales WHERE id = {id}"))
+                    .unwrap();
+                TableDelta::Mutate {
+                    table: "fact_sales".into(),
+                }
+            } else {
+                // dimension-table insert: rebuilds snowflaked aggregates,
+                // leaves purely degenerate ones untouched
+                let row = vec![
+                    Value::Int(next_store),
+                    Value::Text(["EU", "US", "APAC"][rng.random_range(0..3usize)].into()),
+                    Value::Text(format!("C{next_store}")),
+                    Value::Text(format!("City{next_store}")),
+                ];
+                sql.execute(&db, &insert_sql("dim_store", std::slice::from_ref(&row)))
+                    .unwrap();
+                max_store = next_store;
+                next_store += 1;
+                TableDelta::Insert {
+                    table: "dim_store".into(),
+                    rows: vec![row],
+                }
+            });
+        }
+        cache.apply_deltas(&engine, batch, |_| false);
         verify_all(
             &format!("seed {seed}, sequence {sequence}, step {step}"),
             &cache,
@@ -430,14 +434,11 @@ fn avg_decomposition_folds_and_matches_live_engine() {
         ],
     ];
     sql.execute(&db, &insert_sql("fact_sales", &rows)).unwrap();
-    let report = cache.apply_delta(
-        &engine,
-        1,
-        &TableDelta::Insert {
-            table: "fact_sales".into(),
-            rows,
-        },
-    );
+    let insert = TableDelta::Insert {
+        table: "fact_sales".into(),
+        rows,
+    };
+    let report = cache.apply_deltas(&engine, vec![insert], |_| false);
     assert_eq!(report.folded, 1, "AVG insert must fold, not rebuild");
     let q = CubeQuery {
         axes: axes.clone(),
@@ -479,7 +480,7 @@ fn unfoldable_delta_falls_back_to_rebuild_and_converges() {
         )
         .unwrap(),
     );
-    // the warehouse gets a real row, but the delta event is ragged
+    // the warehouse gets a real row, but the delta is ragged
     sql.execute(
         &db,
         "INSERT INTO fact_sales VALUES (2, 2, 2011, 1, 55.0, 2)",
@@ -499,7 +500,7 @@ fn unfoldable_delta_falls_back_to_rebuild_and_converges() {
             vec![Value::Int(99)], // arity mismatch: Batch construction fails
         ],
     };
-    let report = cache.apply_delta(&engine, 1, &ragged);
+    let report = cache.apply_deltas(&engine, vec![ragged], |_| false);
     assert_eq!(report.folded, 0, "a ragged delta must not fold");
     assert_eq!(report.rebuilt, 1, "fallback must rebuild the aggregate");
     let q = CubeQuery {
