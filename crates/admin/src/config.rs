@@ -98,10 +98,8 @@ impl PlatformConfig {
     pub fn with_defaults() -> Self {
         let mut declared = BTreeMap::new();
         for (k, v) in [
-            ("olap.preaggregation", ConfigValue::Bool(true)),
             // 0 = auto: let the engine size its worker pool to the machine.
             ("sql.parallelism", ConfigValue::Int(0)),
-            ("sql.optimizer_rules", ConfigValue::from("all")),
             ("durability.fsync", ConfigValue::Str(fsync_default())),
             ("telemetry.enabled", ConfigValue::Bool(true)),
             ("telemetry.slow_ms", ConfigValue::Int(250)),
@@ -250,15 +248,18 @@ mod tests {
     }
 
     /// The knobs that used to select the retired row executor and JSON
-    /// checkpoint format, and the six keys no code ever read, are gone,
-    /// not merely ignored: setting one is an error an operator sees.
+    /// checkpoint format, the six keys no code ever read, and the ROLAP-only
+    /// MDX switch and per-tenant optimizer rule set no deployment set, are
+    /// gone, not merely ignored: setting one is an error an operator sees.
     #[test]
     fn retired_twin_selectors_are_unknown_keys() {
         let cfg = PlatformConfig::with_defaults();
-        assert_eq!(cfg.keys().len(), 11);
+        assert_eq!(cfg.keys().len(), 9);
         for (key, value) in [
             ("sql.vectorized", ConfigValue::Bool(false)),
             ("durability.format", ConfigValue::from("json")),
+            ("olap.preaggregation", ConfigValue::Bool(true)),
+            ("sql.optimizer_rules", ConfigValue::from("all")),
             ("reporting.max_rows", ConfigValue::Int(10_000)),
             ("reporting.default_chart", ConfigValue::from("bar")),
             ("etl.reject_threshold", ConfigValue::Int(1_000)),

@@ -10,8 +10,8 @@
 //! * [`PlatformConfig`] — declared-key configuration with platform and
 //!   per-tenant overrides (the paper's personalization claim);
 //! * [`PerfMonitor`] — latency recording with percentile reports;
-//! * [`DurabilityRegistry`] — checkpoint control and WAL status over the
-//!   hook the platform registers for its durable tenant stores.
+//! * [`DurabilityStatus`] / [`CheckpointOutcome`] — the WAL status and
+//!   checkpoint reports the platform answers for durable tenant stores.
 
 #![warn(missing_docs)]
 
@@ -20,7 +20,5 @@ mod durability;
 mod service;
 
 pub use config::{ConfigError, ConfigValue, PlatformConfig};
-pub use durability::{
-    CheckpointOutcome, DurabilityError, DurabilityHook, DurabilityRegistry, DurabilityStatus,
-};
+pub use durability::{CheckpointOutcome, DurabilityStatus};
 pub use service::{AdminService, PerfMonitor, PerfReport, PerfSample, UsageLine};

@@ -12,7 +12,6 @@ use odbis_tenancy::{
 use parking_lot::Mutex;
 
 use crate::config::PlatformConfig;
-use crate::durability::DurabilityRegistry;
 
 /// A latency sample recorded by the performance monitor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,9 +128,6 @@ pub struct AdminService {
     pub telemetry: Arc<Telemetry>,
     /// The pay-as-you-go cost model joining meter units with telemetry.
     pub cost_model: CostModel,
-    /// Durability administration: checkpoint control and WAL status, once
-    /// the platform registers its hook.
-    pub durability: DurabilityRegistry,
 }
 
 impl AdminService {
@@ -144,7 +140,6 @@ impl AdminService {
             perf: PerfMonitor::new(),
             telemetry: Arc::new(Telemetry::new()),
             cost_model: CostModel::default(),
-            durability: DurabilityRegistry::new(),
         }
     }
 

@@ -198,17 +198,5 @@ impl From<odbis_storage::DbError> for PlatformError {
     }
 }
 
-impl From<odbis_admin::DurabilityError> for PlatformError {
-    fn from(e: odbis_admin::DurabilityError) -> Self {
-        match e {
-            odbis_admin::DurabilityError::UnknownTenant(t) => {
-                PlatformError::NotFound(format!("durable store for tenant {t}"))
-            }
-            odbis_admin::DurabilityError::Retryable(m) => PlatformError::Unavailable(m),
-            other => PlatformError::Storage(other.to_string()),
-        }
-    }
-}
-
 /// Result alias for platform operations.
 pub type PlatformResult<T> = Result<T, PlatformError>;

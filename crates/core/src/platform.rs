@@ -10,9 +10,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use odbis_admin::{
-    AdminService, CheckpointOutcome, DurabilityError, DurabilityHook, DurabilityStatus,
-};
+use odbis_admin::{AdminService, CheckpointOutcome, DurabilityStatus};
 use odbis_delivery::{Channel, DeliveryService, ReportPayload};
 use odbis_esb::MessageBus;
 use odbis_etl::{EtlJob, JobReport, JobRunner, JobScheduler};
@@ -24,7 +22,10 @@ use odbis_olap::{
 };
 use odbis_reporting::{Dashboard, RenderedReport, ReportTemplate, ReportingService};
 use odbis_sql::{Engine, QueryResult};
-use odbis_storage::{Database, DbResult, DurableStore, FsyncPolicy, Wal, WalRecord, WalSink};
+use odbis_storage::{
+    CheckpointReport, Database, DbError, DbResult, DurableStore, FsyncPolicy, Wal, WalRecord,
+    WalSink,
+};
 use odbis_telemetry::Telemetry;
 use odbis_tenancy::{ServiceKind, SubscriptionPlan, TenantRegistry, UsageMeter};
 use parking_lot::{Mutex, MutexGuard, RwLock};
@@ -52,9 +53,8 @@ pub struct TenantWorkspace {
     pub cubes: Arc<CubeEngine>,
     /// Registered cube definitions.
     pub cube_defs: RwLock<HashMap<String, CubeDef>>,
-    /// Materialized-aggregate cache consulted by MDX queries when the
-    /// `olap.preaggregation` setting is on, maintained incrementally by
-    /// [`TenantWorkspace::publish_deltas`].
+    /// Materialized-aggregate cache consulted by MDX queries, maintained
+    /// incrementally by [`TenantWorkspace::publish_deltas`].
     pub agg_cache: RwLock<AggregateCache>,
     /// The tenant's delivery service (it owns the tenant's service bus).
     pub delivery: Arc<DeliveryService>,
@@ -132,7 +132,6 @@ fn record_to_delta(record: &WalRecord) -> Option<TableDelta> {
         }),
         WalRecord::Update { table, .. }
         | WalRecord::Delete { table, .. }
-        | WalRecord::Undelete { table, .. }
         | WalRecord::Truncate { table }
         | WalRecord::CreateTable { name: table, .. } => Some(TableDelta::Mutate {
             table: table.clone(),
@@ -293,95 +292,32 @@ impl TenantWorkspace {
     }
 }
 
-/// The [`DurabilityHook`] the platform registers with its admin service:
-/// resolves tenants to their durable stores and meters checkpoints.
-struct TenantDurability {
-    workspaces: Arc<RwLock<HashMap<String, Arc<TenantWorkspace>>>>,
-    telemetry: Arc<Telemetry>,
-}
-
-impl TenantDurability {
-    fn store(
-        &self,
-        tenant: &str,
-    ) -> Result<(Arc<TenantWorkspace>, Arc<DurableStore>), DurabilityError> {
-        let ws = self
-            .workspaces
-            .read()
-            .get(tenant)
-            .cloned()
-            .ok_or_else(|| DurabilityError::UnknownTenant(tenant.to_string()))?;
-        let store = ws
-            .durable
-            .clone()
-            .ok_or_else(|| DurabilityError::UnknownTenant(tenant.to_string()))?;
-        Ok((ws, store))
-    }
-}
-
-impl DurabilityHook for TenantDurability {
-    fn tenants(&self) -> Vec<String> {
-        let mut ids: Vec<String> = self
-            .workspaces
-            .read()
-            .iter()
-            .filter(|(_, ws)| ws.durable.is_some())
-            .map(|(id, _)| id.clone())
-            .collect();
-        ids.sort();
-        ids
-    }
-
-    fn status(&self, tenant: &str) -> Result<DurabilityStatus, DurabilityError> {
-        let (_, store) = self.store(tenant)?;
-        let stats = store.wal().stats();
-        Ok(DurabilityStatus {
-            tenant: tenant.to_string(),
-            fsync: store.wal().policy().as_str().to_string(),
-            wal_appends: stats.appends,
-            wal_bytes: stats.bytes,
-            wal_file_len: stats.file_len,
-            next_lsn: stats.next_lsn,
-        })
-    }
-
-    fn checkpoint(&self, tenant: &str) -> Result<CheckpointOutcome, DurabilityError> {
-        let (ws, store) = self.store(tenant)?;
-        // A checkpoint that hits a transient I/O fault (fsync hiccup, disk
-        // stall, injected failpoint) is retried in place with a short
-        // backoff before the error is surfaced; only I/O errors are
-        // transient — logic errors fail immediately.
-        const ATTEMPTS: u32 = 3;
-        const BACKOFF_MS: u64 = 5;
-        let mut last_io = String::new();
-        for attempt in 1..=ATTEMPTS {
-            match store.checkpoint(&ws.warehouse) {
-                Ok(report) => {
-                    self.telemetry.record_checkpoint(tenant, report.micros);
-                    return Ok(CheckpointOutcome {
-                        tenant: tenant.to_string(),
-                        tables: report.tables,
-                        tables_flushed: report.tables_flushed,
-                        wal_bytes_folded: report.wal_bytes_folded,
-                        micros: report.micros,
-                    });
+/// Checkpoint `store`. A checkpoint that hits a transient I/O fault (fsync
+/// hiccup, disk stall, injected failpoint) is retried in place with a short
+/// backoff, three attempts in all, before it is `Unavailable`; only I/O
+/// errors are transient — any other error fails at once.
+fn checkpoint_with_retry(store: &DurableStore, db: &Database) -> PlatformResult<CheckpointReport> {
+    const ATTEMPTS: u32 = 3;
+    const BACKOFF_MS: u64 = 5;
+    let mut last_io = String::new();
+    for attempt in 1..=ATTEMPTS {
+        match store.checkpoint(db) {
+            Ok(report) => return Ok(report),
+            Err(DbError::Io(m)) => {
+                last_io = m;
+                if attempt < ATTEMPTS {
+                    odbis_chaos::count_retry("checkpoint");
+                    std::thread::sleep(std::time::Duration::from_millis(
+                        BACKOFF_MS << (attempt - 1),
+                    ));
                 }
-                Err(odbis_storage::DbError::Io(m)) => {
-                    last_io = m;
-                    if attempt < ATTEMPTS {
-                        odbis_chaos::count_retry("checkpoint");
-                        std::thread::sleep(std::time::Duration::from_millis(
-                            BACKOFF_MS << (attempt - 1),
-                        ));
-                    }
-                }
-                Err(e) => return Err(DurabilityError::Storage(e.to_string())),
             }
+            Err(e) => return Err(PlatformError::Storage(format!("storage failure: {e}"))),
         }
-        Err(DurabilityError::Retryable(format!(
-            "checkpoint failed after {ATTEMPTS} attempts: {last_io}"
-        )))
     }
+    Err(PlatformError::Unavailable(format!(
+        "checkpoint failed after {ATTEMPTS} attempts: {last_io}"
+    )))
 }
 
 /// The platform: administration layer, SaaS kernel, ESB, and one
@@ -398,7 +334,7 @@ pub struct OdbisPlatform {
     /// (tenant → platform → declared default) on every request.
     pub admission: Arc<odbis_web::AdmissionControl>,
     sql: Engine,
-    workspaces: Arc<RwLock<HashMap<String, Arc<TenantWorkspace>>>>,
+    workspaces: RwLock<HashMap<String, Arc<TenantWorkspace>>>,
     data_dir: Option<PathBuf>,
     /// Cluster membership, `None` for a standalone node. Set once by
     /// [`OdbisPlatform::join_cluster`].
@@ -451,20 +387,13 @@ impl OdbisPlatform {
                     .max(0) as u64,
             }
         }));
-        let workspaces = Arc::new(RwLock::new(HashMap::new()));
-        if data_dir.is_some() {
-            admin.durability.register(Arc::new(TenantDurability {
-                workspaces: Arc::clone(&workspaces),
-                telemetry: Arc::clone(&admin.telemetry),
-            }));
-        }
         OdbisPlatform {
             admin,
             bus,
             context,
             admission,
             sql: Engine::new(),
-            workspaces,
+            workspaces: RwLock::new(HashMap::new()),
             data_dir,
             cluster: RwLock::new(None),
             fences: Mutex::new(HashMap::new()),
@@ -623,8 +552,10 @@ impl OdbisPlatform {
     // ---- durability ----------------------------------------------------------
 
     /// Checkpoint a tenant's durable store: fold the WAL into its segments
-    /// and truncate the log. Admin-only; errors with `NotFound` when the
-    /// platform (or the tenant) has no durable store.
+    /// and truncate the log. A transient I/O fault is retried in place
+    /// before it surfaces as `Unavailable`. Admin-only; an in-memory
+    /// platform answers `Storage`, a tenant with no durable store here
+    /// `NotFound`.
     pub fn checkpoint_tenant(
         &self,
         tenant: &str,
@@ -637,10 +568,20 @@ impl OdbisPlatform {
             |span| {
                 span.set_detail(tenant);
                 self.authorize(tenant, token, "ADMIN_CONFIG")?;
-                let outcome = self.admin.durability.checkpoint(tenant)?;
-                span.set_bytes(outcome.wal_bytes_folded);
+                let (ws, store) = self.durable_store(tenant)?;
+                let report = checkpoint_with_retry(&store, &ws.warehouse)?;
+                self.admin
+                    .telemetry
+                    .record_checkpoint(tenant, report.micros);
+                span.set_bytes(report.wal_bytes_folded);
                 self.admin.meter_usage(tenant, ServiceKind::Admin, 1);
-                Ok(outcome)
+                Ok(CheckpointOutcome {
+                    tenant: tenant.to_string(),
+                    tables: report.tables,
+                    tables_flushed: report.tables_flushed,
+                    wal_bytes_folded: report.wal_bytes_folded,
+                    micros: report.micros,
+                })
             },
         )
     }
@@ -651,11 +592,36 @@ impl OdbisPlatform {
         self.traced(tenant, ServiceKind::Admin, "durability.status", |span| {
             span.set_detail(tenant);
             self.authorize(tenant, token, "ADMIN_CONFIG")?;
-            let status = self.admin.durability.status(tenant)?;
-            span.set_bytes(status.wal_bytes);
+            let (_, store) = self.durable_store(tenant)?;
+            let stats = store.wal().stats();
+            span.set_bytes(stats.bytes);
             self.admin.meter_usage(tenant, ServiceKind::Admin, 1);
-            Ok(status)
+            Ok(DurabilityStatus {
+                tenant: tenant.to_string(),
+                fsync: store.wal().policy().as_str().to_string(),
+                wal_appends: stats.appends,
+                wal_bytes: stats.bytes,
+                wal_file_len: stats.file_len,
+                next_lsn: stats.next_lsn,
+            })
         })
+    }
+
+    /// A tenant's workspace and durable store. An in-memory platform has
+    /// none (`Storage`, HTTP 500); on a durable one a tenant with no
+    /// workspace on this node has none either (`NotFound`, HTTP 404).
+    fn durable_store(
+        &self,
+        tenant: &str,
+    ) -> PlatformResult<(Arc<TenantWorkspace>, Arc<DurableStore>)> {
+        if self.data_dir.is_none() {
+            return Err(PlatformError::Storage("durability is not enabled".into()));
+        }
+        self.workspaces
+            .read()
+            .get(tenant)
+            .and_then(|ws| Some((Arc::clone(ws), Arc::clone(ws.durable.as_ref()?))))
+            .ok_or_else(|| PlatformError::NotFound(format!("durable store for tenant {tenant}")))
     }
 
     /// The workspace of a tenant. A miss on a clustered node whose map
@@ -791,10 +757,8 @@ impl OdbisPlatform {
 
     /// Execute raw SQL in the tenant warehouse (designer capability).
     ///
-    /// Two per-tenant knobs tune the engine: `sql.parallelism` (worker
-    /// count for morsel-parallel execution, `0` = auto) and
-    /// `sql.optimizer_rules` (rule-set spec such as `"all"`, `"none"`, or
-    /// `"-reorder,-prune"`).
+    /// The per-tenant `sql.parallelism` setting sizes the engine's worker
+    /// pool for morsel-parallel execution (`0` = auto).
     pub fn sql(&self, tenant: &str, token: &str, sql: &str) -> PlatformResult<QueryResult> {
         self.traced(tenant, ServiceKind::Metadata, "sql", |span| {
             span.set_detail(sql);
@@ -806,13 +770,6 @@ impl OdbisPlatform {
             {
                 if n > 0 {
                     engine = engine.with_parallelism(n as usize);
-                }
-            }
-            if let Ok(odbis_admin::ConfigValue::Str(spec)) =
-                self.admin.config.get(tenant, "sql.optimizer_rules")
-            {
-                if spec != "all" {
-                    engine = engine.with_optimizer_rules(&spec);
                 }
             }
             let result = engine.execute(&ws.warehouse, sql)?;
@@ -954,19 +911,12 @@ impl OdbisPlatform {
                 .get(&stmt.cube)
                 .cloned()
                 .ok_or_else(|| PlatformError::Olap(format!("unknown cube {}", stmt.cube)))?;
-            // consult the materialized-aggregate cache when enabled (ablation A2
-            // wired into the platform through configuration)
-            let use_preagg = matches!(
-                self.admin.config.get(tenant, "olap.preaggregation"),
-                Ok(odbis_admin::ConfigValue::Bool(true))
-            );
-            let cells = if use_preagg {
-                match ws.agg_cache.read().try_answer(&stmt.cube, &stmt.query) {
-                    Some(cells) => cells,
-                    None => ws.cubes.query(&cube, &stmt.query)?,
-                }
-            } else {
-                ws.cubes.query(&cube, &stmt.query)?
+            // a fresh materialized aggregate that covers the query answers
+            // it; anything else reads the warehouse (ROLAP)
+            let cached = ws.agg_cache.read().try_answer(&stmt.cube, &stmt.query);
+            let cells = match cached {
+                Some(cells) => cells,
+                None => ws.cubes.query(&cube, &stmt.query)?,
             };
             span.set_rows(cells.len() as u64);
             self.admin
@@ -1019,8 +969,7 @@ impl OdbisPlatform {
     }
 
     /// Materialize an aggregate for a registered cube; later MDX queries it
-    /// covers are answered from the cache (when `olap.preaggregation` is
-    /// enabled, the default).
+    /// covers are answered from the cache while it is fresh.
     pub fn materialize_aggregate(
         &self,
         tenant: &str,
@@ -1324,7 +1273,7 @@ mod tests {
     }
 
     #[test]
-    fn sql_parallelism_and_rules_config_apply_per_tenant() {
+    fn sql_parallelism_config_applies_per_tenant() {
         let (p, token) = boot();
         p.sql("acme", &token, "CREATE TABLE t (x INT, y TEXT)")
             .unwrap();
@@ -1339,10 +1288,6 @@ mod tests {
         p.admin
             .config
             .set_for_tenant("acme", "sql.parallelism", odbis_admin::ConfigValue::Int(2))
-            .unwrap();
-        p.admin
-            .config
-            .set_for_tenant("acme", "sql.optimizer_rules", "none".into())
             .unwrap();
         let tuned = p.sql("acme", &token, q).unwrap();
         assert_eq!(baseline.columns, tuned.columns);
@@ -1521,18 +1466,11 @@ mod preagg_tests {
             after_write.cell(&["EU".into()]).unwrap(),
             &[odbis_storage::Value::Float(130.0)]
         );
-        // disabling pre-aggregation for the tenant also reads live data
-        p.admin
-            .config
-            .set_for_tenant("acme", "olap.preaggregation", false.into())
-            .unwrap();
-        let live = p
-            .mdx("acme", &token, "SELECT revenue BY geo.region FROM c")
-            .unwrap();
-        assert_eq!(
-            live.cell(&["EU".into()]).unwrap(),
-            &[odbis_storage::Value::Float(130.0)]
-        );
+        // and the answer is the live ROLAP query's, cell for cell
+        let ws = p.workspace("acme").unwrap();
+        let stmt = odbis_olap::parse_mdx("SELECT revenue BY geo.region FROM c").unwrap();
+        let live = ws.cubes.query(&region_cube("c", "f"), &stmt.query).unwrap();
+        assert_eq!(after_write.cells, live.cells);
     }
 
     /// A load of `csv` into `f` in `mode`.

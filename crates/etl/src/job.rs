@@ -271,7 +271,7 @@ impl JobRunner {
                 }
                 let mut loaded = 0usize;
                 for row in &frame.rows {
-                    match t.insert_row(row) {
+                    match t.insert(row.clone()) {
                         Ok(_) => loaded += 1,
                         Err(_) => rejects.push(row.clone()),
                     }

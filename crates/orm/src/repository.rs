@@ -4,10 +4,24 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use odbis_sql::Engine;
-use odbis_storage::{Database, RowId, Value};
+use odbis_storage::{Database, DbError, RowId, Table, Value};
 
 use crate::error::{OrmError, OrmResult};
 use crate::meta::{Entity, EntityMeta};
+
+/// The row holding the entity whose id column (position `id_index`) is
+/// `id`: through the table's primary-key index, or a scan when it has
+/// none. Called inside the statement or read that uses the row id, so the
+/// id cannot move between the lookup and its use.
+pub(crate) fn row_id(t: &Table, id_index: usize, id: &Value) -> Option<RowId> {
+    match t.index(&format!("pk_{}", t.name)) {
+        Some(pk) => pk.lookup(std::slice::from_ref(id)).first().copied(),
+        None => t
+            .scan()
+            .find(|(_, row)| row[id_index] == *id)
+            .map(|(rid, _)| rid),
+    }
+}
 
 /// Data-access object for one entity type — the `JpaRepository` analogue in
 /// the paper's data-access layer (Figure 4).
@@ -46,61 +60,49 @@ impl<E: Entity> Repository<E> {
         &self.db
     }
 
-    fn find_row_id(&self, id: &Value) -> OrmResult<Option<RowId>> {
-        let idx = self.meta.id_index();
-        let hit = self.db.read_table(&self.meta.table, |t| {
-            let pk = t.index(&format!("pk_{}", self.meta.table));
-            match pk {
-                Some(pk) => pk.lookup(std::slice::from_ref(id)).first().copied(),
-                None => t
-                    .scan()
-                    .find(|(_, row)| row[idx] == *id)
-                    .map(|(rid, _)| rid),
-            }
-        })?;
-        Ok(hit)
+    /// Map a storage error of a write of `id`: a duplicate key is a
+    /// [`OrmError::Conflict`].
+    fn write_err(&self, e: DbError, id: &Value) -> OrmError {
+        match e {
+            DbError::UniqueViolation { .. } => OrmError::Conflict(format!(
+                "{} id {} already exists",
+                self.meta.entity,
+                id.render()
+            )),
+            other => OrmError::Storage(other),
+        }
     }
 
     /// Persist a new entity. Fails with [`OrmError::Conflict`] if the id is
     /// taken.
     pub fn insert(&self, entity: &E) -> OrmResult<()> {
-        let row = entity.to_row();
-        self.db.insert(&self.meta.table, row).map_err(|e| match e {
-            odbis_storage::DbError::UniqueViolation { .. } => OrmError::Conflict(format!(
-                "{} id {} already exists",
-                self.meta.entity,
-                entity.id_value().render()
-            )),
-            other => OrmError::Storage(other),
-        })?;
+        self.db
+            .insert(&self.meta.table, entity.to_row())
+            .map_err(|e| self.write_err(e, &entity.id_value()))?;
         Ok(())
     }
 
-    /// Insert or update by id (JPA `merge`/`save` semantics).
+    /// Insert or update by id (JPA `merge`/`save` semantics), as one
+    /// statement: the id is resolved under the same lock that writes it.
     pub fn save(&self, entity: &E) -> OrmResult<()> {
         let id = entity.id_value();
-        match self.find_row_id(&id)? {
-            Some(rid) => {
-                self.db
-                    .write_table(&self.meta.table, |t| t.update(rid, entity.to_row()))?;
-                Ok(())
-            }
-            None => self.insert(entity),
-        }
+        let idx = self.meta.id_index();
+        self.db
+            .write_table(&self.meta.table, |t| match row_id(t, idx, &id) {
+                Some(rid) => t.update(rid, entity.to_row()),
+                None => t.insert(entity.to_row()).map(drop),
+            })
+            .map_err(|e| self.write_err(e, &id))
     }
 
     /// Load an entity by id.
     pub fn find(&self, id: impl Into<Value>) -> OrmResult<Option<E>> {
         let id = id.into();
-        match self.find_row_id(&id)? {
-            None => Ok(None),
-            Some(rid) => {
-                let row = self
-                    .db
-                    .read_table(&self.meta.table, |t| t.get(rid).map(<[Value]>::to_vec))??;
-                Ok(Some(E::from_row(&row)?))
-            }
-        }
+        let idx = self.meta.id_index();
+        let row = self.db.read_table(&self.meta.table, |t| {
+            row_id(t, idx, &id).and_then(|rid| t.get(rid).ok().map(<[Value]>::to_vec))
+        })?;
+        row.map(|r| E::from_row(&r)).transpose()
     }
 
     /// Load an entity by id, failing if absent.
@@ -130,16 +132,18 @@ impl<E: Entity> Repository<E> {
         Ok(self.db.row_count(&self.meta.table)?)
     }
 
-    /// Delete by id; returns whether an entity was removed.
+    /// Delete by id, as one statement; returns whether an entity was
+    /// removed.
     pub fn delete(&self, id: impl Into<Value>) -> OrmResult<bool> {
         let id = id.into();
-        match self.find_row_id(&id)? {
-            None => Ok(false),
-            Some(rid) => {
-                self.db.write_table(&self.meta.table, |t| t.delete(rid))?;
-                Ok(true)
-            }
-        }
+        let idx = self.meta.id_index();
+        let removed = self
+            .db
+            .write_table(&self.meta.table, |t| match row_id(t, idx, &id) {
+                Some(rid) => t.delete(rid).map(|()| true),
+                None => Ok(false),
+            })?;
+        Ok(removed)
     }
 
     /// Delete everything (truncate).

@@ -1,17 +1,19 @@
-//! Unit of Work: batch entity changes and flush them atomically.
+//! Unit of Work: batch entity changes and flush them atomically, as one
+//! storage statement over every table they touch.
 
 use std::sync::Arc;
 
-use odbis_storage::{Database, Value};
+use odbis_storage::{Database, Table, Value};
 
 use crate::error::{OrmError, OrmResult};
 use crate::meta::Entity;
+use crate::repository::row_id;
 
-/// Pending change kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Pending change kinds; inserts and updates carry the new row.
+#[derive(Debug)]
 enum ChangeKind {
-    Insert,
-    Update,
+    Insert(Vec<Value>),
+    Update(Vec<Value>),
     Delete,
 }
 
@@ -21,13 +23,33 @@ struct Change {
     kind: ChangeKind,
     id: Value,
     id_index: usize,
-    row: Option<Vec<Value>>,
+}
+
+impl Change {
+    /// Apply the change to its (write-locked) table, resolving the
+    /// entity's row id by primary key first.
+    fn apply(self, t: &mut Table) -> OrmResult<()> {
+        match (self.kind, row_id(t, self.id_index, &self.id)) {
+            (ChangeKind::Insert(_), Some(_)) => Err(OrmError::Conflict(format!(
+                "insert of existing id {} into {}",
+                self.id.render(),
+                self.table
+            ))),
+            (ChangeKind::Insert(row), None) => Ok(t.insert(row).map(drop)?),
+            (ChangeKind::Update(row), Some(rid)) => Ok(t.update(rid, row)?),
+            (ChangeKind::Delete, Some(rid)) => Ok(t.delete(rid)?),
+            (ChangeKind::Update(_) | ChangeKind::Delete, None) => Err(OrmError::NotFound {
+                entity: self.table,
+                id: self.id.render(),
+            }),
+        }
+    }
 }
 
 /// A unit of work (JPA `EntityManager` flush semantics): register new,
 /// dirty and removed entities, then [`UnitOfWork::commit`] applies all of
-/// them inside one storage transaction — either everything lands or nothing
-/// does.
+/// them as one storage statement — either everything lands, journaled with
+/// one WAL append, or nothing does and no reader ever saw any of it.
 #[derive(Debug)]
 pub struct UnitOfWork {
     db: Arc<Database>,
@@ -48,92 +70,57 @@ impl UnitOfWork {
         self.changes.len()
     }
 
-    /// Register a new entity for insertion.
-    pub fn register_new<E: Entity>(&mut self, entity: &E) {
+    fn register<E: Entity>(&mut self, entity: &E, kind: ChangeKind) {
         let meta = E::meta();
         self.changes.push(Change {
             table: meta.table.clone(),
-            kind: ChangeKind::Insert,
+            kind,
             id: entity.id_value(),
             id_index: meta.id_index(),
-            row: Some(entity.to_row()),
         });
+    }
+
+    /// Register a new entity for insertion.
+    pub fn register_new<E: Entity>(&mut self, entity: &E) {
+        self.register(entity, ChangeKind::Insert(entity.to_row()));
     }
 
     /// Register an existing entity whose state changed.
     pub fn register_dirty<E: Entity>(&mut self, entity: &E) {
-        let meta = E::meta();
-        self.changes.push(Change {
-            table: meta.table.clone(),
-            kind: ChangeKind::Update,
-            id: entity.id_value(),
-            id_index: meta.id_index(),
-            row: Some(entity.to_row()),
-        });
+        self.register(entity, ChangeKind::Update(entity.to_row()));
     }
 
     /// Register an entity for removal.
     pub fn register_removed<E: Entity>(&mut self, entity: &E) {
-        let meta = E::meta();
-        self.changes.push(Change {
-            table: meta.table.clone(),
-            kind: ChangeKind::Delete,
-            id: entity.id_value(),
-            id_index: meta.id_index(),
-            row: None,
-        });
+        self.register(entity, ChangeKind::Delete);
     }
 
-    /// Apply all pending changes in registration order inside one
-    /// transaction. On any failure everything is rolled back and the error
-    /// returned; the unit of work is left empty either way.
-    pub fn commit(mut self) -> OrmResult<usize> {
-        let changes = std::mem::take(&mut self.changes);
+    /// Apply all pending changes in registration order as one storage
+    /// statement over every table they touch ([`Database::write_tables`]):
+    /// each entity's row id is resolved under the statement's locks, and
+    /// the changes are journaled with one WAL append. On any failure
+    /// nothing is applied, journaled or visible to a reader, and the error
+    /// is returned; the unit of work is left empty either way.
+    pub fn commit(self) -> OrmResult<usize> {
+        let changes = self.changes;
         let n = changes.len();
-        let mut txn = self.db.begin();
-        for ch in changes {
-            // resolve current row id by primary key
-            let rid = self.db.read_table(&ch.table, |t| {
-                t.index(&format!("pk_{}", ch.table))
-                    .map(|pk| pk.lookup(std::slice::from_ref(&ch.id)).first().copied())
-                    .unwrap_or_else(|| {
-                        t.scan()
-                            .find(|(_, row)| row[ch.id_index] == ch.id)
-                            .map(|(rid, _)| rid)
-                    })
-            })?;
-            let outcome = match (ch.kind, rid) {
-                (ChangeKind::Insert, Some(_)) => Err(OrmError::Conflict(format!(
-                    "insert of existing id {} into {}",
-                    ch.id.render(),
-                    ch.table
-                ))),
-                (ChangeKind::Insert, None) => txn
-                    .insert(&ch.table, ch.row.expect("insert carries a row"))
-                    .map(drop)
-                    .map_err(OrmError::from),
-                (ChangeKind::Update, Some(rid)) => txn
-                    .update(&ch.table, rid, ch.row.expect("update carries a row"))
-                    .map_err(OrmError::from),
-                (ChangeKind::Update, None) => Err(OrmError::NotFound {
-                    entity: ch.table.clone(),
-                    id: ch.id.render(),
-                }),
-                (ChangeKind::Delete, Some(rid)) => {
-                    txn.delete(&ch.table, rid).map_err(OrmError::from)
-                }
-                (ChangeKind::Delete, None) => Err(OrmError::NotFound {
-                    entity: ch.table.clone(),
-                    id: ch.id.render(),
-                }),
-            };
-            if let Err(e) = outcome {
-                txn.rollback()?;
-                return Err(e);
+        let mut touched: Vec<String> = Vec::new();
+        for ch in &changes {
+            if !touched.iter().any(|t| t.eq_ignore_ascii_case(&ch.table)) {
+                touched.push(ch.table.clone());
             }
         }
-        txn.commit()?;
-        Ok(n)
+        let names: Vec<&str> = touched.iter().map(String::as_str).collect();
+        self.db.write_tables(&names, |tables| {
+            for ch in changes {
+                let t = tables
+                    .iter_mut()
+                    .find(|t| t.name.eq_ignore_ascii_case(&ch.table))
+                    .expect("every table of the unit is locked");
+                ch.apply(t)?;
+            }
+            Ok(n)
+        })
     }
 
     /// Discard all pending changes.
@@ -147,7 +134,9 @@ mod tests {
     use super::*;
     use crate::meta::EntityMeta;
     use crate::repository::Repository;
-    use odbis_storage::DataType;
+    use odbis_storage::{DataType, DbResult, WalRecord, WalSink};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Mutex;
 
     #[derive(Debug, Clone, PartialEq)]
     struct Item {
@@ -172,10 +161,116 @@ mod tests {
         }
     }
 
+    /// A second entity on its own table.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Tag {
+        id: i64,
+    }
+
+    impl Entity for Tag {
+        fn meta() -> EntityMeta {
+            EntityMeta::new("Tag", "uow_tags").id_field("id")
+        }
+        fn to_row(&self) -> Vec<Value> {
+            vec![Value::Int(self.id)]
+        }
+        fn from_row(row: &[Value]) -> OrmResult<Self> {
+            Ok(Tag {
+                id: row[0].as_i64().unwrap_or_default(),
+            })
+        }
+    }
+
     fn setup() -> (Arc<Database>, Repository<Item>) {
         let db = Arc::new(Database::new());
         let repo = Repository::new(Arc::clone(&db)).unwrap();
         (db, repo)
+    }
+
+    /// Keeps every `append` call's records, one entry per call.
+    #[derive(Default)]
+    struct CaptureSink(Mutex<Vec<Vec<WalRecord>>>);
+
+    impl WalSink for CaptureSink {
+        fn append(&self, records: &[WalRecord]) -> DbResult<()> {
+            self.0.lock().unwrap().push(records.to_vec());
+            Ok(())
+        }
+    }
+
+    fn capture(db: &Database) -> Arc<CaptureSink> {
+        let sink = Arc::new(CaptureSink::default());
+        db.set_wal_sink(Arc::clone(&sink) as Arc<dyn WalSink>);
+        sink
+    }
+
+    #[test]
+    fn unit_over_two_tables_is_one_append() {
+        let (db, items) = setup();
+        let tags: Repository<Tag> = Repository::new(Arc::clone(&db)).unwrap();
+        items
+            .insert(&Item {
+                id: 1,
+                label: "old".into(),
+            })
+            .unwrap();
+        let sink = capture(&db);
+        let mut uow = UnitOfWork::new(Arc::clone(&db));
+        uow.register_new(&Tag { id: 7 });
+        uow.register_dirty(&Item {
+            id: 1,
+            label: "new".into(),
+        });
+        uow.register_new(&Tag { id: 8 });
+        assert_eq!(uow.commit().unwrap(), 3);
+        let appends = sink.0.lock().unwrap();
+        assert_eq!(appends.len(), 1, "one append for the whole unit");
+        assert_eq!(appends[0].len(), 2, "the tag inserts coalesce: {appends:?}");
+        assert_eq!(tags.count().unwrap(), 2);
+        assert_eq!(items.get(1i64).unwrap().label, "new");
+    }
+
+    /// A unit whose last change fails journals nothing, and its first
+    /// change is never visible: not to a reader polling while units run,
+    /// not to a scan afterwards. (Applying each change as its own statement
+    /// and compensating on failure journals the insert and then a delete,
+    /// and shows the insert to a reader in between.)
+    #[test]
+    fn failed_unit_journals_nothing_and_is_never_visible() {
+        let (db, repo) = setup();
+        let keep = Item {
+            id: 1,
+            label: "keep".into(),
+        };
+        repo.insert(&keep).unwrap();
+        let sink = capture(&db);
+        let done = Arc::new(AtomicBool::new(false));
+        let reader = {
+            let (db, done) = (Arc::clone(&db), Arc::clone(&done));
+            std::thread::spawn(move || {
+                let mut glimpses = 0;
+                while !done.load(Ordering::Relaxed) {
+                    glimpses += usize::from(db.row_count("uow_items").unwrap() != 1);
+                }
+                glimpses
+            })
+        };
+        for i in 0..200 {
+            let mut uow = UnitOfWork::new(Arc::clone(&db));
+            uow.register_new(&Item {
+                id: 2,
+                label: format!("attempt {i}"),
+            });
+            uow.register_dirty(&Item {
+                id: 99,
+                label: "missing".into(),
+            });
+            assert!(matches!(uow.commit(), Err(OrmError::NotFound { .. })));
+        }
+        done.store(true, Ordering::Relaxed);
+        assert_eq!(reader.join().unwrap(), 0, "a reader saw a failed unit");
+        assert_eq!(*sink.0.lock().unwrap(), Vec::<Vec<WalRecord>>::new());
+        assert_eq!(repo.find_all().unwrap(), vec![keep]);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //!    scans so `TableScan` materializes only the columns the query reads.
 //!
 //! Every rule can be disabled independently through a [`RuleSet`]
-//! (config `sql.optimizer_rules`, [`crate::Engine::with_optimizer_rules`]),
-//! which is how the ablation benchmarks isolate each rule's
+//! ([`crate::Engine::with_optimizer_rules`]), which is how the golden
+//! tests and ablation benchmarks isolate each rule's
 //! contribution. Each rule application runs under a `sql` telemetry
 //! child span named `optimize.<rule>`.
 

@@ -1,5 +1,5 @@
-//! The database: a named catalog of per-table reader-writer locks, with
-//! undo-log transactions.
+//! The database: a named catalog of per-table reader-writer locks, written
+//! through atomic statements.
 //!
 //! ## Lock model
 //!
@@ -12,11 +12,18 @@
 //!    execution acquires only the tables it touches.
 //!
 //! When more than one table lock is held at once (checkpointing,
-//! [`Database::read_tables`]), the locks are taken in canonical order —
-//! sorted lowercased table name — so two multi-table acquirers can never
-//! deadlock. Single-table statements hold one table lock and never re-enter
-//! the catalog lock while holding it, so they cannot participate in a cycle
-//! at all.
+//! [`Database::read_tables`], [`Database::write_tables`]), the locks are
+//! taken in canonical order — sorted lowercased table name — so two
+//! multi-table acquirers can never deadlock. No statement re-enters the
+//! catalog lock while holding a table lock, so DDL cannot close a cycle.
+//!
+//! ## Statements
+//!
+//! The one unit of change is a statement over one or more tables
+//! ([`Database::write_tables`]; [`Database::write_table`] is its one-table
+//! case): every table it names is write-locked and its mutations are either
+//! all journaled with one [`WalSink::append`] or all undone before any lock
+//! is released. Readers never see a statement half-applied.
 //!
 //! A handle resolved under the catalog lock can outlive the table: DDL may
 //! drop the table before the statement locks it. The drop path marks the
@@ -26,10 +33,10 @@
 //! would land after the drop in the log.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 
 use crate::batch::Batch;
 use crate::error::{DbError, DbResult};
@@ -42,7 +49,8 @@ use crate::wal::{WalRecord, WalSink};
 ///
 /// `Database` is `Sync`: share it with `Arc<Database>` across services. All
 /// table access goes through closures ([`Database::read_table`] /
-/// [`Database::write_table`]) or transactions ([`Database::begin`]).
+/// [`Database::read_tables`] to read, [`Database::write_table`] /
+/// [`Database::write_tables`] to run a statement).
 ///
 /// Attaching a [`WalSink`] (see [`Database::set_wal_sink`]) journals every
 /// mutation — row ops, DDL, index maintenance — in apply order; without
@@ -50,7 +58,6 @@ use crate::wal::{WalRecord, WalSink};
 #[derive(Default)]
 pub struct Database {
     tables: RwLock<HashMap<String, CatalogEntry>>,
-    txn_counter: AtomicU64,
     wal_sink: RwLock<Option<Arc<dyn WalSink>>>,
 }
 
@@ -139,30 +146,52 @@ impl Database {
             .ok_or_else(|| DbError::TableNotFound(name.to_string()))
     }
 
-    /// Forward a statement's queued records to the sink as one append and
-    /// maintain the dirty flag. Called with that table's write lock still
-    /// held, so the log sees the table's mutations in the exact order they
-    /// were applied. Records of different tables may interleave in the
-    /// log, but they commute on replay — per-table order is the only order
-    /// recovery depends on.
+    /// Forward a statement's queued records — every table's, in the order
+    /// the tables were named — to the sink as one append and maintain the
+    /// dirty flags. Called with every table's write lock still held, so the
+    /// log sees each table's mutations in the exact order they were
+    /// applied. Records of different tables may interleave in the log, but
+    /// they commute on replay — per-table order is the only order recovery
+    /// depends on.
     ///
-    /// Dirty semantics: with the journal armed, a non-empty pending queue
-    /// is the precise "this statement mutated the table" signal. Unjournaled
-    /// tables (recovery replay, purely in-memory databases) have no queue,
-    /// so any successful write access marks dirty conservatively. The flag
-    /// is set only once the append succeeded: a refused append rolls the
-    /// statement back, so memory still matches the on-disk segments.
-    fn flush_pending(&self, t: &mut Table, dirty: &AtomicBool) -> DbResult<()> {
-        if t.journal_armed() {
-            let pending = t.take_pending();
-            if pending.is_empty() {
-                return Ok(());
+    /// Dirty semantics, per table: with the journal armed, a non-empty
+    /// pending queue is the precise "this statement mutated the table"
+    /// signal. Unjournaled tables (recovery replay, purely in-memory
+    /// databases) have no queue, so any successful write access marks dirty
+    /// conservatively. The flags are set only once the append succeeded: a
+    /// refused append rolls the statement back, so memory still matches the
+    /// on-disk segments.
+    fn flush_pending(
+        &self,
+        tables: &mut [RwLockWriteGuard<'_, Table>],
+        entries: &[(Arc<RwLock<Table>>, Arc<AtomicBool>)],
+    ) -> DbResult<()> {
+        let mut records = Vec::new();
+        let mut mutated = Vec::with_capacity(tables.len());
+        for (t, (_, dirty)) in tables.iter_mut().zip(entries) {
+            if t.journal_armed() {
+                let mut pending = t.take_pending();
+                if pending.is_empty() {
+                    continue;
+                }
+                // the first queue is taken as is: a one-table statement
+                // hands its records over without a copy
+                if records.is_empty() {
+                    records = pending;
+                } else {
+                    records.append(&mut pending);
+                }
             }
+            mutated.push(dirty);
+        }
+        if !records.is_empty() {
             if let Some(sink) = self.sink() {
-                sink.append(&pending)?;
+                sink.append(&records)?;
             }
         }
-        dirty.store(true, Ordering::Relaxed);
+        for dirty in mutated {
+            dirty.store(true, Ordering::Relaxed);
+        }
         Ok(())
     }
 
@@ -343,33 +372,72 @@ impl Database {
         Ok(f(&refs))
     }
 
-    /// Run `f` with exclusive access to a table as one **statement**:
-    /// either every mutation `f` makes is applied and journaled with one
-    /// [`WalSink::append`] — one frame per record, one write and at most
-    /// one fsync — or, when `f` returns `Err` or the append fails, the
-    /// statement is rolled back before the table lock is released and the
-    /// table is exactly as it was: same rows, same row ids, same index
-    /// entries, nothing handed to the sink. Readers and writers of other
-    /// tables are not blocked.
+    /// Run `f` with exclusive access to a table as one statement — the
+    /// one-table case of [`Database::write_tables`].
     pub fn write_table<R, E: From<DbError>>(
         &self,
         name: &str,
         f: impl FnOnce(&mut Table) -> Result<R, E>,
     ) -> Result<R, E> {
-        let (handle, dirty) = self.entry(name)?;
-        let mut t = handle.write();
-        if t.is_dropped() {
-            return Err(DbError::TableNotFound(name.to_string()).into());
+        self.write_tables(&[name], |tables| f(&mut *tables[0]))
+    }
+
+    /// Run `f` with exclusive access to several tables as one
+    /// **statement**: either every mutation `f` makes, to any of them, is
+    /// applied and journaled with one [`WalSink::append`] — one frame per
+    /// record, one write and at most one fsync — or, when `f` returns `Err`
+    /// or the append fails, every table is rolled back before any lock is
+    /// released and is exactly as it was: same rows, same row ids, same
+    /// index entries, same dirty flag, nothing handed to the sink. Readers
+    /// never observe the statement half-applied.
+    ///
+    /// Locks are acquired in canonical order (sorted lowercased name), as
+    /// in [`Database::read_tables`], so concurrent multi-table statements,
+    /// readers and the checkpointer cannot deadlock; the slice passed to
+    /// `f` follows the order of `names`, which must not name a table twice.
+    /// Readers and writers of other tables are not blocked.
+    pub fn write_tables<R, E: From<DbError>>(
+        &self,
+        names: &[&str],
+        f: impl FnOnce(&mut [&mut Table]) -> Result<R, E>,
+    ) -> Result<R, E> {
+        let mut order: Vec<usize> = (0..names.len()).collect();
+        order.sort_by_cached_key(|&i| Self::key(names[i]));
+        if let Some(w) = order
+            .windows(2)
+            .find(|w| names[w[0]].eq_ignore_ascii_case(names[w[1]]))
+        {
+            let twice = DbError::Invalid(format!("table {} named twice", names[w[0]]));
+            return Err(twice.into());
         }
-        t.begin_statement();
-        let result = f(&mut t).and_then(|r| {
-            self.flush_pending(&mut t, &dirty)?;
+        let entries = names
+            .iter()
+            .map(|n| self.entry(n))
+            .collect::<DbResult<Vec<_>>>()?;
+        let mut locked: Vec<_> = order
+            .into_iter()
+            .map(|i| (i, entries[i].0.write()))
+            .collect();
+        locked.sort_by_key(|(i, _)| *i);
+        let mut guards: Vec<RwLockWriteGuard<'_, Table>> =
+            locked.into_iter().map(|(_, g)| g).collect();
+        if let Some(i) = guards.iter().position(|t| t.is_dropped()) {
+            return Err(DbError::TableNotFound(names[i].to_string()).into());
+        }
+        for t in &mut guards {
+            t.begin_statement();
+        }
+        let mut tables: Vec<&mut Table> = guards.iter_mut().map(|g| &mut **g).collect();
+        let result = f(&mut tables).and_then(|r| {
+            self.flush_pending(&mut guards, &entries)?;
             Ok(r)
         });
-        if result.is_ok() {
-            t.commit_statement();
-        } else {
-            t.rollback_statement();
+        for t in &mut guards {
+            if result.is_ok() {
+                t.commit_statement();
+            } else {
+                t.rollback_statement();
+            }
         }
         result
     }
@@ -428,149 +496,6 @@ impl Database {
     pub fn row_count(&self, table: &str) -> DbResult<usize> {
         self.read_table(table, |t| t.row_count())
     }
-
-    /// Begin a transaction. All mutations made through the returned [`Txn`]
-    /// are undone by [`Txn::rollback`] and made permanent by [`Txn::commit`].
-    /// Dropping an uncommitted transaction rolls it back.
-    pub fn begin(&self) -> Txn<'_> {
-        Txn {
-            db: self,
-            id: self.txn_counter.fetch_add(1, Ordering::Relaxed) + 1,
-            undo: Vec::new(),
-            open: true,
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Undo {
-    Insert {
-        table: String,
-        id: RowId,
-    },
-    Update {
-        table: String,
-        id: RowId,
-        old: Vec<Value>,
-    },
-    Delete {
-        table: String,
-        id: RowId,
-        old: Vec<Value>,
-    },
-}
-
-/// An undo-log transaction over a [`Database`].
-///
-/// The engine serializes writers per table (table-level RwLock), so this is
-/// a single-writer transaction model: simple, predictable, and sufficient
-/// for the platform's OLTP-light metadata workloads.
-#[derive(Debug)]
-pub struct Txn<'db> {
-    db: &'db Database,
-    id: u64,
-    undo: Vec<Undo>,
-    open: bool,
-}
-
-impl<'db> Txn<'db> {
-    /// This transaction's sequence number.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    fn ensure_open(&self) -> DbResult<()> {
-        if self.open {
-            Ok(())
-        } else {
-            Err(DbError::TxnClosed)
-        }
-    }
-
-    /// Transactional insert.
-    pub fn insert(&mut self, table: &str, row: Vec<Value>) -> DbResult<RowId> {
-        self.ensure_open()?;
-        let id = self.db.insert(table, row)?;
-        self.undo.push(Undo::Insert {
-            table: table.to_string(),
-            id,
-        });
-        Ok(id)
-    }
-
-    /// Transactional update.
-    pub fn update(&mut self, table: &str, id: RowId, row: Vec<Value>) -> DbResult<()> {
-        self.ensure_open()?;
-        let old = self.db.write_table(table, |t| {
-            let old = t.get(id)?.to_vec();
-            t.update(id, row)?;
-            DbResult::Ok(old)
-        })?;
-        self.undo.push(Undo::Update {
-            table: table.to_string(),
-            id,
-            old,
-        });
-        Ok(())
-    }
-
-    /// Transactional delete.
-    pub fn delete(&mut self, table: &str, id: RowId) -> DbResult<()> {
-        self.ensure_open()?;
-        let old = self.db.write_table(table, |t| {
-            let old = t.get(id)?.to_vec();
-            t.delete(id)?;
-            DbResult::Ok(old)
-        })?;
-        self.undo.push(Undo::Delete {
-            table: table.to_string(),
-            id,
-            old,
-        });
-        Ok(())
-    }
-
-    /// Make all changes permanent.
-    pub fn commit(mut self) -> DbResult<()> {
-        self.ensure_open()?;
-        self.open = false;
-        self.undo.clear();
-        Ok(())
-    }
-
-    /// Undo all changes, in reverse order.
-    pub fn rollback(mut self) -> DbResult<()> {
-        self.ensure_open()?;
-        self.apply_undo()
-    }
-
-    fn apply_undo(&mut self) -> DbResult<()> {
-        self.open = false;
-        while let Some(entry) = self.undo.pop() {
-            match entry {
-                Undo::Insert { table, id } => {
-                    self.db.write_table(&table, |t| t.delete(id))?;
-                }
-                Undo::Update { table, id, old } => {
-                    self.db.write_table(&table, |t| t.update(id, old))?;
-                }
-                Undo::Delete { table, id, old } => {
-                    self.db.write_table(&table, |t| t.undelete(id, old))?;
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Drop for Txn<'_> {
-    fn drop(&mut self) {
-        if self.open {
-            // Best-effort rollback; errors here mean concurrent DDL removed
-            // a table mid-transaction, which we cannot repair on drop.
-            let _ = self.apply_undo();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -617,15 +542,17 @@ mod tests {
     }
 
     /// Accepts appends until `refuse` is set, then fails them like a full
-    /// disk.
+    /// disk. Counts every call, accepted or not.
     #[derive(Default)]
     struct RefusingSink {
         refuse: AtomicBool,
+        appends: std::sync::atomic::AtomicUsize,
         accepted: parking_lot::Mutex<Vec<WalRecord>>,
     }
 
     impl WalSink for RefusingSink {
         fn append(&self, records: &[WalRecord]) -> DbResult<()> {
+            self.appends.fetch_add(1, Ordering::Relaxed);
             if self.refuse.load(Ordering::Relaxed) {
                 return Err(DbError::Io("disk full".into()));
             }
@@ -807,51 +734,118 @@ mod tests {
         assert_eq!(db.scan("t").unwrap().len(), 2);
     }
 
-    #[test]
-    fn txn_commit_persists() {
+    /// Tables `t` and `u` (same schema, `ix_v` on `u`), one row each, both
+    /// clean, with a sink attached that counts `append` calls.
+    fn two_tables(sink: &Arc<RefusingSink>) -> Database {
         let db = db_with_t();
-        let mut txn = db.begin();
-        txn.insert("t", vec![1.into(), "a".into()]).unwrap();
-        txn.commit().unwrap();
-        assert_eq!(db.row_count("t").unwrap(), 1);
-    }
-
-    #[test]
-    fn txn_rollback_undoes_everything_in_reverse() {
-        let db = db_with_t();
-        let keep = db.insert("t", vec![1.into(), "keep".into()]).unwrap();
-        let mut txn = db.begin();
-        let a = txn.insert("t", vec![2.into(), "a".into()]).unwrap();
-        txn.update("t", a, vec![2.into(), "a2".into()]).unwrap();
-        txn.update("t", keep, vec![1.into(), "changed".into()])
+        db.create_table("u", db.table_schema("t").unwrap()).unwrap();
+        db.write_table("u", |t| t.create_index("ix_v", &["v"], false))
             .unwrap();
-        txn.delete("t", keep).unwrap();
-        txn.rollback().unwrap();
-        assert_eq!(db.row_count("t").unwrap(), 1);
-        let rows = db.scan("t").unwrap();
-        assert_eq!(rows[0], vec![Value::Int(1), "keep".into()]);
+        db.insert("t", vec![1.into(), "a".into()]).unwrap();
+        db.insert("u", vec![1.into(), "a".into()]).unwrap();
+        db.set_wal_sink(Arc::clone(sink) as Arc<dyn WalSink>);
+        db.with_tables_marked(|views| {
+            for v in views {
+                v.dirty.store(false, Ordering::Relaxed);
+            }
+        });
+        db
     }
 
-    #[test]
-    fn dropping_open_txn_rolls_back() {
-        let db = db_with_t();
-        {
-            let mut txn = db.begin();
-            txn.insert("t", vec![1.into(), "x".into()]).unwrap();
+    /// Everything a rolled-back statement must leave as it was, per table:
+    /// slots, index entries, the columnar image and the dirty flag.
+    type Image = (Vec<Option<Vec<Value>>>, Vec<Vec<RowId>>, Batch, bool);
+
+    fn image(db: &Database, name: &str) -> Image {
+        let (rows, ids, batch) = db
+            .read_table(name, |t| {
+                let ids = t.indexes().iter().map(|i| i.ordered_ids()).collect();
+                (t.raw_rows().to_vec(), ids, t.scan_batch())
+            })
+            .unwrap();
+        (rows, ids, batch, db.table_dirty(name).unwrap())
+    }
+
+    /// Insert, update and delete on both tables.
+    fn mutate_both(tables: &mut [&mut Table]) -> DbResult<()> {
+        for t in tables.iter_mut() {
+            t.insert(vec![2.into(), "b".into()])?;
+            t.update(0, vec![1.into(), "a2".into()])?;
+            t.delete(1)?;
         }
-        assert_eq!(db.row_count("t").unwrap(), 0);
+        Ok(())
     }
 
     #[test]
-    fn closed_txn_rejects_operations() {
+    fn write_tables_journals_both_tables_in_one_append() {
+        let sink = Arc::new(RefusingSink::default());
+        let db = two_tables(&sink);
+        // named out of canonical order: the slice follows the caller
+        let names = db
+            .write_tables(&["u", "T"], |tables| {
+                mutate_both(tables)?;
+                DbResult::Ok(tables.iter().map(|t| t.name.clone()).collect::<Vec<_>>())
+            })
+            .unwrap();
+        assert_eq!(names, ["u", "t"]);
+        assert_eq!(sink.appends.load(Ordering::Relaxed), 1, "one append");
+        let records = sink.accepted.lock();
+        assert_eq!(records.len(), 6);
+        let tables: Vec<&str> = records
+            .iter()
+            .map(|r| match r {
+                WalRecord::Insert { table, .. }
+                | WalRecord::Update { table, .. }
+                | WalRecord::Delete { table, .. } => table.as_str(),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(tables, ["u", "u", "u", "t", "t", "t"]);
+        for name in ["t", "u"] {
+            assert_eq!(db.scan(name).unwrap(), [vec![1.into(), "a2".into()]]);
+            assert!(db.table_dirty(name).unwrap());
+        }
+    }
+
+    #[test]
+    fn failed_write_tables_rolls_every_table_back() {
+        let sink = Arc::new(RefusingSink::default());
+        let db = two_tables(&sink);
+        let before = (image(&db, "t"), image(&db, "u"));
+        let err = db
+            .write_tables(&["t", "u"], |tables| {
+                mutate_both(tables)?;
+                // both tables mutated, then the statement fails
+                tables[0].insert(vec![1.into(), "dup".into()])
+            })
+            .unwrap_err();
+        assert!(matches!(err, DbError::UniqueViolation { .. }));
+        assert_eq!((image(&db, "t"), image(&db, "u")), before);
+        assert_eq!(sink.appends.load(Ordering::Relaxed), 0, "nothing sent");
+    }
+
+    #[test]
+    fn refused_write_tables_rolls_every_table_back() {
+        let sink = Arc::new(RefusingSink::default());
+        let db = two_tables(&sink);
+        let before = (image(&db, "t"), image(&db, "u"));
+        sink.refuse.store(true, Ordering::Relaxed);
+        let err = db.write_tables(&["t", "u"], mutate_both).unwrap_err();
+        assert!(matches!(err, DbError::Io(_)));
+        assert_eq!((image(&db, "t"), image(&db, "u")), before);
+        assert_eq!(sink.appends.load(Ordering::Relaxed), 1, "one refused call");
+        assert!(sink.accepted.lock().is_empty(), "the sink kept nothing");
+    }
+
+    #[test]
+    fn write_tables_rejects_a_table_named_twice() {
         let db = db_with_t();
-        let mut txn = db.begin();
-        txn.insert("t", vec![1.into(), "x".into()]).unwrap();
-        let id = txn.id();
-        assert!(id >= 1);
-        txn.commit().unwrap();
-        // new txn gets a new id
-        assert!(db.begin().id() > id);
+        let twice = db.write_tables(&["t", "T"], |_| DbResult::Ok(()));
+        assert!(matches!(twice, Err(DbError::Invalid(_))));
+        let missing = db.write_tables(&["t", "nope"], |_| DbResult::Ok(()));
+        assert!(matches!(missing, Err(DbError::TableNotFound(_))));
+        // an empty statement touches nothing
+        assert_eq!(db.write_tables(&[], |t| DbResult::Ok(t.len())), Ok(0));
     }
 
     #[test]

@@ -36,8 +36,6 @@ pub enum DbError {
     ArityMismatch { expected: usize, actual: usize },
     /// The referenced row id does not exist (deleted or never allocated).
     RowNotFound(u64),
-    /// The transaction was already completed (committed or rolled back).
-    TxnClosed,
     /// A store file (log, segment, manifest) could not be read or written.
     Io(String),
     /// A store file was structurally invalid.
@@ -74,7 +72,6 @@ impl fmt::Display for DbError {
                 write!(f, "row has {actual} values, table has {expected} columns")
             }
             DbError::RowNotFound(id) => write!(f, "row id {id} not found"),
-            DbError::TxnClosed => write!(f, "transaction already completed"),
             DbError::Io(e) => write!(f, "storage I/O error: {e}"),
             DbError::Corrupt(e) => write!(f, "corrupt store data: {e}"),
             DbError::Invalid(e) => write!(f, "invalid argument: {e}"),

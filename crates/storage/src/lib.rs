@@ -11,7 +11,8 @@
 //! * heap [`Table`]s with ordered, optionally unique [`Index`]es;
 //! * columnar [`Batch`]es produced by vectorized scans
 //!   ([`Table::scan_batch`] / [`Database::scan_batch`]);
-//! * a concurrent [`Database`] catalog with undo-log [`Txn`] transactions;
+//! * a concurrent [`Database`] catalog whose one unit of change is an
+//!   atomic statement over one or more tables ([`Database::write_tables`]);
 //! * crash-safe durability: a checksummed write-ahead log with checkpoint
 //!   and recovery ([`Wal`] / [`DurableStore`], see the [`wal`] module),
 //!   whose records have one binary encoding ([`encode_record`] /
@@ -48,7 +49,7 @@ mod value;
 pub mod wal;
 
 pub use batch::{Batch, ColumnBuilder, ColumnData, ColumnVec, NULL_ROW};
-pub use database::{Database, Txn};
+pub use database::Database;
 pub use error::{DbError, DbResult};
 pub use manifest::{Manifest, SegmentEntry};
 pub use schema::{resolve_column, Column, Schema};

@@ -122,15 +122,11 @@ fn render_key(key: &[Value]) -> String {
 }
 
 /// How to reverse one mutation of the open statement (see
-/// [`Table::begin_statement`]): row ids and old images, the same facts a
-/// transaction's undo log keeps.
+/// [`Table::begin_statement`]): row ids and old images.
 #[derive(Debug, Clone)]
 enum Undo {
-    /// Slots from `from` on were appended (an insert, or an undelete past
-    /// the end).
+    /// Slots from `from` on were appended by inserts.
     Appended { from: usize },
-    /// Slot `id`, a tombstone before, was undeleted.
-    Undeleted { id: RowId },
     /// Slot `id` held `old` before an update.
     Updated { id: RowId, old: Vec<Value> },
     /// Slot `id` held `old` before a delete.
@@ -277,8 +273,8 @@ impl Table {
     }
 
     /// Open a statement: until it is committed or rolled back, every
-    /// mutation records how to reverse itself. [`crate::Database::write_table`]
-    /// opens one per call, under the table's write lock.
+    /// mutation records how to reverse itself. [`crate::Database::write_tables`]
+    /// opens one per call on every table it names, under their write locks.
     pub(crate) fn begin_statement(&mut self) {
         self.in_statement = true;
     }
@@ -303,7 +299,6 @@ impl Table {
         for step in std::mem::take(&mut self.undo).into_iter().rev() {
             match step {
                 Undo::Appended { from } => self.truncate_slots(from),
-                Undo::Undeleted { id } => self.vacate(id),
                 Undo::Updated { id, old } => {
                     self.vacate(id);
                     self.fill(id, old);
@@ -504,13 +499,6 @@ impl Table {
         Ok(id)
     }
 
-    /// Insert from a borrowed row. The table stores a validated, coerced
-    /// copy; the caller keeps the original (so bulk-load paths that need
-    /// rejected rows back — e.g. ETL quarantine — need no second copy).
-    pub fn insert_row(&mut self, row: &[Value]) -> DbResult<RowId> {
-        self.insert(row.to_vec())
-    }
-
     /// Insert every row of `rows` in order; consecutive inserts journal as
     /// one [`WalRecord::InsertMany`]. Stops at the first failing row: inside
     /// [`crate::Database::write_table`] the statement's rollback then removes
@@ -609,39 +597,6 @@ impl Table {
         });
         self.live -= 1;
         self.record_undo(Undo::Deleted { id, old });
-        self.invalidate_batch_cache();
-        Ok(())
-    }
-
-    /// Re-insert a previously deleted row at a specific id (transaction undo).
-    pub(crate) fn undelete(&mut self, id: RowId, row: Vec<Value>) -> DbResult<()> {
-        if matches!(self.rows.get(id as usize), Some(Some(_))) {
-            return Err(DbError::Invalid(format!("slot {id} occupied")));
-        }
-        for i in 0..self.indexes.len() {
-            if let Err(e) = self.indexes[i].insert(&row, id) {
-                for j in 0..i {
-                    self.indexes[j].remove(&row, id);
-                }
-                return Err(e);
-            }
-        }
-        let len = self.rows.len();
-        if id as usize >= len {
-            self.rows.resize(id as usize + 1, None);
-            self.record_undo(Undo::Appended { from: len });
-        } else {
-            self.record_undo(Undo::Undeleted { id });
-        }
-        if self.journal {
-            self.pending_wal.push(WalRecord::Undelete {
-                table: self.name.clone(),
-                id,
-                row: row.clone(),
-            });
-        }
-        self.rows[id as usize] = Some(row);
-        self.live += 1;
         self.invalidate_batch_cache();
         Ok(())
     }
@@ -909,9 +864,6 @@ mod tests {
         assert_eq!(t.scan_batch().value(1, 1), Value::from("bb"));
         t.delete(b).unwrap();
         assert_eq!(t.scan_batch().num_rows(), 1);
-        t.undelete(b, vec![2.into(), "b".into(), 31.into()])
-            .unwrap();
-        assert_eq!(t.scan_batch().num_rows(), 2);
         t.truncate();
         assert_eq!(t.scan_batch().num_rows(), 0);
         // repeated scans of a stable table agree with the row image
@@ -945,17 +897,6 @@ mod tests {
         let empty = t.scan_partitions(None, 4);
         assert_eq!(empty.len(), 1);
         assert_eq!(empty[0].num_columns(), 3);
-    }
-
-    #[test]
-    fn insert_row_borrows_and_validates() {
-        let mut t = users();
-        let row = vec![Value::Int(1), "a".into(), Value::Int(5)];
-        t.insert_row(&row).unwrap();
-        // caller keeps the original row
-        assert_eq!(row[1], "a".into());
-        assert!(t.insert_row(&row).is_err()); // duplicate pk, row still usable
-        assert_eq!(t.row_count(), 1);
     }
 
     #[test]
@@ -1001,17 +942,6 @@ mod tests {
         assert_eq!(t.indexes()[0].distinct_keys(), 0);
     }
 
-    #[test]
-    fn undelete_restores_row() {
-        let mut t = users();
-        let id = t.insert(vec![1.into(), "a".into(), 1.into()]).unwrap();
-        t.delete(id).unwrap();
-        t.undelete(id, vec![1.into(), "a".into(), 1.into()])
-            .unwrap();
-        assert_eq!(t.get(id).unwrap()[0], 1.into());
-        assert_eq!(t.indexes()[0].lookup(&[1.into()]), vec![id]);
-    }
-
     /// Everything a rollback must put back: slots (tombstones included),
     /// live count, and every index's name, keys and row ids.
     type Image = (
@@ -1037,7 +967,7 @@ mod tests {
             t.insert(vec![i.into(), format!("u{i}").into(), (20 + i).into()])
                 .unwrap();
         }
-        t.delete(1).unwrap(); // a tombstone the statement will fill
+        t.delete(1).unwrap(); // a tombstone the rollback must keep
         t.arm_journal();
         let before = image(&t);
         let batch = t.scan_batch();
@@ -1047,10 +977,6 @@ mod tests {
         t.update(0, vec![0.into(), "renamed".into(), 99.into()])
             .unwrap();
         t.delete(2).unwrap();
-        t.undelete(1, vec![1.into(), "back".into(), 21.into()])
-            .unwrap();
-        t.undelete(9, vec![9.into(), "far".into(), 29.into()])
-            .unwrap();
         t.insert_all(vec![vec![11.into(), "x".into(), 60.into()]])
             .unwrap();
         t.create_index("ix_name", &["name"], true).unwrap();

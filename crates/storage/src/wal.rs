@@ -5,14 +5,16 @@
 //! returns, so a process crash loses at most the statement being written
 //! when the power went out — never a committed one.
 //!
-//! One statement ([`Database::write_table`]) is one [`WalSink::append`]:
-//! its records go down with one write and at most one fsync, or, if the
-//! append fails, the statement is rolled back in memory before its table
-//! lock is released. The rows of one INSERT coalesce into a single
-//! [`WalRecord::InsertMany`] frame, which a cut either holds whole or not
-//! at all, so an INSERT is never half-recovered. A multi-row UPDATE or
-//! DELETE is still one frame per row inside that one write: a crash in the
-//! middle of the write can recover a prefix of its rows. An append that
+//! One statement ([`Database::write_tables`], over one or more tables) is
+//! one [`WalSink::append`]: its records go down with one write and at most
+//! one fsync, or, if the append fails, the statement is rolled back in
+//! memory before any of its table locks is released. Nothing ever logs a
+//! change and then a compensating one. The rows of one INSERT coalesce
+//! into a single [`WalRecord::InsertMany`] frame, which a cut either holds
+//! whole or not at all, so an INSERT is never half-recovered. A multi-row
+//! UPDATE or DELETE, and a statement over several tables, is still one
+//! frame per record inside that one write: a crash in the middle of the
+//! write can recover a prefix of its frames. An append that
 //! fails after its bytes reached the file (a failed fsync) cuts them back
 //! off, so memory and the log agree that the statement never happened;
 //! when even that cut fails, the log refuses every later append until a
@@ -33,9 +35,13 @@
 //! encoding of a [`WalRecord`] ([`encode_record`] / [`decode_record`]):
 //!
 //! ```text
-//! op u8                                  // 1 create_table … 10 drop_index
+//! op u8                                  // 1 create_table, 2 drop_table,
+//!                                        // 3 insert, 4 insert_many,
+//!                                        // 5 update, 6 delete, 8 truncate,
+//!                                        // 9 create_index, 10 drop_index
+//!                                        // (7 is unassigned: Corrupt)
 //! names    u32LE length + UTF-8          // table, then index / schema
-//! id       u64LE                         // update, delete, undelete
+//! id       u64LE                         // update, delete
 //! row      u32LE count + tagged values   // segment value codec, Null = tag 0
 //! rows     u32LE count + rows            // insert_many
 //! schema   u32LE length + schema JSON    // create_table: the segment meta's
@@ -182,15 +188,6 @@ pub enum WalRecord {
         /// Slot being tombstoned.
         id: RowId,
     },
-    /// Transaction-undo re-insert at a specific slot.
-    Undelete {
-        /// Table name.
-        table: String,
-        /// Slot being restored.
-        id: RowId,
-        /// Row image restored into the slot.
-        row: Vec<Value>,
-    },
     /// `TRUNCATE`-style full clear (ETL replace loads).
     Truncate {
         /// Table name.
@@ -222,7 +219,7 @@ const OP_INSERT: u8 = 3;
 const OP_INSERT_MANY: u8 = 4;
 const OP_UPDATE: u8 = 5;
 const OP_DELETE: u8 = 6;
-const OP_UNDELETE: u8 = 7;
+// 7 is unassigned: it decodes as an unknown op
 const OP_TRUNCATE: u8 = 8;
 const OP_CREATE_INDEX: u8 = 9;
 const OP_DROP_INDEX: u8 = 10;
@@ -248,7 +245,6 @@ pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
         WalRecord::InsertMany { table, .. } => (OP_INSERT_MANY, table),
         WalRecord::Update { table, .. } => (OP_UPDATE, table),
         WalRecord::Delete { table, .. } => (OP_DELETE, table),
-        WalRecord::Undelete { table, .. } => (OP_UNDELETE, table),
         WalRecord::Truncate { table } => (OP_TRUNCATE, table),
         WalRecord::CreateIndex { table, .. } => (OP_CREATE_INDEX, table),
         WalRecord::DropIndex { table, .. } => (OP_DROP_INDEX, table),
@@ -266,7 +262,7 @@ pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
                 put_row(out, row);
             }
         }
-        WalRecord::Update { id, row, .. } | WalRecord::Undelete { id, row, .. } => {
+        WalRecord::Update { id, row, .. } => {
             out.extend_from_slice(&id.to_le_bytes());
             put_row(out, row);
         }
@@ -322,7 +318,7 @@ pub fn decode_record(bytes: &[u8]) -> DbResult<WalRecord> {
     }
     let (b, p) = (bytes, &mut 0usize);
     let op = read_u8(b, p, "op")?;
-    if !(OP_CREATE_TABLE..=OP_DROP_INDEX).contains(&op) {
+    if !matches!(op, OP_CREATE_TABLE..=OP_DELETE | OP_TRUNCATE..=OP_DROP_INDEX) {
         return Err(DbError::Corrupt(format!("unknown wal op {op}")));
     }
     let table = text(b, p)?;
@@ -348,11 +344,6 @@ pub fn decode_record(bytes: &[u8]) -> DbResult<WalRecord> {
         OP_DELETE => WalRecord::Delete {
             table,
             id: read_u64(b, p, "row id")?,
-        },
-        OP_UNDELETE => WalRecord::Undelete {
-            table,
-            id: read_u64(b, p, "row id")?,
-            row: row(b, p)?,
         },
         OP_TRUNCATE => WalRecord::Truncate { table },
         OP_CREATE_INDEX => WalRecord::CreateIndex {
@@ -384,10 +375,10 @@ pub fn decode_record(bytes: &[u8]) -> DbResult<WalRecord> {
 pub trait WalSink: Send + Sync {
     /// Persist the records of one statement as a unit — group commit: [`Wal`]
     /// writes them with one `write_all` and at most one fsync. Called in
-    /// apply order, under the written table's write lock, so implementations
-    /// need not re-order. An `Err` rolls the statement back (see
-    /// [`Database::write_table`]), so a sink must not keep records it
-    /// refused.
+    /// apply order, under the write lock of every table the statement
+    /// names, so implementations need not re-order. An `Err` rolls the
+    /// statement back (see [`Database::write_tables`]), so a sink must not
+    /// keep records it refused.
     fn append(&self, records: &[WalRecord]) -> DbResult<()>;
 }
 
@@ -686,9 +677,6 @@ pub fn replay_record(db: &Database, record: &WalRecord) -> DbResult<()> {
             db.write_table(table, |t| t.update(*id, row.clone()))
         }
         WalRecord::Delete { table, id } => db.write_table(table, |t| t.delete(*id)),
-        WalRecord::Undelete { table, id, row } => {
-            db.write_table(table, |t| t.undelete(*id, row.clone()))
-        }
         WalRecord::Truncate { table } => db.truncate(table),
         WalRecord::CreateIndex {
             table,

@@ -1,7 +1,8 @@
 //! Property-based tests for storage-engine invariants.
 
 use odbis_storage::{
-    date_to_days, days_to_date, parse_date, Column, DataType, Database, Schema, Table, Value,
+    date_to_days, days_to_date, parse_date, Column, DataType, Database, DbError, Schema, Table,
+    Value,
 };
 use proptest::prelude::*;
 
@@ -110,7 +111,8 @@ proptest! {
         prop_assert_eq!(vals, sorted);
     }
 
-    /// Rolled-back transactions leave the database byte-identical.
+    /// A statement that applies random ops and then fails leaves the
+    /// database byte-identical.
     #[test]
     fn rollback_restores_state(seed in prop::collection::vec((0i64..20, 0u8..3), 1..40)) {
         let db = Database::new();
@@ -122,18 +124,23 @@ proptest! {
         for i in 0..10i64 {
             db.insert("t", vec![i.into(), 0.into()]).unwrap();
         }
-        let before = db.scan("t").unwrap();
-        {
-            let mut txn = db.begin();
+        // live rows with their row ids
+        let image = || {
+            db.read_table("t", |t| t.scan().map(|(id, r)| (id, r.to_vec())).collect::<Vec<_>>())
+                .unwrap()
+        };
+        let before = image();
+        let failed = db.write_table("t", |t| {
             for (v, op) in &seed {
                 match op {
-                    0 => { let _ = txn.insert("t", vec![(*v + 100).into(), 1.into()]); }
-                    1 => { let _ = txn.update("t", (*v % 10) as u64, vec![(*v % 10).into(), 99.into()]); }
-                    _ => { let _ = txn.delete("t", (*v % 10) as u64); }
+                    0 => { let _ = t.insert(vec![(*v + 100).into(), 1.into()]); }
+                    1 => { let _ = t.update((*v % 10) as u64, vec![(*v % 10).into(), 99.into()]); }
+                    _ => { let _ = t.delete((*v % 10) as u64); }
                 }
             }
-            txn.rollback().unwrap();
-        }
-        prop_assert_eq!(db.scan("t").unwrap(), before);
+            Err::<(), _>(DbError::Invalid("the statement fails after its ops".into()))
+        });
+        prop_assert!(failed.is_err());
+        prop_assert_eq!(image(), before);
     }
 }

@@ -173,14 +173,9 @@ fn pinned_records() -> Vec<WalRecord> {
         WalRecord::Update {
             table: t(),
             id: u64::MAX,
-            row: edges.clone(),
-        },
-        WalRecord::Delete { table: t(), id: 0 },
-        WalRecord::Undelete {
-            table: t(),
-            id: 7,
             row: edges,
         },
+        WalRecord::Delete { table: t(), id: 0 },
         WalRecord::Truncate { table: "\n".into() },
         WalRecord::CreateIndex {
             table: t(),
@@ -234,7 +229,7 @@ fn gen_row(rng: &mut StdRng) -> Vec<Value> {
 fn gen_record(rng: &mut StdRng) -> WalRecord {
     let table = gen_text(rng);
     let id = rng.next_u64();
-    match rng.random_range(0..9u8) {
+    match rng.random_range(0..8u8) {
         0 => WalRecord::DropTable { name: table },
         1 => WalRecord::Insert {
             table,
@@ -252,13 +247,8 @@ fn gen_record(rng: &mut StdRng) -> WalRecord {
             row: gen_row(rng),
         },
         4 => WalRecord::Delete { table, id },
-        5 => WalRecord::Undelete {
-            table,
-            id,
-            row: gen_row(rng),
-        },
-        6 => WalRecord::Truncate { table },
-        7 => WalRecord::CreateIndex {
+        5 => WalRecord::Truncate { table },
+        6 => WalRecord::CreateIndex {
             table,
             name: gen_text(rng),
             columns: (0..rng.random_range(0..4usize))
@@ -387,5 +377,24 @@ fn u32_max_counts_are_corrupt_before_any_reservation() {
         bytes.resize(20, 0);
         let got = decode_bounded(&bytes, what);
         assert!(matches!(got, Err(DbError::Corrupt(_))), "{what}: {got:?}");
+    }
+}
+
+/// Op bytes outside the assigned set — 0, 7 (retired, never reused) and
+/// anything above 10 — are `Corrupt` whatever follows them.
+#[test]
+fn unassigned_op_bytes_are_unknown_ops() {
+    let update = encode(&WalRecord::Update {
+        table: "t".into(),
+        id: 7,
+        row: edge_values(),
+    });
+    for op in [0u8, 7, 11, 255] {
+        let mut bytes = update.clone();
+        bytes[0] = op;
+        match decode_bounded(&bytes, "unassigned op") {
+            Err(DbError::Corrupt(m)) => assert_eq!(m, format!("unknown wal op {op}")),
+            other => panic!("op {op}: {other:?}"),
+        }
     }
 }

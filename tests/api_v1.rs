@@ -928,7 +928,11 @@ fn request_racing_a_cutover_gets_a_redirect_not_an_error() {
 
     // park gated dispatches between the routing filter and the fence,
     // pinning the in-flight request inside the cutover window
-    odbis_chaos::apply_spec("platform.fence=delay(600)").unwrap();
+    const PARKED: std::time::Duration = std::time::Duration::from_millis(600);
+    odbis_chaos::apply_spec(&format!("platform.fence=delay({})", PARKED.as_millis())).unwrap();
+    // the racer cannot start its delay before this instant, so a cutover
+    // done within PARKED of it is done before the racer resumes
+    let start = std::time::Instant::now();
     let racer = {
         let src_addr = src_addr.clone();
         let token = token.clone();
@@ -942,11 +946,23 @@ fn request_racing_a_cutover_gets_a_redirect_not_an_error() {
             )
         })
     };
-    // the filter routes the request Local, then it sleeps; flip ownership
-    // underneath it
-    std::thread::sleep(std::time::Duration::from_millis(150));
+    // the filter routes the request Local, then it parks at the failpoint;
+    // once it is parked, flip ownership underneath it
+    while odbis_chaos::triggered_count("platform.fence") == 0 {
+        assert!(
+            start.elapsed() < PARKED,
+            "the request never reached the fence"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     let report = fabric.migrate("clinic", dst_id).unwrap();
     assert_eq!(report.to, dst_id);
+    let took = start.elapsed();
+    assert!(
+        took < PARKED,
+        "the cutover took {took:?}, longer than the request stays parked ({PARKED:?}): \
+         this host is too slow for the race this test stages"
+    );
 
     let (status, headers, body) = racer.join().unwrap();
     odbis_chaos::clear();
