@@ -220,8 +220,12 @@ fn set_in(reg: &mut Registry, site: &str, policy: FailPolicy) {
         reg.sites.remove(site);
         return;
     }
+    // xorshift64* starts from the seed itself, so nearby seeds would give
+    // nearby streams (seeds s and s + 1 share their first draws): scramble
+    // the seed through the splitmix64 finalizer first. The state must not
+    // be zero.
     let rng_seed = match policy {
-        FailPolicy::ErrWithProb { seed, .. } => seed.max(1),
+        FailPolicy::ErrWithProb { seed, .. } => splitmix64(seed).max(1),
         _ => 1,
     };
     reg.sites.insert(
@@ -233,6 +237,15 @@ fn set_in(reg: &mut Registry, site: &str, policy: FailPolicy) {
             rng: rng_seed,
         },
     );
+}
+
+/// The splitmix64 output function: a bijection on `u64` that sends
+/// adjacent inputs to unrelated outputs.
+fn splitmix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Evaluate the failpoint at `site`.
@@ -473,6 +486,33 @@ mod tests {
         assert_ne!(a, c, "different seed, different pattern");
         let fires = a.iter().filter(|f| **f).count();
         assert!((10..=54).contains(&fires), "p=0.5 over 64 draws: {fires}");
+    }
+
+    #[test]
+    fn adjacent_seeds_draw_independent_streams() {
+        // a sweep reseeds round r with `base + r`: the first pass of each
+        // round must fail with probability p, not all together (from this
+        // base, unscrambled seeds fired on the first pass of every round)
+        let _x = exclusive();
+        clear();
+        let base = 11_400_714_819_519_147_042u64;
+        let first_pass_fires = |n: u64| {
+            (0..n)
+                .filter(|r| {
+                    let seed = base.wrapping_add(*r);
+                    set("t.adjacent", FailPolicy::ErrWithProb { prob: 0.3, seed });
+                    let fired = check("t.adjacent").is_err();
+                    remove("t.adjacent");
+                    fired
+                })
+                .count()
+        };
+        assert!(
+            first_pass_fires(6) < 6,
+            "six adjacent rounds all failed at once"
+        );
+        let fires = first_pass_fires(256);
+        assert!((50..=105).contains(&fires), "p=0.3 over 256 seeds: {fires}");
     }
 
     #[test]

@@ -329,9 +329,12 @@ impl MaterializedAggregate {
                     let li = dschema.index_of(&level.column).ok_or_else(|| {
                         OlapError::Invalid(format!("level column {} missing on {t}", level.column))
                     })?;
+                    // only the key and level columns, one chunk at a time
                     let mut map = HashMap::new();
-                    for row in db.scan(t).map_err(invalid)? {
-                        map.insert(row[ki].clone(), row[li].clone());
+                    for m in db.scan_partitions(t, Some(&[ki, li])).map_err(invalid)? {
+                        for r in 0..m.num_rows() {
+                            map.insert(m.value(0, r), m.value(1, r));
+                        }
                     }
                     srcs.push(AxisSrc::Dim(fk, map));
                 }

@@ -100,7 +100,7 @@ impl<E: Entity> Repository<E> {
         let id = id.into();
         let idx = self.meta.id_index();
         let row = self.db.read_table(&self.meta.table, |t| {
-            row_id(t, idx, &id).and_then(|rid| t.get(rid).ok().map(<[Value]>::to_vec))
+            row_id(t, idx, &id).and_then(|rid| t.row(rid).ok())
         })?;
         row.map(|r| E::from_row(&r)).transpose()
     }
@@ -114,7 +114,7 @@ impl<E: Entity> Repository<E> {
         })
     }
 
-    /// All entities, in heap order.
+    /// All entities, in row-id order.
     pub fn find_all(&self) -> OrmResult<Vec<E>> {
         let rows = self.db.scan(&self.meta.table)?;
         rows.iter().map(|r| E::from_row(r)).collect()

@@ -1,9 +1,10 @@
 //! Plan execution: materialized, operator-at-a-time.
 //!
 //! Two walkers over [`PlanNode`] exist. [`run_columnar`] → `exec_morsels` is
-//! the executor every production SELECT takes: table scans emit fixed-size
-//! morsels ([`MORSEL_ROWS`] rows) of columnar [`Batch`]es that flow through
-//! filters and projections column-wise on a scoped worker pool, equi-joins
+//! the executor every production SELECT takes: table scans emit one morsel
+//! per table chunk (at most [`BLOCK_ROWS`] rows) as columnar [`Batch`]es
+//! that flow through filters and projections column-wise on a scoped
+//! worker pool, equi-joins
 //! hash the typed key columns of the smaller side, probe the other side's
 //! morsels into row-index pairs and materialise the output late with
 //! [`Batch::gather`], and aggregation runs two-phase (one partial state per
@@ -24,7 +25,8 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use odbis_storage::{
-    Batch, ColumnData, ColumnVec, DataType, Database, DbError, DbResult, Table, Value, NULL_ROW,
+    Batch, ColumnData, ColumnVec, DataType, Database, DbError, DbResult, Table, Value, BLOCK_ROWS,
+    NULL_ROW,
 };
 
 use crate::ast::{AggFunc, JoinKind};
@@ -174,12 +176,9 @@ fn index_rows(
         .ok_or_else(|| DbError::IndexNotFound(index.to_string()))?;
     idx.range(lo.as_deref(), hi.as_deref())
         .into_iter()
-        .map(|id| table.get(id).map(<[Value]>::to_vec))
+        .map(|id| table.row(id))
         .collect()
 }
-
-/// Rows per morsel: the unit of work handed to parallel operators.
-pub const MORSEL_ROWS: usize = 4096;
 
 /// Execute a read-only plan column-wise on `threads` workers, producing a
 /// [`Batch`]: the in-order concatenation of the plan's output morsels.
@@ -198,7 +197,7 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
             filter,
             projection,
         } => {
-            let morsels = db.scan_partitions(table, projection.as_deref(), MORSEL_ROWS)?;
+            let morsels = db.scan_partitions(table, projection.as_deref())?;
             match filter {
                 None => Ok(morsels),
                 Some(pred) => par_map(morsels, threads, |m| Ok(m.filter(&keep_mask(pred, &m)?))),
@@ -322,11 +321,11 @@ fn split_chunks<T>(items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Contiguous `[lo, hi)` index ranges of at most [`MORSEL_ROWS`] rows.
+/// Contiguous `[lo, hi)` index ranges of at most [`BLOCK_ROWS`] rows.
 fn morsel_ranges(n: usize) -> Vec<(usize, usize)> {
     (0..n)
-        .step_by(MORSEL_ROWS)
-        .map(|lo| (lo, (lo + MORSEL_ROWS).min(n)))
+        .step_by(BLOCK_ROWS)
+        .map(|lo| (lo, (lo + BLOCK_ROWS).min(n)))
         .collect()
 }
 

@@ -444,10 +444,10 @@ impl Engine {
             let pred = filter.map(|f| planner::bind(f, &scope)).transpose()?;
             let mut updates = Vec::new();
             for (id, row) in t.scan() {
-                if matches_filter(pred.as_ref(), row)? {
-                    let mut new_row = row.to_vec();
+                if matches_filter(pred.as_ref(), &row)? {
+                    let mut new_row = row.clone();
                     for (i, e) in &bound_sets {
-                        new_row[*i] = e.eval(row)?;
+                        new_row[*i] = e.eval(&row)?;
                     }
                     updates.push((id, new_row));
                 }
@@ -472,7 +472,7 @@ impl Engine {
             let pred = filter.map(|f| planner::bind(f, &scope)).transpose()?;
             let mut ids = Vec::new();
             for (id, row) in t.scan() {
-                if matches_filter(pred.as_ref(), row)? {
+                if matches_filter(pred.as_ref(), &row)? {
                     ids.push(id);
                 }
             }

@@ -2,7 +2,8 @@
 //!
 //! A [`Batch`] is a set of equal-length typed column vectors with per-column
 //! null bitmaps, built from the same [`DataType`]/[`Value`] vocabulary as the
-//! row heap. Scans produce batches ([`crate::Table::scan_batch`]), the SQL
+//! tables. A table stores its rows as chunks of [`ColumnVec`]s, so a scan
+//! hands out one batch per chunk ([`crate::Table::scan_partitions`]), the SQL
 //! executor evaluates predicates and aggregates column-wise over them, and
 //! ETL frames and OLAP cube builds convert at their boundaries instead of
 //! round-tripping through per-row clones.
@@ -173,16 +174,86 @@ impl ColumnVec {
         }
         match (homogeneous, ty) {
             (true, Some(t)) => {
-                let mut b = ColumnBuilder::with_capacity(t, values.len());
+                let mut col = ColumnVec::with_capacity(t, values.len());
                 for v in &values {
-                    b.push(v);
+                    col.push(v);
                 }
-                b.finish()
+                col
             }
             _ => ColumnVec {
                 data: ColumnData::Mixed(values),
                 nulls: None,
             },
+        }
+    }
+
+    /// An empty column of `ty` with room for `cap` rows.
+    pub fn with_capacity(ty: DataType, cap: usize) -> Self {
+        let data = match ty {
+            DataType::Bool => ColumnData::Bool(Vec::with_capacity(cap)),
+            DataType::Int => ColumnData::Int(Vec::with_capacity(cap)),
+            DataType::Float => ColumnData::Float(Vec::with_capacity(cap)),
+            DataType::Text => ColumnData::Text(Vec::with_capacity(cap)),
+            DataType::Date => ColumnData::Date(Vec::with_capacity(cap)),
+            DataType::Timestamp => ColumnData::Timestamp(Vec::with_capacity(cap)),
+        };
+        ColumnVec { data, nulls: None }
+    }
+
+    /// Append one value (see [`ColumnVec::set`]).
+    pub fn push(&mut self, v: &Value) {
+        self.set(self.len(), v);
+    }
+
+    /// Overwrite row `i` with `v`, or append it when `i == len()`. NULL or
+    /// a value of the column's type keeps the column typed (a NULL slot
+    /// holds the type's default, masked by the null bitmap); anything else
+    /// degrades it to `Mixed`.
+    ///
+    /// # Panics
+    /// Panics if `i > len()`.
+    pub fn set(&mut self, i: usize, v: &Value) {
+        fn put<T>(d: &mut Vec<T>, i: usize, x: T) {
+            if i == d.len() {
+                d.push(x);
+            } else {
+                d[i] = x;
+            }
+        }
+        match (&mut self.data, v) {
+            (ColumnData::Mixed(d), v) => return put(d, i, v.clone()),
+            (ColumnData::Bool(d), Value::Bool(x)) => put(d, i, *x),
+            (ColumnData::Int(d), Value::Int(x)) => put(d, i, *x),
+            (ColumnData::Float(d), Value::Float(x)) => put(d, i, *x),
+            (ColumnData::Text(d), Value::Text(x)) => put(d, i, x.clone()),
+            (ColumnData::Date(d), Value::Date(x)) => put(d, i, *x),
+            (ColumnData::Timestamp(d), Value::Timestamp(x)) => put(d, i, *x),
+            (ColumnData::Bool(d), Value::Null) => put(d, i, false),
+            (ColumnData::Int(d), Value::Null) => put(d, i, 0),
+            (ColumnData::Float(d), Value::Null) => put(d, i, 0.0),
+            (ColumnData::Text(d), Value::Null) => put(d, i, String::new()),
+            (ColumnData::Date(d), Value::Null) => put(d, i, 0),
+            (ColumnData::Timestamp(d), Value::Null) => put(d, i, 0),
+            (_, v) => {
+                // type mismatch: degrade to Mixed, which holds its nulls inline
+                let mut vals = self.values();
+                put(&mut vals, i, v.clone());
+                *self = ColumnVec {
+                    data: ColumnData::Mixed(vals),
+                    nulls: None,
+                };
+                return;
+            }
+        }
+        let null = v.is_null();
+        match &mut self.nulls {
+            Some(n) => put(n, i, null),
+            None if null => {
+                let mut n = vec![false; self.data.len()];
+                n[i] = true;
+                self.nulls = Some(n);
+            }
+            None => {}
         }
     }
 
@@ -312,92 +383,6 @@ impl ColumnVec {
         ColumnVec {
             data: self.data.slice(start, end),
             nulls: self.nulls.as_ref().map(|n| n[start..end].to_vec()),
-        }
-    }
-}
-
-/// Incremental builder for one typed column (used by batch-producing scans,
-/// where the schema fixes each column's [`DataType`] up front).
-///
-/// If a pushed value does not match the declared type the builder degrades
-/// to `Mixed` transparently, so it is safe against heterogeneous inputs.
-#[derive(Debug)]
-pub struct ColumnBuilder {
-    data: ColumnData,
-    nulls: Vec<bool>,
-    any_null: bool,
-}
-
-impl ColumnBuilder {
-    /// Builder for a column of `ty` with room for `cap` rows.
-    pub fn with_capacity(ty: DataType, cap: usize) -> Self {
-        let data = match ty {
-            DataType::Bool => ColumnData::Bool(Vec::with_capacity(cap)),
-            DataType::Int => ColumnData::Int(Vec::with_capacity(cap)),
-            DataType::Float => ColumnData::Float(Vec::with_capacity(cap)),
-            DataType::Text => ColumnData::Text(Vec::with_capacity(cap)),
-            DataType::Date => ColumnData::Date(Vec::with_capacity(cap)),
-            DataType::Timestamp => ColumnData::Timestamp(Vec::with_capacity(cap)),
-        };
-        ColumnBuilder {
-            data,
-            nulls: Vec::with_capacity(cap),
-            any_null: false,
-        }
-    }
-
-    /// Append one value (NULL or a value of the declared type; anything
-    /// else degrades the builder to `Mixed`).
-    pub fn push(&mut self, v: &Value) {
-        if v.is_null() {
-            self.any_null = true;
-            self.nulls.push(true);
-            match &mut self.data {
-                ColumnData::Bool(d) => d.push(false),
-                ColumnData::Int(d) => d.push(0),
-                ColumnData::Float(d) => d.push(0.0),
-                ColumnData::Text(d) => d.push(String::new()),
-                ColumnData::Date(d) => d.push(0),
-                ColumnData::Timestamp(d) => d.push(0),
-                ColumnData::Mixed(d) => d.push(Value::Null),
-            }
-            return;
-        }
-        self.nulls.push(false);
-        match (&mut self.data, v) {
-            (ColumnData::Bool(d), Value::Bool(b)) => d.push(*b),
-            (ColumnData::Int(d), Value::Int(i)) => d.push(*i),
-            (ColumnData::Float(d), Value::Float(f)) => d.push(*f),
-            (ColumnData::Text(d), Value::Text(s)) => d.push(s.clone()),
-            (ColumnData::Date(d), Value::Date(x)) => d.push(*x),
-            (ColumnData::Timestamp(d), Value::Timestamp(t)) => d.push(*t),
-            (ColumnData::Mixed(d), v) => d.push(v.clone()),
-            (_, v) => {
-                // type mismatch: degrade to Mixed, replaying what we have
-                // (self.data holds every prior row; v is not in it yet)
-                let mut vals = Vec::with_capacity(self.data.len() + 1);
-                for i in 0..self.data.len() {
-                    vals.push(if self.nulls[i] {
-                        Value::Null
-                    } else {
-                        self.data.value_at(i)
-                    });
-                }
-                vals.push(v.clone());
-                self.data = ColumnData::Mixed(vals);
-            }
-        }
-    }
-
-    /// Finish into a [`ColumnVec`].
-    pub fn finish(self) -> ColumnVec {
-        let nulls = match (&self.data, self.any_null) {
-            (ColumnData::Mixed(_), _) | (_, false) => None,
-            (_, true) => Some(self.nulls),
-        };
-        ColumnVec {
-            data: self.data,
-            nulls,
         }
     }
 }
@@ -819,17 +804,36 @@ mod tests {
     }
 
     #[test]
-    fn builder_degrades_on_type_mismatch() {
-        let mut b = ColumnBuilder::with_capacity(DataType::Int, 4);
-        b.push(&Value::Int(1));
-        b.push(&Value::Null);
-        b.push(&Value::from("oops"));
-        let col = b.finish();
+    fn push_and_set_keep_types_and_degrade_on_mismatch() {
+        let mut col = ColumnVec::with_capacity(DataType::Int, 4);
+        col.push(&Value::Int(1));
+        assert!(col.nulls().is_none(), "no bitmap until a NULL arrives");
+        col.push(&Value::Null);
+        col.push(&Value::Int(3));
+        assert_eq!(col.nulls(), Some(&[false, true, false][..]));
+        // a NULL slot holds the default, so equal columns compare equal
+        col.set(0, &Value::Null);
+        col.set(1, &Value::Int(2));
+        assert_eq!(col, {
+            let mut c = ColumnVec::with_capacity(DataType::Int, 3);
+            for v in [Value::Null, Value::Int(2), Value::Int(3)] {
+                c.push(&v);
+            }
+            c
+        });
+        col.push(&Value::from("oops"));
         assert!(matches!(col.data(), ColumnData::Mixed(_)));
         assert_eq!(
             col.values(),
-            vec![Value::Int(1), Value::Null, Value::from("oops")]
+            vec![
+                Value::Null,
+                Value::Int(2),
+                Value::Int(3),
+                Value::from("oops")
+            ]
         );
+        col.set(3, &Value::Int(4));
+        assert_eq!(col.value(3), Value::Int(4));
     }
 
     #[test]

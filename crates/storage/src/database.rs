@@ -469,27 +469,23 @@ impl Database {
         })
     }
 
-    /// Snapshot of all live rows in heap order.
+    /// All live rows in slot order, pivoted out of the columns.
     pub fn scan(&self, table: &str) -> DbResult<Vec<Vec<Value>>> {
-        self.read_table(table, |t| t.snapshot())
+        self.read_table(table, |t| t.scan().map(|(_, row)| row).collect())
     }
 
-    /// Columnar snapshot of all live rows (see [`Table::scan_batch`]).
+    /// All live rows as one batch (see [`Table::scan_batch`]).
     pub fn scan_batch(&self, table: &str) -> DbResult<Batch> {
         self.read_table(table, |t| t.scan_batch())
     }
 
-    /// Split a table snapshot into morsels for parallel execution (see
-    /// [`Table::scan_partitions`]). The table read lock is held for one
-    /// acquisition only: every morsel is a slice of the same immutable
-    /// `Arc`-shared snapshot, so workers consume them lock-free.
-    pub fn scan_partitions(
-        &self,
-        table: &str,
-        cols: Option<&[usize]>,
-        morsel_rows: usize,
-    ) -> DbResult<Vec<Batch>> {
-        self.read_table(table, |t| t.scan_partitions(cols, morsel_rows))
+    /// A table's live rows as one morsel per chunk, for parallel execution
+    /// (see [`Table::scan_partitions`]). The table read lock is held for
+    /// one acquisition only: a morsel shares or copies its chunk's columns,
+    /// and a later write copies a chunk before changing it, so workers
+    /// consume the morsels lock-free.
+    pub fn scan_partitions(&self, table: &str, cols: Option<&[usize]>) -> DbResult<Vec<Batch>> {
+        self.read_table(table, |t| t.scan_partitions(cols))
     }
 
     /// Number of live rows.
@@ -586,7 +582,7 @@ mod tests {
             "every refused statement undone"
         );
         db.read_table("t", |t| {
-            assert_eq!(t.raw_rows().len(), 1, "no slot left behind");
+            assert_eq!(t.slot_count(), 1, "no slot left behind");
             assert!(t.index("ix_v").is_none());
         })
         .unwrap();
@@ -614,7 +610,8 @@ mod tests {
         let image = || {
             db.read_table("t", |t| {
                 let ids: Vec<Vec<RowId>> = t.indexes().iter().map(|i| i.ordered_ids()).collect();
-                (t.raw_rows().to_vec(), t.row_count(), ids, t.scan_batch())
+                let rows: Vec<_> = t.scan().collect();
+                (t.slot_count(), rows, ids, t.scan_batch())
             })
             .unwrap()
         };
@@ -754,16 +751,22 @@ mod tests {
 
     /// Everything a rolled-back statement must leave as it was, per table:
     /// slots, index entries, the columnar image and the dirty flag.
-    type Image = (Vec<Option<Vec<Value>>>, Vec<Vec<RowId>>, Batch, bool);
+    type Image = (
+        usize,
+        Vec<(RowId, Vec<Value>)>,
+        Vec<Vec<RowId>>,
+        Batch,
+        bool,
+    );
 
     fn image(db: &Database, name: &str) -> Image {
-        let (rows, ids, batch) = db
+        let (slots, rows, ids, batch) = db
             .read_table(name, |t| {
                 let ids = t.indexes().iter().map(|i| i.ordered_ids()).collect();
-                (t.raw_rows().to_vec(), ids, t.scan_batch())
+                (t.slot_count(), t.scan().collect(), ids, t.scan_batch())
             })
             .unwrap();
-        (rows, ids, batch, db.table_dirty(name).unwrap())
+        (slots, rows, ids, batch, db.table_dirty(name).unwrap())
     }
 
     /// Insert, update and delete on both tables.

@@ -8,9 +8,12 @@
 //!
 //! * a single scalar [`Value`] type shared by the whole platform;
 //! * typed, constrained [`Schema`]s (NOT NULL, defaults, primary keys);
-//! * heap [`Table`]s with ordered, optionally unique [`Index`]es;
-//! * columnar [`Batch`]es produced by vectorized scans
-//!   ([`Table::scan_batch`] / [`Database::scan_batch`]);
+//! * [`Table`]s stored as column chunks of [`BLOCK_ROWS`] row ids each
+//!   (typed columns plus a live bit per slot), with ordered, optionally
+//!   unique [`Index`]es;
+//! * columnar [`Batch`]es: a scan hands out one per chunk
+//!   ([`Table::scan_partitions`]), sharing the chunk's columns when none
+//!   of its rows is deleted;
 //! * a concurrent [`Database`] catalog whose one unit of change is an
 //!   atomic statement over one or more tables ([`Database::write_tables`]);
 //! * crash-safe durability: a checksummed write-ahead log with checkpoint
@@ -48,7 +51,7 @@ mod table;
 mod value;
 pub mod wal;
 
-pub use batch::{Batch, ColumnBuilder, ColumnData, ColumnVec, NULL_ROW};
+pub use batch::{Batch, ColumnData, ColumnVec, NULL_ROW};
 pub use database::Database;
 pub use error::{DbError, DbResult};
 pub use manifest::{Manifest, SegmentEntry};

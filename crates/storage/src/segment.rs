@@ -35,12 +35,12 @@
 //! column covers the same rows, so zone-map pruning on one column skips
 //! that row range across all of them. Decoding goes straight into
 //! [`ColumnVec`]s (typed vectors + null mask), so a cold scan produces a
-//! [`Batch`] without ever pivoting through rows; recovery additionally
-//! re-slots rows through the live bitmap so every surviving row keeps the
-//! `RowId` it had when the segment was written.
+//! [`Batch`] without ever pivoting through rows; recovery places the
+//! decoded values into table chunks through the live bitmap so every
+//! surviving row keeps the `RowId` it had when the segment was written.
 //!
-//! Tombstoned slots are represented only in the live bitmap — their row
-//! images are gone.
+//! Tombstoned slots are represented only in the live bitmap (a table's
+//! cleared live bits) — their values are not written.
 //!
 //! The tagged value codec below is also the WAL's: every value of a
 //! journaled row is written with `write_value` (see [`crate::wal`]), and
@@ -54,7 +54,7 @@ use crate::batch::{Batch, ColumnVec};
 use crate::error::{DbError, DbResult};
 use crate::persist::write_atomic;
 use crate::schema::{Column, Schema};
-use crate::table::Table;
+use crate::table::{Chunk, Table};
 use crate::value::{DataType, Value};
 use crate::wal::crc32;
 
@@ -64,10 +64,10 @@ pub const SEGMENT_MAGIC: &[u8; 4] = b"OSG1";
 /// Current segment format version.
 pub const SEGMENT_VERSION: u32 = 1;
 
-/// Live rows per block: one block of every column covers the same chunk of
-/// rows, so this is also the zone-map pruning granularity. Matches the
-/// executor's morsel size, so a pruned cold scan hands back batches shaped
-/// like the ones the query engine already consumes.
+/// Storage's one size constant. Live rows per block: one block of every
+/// column covers the same rows, so this is also the zone-map pruning
+/// granularity. Row ids per table chunk, and so the rows of one scan
+/// morsel, which is the executor's unit of parallel work.
 pub const BLOCK_ROWS: usize = 4096;
 
 /// How one block's non-null values are encoded.
@@ -831,33 +831,30 @@ fn meta_json(table: &Table, slots: usize) -> Vec<u8> {
 /// durable: unique tmp file, fsync, rename, directory fsync. Returns the
 /// encoded size in bytes.
 pub(crate) fn write_segment(table: &Table, path: &Path, last_lsn: u64) -> DbResult<u64> {
-    let slots = table.raw_rows();
-    let live: Vec<&Vec<Value>> = slots.iter().filter_map(|s| s.as_ref()).collect();
+    let slots = table.slot_count();
     let ncols = table.schema().columns().len();
 
     let mut buf = Vec::with_capacity(4096);
     buf.extend_from_slice(SEGMENT_MAGIC);
     buf.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
     buf.extend_from_slice(&last_lsn.to_le_bytes());
-    frame(&mut buf, &meta_json(table, slots.len()));
+    frame(&mut buf, &meta_json(table, slots));
 
-    let mut live_bitmap = vec![0u8; slots.len().div_ceil(8)];
-    for (i, s) in slots.iter().enumerate() {
-        if s.is_some() {
-            live_bitmap[i / 8] |= 1 << (i % 8);
-        }
+    let mut live_bitmap = vec![0u8; slots.div_ceil(8)];
+    for id in table.live_ids().map(|id| id as usize) {
+        live_bitmap[id / 8] |= 1 << (id % 8);
     }
     frame(&mut buf, &live_bitmap);
 
+    // each column's live values across the chunks, in blocks of BLOCK_ROWS
+    // (a tombstone moves block boundaries off chunk boundaries)
     buf.extend_from_slice(&(ncols as u32).to_le_bytes());
-    let nblocks = live.len().div_ceil(BLOCK_ROWS);
-    let mut chunk_values = Vec::with_capacity(BLOCK_ROWS);
     for col in 0..ncols {
-        buf.extend_from_slice(&(nblocks as u32).to_le_bytes());
-        for chunk in live.chunks(BLOCK_ROWS) {
-            chunk_values.clear();
-            chunk_values.extend(chunk.iter().map(|row| row[col].clone()));
-            encode_block(&mut buf, &chunk_values, None);
+        let morsels = table.scan_partitions(Some(&[col]));
+        let values: Vec<Value> = morsels.iter().flat_map(|m| m.column(0).values()).collect();
+        buf.extend_from_slice(&(values.len().div_ceil(BLOCK_ROWS) as u32).to_le_bytes());
+        for block in values.chunks(BLOCK_ROWS) {
+            encode_block(&mut buf, block, None);
         }
     }
 
@@ -957,17 +954,18 @@ fn parse_header(bytes: &[u8], origin: &Path) -> DbResult<SegmentHeader> {
 }
 
 /// Read a segment back into a [`Table`], returning it with the segment's
-/// `last_lsn` stamp. Slot-preserving: the
-/// live bitmap re-creates tombstones so every surviving row keeps its
-/// `RowId`, and index entries are rebuilt from the rows (re-verifying
-/// uniqueness). Every block's CRC is verified on the way through.
+/// `last_lsn` stamp. Slot-preserving: decoded values go into the table's
+/// chunks through the live bitmap, a NULL filling each tombstoned slot, so
+/// every surviving row keeps its `RowId`; index entries are rebuilt from
+/// the key columns (re-verifying uniqueness). Every block's CRC is verified
+/// on the way through.
 pub(crate) fn read_segment(path: &Path) -> DbResult<(Table, u64)> {
     let bytes = std::fs::read(path)?;
     let header = parse_header(&bytes, path)?;
     let n_live = header.live.iter().filter(|l| **l).count();
 
     // decode every column fully (recovery needs all rows)
-    let mut columns: Vec<Vec<Value>> = Vec::with_capacity(header.ncols);
+    let mut columns = Vec::with_capacity(header.ncols);
     for col_blocks in &header.blocks {
         let mut values = Vec::with_capacity(n_live);
         for &(start, _end) in col_blocks {
@@ -982,23 +980,26 @@ pub(crate) fn read_segment(path: &Path) -> DbResult<(Table, u64)> {
                 path.display()
             )));
         }
-        columns.push(values);
+        columns.push(values.into_iter());
     }
 
-    // pivot live rows back into their original slots
-    let mut rows: Vec<Option<Vec<Value>>> = Vec::with_capacity(header.live.len());
-    let mut live_idx = 0usize;
-    for &alive in &header.live {
-        if alive {
-            let row: Vec<Value> = columns.iter().map(|c| c[live_idx].clone()).collect();
-            rows.push(Some(row));
-            live_idx += 1;
-        } else {
-            rows.push(None);
-        }
+    let mut chunks = Vec::with_capacity(header.live.len().div_ceil(BLOCK_ROWS));
+    for live in header.live.chunks(BLOCK_ROWS) {
+        let placed = header.schema.columns().iter().zip(&mut columns);
+        let placed = placed.map(|(c, values)| {
+            let mut col = ColumnVec::with_capacity(c.data_type, live.len());
+            for &alive in live {
+                col.push(&match alive {
+                    true => values.next().expect("counted above"),
+                    false => Value::Null,
+                });
+            }
+            col
+        });
+        chunks.push(Chunk::new(placed.collect(), live.to_vec()));
     }
 
-    let table = Table::from_parts(header.name, header.schema, rows, header.indexes)?;
+    let table = Table::from_parts(header.name, header.schema, chunks, header.indexes)?;
     Ok((table, header.last_lsn))
 }
 
@@ -1149,9 +1150,12 @@ mod tests {
         assert_eq!(lsn, 42);
         assert_eq!(back.name, "wide");
         assert_eq!(back.row_count(), 98);
-        assert_eq!(back.snapshot(), t.snapshot());
-        assert!(back.get(3).is_err(), "tombstone slot must stay dead");
-        assert_eq!(back.get(4).unwrap(), t.get(4).unwrap());
+        assert_eq!(
+            back.scan().collect::<Vec<_>>(),
+            t.scan().collect::<Vec<_>>()
+        );
+        assert!(back.row(3).is_err(), "tombstone slot must stay dead");
+        assert_eq!(back.row(4).unwrap(), t.row(4).unwrap());
         assert!(back.index("ix_name").is_some());
         assert!(back.index("pk_wide").is_some());
         let _ = std::fs::remove_file(&path);
@@ -1348,5 +1352,37 @@ mod tests {
             schema_from_text(r#"{"columns":[]}"#),
             Err(DbError::Corrupt(_))
         ));
+    }
+
+    /// The segment bytes of a fixed table with tombstones on both sides of
+    /// a chunk boundary, and an update that nulls a value, as encoded by
+    /// the row-slot table that preceded column chunks: the format did not
+    /// move.
+    #[test]
+    fn golden_segment_bytes_survive_the_chunk_layout() {
+        let mut t = wide_table(BLOCK_ROWS + 300);
+        for id in [0u64, 7, 4000, 4094, 4095, 4096, 4097, 4300, 4395] {
+            t.delete(id).unwrap();
+        }
+        let updated = vec![
+            4098i64.into(),
+            Value::Null,
+            1.25.into(),
+            Value::Bool(true),
+            Value::Date(-5),
+            Value::Timestamp(-1),
+        ];
+        t.update(4098, updated).unwrap();
+        let path = tmp("golden");
+        write_segment(&t, &path, 77).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!((bytes.len(), crc32(&bytes)), (81_496, 0xb1ef_3a74));
+        let (back, _) = read_segment(&path).unwrap();
+        assert_eq!(
+            back.scan().collect::<Vec<_>>(),
+            t.scan().collect::<Vec<_>>()
+        );
+        assert_eq!(back.slot_count(), t.slot_count());
+        let _ = std::fs::remove_file(&path);
     }
 }

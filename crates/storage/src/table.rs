@@ -1,24 +1,40 @@
-//! Heap tables: slotted row storage with index maintenance.
+//! Tables: column chunks with index maintenance.
+//!
+//! A table is a list of chunks. Chunk `c` covers row ids
+//! `c · BLOCK_ROWS .. (c + 1) · BLOCK_ROWS`: one `Arc`-shared typed
+//! [`ColumnVec`] per schema column plus one live bit per slot. The last
+//! chunk is the open one. An insert appends to it, an update overwrites its
+//! slot, and a delete clears the slot's live bit (a tombstone). Columns are
+//! written through [`Arc::make_mut`], so a morsel a reader already holds
+//! keeps its image: a write after a scan copies at most the one chunk it
+//! touches.
+//!
+//! A scan hands out one [`Batch`] per chunk: `Arc` clones of its columns
+//! when every slot is live, its live rows filtered out otherwise. So the
+//! chunk is also the morsel the SQL executor parallelises over, and the
+//! one size constant, [`BLOCK_ROWS`], is the chunk, the morsel and the
+//! live-row block of a segment.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
-use crate::batch::{Batch, ColumnBuilder};
+use crate::batch::{Batch, ColumnVec};
 use crate::error::{DbError, DbResult};
 use crate::schema::Schema;
+use crate::segment::BLOCK_ROWS;
 use crate::value::Value;
 use crate::wal::WalRecord;
 
-/// Identifier of a row slot within one table. Stable for the life of the row.
+/// Identifier of a row slot within one table: chunk `id / BLOCK_ROWS`,
+/// offset `id % BLOCK_ROWS`. Stable for the life of the row.
 pub type RowId = u64;
 
 /// An ordered secondary (or primary) index over one or more columns.
 ///
 /// Keys are the indexed column values in order; entries map to the row ids
 /// holding that key. A `unique` index rejects duplicate keys.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Index {
     /// Index name, unique within the database.
     pub name: String,
@@ -26,9 +42,6 @@ pub struct Index {
     pub columns: Vec<usize>,
     /// Whether duplicate keys are rejected.
     pub unique: bool,
-    // Not serialized: segment loading rebuilds indexes from the rows
-    // (JSON map keys must be strings, and rebuilding re-verifies uniqueness).
-    #[serde(skip)]
     entries: BTreeMap<Vec<Value>, Vec<RowId>>,
 }
 
@@ -46,27 +59,27 @@ impl Index {
         self.columns.iter().map(|&i| row[i].clone()).collect()
     }
 
-    fn insert(&mut self, row: &[Value], id: RowId) -> DbResult<()> {
-        let key = self.key_of(row);
-        // SQL semantics: NULLs never conflict under UNIQUE.
+    fn insert(&mut self, key: Vec<Value>, id: RowId) -> DbResult<()> {
+        // SQL semantics: NULLs never conflict under UNIQUE. An occupied
+        // entry is never empty: `remove` drops a key with its last id.
         let has_null = key.iter().any(Value::is_null);
-        let slot = self.entries.entry(key.clone()).or_default();
-        if self.unique && !slot.is_empty() && !has_null {
-            return Err(DbError::UniqueViolation {
+        match self.entries.entry(key) {
+            Entry::Occupied(e) if self.unique && !has_null => Err(DbError::UniqueViolation {
                 index: self.name.clone(),
-                key: render_key(&key),
-            });
+                key: render_key(e.key()),
+            }),
+            e => {
+                e.or_default().push(id);
+                Ok(())
+            }
         }
-        slot.push(id);
-        Ok(())
     }
 
-    fn remove(&mut self, row: &[Value], id: RowId) {
-        let key = self.key_of(row);
-        if let Some(slot) = self.entries.get_mut(&key) {
+    fn remove(&mut self, key: &[Value], id: RowId) {
+        if let Some(slot) = self.entries.get_mut(key) {
             slot.retain(|&r| r != id);
             if slot.is_empty() {
-                self.entries.remove(&key);
+                self.entries.remove(key);
             }
         }
     }
@@ -121,19 +134,53 @@ fn render_key(key: &[Value]) -> String {
     format!("({})", parts.join(", "))
 }
 
+/// [`BLOCK_ROWS`] consecutive row ids: one column per schema column and the
+/// live bit of every slot. A tombstoned slot keeps its values until the
+/// table is truncated.
+#[derive(Debug, Clone)]
+pub(crate) struct Chunk {
+    columns: Vec<Arc<ColumnVec>>,
+    live: Vec<bool>,
+}
+
+impl Chunk {
+    /// A chunk from columns covering `live.len()` slots each.
+    pub(crate) fn new(columns: Vec<ColumnVec>, live: Vec<bool>) -> Chunk {
+        let columns = columns.into_iter().map(Arc::new).collect();
+        Chunk { columns, live }
+    }
+
+    fn empty(schema: &Schema) -> Chunk {
+        let columns = schema.columns().iter();
+        let columns = columns.map(|c| ColumnVec::with_capacity(c.data_type, 0));
+        Chunk::new(columns.collect(), Vec::new())
+    }
+
+    /// The live rows of columns `cols`, in slot order.
+    fn morsel(&self, cols: &[usize]) -> Batch {
+        let rows = self.live.iter().filter(|&&l| l).count();
+        let column = |c: usize| match rows == self.live.len() {
+            true => Arc::clone(&self.columns[c]),
+            false => Arc::new(self.columns[c].filter(&self.live)),
+        };
+        Batch::new(cols.iter().map(|&c| column(c)).collect(), rows)
+            .expect("chunk columns cover every slot")
+    }
+}
+
 /// How to reverse one mutation of the open statement (see
 /// [`Table::begin_statement`]): row ids and old images.
 #[derive(Debug, Clone)]
 enum Undo {
     /// Slots from `from` on were appended by inserts.
-    Appended { from: usize },
+    Appended { from: RowId },
     /// Slot `id` held `old` before an update.
     Updated { id: RowId, old: Vec<Value> },
-    /// Slot `id` held `old` before a delete.
-    Deleted { id: RowId, old: Vec<Value> },
-    /// Rows, live count and index entries before a truncate.
+    /// Slot `id` was live before a delete (its values are still stored).
+    Deleted { id: RowId },
+    /// Chunks, live count and index entries before a truncate.
     Truncated {
-        rows: Vec<Option<Vec<Value>>>,
+        chunks: Vec<Chunk>,
         live: usize,
         entries: Vec<BTreeMap<Vec<Value>, Vec<RowId>>>,
     },
@@ -143,40 +190,45 @@ enum Undo {
     IndexDropped { pos: usize, index: Index },
 }
 
-/// A heap table: schema + slotted rows + attached indexes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// A table: schema + column chunks + attached indexes.
+#[derive(Debug, Clone)]
 pub struct Table {
     /// Table name, unique within the database.
     pub name: String,
     schema: Schema,
-    rows: Vec<Option<Vec<Value>>>,
+    chunks: Vec<Chunk>,
     indexes: Vec<Index>,
     live: usize,
-    // Memoized columnar image of the live rows, rebuilt lazily after any
-    // mutation. Skipped by segments: it is derived state.
-    #[serde(skip)]
-    batch_cache: std::sync::OnceLock<Arc<Batch>>,
     // When armed, every successful mutation queues a WAL record here; the
     // owning `Database` drains the queue into its sink while still holding
     // the table-map write lock, so log order always matches apply order.
-    #[serde(skip)]
     journal: bool,
-    #[serde(skip)]
     pending_wal: Vec<WalRecord>,
     // Set under the table's write lock when the catalog drops the table.
     // A statement that resolved its `Arc<RwLock<Table>>` handle before the
     // drop, but acquired the lock after, must observe this and fail with
     // `TableNotFound` instead of mutating (and journaling into) a corpse
     // that the WAL has already recorded as dropped.
-    #[serde(skip)]
     dropped: bool,
     // The open statement's undo list, newest last. Recorded only while
     // `in_statement`, so a bare table records nothing; emptied, not freed,
     // when a statement ends.
-    #[serde(skip)]
     undo: Vec<Undo>,
-    #[serde(skip)]
     in_statement: bool,
+}
+
+/// Chunk and offset of row id `id`.
+fn locate(id: RowId) -> (usize, usize) {
+    let rows = BLOCK_ROWS as RowId;
+    ((id / rows) as usize, (id % rows) as usize)
+}
+
+/// The key `cols` select from the stored row `id`.
+fn stored_key(chunks: &[Chunk], cols: &[usize], id: RowId) -> Vec<Value> {
+    let (c, off) = locate(id);
+    cols.iter()
+        .map(|&col| chunks[c].columns[col].value(off))
+        .collect()
 }
 
 impl Table {
@@ -184,24 +236,28 @@ impl Table {
     /// index `pk_<table>` is created automatically.
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         let name = name.into();
-        let mut t = Table {
-            name: name.clone(),
+        let pk = schema.primary_key().to_vec();
+        let mut t = Table::from_chunks(name.clone(), schema, Vec::new(), Vec::new());
+        if !pk.is_empty() {
+            t.indexes.push(Index::new(format!("pk_{name}"), pk, true));
+        }
+        t
+    }
+
+    fn from_chunks(name: String, schema: Schema, chunks: Vec<Chunk>, indexes: Vec<Index>) -> Self {
+        let live = chunks.iter().flat_map(|c| &c.live).filter(|&&l| l).count();
+        Table {
+            name,
             schema,
-            rows: Vec::new(),
-            indexes: Vec::new(),
-            live: 0,
-            batch_cache: std::sync::OnceLock::new(),
+            chunks,
+            indexes,
+            live,
             journal: false,
             pending_wal: Vec::new(),
             dropped: false,
             undo: Vec::new(),
             in_statement: false,
-        };
-        if !t.schema.primary_key().is_empty() {
-            let cols = t.schema.primary_key().to_vec();
-            t.indexes.push(Index::new(format!("pk_{name}"), cols, true));
         }
-        t
     }
 
     /// The table's schema.
@@ -209,40 +265,21 @@ impl Table {
         &self.schema
     }
 
-    /// All row slots including tombstones (`None`), for segment encoding:
-    /// preserving tombstones keeps `RowId`s stable across a round trip.
-    pub(crate) fn raw_rows(&self) -> &[Option<Vec<Value>>] {
-        &self.rows
-    }
-
-    /// Reassemble a table from decoded segment parts: raw row slots
+    /// Reassemble a table from decoded segment parts: its chunks
     /// (tombstones included) and index definitions `(name, columns,
-    /// unique)`. Index entries are rebuilt from the rows, re-verifying
-    /// uniqueness.
+    /// unique)`. Index entries are rebuilt from the key columns,
+    /// re-verifying uniqueness.
     pub(crate) fn from_parts(
         name: String,
         schema: Schema,
-        rows: Vec<Option<Vec<Value>>>,
+        chunks: Vec<Chunk>,
         indexes: Vec<(String, Vec<usize>, bool)>,
     ) -> DbResult<Table> {
-        let live = rows.iter().filter(|r| r.is_some()).count();
-        let mut t = Table {
-            name,
-            schema,
-            rows,
-            indexes: indexes
-                .into_iter()
-                .map(|(n, c, u)| Index::new(n, c, u))
-                .collect(),
-            live,
-            batch_cache: std::sync::OnceLock::new(),
-            journal: false,
-            pending_wal: Vec::new(),
-            dropped: false,
-            undo: Vec::new(),
-            in_statement: false,
-        };
-        t.rebuild_indexes()?;
+        let mut t = Table::from_chunks(name, schema, chunks, Vec::new());
+        for (name, columns, unique) in indexes {
+            let idx = t.backfill(Index::new(name, columns, unique))?;
+            t.indexes.push(idx);
+        }
         Ok(t)
     }
 
@@ -300,16 +337,22 @@ impl Table {
             match step {
                 Undo::Appended { from } => self.truncate_slots(from),
                 Undo::Updated { id, old } => {
-                    self.vacate(id);
-                    self.fill(id, old);
+                    self.unindex(id);
+                    self.write_row(id, &old);
+                    self.reindex(id);
                 }
-                Undo::Deleted { id, old } => self.fill(id, old),
+                Undo::Deleted { id } => {
+                    let (c, off) = locate(id);
+                    self.chunks[c].live[off] = true;
+                    self.reindex(id);
+                    self.live += 1;
+                }
                 Undo::Truncated {
-                    rows,
+                    chunks,
                     live,
                     entries,
                 } => {
-                    self.rows = rows;
+                    self.chunks = chunks;
                     self.live = live;
                     for (idx, e) in self.indexes.iter_mut().zip(entries) {
                         idx.entries = e;
@@ -321,7 +364,6 @@ impl Table {
                 Undo::IndexDropped { pos, index } => self.indexes.insert(pos, index),
             }
         }
-        self.invalidate_batch_cache();
     }
 
     fn record_undo(&mut self, step: Undo) {
@@ -336,32 +378,45 @@ impl Table {
         self.undo.push(step);
     }
 
-    /// Tombstone slot `id` and drop its index entries (undo only).
-    fn vacate(&mut self, id: RowId) {
-        if let Some(row) = self.rows[id as usize].take() {
-            for idx in &mut self.indexes {
-                idx.remove(&row, id);
-            }
-            self.live -= 1;
-        }
-    }
-
-    /// Put `row` back into the tombstoned slot `id` with its index entries
-    /// (undo only: the key was indexed before, so it cannot conflict).
-    fn fill(&mut self, id: RowId, row: Vec<Value>) {
+    /// Drop the index entries of the stored row `id`.
+    fn unindex(&mut self, id: RowId) {
         for idx in &mut self.indexes {
-            let _ = idx.insert(&row, id);
+            idx.remove(&stored_key(&self.chunks, &idx.columns, id), id);
         }
-        self.rows[id as usize] = Some(row);
-        self.live += 1;
     }
 
-    /// Vacate every slot from `from` on and shrink the slot vector back.
-    fn truncate_slots(&mut self, from: usize) {
-        for id in (from..self.rows.len()).rev() {
-            self.vacate(id as RowId);
+    /// Put back the index entries of the stored row `id` (undo only: the
+    /// key was indexed before, so it cannot conflict).
+    fn reindex(&mut self, id: RowId) {
+        for idx in &mut self.indexes {
+            let _ = idx.insert(stored_key(&self.chunks, &idx.columns, id), id);
         }
-        self.rows.truncate(from);
+    }
+
+    /// Overwrite the values of slot `id`, copying its chunk's columns
+    /// first if a reader still holds them.
+    fn write_row(&mut self, id: RowId, row: &[Value]) {
+        let (c, off) = locate(id);
+        for (col, v) in self.chunks[c].columns.iter_mut().zip(row) {
+            Arc::make_mut(col).set(off, v);
+        }
+    }
+
+    /// Vacate every slot from `from` on: drop the index entries of the live
+    /// ones and cut the chunks back.
+    fn truncate_slots(&mut self, from: RowId) {
+        let ids: Vec<RowId> = self.live_ids().filter(|&id| id >= from).collect();
+        for &id in &ids {
+            self.unindex(id);
+        }
+        self.live -= ids.len();
+        let (c, off) = locate(from);
+        self.chunks.truncate(c + usize::from(off > 0));
+        if off > 0 {
+            let chunk = &mut self.chunks[c];
+            let columns = chunk.columns.iter().map(|col| col.slice(0, off)).collect();
+            *chunk = Chunk::new(columns, chunk.live[..off].to_vec());
+        }
     }
 
     fn journal_push(&mut self, record: impl FnOnce(&Table) -> WalRecord) {
@@ -371,30 +426,26 @@ impl Table {
         }
     }
 
-    /// Rebuild every index's entries from the stored rows (after segment
-    /// deserialization, which skips them). Re-verifies uniqueness.
-    pub(crate) fn rebuild_indexes(&mut self) -> DbResult<()> {
-        for idx in &mut self.indexes {
-            idx.entries.clear();
+    /// `idx` with an entry for every live row, read off its key columns
+    /// (verifying uniqueness).
+    fn backfill(&self, mut idx: Index) -> DbResult<Index> {
+        for id in self.live_ids() {
+            idx.insert(stored_key(&self.chunks, &idx.columns, id), id)?;
         }
-        let ids: Vec<RowId> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_ref().map(|_| i as RowId))
-            .collect();
-        for id in ids {
-            let row = self.rows[id as usize].clone().expect("live row");
-            for idx in &mut self.indexes {
-                idx.insert(&row, id)?;
-            }
-        }
-        Ok(())
+        Ok(idx)
     }
 
     /// Number of live rows.
     pub fn row_count(&self) -> usize {
         self.live
+    }
+
+    /// Number of row ids handed out, tombstones included: the id the next
+    /// insert gets.
+    pub fn slot_count(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |c| (self.chunks.len() - 1) * BLOCK_ROWS + c.live.len())
     }
 
     /// Attached indexes.
@@ -432,12 +483,7 @@ impl Table {
                     })
             })
             .collect();
-        let mut idx = Index::new(name.to_string(), cols?, unique);
-        for (id, row) in self.rows.iter().enumerate() {
-            if let Some(r) = row {
-                idx.insert(r, id as RowId)?;
-            }
-        }
+        let idx = self.backfill(Index::new(name.to_string(), cols?, unique))?;
         self.indexes.push(idx);
         self.record_undo(Undo::IndexCreated);
         if self.journal {
@@ -473,29 +519,43 @@ impl Table {
         Ok(())
     }
 
+    /// Index `row` under `id` in every index, or in none: a unique
+    /// violation takes back the entries already made.
+    fn index_row(&mut self, row: &[Value], id: RowId) -> DbResult<()> {
+        for i in 0..self.indexes.len() {
+            let key = self.indexes[i].key_of(row);
+            if let Err(e) = self.indexes[i].insert(key, id) {
+                for idx in &mut self.indexes[..i] {
+                    idx.remove(&idx.key_of(row), id);
+                }
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
     /// Insert a row, validated and coerced against the schema in place.
     /// Returns the new row id; a failed row leaves no trace. The journal
     /// gets the stored image, so the delta the preagg folds holds exactly
     /// the values a scan returns.
     pub fn insert(&mut self, row: Vec<Value>) -> DbResult<RowId> {
         let row = self.schema.check_row(&self.name, row)?;
-        let id = self.rows.len() as RowId;
-        // Maintain all indexes first so a unique violation leaves no trace.
-        for i in 0..self.indexes.len() {
-            if let Err(e) = self.indexes[i].insert(&row, id) {
-                for j in 0..i {
-                    self.indexes[j].remove(&row, id);
-                }
-                return Err(e);
-            }
+        let id = self.slot_count() as RowId;
+        self.index_row(&row, id)?;
+        let (c, off) = locate(id);
+        if off == 0 {
+            self.chunks.push(Chunk::empty(&self.schema));
         }
+        let open = &mut self.chunks[c];
+        for (col, v) in open.columns.iter_mut().zip(&row) {
+            Arc::make_mut(col).push(v);
+        }
+        open.live.push(true);
         if self.journal {
-            self.journal_insert(row.clone());
+            self.journal_insert(row);
         }
-        self.rows.push(Some(row));
         self.live += 1;
-        self.record_undo(Undo::Appended { from: id as usize });
-        self.invalidate_batch_cache();
+        self.record_undo(Undo::Appended { from: id });
         Ok(id)
     }
 
@@ -534,179 +594,120 @@ impl Table {
         }
     }
 
-    /// Fetch a row by id.
-    pub fn get(&self, id: RowId) -> DbResult<&[Value]> {
-        self.rows
-            .get(id as usize)
-            .and_then(|r| r.as_deref())
-            .ok_or(DbError::RowNotFound(id))
+    /// Chunk and offset of the live row `id`.
+    fn live_slot(&self, id: RowId) -> DbResult<(usize, usize)> {
+        let (c, off) = locate(id);
+        match self.chunks.get(c) {
+            Some(chunk) if chunk.live.get(off) == Some(&true) => Ok((c, off)),
+            _ => Err(DbError::RowNotFound(id)),
+        }
     }
 
-    /// Take the live row out of slot `id`, leaving a tombstone (the live
-    /// count and indexes are the caller's to fix up).
-    fn take_row(&mut self, id: RowId) -> DbResult<Vec<Value>> {
-        self.rows
-            .get_mut(id as usize)
-            .and_then(Option::take)
-            .ok_or(DbError::RowNotFound(id))
+    /// The live row `id`, pivoted out of its chunk's columns.
+    pub fn row(&self, id: RowId) -> DbResult<Vec<Value>> {
+        let (c, off) = self.live_slot(id)?;
+        Ok(self.chunks[c]
+            .columns
+            .iter()
+            .map(|col| col.value(off))
+            .collect())
     }
 
     /// Replace a row in place (validated). Indexes are updated atomically:
     /// on unique violation, the old row is restored.
     pub fn update(&mut self, id: RowId, new_row: Vec<Value>) -> DbResult<()> {
         let new_row = self.schema.check_row(&self.name, new_row)?;
-        let old = self.take_row(id)?;
+        let old = self.row(id)?;
         for idx in &mut self.indexes {
-            idx.remove(&old, id);
+            idx.remove(&idx.key_of(&old), id);
         }
-        for i in 0..self.indexes.len() {
-            if let Err(e) = self.indexes[i].insert(&new_row, id) {
-                for j in 0..i {
-                    self.indexes[j].remove(&new_row, id);
-                }
-                for idx in &mut self.indexes {
-                    // restore original entries
-                    let _ = idx.insert(&old, id);
-                }
-                self.rows[id as usize] = Some(old);
-                return Err(e);
-            }
+        if let Err(e) = self.index_row(&new_row, id) {
+            self.reindex(id);
+            return Err(e);
         }
-        if self.journal {
-            self.pending_wal.push(WalRecord::Update {
-                table: self.name.clone(),
-                id,
-                row: new_row.clone(),
-            });
-        }
-        self.rows[id as usize] = Some(new_row);
+        self.write_row(id, &new_row);
+        self.journal_push(|t| WalRecord::Update {
+            table: t.name.clone(),
+            id,
+            row: new_row,
+        });
         self.record_undo(Undo::Updated { id, old });
-        self.invalidate_batch_cache();
         Ok(())
     }
 
-    /// Delete a row by id.
+    /// Delete a row by id: its live bit is cleared.
     pub fn delete(&mut self, id: RowId) -> DbResult<()> {
-        let old = self.take_row(id)?;
-        for idx in &mut self.indexes {
-            idx.remove(&old, id);
-        }
+        let (c, off) = self.live_slot(id)?;
+        self.unindex(id);
+        self.chunks[c].live[off] = false;
         self.journal_push(|t| WalRecord::Delete {
             table: t.name.clone(),
             id,
         });
         self.live -= 1;
-        self.record_undo(Undo::Deleted { id, old });
-        self.invalidate_batch_cache();
+        self.record_undo(Undo::Deleted { id });
         Ok(())
     }
 
-    /// Iterate `(row_id, row)` over live rows in heap order.
-    pub fn scan(&self) -> impl Iterator<Item = (RowId, &[Value])> + '_ {
-        self.rows
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.as_deref().map(|row| (i as RowId, row)))
+    /// Live row ids in slot order.
+    pub(crate) fn live_ids(&self) -> impl Iterator<Item = RowId> + '_ {
+        self.chunks.iter().enumerate().flat_map(|(c, chunk)| {
+            let base = (c * BLOCK_ROWS) as RowId;
+            let live = chunk.live.iter().enumerate().filter(|(_, &l)| l);
+            live.map(move |(off, _)| base + off as RowId)
+        })
     }
 
-    /// Clone all live rows (snapshot for lock-free downstream processing).
-    pub fn snapshot(&self) -> Vec<Vec<Value>> {
-        self.rows.iter().filter_map(|r| r.clone()).collect()
+    /// Iterate `(row_id, row)` over live rows in slot order, each row
+    /// pivoted out of the columns.
+    pub fn scan(&self) -> impl Iterator<Item = (RowId, Vec<Value>)> + '_ {
+        self.live_ids()
+            .map(|id| (id, self.row(id).expect("live_ids yields live rows")))
     }
 
-    /// Scan all live rows into a columnar [`Batch`], one typed column per
-    /// schema column.
-    ///
-    /// Stored rows are already coerced to their declared [`crate::DataType`]
-    /// by [`Schema::check_row`], so each column vector is built directly
-    /// with no per-value type inference and no per-row allocations. The
-    /// columnar image is memoized until the next mutation, so repeated
-    /// scans of a stable table (the common BI read pattern) cost one
-    /// `Arc` clone per column.
+    /// All live rows as one columnar [`Batch`]: the concatenation of
+    /// [`Table::scan_partitions`], one typed column per schema column.
     pub fn scan_batch(&self) -> Batch {
-        self.batch_cache
-            .get_or_init(|| Arc::new(self.build_batch()))
-            .as_ref()
-            .clone()
+        let arity = self.schema.columns().len();
+        Batch::concat(arity, &self.scan_partitions(None)).expect("morsels share the table arity")
     }
 
-    fn build_batch(&self) -> Batch {
-        let mut builders: Vec<ColumnBuilder> = self
-            .schema
-            .columns()
-            .iter()
-            .map(|c| ColumnBuilder::with_capacity(c.data_type, self.live))
-            .collect();
-        for (_, row) in self.scan() {
-            for (b, v) in builders.iter_mut().zip(row) {
-                b.push(v);
-            }
-        }
-        Batch::new(
-            builders.into_iter().map(|b| Arc::new(b.finish())).collect(),
-            self.live,
-        )
-        .expect("scan builders produce equal-length columns")
-    }
-
-    /// Like [`Table::scan_batch`], but materializing only the physical
-    /// columns listed in `cols` (in that order). Column vectors are shared
-    /// with the memoized full batch, so a pruned scan costs one `Arc`
-    /// clone per kept column — this is the execution side of the
-    /// optimizer's projection-pruning rule.
-    ///
-    /// # Panics
-    /// Panics if any ordinal in `cols` is out of range.
-    pub fn scan_batch_cols(&self, cols: &[usize]) -> Batch {
-        let full = self.scan_batch();
-        let picked = cols.iter().map(|&c| full.column(c).clone()).collect();
-        Batch::new(picked, full.num_rows()).expect("projected columns share the batch row count")
-    }
-
-    /// The contiguous sub-batch `[lo, hi)` of the live-row snapshot
-    /// (bounds clamped), in the same order as [`Table::scan_batch`].
-    pub fn scan_batch_range(&self, lo: usize, hi: usize) -> Batch {
-        self.scan_batch().slice(lo, hi)
-    }
-
-    /// Split the live-row snapshot into fixed-size morsels of at most
-    /// `morsel_rows` rows each (optionally projected to `cols`), for
-    /// parallel execution. Morsels are contiguous slices of one immutable
-    /// snapshot, so concatenating them in order reproduces
-    /// [`Table::scan_batch`] exactly.
+    /// The live rows as one morsel per chunk (optionally projected to the
+    /// physical columns `cols`, in that order), for parallel execution.
+    /// A chunk with no tombstone costs one `Arc` clone per kept column;
+    /// concatenating the morsels in order gives [`Table::scan_batch`].
     ///
     /// Always yields at least one (possibly empty) morsel so downstream
     /// operators see the typed column layout even for empty tables.
-    pub fn scan_partitions(&self, cols: Option<&[usize]>, morsel_rows: usize) -> Vec<Batch> {
-        let snapshot = match cols {
-            Some(cols) => self.scan_batch_cols(cols),
-            None => self.scan_batch(),
-        };
-        let step = morsel_rows.max(1);
-        let rows = snapshot.num_rows();
-        if rows <= step {
-            return vec![snapshot];
+    ///
+    /// # Panics
+    /// Panics if any ordinal in `cols` is out of range.
+    pub fn scan_partitions(&self, cols: Option<&[usize]>) -> Vec<Batch> {
+        let all: Vec<usize> = (0..self.schema.columns().len()).collect();
+        let cols = cols.unwrap_or(&all);
+        let mut morsels: Vec<Batch> = self
+            .chunks
+            .iter()
+            .filter(|c| c.live.contains(&true))
+            .map(|c| c.morsel(cols))
+            .collect();
+        if morsels.is_empty() {
+            morsels.push(Chunk::empty(&self.schema).morsel(cols));
         }
-        (0..rows)
-            .step_by(step)
-            .map(|lo| snapshot.slice(lo, (lo + step).min(rows)))
-            .collect()
+        morsels
     }
 
-    fn invalidate_batch_cache(&mut self) {
-        self.batch_cache = std::sync::OnceLock::new();
-    }
-
-    /// Delete every row, keeping schema and (now empty) indexes.
+    /// Delete every row, keeping schema and (now empty) indexes. Row ids
+    /// start again at 0.
     pub fn truncate(&mut self) {
-        let rows = std::mem::take(&mut self.rows);
+        let chunks = std::mem::take(&mut self.chunks);
         let entries = self
             .indexes
             .iter_mut()
             .map(|idx| std::mem::take(&mut idx.entries))
             .collect();
         self.record_undo(Undo::Truncated {
-            rows,
+            chunks,
             live: self.live,
             entries,
         });
@@ -714,7 +715,6 @@ impl Table {
         self.journal_push(|t| WalRecord::Truncate {
             table: t.name.clone(),
         });
-        self.invalidate_batch_cache();
     }
 }
 
@@ -750,13 +750,13 @@ mod tests {
     fn insert_get_update_delete_cycle() {
         let mut t = users();
         let id = t.insert(vec![1.into(), "ana".into(), 30.into()]).unwrap();
-        assert_eq!(t.get(id).unwrap()[1], "ana".into());
+        assert_eq!(t.row(id).unwrap()[1], "ana".into());
         t.update(id, vec![1.into(), "ana maria".into(), 31.into()])
             .unwrap();
-        assert_eq!(t.get(id).unwrap()[1], "ana maria".into());
-        assert_eq!(t.get(id).unwrap()[2], 31.into());
+        assert_eq!(t.row(id).unwrap()[1], "ana maria".into());
+        assert_eq!(t.row(id).unwrap()[2], 31.into());
         t.delete(id).unwrap();
-        assert!(matches!(t.get(id), Err(DbError::RowNotFound(_))));
+        assert!(matches!(t.row(id), Err(DbError::RowNotFound(_))));
         assert_eq!(t.row_count(), 0);
     }
 
@@ -782,7 +782,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, DbError::UniqueViolation { .. }));
         assert_eq!(t.indexes()[0].lookup(&[1.into()]), vec![a]);
-        assert_eq!(t.get(a).unwrap()[0], 1.into());
+        assert_eq!(t.row(a).unwrap()[0], 1.into());
     }
 
     #[test]
@@ -849,54 +849,84 @@ mod tests {
         assert!(matches!(batch.column(1).data(), ColumnData::Text(_)));
         assert!(matches!(batch.column(2).data(), ColumnData::Int(_)));
         assert!(batch.column(2).is_null(0));
-        assert_eq!(batch.to_rows(), t.snapshot());
+        assert_eq!(batch.to_rows(), rows(&t));
     }
 
-    #[test]
-    fn scan_batch_cache_invalidated_by_mutations() {
+    /// `n` users with ids `0..n`.
+    fn users_with(n: i64) -> Table {
         let mut t = users();
-        t.insert(vec![1.into(), "a".into(), 30.into()]).unwrap();
-        assert_eq!(t.scan_batch().num_rows(), 1);
-        // every mutation kind must drop the memoized batch
-        let b = t.insert(vec![2.into(), "b".into(), 31.into()]).unwrap();
-        assert_eq!(t.scan_batch().num_rows(), 2);
-        t.update(b, vec![2.into(), "bb".into(), 32.into()]).unwrap();
-        assert_eq!(t.scan_batch().value(1, 1), Value::from("bb"));
-        t.delete(b).unwrap();
-        assert_eq!(t.scan_batch().num_rows(), 1);
-        t.truncate();
-        assert_eq!(t.scan_batch().num_rows(), 0);
-        // repeated scans of a stable table agree with the row image
-        assert_eq!(t.scan_batch(), t.scan_batch());
-    }
-
-    #[test]
-    fn scan_partitions_cover_snapshot_in_order() {
-        let mut t = users();
-        for i in 0..10i64 {
+        for i in 0..n {
             t.insert(vec![i.into(), format!("u{i}").into(), (20 + i).into()])
                 .unwrap();
         }
-        let morsels = t.scan_partitions(None, 4);
+        t
+    }
+
+    #[test]
+    fn scan_partitions_are_one_morsel_per_chunk() {
+        let full = BLOCK_ROWS as i64;
+        let mut t = users_with(2 * full + 10);
+        // two tombstones in the middle chunk, none in the others
+        t.delete(full as RowId).unwrap();
+        t.delete(full as RowId + 7).unwrap();
+        let morsels = t.scan_partitions(None);
         assert_eq!(
             morsels.iter().map(Batch::num_rows).collect::<Vec<_>>(),
-            vec![4, 4, 2]
+            vec![BLOCK_ROWS, BLOCK_ROWS - 2, 10]
         );
-        let glued = Batch::concat(3, &morsels).unwrap();
-        assert_eq!(glued, t.scan_batch());
-        // ranges agree with slices of the snapshot
-        assert_eq!(t.scan_batch_range(4, 8), t.scan_batch().slice(4, 8));
+        assert_eq!(Batch::concat(3, &morsels).unwrap().to_rows(), rows(&t));
+        assert_eq!(Batch::concat(3, &morsels).unwrap(), t.scan_batch());
+        // a chunk with no tombstone is shared, not copied
+        let again = t.scan_partitions(None);
+        assert!(Arc::ptr_eq(morsels[0].column(1), again[0].column(1)));
+        assert!(!Arc::ptr_eq(morsels[1].column(1), again[1].column(1)));
         // projected partitions pick (and reorder) physical columns
-        let pruned = t.scan_partitions(Some(&[2, 0]), 100);
-        assert_eq!(pruned.len(), 1);
+        let pruned = t.scan_partitions(Some(&[2, 0]));
+        assert_eq!(pruned.len(), 3);
         assert_eq!(pruned[0].num_columns(), 2);
         assert_eq!(pruned[0].value(0, 3), Value::Int(23));
         assert_eq!(pruned[0].value(1, 3), Value::Int(3));
-        // empty table still yields one morsel with the typed layout
+        // a chunk with no live row yields no morsel
+        for id in 2 * full..2 * full + 10 {
+            t.delete(id as RowId).unwrap();
+        }
+        assert_eq!(t.scan_partitions(None).len(), 2);
+        // an empty table still yields one morsel with the typed layout
         t.truncate();
-        let empty = t.scan_partitions(None, 4);
+        let empty = t.scan_partitions(None);
         assert_eq!(empty.len(), 1);
         assert_eq!(empty[0].num_columns(), 3);
+        assert!(matches!(
+            empty[0].column(1).data(),
+            crate::batch::ColumnData::Text(_)
+        ));
+        assert_eq!(t.scan_partitions(Some(&[])).len(), 1);
+    }
+
+    #[test]
+    fn morsels_taken_before_a_write_keep_their_image() {
+        let mut t = users_with(BLOCK_ROWS as i64 + 3);
+        let taken = t.scan_partitions(None);
+        let image: Vec<_> = taken.iter().map(Batch::to_rows).collect();
+        // a write into either chunk: the open one and a full one
+        t.insert(vec![(-1).into(), "late".into(), 1.into()])
+            .unwrap();
+        t.update(1, vec![1.into(), "renamed".into(), 99.into()])
+            .unwrap();
+        t.update(
+            BLOCK_ROWS as RowId,
+            vec![(-2).into(), "moved".into(), Value::Null],
+        )
+        .unwrap();
+        t.delete(2).unwrap();
+        t.delete(BLOCK_ROWS as RowId + 1).unwrap();
+        assert_eq!(taken.iter().map(Batch::to_rows).collect::<Vec<_>>(), image);
+        // and the table itself moved on
+        assert_eq!(t.row(1).unwrap()[1], Value::from("renamed"));
+        assert_eq!(t.row(BLOCK_ROWS as RowId).unwrap()[2], Value::Null);
+        assert_eq!(t.scan_batch().num_rows(), BLOCK_ROWS + 2);
+        t.truncate();
+        assert_eq!(taken.iter().map(Batch::to_rows).collect::<Vec<_>>(), image);
     }
 
     #[test]
@@ -942,10 +972,16 @@ mod tests {
         assert_eq!(t.indexes()[0].distinct_keys(), 0);
     }
 
-    /// Everything a rollback must put back: slots (tombstones included),
-    /// live count, and every index's name, keys and row ids.
+    fn rows(t: &Table) -> Vec<Vec<Value>> {
+        t.scan().map(|(_, r)| r).collect()
+    }
+
+    /// Everything a rollback must put back: slots (live rows with their
+    /// ids, and the id space tombstones included), live count, and every
+    /// index's name, keys and row ids.
     type Image = (
-        Vec<Option<Vec<Value>>>,
+        usize,
+        Vec<(RowId, Vec<Value>)>,
         usize,
         Vec<(String, usize, Vec<RowId>)>,
     );
@@ -956,7 +992,7 @@ mod tests {
             .iter()
             .map(|i| (i.name.clone(), i.distinct_keys(), i.ordered_ids()))
             .collect();
-        (t.raw_rows().to_vec(), t.row_count(), indexes)
+        (t.slot_count(), t.scan().collect(), t.row_count(), indexes)
     }
 
     #[test]

@@ -109,6 +109,7 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
     let mut pending: Option<PendingOp> = None;
     let mut next_pk: i64 = 0;
     let mut injected_failures = 0usize;
+    let mut acknowledged = 0usize;
 
     for round in 0..=rounds {
         // recovery itself always runs clean: the fault was the crash
@@ -159,6 +160,7 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
                 match db.insert("t", vec![pk.into(), format!("p{pk}").into()]) {
                     Ok(_) => {
                         shadow.insert(pk);
+                        acknowledged += 1;
                     }
                     Err(_) => {
                         // the store is wedged (the log tail may be torn):
@@ -175,6 +177,7 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
                 match db.write_table("t", |t| t.delete(rid)) {
                     Ok(_) => {
                         shadow.remove(&victim);
+                        acknowledged += 1;
                     }
                     Err(_) => {
                         injected_failures += 1;
@@ -193,12 +196,15 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
         drop(store); // simulated crash: no clean shutdown, no final fold
     }
 
+    // the check is vacuous unless some write was acknowledged (the rows
+    // left at the end may all have been deleted again)
     assert!(
-        !shadow.is_empty(),
+        acknowledged > 0,
         "{case}: workload acknowledged nothing (seed {seed})"
     );
     eprintln!(
-        "chaos_wal case={case}: {} rows acknowledged, {injected_failures} injected failures survived",
+        "chaos_wal case={case}: {acknowledged} writes acknowledged, {} rows left, \
+         {injected_failures} injected failures survived",
         shadow.len()
     );
     odbis_chaos::clear();
