@@ -90,7 +90,8 @@ pub struct PlatformConfig {
 #[derive(Default)]
 struct Overrides {
     platform: BTreeMap<String, ConfigValue>,
-    per_tenant: BTreeMap<(String, String), ConfigValue>,
+    /// tenant → key → value, so a lookup borrows both.
+    per_tenant: BTreeMap<String, BTreeMap<String, ConfigValue>>,
 }
 
 impl PlatformConfig {
@@ -101,7 +102,6 @@ impl PlatformConfig {
             // 0 = auto: let the engine size its worker pool to the machine.
             ("sql.parallelism", ConfigValue::Int(0)),
             ("durability.fsync", ConfigValue::Str(fsync_default())),
-            ("telemetry.enabled", ConfigValue::Bool(true)),
             ("telemetry.slow_ms", ConfigValue::Int(250)),
             ("chaos.enabled", ConfigValue::Bool(false)),
             // Per-tenant admission control (requests/second). Limits
@@ -122,11 +122,6 @@ impl PlatformConfig {
             declared,
             inner: RwLock::new(Overrides::default()),
         }
-    }
-
-    /// Declare an additional key with its default.
-    pub fn declare(&mut self, key: &str, default: ConfigValue) {
-        self.declared.insert(key.to_string(), default);
     }
 
     fn check(&self, key: &str, value: &ConfigValue) -> Result<(), ConfigError> {
@@ -161,7 +156,9 @@ impl PlatformConfig {
         self.inner
             .write()
             .per_tenant
-            .insert((tenant.to_string(), key.to_string()), value);
+            .entry(tenant.to_string())
+            .or_default()
+            .insert(key.to_string(), value);
         Ok(())
     }
 
@@ -172,7 +169,7 @@ impl PlatformConfig {
             .get(key)
             .ok_or_else(|| ConfigError::UnknownKey(key.to_string()))?;
         let inner = self.inner.read();
-        if let Some(v) = inner.per_tenant.get(&(tenant.to_string(), key.to_string())) {
+        if let Some(v) = inner.per_tenant.get(tenant).and_then(|keys| keys.get(key)) {
             return Ok(v.clone());
         }
         if let Some(v) = inner.platform.get(key) {
@@ -249,17 +246,19 @@ mod tests {
 
     /// The knobs that used to select the retired row executor and JSON
     /// checkpoint format, the six keys no code ever read, and the ROLAP-only
-    /// MDX switch and per-tenant optimizer rule set no deployment set, are
-    /// gone, not merely ignored: setting one is an error an operator sees.
+    /// MDX switch, per-tenant optimizer rule set and telemetry off switch
+    /// no deployment set, are gone, not merely ignored: setting one is an
+    /// error an operator sees.
     #[test]
     fn retired_twin_selectors_are_unknown_keys() {
         let cfg = PlatformConfig::with_defaults();
-        assert_eq!(cfg.keys().len(), 9);
+        assert_eq!(cfg.keys().len(), 8);
         for (key, value) in [
             ("sql.vectorized", ConfigValue::Bool(false)),
             ("durability.format", ConfigValue::from("json")),
             ("olap.preaggregation", ConfigValue::Bool(true)),
             ("sql.optimizer_rules", ConfigValue::from("all")),
+            ("telemetry.enabled", ConfigValue::Bool(true)),
             ("reporting.max_rows", ConfigValue::Int(10_000)),
             ("reporting.default_chart", ConfigValue::from("bar")),
             ("etl.reject_threshold", ConfigValue::Int(1_000)),
@@ -290,21 +289,5 @@ mod tests {
             .unwrap();
         assert_eq!(cfg.get_int("noisy", "limits.rate").unwrap(), 50);
         assert_eq!(cfg.get_int("quiet", "limits.rate").unwrap(), 0);
-    }
-
-    #[test]
-    fn declaring_new_keys() {
-        let mut cfg = PlatformConfig::with_defaults();
-        cfg.declare("custom.flag", ConfigValue::Bool(false));
-        assert_eq!(
-            cfg.get("t", "custom.flag").unwrap(),
-            ConfigValue::Bool(false)
-        );
-        cfg.set("custom.flag", true.into()).unwrap();
-        assert_eq!(
-            cfg.get("t", "custom.flag").unwrap(),
-            ConfigValue::Bool(true)
-        );
-        assert!(cfg.keys().contains(&"custom.flag".to_string()));
     }
 }

@@ -1,7 +1,10 @@
-//! Telemetry-spine overhead: the same gated platform calls with the
-//! tenant's `telemetry.enabled` flag on and off. The spine's acceptance
-//! budget is ≤5% overhead on the traced path; the disabled path must be
-//! indistinguishable from free.
+//! Telemetry-spine overhead. "on" is the gated platform call, which always
+//! traces; "off" runs the same statement on the tenant's warehouse under an
+//! inert `Span::disabled()` root, so no gate span and no child span is
+//! recorded. "off" also skips the gate's authorization and metering, so the
+//! on/off delta is an upper bound on the tracing cost. The spine's
+//! acceptance budget is ≤5% overhead on the traced path; the inert span
+//! must be indistinguishable from free.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -17,17 +20,11 @@ fn configured() -> Criterion {
         .warm_up_time(Duration::from_millis(500))
 }
 
-fn booted(telemetry_on: bool) -> (Arc<OdbisPlatform>, String) {
+fn booted() -> (Arc<OdbisPlatform>, String) {
     let p = Arc::new(OdbisPlatform::new());
     p.provision_tenant("acme", "Acme", SubscriptionPlan::standard(), "root", "pw")
         .unwrap();
     let token = p.login("acme", "root", "pw").unwrap();
-    if !telemetry_on {
-        p.admin
-            .config
-            .set_for_tenant("acme", "telemetry.enabled", false.into())
-            .unwrap();
-    }
     p.sql("acme", &token, "CREATE TABLE kpis (k TEXT, v INT)")
         .unwrap();
     let mut insert = String::from("INSERT INTO kpis VALUES ('a', 0)");
@@ -73,15 +70,25 @@ fn span_microcost(c: &mut Criterion) {
 
 fn telemetry_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry_overhead");
-    for (mode, on) in [("on", true), ("off", false)] {
-        let (p, token) = booted(on);
-        for (label, sql) in QUERIES {
-            group.bench_with_input(
-                BenchmarkId::new(format!("sql_{label}"), mode),
-                &mode,
-                |b, _| b.iter(|| p.sql("acme", &token, sql).unwrap()),
-            );
-        }
+    let (p, token) = booted();
+    let warehouse = Arc::clone(&p.workspace("acme").unwrap().warehouse);
+    let engine = odbis_sql::Engine::new();
+    for (label, sql) in QUERIES {
+        group.bench_with_input(
+            BenchmarkId::new(format!("sql_{label}"), "on"),
+            &(),
+            |b, _| b.iter(|| p.sql("acme", &token, sql).unwrap()),
+        );
+        group.bench_with_input(
+            BenchmarkId::new(format!("sql_{label}"), "off"),
+            &(),
+            |b, _| {
+                b.iter(|| {
+                    let _root = odbis_telemetry::Span::disabled();
+                    engine.execute(&warehouse, sql).unwrap()
+                })
+            },
+        );
     }
     group.finish();
 }

@@ -10,7 +10,11 @@
 //!    inside each tenant workspace;
 //! 3. **administration & configuration**: [`OdbisPlatform::admin`]
 //!    ([`odbis_admin`]) over the SaaS kernel ([`odbis_tenancy`],
-//!    [`odbis_security`]);
+//!    [`odbis_security`]). Each count is kept once, by the component doing
+//!    the work: the gate meters units into the usage meter and records
+//!    spans into the telemetry spine, and the WAL counts its own appends
+//!    and bytes, which `/api/v1/metrics` reads at scrape time
+//!    ([`OdbisPlatform::wal_stats`]);
 //! 4. **core BI services**: MDS, IS, AS, RS and IDS per tenant
 //!    ([`TenantWorkspace`]);
 //! 5. **end-user access**: the HTTP API ([`build_router`]) served by
@@ -31,14 +35,12 @@
 #![warn(missing_docs)]
 
 mod cluster;
-mod context;
 mod error;
 mod platform;
 mod watch;
 mod web_api;
 
 pub use cluster::{Cluster, ClusterMap, ClusterNode, ClusterRoute, MigrationReport};
-pub use context::ApplicationContext;
 pub use error::{PlatformError, PlatformResult};
 pub use platform::{OdbisPlatform, TenantWorkspace};
 pub use watch::{WatchHub, WatchOutcome};

@@ -24,14 +24,12 @@ use odbis_reporting::{Dashboard, RenderedReport, ReportTemplate, ReportingServic
 use odbis_sql::{Engine, QueryResult};
 use odbis_storage::{
     CheckpointReport, Database, DbError, DbResult, DurableStore, FsyncPolicy, Wal, WalRecord,
-    WalSink,
+    WalSink, WalStats,
 };
-use odbis_telemetry::Telemetry;
 use odbis_tenancy::{ServiceKind, SubscriptionPlan, TenantRegistry, UsageMeter};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::cluster::{Cluster, ClusterMap, ClusterNode, ClusterRoute};
-use crate::context::ApplicationContext;
 use crate::error::{PlatformError, PlatformResult};
 use crate::watch::WatchHub;
 
@@ -75,19 +73,29 @@ pub struct TenantWorkspace {
     pub durable: Option<Arc<DurableStore>>,
 }
 
-/// A [`WalSink`] stage that turns every journaled record into the
-/// [`TableDelta`] the aggregate cache applies, one per record — a
-/// multi-row INSERT is one. The sink runs under the written table's lock,
-/// so it must only buffer — application happens later, outside that
-/// lock, in [`TenantWorkspace::publish_deltas`]. For in-memory workspaces
-/// this is the whole sink; durable workspaces chain it behind the WAL
-/// append so only acknowledged writes ever become deltas.
-#[derive(Default)]
+/// The warehouse's one [`WalSink`]: it appends each statement's records
+/// to the tenant's log (durable workspaces only), then turns every record
+/// into the [`TableDelta`] the aggregate cache applies, one per record — a
+/// multi-row INSERT is one. Appending first is the guarantee: a delta can
+/// only describe a write the log accepted, so an unacked write never
+/// reaches the aggregate cache or a watcher. The sink runs under the
+/// written table's lock, so it must only buffer — application happens
+/// later, outside that lock, in [`TenantWorkspace::publish_deltas`].
 pub struct DeltaBuffer {
+    /// The tenant's write-ahead log; `None` for an in-memory workspace,
+    /// where every applied mutation counts as acknowledged.
+    wal: Option<Arc<Wal>>,
     deltas: Mutex<Vec<TableDelta>>,
 }
 
 impl DeltaBuffer {
+    fn new(wal: Option<Arc<Wal>>) -> Self {
+        DeltaBuffer {
+            wal,
+            deltas: Mutex::new(Vec::new()),
+        }
+    }
+
     /// Take everything buffered so far.
     fn drain(&self) -> Vec<TableDelta> {
         std::mem::take(&mut *self.deltas.lock())
@@ -109,6 +117,9 @@ impl DeltaBuffer {
 
 impl WalSink for DeltaBuffer {
     fn append(&self, records: &[WalRecord]) -> DbResult<()> {
+        if let Some(wal) = &self.wal {
+            wal.append_batch(records)?;
+        }
         self.deltas
             .lock()
             .extend(records.iter().filter_map(record_to_delta));
@@ -143,70 +154,32 @@ fn record_to_delta(record: &WalRecord) -> Option<TableDelta> {
     }
 }
 
-/// The WAL sink the platform attaches to each durable warehouse: appends
-/// go to the tenant's log, and every appended frame is metered into the
-/// telemetry spine (`odbis_wal_appends_total` / `odbis_wal_bytes_total`).
-struct MeteredWal {
-    tenant: String,
-    wal: Arc<Wal>,
-    telemetry: Arc<Telemetry>,
-    /// Acked records are buffered here for delta publication. Appending
-    /// after the WAL write is the guarantee: a delta can only describe a
-    /// write the log accepted — an unacked write never reaches the
-    /// aggregate cache or a watcher.
-    deltas: Arc<DeltaBuffer>,
-}
-
-impl WalSink for MeteredWal {
-    fn append(&self, records: &[WalRecord]) -> DbResult<()> {
-        let bytes = self.wal.append_batch(records)?;
-        self.telemetry
-            .record_wal_batch(&self.tenant, records.len() as u64, bytes);
-        self.deltas.append(records)
-    }
-}
-
 impl TenantWorkspace {
     fn new(tenant_id: &str) -> PlatformResult<Self> {
-        let warehouse = Arc::new(Database::new());
-        let deltas = Arc::new(DeltaBuffer::default());
-        // no WAL for an in-memory tenant: the delta buffer is the sink,
-        // and every applied mutation counts as acknowledged
-        warehouse.set_wal_sink(Arc::clone(&deltas) as Arc<dyn WalSink>);
-        Self::assemble(tenant_id, warehouse, None, deltas)
+        Self::assemble(tenant_id, Database::new(), None)
     }
 
     /// Open (or recover) a durable workspace rooted at `dir`: load the
     /// checkpoint, replay the WAL, and journal every future warehouse
-    /// mutation through a telemetry-metered sink. Re-provisioning a tenant
-    /// over an existing directory recovers exactly the committed state.
-    /// (WAL replay happens before the sink is attached, so recovery never
-    /// republishes historical deltas — aggregates are built fresh.)
-    fn durable(
-        tenant_id: &str,
-        dir: PathBuf,
-        policy: FsyncPolicy,
-        telemetry: Arc<Telemetry>,
-    ) -> PlatformResult<Self> {
+    /// mutation through it. Re-provisioning a tenant over an existing
+    /// directory recovers exactly the committed state. (WAL replay happens
+    /// before the sink is attached, so recovery never republishes
+    /// historical deltas — aggregates are built fresh.)
+    fn durable(tenant_id: &str, dir: PathBuf, policy: FsyncPolicy) -> PlatformResult<Self> {
         let (db, store) = DurableStore::open(dir, policy)?;
-        let warehouse = Arc::new(db);
-        let store = Arc::new(store);
-        let deltas = Arc::new(DeltaBuffer::default());
-        warehouse.set_wal_sink(Arc::new(MeteredWal {
-            tenant: tenant_id.to_string(),
-            wal: Arc::clone(store.wal()),
-            telemetry,
-            deltas: Arc::clone(&deltas),
-        }));
-        Self::assemble(tenant_id, warehouse, Some(store), deltas)
+        Self::assemble(tenant_id, db, Some(Arc::new(store)))
     }
 
     fn assemble(
         tenant_id: &str,
-        warehouse: Arc<Database>,
+        warehouse: Database,
         durable: Option<Arc<DurableStore>>,
-        deltas: Arc<DeltaBuffer>,
     ) -> PlatformResult<Self> {
+        let warehouse = Arc::new(warehouse);
+        let deltas = Arc::new(DeltaBuffer::new(
+            durable.as_ref().map(|store| Arc::clone(store.wal())),
+        ));
+        warehouse.set_wal_sink(Arc::clone(&deltas) as Arc<dyn WalSink>);
         let mds = Arc::new(MetadataService::new());
         mds.register_source(
             DataSource {
@@ -325,10 +298,6 @@ fn checkpoint_with_retry(store: &DurableStore, db: &Database) -> PlatformResult<
 pub struct OdbisPlatform {
     /// Administration & configuration layer.
     pub admin: AdminService,
-    /// The platform-wide service bus.
-    pub bus: Arc<MessageBus>,
-    /// The Spring-like application context (service registry).
-    pub context: ApplicationContext,
     /// Per-tenant HTTP admission control, resolving `limits.rate`,
     /// `limits.burst` and `limits.queue_depth` from the platform config
     /// (tenant → platform → declared default) on every request.
@@ -370,11 +339,6 @@ impl OdbisPlatform {
     fn build(data_dir: Option<PathBuf>) -> Self {
         let registry = Arc::new(TenantRegistry::new());
         let meter = Arc::new(UsageMeter::new());
-        let bus = Arc::new(MessageBus::new());
-        let context = ApplicationContext::new();
-        context.register(Arc::clone(&registry));
-        context.register(Arc::clone(&meter));
-        context.register(Arc::clone(&bus));
         let admin = AdminService::new(registry, meter);
         let config = Arc::clone(&admin.config);
         let admission = Arc::new(odbis_web::AdmissionControl::new(move |tenant| {
@@ -389,8 +353,6 @@ impl OdbisPlatform {
         }));
         OdbisPlatform {
             admin,
-            bus,
-            context,
             admission,
             sql: Engine::new(),
             workspaces: RwLock::new(HashMap::new()),
@@ -527,12 +489,7 @@ impl OdbisPlatform {
                         .get_str(id, "durability.fsync")
                         .unwrap_or_else(|_| "never".into()),
                 );
-                Arc::new(TenantWorkspace::durable(
-                    id,
-                    root.join(id),
-                    policy,
-                    Arc::clone(&self.admin.telemetry),
-                )?)
+                Arc::new(TenantWorkspace::durable(id, root.join(id), policy)?)
             }
             None => Arc::new(TenantWorkspace::new(id)?),
         };
@@ -624,6 +581,20 @@ impl OdbisPlatform {
             .ok_or_else(|| PlatformError::NotFound(format!("durable store for tenant {tenant}")))
     }
 
+    /// WAL counters of every durable workspace attached to this node,
+    /// sorted by tenant, read from each log's own [`WalStats`]: the series
+    /// follows the workspace, so a tenant that migrated away has none here.
+    pub fn wal_stats(&self) -> Vec<(String, WalStats)> {
+        let mut out: Vec<(String, WalStats)> = self
+            .workspaces
+            .read()
+            .iter()
+            .filter_map(|(id, ws)| Some((id.clone(), ws.durable.as_ref()?.wal().stats())))
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
     /// The workspace of a tenant. A miss on a clustered node whose map
     /// routes the tenant elsewhere means the tenant migrated away — the
     /// caller is told where it went (HTTP: a 307 at the owner) instead of
@@ -691,21 +662,14 @@ impl OdbisPlatform {
 
     // ---- telemetry -----------------------------------------------------------
 
-    /// Open the root span for one gated service call. Honors the tenant's
-    /// `telemetry.enabled` / `telemetry.slow_ms` settings; when disabled
-    /// the returned span is inert and the call costs almost nothing.
+    /// Open the root span for one gated service call, with the tenant's
+    /// `telemetry.slow_ms` slow-log threshold.
     fn trace_root(
         &self,
         tenant: &str,
         service: ServiceKind,
         operation: &'static str,
     ) -> odbis_telemetry::Span {
-        if matches!(
-            self.admin.config.get(tenant, "telemetry.enabled"),
-            Ok(odbis_admin::ConfigValue::Bool(false))
-        ) {
-            return odbis_telemetry::Span::disabled();
-        }
         let slow_ms = self
             .admin
             .config
@@ -1753,10 +1717,15 @@ mod durability_tests {
         assert!(outcome.wal_bytes_folded > 0);
         let after = p.durability_status("acme", &token).unwrap();
         assert_eq!(after.wal_file_len, 0);
-        // WAL and checkpoint activity shows up on the metrics endpoint
+        // the checkpoint is metered into telemetry; the WAL counters the
+        // metrics endpoint serves are the log's own
         let prom = p.admin.telemetry.render_prometheus();
-        assert!(prom.contains("odbis_wal_appends_total{tenant=\"acme\"}"));
         assert!(prom.contains("odbis_checkpoints_total{tenant=\"acme\"} 1"));
+        let wal = p.wal_stats();
+        assert_eq!(wal.len(), 1);
+        assert_eq!(wal[0].0, "acme");
+        assert_eq!(wal[0].1.appends, after.wal_appends);
+        assert_eq!(wal[0].1.bytes, after.wal_bytes);
         // post-checkpoint restart recovers from the checkpoint alone
         drop(p);
         let (p2, token2) = boot_durable(&dir);
@@ -1890,18 +1859,6 @@ mod telemetry_tests {
             .expect("MDS totals");
         assert!(mds.requests >= 2);
         assert!(mds.errors >= 1);
-    }
-
-    #[test]
-    fn telemetry_can_be_disabled_per_tenant() {
-        let (p, token) = boot();
-        p.admin
-            .config
-            .set_for_tenant("acme", "telemetry.enabled", false.into())
-            .unwrap();
-        p.sql("acme", &token, "CREATE TABLE t (x INT)").unwrap();
-        assert!(p.admin.telemetry.totals().is_empty());
-        assert!(p.admin.telemetry.recent_spans().is_empty());
     }
 
     #[test]

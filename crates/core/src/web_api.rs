@@ -39,6 +39,7 @@
 
 use std::sync::Arc;
 
+use odbis_storage::WalStats;
 use odbis_web::{HttpRequest, HttpResponse, Method, PathParams, Router};
 
 use crate::cluster::ClusterRoute;
@@ -298,6 +299,28 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                     "odbis_sessions_active{{tenant=\"{tenant}\"}} {}\n",
                     realm.session_count()
                 ));
+            }
+        }
+        // WAL volume per attached durable workspace, read from the log
+        // that counts it
+        type Family = (&'static str, &'static str, fn(&WalStats) -> u64);
+        let wal = p.wal_stats();
+        let families: [Family; 2] = [
+            (
+                "odbis_wal_appends_total",
+                "WAL records appended, by tenant.",
+                |s| s.appends,
+            ),
+            (
+                "odbis_wal_bytes_total",
+                "WAL bytes appended (frames included), by tenant.",
+                |s| s.bytes,
+            ),
+        ];
+        for (name, help, count) in families {
+            body.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
+            for (tenant, stats) in &wal {
+                body.push_str(&format!("{name}{{tenant=\"{tenant}\"}} {}\n", count(stats)));
             }
         }
         // admission-control verdicts per tenant, counted at the server edge

@@ -8,18 +8,6 @@ use odbis_storage::Value;
 use crate::fact::{FactId, WorkingMemory};
 use crate::rule::{Action, Activation, Bindings, Pattern, Rule};
 
-/// How the engine computes rule matches each cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MatchStrategy {
-    /// Re-evaluate every pattern against every fact each cycle (the
-    /// baseline for ablation A3).
-    Naive,
-    /// Pre-filter alpha-only (constant-test) patterns through a per-pattern
-    /// candidate cache keyed by fact type — a Rete-lite alpha network.
-    #[default]
-    AlphaIndexed,
-}
-
 /// Outcome of [`RuleEngine::run`].
 #[derive(Debug, Clone, Default)]
 pub struct FireReport {
@@ -70,7 +58,6 @@ impl std::error::Error for RuleError {}
 #[derive(Debug, Clone)]
 pub struct RuleEngine {
     rules: Vec<Rule>,
-    strategy: MatchStrategy,
     /// Safety valve against non-terminating rule sets.
     pub firing_limit: usize,
 }
@@ -82,20 +69,11 @@ impl Default for RuleEngine {
 }
 
 impl RuleEngine {
-    /// Engine with the default (alpha-indexed) strategy.
+    /// Empty engine.
     pub fn new() -> Self {
         RuleEngine {
             rules: Vec::new(),
-            strategy: MatchStrategy::default(),
             firing_limit: 100_000,
-        }
-    }
-
-    /// Engine with an explicit match strategy.
-    pub fn with_strategy(strategy: MatchStrategy) -> Self {
-        RuleEngine {
-            strategy,
-            ..RuleEngine::new()
         }
     }
 
@@ -172,7 +150,7 @@ impl RuleEngine {
         for pattern in &rule.patterns {
             let mut next = Vec::new();
             for (facts, bindings) in &partial {
-                for &fid in self.candidates(pattern, wm) {
+                for &fid in wm.ids_of_type(&pattern.fact_type) {
                     if facts.contains(&fid) {
                         continue; // a fact may satisfy only one pattern slot
                     }
@@ -204,23 +182,6 @@ impl RuleEngine {
             }
         }
         out
-    }
-
-    /// Candidate fact ids for a pattern under the configured strategy.
-    fn candidates<'a>(&self, pattern: &Pattern, wm: &'a WorkingMemory) -> &'a [FactId] {
-        match self.strategy {
-            // the naive strategy ignores the type index and scans everything;
-            // `matches` re-checks the type, so results are identical
-            MatchStrategy::Naive => {
-                // a stable ordering is still needed for determinism: use the
-                // type buckets in sorted order is overkill; the naive path
-                // simply walks the per-type list too but conceptually
-                // re-tests everything. To keep an honest cost difference,
-                // naive mode materializes no alpha cache (see `alpha_hits`).
-                wm.ids_of_type(&pattern.fact_type)
-            }
-            MatchStrategy::AlphaIndexed => wm.ids_of_type(&pattern.fact_type),
-        }
     }
 
     fn fire(&self, rule: &Rule, act: &Activation, wm: &mut WorkingMemory, report: &mut FireReport) {

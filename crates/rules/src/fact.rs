@@ -7,7 +7,7 @@ use odbis_storage::Value;
 /// Handle to a fact in working memory.
 pub type FactId = u64;
 
-/// A fact: a typed bag of named values ("Order", "Tenant", "UsageEvent"...).
+/// A fact: a typed bag of named values ("Order", "Tenant", "Invoice"...).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fact {
     /// Fact type name (the Drools "declared type").

@@ -33,8 +33,6 @@ mod engine;
 mod fact;
 mod rule;
 
-pub use engine::{
-    firings_by_rule, tconst, tvar, FireReport, MatchStrategy, NaiveMatcher, RuleEngine, RuleError,
-};
+pub use engine::{firings_by_rule, tconst, tvar, FireReport, NaiveMatcher, RuleEngine, RuleError};
 pub use fact::{Fact, FactId, WorkingMemory};
 pub use rule::{Action, Activation, Bindings, Operand, Pattern, Rule, TemplateValue, Test, TestOp};

@@ -23,9 +23,15 @@
 //! * [`cost`] — the pay-as-you-go cost model: a [`CostModel`] prices
 //!   metered units, CPU seconds, rows and bytes into [`CostLine`]s.
 //!
-//! When telemetry is disabled (`telemetry.enabled = false`) every span is
-//! inert: no allocation, no locking, no thread-local install — the
-//! instrumentation overhead budget is ≤5% end-to-end and ~0 when off.
+//! Every gated call is traced; the instrumentation overhead budget is ≤5%
+//! end-to-end. A [`Span::disabled`] span is inert (no allocation, no
+//! locking, no thread-local install): a child span opened outside any root
+//! is one.
+//!
+//! Counts the work's own component already keeps are not copied here: the
+//! WAL append and byte totals live in the log (`Wal::stats`) and the
+//! platform renders them at scrape time; this crate keeps only what no
+//! other component counts — request spans and checkpoint latency.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -78,9 +84,8 @@ pub struct Telemetry {
     shards: Vec<Mutex<Shard>>,
     slow: Mutex<slowlog::SlowLog>,
     spans: Mutex<std::collections::VecDeque<SpanRecord>>,
-    // Per-tenant durability counters (WAL appends / checkpoint latency).
-    // A BTreeMap behind one lock is enough: appends are metered by the
-    // storage sink at memory speed, far off the striped request path.
+    // Per-tenant checkpoint counters. A BTreeMap behind one lock is
+    // enough: one push per checkpoint, far off the striped request path.
     wal: Mutex<BTreeMap<String, metrics::WalCounters>>,
     next_trace: AtomicU64,
     next_span: AtomicU64,
@@ -189,17 +194,6 @@ impl Telemetry {
         out
     }
 
-    /// Meter a group-committed batch of `records` WAL appends for `tenant`
-    /// in one lock acquisition (`bytes` is the whole batch, frames
-    /// included).
-    pub fn record_wal_batch(&self, tenant: &str, records: u64, bytes: u64) {
-        self.wal
-            .lock()
-            .entry(tenant.to_string())
-            .or_default()
-            .record_batch(records, bytes);
-    }
-
     /// Meter one durability checkpoint for `tenant`.
     pub fn record_checkpoint(&self, tenant: &str, micros: u64) {
         self.wal
@@ -209,7 +203,7 @@ impl Telemetry {
             .record_checkpoint(micros);
     }
 
-    /// Point-in-time copy of the per-tenant durability counters, sorted by
+    /// Point-in-time copy of the per-tenant checkpoint counters, sorted by
     /// tenant.
     pub fn wal_snapshot(&self) -> Vec<(String, WalCounters)> {
         self.wal
@@ -331,7 +325,7 @@ mod tests {
     fn reset_clears_everything() {
         let t = Arc::new(Telemetry::new());
         drop(t.span("acme", "MDS", "sql", 0));
-        t.record_wal_batch("acme", 1, 64);
+        t.record_checkpoint("acme", 64);
         assert!(!t.snapshot().is_empty());
         t.reset();
         assert!(t.snapshot().is_empty());
@@ -341,29 +335,24 @@ mod tests {
     }
 
     #[test]
-    fn wal_counters_accumulate_and_render() {
+    fn checkpoint_counters_accumulate_and_render() {
         let t = Arc::new(Telemetry::new());
-        t.record_wal_batch("acme", 1, 100);
-        t.record_wal_batch("acme", 1, 50);
-        t.record_wal_batch("beta", 1, 7);
         t.record_checkpoint("acme", 1500);
+        t.record_checkpoint("beta", 7);
         let snap = t.wal_snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].0, "acme");
-        assert_eq!(snap[0].1.appends, 2);
-        assert_eq!(snap[0].1.bytes, 150);
         assert_eq!(snap[0].1.checkpoints, 1);
         assert_eq!(snap[0].1.checkpoint_micros_total, 1500);
-        assert_eq!(snap[1].1.appends, 1);
         let text = t.render_prometheus();
-        assert!(text.contains("odbis_wal_appends_total{tenant=\"acme\"} 2"));
-        assert!(text.contains("odbis_wal_bytes_total{tenant=\"acme\"} 150"));
-        assert!(text.contains("odbis_wal_bytes_total{tenant=\"beta\"} 7"));
         assert!(text.contains("odbis_checkpoints_total{tenant=\"acme\"} 1"));
+        assert!(text.contains("odbis_checkpoints_total{tenant=\"beta\"} 1"));
         assert!(text.contains("# TYPE odbis_checkpoint_seconds histogram"));
         // 1500µs < 2^11µs → cumulative 1 at le=0.002048
         assert!(text.contains("odbis_checkpoint_seconds_bucket{tenant=\"acme\",le=\"0.002048\"} 1"));
         assert!(text.contains("odbis_checkpoint_seconds_count{tenant=\"acme\"} 1"));
+        // the WAL append families are the platform's, read from the log
+        assert!(!text.contains("odbis_wal_"));
     }
 
     #[test]

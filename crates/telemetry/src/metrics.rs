@@ -163,16 +163,10 @@ pub struct MetricSnapshot {
     pub hist: [u64; BUCKETS],
 }
 
-/// Per-tenant durability counters: WAL append volume and checkpoint
-/// latency. Kept separate from the request-path metrics because WAL
-/// appends happen under the storage engine's write lock, far below any
-/// span — the platform meters them via the `WalSink` wrapper instead.
+/// Per-tenant checkpoint counters. The WAL's append and byte totals are
+/// the log's own (`Wal::stats`); the platform renders them at scrape time.
 #[derive(Debug, Clone)]
 pub struct WalCounters {
-    /// WAL records appended.
-    pub appends: u64,
-    /// WAL bytes appended (frame overhead included).
-    pub bytes: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
     /// Total checkpoint wall time in microseconds.
@@ -184,8 +178,6 @@ pub struct WalCounters {
 impl Default for WalCounters {
     fn default() -> Self {
         WalCounters {
-            appends: 0,
-            bytes: 0,
             checkpoints: 0,
             checkpoint_micros_total: 0,
             checkpoint_hist: [0; BUCKETS],
@@ -194,11 +186,6 @@ impl Default for WalCounters {
 }
 
 impl WalCounters {
-    pub(crate) fn record_batch(&mut self, records: u64, bytes: u64) {
-        self.appends += records;
-        self.bytes += bytes;
-    }
-
     pub(crate) fn record_checkpoint(&mut self, micros: u64) {
         self.checkpoints += 1;
         self.checkpoint_micros_total += micros;
@@ -206,38 +193,20 @@ impl WalCounters {
     }
 }
 
-/// Render per-tenant durability counters in Prometheus exposition format
+/// Render per-tenant checkpoint counters in Prometheus exposition format
 /// (appended after the request-path families).
 pub(crate) fn render_wal(tenants: &[(String, WalCounters)]) -> String {
-    /// One counter family: metric name, help text, field accessor.
-    type WalFamily = (&'static str, &'static str, fn(&WalCounters) -> u64);
     let mut out = String::new();
-    let counters: [WalFamily; 3] = [
-        (
-            "odbis_wal_appends_total",
-            "WAL records appended, by tenant.",
-            |w| w.appends,
-        ),
-        (
-            "odbis_wal_bytes_total",
-            "WAL bytes appended (frames included), by tenant.",
-            |w| w.bytes,
-        ),
-        (
-            "odbis_checkpoints_total",
-            "Durability checkpoints taken, by tenant.",
-            |w| w.checkpoints,
-        ),
-    ];
-    for (name, help, get) in counters {
-        out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-        for (tenant, w) in tenants {
-            out.push_str(&format!(
-                "{name}{{tenant=\"{}\"}} {}\n",
-                escape_label(tenant),
-                get(w)
-            ));
-        }
+    let name = "odbis_checkpoints_total";
+    out.push_str(&format!(
+        "# HELP {name} Durability checkpoints taken, by tenant.\n# TYPE {name} counter\n"
+    ));
+    for (tenant, w) in tenants {
+        out.push_str(&format!(
+            "{name}{{tenant=\"{}\"}} {}\n",
+            escape_label(tenant),
+            w.checkpoints
+        ));
     }
     let name = "odbis_checkpoint_seconds";
     out.push_str(&format!(

@@ -8,8 +8,7 @@
 //!   plan limits;
 //! * [`SubscriptionPlan`] / [`Invoice`] — pay-as-you-go pricing: "costs are
 //!   directly aligned with usage";
-//! * [`UsageMeter`] — per-(tenant, service) usage counters with an audit
-//!   event log;
+//! * [`UsageMeter`] — per-(tenant, service) usage counters;
 //! * [`SharedSchema`] vs [`DedicatedInstances`] — "one database is used to
 //!   store all customers data" vs the traditional per-customer deployment,
 //!   so the economies-of-scale claim (experiment C1) is measurable.
@@ -34,6 +33,6 @@ mod plan;
 mod registry;
 
 pub use isolation::{scope_select, DedicatedInstances, SharedSchema, TENANT_COLUMN};
-pub use metering::{ServiceKind, UsageEvent, UsageMeter, UsageSummary};
+pub use metering::{ServiceKind, UsageMeter, UsageSummary};
 pub use plan::{Invoice, SubscriptionPlan};
 pub use registry::{TenancyError, TenancyResult, Tenant, TenantRegistry, TenantStatus};

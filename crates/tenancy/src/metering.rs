@@ -46,119 +46,72 @@ impl ServiceKind {
     }
 }
 
-/// One usage record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UsageEvent {
-    /// Tenant the usage belongs to.
-    pub tenant: String,
-    /// Service that was used.
-    pub service: ServiceKind,
-    /// Metered units (calls, rows, renders... service-defined).
-    pub units: u64,
-    /// Logical sequence number (monotonic per meter).
-    pub seq: u64,
-}
-
 /// Aggregated usage per (tenant, service).
 pub type UsageSummary = BTreeMap<(String, ServiceKind), u64>;
 
-/// Thread-safe usage meter. Recording is O(1) per event (a counter bump);
-/// the raw event log is kept for audit up to a configurable bound.
-#[derive(Debug)]
-pub struct UsageMeter {
-    inner: Mutex<MeterInner>,
-    /// Raw events beyond this bound are dropped (counters stay exact).
-    pub event_log_capacity: usize,
-}
-
+/// Thread-safe usage meter: one counter per (tenant, service), keyed by
+/// tenant and then service, so recording borrows the tenant id and
+/// allocates nothing after the tenant's first call.
 #[derive(Debug, Default)]
-struct MeterInner {
-    counters: BTreeMap<(String, ServiceKind), u64>,
-    events: Vec<UsageEvent>,
-    seq: u64,
-    dropped: u64,
-}
-
-impl Default for UsageMeter {
-    fn default() -> Self {
-        UsageMeter::new()
-    }
+pub struct UsageMeter {
+    counters: Mutex<BTreeMap<String, BTreeMap<ServiceKind, u64>>>,
 }
 
 impl UsageMeter {
-    /// Meter with a 100k-event audit log.
+    /// Empty meter.
     pub fn new() -> Self {
-        UsageMeter {
-            inner: Mutex::new(MeterInner::default()),
-            event_log_capacity: 100_000,
-        }
+        UsageMeter::default()
     }
 
     /// Record usage.
     pub fn record(&self, tenant: &str, service: ServiceKind, units: u64) {
-        let mut inner = self.inner.lock();
-        inner.seq += 1;
-        let seq = inner.seq;
-        *inner
-            .counters
-            .entry((tenant.to_string(), service))
-            .or_insert(0) += units;
-        if inner.events.len() < self.event_log_capacity {
-            inner.events.push(UsageEvent {
-                tenant: tenant.to_string(),
-                service,
-                units,
-                seq,
-            });
-        } else {
-            inner.dropped += 1;
-        }
+        let mut counters = self.counters.lock();
+        let services = match counters.get_mut(tenant) {
+            Some(services) => services,
+            None => counters.entry(tenant.to_string()).or_default(),
+        };
+        *services.entry(service).or_insert(0) += units;
     }
 
     /// Total units for a tenant across all services.
     pub fn tenant_total(&self, tenant: &str) -> u64 {
-        self.inner
+        self.counters
             .lock()
-            .counters
-            .iter()
-            .filter(|((t, _), _)| t == tenant)
-            .map(|(_, u)| u)
-            .sum()
+            .get(tenant)
+            .map_or(0, |services| services.values().sum())
     }
 
     /// Units for one (tenant, service).
     pub fn usage(&self, tenant: &str, service: ServiceKind) -> u64 {
-        self.inner
+        self.counters
             .lock()
-            .counters
-            .get(&(tenant.to_string(), service))
+            .get(tenant)
+            .and_then(|services| services.get(&service))
             .copied()
             .unwrap_or(0)
     }
 
     /// Snapshot of all counters.
     pub fn summary(&self) -> UsageSummary {
-        self.inner.lock().counters.clone()
+        flatten(&self.counters.lock())
     }
 
-    /// Drain counters and events (close of a billing period). Returns the
-    /// final summary.
+    /// Drain the counters (close of a billing period). Returns the final
+    /// summary.
     pub fn close_period(&self) -> UsageSummary {
-        let mut inner = self.inner.lock();
-        inner.events.clear();
-        inner.dropped = 0;
-        std::mem::take(&mut inner.counters)
+        flatten(&std::mem::take(&mut *self.counters.lock()))
     }
+}
 
-    /// Raw audit events currently retained.
-    pub fn events(&self) -> Vec<UsageEvent> {
-        self.inner.lock().events.clone()
-    }
-
-    /// Events dropped due to the audit-log bound (counters unaffected).
-    pub fn dropped_events(&self) -> u64 {
-        self.inner.lock().dropped
-    }
+fn flatten(counters: &BTreeMap<String, BTreeMap<ServiceKind, u64>>) -> UsageSummary {
+    counters
+        .iter()
+        .flat_map(|(tenant, services)| {
+            services
+                .iter()
+                .map(move |(service, units)| ((tenant.clone(), *service), *units))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -186,19 +139,7 @@ mod tests {
         let summary = m.close_period();
         assert_eq!(summary[&("t".to_string(), ServiceKind::Admin)], 5);
         assert_eq!(m.tenant_total("t"), 0);
-        assert!(m.events().is_empty());
-    }
-
-    #[test]
-    fn audit_log_bounded_but_counters_exact() {
-        let mut m = UsageMeter::new();
-        m.event_log_capacity = 10;
-        for _ in 0..25 {
-            m.record("t", ServiceKind::Delivery, 1);
-        }
-        assert_eq!(m.events().len(), 10);
-        assert_eq!(m.dropped_events(), 15);
-        assert_eq!(m.usage("t", ServiceKind::Delivery), 25);
+        assert!(m.summary().is_empty());
     }
 
     #[test]

@@ -376,6 +376,78 @@ fn wedged_store_surfaces_structured_503_envelopes() {
     server.shutdown();
 }
 
+/// One sample of a `{tenant="acme"}` counter from a metrics scrape.
+fn scraped(body: &str, family: &str) -> u64 {
+    let prefix = format!("{family}{{tenant=\"acme\"}} ");
+    body.lines()
+        .find_map(|line| line.strip_prefix(prefix.as_str()))
+        .unwrap_or_else(|| panic!("no {family} sample for acme:\n{body}"))
+        .parse()
+        .unwrap()
+}
+
+/// The WAL counters the metrics endpoint serves are the durability
+/// report's: both read the tenant's log, so they agree after a one-row
+/// INSERT, a 100-row INSERT, an INSERT the log refused and a checkpoint.
+#[test]
+fn wal_counters_on_metrics_equal_the_durability_report() {
+    let _x = odbis_chaos::exclusive();
+    odbis_chaos::clear();
+    let dir = tmp_dir("wal-metrics");
+    let (server, _p, token) = serve_durable(&dir);
+    let addr = server.addr().to_string();
+    // (walAppends, walBytes) from the durability report, checked against
+    // the metrics scrape
+    let counted = |step: &str| -> (u64, u64) {
+        let (status, _, body) = auth(&addr, "GET", "/api/v1/admin/durability", &token, "");
+        assert_eq!(status, 200, "{step}: {body}");
+        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let report = (
+            v["walAppends"].as_u64().unwrap(),
+            v["walBytes"].as_u64().unwrap(),
+        );
+        let (status, metrics) = http_get(&addr, "/api/v1/metrics").unwrap();
+        assert_eq!(status, 200);
+        let scrape = (
+            scraped(&metrics, "odbis_wal_appends_total"),
+            scraped(&metrics, "odbis_wal_bytes_total"),
+        );
+        assert_eq!(scrape, report, "{step}: /metrics vs /admin/durability");
+        report
+    };
+    let sql = |body: &str| auth(&addr, "POST", "/api/v1/sql", &token, body).0;
+
+    assert_eq!(sql("CREATE TABLE t (id INT, note TEXT)"), 200);
+    let created = counted("create");
+    assert_eq!(sql("INSERT INTO t VALUES (0, 'one')"), 200);
+    let one = counted("one-row insert");
+    assert_eq!(one.0, created.0 + 1);
+    assert!(one.1 > created.1);
+    let rows: Vec<String> = (1..=100).map(|i| format!("({i}, 'many')")).collect();
+    assert_eq!(
+        sql(&format!("INSERT INTO t VALUES {}", rows.join(", "))),
+        200
+    );
+    let hundred = counted("100-row insert");
+    assert_eq!(hundred.0, one.0 + 1, "a statement is one append");
+
+    odbis_chaos::apply_spec("wal.write=return-err").unwrap();
+    let status = sql("INSERT INTO t VALUES (101, 'refused')");
+    odbis_chaos::remove("wal.write");
+    assert_eq!(status, 503);
+    assert_eq!(
+        counted("refused insert"),
+        hundred,
+        "a refused append counts nothing"
+    );
+
+    let (status, _, body) = auth(&addr, "POST", "/api/v1/admin/checkpoint", &token, "");
+    assert_eq!(status, 200, "{body}");
+    counted("checkpoint");
+    odbis_chaos::clear();
+    server.shutdown();
+}
+
 /// Transient checkpoint IO errors are retried behind the scenes (the
 /// caller sees success and a bumped retry counter); a persistent fault
 /// exhausts the budget and surfaces as a retryable 503 over HTTP.
