@@ -9,7 +9,7 @@ pub struct DurabilityStatus {
     pub tenant: String,
     /// Effective fsync policy (`"always"` / `"never"`).
     pub fsync: String,
-    /// WAL records appended since the log was opened.
+    /// WAL statements (frames) appended since the log was opened.
     pub wal_appends: u64,
     /// WAL bytes appended since the log was opened.
     pub wal_bytes: u64,

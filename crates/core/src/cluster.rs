@@ -224,7 +224,7 @@ pub struct MigrationReport {
     pub to: String,
     /// The shipped checkpoint's fold LSN.
     pub checkpoint_lsn: u64,
-    /// WAL frames shipped in the final (drained) tail.
+    /// WAL frames — statements — shipped in the final (drained) tail.
     pub tail_frames: u64,
     /// Highest LSN shipped — everything acknowledged on the source.
     pub tail_last_lsn: u64,

@@ -1764,7 +1764,7 @@ mod durability_tests {
         let sql = format!("INSERT INTO f VALUES {}", values.join(", "));
         Engine::new().execute(&ws.warehouse, &sql).unwrap();
         let after = p.durability_status("acme", &token).unwrap().wal_appends;
-        assert_eq!(after - appends, 1, "one record for the whole statement");
+        assert_eq!(after - appends, 1, "one frame for the whole statement");
         assert_eq!(ws.publish_deltas(), 1, "one delta for the whole statement");
 
         let q = odbis_olap::CubeQuery {
@@ -1779,6 +1779,46 @@ mod durability_tests {
             &[odbis_storage::Value::Float(eu)]
         );
         assert_eq!(folded.cells, ws.cubes.query(&cube, &q).unwrap().cells);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A replace load is one statement — truncate plus the new rows — so
+    /// it is one WAL append, and a reopen finds the new rows.
+    #[test]
+    fn replace_load_is_one_wal_append() {
+        let dir = tmp_dir("replace");
+        let (p, token) = boot_durable(&dir);
+        p.sql(
+            "acme",
+            &token,
+            "CREATE TABLE f (region TEXT, amount DOUBLE)",
+        )
+        .unwrap();
+        p.sql(
+            "acme",
+            &token,
+            "INSERT INTO f VALUES ('EU', 1), ('US', 2), ('EU', 3)",
+        )
+        .unwrap();
+        let appends = p.durability_status("acme", &token).unwrap().wal_appends;
+        let job = EtlJob {
+            name: "reload_f".into(),
+            extractor: odbis_etl::Extractor::Csv(
+                "region,amount\nEU,10\nUS,20\nEU,30\nUS,40\nAPAC,50\n".into(),
+            ),
+            transforms: vec![],
+            loader: odbis_etl::Loader {
+                table: "f".into(),
+                mode: odbis_etl::LoadMode::Replace,
+            },
+        };
+        assert_eq!(p.run_etl("acme", &token, &job).unwrap().loaded, 5);
+        let after = p.durability_status("acme", &token).unwrap().wal_appends;
+        assert_eq!(after - appends, 1, "truncate and rows in one frame");
+        drop(p);
+        let (p2, token2) = boot_durable(&dir);
+        let r = p2.sql("acme", &token2, "SELECT COUNT(*) FROM f").unwrap();
+        assert_eq!(r.rows[0][0], odbis_storage::Value::Int(5));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -308,7 +308,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
         let families: [Family; 2] = [
             (
                 "odbis_wal_appends_total",
-                "WAL records appended, by tenant.",
+                "WAL statements appended (one frame each), by tenant.",
                 |s| s.appends,
             ),
             (

@@ -1,10 +1,13 @@
 //! A SQL DML statement is one storage statement: it applies every row and
-//! journals them with one WAL append, or it leaves the table and the log as
+//! journals them as one WAL frame, or it leaves the table and the log as
 //! they were — when a constraint fails part-way, when the log refuses the
 //! append, and when the process dies in the middle of writing the frame.
+//! The same holds for every storage statement of several records: a
+//! multi-row UPDATE or DELETE, a statement over two tables and a replace
+//! load each recover all or nothing from a log cut at any byte.
 //!
-//! The crash case honours `ODBIS_DURABILITY_FSYNC` like the storage
-//! recovery suite, so it also runs under `fsync=always`.
+//! The crash cases honour `ODBIS_DURABILITY_FSYNC` like the storage
+//! recovery suite, so they also run under `fsync=always`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -139,7 +142,8 @@ fn update_failing_part_way_leaves_no_prefix_in_memory_or_the_log() {
         assert!(
             entries
                 .iter()
-                .all(|en| !matches!(en.record, WalRecord::Update { .. })),
+                .flat_map(|en| &en.records)
+                .all(|r| !matches!(r, WalRecord::Update { .. })),
             "no Update frame journaled"
         );
     }
@@ -172,8 +176,8 @@ fn insert_is_atomic_under_a_crash_at_any_byte_offset() {
     let full = std::fs::read(&wal_path).unwrap();
     let (entries, _) = read_wal(&wal_path).unwrap();
     assert!(matches!(
-        entries.last().map(|en| &en.record),
-        Some(WalRecord::InsertMany { rows, .. }) if rows.len() == 100
+        entries.last().map(|en| &en.records[..]),
+        Some([WalRecord::InsertMany { rows, .. }]) if rows.len() == 100
     ));
     let first_row_end = entries[1].end_offset as usize;
     for cut in first_row_end..=full.len() {
@@ -189,4 +193,100 @@ fn insert_is_atomic_under_a_crash_at_any_byte_offset() {
         );
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every table's rows, by table name: the state a reopen must reproduce.
+fn state(db: &Database) -> Vec<(String, Vec<Vec<Value>>)> {
+    db.table_names()
+        .into_iter()
+        .map(|t| {
+            let rows = db.scan(&t).unwrap();
+            (t, rows)
+        })
+        .collect()
+}
+
+/// Kill-point for one statement of several records: commit `setup`, run
+/// `statement`, then cut `wal.log` at every byte offset from the end of the
+/// setup's log on. Each reopen recovers exactly the state before the
+/// statement, or, from the whole file, the state after it. The statement
+/// is one append and one LSN.
+fn assert_all_or_none(name: &str, setup: &str, statement: impl FnOnce(&Engine, &Database)) {
+    let dir = tmp_dir(name);
+    let e = Engine::new();
+    let (before, after, setup_end) = {
+        let (db, store) = DurableStore::open(&dir, policy()).unwrap();
+        db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
+        e.execute_script(&db, setup).unwrap();
+        let (stats, lsn) = (store.wal().stats(), store.wal().last_lsn());
+        let before = state(&db);
+        statement(&e, &db);
+        let after = state(&db);
+        assert_ne!(before, after, "{name}: the statement changes something");
+        assert_eq!(store.wal().stats().appends, stats.appends + 1, "{name}");
+        assert_eq!(store.wal().last_lsn(), lsn + 1, "{name}");
+        (before, after, stats.file_len as usize)
+    };
+    let wal_path = dir.join("wal.log");
+    let full = std::fs::read(&wal_path).unwrap();
+    for cut in setup_end..=full.len() {
+        std::fs::write(&wal_path, &full[..cut]).unwrap();
+        let (db, _store) = DurableStore::open(&dir, policy())
+            .unwrap_or_else(|err| panic!("{name}: recovery failed at cut {cut}: {err}"));
+        let (got, want) = (state(&db), if cut == full.len() { &after } else { &before });
+        assert!(
+            got == *want,
+            "{name}: cut {cut} of {} recovered part of the statement: {got:?}",
+            full.len()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+const THREE_ROWS: &str = "CREATE TABLE t (id INT PRIMARY KEY, k INT, note TEXT);
+     INSERT INTO t VALUES (1, 10, 'a'), (2, 20, 'b'), (3, 30, 'c');";
+
+#[test]
+fn multi_row_update_is_atomic_under_a_crash_at_any_byte_offset() {
+    assert_all_or_none("update-cut", THREE_ROWS, |e, db| {
+        let r = e.execute(db, "UPDATE t SET k = k + 100, note = 'moved'");
+        assert_eq!(r.unwrap().rows_affected, 3);
+    });
+}
+
+#[test]
+fn multi_row_delete_is_atomic_under_a_crash_at_any_byte_offset() {
+    assert_all_or_none("delete-cut", THREE_ROWS, |e, db| {
+        let r = e.execute(db, "DELETE FROM t WHERE id > 1");
+        assert_eq!(r.unwrap().rows_affected, 2);
+    });
+}
+
+/// A statement over two tables: a row moves from `t` to `archive`.
+#[test]
+fn two_table_statement_is_atomic_under_a_crash_at_any_byte_offset() {
+    let setup = format!("{THREE_ROWS} CREATE TABLE archive (id INT PRIMARY KEY, k INT);");
+    assert_all_or_none("two-table-cut", &setup, |_, db| {
+        db.write_tables(&["t", "archive"], |ts| {
+            ts[0].delete(0)?;
+            ts[1].insert(vec![Value::Int(1), Value::Int(10)])
+        })
+        .unwrap();
+    });
+}
+
+/// A replace load, as the ETL loader issues it: truncate, then the new
+/// rows, in one statement. A cut must never leave the table empty.
+#[test]
+fn replace_load_is_atomic_under_a_crash_at_any_byte_offset() {
+    assert_all_or_none("replace-cut", THREE_ROWS, |_, db| {
+        db.write_table("t", |t| {
+            t.truncate();
+            for id in 10..15i64 {
+                t.insert(vec![id.into(), (id * 10).into(), "new".into()])?;
+            }
+            Ok::<_, DbError>(())
+        })
+        .unwrap();
+    });
 }

@@ -384,8 +384,9 @@ impl Database {
 
     /// Run `f` with exclusive access to several tables as one
     /// **statement**: either every mutation `f` makes, to any of them, is
-    /// applied and journaled with one [`WalSink::append`] — one frame per
-    /// record, one write and at most one fsync — or, when `f` returns `Err`
+    /// applied and journaled with one [`WalSink::append`] — one frame,
+    /// one write and at most one fsync, so a crash recovers all of it or
+    /// none — or, when `f` returns `Err`
     /// or the append fails, every table is rolled back before any lock is
     /// released and is exactly as it was: same rows, same row ids, same
     /// index entries, same dirty flag, nothing handed to the sink. Readers

@@ -19,7 +19,7 @@
 //! * crash-safe durability: a checksummed write-ahead log with checkpoint
 //!   and recovery ([`Wal`] / [`DurableStore`], see the [`wal`] module),
 //!   whose records have one binary encoding ([`encode_record`] /
-//!   [`decode_record`]);
+//!   [`decode_records`]);
 //! * binary columnar checkpoint segments with CRC-checked encoded blocks,
 //!   zone maps, and incremental flushing (the [`segment`] and [`manifest`]
 //!   modules) — the one checkpoint format, and the value codec the log
@@ -63,6 +63,6 @@ pub use value::{
     parse_timestamp, DataType, Value,
 };
 pub use wal::{
-    decode_record, encode_record, read_wal, replay_record, CheckpointImage, CheckpointReport,
+    decode_records, encode_record, read_wal, replay_record, CheckpointImage, CheckpointReport,
     DurableStore, FsyncPolicy, Wal, WalEntry, WalRecord, WalSink, WalStats, WalTail,
 };

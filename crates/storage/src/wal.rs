@@ -6,33 +6,32 @@
 //! when the power went out — never a committed one.
 //!
 //! One statement ([`Database::write_tables`], over one or more tables) is
-//! one [`WalSink::append`]: its records go down with one write and at most
-//! one fsync, or, if the append fails, the statement is rolled back in
-//! memory before any of its table locks is released. Nothing ever logs a
-//! change and then a compensating one. The rows of one INSERT coalesce
-//! into a single [`WalRecord::InsertMany`] frame, which a cut either holds
-//! whole or not at all, so an INSERT is never half-recovered. A multi-row
-//! UPDATE or DELETE, and a statement over several tables, is still one
-//! frame per record inside that one write: a crash in the middle of the
-//! write can recover a prefix of its frames. An append that
-//! fails after its bytes reached the file (a failed fsync) cuts them back
-//! off, so memory and the log agree that the statement never happened;
-//! when even that cut fails, the log refuses every later append until a
-//! reopen repairs the tail (see [`Wal::append_batch`]).
+//! one [`WalSink::append`] and one frame: its records share one LSN and
+//! one checksum and go down with one write and at most one fsync, so a
+//! crash recovers the whole statement or none of it. If the append fails,
+//! the statement is rolled back in memory before any of its table locks
+//! is released. Nothing ever logs a change and then a compensating one.
+//! An append that fails after its bytes reached the file (a failed fsync)
+//! cuts them back off, so memory and the log agree that the statement
+//! never happened; when even that cut fails, the log refuses every later
+//! append until a reopen repairs the tail (see [`Wal::append_batch`]).
 //!
 //! ## Frame format
 //!
-//! The log is a sequence of self-delimiting frames:
+//! The log is a sequence of self-delimiting frames, one per statement:
 //!
 //! ```text
-//! ┌────────────┬────────────┬────────────┬──────────────────────────┐
-//! │ len: u32LE │ crc: u32LE │ lsn: u64LE │ payload: one WalRecord   │
-//! └────────────┴────────────┴────────────┴──────────────────────────┘
+//! ┌────────────┬────────────┬────────────┬──────────────────────────────┐
+//! │ len: u32LE │ crc: u32LE │ lsn: u64LE │ payload: 1+ WalRecords       │
+//! └────────────┴────────────┴────────────┴──────────────────────────────┘
 //! ```
 //!
 //! `len` counts the lsn plus payload bytes (so `len >= 8`); `crc` is
-//! CRC-32 (IEEE) over those same bytes. The payload is the one binary
-//! encoding of a [`WalRecord`] ([`encode_record`] / [`decode_record`]):
+//! CRC-32 (IEEE) over those same bytes. The payload is the statement's
+//! records in apply order, each in the one binary encoding of a
+//! [`WalRecord`] ([`encode_record`]), back to back and decoded by
+//! [`decode_records`]; a one-record payload is exactly that record's
+//! encoding:
 //!
 //! ```text
 //! op u8                                  // 1 create_table, 2 drop_table,
@@ -55,6 +54,8 @@
 //! payload does not decode is not a torn write — it is damage or a log
 //! from an older format — so recovery refuses it with
 //! [`DbError::Corrupt`] and truncates nothing: refuse, don't truncate.
+//! A frame recovery would not accept is never written: an append whose
+//! `len` does not fit in a `u32` is refused before it takes the file lock.
 //!
 //! ## Checkpoint protocol
 //!
@@ -73,7 +74,8 @@
 //! ## Recovery invariants
 //!
 //! [`DurableStore::open`] yields exactly the committed prefix: checkpoint
-//! state, plus every fully-written post-checkpoint record, in append order.
+//! state, plus every record of every fully-written post-checkpoint frame,
+//! in append order.
 //! Row ids are stable across recovery (segments preserve tombstone slots
 //! and replayed inserts re-allocate the same slot), so `Update`/`Delete`
 //! records always land on the row they journaled.
@@ -224,8 +226,8 @@ const OP_TRUNCATE: u8 = 8;
 const OP_CREATE_INDEX: u8 = 9;
 const OP_DROP_INDEX: u8 = 10;
 
-/// Append the binary encoding of `record` to `out` — the byte format of a
-/// WAL frame payload (layout in the module docs).
+/// Append the binary encoding of `record` to `out` — the byte format of
+/// one record in a WAL frame payload (layout in the module docs).
 pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
     fn put_str(out: &mut Vec<u8>, s: &str) {
         out.extend_from_slice(&(s.len() as u32).to_le_bytes());
@@ -285,11 +287,12 @@ pub fn encode_record(out: &mut Vec<u8>, record: &WalRecord) {
     }
 }
 
-/// Decode one [`encode_record`] payload, which must be consumed exactly.
+/// Decode one frame payload: a statement's [`encode_record`] encodings,
+/// back to back, consumed exactly (an empty payload is not a statement).
 /// Total and bounded: any byte string yields `Ok` or [`DbError::Corrupt`],
 /// and a count field is checked against the bytes left before anything is
 /// reserved for it.
-pub fn decode_record(bytes: &[u8]) -> DbResult<WalRecord> {
+pub fn decode_records(bytes: &[u8]) -> DbResult<Vec<WalRecord>> {
     type Item<T> = fn(&[u8], &mut usize) -> DbResult<T>;
     /// A `u32` count, then that many items of at least `min` bytes each;
     /// a count the rest of the payload cannot hold is refused up front.
@@ -316,64 +319,70 @@ pub fn decode_record(bytes: &[u8]) -> DbResult<WalRecord> {
     fn row(b: &[u8], p: &mut usize) -> DbResult<Vec<Value>> {
         list(b, p, 1, read_value)
     }
-    let (b, p) = (bytes, &mut 0usize);
-    let op = read_u8(b, p, "op")?;
-    if !matches!(op, OP_CREATE_TABLE..=OP_DELETE | OP_TRUNCATE..=OP_DROP_INDEX) {
-        return Err(DbError::Corrupt(format!("unknown wal op {op}")));
-    }
-    let table = text(b, p)?;
-    let record = match op {
-        OP_CREATE_TABLE => WalRecord::CreateTable {
-            name: table,
-            schema: segment::schema_from_text(&text(b, p)?)?,
-        },
-        OP_DROP_TABLE => WalRecord::DropTable { name: table },
-        OP_INSERT => WalRecord::Insert {
-            table,
-            row: row(b, p)?,
-        },
-        OP_INSERT_MANY => WalRecord::InsertMany {
-            table,
-            rows: list(b, p, 4, row)?,
-        },
-        OP_UPDATE => WalRecord::Update {
-            table,
-            id: read_u64(b, p, "row id")?,
-            row: row(b, p)?,
-        },
-        OP_DELETE => WalRecord::Delete {
-            table,
-            id: read_u64(b, p, "row id")?,
-        },
-        OP_TRUNCATE => WalRecord::Truncate { table },
-        OP_CREATE_INDEX => WalRecord::CreateIndex {
-            table,
-            name: text(b, p)?,
-            columns: list(b, p, 4, text)?,
-            unique: match read_u8(b, p, "unique flag")? {
-                0 => false,
-                1 => true,
-                other => return Err(DbError::Corrupt(format!("unique flag {other}"))),
+    fn record(b: &[u8], p: &mut usize) -> DbResult<WalRecord> {
+        let op = read_u8(b, p, "op")?;
+        if !matches!(op, OP_CREATE_TABLE..=OP_DELETE | OP_TRUNCATE..=OP_DROP_INDEX) {
+            return Err(DbError::Corrupt(format!("unknown wal op {op}")));
+        }
+        let table = text(b, p)?;
+        Ok(match op {
+            OP_CREATE_TABLE => WalRecord::CreateTable {
+                name: table,
+                schema: segment::schema_from_text(&text(b, p)?)?,
             },
-        },
-        OP_DROP_INDEX => WalRecord::DropIndex {
-            table,
-            name: text(b, p)?,
-        },
-        _ => unreachable!("op {op} was range-checked above"),
-    };
-    if *p != b.len() {
-        let extra = b.len() - *p;
-        return Err(DbError::Corrupt(format!("{extra} bytes after the record")));
+            OP_DROP_TABLE => WalRecord::DropTable { name: table },
+            OP_INSERT => WalRecord::Insert {
+                table,
+                row: row(b, p)?,
+            },
+            OP_INSERT_MANY => WalRecord::InsertMany {
+                table,
+                rows: list(b, p, 4, row)?,
+            },
+            OP_UPDATE => WalRecord::Update {
+                table,
+                id: read_u64(b, p, "row id")?,
+                row: row(b, p)?,
+            },
+            OP_DELETE => WalRecord::Delete {
+                table,
+                id: read_u64(b, p, "row id")?,
+            },
+            OP_TRUNCATE => WalRecord::Truncate { table },
+            OP_CREATE_INDEX => WalRecord::CreateIndex {
+                table,
+                name: text(b, p)?,
+                columns: list(b, p, 4, text)?,
+                unique: match read_u8(b, p, "unique flag")? {
+                    0 => false,
+                    1 => true,
+                    other => return Err(DbError::Corrupt(format!("unique flag {other}"))),
+                },
+            },
+            OP_DROP_INDEX => WalRecord::DropIndex {
+                table,
+                name: text(b, p)?,
+            },
+            _ => unreachable!("op {op} was range-checked above"),
+        })
     }
-    Ok(record)
+    let (b, p) = (bytes, &mut 0usize);
+    let mut records = vec![record(b, p)?];
+    while *p < b.len() {
+        if records.len() == records.capacity() {
+            // double, but never past one record per 5 bytes left (op + name)
+            records.reserve_exact(records.len().min((b.len() - *p) / 5).max(1));
+        }
+        records.push(record(b, p)?);
+    }
+    Ok(records)
 }
 
 /// Destination for journaled mutations. [`Database::set_wal_sink`] attaches
-/// one; [`Wal`] is the file-backed implementation, and higher layers can
-/// wrap it (e.g. to meter appended bytes into telemetry).
+/// one; [`Wal`] is the file-backed implementation, and the platform's
+/// delta buffer appends to a [`Wal`] before it buffers a statement.
 pub trait WalSink: Send + Sync {
-    /// Persist the records of one statement as a unit — group commit: [`Wal`]
+    /// Persist the records of one statement as a unit — one frame: [`Wal`]
     /// writes them with one `write_all` and at most one fsync. Called in
     /// apply order, under the write lock of every table the statement
     /// names, so implementations need not re-order. An `Err` rolls the
@@ -385,7 +394,7 @@ pub trait WalSink: Send + Sync {
 /// Point-in-time counters for one [`Wal`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalStats {
-    /// Records appended since the log was opened.
+    /// Statements (frames) appended since the log was opened.
     pub appends: u64,
     /// Bytes appended since the log was opened.
     pub bytes: u64,
@@ -463,15 +472,15 @@ impl Wal {
         self.append_batch(std::slice::from_ref(record))
     }
 
-    /// Group commit: append every record in one buffer with a single
-    /// write (and a single fsync under `Always`). Frames are encoded into
-    /// the buffer before the file lock is taken — only the LSN and CRC
-    /// header fields are filled in under it, so file order == LSN order
-    /// still holds without serializing the encode work. Returns the total
-    /// bytes written.
+    /// Append one statement's records as one frame — one LSN, one CRC —
+    /// with a single write (and a single fsync under `Always`). The payload
+    /// is encoded before the file lock is taken; only the LSN and CRC are
+    /// filled in under it, so file order == LSN order still holds without
+    /// serializing the encode work. Returns the bytes written. A frame
+    /// whose `len` does not fit in a `u32` is refused before the lock.
     ///
     /// An `Err` leaves the log as it was: bytes that reached the file
-    /// before the write or fsync failed are truncated away and their LSNs
+    /// before the write or fsync failed are truncated away and the LSN
     /// handed back. If that truncation fails too, the log is poisoned and
     /// every later append errors until the store is reopened, whose
     /// recovery repairs the tail — so no append ever lands after bytes of
@@ -481,15 +490,15 @@ impl Wal {
             return Ok(0);
         }
         let mut buf = Vec::with_capacity(records.len() * 128);
-        let mut starts = Vec::with_capacity(records.len());
+        buf.extend_from_slice(&[0u8; 16]); // len+crc+lsn placeholder
         for record in records {
-            let start = buf.len();
-            starts.push(start);
-            buf.extend_from_slice(&[0u8; 16]); // len+crc+lsn placeholder
             encode_record(&mut buf, record);
-            let payload_len = buf.len() - start - 16;
-            buf[start..start + 4].copy_from_slice(&((8 + payload_len) as u32).to_le_bytes());
         }
+        let Ok(len) = u32::try_from(buf.len() - 8) else {
+            let why = format!("a {}-byte statement frame is over 4 GiB", buf.len());
+            return Err(DbError::Invalid(why));
+        };
+        buf[..4].copy_from_slice(&len.to_le_bytes());
         // LSN assignment under the file lock: file order == LSN order.
         let mut file = self.file.lock();
         if self.poisoned.load(Ordering::Relaxed) {
@@ -499,34 +508,28 @@ impl Wal {
                 self.path.display()
             )));
         }
-        let first = self
-            .next_lsn
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
-        for (i, &start) in starts.iter().enumerate() {
-            let end = starts.get(i + 1).copied().unwrap_or(buf.len());
-            buf[start + 8..start + 16].copy_from_slice(&(first + i as u64).to_le_bytes());
-            let crc = crc32(&buf[start + 8..end]);
-            buf[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
-        }
-        if let Err(e) = self.write_frames(&mut file, &buf) {
-            // Refused: take back the LSNs, and the bytes unless the write
+        let lsn = self.next_lsn.fetch_add(1, Ordering::Relaxed);
+        buf[8..16].copy_from_slice(&lsn.to_le_bytes());
+        let crc = crc32(&buf[8..]);
+        buf[4..8].copy_from_slice(&crc.to_le_bytes());
+        if let Err(e) = self.write_frame(&mut file, &buf) {
+            // Refused: take back the LSN, and the bytes unless the write
             // already poisoned the log.
-            self.next_lsn.store(first, Ordering::Relaxed);
+            self.next_lsn.store(lsn, Ordering::Relaxed);
             if !self.poisoned.load(Ordering::Relaxed) && self.truncate_to(&file).is_err() {
                 self.poisoned.store(true, Ordering::Relaxed);
             }
             return Err(e);
         }
         let n = buf.len() as u64;
-        self.appends
-            .fetch_add(records.len() as u64, Ordering::Relaxed);
+        self.appends.fetch_add(1, Ordering::Relaxed);
         self.bytes.fetch_add(n, Ordering::Relaxed);
         self.file_len.fetch_add(n, Ordering::Relaxed);
         Ok(n)
     }
 
     /// Write `buf` and, under `Always`, fsync it (file lock held).
-    fn write_frames(&self, file: &mut File, buf: &[u8]) -> DbResult<()> {
+    fn write_frame(&self, file: &mut File, buf: &[u8]) -> DbResult<()> {
         odbis_chaos::check("wal.write").map_err(chaos_err)?;
         if odbis_chaos::triggered("wal.write.short") {
             // Torn write: half the buffer reaches the disk, then the device
@@ -591,20 +594,16 @@ impl WalSink for Wal {
     }
 }
 
-/// One decoded log frame.
+/// One decoded log frame: one statement.
 #[derive(Debug, Clone)]
 pub struct WalEntry {
     /// The frame's log sequence number.
     pub lsn: u64,
-    /// The journaled mutation.
-    pub record: WalRecord,
+    /// The statement's journaled mutations, in apply order.
+    pub records: Vec<WalRecord>,
     /// Byte offset one past this frame (== valid prefix length through it).
     pub end_offset: u64,
 }
-
-/// Largest frame `len` field recovery will believe. A corrupted length
-/// past this is treated as a torn tail instead of a gigabyte allocation.
-const MAX_FRAME_LEN: u32 = 64 << 20;
 
 /// How to carry a store from the JSON era (a `snapshot.json`, or frames
 /// whose payload is JSON text) forward; the segment format is unchanged.
@@ -619,16 +618,26 @@ const UPGRADE_HINT: &str = "to upgrade, open the directory once with a build at 
 /// [`DbError::Corrupt`] naming its LSN and byte offset.
 pub fn read_wal(path: impl AsRef<Path>) -> DbResult<(Vec<WalEntry>, u64)> {
     let path = path.as_ref();
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-        Err(e) => return Err(e.into()),
-    };
+    scan_frames(&read_log(path)?, path)
+}
+
+/// The log file's bytes; a missing file reads as empty.
+fn read_log(path: &Path) -> DbResult<Vec<u8>> {
+    match std::fs::read(path) {
+        Ok(b) => Ok(b),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// The frame scan of [`read_wal`] over the log's bytes (`path` only names
+/// the log in errors).
+fn scan_frames(bytes: &[u8], path: &Path) -> DbResult<(Vec<WalEntry>, u64)> {
     let mut entries = Vec::new();
     let mut pos = 0usize;
     while pos + 8 <= bytes.len() {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
-        if !(8..=MAX_FRAME_LEN).contains(&len) {
+        if len < 8 {
             break;
         }
         let body_start = pos + 8;
@@ -640,7 +649,7 @@ pub fn read_wal(path: impl AsRef<Path>) -> DbResult<(Vec<WalEntry>, u64)> {
             break;
         }
         let lsn = u64::from_le_bytes(body[..8].try_into().unwrap());
-        let record = decode_record(&body[8..]).map_err(|e| {
+        let records = decode_records(&body[8..]).map_err(|e| {
             let why = match e {
                 DbError::Corrupt(m) => m,
                 other => other.to_string(),
@@ -655,7 +664,7 @@ pub fn read_wal(path: impl AsRef<Path>) -> DbResult<(Vec<WalEntry>, u64)> {
         pos = body_start + len as usize;
         entries.push(WalEntry {
             lsn,
-            record,
+            records,
             end_offset: pos as u64,
         });
     }
@@ -736,7 +745,7 @@ pub struct WalTail {
     pub first_lsn: u64,
     /// LSN of the last frame in `bytes` (0 when empty).
     pub last_lsn: u64,
-    /// Number of frames in `bytes`.
+    /// Number of frames — statements — in `bytes`.
     pub frames: u64,
 }
 
@@ -767,8 +776,9 @@ impl std::fmt::Debug for DurableStore {
 impl DurableStore {
     /// Recover the database persisted under `dir` (created if absent):
     /// load the checkpoint — columnar segments via `manifest.json` — then
-    /// replay every committed `wal.log` record with a newer LSN, truncate
-    /// any torn tail, and open the log for appending.
+    /// replay the records of every committed `wal.log` frame with a newer
+    /// LSN, in order, truncate any torn tail, and open the log for
+    /// appending. A torn frame contributes none of its records.
     ///
     /// A directory from the JSON era — one holding a `snapshot.json`, or a
     /// log whose committed frames do not decode — is refused with
@@ -776,8 +786,8 @@ impl DurableStore {
     /// touched; the message says how to upgrade it.
     ///
     /// The returned [`Database`] is *not* yet journaled — the caller
-    /// attaches a sink (plain [`DurableStore::wal`] or a metering wrapper)
-    /// via [`Database::set_wal_sink`] once it has wrapped it as needed.
+    /// attaches a sink that appends to [`DurableStore::wal`] via
+    /// [`Database::set_wal_sink`].
     pub fn open(
         dir: impl Into<PathBuf>,
         policy: FsyncPolicy,
@@ -819,13 +829,13 @@ impl DurableStore {
             if entry.lsn <= snap_lsn {
                 continue; // already folded into the checkpoint
             }
-            replay_record(&db, &entry.record).map_err(|e| {
-                DbError::Corrupt(format!(
-                    "wal replay failed at lsn {}: {e} ({})",
-                    entry.lsn,
-                    wal_path.display()
-                ))
-            })?;
+            let lsn = entry.lsn;
+            for record in &entry.records {
+                replay_record(&db, record).map_err(|e| {
+                    let at = wal_path.display();
+                    DbError::Corrupt(format!("wal replay failed at lsn {lsn}: {e} ({at})"))
+                })?;
+            }
         }
         // Repair the torn tail so the next append starts at a frame boundary.
         // The `wal.repair.skip` failpoint disarms this guard: the chaos
@@ -854,7 +864,7 @@ impl DurableStore {
         &self.dir
     }
 
-    /// The log, for attaching as a sink (possibly wrapped).
+    /// The log, for attaching as a sink.
     pub fn wal(&self) -> &Arc<Wal> {
         &self.wal
     }
@@ -998,35 +1008,16 @@ impl DurableStore {
     /// always complete.
     pub fn export_wal_tail(&self, after_lsn: u64) -> DbResult<WalTail> {
         odbis_chaos::check("migrate.export.tail").map_err(chaos_err)?;
-        let (entries, valid_len) = read_wal(self.wal.path())?;
-        let mut start = 0u64;
-        let mut first_lsn = 0u64;
-        let mut last_lsn = 0u64;
-        let mut frames = 0u64;
-        for e in &entries {
-            if e.lsn <= after_lsn {
-                start = e.end_offset;
-                continue;
-            }
-            if first_lsn == 0 {
-                first_lsn = e.lsn;
-            }
-            last_lsn = e.lsn;
-            frames += 1;
-        }
-        let bytes = if frames == 0 {
-            Vec::new()
-        } else {
-            let all = std::fs::read(self.wal.path())?;
-            all.get(start as usize..valid_len as usize)
-                .map(<[u8]>::to_vec)
-                .ok_or_else(|| DbError::Io("wal shrank during tail export".into()))?
-        };
+        let log = read_log(self.wal.path())?;
+        let (entries, valid_len) = scan_frames(&log, self.wal.path())?;
+        let skip = entries.partition_point(|e| e.lsn <= after_lsn);
+        let start = skip.checked_sub(1).map_or(0, |i| entries[i].end_offset);
+        let tail = &entries[skip..];
         Ok(WalTail {
-            bytes,
-            first_lsn,
-            last_lsn,
-            frames,
+            bytes: log[start as usize..valid_len as usize].to_vec(),
+            first_lsn: tail.first().map_or(0, |e| e.lsn),
+            last_lsn: tail.last().map_or(0, |e| e.lsn),
+            frames: tail.len() as u64,
         })
     }
 
@@ -1196,23 +1187,32 @@ mod tests {
                 })
                 .unwrap();
         }
+        // and one statement of two records: one frame in the tail
+        let deletes = [0, 1].map(|id| WalRecord::Delete {
+            table: "people".into(),
+            id,
+        });
+        db.write_table("people", |t| t.delete(0).and_then(|_| t.delete(1)))
+            .unwrap();
+        store.wal().append_batch(&deletes).unwrap();
         let image = store.export_checkpoint().unwrap();
         assert!(image.last_lsn > 0, "checkpoint stamped");
         assert_eq!(image.last_lsn, store.checkpoint_lsn());
         let tail = store.export_wal_tail(image.last_lsn).unwrap();
-        assert_eq!(tail.frames, 3, "three post-checkpoint frames");
+        assert_eq!(tail.frames, 4, "four post-checkpoint statements");
         assert_eq!(tail.last_lsn, store.wal().last_lsn());
+        assert_eq!(tail.last_lsn, tail.first_lsn + 3);
         assert!(tail.first_lsn > image.last_lsn);
 
         DurableStore::import_image(&dst_dir, &image, &tail.bytes).unwrap();
         let (db2, store2) = DurableStore::open(&dst_dir, FsyncPolicy::Never).unwrap();
-        assert_eq!(db2.row_count("people").unwrap(), 8);
+        assert_eq!(db2.row_count("people").unwrap(), 6);
         // LSN continuity: the target continues above everything shipped
         let next = store2
             .wal()
             .append_record(&WalRecord::Delete {
                 table: "people".into(),
-                id: 0,
+                id: 2,
             })
             .unwrap();
         assert!(next > tail.last_lsn, "{next} > {}", tail.last_lsn);
@@ -1277,13 +1277,22 @@ mod tests {
             id: 7,
         })
         .unwrap();
+        // a statement of two records is one frame and one LSN
+        let statement = [8, 9].map(|id| WalRecord::Delete {
+            table: "t".into(),
+            id,
+        });
+        wal.append_batch(&statement).unwrap();
         let (entries, valid) = read_wal(&path).unwrap();
-        assert_eq!(entries.len(), 2);
-        assert_eq!(entries[0].lsn, 1);
-        assert_eq!(entries[1].lsn, 2);
-        assert_eq!(entries[1].end_offset, valid);
-        assert!(matches!(entries[1].record, WalRecord::Delete { id: 7, .. }));
-        assert_eq!(wal.stats().appends, 2);
+        let lsns: Vec<u64> = entries.iter().map(|e| e.lsn).collect();
+        assert_eq!(lsns, [1, 2, 3]);
+        assert_eq!(entries[2].end_offset, valid);
+        assert!(matches!(
+            entries[1].records[..],
+            [WalRecord::Delete { id: 7, .. }]
+        ));
+        assert_eq!(entries[2].records, statement);
+        assert_eq!((wal.stats().appends, wal.last_lsn()), (3, 3));
         assert_eq!(wal.stats().file_len, valid);
         let _ = std::fs::remove_dir_all(&dir);
     }

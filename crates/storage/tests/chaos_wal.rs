@@ -7,6 +7,8 @@
 //! hold exactly the acknowledged history — the op that failed is the one
 //! allowed ambiguity (its commit point is unobservable, like a crash
 //! mid-commit), and it is resolved by looking at what recovery produced.
+//! The workload includes statements that touch 2–4 rows at once; such a
+//! statement is one frame, so it resolves all or none, never a prefix.
 //!
 //! Invariants proved here:
 //!  1. recovery never errors, under any injected fault,
@@ -86,15 +88,29 @@ fn row_id_of(db: &Database, pk: i64) -> u64 {
 /// One mutation whose acknowledgement was lost to an injected fault: the
 /// commit point is ambiguous, exactly as if the process had crashed
 /// mid-write. Resolved against what recovery actually produced.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 enum PendingOp {
     Insert(i64),
     Delete(i64),
+    /// One statement that deletes and inserts rows: all of it or none.
+    Statement {
+        deleted: Vec<i64>,
+        inserted: Vec<i64>,
+    },
+}
+
+/// The fsync policy the cases run under: the CI recovery leg sets
+/// `ODBIS_DURABILITY_FSYNC=always`, so cut-backs and tails are synced too.
+fn policy() -> FsyncPolicy {
+    std::env::var("ODBIS_DURABILITY_FSYNC")
+        .map(|v| FsyncPolicy::parse(&v))
+        .unwrap_or(FsyncPolicy::Never)
 }
 
 /// Run `rounds` crash/recover rounds under `policy_spec`, checking the
-/// five invariants at every recovery.
-fn run_case(case: &str, policy_spec: &str, rounds: usize) {
+/// five invariants at every recovery. Returns how many several-row
+/// statements were left ambiguous by a fault and resolved all or none.
+fn run_case(case: &str, policy_spec: &str, rounds: usize) -> usize {
     let _x = odbis_chaos::exclusive();
     odbis_chaos::clear();
     let seed = seed();
@@ -110,11 +126,12 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
     let mut next_pk: i64 = 0;
     let mut injected_failures = 0usize;
     let mut acknowledged = 0usize;
+    let mut statements_resolved = 0usize;
 
     for round in 0..=rounds {
         // recovery itself always runs clean: the fault was the crash
         odbis_chaos::clear();
-        let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap_or_else(|e| {
+        let (db, store) = DurableStore::open(&dir, policy()).unwrap_or_else(|e| {
             panic!("{case} round {round}: recovery must never fail: {e} (seed {seed})")
         });
         let got = present_pks(&db);
@@ -125,6 +142,19 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
             }
             Some(PendingOp::Delete(pk)) if !got.contains(&pk) => {
                 shadow.remove(&pk);
+            }
+            // a prefix of the statement matches neither side, so the
+            // comparison below refuses it
+            Some(PendingOp::Statement { deleted, inserted }) => {
+                statements_resolved += 1;
+                if inserted.iter().all(|pk| got.contains(pk))
+                    && deleted.iter().all(|pk| !got.contains(pk))
+                {
+                    shadow.extend(&inserted);
+                    for pk in &deleted {
+                        shadow.remove(pk);
+                    }
+                }
             }
             _ => {}
         }
@@ -154,7 +184,7 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
         odbis_chaos::apply_spec(&spec).unwrap();
         for _ in 0..40 {
             let dice = rng.random_range(0..10i64);
-            if dice < 6 || shadow.is_empty() {
+            if dice < 4 || shadow.is_empty() {
                 let pk = next_pk;
                 next_pk += 1;
                 match db.insert("t", vec![pk.into(), format!("p{pk}").into()]) {
@@ -170,7 +200,7 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
                         break;
                     }
                 }
-            } else if dice < 8 {
+            } else if dice < 6 {
                 let idx = rng.random_range(0..shadow.len() as i64) as usize;
                 let victim = *shadow.iter().nth(idx).unwrap();
                 let rid = row_id_of(&db, victim);
@@ -182,6 +212,40 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
                     Err(_) => {
                         injected_failures += 1;
                         pending = Some(PendingOp::Delete(victim));
+                        break;
+                    }
+                }
+            } else if dice < 8 {
+                // one statement over 2–4 rows: delete 1–2, insert 1–2
+                let n_del = rng.random_range(1..=2usize).min(shadow.len());
+                let n_ins = rng.random_range(1..=2usize);
+                let mut deleted: Vec<i64> = shadow.iter().copied().collect();
+                while deleted.len() > n_del {
+                    deleted.remove(rng.random_range(0..deleted.len() as i64) as usize);
+                }
+                let inserted: Vec<i64> = (next_pk..next_pk + n_ins as i64).collect();
+                next_pk += n_ins as i64;
+                let rids: Vec<u64> = deleted.iter().map(|&pk| row_id_of(&db, pk)).collect();
+                let result = db.write_table("t", |t| {
+                    for &rid in &rids {
+                        t.delete(rid)?;
+                    }
+                    for &pk in &inserted {
+                        t.insert(vec![pk.into(), format!("s{pk}").into()])?;
+                    }
+                    Ok::<_, odbis_storage::DbError>(())
+                });
+                match result {
+                    Ok(()) => {
+                        for pk in &deleted {
+                            shadow.remove(pk);
+                        }
+                        shadow.extend(&inserted);
+                        acknowledged += 1;
+                    }
+                    Err(_) => {
+                        injected_failures += 1;
+                        pending = Some(PendingOp::Statement { deleted, inserted });
                         break;
                     }
                 }
@@ -204,11 +268,13 @@ fn run_case(case: &str, policy_spec: &str, rounds: usize) {
     );
     eprintln!(
         "chaos_wal case={case}: {acknowledged} writes acknowledged, {} rows left, \
-         {injected_failures} injected failures survived",
+         {injected_failures} injected failures survived, \
+         {statements_resolved} torn statements resolved all or none",
         shadow.len()
     );
     odbis_chaos::clear();
     let _ = std::fs::remove_dir_all(&dir);
+    statements_resolved
 }
 
 // --------------------------------------------------------- the fault matrix
@@ -218,9 +284,13 @@ fn survives_fsync_failures() {
     run_case("fsync", "wal.fsync=err-every-nth(3)", 5);
 }
 
+/// A short write can tear a statement of 2–4 rows in the middle of its
+/// frame: recovery holds all of the statement or none of it. The CI
+/// recovery leg runs this case by name under `fsync=always`.
 #[test]
 fn survives_short_writes() {
-    run_case("shortwrite", "wal.write.short=err-every-nth(4)", 5);
+    let torn = run_case("shortwrite", "wal.write.short=err-every-nth(4)", 40);
+    assert!(torn > 0, "no statement was torn, so nothing was checked");
 }
 
 #[test]
@@ -301,14 +371,6 @@ fn chaos_sweep_many_seeds() {
 }
 
 // ------------------------------------------------ a refused append, retried
-
-/// The fsync policy the refused-append cases run under: the CI recovery leg
-/// sets `ODBIS_DURABILITY_FSYNC=always`, so the cut-back is synced too.
-fn policy() -> FsyncPolicy {
-    std::env::var("ODBIS_DURABILITY_FSYNC")
-        .map(|v| FsyncPolicy::parse(&v))
-        .unwrap_or(FsyncPolicy::Never)
-}
 
 /// An append whose fsync fails is cut back off the log, LSNs included, so
 /// memory and the log agree the statement never happened: the client's

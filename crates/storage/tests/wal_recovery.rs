@@ -1,8 +1,8 @@
 //! Crash-recovery torture tests for the WAL + checkpoint durability layer.
 //!
 //! The central invariant: recovery yields *exactly the committed prefix* of
-//! the history — every fully-appended record is replayed, nothing after a
-//! torn byte is, and the recovered database is indistinguishable (rows,
+//! the history — every fully-appended statement is replayed whole, nothing
+//! of a torn one is, and the recovered database is indistinguishable (rows,
 //! row ids, indexes) from a live database that executed the same prefix.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,8 +44,21 @@ fn orders_schema() -> Schema {
     .unwrap()
 }
 
+fn regions_schema() -> Schema {
+    Schema::new(vec![
+        Column::new("code", DataType::Text),
+        Column::new("name", DataType::Text),
+    ])
+    .unwrap()
+    .with_primary_key(&["code"])
+    .unwrap()
+}
+
 /// Run a representative mutation history against `db`. Returns after each
 /// step has been journaled (the db must already have a sink attached).
+/// The last four steps are statements of several records — a multi-row
+/// UPDATE, a multi-row DELETE, a two-table statement and a replace load —
+/// each of which the log holds as one frame.
 fn run_history(db: &Database) {
     db.create_table("orders", orders_schema()).unwrap();
     for i in 0..5i64 {
@@ -68,6 +81,33 @@ fn run_history(db: &Database) {
     })
     .unwrap();
     db.write_table("orders", |t| t.delete(3)).unwrap();
+    db.create_table("regions", regions_schema()).unwrap();
+    db.write_table("orders", |t| {
+        t.update(0, vec![0.into(), "latam".into(), 0.5.into()])?;
+        t.update(2, vec![2.into(), "latam".into(), 2.5.into()])
+    })
+    .unwrap();
+    db.write_table("orders", |t| {
+        t.delete(1)?;
+        t.delete(4)
+    })
+    .unwrap();
+    db.write_tables(&["orders", "regions"], |ts| {
+        ts[0].insert(vec![5.into(), "emea".into(), 5.0.into()])?;
+        ts[1].insert(vec!["emea".into(), "Europe".into()])?;
+        ts[1].insert(vec!["latam".into(), "Latin America".into()])?;
+        Ok::<_, DbError>(())
+    })
+    .unwrap();
+    db.write_table("regions", |t| {
+        t.truncate();
+        t.insert_all(vec![
+            vec!["eu".into(), "Europe".into()],
+            vec!["us".into(), "United States".into()],
+            vec!["apac".into(), "Asia-Pacific".into()],
+        ])
+    })
+    .unwrap();
 }
 
 /// Assert two databases hold identical state for `table`: same live rows at
@@ -105,12 +145,20 @@ fn assert_same_table(a: &Database, b: &Database, table: &str) {
     .unwrap();
 }
 
+/// [`assert_same_table`] for every table, and the same table set.
+fn assert_same_tables(a: &Database, b: &Database) {
+    assert_eq!(a.table_names(), b.table_names(), "table set");
+    for t in a.table_names() {
+        assert_same_table(a, b, &t);
+    }
+}
+
 /// Build a reference database by replaying the first `keep` committed
-/// records live (no journaling), for differential comparison.
+/// statements whole, live (no journaling), for differential comparison.
 fn reference_for_prefix(entries: &[odbis_storage::WalEntry], keep: usize) -> Database {
     let db = Database::new();
-    for entry in entries.iter().take(keep) {
-        odbis_storage::replay_record(&db, &entry.record).unwrap();
+    for record in entries.iter().take(keep).flat_map(|e| &e.records) {
+        odbis_storage::replay_record(&db, record).unwrap();
     }
     db
 }
@@ -119,7 +167,8 @@ fn reference_for_prefix(entries: &[odbis_storage::WalEntry], keep: usize) -> Dat
 
 /// Kill-point torture: truncate the log at *every byte length* from zero
 /// through the full file and recover each time. Recovery must never error,
-/// and must yield exactly the committed frame prefix for that length.
+/// and must yield exactly the committed prefix of statements for that
+/// length: each frame is one statement, the several-record ones included.
 #[test]
 fn recovery_at_every_byte_boundary_yields_committed_prefix() {
     let dir = tmp_dir("torture");
@@ -132,15 +181,16 @@ fn recovery_at_every_byte_boundary_yields_committed_prefix() {
     let full = std::fs::read(&wal_path).unwrap();
     let (entries, valid_len) = read_wal(&wal_path).unwrap();
     assert_eq!(valid_len, full.len() as u64, "log fully committed");
-    assert!(
-        entries.len() >= 8,
-        "history produced {} frames",
-        entries.len()
+    let shape: Vec<usize> = entries.iter().map(|e| e.records.len()).collect();
+    assert_eq!(
+        shape,
+        [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2],
+        "one frame per statement"
     );
 
     for cut in 0..=full.len() {
         std::fs::write(&wal_path, &full[..cut]).unwrap();
-        // frames committed within the first `cut` bytes
+        // statements committed within the first `cut` bytes
         let committed = entries
             .iter()
             .filter(|e| e.end_offset <= cut as u64)
@@ -226,7 +276,7 @@ fn recovered_database_matches_live_across_regimes() {
         live.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
         run_history(&live);
         let (recovered, _) = DurableStore::open(&dir, policy()).unwrap();
-        assert_same_table(&live, &recovered, "orders");
+        assert_same_tables(&live, &recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
     // regime 2: segments only (checkpoint taken, log empty afterwards)
@@ -236,11 +286,11 @@ fn recovered_database_matches_live_across_regimes() {
         live.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
         run_history(&live);
         let report = store.checkpoint(&live).unwrap();
-        assert_eq!(report.tables, 1);
+        assert_eq!(report.tables, 2);
         assert!(report.wal_bytes_folded > 0);
         assert_eq!(store.wal().stats().file_len, 0);
         let (recovered, _) = DurableStore::open(&dir, policy()).unwrap();
-        assert_same_table(&live, &recovered, "orders");
+        assert_same_tables(&live, &recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
     // regime 3: segments + trailing WAL records
@@ -258,7 +308,7 @@ fn recovered_database_matches_live_across_regimes() {
         })
         .unwrap();
         let (recovered, _) = DurableStore::open(&dir, policy()).unwrap();
-        assert_same_table(&live, &recovered, "orders");
+        assert_same_tables(&live, &recovered);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
@@ -282,14 +332,14 @@ fn ddl_history_recovers_and_checkpoints() {
     live.write_table("orders", |t| t.drop_index("ix_region"))
         .unwrap();
     let (recovered, _) = DurableStore::open(&dir, policy()).unwrap();
-    assert_eq!(recovered.table_names(), vec!["orders".to_string()]);
+    assert_eq!(recovered.table_names(), ["orders", "regions"]);
     recovered
         .read_table("orders", |t| assert!(t.index("ix_region").is_none()))
         .unwrap();
     store.checkpoint(&live).unwrap();
     let (recovered, _) = DurableStore::open(&dir, policy()).unwrap();
-    assert_eq!(recovered.table_names(), vec!["orders".to_string()]);
-    assert_same_table(&live, &recovered, "orders");
+    assert_eq!(recovered.table_names(), ["orders", "regions"]);
+    assert_same_tables(&live, &recovered);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -312,7 +362,7 @@ fn failed_manifest_swap_rolls_back_to_previous_checkpoint() {
     odbis_chaos::clear();
     // crash here: the old manifest + segments + un-truncated WAL remain
     let (recovered, _) = DurableStore::open(&dir, policy()).unwrap();
-    assert_same_table(&live, &recovered, "orders");
+    assert_same_tables(&live, &recovered);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -377,6 +427,47 @@ fn lsns_monotonic_across_checkpoint_and_reopen() {
     );
     assert!(lsns.last().copied().unwrap() > last);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A statement's frame may be as long as its `u32` `len` field allows. A
+/// multi-row UPDATE whose frame is over 64 MiB — one value that large, or
+/// three values that add up past it — is acknowledged, and it and the
+/// statement after it recover whole.
+#[test]
+fn statement_over_64_mib_is_acknowledged_and_recovers_whole() {
+    for sizes in [vec![64 << 20, 1], vec![22 << 20; 3]] {
+        let dir = tmp_dir("bigframe");
+        let expected = {
+            let (db, store) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
+            db.set_wal_sink(Arc::clone(store.wal()) as Arc<dyn WalSink>);
+            db.create_table("orders", orders_schema()).unwrap();
+            for id in 0..sizes.len() as i64 {
+                db.insert("orders", vec![id.into(), "eu".into(), 1.0.into()])
+                    .unwrap();
+            }
+            let (bytes, lsn) = (store.wal().stats().bytes, store.wal().last_lsn());
+            db.write_table("orders", |t| {
+                for (id, &n) in sizes.iter().enumerate() {
+                    let row = vec![(id as i64).into(), "x".repeat(n).into(), 2.0.into()];
+                    t.update(id as u64, row)?;
+                }
+                Ok::<_, DbError>(())
+            })
+            .unwrap();
+            assert_eq!(store.wal().last_lsn(), lsn + 1, "{sizes:?}: one frame");
+            assert!(store.wal().stats().bytes - bytes > 64 << 20, "{sizes:?}");
+            db.insert("orders", vec![9.into(), "us".into(), 3.0.into()])
+                .unwrap();
+            db.scan("orders").unwrap()
+        };
+        let (db, _) = DurableStore::open(&dir, FsyncPolicy::Never).unwrap();
+        // `assert!`, not `assert_eq!`: a failure must not print 64 MiB
+        assert!(
+            db.scan("orders").unwrap() == expected,
+            "{sizes:?}: the statement and the row after it recover"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 // ------------------------------------------------------ refuse, don't truncate
