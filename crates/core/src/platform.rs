@@ -17,8 +17,8 @@ use odbis_etl::{EtlJob, JobReport, JobRunner, JobScheduler};
 use odbis_mddws::DwProject;
 use odbis_metadata::{DataSet, DataSource, MetadataService};
 use odbis_olap::{
-    AggregateCache, CellSet, CubeDef, CubeEngine, LevelRef, MaterializedAggregate, OlapError,
-    TableDelta,
+    AggregateCache, CellSet, CubeDef, CubeEngine, DeltaReport, LevelRef, MaterializedAggregate,
+    OlapError, TableDelta,
 };
 use odbis_reporting::{Dashboard, RenderedReport, ReportTemplate, ReportingService};
 use odbis_sql::{Engine, QueryResult};
@@ -64,8 +64,9 @@ pub struct TenantWorkspace {
     pub watch: Arc<WatchHub>,
     /// Held while the delta buffer is drained into the aggregate cache,
     /// so batches apply in commit order, and while an aggregate is built,
-    /// so no batch is drained between the build and its registration.
-    publish_lock: Mutex<()>,
+    /// so no batch is drained between the build and its registration. It
+    /// guards what every publication so far did to the aggregates.
+    publish_lock: Mutex<DeltaReport>,
     /// MDDWS projects by name.
     pub projects: Mutex<HashMap<String, DwProject>>,
     /// The tenant's durable store (checkpoint + WAL), when the platform was
@@ -208,7 +209,7 @@ impl TenantWorkspace {
             delivery,
             deltas,
             watch: Arc::new(WatchHub::new()),
-            publish_lock: Mutex::new(()),
+            publish_lock: Mutex::new(DeltaReport::default()),
             projects: Mutex::new(HashMap::new()),
             durable,
         })
@@ -219,7 +220,13 @@ impl TenantWorkspace {
     /// aggregates over theirs — then bump the watch hub for every touched
     /// table. Returns the number of deltas applied.
     pub fn publish_deltas(&self) -> usize {
-        self.apply_buffered(&self.publish_lock.lock())
+        self.apply_buffered(&mut self.publish_lock.lock())
+    }
+
+    /// Aggregate folds, rebuilds and drops, summed over every publication
+    /// of this workspace.
+    fn aggregate_totals(&self) -> DeltaReport {
+        *self.publish_lock.lock()
     }
 
     /// Build an aggregate over the current warehouse and register it. The
@@ -233,8 +240,8 @@ impl TenantWorkspace {
         axes: Vec<LevelRef>,
         measures: Vec<String>,
     ) -> Result<usize, OlapError> {
-        let held = self.publish_lock.lock();
-        self.apply_buffered(&held);
+        let mut held = self.publish_lock.lock();
+        self.apply_buffered(&mut held);
         let mut agg = MaterializedAggregate::build(&self.cubes, cube, axes, measures)?;
         if agg.tables().iter().any(|t| self.deltas.touches(t)) {
             agg.mark_stale();
@@ -245,7 +252,7 @@ impl TenantWorkspace {
     }
 
     /// [`Self::publish_deltas`], for a caller holding `publish_lock`.
-    fn apply_buffered(&self, _held: &MutexGuard<'_, ()>) -> usize {
+    fn apply_buffered(&self, totals: &mut MutexGuard<'_, DeltaReport>) -> usize {
         let deltas = self.deltas.drain();
         if deltas.is_empty() {
             return 0;
@@ -257,7 +264,8 @@ impl TenantWorkspace {
                 touched.push(d.table().to_string());
             }
         }
-        self.agg_cache
+        **totals += self
+            .agg_cache
             .write()
             .apply_deltas(&self.cubes, deltas, |t| self.deltas.touches(t));
         self.watch.bump(&touched);
@@ -590,6 +598,24 @@ impl OdbisPlatform {
             .read()
             .iter()
             .filter_map(|(id, ws)| Some((id.clone(), ws.durable.as_ref()?.wal().stats())))
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out
+    }
+
+    /// Aggregate maintenance totals of every workspace attached to this
+    /// node, sorted by tenant ([`TenantWorkspace::aggregate_totals`]).
+    pub(crate) fn aggregate_stats(&self) -> Vec<(String, DeltaReport)> {
+        // read off the map lock: a publish lock can be held for a build
+        let attached: Vec<(String, Arc<TenantWorkspace>)> = self
+            .workspaces
+            .read()
+            .iter()
+            .map(|(id, ws)| (id.clone(), Arc::clone(ws)))
+            .collect();
+        let mut out: Vec<(String, DeltaReport)> = attached
+            .into_iter()
+            .map(|(id, ws)| (id, ws.aggregate_totals()))
             .collect();
         out.sort_by(|a, b| a.0.cmp(&b.0));
         out

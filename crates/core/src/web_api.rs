@@ -39,6 +39,7 @@
 
 use std::sync::Arc;
 
+use odbis_olap::DeltaReport;
 use odbis_storage::WalStats;
 use odbis_web::{HttpRequest, HttpResponse, Method, PathParams, Router};
 
@@ -303,26 +304,40 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
         }
         // WAL volume per attached durable workspace, read from the log
         // that counts it
-        type Family = (&'static str, &'static str, fn(&WalStats) -> u64);
-        let wal = p.wal_stats();
-        let families: [Family; 2] = [
-            (
-                "odbis_wal_appends_total",
-                "WAL statements appended (one frame each), by tenant.",
-                |s| s.appends,
-            ),
-            (
-                "odbis_wal_bytes_total",
-                "WAL bytes appended (frames included), by tenant.",
-                |s| s.bytes,
-            ),
-        ];
-        for (name, help, count) in families {
-            body.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-            for (tenant, stats) in &wal {
-                body.push_str(&format!("{name}{{tenant=\"{tenant}\"}} {}\n", count(stats)));
-            }
-        }
+        push_tenant_counters(
+            &mut body,
+            &[
+                (
+                    "odbis_wal_appends_total",
+                    "WAL statements appended (one frame each), by tenant.",
+                    |s: &WalStats| s.appends,
+                ),
+                (
+                    "odbis_wal_bytes_total",
+                    "WAL bytes appended (frames included), by tenant.",
+                    |s| s.bytes,
+                ),
+            ],
+            &p.wal_stats(),
+        );
+        // aggregate maintenance per workspace, summed where publications
+        // apply their deltas
+        push_tenant_counters(
+            &mut body,
+            &[
+                (
+                    "odbis_aggregate_folds_total",
+                    "Insert deltas folded into materialized aggregates (once per aggregate), by tenant.",
+                    |r: &DeltaReport| r.folded as u64,
+                ),
+                (
+                    "odbis_aggregate_rebuilds_total",
+                    "Materialized aggregates rebuilt from the warehouse, by tenant.",
+                    |r| r.rebuilt as u64,
+                ),
+            ],
+            &p.aggregate_stats(),
+        );
         // admission-control verdicts per tenant, counted at the server edge
         body.push_str(&p.admission.render_prometheus());
         // fault-injection counters ride on the same scrape endpoint
@@ -791,6 +806,25 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     );
 
     api.finish()
+}
+
+/// A Prometheus counter family: name, help text, and how to read a
+/// tenant's sample off its stats.
+type CounterFamily<S> = (&'static str, &'static str, fn(&S) -> u64);
+
+/// Append one Prometheus counter family per `(name, help, read)`, with
+/// one sample per `(tenant, stats)`.
+fn push_tenant_counters<S>(
+    body: &mut String,
+    families: &[CounterFamily<S>],
+    per_tenant: &[(String, S)],
+) {
+    for (name, help, read) in families {
+        body.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
+        for (tenant, stats) in per_tenant {
+            body.push_str(&format!("{name}{{tenant=\"{tenant}\"}} {}\n", read(stats)));
+        }
+    }
 }
 
 /// Percent-encode a query key/value for the proxy's re-assembled

@@ -448,6 +448,80 @@ fn wal_counters_on_metrics_equal_the_durability_report() {
     server.shutdown();
 }
 
+/// The aggregate counters on the metrics scrape count what publications
+/// did: on a durable star tenant with two fresh aggregates, 200
+/// single-row fact INSERTs fold 200 × 2 times and rebuild nothing; a
+/// dimension INSERT rebuilds the one aggregate that joins the dimension,
+/// and MDX still answers what a live query does.
+#[test]
+fn aggregate_fold_and_rebuild_counters_follow_each_publication() {
+    let _x = odbis_chaos::exclusive();
+    odbis_chaos::clear();
+    let dir = tmp_dir("agg-metrics");
+    let (p, token, cube) = delta_platform(Some(dir.as_path()));
+    let p = Arc::new(p);
+    let server = HttpServer::start(build_router(Arc::clone(&p)), 2).unwrap();
+    let addr = server.addr().to_string();
+    let counted = || {
+        let (status, metrics) = http_get(&addr, "/api/v1/metrics").unwrap();
+        assert_eq!(status, 200);
+        for family in [
+            "odbis_aggregate_folds_total",
+            "odbis_aggregate_rebuilds_total",
+        ] {
+            assert!(metrics.contains(&format!("# TYPE {family} counter\n")));
+        }
+        (
+            scraped(&metrics, "odbis_aggregate_folds_total"),
+            scraped(&metrics, "odbis_aggregate_rebuilds_total"),
+        )
+    };
+
+    let (folds, rebuilds) = counted();
+    for id in 3..203 {
+        let store = 1 + id % 3;
+        let sql = format!("INSERT INTO fact_sales VALUES ({id}, {store}, 2010, 1.5)");
+        p.sql("acme", &token, &sql).unwrap();
+    }
+    assert_eq!(
+        counted(),
+        (folds + 400, rebuilds),
+        "200 inserts × 2 aggregates"
+    );
+    assert_preaggs_converged(&p, &cube, "after 200 folds");
+
+    p.sql("acme", &token, "INSERT INTO dim_store VALUES (4, 'LATAM')")
+        .unwrap();
+    p.sql(
+        "acme",
+        &token,
+        "INSERT INTO fact_sales VALUES (203, 4, 2011, 7.0)",
+    )
+    .unwrap();
+    assert_eq!(
+        counted(),
+        (folds + 402, rebuilds + 1),
+        "the dimension insert rebuilds the aggregate over dim_store only"
+    );
+    assert_preaggs_converged(&p, &cube, "after a dimension insert");
+    let q = odbis_olap::CubeQuery {
+        axes: vec![odbis_olap::LevelRef::new("geo", "region")],
+        slices: vec![],
+        measures: vec!["revenue".into(), "orders".into()],
+    };
+    let mdx = p
+        .mdx(
+            "acme",
+            &token,
+            "SELECT revenue, orders BY geo.region FROM streamcube",
+        )
+        .unwrap();
+    let live = p.workspace("acme").unwrap().cubes.query(&cube, &q).unwrap();
+    assert_eq!(mdx.cells, live.cells);
+    assert!(mdx.cells.iter().any(|(k, _)| k[0] == Value::from("LATAM")));
+    server.shutdown();
+}
+
 /// Transient checkpoint IO errors are retried behind the scenes (the
 /// caller sees success and a bumped retry counter); a persistent fault
 /// exhausts the budget and surfaces as a retryable 503 over HTTP.

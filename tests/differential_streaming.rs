@@ -152,14 +152,18 @@ fn gen_shape(rng: &mut StdRng) -> (Vec<LevelRef>, Vec<String>) {
 }
 
 /// A random fact row in schema order. Six percent of rows carry a foreign
-/// key with no dimension match (invisible to the inner join on both the
-/// fold and the rebuild path); amounts and quantities are occasionally
-/// NULL so the NULL-skipping fold rules are exercised.
+/// key with no dimension match and four percent a NULL one (both invisible
+/// to the inner join on the fold and the rebuild path); amounts and
+/// quantities are occasionally NULL so the NULL-skipping fold rules are
+/// exercised.
 fn gen_fact_row(rng: &mut StdRng, id: i64, max_store: i64) -> Vec<Value> {
-    let store = if rng.random_bool(0.06) {
-        999
+    let roll = rng.random_range(0..100i64);
+    let store = if roll < 6 {
+        Value::Int(999)
+    } else if roll < 10 {
+        Value::Null
     } else {
-        rng.random_range(1..=max_store)
+        Value::Int(rng.random_range(1..=max_store))
     };
     let amount = if rng.random_bool(0.1) {
         Value::Null
@@ -173,7 +177,7 @@ fn gen_fact_row(rng: &mut StdRng, id: i64, max_store: i64) -> Vec<Value> {
     };
     vec![
         Value::Int(id),
-        Value::Int(store),
+        store,
         Value::Int(rng.random_range(2008..=2012i64)),
         Value::Int(rng.random_range(1..=12i64)),
         amount,
@@ -254,11 +258,61 @@ fn verify_all(
 
 // -------------------------------------------------------- the sequences
 
+/// INSERT `n` random fact rows (ids from `next_id` on) as one statement;
+/// the delta it publishes.
+fn insert_facts(
+    db: &Database,
+    rng: &mut StdRng,
+    n: usize,
+    next_id: &mut i64,
+    max_store: i64,
+) -> TableDelta {
+    let rows: Vec<Vec<Value>> = (0..n)
+        .map(|_| {
+            let row = gen_fact_row(rng, *next_id, max_store);
+            *next_id += 1;
+            row
+        })
+        .collect();
+    Engine::new()
+        .execute(db, &insert_sql("fact_sales", &rows))
+        .unwrap();
+    TableDelta::Insert {
+        table: "fact_sales".into(),
+        rows,
+    }
+}
+
+/// UPDATE a level column of one random store: its region moves (say EU →
+/// APAC) or it takes another store's city, merging two city cells. The
+/// folds' dimension maps must not keep the old member.
+fn update_store(db: &Database, rng: &mut StdRng, max_store: i64) -> TableDelta {
+    let id = rng.random_range(1..=max_store);
+    let set = if rng.random_bool(0.5) {
+        format!(
+            "region = '{}'",
+            ["EU", "US", "APAC"][rng.random_range(0..3usize)]
+        )
+    } else {
+        format!("city = 'City{}'", rng.random_range(1..=max_store))
+    };
+    Engine::new()
+        .execute(
+            db,
+            &format!("UPDATE dim_store SET {set} WHERE store_id = {id}"),
+        )
+        .unwrap();
+    TableDelta::Mutate {
+        table: "dim_store".into(),
+    }
+}
+
 /// One random warehouse-write sequence: fresh star schema, 1–3 random
 /// aggregate shapes, then [`STEPS_PER_SEQUENCE`] batches of 1–3 random
 /// writes, each write applied to the warehouse *and* turned into a delta,
 /// each batch applied to the cache at once and followed by a full
-/// differential check.
+/// differential check. A batch of fact inserts alone must fold into every
+/// aggregate and rebuild none.
 fn run_sequence(seed: u64, sequence: usize, rng: &mut StdRng) {
     let db = Arc::new(star_db());
     let sql = Engine::new();
@@ -269,15 +323,8 @@ fn run_sequence(seed: u64, sequence: usize, rng: &mut StdRng) {
     let mut max_store: i64 = 3;
 
     // a few initial fact rows so the aggregates start non-trivial
-    let initial: Vec<Vec<Value>> = (0..rng.random_range(2..6usize))
-        .map(|_| {
-            let row = gen_fact_row(rng, next_id, max_store);
-            next_id += 1;
-            row
-        })
-        .collect();
-    sql.execute(&db, &insert_sql("fact_sales", &initial))
-        .unwrap();
+    let n = rng.random_range(2..6usize);
+    insert_facts(&db, rng, n, &mut next_id, max_store);
 
     let n_shapes = rng.random_range(1..=3usize);
     let mut shapes = Vec::with_capacity(n_shapes);
@@ -296,81 +343,94 @@ fn run_sequence(seed: u64, sequence: usize, rng: &mut StdRng) {
         // so a rebuild one of them forces reads the others' rows too
         let mut batch = Vec::new();
         for _ in 0..rng.random_range(1..=3usize) {
-            let roll = rng.random_range(0..100i64);
-            batch.push(if roll < 50 {
+            match rng.random_range(0..100i64) {
                 // single-row (or small) INSERT — the hot fold path
-                let rows: Vec<Vec<Value>> = (0..rng.random_range(1..=3usize))
-                    .map(|_| {
-                        let row = gen_fact_row(rng, next_id, max_store);
-                        next_id += 1;
-                        row
-                    })
-                    .collect();
-                sql.execute(&db, &insert_sql("fact_sales", &rows)).unwrap();
-                TableDelta::Insert {
-                    table: "fact_sales".into(),
-                    rows,
+                0..45 => {
+                    let n = rng.random_range(1..=3usize);
+                    batch.push(insert_facts(&db, rng, n, &mut next_id, max_store));
                 }
-            } else if roll < 65 {
                 // bulk load: one delta carrying many rows
-                let rows: Vec<Vec<Value>> = (0..rng.random_range(10..=30usize))
-                    .map(|_| {
-                        let row = gen_fact_row(rng, next_id, max_store);
-                        next_id += 1;
-                        row
-                    })
-                    .collect();
-                sql.execute(&db, &insert_sql("fact_sales", &rows)).unwrap();
-                TableDelta::Insert {
-                    table: "fact_sales".into(),
-                    rows,
+                45..58 => {
+                    let n = rng.random_range(10..=30usize);
+                    batch.push(insert_facts(&db, rng, n, &mut next_id, max_store));
                 }
-            } else if roll < 75 {
                 // UPDATE: not foldable, dependent aggregates must rebuild
-                let id = rng.random_range(1..next_id.max(2));
-                let amount = rng.random_range(10..50_000i64) as f64 / 10.0;
-                sql.execute(
-                    &db,
-                    &format!("UPDATE fact_sales SET amount = {amount:?} WHERE id = {id}"),
-                )
-                .unwrap();
-                TableDelta::Mutate {
-                    table: "fact_sales".into(),
-                }
-            } else if roll < 85 {
-                // DELETE: likewise rebuild-only
-                let id = rng.random_range(1..next_id.max(2));
-                sql.execute(&db, &format!("DELETE FROM fact_sales WHERE id = {id}"))
+                58..66 => {
+                    let id = rng.random_range(1..next_id.max(2));
+                    let amount = rng.random_range(10..50_000i64) as f64 / 10.0;
+                    sql.execute(
+                        &db,
+                        &format!("UPDATE fact_sales SET amount = {amount:?} WHERE id = {id}"),
+                    )
                     .unwrap();
-                TableDelta::Mutate {
-                    table: "fact_sales".into(),
+                    batch.push(TableDelta::Mutate {
+                        table: "fact_sales".into(),
+                    });
                 }
-            } else {
+                // DELETE: likewise rebuild-only
+                66..74 => {
+                    let id = rng.random_range(1..next_id.max(2));
+                    sql.execute(&db, &format!("DELETE FROM fact_sales WHERE id = {id}"))
+                        .unwrap();
+                    batch.push(TableDelta::Mutate {
+                        table: "fact_sales".into(),
+                    });
+                }
                 // dimension-table insert: rebuilds snowflaked aggregates,
                 // leaves purely degenerate ones untouched
-                let row = vec![
-                    Value::Int(next_store),
-                    Value::Text(["EU", "US", "APAC"][rng.random_range(0..3usize)].into()),
-                    Value::Text(format!("C{next_store}")),
-                    Value::Text(format!("City{next_store}")),
-                ];
-                sql.execute(&db, &insert_sql("dim_store", std::slice::from_ref(&row)))
-                    .unwrap();
-                max_store = next_store;
-                next_store += 1;
-                TableDelta::Insert {
-                    table: "dim_store".into(),
-                    rows: vec![row],
+                74..82 => {
+                    let row = vec![
+                        Value::Int(next_store),
+                        Value::Text(["EU", "US", "APAC"][rng.random_range(0..3usize)].into()),
+                        Value::Text(format!("C{next_store}")),
+                        Value::Text(format!("City{next_store}")),
+                    ];
+                    sql.execute(&db, &insert_sql("dim_store", std::slice::from_ref(&row)))
+                        .unwrap();
+                    max_store = next_store;
+                    next_store += 1;
+                    batch.push(TableDelta::Insert {
+                        table: "dim_store".into(),
+                        rows: vec![row],
+                    });
                 }
-            });
+                // dimension UPDATE of a level column
+                82..89 => batch.push(update_store(&db, rng, max_store)),
+                // dimension DELETE: that store's facts leave the join
+                89..94 => {
+                    let id = rng.random_range(1..=max_store);
+                    sql.execute(&db, &format!("DELETE FROM dim_store WHERE store_id = {id}"))
+                        .unwrap();
+                    batch.push(TableDelta::Mutate {
+                        table: "dim_store".into(),
+                    });
+                }
+                // a dimension UPDATE, then a fact INSERT in the same batch:
+                // the insert must not fold through the pre-update members
+                _ => {
+                    batch.push(update_store(&db, rng, max_store));
+                    let n = rng.random_range(1..=3usize);
+                    batch.push(insert_facts(&db, rng, n, &mut next_id, max_store));
+                }
+            }
         }
-        cache.apply_deltas(&engine, batch, |_| false);
-        verify_all(
-            &format!("seed {seed}, sequence {sequence}, step {step}"),
-            &cache,
-            &engine,
-            &shapes,
-        );
+        let ctx = format!("seed {seed}, sequence {sequence}, step {step}");
+        let fact_inserts = batch
+            .iter()
+            .filter(|d| matches!(d, TableDelta::Insert { table, .. } if table == "fact_sales"))
+            .count();
+        let only_fact_inserts = fact_inserts == batch.len();
+        // every aggregate is fresh here: each batch ends in its rebuilds
+        let fresh_dependents = cache.len();
+        let report = cache.apply_deltas(&engine, batch, |_| false);
+        if only_fact_inserts {
+            assert_eq!(
+                (report.folded, report.rebuilt),
+                (fact_inserts * fresh_dependents, 0),
+                "a batch of fact inserts must fold, not rebuild ({ctx})"
+            );
+        }
+        verify_all(&ctx, &cache, &engine, &shapes);
     }
 }
 
