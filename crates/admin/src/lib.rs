@@ -9,7 +9,6 @@
 //!   hierarchy, usage reporting, billing runs;
 //! * [`PlatformConfig`] — declared-key configuration with platform and
 //!   per-tenant overrides (the paper's personalization claim);
-//! * [`PerfMonitor`] — latency recording with percentile reports;
 //! * [`DurabilityStatus`] / [`CheckpointOutcome`] — the WAL status and
 //!   checkpoint reports the platform answers for durable tenant stores.
 
@@ -21,4 +20,4 @@ mod service;
 
 pub use config::{ConfigError, ConfigValue, PlatformConfig};
 pub use durability::{CheckpointOutcome, DurabilityStatus};
-pub use service::{AdminService, PerfMonitor, PerfReport, PerfSample, UsageLine};
+pub use service::{AdminService, UsageLine};

@@ -2,105 +2,14 @@
 //! reporting, and billing runs.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use odbis_security::Role;
 use odbis_telemetry::{CostLine, CostModel, Telemetry};
 use odbis_tenancy::{
     Invoice, ServiceKind, SubscriptionPlan, TenancyError, TenantRegistry, UsageMeter,
 };
-use parking_lot::Mutex;
 
 use crate::config::PlatformConfig;
-
-/// A latency sample recorded by the performance monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PerfSample {
-    /// Duration of the operation.
-    pub duration: Duration,
-}
-
-/// Per-operation latency statistics ("report same information on platform
-/// usage and performance", ODBIS §3.1).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfReport {
-    /// Operation name.
-    pub operation: String,
-    /// Sample count.
-    pub count: usize,
-    /// Mean latency.
-    pub mean: Duration,
-    /// 50th percentile.
-    pub p50: Duration,
-    /// 95th percentile.
-    pub p95: Duration,
-    /// Maximum.
-    pub max: Duration,
-}
-
-/// Thread-safe latency recorder.
-#[derive(Debug, Default)]
-pub struct PerfMonitor {
-    samples: Mutex<Vec<(String, Duration)>>,
-}
-
-impl PerfMonitor {
-    /// Empty monitor.
-    pub fn new() -> Self {
-        PerfMonitor::default()
-    }
-
-    /// Record one operation latency.
-    pub fn record(&self, operation: &str, duration: Duration) {
-        self.samples.lock().push((operation.to_string(), duration));
-    }
-
-    /// Time a closure and record it.
-    pub fn time<R>(&self, operation: &str, f: impl FnOnce() -> R) -> R {
-        let start = std::time::Instant::now();
-        let r = f();
-        self.record(operation, start.elapsed());
-        r
-    }
-
-    /// Statistics for one operation (None when no samples exist).
-    pub fn report(&self, operation: &str) -> Option<PerfReport> {
-        let samples = self.samples.lock();
-        let mut durations: Vec<Duration> = samples
-            .iter()
-            .filter(|(op, _)| op == operation)
-            .map(|(_, d)| *d)
-            .collect();
-        if durations.is_empty() {
-            return None;
-        }
-        durations.sort();
-        let count = durations.len();
-        let total: Duration = durations.iter().sum();
-        let pct = |p: f64| durations[(((count - 1) as f64) * p) as usize];
-        Some(PerfReport {
-            operation: operation.to_string(),
-            count,
-            mean: total / count as u32,
-            p50: pct(0.50),
-            p95: pct(0.95),
-            max: *durations.last().expect("non-empty"),
-        })
-    }
-
-    /// Names of all recorded operations, sorted and deduplicated.
-    pub fn operations(&self) -> Vec<String> {
-        let mut ops: Vec<String> = self
-            .samples
-            .lock()
-            .iter()
-            .map(|(op, _)| op.clone())
-            .collect();
-        ops.sort();
-        ops.dedup();
-        ops
-    }
-}
 
 /// One line of the platform usage report.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,8 +30,6 @@ pub struct AdminService {
     /// consumers like the web tier's admission-control resolver can read
     /// live limits without holding the whole service.
     pub config: Arc<PlatformConfig>,
-    /// Platform performance monitor.
-    pub perf: PerfMonitor,
     /// The telemetry spine: spans, histograms, slow log (shared with every
     /// layer through the thread-local trace context).
     pub telemetry: Arc<Telemetry>,
@@ -137,7 +44,6 @@ impl AdminService {
             registry,
             meter,
             config: Arc::new(PlatformConfig::with_defaults()),
-            perf: PerfMonitor::new(),
             telemetry: Arc::new(Telemetry::new()),
             cost_model: CostModel::default(),
         }
@@ -347,27 +253,5 @@ mod tests {
         assert_eq!(t2.requests, 1);
         // the meter is untouched by the report
         assert_eq!(a.meter().usage("t1", ServiceKind::Metadata), 100);
-    }
-
-    #[test]
-    fn perf_monitor_percentiles() {
-        let m = PerfMonitor::new();
-        for ms in 1..=100u64 {
-            m.record("query", Duration::from_millis(ms));
-        }
-        m.record("other", Duration::from_millis(5));
-        let r = m.report("query").unwrap();
-        assert_eq!(r.count, 100);
-        assert_eq!(r.p50, Duration::from_millis(50));
-        assert_eq!(r.p95, Duration::from_millis(95));
-        assert_eq!(r.max, Duration::from_millis(100));
-        assert!(m.report("missing").is_none());
-        assert_eq!(
-            m.operations(),
-            vec!["other".to_string(), "query".to_string()]
-        );
-        let out = m.time("timed", || 40 + 2);
-        assert_eq!(out, 42);
-        assert_eq!(m.report("timed").unwrap().count, 1);
     }
 }

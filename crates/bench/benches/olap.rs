@@ -74,7 +74,7 @@ fn a2_preagg_ablation(c: &mut Criterion) {
         let engine = CubeEngine::new(Arc::clone(&db));
         let cube = admissions_cube();
         let agg = MaterializedAggregate::build(
-            &engine,
+            &db,
             &cube,
             vec![
                 LevelRef::new("time", "year"),

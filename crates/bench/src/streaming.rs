@@ -11,8 +11,8 @@ use std::time::Instant;
 
 use odbis::{build_router, OdbisPlatform};
 use odbis_olap::{
-    AggregateCache, Aggregator, CubeDef, CubeEngine, DimensionDef, LevelDef, LevelRef,
-    MaterializedAggregate, MeasureDef, TableDelta,
+    AggregateCache, Aggregator, CubeDef, DimensionDef, LevelDef, LevelRef, MaterializedAggregate,
+    MeasureDef, TableDelta,
 };
 use odbis_storage::Value;
 use odbis_tenancy::SubscriptionPlan;
@@ -95,7 +95,6 @@ pub struct DeltaVsRecompute {
 /// pre-streaming design paid per write.
 pub fn delta_vs_recompute(rows: usize, writes: usize, seed: u64) -> DeltaVsRecompute {
     let db = Arc::new(workloads::healthcare_db(rows, seed));
-    let engine = CubeEngine::new(Arc::clone(&db));
     let cube = admissions_cube();
     let axes = vec![LevelRef::new("dept", "name"), LevelRef::new("time", "year")];
     let measures = vec![
@@ -107,7 +106,7 @@ pub fn delta_vs_recompute(rows: usize, writes: usize, seed: u64) -> DeltaVsRecom
     let rebuild_us = (0..3)
         .map(|_| {
             let t0 = Instant::now();
-            let agg = MaterializedAggregate::build(&engine, &cube, axes.clone(), measures.clone())
+            let agg = MaterializedAggregate::build(&db, &cube, axes.clone(), measures.clone())
                 .expect("rebuild");
             assert!(!agg.is_empty());
             t0.elapsed().as_micros() as u64
@@ -116,7 +115,7 @@ pub fn delta_vs_recompute(rows: usize, writes: usize, seed: u64) -> DeltaVsRecom
         .unwrap();
 
     let mut cache = AggregateCache::new();
-    cache.add(MaterializedAggregate::build(&engine, &cube, axes, measures).expect("initial build"));
+    cache.add(MaterializedAggregate::build(&db, &cube, axes, measures).expect("initial build"));
     let mut rng = StdRng::seed_from_u64(seed ^ 0xA9);
     let mut lat: Vec<u64> = Vec::with_capacity(writes);
     for i in 0..writes {
@@ -134,7 +133,7 @@ pub fn delta_vs_recompute(rows: usize, writes: usize, seed: u64) -> DeltaVsRecom
             rows: vec![row],
         };
         let t0 = Instant::now();
-        let report = cache.apply_deltas(&engine, vec![delta], |_| false);
+        let report = cache.apply_deltas(&db, vec![delta], |_| false);
         lat.push(t0.elapsed().as_micros() as u64);
         assert_eq!(report.folded, 1, "the write must fold, not rebuild");
     }

@@ -242,7 +242,7 @@ impl TenantWorkspace {
     ) -> Result<usize, OlapError> {
         let mut held = self.publish_lock.lock();
         self.apply_buffered(&mut held);
-        let mut agg = MaterializedAggregate::build(&self.cubes, cube, axes, measures)?;
+        let mut agg = MaterializedAggregate::build(self.cubes.database(), cube, axes, measures)?;
         if agg.tables().iter().any(|t| self.deltas.touches(t)) {
             agg.mark_stale();
         }
@@ -267,7 +267,7 @@ impl TenantWorkspace {
         **totals += self
             .agg_cache
             .write()
-            .apply_deltas(&self.cubes, deltas, |t| self.deltas.touches(t));
+            .apply_deltas(self.cubes.database(), deltas, |t| self.deltas.touches(t));
         self.watch.bump(&touched);
         applied
     }

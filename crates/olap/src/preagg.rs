@@ -1,15 +1,24 @@
 //! Materialized aggregates (ablation A2): pre-computed roll-ups that
 //! answer matching cube queries without touching the fact table.
 //!
-//! Since the streaming-BI change the aggregates are *incrementally
-//! maintained*: [`MaterializedAggregate::apply_delta`] folds inserted fact
-//! rows straight into the stored cells (SUM/COUNT/MIN/MAX directly, AVG as
-//! an internal SUM+COUNT pair), so a warehouse write costs one cell update
-//! instead of a full rebuild. Writes a fold cannot express — updates,
-//! deletes, truncates, dimension-table changes — mark the aggregate stale
-//! and it is rebuilt from the engine.
+//! A stored cell is one accumulator per measure, and `CellAcc` is the only
+//! code that says what an accumulator holds: `fold` adds one fact value,
+//! `merge` combines two partial accumulators (SUM and COUNT add, MIN and
+//! MAX compare, AVG is kept as a SUM+COUNT pair and adds both). The rest
+//! is built from those two:
+//! - a build or rebuild folds every live chunk of the fact table, split
+//!   over the machine's workers, and merges the workers' cell maps;
+//! - [`MaterializedAggregate::apply_delta`] folds inserted fact rows
+//!   through the same per-row kernel, so a warehouse write costs one cell
+//!   update instead of a rebuild; writes a fold cannot express — updates,
+//!   deletes, truncates, dimension-table changes — mark the aggregate
+//!   stale, and it is rebuilt;
+//! - a roll-up merges the stored cells onto the query's coarser key.
 //!
-//! What a fold reads besides the inserted rows — the fact column or the
+//! Nothing here runs SQL. The ROLAP SQL the cube engine generates for the
+//! same query is the oracle the tests compare the cells with.
+//!
+//! What a fold reads besides the fact rows — the fact column or the
 //! dimension each axis takes its coordinate from, and each snowflaked
 //! dimension's key → members map — is the aggregate's fold plan. It is
 //! resolved from the warehouse when the cells are built or rebuilt, and
@@ -23,17 +32,73 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
+use odbis_sql::{par_chunks, Engine};
 use odbis_storage::{Batch, Database, Schema, Value};
 
-use crate::cube::{
-    Aggregator, CellSet, CubeDef, CubeEngine, CubeQuery, DimensionDef, LevelRef, MeasureDef,
-};
+use crate::cube::{Aggregator, CellSet, CubeDef, CubeQuery, DimensionDef, LevelRef};
 use crate::OlapError;
 
+/// Stored cells: axis coordinates → one accumulator per stored measure.
+type Cells = HashMap<Vec<Value>, Vec<CellAcc>>;
+
+/// The maps a fold probes once per row or more.
+type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
+
+/// FxHash's multiply-xor step per word, finished with MurmurHash3's
+/// mixer: [`Value`] hashes an Int through its f64 bits, which differ only
+/// in their high bits for the small integers keys usually are, and a map
+/// takes its bucket from the low bits of the hash and its tag from the
+/// top seven. Not DoS-resistant; it hashes only the tenant's own keys, as
+/// the SQL executor's group tables do.
+#[derive(Default)]
+struct FoldHasher(u64);
+
+impl Hasher for FoldHasher {
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8 bytes")));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    // `Value` hashes a one-byte tag and then a word
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+
+    // a `Vec<u32>` key hashes its length, then its bytes
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+}
+
+impl FoldHasher {
+    fn add(&mut self, v: u64) {
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
 /// One stored accumulator: the internal representation of a measure in a
-/// cell. AVG keeps its SUM+COUNT decomposition so inserts can fold into
-/// it; everything else stores the aggregate value directly.
+/// cell. AVG keeps its SUM+COUNT decomposition so it folds and merges;
+/// everything else stores the aggregate value directly.
 #[derive(Debug, Clone, PartialEq)]
 enum CellAcc {
     /// SUM/COUNT/MIN/MAX: the aggregate value itself.
@@ -48,9 +113,9 @@ enum CellAcc {
 }
 
 impl CellAcc {
-    /// The accumulator a brand-new (delta-created) cell starts from,
-    /// mirroring what the SQL engine reports for a group with no non-null
-    /// inputs: COUNT = 0, SUM/MIN/MAX/AVG = NULL.
+    /// The accumulator of a cell with no non-null input, mirroring what
+    /// the SQL engine reports for such a group: COUNT = 0,
+    /// SUM/MIN/MAX/AVG = NULL.
     fn empty(agg: Aggregator) -> CellAcc {
         match agg {
             Aggregator::Count => CellAcc::Plain(Value::Int(0)),
@@ -79,39 +144,51 @@ impl CellAcc {
         }
     }
 
-    /// Fold one inserted fact value into the accumulator. NULL inputs
-    /// never fold (COUNT skips them, SUM/MIN/MAX/AVG ignore them) — they
-    /// only contributed to the group's existence, which the caller has
-    /// already recorded by creating the cell.
+    /// Fold one fact value in, as merging the accumulator of that value
+    /// alone would. NULL inputs never fold (COUNT skips them,
+    /// SUM/MIN/MAX/AVG ignore them) — they only contributed to the group's
+    /// existence, which the caller has already recorded by creating the
+    /// cell.
     fn fold(&mut self, agg: Aggregator, v: Value) {
         if v.is_null() {
             return;
         }
-        match (self, agg) {
-            (CellAcc::AvgPair { sum, count }, _) => {
+        match self {
+            CellAcc::AvgPair { sum, count } => {
                 add_into(sum, &v);
                 *count += 1;
             }
-            (CellAcc::Plain(p), Aggregator::Count) => {
-                *p = match p {
-                    Value::Int(n) => Value::Int(*n + 1),
-                    _ => Value::Int(1),
-                };
-            }
-            (CellAcc::Plain(p), Aggregator::Sum) => add_into(p, &v),
-            (CellAcc::Plain(p), Aggregator::Min) => {
-                if p.is_null() || v < *p {
-                    *p = v;
-                }
-            }
-            (CellAcc::Plain(p), Aggregator::Max) => {
-                if p.is_null() || v > *p {
-                    *p = v;
-                }
-            }
-            // AVG is always an AvgPair; unreachable but harmless.
-            (CellAcc::Plain(_), Aggregator::Avg) => {}
+            CellAcc::Plain(p) if agg == Aggregator::Count => add_into(p, &Value::Int(1)),
+            CellAcc::Plain(p) => merge_value(p, &v, agg),
         }
+    }
+
+    /// Combine the partial accumulator `other` into this one, as the SQL
+    /// aggregate over both accumulators' input rows: SUM and COUNT add
+    /// (Int until the add would overflow, then Float, like the executor),
+    /// MIN and MAX compare, AVG adds its pairs. A NULL side has seen no
+    /// non-null input and leaves the other as it is.
+    fn merge(&mut self, other: &CellAcc, agg: Aggregator) {
+        match (self, other) {
+            (CellAcc::AvgPair { sum, count }, CellAcc::AvgPair { sum: s, count: c }) => {
+                add_into(sum, s);
+                *count += c;
+            }
+            (CellAcc::Plain(p), CellAcc::Plain(v)) if !v.is_null() => merge_value(p, v, agg),
+            // a NULL side; one measure's accumulators never differ in shape
+            _ => {}
+        }
+    }
+}
+
+/// Merge the non-null value `v` of a SUM, COUNT, MIN or MAX accumulator
+/// into `p`.
+fn merge_value(p: &mut Value, v: &Value, agg: Aggregator) {
+    match agg {
+        Aggregator::Sum | Aggregator::Count => add_into(p, v),
+        Aggregator::Min if p.is_null() || v < p => *p = v.clone(),
+        Aggregator::Max if p.is_null() || v > p => *p = v.clone(),
+        _ => {}
     }
 }
 
@@ -119,17 +196,19 @@ impl CellAcc {
 /// it would overflow (then promotes to Float, like the executor's
 /// checked-add accumulator), everything else adds as f64.
 fn add_into(p: &mut Value, v: &Value) {
-    *p = match (&*p, v) {
-        (Value::Null, _) => v.clone(),
-        (Value::Int(a), Value::Int(b)) => a
-            .checked_add(*b)
-            .map(Value::Int)
-            .unwrap_or(Value::Float(*a as f64 + *b as f64)),
-        _ => match (p.as_f64(), v.as_f64()) {
-            (Some(a), Some(b)) => Value::Float(a + b),
-            _ => p.clone(),
+    match (&mut *p, v) {
+        (Value::Float(a), Value::Float(b)) => *a += b,
+        (Value::Int(a), Value::Int(b)) => match a.checked_add(*b) {
+            Some(sum) => *a = sum,
+            None => *p = Value::Float(*a as f64 + *b as f64),
         },
-    };
+        (Value::Null, _) => *p = v.clone(),
+        _ => {
+            if let (Some(a), Some(b)) = (p.as_f64(), v.as_f64()) {
+                *p = Value::Float(a + b);
+            }
+        }
+    }
 }
 
 /// What [`MaterializedAggregate::apply_delta`] did with a write event.
@@ -180,12 +259,12 @@ impl TableDelta {
     }
 }
 
-/// How one axis coordinate is read off an inserted fact row.
+/// How one axis coordinate is read off a fact row.
 #[derive(Debug, Clone)]
 enum AxisSrc {
     /// Degenerate level: the fact column's index.
     Fact(usize),
-    /// Snowflaked level: value `col` of a member of `FoldPlan::joins[join]`.
+    /// Snowflaked level: level `col` of a member of `FoldPlan::joins[join]`.
     Dim { join: usize, col: usize },
 }
 
@@ -194,12 +273,12 @@ enum AxisSrc {
 struct DimJoin {
     /// Fact column holding the foreign key.
     fk: usize,
-    /// Values per member: one per axis that reads this dimension.
-    width: usize,
-    /// Dimension key → the level values of every dimension row with that
-    /// key, `width` per row, back to back. NULL keys are left out: the
-    /// inner join never matches them.
-    members: HashMap<Value, Vec<Value>>,
+    /// Dimension key → the members with that key: per dimension row, the
+    /// code of each level an axis reads, back to back. NULL keys are left
+    /// out: the inner join never matches them.
+    members: FoldMap<Value, Vec<u32>>,
+    /// Per level an axis reads, its distinct values, indexed by code.
+    levels: Vec<Vec<Value>>,
 }
 
 /// Everything a fold reads, resolved against the warehouse when the cells
@@ -212,9 +291,9 @@ struct FoldPlan {
     arity: usize,
     axes: Vec<AxisSrc>,
     joins: Vec<DimJoin>,
-    /// Fact column of each stored measure.
-    measure_cols: Vec<usize>,
-    /// The accumulators a delta-created cell starts from.
+    /// Fact column and aggregator of each stored measure.
+    measures: Vec<(usize, Aggregator)>,
+    /// The accumulators a new cell starts from.
     empty: Vec<CellAcc>,
 }
 
@@ -228,7 +307,6 @@ impl FoldPlan {
         axes: &[LevelRef],
         measures: &[(String, Aggregator)],
     ) -> Result<FoldPlan, OlapError> {
-        let invalid = |e: odbis_storage::DbError| OlapError::Invalid(e.to_string());
         let index = |schema: &Schema, column: &str, what: &str| {
             schema
                 .index_of(column)
@@ -277,15 +355,20 @@ impl FoldPlan {
             let fk = index(&schema, &dim.fact_fk, "fact fk")?;
             let projection: Vec<usize> = std::iter::once(key).chain(cols.iter().copied()).collect();
             let chunks = db.scan_partitions(t, Some(&projection)).map_err(invalid)?;
-            let mut members: HashMap<Value, Vec<Value>> =
-                HashMap::with_capacity(chunks.iter().map(Batch::num_rows).sum());
+            let mut levels = vec![Dictionary::default(); cols.len()];
+            let rows = chunks.iter().map(Batch::num_rows).sum();
+            let mut members: FoldMap<Value, Vec<u32>> =
+                FoldMap::with_capacity_and_hasher(rows, Default::default());
             for m in chunks {
                 for r in 0..m.num_rows() {
                     let k = m.value(0, r);
                     if k.is_null() {
                         continue;
                     }
-                    let member = (1..projection.len()).map(|c| m.value(c, r));
+                    let member = levels
+                        .iter_mut()
+                        .zip(1..)
+                        .map(|(d, c)| d.code(m.value(c, r)));
                     match members.entry(k) {
                         Entry::Occupied(mut e) => e.get_mut().extend(member),
                         Entry::Vacant(e) => {
@@ -296,26 +379,179 @@ impl FoldPlan {
             }
             plan_joins.push(DimJoin {
                 fk,
-                width: cols.len(),
                 members,
+                levels: levels.into_iter().map(|d| d.values).collect(),
             });
         }
-        let measure_cols = measures
+        let measures = measures
             .iter()
-            .map(|(name, _)| index(&schema, &def.measure(name)?.column, "measure column"))
-            .collect::<Result<Vec<usize>, OlapError>>()?;
+            .map(|(name, agg)| {
+                let col = index(&schema, &def.measure(name)?.column, "measure column")?;
+                Ok((col, *agg))
+            })
+            .collect::<Result<Vec<_>, OlapError>>()?;
         Ok(FoldPlan {
             tables,
             arity: schema.columns().len(),
             axes: srcs,
             joins: plan_joins,
-            measure_cols,
             empty: measures
                 .iter()
-                .map(|(_, agg)| CellAcc::empty(*agg))
+                .map(|&(_, agg)| CellAcc::empty(agg))
                 .collect(),
+            measures,
         })
     }
+
+    /// Fold fact rows (full width) into `cells` — the one per-row kernel,
+    /// run by a build over the whole table and by a fold of inserted rows.
+    ///
+    /// A row folds as the ROLAP SQL's inner joins see it: a foreign key
+    /// that is NULL or has no dimension row hides the row, and a key
+    /// shared by several dimension rows folds the row once per
+    /// combination of matching members.
+    ///
+    /// Rows first fold into groups keyed by the codes of their
+    /// coordinates — a snowflaked level's code comes with its member, a
+    /// fact column's from a dictionary of this call — so a row costs no
+    /// allocation; each group's key is built, and its accumulators merged
+    /// into `cells`, once at the end.
+    fn fold(&self, cells: &mut Cells, rows: &Batch) {
+        let mut facts: Vec<Dictionary> = vec![Dictionary::default(); self.axes.len()];
+        let mut groups: FoldMap<Vec<u32>, usize> = FoldMap::default();
+        let mut accs: Vec<Vec<CellAcc>> = Vec::new();
+        let mut codes: Vec<u32> = Vec::with_capacity(self.axes.len());
+        // per join: the matching members of the current row, and which
+        // of them the current combination takes
+        let mut hits: Vec<&[u32]> = Vec::with_capacity(self.joins.len());
+        let mut pick = vec![0usize; self.joins.len()];
+        'rows: for r in 0..rows.num_rows() {
+            hits.clear();
+            for j in &self.joins {
+                match j.members.get(&rows.value(j.fk, r)) {
+                    Some(m) => hits.push(m),
+                    None => continue 'rows,
+                }
+            }
+            pick.fill(0);
+            loop {
+                codes.clear();
+                for (src, dict) in self.axes.iter().zip(&mut facts) {
+                    codes.push(match *src {
+                        AxisSrc::Fact(i) => dict.code(rows.value(i, r)),
+                        AxisSrc::Dim { join, col } => {
+                            hits[join][pick[join] * self.joins[join].levels.len() + col]
+                        }
+                    });
+                }
+                let g = match groups.get(codes.as_slice()) {
+                    Some(&g) => g,
+                    None => {
+                        groups.insert(codes.clone(), accs.len());
+                        accs.push(self.empty.clone());
+                        accs.len() - 1
+                    }
+                };
+                for (acc, &(col, agg)) in accs[g].iter_mut().zip(&self.measures) {
+                    acc.fold(agg, rows.value(col, r));
+                }
+                // the next combination, odometer-style; done after the last
+                let mut j = 0;
+                while j < pick.len() {
+                    pick[j] += 1;
+                    if pick[j] * self.joins[j].levels.len() < hits[j].len() {
+                        break;
+                    }
+                    pick[j] = 0;
+                    j += 1;
+                }
+                if j == pick.len() {
+                    break;
+                }
+            }
+        }
+        for (codes, g) in groups {
+            let key = (self.axes.iter().zip(&facts).zip(codes))
+                .map(|((src, dict), c)| match *src {
+                    AxisSrc::Fact(_) => dict.values[c as usize].clone(),
+                    AxisSrc::Dim { join, col } => self.joins[join].levels[col][c as usize].clone(),
+                })
+                .collect();
+            self.merge_cell(cells, key, std::mem::take(&mut accs[g]));
+        }
+    }
+
+    /// Merge one cell's accumulators into `cells`.
+    fn merge_cell(&self, cells: &mut Cells, key: Vec<Value>, accs: Vec<CellAcc>) {
+        match cells.entry(key) {
+            Entry::Occupied(mut e) => {
+                for ((acc, other), &(_, agg)) in
+                    e.get_mut().iter_mut().zip(&accs).zip(&self.measures)
+                {
+                    acc.merge(other, agg);
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert(accs);
+            }
+        }
+    }
+
+    /// Fold the whole fact table into new cells. Its live chunks are split
+    /// over as many workers as [`Engine::new`] runs SQL on; each worker
+    /// folds its share into a map of its own, and the maps merge.
+    fn fold_table(&self, db: &Database) -> Result<Cells, OlapError> {
+        let chunks = db.scan_partitions(&self.tables[0], None).map_err(invalid)?;
+        let parts = par_chunks(chunks, Engine::new().parallelism(), |chunks| {
+            let mut cells = Cells::new();
+            for c in &chunks {
+                self.fold(&mut cells, c);
+            }
+            cells
+        });
+        let mut parts = parts.into_iter();
+        let mut cells = parts.next().unwrap_or_default();
+        for part in parts {
+            for (key, accs) in part {
+                self.merge_cell(&mut cells, key, accs);
+            }
+        }
+        Ok(cells)
+    }
+}
+
+/// Distinct values in first-seen order, each coded by its position.
+#[derive(Debug, Clone, Default)]
+struct Dictionary {
+    codes: FoldMap<Value, u32>,
+    values: Vec<Value>,
+}
+
+impl Dictionary {
+    /// The code of `v`, assigned now if `v` is new.
+    fn code(&mut self, v: Value) -> u32 {
+        match self.codes.entry(v) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.values.push(e.key().clone());
+                *e.insert(self.values.len() as u32 - 1)
+            }
+        }
+    }
+}
+
+fn invalid(e: odbis_storage::DbError) -> OlapError {
+    OlapError::Invalid(e.to_string())
+}
+
+/// Where a query's parts sit in an aggregate's cells.
+struct Positions<'q> {
+    /// Stored axis of each query axis.
+    axes: Vec<usize>,
+    /// Stored axis of each slice, and the member it keeps.
+    slices: Vec<(usize, &'q Value)>,
+    /// Stored measure of each query measure, with its aggregator.
+    measures: Vec<(usize, Aggregator)>,
 }
 
 /// A materialized aggregate: the cell set of one (axes, measures)
@@ -327,13 +563,12 @@ pub struct MaterializedAggregate {
     /// Axes the aggregate is grouped by.
     pub axes: Vec<LevelRef>,
     /// Measures stored, with their aggregators (needed to know whether a
-    /// further roll-up is valid: AVG/COUNT-DISTINCT style measures are not
-    /// re-aggregable here).
+    /// further roll-up is valid: AVG is not rolled up).
     pub measures: Vec<(String, Aggregator)>,
     /// The defining cube, retained so stale cells can be rebuilt without
     /// a registry lookup.
     def: CubeDef,
-    cells: HashMap<Vec<Value>, Vec<CellAcc>>,
+    cells: Cells,
     /// Resolved together with `cells`; exact whenever the aggregate is
     /// fresh, because every write to a table in `plan.tables` either folds
     /// (a fact insert) or makes the aggregate stale.
@@ -342,23 +577,21 @@ pub struct MaterializedAggregate {
 }
 
 impl MaterializedAggregate {
-    /// Build by executing the aggregation once through the engine. AVG
-    /// measures are fetched as their SUM+COUNT decomposition so the
-    /// stored cells stay delta-maintainable. The fold plan is resolved
-    /// from the same warehouse in the same build window.
+    /// Build by folding the fact table: resolve the fold plan from `db`,
+    /// then fold every live row of the fact table through the kernel
+    /// [`Self::apply_delta`] runs, split over the machine's workers.
     pub fn build(
-        engine: &CubeEngine,
+        db: &Database,
         cube: &CubeDef,
         axes: Vec<LevelRef>,
         measure_names: Vec<String>,
     ) -> Result<Self, OlapError> {
-        let measures: Result<Vec<(String, Aggregator)>, OlapError> = measure_names
+        let measures = measure_names
             .iter()
             .map(|m| cube.measure(m).map(|md| (md.name.clone(), md.aggregator)))
-            .collect();
-        let measures = measures?;
-        let plan = FoldPlan::resolve(engine.database(), cube, &axes, &measures)?;
-        let cells = build_cells(engine, cube, &axes, &measures)?;
+            .collect::<Result<Vec<_>, OlapError>>()?;
+        let plan = FoldPlan::resolve(db, cube, &axes, &measures)?;
+        let cells = plan.fold_table(db)?;
         Ok(MaterializedAggregate {
             cube: cube.name.clone(),
             axes,
@@ -403,11 +636,11 @@ impl MaterializedAggregate {
         self.tables().iter().any(|t| t.eq_ignore_ascii_case(table))
     }
 
-    /// Re-run the defining aggregation, re-resolve the fold plan, and
-    /// replace both.
-    pub fn rebuild(&mut self, engine: &CubeEngine) -> Result<(), OlapError> {
-        self.plan = FoldPlan::resolve(engine.database(), &self.def, &self.axes, &self.measures)?;
-        self.cells = build_cells(engine, &self.def, &self.axes, &self.measures)?;
+    /// Build again from `db`, as [`Self::build`] does: re-resolve the fold
+    /// plan, fold the fact table into new cells, and replace both.
+    pub fn rebuild(&mut self, db: &Database) -> Result<(), OlapError> {
+        self.plan = FoldPlan::resolve(db, &self.def, &self.axes, &self.measures)?;
+        self.cells = self.plan.fold_table(db)?;
         self.stale = false;
         Ok(())
     }
@@ -417,6 +650,10 @@ impl MaterializedAggregate {
     /// A fold reads only the inserted rows and the fold plan resolved at
     /// the last build: each snowflaked axis probes its key → members map,
     /// so it costs O(delta rows), whatever the size of the dimensions.
+    /// The rows fold through the same kernel as a build, with the same
+    /// inner-join rules: a row whose foreign key is NULL or matches no
+    /// dimension row folds nowhere, and one whose key matches several
+    /// dimension rows folds once per match.
     ///
     /// Returns [`DeltaOutcome::Folded`] when the cells now reflect the
     /// insert, [`DeltaOutcome::NeedsRebuild`] when the write touches a
@@ -425,11 +662,6 @@ impl MaterializedAggregate {
     /// [`DeltaOutcome::Unrelated`] when the write cannot affect the cells
     /// at all — the scoped invalidation that lets unrelated cubes survive
     /// a load.
-    ///
-    /// A row folds as the ROLAP SQL's inner joins see it: a foreign key
-    /// that is NULL or has no dimension row hides the row (from any later
-    /// rebuild too), and a key shared by several dimension rows folds the
-    /// row once per combination of matching members.
     pub fn apply_delta(&mut self, table: &str, rows: &Batch) -> DeltaOutcome {
         if !table.eq_ignore_ascii_case(&self.def.fact_table) {
             return if self.depends_on(table) {
@@ -438,221 +670,107 @@ impl MaterializedAggregate {
                 DeltaOutcome::Unrelated
             };
         }
-        let plan = &self.plan;
-        if self.stale || (rows.num_rows() > 0 && rows.num_columns() != plan.arity) {
+        if self.stale || (rows.num_rows() > 0 && rows.num_columns() != self.plan.arity) {
             return DeltaOutcome::NeedsRebuild;
         }
-        // per join: the matching members of the current row, and which
-        // of them the current combination takes
-        let mut hits: Vec<&[Value]> = Vec::with_capacity(plan.joins.len());
-        let mut pick = vec![0usize; plan.joins.len()];
-        'rows: for r in 0..rows.num_rows() {
-            hits.clear();
-            for j in &plan.joins {
-                match j.members.get(&rows.value(j.fk, r)) {
-                    Some(m) => hits.push(m),
-                    None => continue 'rows,
-                }
-            }
-            pick.fill(0);
-            loop {
-                let key = plan
-                    .axes
-                    .iter()
-                    .map(|a| match *a {
-                        AxisSrc::Fact(i) => rows.value(i, r),
-                        AxisSrc::Dim { join, col } => {
-                            hits[join][pick[join] * plan.joins[join].width + col].clone()
-                        }
-                    })
-                    .collect();
-                let cell = self.cells.entry(key).or_insert_with(|| plan.empty.clone());
-                for (acc, ((_, agg), &col)) in cell
-                    .iter_mut()
-                    .zip(self.measures.iter().zip(&plan.measure_cols))
-                {
-                    acc.fold(*agg, rows.value(col, r));
-                }
-                // the next combination, odometer-style; done after the last
-                let mut j = 0;
-                while j < pick.len() {
-                    pick[j] += 1;
-                    if pick[j] * plan.joins[j].width < hits[j].len() {
-                        break;
-                    }
-                    pick[j] = 0;
-                    j += 1;
-                }
-                if j == pick.len() {
-                    break;
-                }
-            }
-        }
+        self.plan.fold(&mut self.cells, rows);
         DeltaOutcome::Folded
     }
 
-    /// Can this aggregate answer `query` exactly?
-    ///
-    /// Conditions: same cube axes as a prefix-set (every query axis is one
-    /// of ours), every slice level is one of our axes, every requested
-    /// measure is stored, and — when the query needs a further roll-up
-    /// (fewer axes than stored) — all measures are SUM/COUNT/MIN/MAX
-    /// (AVG cannot be re-aggregated from per-group AVGs).
-    pub fn answers(&self, query: &CubeQuery) -> bool {
-        let has_axis = |lr: &LevelRef| {
-            self.axes.iter().any(|a| {
+    /// Where `query`'s axes, slices and measures sit in the stored cells,
+    /// or `None` when the aggregate cannot answer it exactly (see
+    /// [`Self::answers`]). A roll-up is a query that slices, or that
+    /// leaves a stored axis out, so stored cells merge.
+    fn positions<'q>(&self, query: &'q CubeQuery) -> Option<Positions<'q>> {
+        let axis = |lr: &LevelRef| {
+            self.axes.iter().position(|a| {
                 a.dimension.eq_ignore_ascii_case(&lr.dimension)
                     && a.level.eq_ignore_ascii_case(&lr.level)
             })
         };
-        if !query.axes.iter().all(has_axis) {
-            return false;
-        }
-        if !query.slices.iter().all(|s| has_axis(&s.level)) {
-            return false;
-        }
-        let measure_ok = |name: &String| {
-            self.measures
+        let at = Positions {
+            axes: query.axes.iter().map(axis).collect::<Option<_>>()?,
+            slices: query
+                .slices
                 .iter()
-                .any(|(m, _)| m.eq_ignore_ascii_case(name))
+                .map(|s| Some((axis(&s.level)?, &s.member)))
+                .collect::<Option<_>>()?,
+            measures: query
+                .measures
+                .iter()
+                .map(|name| {
+                    let i = self
+                        .measures
+                        .iter()
+                        .position(|(m, _)| m.eq_ignore_ascii_case(name))?;
+                    Some((i, self.measures[i].1))
+                })
+                .collect::<Option<_>>()?,
         };
-        if !query.measures.iter().all(measure_ok) {
-            return false;
+        let read = |i: usize| at.axes.contains(&i) || at.slices.iter().any(|&(s, _)| s == i);
+        let rollup = !at.slices.is_empty() || !(0..self.axes.len()).all(read);
+        if rollup && at.measures.iter().any(|&(_, agg)| agg == Aggregator::Avg) {
+            return None;
         }
-        let needs_rollup = query.axes.len() < self.axes.len() || !query.slices.is_empty();
-        if needs_rollup {
-            query.measures.iter().all(|name| {
-                self.measures
-                    .iter()
-                    .find(|(m, _)| m.eq_ignore_ascii_case(name))
-                    .is_some_and(|(_, agg)| {
-                        matches!(
-                            agg,
-                            Aggregator::Sum | Aggregator::Count | Aggregator::Min | Aggregator::Max
-                        )
-                    })
-            })
-        } else {
-            true
+        // the live SQL joins only the dimensions a query reads, and a join
+        // hides the fact rows it does not match: a query that reads none of
+        // a joined dimension's axes counts rows the cells never saw
+        let joined = |j: usize| {
+            (self.plan.axes.iter().enumerate())
+                .any(|(i, a)| matches!(*a, AxisSrc::Dim { join, .. } if join == j) && read(i))
+        };
+        if !(0..self.plan.joins.len()).all(joined) {
+            return None;
         }
+        Some(at)
+    }
+
+    /// Can this aggregate answer `query` exactly?
+    ///
+    /// Conditions: every query axis and every slice level is one of our
+    /// axes, every requested measure is stored, the query reads an axis of
+    /// every dimension table we join (its SQL would not join the others,
+    /// so rows they hide would count), and — when the query needs a
+    /// roll-up (it slices, or leaves one of our axes out) — no measure is
+    /// AVG: the cache's contract is to leave AVG roll-ups to the live
+    /// engine.
+    pub fn answers(&self, query: &CubeQuery) -> bool {
+        self.positions(query).is_some()
     }
 
     /// Answer a query from the materialized cells (must satisfy
-    /// [`MaterializedAggregate::answers`]).
+    /// [`MaterializedAggregate::answers`]): the stored cells that pass the
+    /// slices merge by the query's key.
     pub fn execute(&self, query: &CubeQuery) -> Result<CellSet, OlapError> {
-        if !self.answers(query) {
-            return Err(OlapError::Invalid(
-                "aggregate does not cover this query".into(),
-            ));
-        }
-        let axis_pos: Vec<usize> = query
-            .axes
-            .iter()
-            .map(|lr| {
-                self.axes
-                    .iter()
-                    .position(|a| {
-                        a.dimension.eq_ignore_ascii_case(&lr.dimension)
-                            && a.level.eq_ignore_ascii_case(&lr.level)
-                    })
-                    .expect("answers() checked")
-            })
-            .collect();
-        let slice_pos: Vec<(usize, &Value)> = query
-            .slices
-            .iter()
-            .map(|s| {
-                (
-                    self.axes
-                        .iter()
-                        .position(|a| {
-                            a.dimension.eq_ignore_ascii_case(&s.level.dimension)
-                                && a.level.eq_ignore_ascii_case(&s.level.level)
-                        })
-                        .expect("answers() checked"),
-                    &s.member,
-                )
-            })
-            .collect();
-        let measure_pos: Vec<(usize, Aggregator)> = query
-            .measures
-            .iter()
-            .map(|name| {
-                let i = self
-                    .measures
-                    .iter()
-                    .position(|(m, _)| m.eq_ignore_ascii_case(name))
-                    .expect("answers() checked");
-                (i, self.measures[i].1)
-            })
-            .collect();
-
-        // roll up stored cells onto the requested axes
-        let mut grouped: HashMap<Vec<Value>, Vec<Value>> = HashMap::new();
-        for (coords, ms) in &self.cells {
-            if !slice_pos.iter().all(|(i, v)| &coords[*i] == *v) {
+        let at = self
+            .positions(query)
+            .ok_or_else(|| OlapError::Invalid("aggregate does not cover this query".into()))?;
+        let mut grouped = Cells::new();
+        for (coords, accs) in &self.cells {
+            if !at.slices.iter().all(|&(i, v)| coords[i] == *v) {
                 continue;
             }
-            let key: Vec<Value> = axis_pos.iter().map(|&i| coords[i].clone()).collect();
-            let entry = grouped.entry(key).or_insert_with(|| {
-                measure_pos
-                    .iter()
-                    .map(|(_, agg)| match agg {
-                        Aggregator::Sum | Aggregator::Count => Value::Null,
-                        Aggregator::Min | Aggregator::Max => Value::Null,
-                        Aggregator::Avg => Value::Null,
-                    })
-                    .collect()
-            });
-            for (out, (mi, agg)) in entry.iter_mut().zip(&measure_pos) {
-                let v = ms[*mi].render();
-                if v.is_null() {
-                    continue;
+            let key = at.axes.iter().map(|&i| coords[i].clone()).collect();
+            match grouped.entry(key) {
+                Entry::Occupied(mut e) => {
+                    for (acc, &(i, agg)) in e.get_mut().iter_mut().zip(&at.measures) {
+                        acc.merge(&accs[i], agg);
+                    }
                 }
-                *out = match (agg, &*out) {
-                    (_, Value::Null) => v.clone(),
-                    (Aggregator::Sum | Aggregator::Count, prev) => {
-                        match (prev.as_f64(), v.as_f64()) {
-                            (Some(a), Some(b)) => {
-                                if matches!((prev, &v), (Value::Int(_), Value::Int(_))) {
-                                    Value::Int(prev.as_i64().unwrap() + v.as_i64().unwrap())
-                                } else {
-                                    Value::Float(a + b)
-                                }
-                            }
-                            _ => prev.clone(),
-                        }
-                    }
-                    (Aggregator::Min, prev) => {
-                        if v < *prev {
-                            v.clone()
-                        } else {
-                            prev.clone()
-                        }
-                    }
-                    (Aggregator::Max, prev) => {
-                        if v > *prev {
-                            v.clone()
-                        } else {
-                            prev.clone()
-                        }
-                    }
-                    // answers() refuses AVG roll-ups, but a query whose key
-                    // still collapses distinct stored cells (e.g. duplicate
-                    // axes) can reach a merge; surface it instead of
-                    // silently keeping the first-seen value. (The internal
-                    // SUM+COUNT pair could express it, but the cache's
-                    // roll-up contract for AVG is pinned to refuse.)
-                    (Aggregator::Avg, _) => {
-                        return Err(OlapError::Invalid(format!(
-                            "measure {} (AVG) cannot be re-aggregated from materialized cells",
-                            self.measures[*mi].0
-                        )))
-                    }
-                };
+                Entry::Vacant(e) => {
+                    e.insert(at.measures.iter().map(|&(i, _)| accs[i].clone()).collect());
+                }
             }
         }
-        let mut cells: Vec<(Vec<Value>, Vec<Value>)> = grouped.into_iter().collect();
+        // with no axes the SQL is a global aggregate: one row, even of none
+        if query.axes.is_empty() && grouped.is_empty() {
+            let empty = at.measures.iter().map(|&(_, agg)| CellAcc::empty(agg));
+            grouped.insert(Vec::new(), empty.collect());
+        }
+        let mut cells: Vec<(Vec<Value>, Vec<Value>)> = grouped
+            .into_iter()
+            .map(|(key, accs)| (key, accs.iter().map(CellAcc::render).collect()))
+            .collect();
         cells.sort_by(|(a, _), (b, _)| a.cmp(b));
         Ok(CellSet {
             axis_names: query
@@ -666,66 +784,13 @@ impl MaterializedAggregate {
     }
 }
 
-/// Execute the defining aggregation and store the result as accumulator
-/// cells. AVG measures query their SUM+COUNT decomposition (two synthetic
-/// measures on the same column) in one pass so the pair is consistent.
-fn build_cells(
-    engine: &CubeEngine,
-    def: &CubeDef,
-    axes: &[LevelRef],
-    measures: &[(String, Aggregator)],
-) -> Result<HashMap<Vec<Value>, Vec<CellAcc>>, OlapError> {
-    let mut qcube = def.clone();
-    let mut qnames = Vec::new();
-    for (name, agg) in measures {
-        if matches!(agg, Aggregator::Avg) {
-            let column = def.measure(name)?.column.clone();
-            for (suffix, sub) in [("isum", Aggregator::Sum), ("icnt", Aggregator::Count)] {
-                let qname = format!("{name}__{suffix}");
-                qcube.measures.push(MeasureDef {
-                    name: qname.clone(),
-                    column: column.clone(),
-                    aggregator: sub,
-                });
-                qnames.push(qname);
-            }
-        } else {
-            qnames.push(name.clone());
-        }
-    }
-    let cs = engine.query(
-        &qcube,
-        &CubeQuery {
-            axes: axes.to_vec(),
-            slices: vec![],
-            measures: qnames,
-        },
-    )?;
-    let mut cells = HashMap::with_capacity(cs.cells.len());
-    for (coords, vals) in cs.cells {
-        let mut it = vals.into_iter();
-        let mut accs = Vec::with_capacity(measures.len());
-        for (_, agg) in measures {
-            if matches!(agg, Aggregator::Avg) {
-                let sum = it.next().unwrap_or(Value::Null);
-                let count = it.next().and_then(|v| v.as_i64()).unwrap_or(0);
-                accs.push(CellAcc::AvgPair { sum, count });
-            } else {
-                accs.push(CellAcc::Plain(it.next().unwrap_or(Value::Null)));
-            }
-        }
-        cells.insert(coords, accs);
-    }
-    Ok(cells)
-}
-
 /// What one [`AggregateCache::apply_deltas`] call did, for telemetry and
 /// tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaReport {
     /// Insert deltas folded in place, counted once per aggregate.
     pub folded: usize,
-    /// Aggregates rebuilt from the engine (stale, or fold impossible).
+    /// Aggregates rebuilt from the warehouse (stale, or fold impossible).
     pub rebuilt: usize,
     /// Aggregates dropped (fact table gone, or rebuild failed).
     pub dropped: usize,
@@ -767,8 +832,9 @@ impl AggregateCache {
         self.aggregates.is_empty()
     }
 
-    /// Drop every aggregate (the pre-streaming invalidation hammer, still
-    /// used when the warehouse is rebuilt wholesale).
+    /// Drop every aggregate. The platform never needs to: deltas keep the
+    /// cache current. The end-to-end benchmark's ladder clears it to time
+    /// a publication with no aggregate and a build from nothing.
     pub fn clear(&mut self) {
         self.aggregates.clear();
     }
@@ -790,7 +856,7 @@ impl AggregateCache {
     /// the next batch rebuilds it, and until then queries go live.
     pub fn apply_deltas(
         &mut self,
-        engine: &CubeEngine,
+        db: &Database,
         deltas: Vec<TableDelta>,
         unapplied: impl Fn(&str) -> bool,
     ) -> DeltaReport {
@@ -826,7 +892,7 @@ impl AggregateCache {
                 return true;
             }
             report.rebuilt += 1;
-            if a.rebuild(engine).is_err() {
+            if a.rebuild(db).is_err() {
                 report.dropped += 1;
                 return false;
             }
@@ -859,7 +925,7 @@ impl AggregateCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube::Slice;
+    use crate::cube::{CubeEngine, DimensionDef, LevelDef, MeasureDef, Slice};
     use crate::test_fixtures::{sales_cube, sales_db};
     use odbis_sql::Engine;
     use std::sync::Arc;
@@ -877,7 +943,7 @@ mod tests {
             LevelRef::new("store", "region"),
         ];
         let agg = MaterializedAggregate::build(
-            &engine,
+            engine.database(),
             &cube,
             axes.clone(),
             vec!["revenue".into(), "units".into()],
@@ -900,7 +966,7 @@ mod tests {
         let engine = engine();
         let cube = sales_cube();
         let agg = MaterializedAggregate::build(
-            &engine,
+            engine.database(),
             &cube,
             vec![
                 LevelRef::new("time", "year"),
@@ -926,7 +992,7 @@ mod tests {
         let engine = engine();
         let cube = sales_cube();
         let agg = MaterializedAggregate::build(
-            &engine,
+            engine.database(),
             &cube,
             vec![
                 LevelRef::new("time", "year"),
@@ -952,7 +1018,7 @@ mod tests {
     fn avg_cannot_roll_up_but_exact_match_ok() {
         let engine = engine();
         let mut cube = sales_cube();
-        cube.measures.push(crate::cube::MeasureDef {
+        cube.measures.push(MeasureDef {
             name: "avg_amount".into(),
             column: "amount".into(),
             aggregator: Aggregator::Avg,
@@ -961,9 +1027,13 @@ mod tests {
             LevelRef::new("time", "year"),
             LevelRef::new("store", "region"),
         ];
-        let agg =
-            MaterializedAggregate::build(&engine, &cube, axes.clone(), vec!["avg_amount".into()])
-                .unwrap();
+        let agg = MaterializedAggregate::build(
+            engine.database(),
+            &cube,
+            axes.clone(),
+            vec!["avg_amount".into()],
+        )
+        .unwrap();
         // exact-match query is fine
         let exact = CubeQuery {
             axes: axes.clone(),
@@ -982,19 +1052,19 @@ mod tests {
 
     #[test]
     fn duplicate_axis_avg_merge_errors_instead_of_wrong_value() {
-        // Axes [year, year] pass answers() (same arity, every axis covered)
-        // but collapse distinct (year, region) cells onto one key, forcing
-        // a merge AVG cannot express — 2009 has both EU and US cells. This
-        // must be a structured error, not a silent first-seen value.
+        // Axes [year, year] have the stored arity but leave region out, so
+        // distinct (year, region) cells would merge onto one key — 2009 has
+        // both EU and US cells. That is a roll-up, which AVG refuses: a
+        // structured error, never a silent first-seen value.
         let engine = engine();
         let mut cube = sales_cube();
-        cube.measures.push(crate::cube::MeasureDef {
+        cube.measures.push(MeasureDef {
             name: "avg_amount".into(),
             column: "amount".into(),
             aggregator: Aggregator::Avg,
         });
         let agg = MaterializedAggregate::build(
-            &engine,
+            engine.database(),
             &cube,
             vec![
                 LevelRef::new("time", "year"),
@@ -1008,7 +1078,7 @@ mod tests {
             slices: vec![],
             measures: vec!["avg_amount".into()],
         };
-        assert!(agg.answers(&q));
+        assert!(!agg.answers(&q));
         assert!(matches!(agg.execute(&q), Err(OlapError::Invalid(_))));
     }
 
@@ -1019,7 +1089,7 @@ mod tests {
         let mut cache = AggregateCache::new();
         cache.add(
             MaterializedAggregate::build(
-                &engine,
+                engine.database(),
                 &cube,
                 vec![LevelRef::new("store", "region")],
                 vec!["revenue".into()],
@@ -1044,7 +1114,7 @@ mod tests {
     // ------------------------------------------------ delta maintenance
 
     #[test]
-    fn insert_delta_matches_rebuild_across_snowflake_and_degenerate_axes() {
+    fn insert_delta_matches_live_query_across_snowflake_and_degenerate_axes() {
         let db = Arc::new(sales_db());
         let engine = CubeEngine::new(Arc::clone(&db));
         let cube = sales_cube();
@@ -1053,7 +1123,7 @@ mod tests {
             LevelRef::new("store", "region"),
         ];
         let mut agg = MaterializedAggregate::build(
-            &engine,
+            engine.database(),
             &cube,
             axes.clone(),
             vec!["revenue".into(), "units".into()],
@@ -1089,13 +1159,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(agg.apply_delta("fact_sales", &delta), DeltaOutcome::Folded);
-        let rebuilt = MaterializedAggregate::build(
-            &engine,
-            &cube,
-            axes.clone(),
-            vec!["revenue".into(), "units".into()],
-        )
-        .unwrap();
         let q = CubeQuery {
             axes,
             slices: vec![],
@@ -1103,7 +1166,7 @@ mod tests {
         };
         assert_eq!(
             agg.execute(&q).unwrap().cells,
-            rebuilt.execute(&q).unwrap().cells
+            engine.query(&cube, &q).unwrap().cells
         );
     }
 
@@ -1118,9 +1181,13 @@ mod tests {
             aggregator: Aggregator::Avg,
         });
         let axes = vec![LevelRef::new("store", "region")];
-        let mut agg =
-            MaterializedAggregate::build(&engine, &cube, axes.clone(), vec!["avg_amount".into()])
-                .unwrap();
+        let mut agg = MaterializedAggregate::build(
+            engine.database(),
+            &cube,
+            axes.clone(),
+            vec!["avg_amount".into()],
+        )
+        .unwrap();
         Engine::new()
             .execute(&db, "INSERT INTO fact_sales VALUES (5, 1, 2011, 1, 70, 3)")
             .unwrap();
@@ -1160,9 +1227,13 @@ mod tests {
         let engine = CubeEngine::new(Arc::clone(&db));
         let cube = sales_cube();
         let axes = vec![LevelRef::new("store", "region")];
-        let mut agg =
-            MaterializedAggregate::build(&engine, &cube, axes.clone(), vec!["revenue".into()])
-                .unwrap();
+        let mut agg = MaterializedAggregate::build(
+            engine.database(),
+            &cube,
+            axes.clone(),
+            vec!["revenue".into()],
+        )
+        .unwrap();
         // store 99 has no dim_store row: the ROLAP join drops it
         Engine::new()
             .execute(
@@ -1197,7 +1268,6 @@ mod tests {
     /// `dim(k, g)` holding `dim_rows`, `f(id, k)` holding fact 1 with
     /// `k = 1`, and the cube counting facts by `d.g`.
     fn two_table_cube(dim_rows: &str) -> (Arc<Database>, CubeEngine, CubeDef) {
-        use crate::cube::{DimensionDef, LevelDef};
         let db = Arc::new(Database::new());
         Engine::new()
             .execute_script(
@@ -1259,7 +1329,7 @@ mod tests {
     fn null_fk_folds_into_no_cell_even_beside_a_null_dimension_key() {
         let (db, engine, cube) = two_table_cube("(1, 'a'), (NULL, 'nullgroup')");
         let mut agg = MaterializedAggregate::build(
-            &engine,
+            engine.database(),
             &cube,
             vec![LevelRef::new("d", "g")],
             vec!["n".into()],
@@ -1273,7 +1343,7 @@ mod tests {
     fn duplicate_dimension_key_fans_a_fact_row_out_like_the_join() {
         let (db, engine, cube) = two_table_cube("(1, 'a'), (1, 'b')");
         let mut agg = MaterializedAggregate::build(
-            &engine,
+            engine.database(),
             &cube,
             vec![LevelRef::new("d", "g")],
             vec!["n".into()],
@@ -1291,7 +1361,7 @@ mod tests {
         let mut cache = AggregateCache::new();
         cache.add(
             MaterializedAggregate::build(
-                &engine,
+                engine.database(),
                 &cube,
                 vec![LevelRef::new("store", "region")],
                 vec!["revenue".into()],
@@ -1303,7 +1373,7 @@ mod tests {
             table: "somewhere_else".into(),
             rows: vec![vec![1.into()]],
         };
-        let r = cache.apply_deltas(&engine, vec![unrelated], |_| false);
+        let r = cache.apply_deltas(engine.database(), vec![unrelated], |_| false);
         assert_eq!((r.folded, r.rebuilt, r.dropped), (0, 0, 0));
         assert_eq!(cache.len(), 1);
         // a mutation of the fact table forces a rebuild — and the rebuilt
@@ -1314,7 +1384,7 @@ mod tests {
         let mutate = TableDelta::Mutate {
             table: "fact_sales".into(),
         };
-        let r = cache.apply_deltas(&engine, vec![mutate], |_| false);
+        let r = cache.apply_deltas(engine.database(), vec![mutate], |_| false);
         assert_eq!(r.rebuilt, 1);
         let q = CubeQuery {
             axes: vec![LevelRef::new("store", "region")],
@@ -1339,7 +1409,7 @@ mod tests {
         let mut cache = AggregateCache::new();
         cache.add(
             MaterializedAggregate::build(
-                &engine,
+                engine.database(),
                 &cube,
                 vec![LevelRef::new("store", "region")],
                 vec!["revenue".into()],
@@ -1379,7 +1449,7 @@ mod tests {
             .execute(&db, "UPDATE fact_sales SET amount = 1 WHERE id = 1")
             .unwrap();
         let batch = vec![mutate(), insert(5)];
-        let r = cache.apply_deltas(&engine, batch, |_| false);
+        let r = cache.apply_deltas(engine.database(), batch, |_| false);
         assert_eq!((r.folded, r.rebuilt), (0, 1));
         assert_eq!(
             cache.try_answer("sales", &q).unwrap().cells,
@@ -1388,13 +1458,13 @@ mod tests {
 
         // row 6 is in the table the rebuild reads, its delta is not
         let late = insert(6);
-        let r = cache.apply_deltas(&engine, vec![mutate()], |t| t == "fact_sales");
+        let r = cache.apply_deltas(engine.database(), vec![mutate()], |t| t == "fact_sales");
         assert_eq!(r.rebuilt, 1);
         assert!(
             cache.try_answer("sales", &q).is_none(),
             "stale, not doubled"
         );
-        let r = cache.apply_deltas(&engine, vec![late], |_| false);
+        let r = cache.apply_deltas(engine.database(), vec![late], |_| false);
         assert_eq!((r.folded, r.rebuilt), (0, 1));
         assert_eq!(
             cache.try_answer("sales", &q).unwrap().cells,
@@ -1410,7 +1480,7 @@ mod tests {
         let mut cache = AggregateCache::new();
         cache.add(
             MaterializedAggregate::build(
-                &engine,
+                engine.database(),
                 &cube,
                 vec![LevelRef::new("store", "region")],
                 vec!["revenue".into()],
@@ -1420,8 +1490,227 @@ mod tests {
         let drop = TableDelta::Drop {
             table: "fact_sales".into(),
         };
-        let r = cache.apply_deltas(&engine, vec![drop], |_| false);
+        let r = cache.apply_deltas(engine.database(), vec![drop], |_| false);
         assert_eq!(r.dropped, 1);
         assert!(cache.is_empty());
+    }
+
+    // ------------------------------------------------ fold builds
+
+    /// `got` equals `want`, cell by cell, floats to 1e-9 relative (a
+    /// float sum's value depends on the order its terms are added in).
+    fn assert_same_cells(got: &CellSet, want: &CellSet, what: &str) {
+        assert_eq!(
+            got.cells.len(),
+            want.cells.len(),
+            "{what}: {got:?} vs {want:?}"
+        );
+        for ((gk, gv), (wk, wv)) in got.cells.iter().zip(&want.cells) {
+            assert_eq!(gk, wk, "{what}");
+            for (g, w) in gv.iter().zip(wv) {
+                match (g, w) {
+                    (Value::Float(a), Value::Float(b)) => assert!(
+                        (a - b).abs() <= 1e-9 * a.abs().max(b.abs()).max(1.0),
+                        "{what}: {a} vs {b}"
+                    ),
+                    _ => assert_eq!(g, w, "{what}"),
+                }
+            }
+        }
+    }
+
+    /// A cube over `f` whose dimensions are the fact columns `levels`, one
+    /// level each, named after its column.
+    fn degenerate_cube(levels: &[&str], measures: Vec<MeasureDef>) -> CubeDef {
+        CubeDef {
+            name: "c".into(),
+            fact_table: "f".into(),
+            dimensions: levels
+                .iter()
+                .map(|&l| DimensionDef {
+                    name: l.into(),
+                    table: None,
+                    fact_fk: String::new(),
+                    dim_key: String::new(),
+                    levels: vec![LevelDef {
+                        name: l.into(),
+                        column: l.into(),
+                    }],
+                })
+                .collect(),
+            measures,
+        }
+    }
+
+    #[test]
+    fn rollup_sum_past_i64_max_promotes_to_float_like_the_engine() {
+        let db = Arc::new(Database::new());
+        Engine::new()
+            .execute_script(
+                &db,
+                &format!(
+                    "CREATE TABLE f (id INT, yr INT, g INT, amt INT);
+                     INSERT INTO f VALUES (1, 2020, 1, {}), (2, 2020, 2, 100);",
+                    i64::MAX - 10
+                ),
+            )
+            .unwrap();
+        let cube = degenerate_cube(
+            &["yr", "g"],
+            vec![MeasureDef {
+                name: "s".into(),
+                column: "amt".into(),
+                aggregator: Aggregator::Sum,
+            }],
+        );
+        let agg = MaterializedAggregate::build(
+            &db,
+            &cube,
+            vec![LevelRef::new("yr", "yr"), LevelRef::new("g", "g")],
+            vec!["s".into()],
+        )
+        .unwrap();
+        let q = CubeQuery {
+            axes: vec![LevelRef::new("yr", "yr")],
+            slices: vec![],
+            measures: vec!["s".into()],
+        };
+        let live = CubeEngine::new(Arc::clone(&db)).query(&cube, &q).unwrap();
+        assert_eq!(
+            live.cells,
+            vec![(
+                vec![Value::Int(2020)],
+                vec![Value::Float(9.223372036854776e18)]
+            )]
+        );
+        assert_eq!(agg.execute(&q).unwrap().cells, live.cells);
+    }
+
+    /// What only a build that folds the fact table can get wrong. Each
+    /// case's warehouse gets two aggregates; each answers its exact query
+    /// and a roll-up from its cells, equal to the live SQL, and refuses
+    /// the roll-up whose SQL would not join the dimension it joins.
+    #[test]
+    fn fold_build_matches_live_query_on_every_table_shape() {
+        // fact `id` of the base rows: k = id % 4 (k = 0 has no dimension
+        // row), every 11th amount and every 17th name NULL
+        let fact = |id: i64| {
+            let or_null = |every: i64, v: Value| if id % every == 0 { Value::Null } else { v };
+            vec![
+                Value::Int(id),
+                Value::Int(id % 4),
+                Value::Int(2020 + id % 3),
+                or_null(11, Value::Float((id % 7) as f64 * 0.1 + 0.25)),
+                Value::Int(id % 5),
+                or_null(17, Value::Text(format!("n{}", id % 13))),
+            ]
+        };
+        let cases: [(&str, i64, &str); 7] = [
+            ("deleted rows", 40, "DELETE FROM f WHERE id % 3 = 0"),
+            ("empty fact table", 0, ""),
+            ("three 4 096-row chunks", 9_000, ""),
+            (
+                "NULL foreign key",
+                20,
+                "INSERT INTO f VALUES (100, NULL, 2020, 1.5, 1, 'a'), (101, NULL, 2099, 2.5, 2, 'b')",
+            ),
+            ("a dimension key with two rows", 20, "INSERT INTO dim VALUES (2, 'b2')"),
+            (
+                "MIN and MAX over TEXT",
+                20,
+                "INSERT INTO f VALUES (200, 3, 2030, 1.0, 1, NULL), (201, 1, 2020, 1.0, 1, '')",
+            ),
+            (
+                "AVG over FLOAT",
+                20,
+                "INSERT INTO f VALUES (300, 1, 2031, 0.1, 1, 'x'), (301, 1, 2031, 0.2, 1, 'y'), (302, 1, 2031, NULL, 1, 'z')",
+            ),
+        ];
+        let measure = |name: &str, column: &str, aggregator| MeasureDef {
+            name: name.into(),
+            column: column.into(),
+            aggregator,
+        };
+        let cube = CubeDef {
+            name: "c".into(),
+            fact_table: "f".into(),
+            dimensions: vec![
+                DimensionDef {
+                    name: "d".into(),
+                    table: Some("dim".into()),
+                    fact_fk: "k".into(),
+                    dim_key: "k".into(),
+                    levels: vec![LevelDef {
+                        name: "g".into(),
+                        column: "g".into(),
+                    }],
+                },
+                degenerate_cube(&["yr"], vec![]).dimensions.remove(0),
+            ],
+            measures: vec![
+                measure("n", "id", Aggregator::Count),
+                measure("qty", "qty", Aggregator::Sum),
+                measure("amt", "amt", Aggregator::Sum),
+                measure("lo", "name", Aggregator::Min),
+                measure("hi", "name", Aggregator::Max),
+                measure("mean", "amt", Aggregator::Avg),
+            ],
+        };
+        let names = |ms: &[&str]| ms.iter().map(|m| m.to_string()).collect::<Vec<_>>();
+        let all = names(&["n", "qty", "amt", "lo", "hi", "mean"]);
+        let no_avg = names(&["n", "qty", "amt", "lo", "hi"]);
+        let (g, yr) = (LevelRef::new("d", "g"), LevelRef::new("yr", "yr"));
+        // stored axes, then (query axes, measures, answered from the cells)
+        let shapes = [
+            (
+                vec![g.clone(), yr.clone()],
+                vec![
+                    (vec![g.clone(), yr.clone()], &all, true),
+                    (vec![g.clone()], &no_avg, true),
+                    // the live SQL would not join `dim`, so it counts the
+                    // rows the join hides: the cache goes live
+                    (vec![yr.clone()], &no_avg, false),
+                ],
+            ),
+            (
+                vec![yr.clone()],
+                vec![(vec![yr.clone()], &all, true), (vec![], &no_avg, true)],
+            ),
+        ];
+        for (case, rows, script) in cases {
+            let db = Arc::new(Database::new());
+            Engine::new()
+                .execute_script(
+                    &db,
+                    "CREATE TABLE dim (k INT, g TEXT);
+                     INSERT INTO dim VALUES (1, 'a'), (2, 'b'), (3, 'c');
+                     CREATE TABLE f (id INT, k INT, yr INT, amt DOUBLE, qty INT, name TEXT);",
+                )
+                .unwrap();
+            for id in 1..=rows {
+                db.insert("f", fact(id)).unwrap();
+            }
+            if !script.is_empty() {
+                Engine::new().execute(&db, script).unwrap();
+            }
+            let engine = CubeEngine::new(Arc::clone(&db));
+            for (stored, queries) in &shapes {
+                let agg =
+                    MaterializedAggregate::build(&db, &cube, stored.clone(), all.clone()).unwrap();
+                for (axes, measures, answered) in queries {
+                    let q = CubeQuery {
+                        axes: axes.clone(),
+                        slices: vec![],
+                        measures: measures.to_vec(),
+                    };
+                    let what = format!("{case}: {stored:?} answering {axes:?}");
+                    assert_eq!(agg.answers(&q), *answered, "{what}");
+                    if *answered {
+                        let live = engine.query(&cube, &q).unwrap();
+                        assert_same_cells(&agg.execute(&q).unwrap(), &live, &what);
+                    }
+                }
+            }
+        }
     }
 }

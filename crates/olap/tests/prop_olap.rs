@@ -90,7 +90,7 @@ proptest! {
         let engine = CubeEngine::new(Arc::clone(&db));
         let c = cube();
         let agg = MaterializedAggregate::build(
-            &engine,
+            &db,
             &c,
             vec![LevelRef::new("g", "a"), LevelRef::new("h", "b")],
             vec!["m".into()],

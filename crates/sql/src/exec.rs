@@ -334,7 +334,7 @@ fn morsel_ranges(n: usize) -> Vec<(usize, usize)> {
 /// thread is the first worker — it maps the first chunk itself instead of
 /// sleeping until the others finish — so `threads` workers cost
 /// `threads - 1` spawns, and one worker (or one item) spawns nothing.
-fn par_chunks<T: Send, R: Send>(
+pub fn par_chunks<T: Send, R: Send>(
     items: Vec<T>,
     threads: usize,
     f: impl Fn(Vec<T>) -> R + Sync,

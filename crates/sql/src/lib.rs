@@ -37,6 +37,7 @@ pub mod plan;
 pub mod planner;
 
 pub use error::{SqlError, SqlResult};
+pub use exec::par_chunks;
 pub use expr::{like_match, BExpr};
 pub use functions::{cast_value, ScalarFunc};
 pub use parser::{parse, parse_script};
