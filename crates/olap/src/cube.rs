@@ -7,42 +7,9 @@ use odbis_storage::{Database, Value};
 
 use crate::OlapError;
 
-/// Aggregators available for measures (mirrors the CWM OLAP `Measure`
-/// aggregator enum).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // self-documenting
-pub enum Aggregator {
-    Sum,
-    Count,
-    Avg,
-    Min,
-    Max,
-}
-
-impl Aggregator {
-    /// SQL function name.
-    pub fn sql(self) -> &'static str {
-        match self {
-            Aggregator::Sum => "SUM",
-            Aggregator::Count => "COUNT",
-            Aggregator::Avg => "AVG",
-            Aggregator::Min => "MIN",
-            Aggregator::Max => "MAX",
-        }
-    }
-
-    /// Parse a name (as in MDX-lite / CWM models).
-    pub fn parse(s: &str) -> Option<Aggregator> {
-        match s.to_ascii_uppercase().as_str() {
-            "SUM" => Some(Aggregator::Sum),
-            "COUNT" => Some(Aggregator::Count),
-            "AVG" => Some(Aggregator::Avg),
-            "MIN" => Some(Aggregator::Min),
-            "MAX" => Some(Aggregator::Max),
-            _ => None,
-        }
-    }
-}
+/// A measure's aggregator (the CWM OLAP `Measure` aggregator enum) is the
+/// SQL aggregate function: a cube cell is what that SQL aggregate answers.
+pub use odbis_sql::ast::AggFunc as Aggregator;
 
 /// A measure: an aggregated fact column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -320,7 +287,7 @@ impl CubeEngine {
             let m = cube.measure(mname)?;
             select_parts.push(format!(
                 "{}(f.{}) AS {}",
-                m.aggregator.sql(),
+                m.aggregator.name(),
                 m.column,
                 m.name
             ));

@@ -13,7 +13,8 @@
 //!   pivot;
 //! * [`parse_mdx`] — MDX-lite (`SELECT m BY d.l FROM cube WHERE ...`);
 //! * [`MaterializedAggregate`] / [`AggregateCache`] — pre-aggregation
-//!   (ablation A2), with correct refusal to re-aggregate AVG;
+//!   (ablation A2): cells hold the SQL engine's [`odbis_sql::Accumulator`]s,
+//!   so a roll-up, AVG included, answers what the SQL would;
 //! * [`mining`] — k-means, linear regression and association rules.
 
 #![warn(missing_docs)]

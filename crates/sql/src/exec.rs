@@ -29,7 +29,8 @@ use odbis_storage::{
     NULL_ROW,
 };
 
-use crate::ast::{AggFunc, JoinKind};
+use crate::accumulator::Accumulator;
+use crate::ast::JoinKind;
 use crate::error::{SqlError, SqlResult};
 use crate::expr::{keep_mask, truth, BExpr};
 use crate::plan::{equi_pairs, AggExpr, Plan, PlanNode};
@@ -693,7 +694,7 @@ fn parallel_aggregate(
     .into_iter();
     let mut global = states.next().unwrap_or_else(|| Ok(GroupState::new()))?;
     for state in states {
-        global.merge(state?)?;
+        global.merge(state?);
     }
     Ok(global)
 }
@@ -835,135 +836,10 @@ fn join_rows(
     Ok(out)
 }
 
-/// One accumulator per (group, aggregate).
-#[derive(Debug, Clone)]
-struct Acc {
-    count: i64,
-    sum_f: f64,
-    sum_i: i64,
-    all_int: bool,
-    min: Option<Value>,
-    max: Option<Value>,
-    distinct: Option<HashSet<Value>>,
-}
-
-impl Acc {
-    fn new(distinct: bool) -> Self {
-        Acc {
-            count: 0,
-            sum_f: 0.0,
-            sum_i: 0,
-            all_int: true,
-            min: None,
-            max: None,
-            distinct: if distinct { Some(HashSet::new()) } else { None },
-        }
-    }
-
-    fn update(&mut self, v: &Value) -> SqlResult<()> {
-        if v.is_null() {
-            return Ok(());
-        }
-        if let Some(set) = &mut self.distinct {
-            if !set.insert(v.clone()) {
-                return Ok(());
-            }
-        }
-        self.count += 1;
-        match v {
-            Value::Int(i) => {
-                // On i64 overflow the SUM result promotes to Float (the
-                // f64 running sum keeps going) instead of wrapping.
-                match self.sum_i.checked_add(*i) {
-                    Some(s) => self.sum_i = s,
-                    None => self.all_int = false,
-                }
-                self.sum_f += *i as f64;
-            }
-            Value::Float(f) => {
-                self.all_int = false;
-                self.sum_f += f;
-            }
-            _ => self.all_int = false,
-        }
-        match &self.min {
-            Some(m) if v >= m => {}
-            _ => self.min = Some(v.clone()),
-        }
-        match &self.max {
-            Some(m) if v <= m => {}
-            _ => self.max = Some(v.clone()),
-        }
-        Ok(())
-    }
-
-    /// Fold another partial accumulator for the same (group, aggregate)
-    /// into this one (the merge phase of two-phase aggregation).
-    fn merge(&mut self, other: Acc) -> SqlResult<()> {
-        if let Some(set) = other.distinct {
-            // DISTINCT partials may overlap across workers: replay the
-            // other side's distinct values through `update`, which
-            // deduplicates against (and extends) our own set.
-            for v in set {
-                self.update(&v)?;
-            }
-            return Ok(());
-        }
-        self.count += other.count;
-        match self.sum_i.checked_add(other.sum_i) {
-            Some(s) => self.sum_i = s,
-            None => self.all_int = false,
-        }
-        self.sum_f += other.sum_f;
-        self.all_int &= other.all_int;
-        if let Some(m) = other.min {
-            match &self.min {
-                Some(cur) if *cur <= m => {}
-                _ => self.min = Some(m),
-            }
-        }
-        if let Some(m) = other.max {
-            match &self.max {
-                Some(cur) if *cur >= m => {}
-                _ => self.max = Some(m),
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(&self, func: AggFunc, numeric_input: bool) -> SqlResult<Value> {
-        Ok(match func {
-            AggFunc::Count => Value::Int(self.count),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else if !numeric_input {
-                    return Err(SqlError::Type("SUM over non-numeric values".into()));
-                } else if self.all_int {
-                    Value::Int(self.sum_i)
-                } else {
-                    Value::Float(self.sum_f)
-                }
-            }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else if !numeric_input {
-                    return Err(SqlError::Type("AVG over non-numeric values".into()));
-                } else {
-                    Value::Float(self.sum_f / self.count as f64)
-                }
-            }
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
-        })
-    }
-}
-
 /// Running hash-aggregation state: group key → (first-seen order,
-/// accumulators, per-aggregate numeric-input flags).
+/// one accumulator per aggregate).
 struct GroupState {
-    groups: HashMap<Vec<Value>, (usize, Vec<Acc>, Vec<bool>)>,
+    groups: HashMap<Vec<Value>, (usize, Vec<Accumulator>)>,
 }
 
 impl GroupState {
@@ -973,87 +849,68 @@ impl GroupState {
         }
     }
 
-    /// Accumulator entry for `key`, creating it on first sight. Looks up
-    /// by slice so the per-row scratch key is only cloned for new groups,
-    /// not on every row.
-    fn entry(&mut self, key: &[Value], aggs: &[AggExpr]) -> &mut (usize, Vec<Acc>, Vec<bool>) {
+    /// The accumulators of `key`'s group, creating it on first sight.
+    /// Looks up by slice so the per-row scratch key is only cloned for new
+    /// groups, not on every row.
+    fn entry(&mut self, key: &[Value], aggs: &[AggExpr]) -> &mut [Accumulator] {
         if !self.groups.contains_key(key) {
-            self.groups.insert(
-                key.to_vec(),
-                (
-                    self.groups.len(),
-                    aggs.iter().map(|a| Acc::new(a.distinct)).collect(),
-                    vec![true; aggs.len()],
-                ),
-            );
+            let accs = aggs
+                .iter()
+                .map(|a| Accumulator::new(a.func, a.distinct))
+                .collect();
+            self.groups.insert(key.to_vec(), (self.groups.len(), accs));
         }
-        self.groups.get_mut(key).expect("entry just ensured")
-    }
-
-    fn accumulate(
-        entry: &mut (usize, Vec<Acc>, Vec<bool>),
-        ai: usize,
-        arg: Option<Value>,
-    ) -> SqlResult<()> {
-        match arg {
-            None => {
-                // COUNT(*): count every row including NULLs
-                entry.1[ai].count += 1;
-            }
-            Some(v) => {
-                if !v.is_null() && v.as_f64().is_none() {
-                    entry.2[ai] = false;
-                }
-                entry.1[ai].update(&v)?;
-            }
-        }
-        Ok(())
+        &mut self.groups.get_mut(key).expect("entry just ensured").1
     }
 
     /// Merge another partial state into this one. `other`'s groups are
     /// visited in its first-seen order, so merging worker states in
     /// worker (= scan) order preserves the global first-seen order.
-    fn merge(&mut self, other: GroupState) -> SqlResult<()> {
+    fn merge(&mut self, other: GroupState) {
         let mut theirs: Vec<_> = other.groups.into_iter().collect();
-        theirs.sort_unstable_by_key(|(_, (ord, ..))| *ord);
-        for (key, (_, accs, numeric)) in theirs {
+        theirs.sort_unstable_by_key(|(_, (ord, _))| *ord);
+        for (key, (_, accs)) in theirs {
             let ord = self.groups.len();
             match self.groups.entry(key) {
                 Entry::Vacant(slot) => {
-                    slot.insert((ord, accs, numeric));
+                    slot.insert((ord, accs));
                 }
                 Entry::Occupied(mut slot) => {
-                    let entry = slot.get_mut();
-                    for (ai, acc) in accs.into_iter().enumerate() {
-                        entry.1[ai].merge(acc)?;
-                        entry.2[ai] &= numeric[ai];
+                    for (mine, acc) in slot.get_mut().1.iter_mut().zip(&accs) {
+                        mine.merge(acc);
                     }
                 }
             }
         }
-        Ok(())
     }
 
     fn finish(self, group_exprs: &[BExpr], aggs: &[AggExpr]) -> SqlResult<Vec<Vec<Value>>> {
         // Global aggregation over an empty input still yields one row.
         if group_exprs.is_empty() && self.groups.is_empty() {
-            let mut row = Vec::with_capacity(aggs.len());
-            for agg in aggs {
-                let acc = Acc::new(agg.distinct);
-                row.push(acc.finish(agg.func, true)?);
-            }
+            let row = aggs
+                .iter()
+                .map(|a| Accumulator::new(a.func, a.distinct).finish())
+                .collect::<SqlResult<_>>()?;
             return Ok(vec![row]);
         }
         let mut out: Vec<(usize, Vec<Value>)> = Vec::with_capacity(self.groups.len());
-        for (key, (ord, accs, numeric)) in self.groups {
+        for (key, (ord, accs)) in self.groups {
             let mut row = key;
-            for (ai, agg) in aggs.iter().enumerate() {
-                row.push(accs[ai].finish(agg.func, numeric[ai])?);
+            for acc in &accs {
+                row.push(acc.finish()?);
             }
             out.push((ord, row));
         }
         out.sort_by_key(|(ord, _)| *ord);
         Ok(out.into_iter().map(|(_, r)| r).collect())
+    }
+}
+
+/// Add one row's argument to an accumulator: `None` is `COUNT(*)`'s.
+fn add_arg(acc: &mut Accumulator, arg: Option<&Value>) {
+    match arg {
+        None => acc.count_row(),
+        Some(v) => acc.add(v),
     }
 }
 
@@ -1071,13 +928,10 @@ fn aggregate(
         for g in group_exprs {
             key.push(g.eval(row)?);
         }
-        let entry = state.entry(&key, aggs);
-        for (ai, agg) in aggs.iter().enumerate() {
-            let arg = match &agg.arg {
-                None => None,
-                Some(argexpr) => Some(argexpr.eval(row)?),
-            };
-            GroupState::accumulate(entry, ai, arg)?;
+        let accs = state.entry(&key, aggs);
+        for (acc, agg) in accs.iter_mut().zip(aggs) {
+            let arg = agg.arg.as_ref().map(|e| e.eval(row)).transpose()?;
+            add_arg(acc, arg.as_ref());
         }
     }
     state.finish(group_exprs, aggs)
@@ -1232,9 +1086,7 @@ struct DenseGroups {
     /// Group id → key, in first-seen order.
     keys: Vec<Vec<Value>>,
     /// `[aggregate][group id]`.
-    accs: Vec<Vec<Acc>>,
-    /// `[aggregate][group id]`: every argument so far was numeric.
-    numeric: Vec<Vec<bool>>,
+    accs: Vec<Vec<Accumulator>>,
 }
 
 impl DenseGroups {
@@ -1249,7 +1101,6 @@ impl DenseGroups {
             pair_ids: FastMap::default(),
             keys: Vec::new(),
             accs: vec![Vec::new(); n_aggs],
-            numeric: vec![Vec::new(); n_aggs],
         })
     }
 
@@ -1282,47 +1133,29 @@ impl DenseGroups {
                 .extend(values[known..].iter().map(|v| vec![v.clone()]));
             codes.swap_remove(0)
         };
-        for (accs, numeric) in self.accs.iter_mut().zip(&mut self.numeric) {
-            accs.resize(self.keys.len(), Acc::new(false));
-            numeric.resize(self.keys.len(), true);
-        }
         Some(gids)
     }
 
     /// Fold one morsel's aggregate arguments into the rows' groups.
-    fn fold(
-        &mut self,
-        gids: &[u32],
-        arg_cols: &[Option<Arc<ColumnVec>>],
-        aggs: &[AggExpr],
-    ) -> SqlResult<()> {
-        for (ai, (agg, col)) in aggs.iter().zip(arg_cols).enumerate() {
-            let accs = &mut self.accs[ai];
+    fn fold(&mut self, gids: &[u32], arg_cols: &[Option<Arc<ColumnVec>>], aggs: &[AggExpr]) {
+        for ((accs, agg), col) in self.accs.iter_mut().zip(aggs).zip(arg_cols) {
+            accs.resize(self.keys.len(), Accumulator::new(agg.func, false));
             match col {
                 None => {
-                    // COUNT(*) counts every row, nulls included.
                     for &g in gids {
-                        accs[g as usize].count += 1;
+                        accs[g as usize].count_row();
                     }
                 }
-                Some(col) => {
-                    accumulate_column(gids, col, agg.func, accs, &mut self.numeric[ai])?;
-                }
+                Some(col) => accumulate_column(gids, col, accs),
             }
         }
-        Ok(())
     }
 
     fn into_state(self) -> GroupState {
         let mut accs: Vec<_> = self.accs.into_iter().map(Vec::into_iter).collect();
-        let mut numeric: Vec<_> = self.numeric.into_iter().map(Vec::into_iter).collect();
         let mut state = GroupState::new();
         for (ord, key) in self.keys.into_iter().enumerate() {
-            let entry = (
-                ord,
-                accs.iter_mut().filter_map(Iterator::next).collect(),
-                numeric.iter_mut().filter_map(Iterator::next).collect(),
-            );
+            let entry = (ord, accs.iter_mut().filter_map(Iterator::next).collect());
             state.groups.insert(key, entry);
         }
         state
@@ -1360,29 +1193,29 @@ fn aggregate_chunk(
             let mut gids = dense.as_mut().and_then(|d| d.group_ids(&group_cols));
             if gids.is_none() {
                 if let Some(run) = dense.take() {
-                    state.merge(run.into_state())?;
+                    state.merge(run.into_state());
                 }
                 dense = DenseGroups::for_columns(&group_cols, aggs.len());
                 gids = dense.as_mut().and_then(|d| d.group_ids(&group_cols));
             }
             if let (Some(run), Some(gids)) = (&mut dense, gids) {
-                run.fold(&gids, &arg_cols, aggs)?;
+                run.fold(&gids, &arg_cols, aggs);
                 continue;
             }
         }
         for i in 0..input.num_rows() {
             key.clear();
             key.extend(group_cols.iter().map(|c| c.value(i)));
-            let entry = state.entry(&key, aggs);
-            for (ai, col) in arg_cols.iter().enumerate() {
-                GroupState::accumulate(entry, ai, col.as_ref().map(|c| c.value(i)))?;
+            let accs = state.entry(&key, aggs);
+            for (acc, col) in accs.iter_mut().zip(&arg_cols) {
+                add_arg(acc, col.as_ref().map(|c| c.value(i)).as_ref());
             }
         }
     }
     match dense {
         Some(run) if state.groups.is_empty() => Ok(run.into_state()),
         Some(run) => {
-            state.merge(run.into_state())?;
+            state.merge(run.into_state());
             Ok(state)
         }
         None => Ok(state),
@@ -1390,55 +1223,30 @@ fn aggregate_chunk(
 }
 
 /// Fold one aggregate's argument column into its per-group accumulators.
-fn accumulate_column(
-    gids: &[u32],
-    col: &ColumnVec,
-    func: AggFunc,
-    accs: &mut [Acc],
-    numeric: &mut [bool],
-) -> SqlResult<()> {
+fn accumulate_column(gids: &[u32], col: &ColumnVec, accs: &mut [Accumulator]) {
     let nulls = col.nulls();
-    match (col.data(), func) {
-        // Count/Sum/Avg never read min/max, so the typed arms only keep the
-        // counters and sums those finishers use.
-        (ColumnData::Int(v), AggFunc::Count | AggFunc::Sum | AggFunc::Avg) => {
+    let live = |i: usize| !nulls.is_some_and(|m| m[i]);
+    match col.data() {
+        ColumnData::Int(v) => {
             for (i, &g) in gids.iter().enumerate() {
-                if nulls.is_some_and(|m| m[i]) {
-                    continue;
+                if live(i) {
+                    accs[g as usize].add_int(v[i]);
                 }
-                let acc = &mut accs[g as usize];
-                acc.count += 1;
-                match acc.sum_i.checked_add(v[i]) {
-                    Some(s) => acc.sum_i = s,
-                    None => acc.all_int = false,
-                }
-                acc.sum_f += v[i] as f64;
             }
         }
-        (ColumnData::Float(v), AggFunc::Count | AggFunc::Sum | AggFunc::Avg) => {
+        ColumnData::Float(v) => {
             for (i, &g) in gids.iter().enumerate() {
-                if nulls.is_some_and(|m| m[i]) {
-                    continue;
+                if live(i) {
+                    accs[g as usize].add_float(v[i]);
                 }
-                let acc = &mut accs[g as usize];
-                acc.count += 1;
-                acc.all_int = false;
-                acc.sum_f += v[i];
             }
         }
         _ => {
-            // Same semantics as GroupState::accumulate, addressed by id.
             for (i, &g) in gids.iter().enumerate() {
-                let v = col.value(i);
-                let g = g as usize;
-                if !v.is_null() && v.as_f64().is_none() {
-                    numeric[g] = false;
-                }
-                accs[g].update(&v)?;
+                accs[g as usize].add(&col.value(i));
             }
         }
     }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 
 #![warn(missing_docs)]
 
+mod accumulator;
 pub mod ast;
 mod error;
 mod exec;
@@ -36,6 +37,7 @@ mod parser;
 pub mod plan;
 pub mod planner;
 
+pub use accumulator::Accumulator;
 pub use error::{SqlError, SqlResult};
 pub use exec::par_chunks;
 pub use expr::{like_match, BExpr};
@@ -654,9 +656,9 @@ mod tests {
 
     #[test]
     fn sum_overflow_promotes_to_float_instead_of_wrapping() {
-        // Two i64::MAX values overflow any integer accumulator; the SUM
-        // must come back as the (lossy but ordered) f64 total, never as a
-        // wrapped negative integer.
+        // Two i64::MAX values overflow an i64; the SUM must come back as
+        // the exact total rounded once to an f64, never as a wrapped
+        // negative integer.
         for engine in [Engine::new(), Engine::with_row_execution()] {
             let db = Database::new();
             engine
@@ -681,6 +683,27 @@ mod tests {
                 .unwrap();
             assert_eq!(r.rows[0][1], Value::Float(i64::MAX as f64 * 2.0));
             assert_eq!(r.rows[1][1], Value::Int(7));
+        }
+    }
+
+    #[test]
+    fn sum_and_avg_read_bools_as_numbers_on_both_engines() {
+        for engine in [Engine::new(), Engine::with_row_execution()] {
+            let db = Database::new();
+            engine
+                .execute_script(
+                    &db,
+                    "CREATE TABLE flags (b BOOL);
+                     INSERT INTO flags VALUES (TRUE), (TRUE), (FALSE), (NULL);",
+                )
+                .unwrap();
+            let r = engine
+                .execute(&db, "SELECT SUM(b), AVG(b) FROM flags")
+                .unwrap();
+            assert_eq!(
+                r.rows,
+                vec![vec![Value::Float(2.0), Value::Float(2.0 / 3.0)]]
+            );
         }
     }
 

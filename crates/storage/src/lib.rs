@@ -56,7 +56,7 @@ pub use database::Database;
 pub use error::{DbError, DbResult};
 pub use manifest::{Manifest, SegmentEntry};
 pub use schema::{resolve_column, Column, Schema};
-pub use segment::{scan_segment, Encoding, SegmentScan, BLOCK_ROWS};
+pub use segment::{Encoding, BLOCK_ROWS};
 pub use table::{Index, RowId, Table};
 pub use value::{
     date_to_days, days_to_date, format_date, format_timestamp, is_leap_year, parse_date,

@@ -5,7 +5,7 @@
 //! blocks (the same CRC-32 framing discipline as the WAL), compressed with
 //! whichever lightweight encoding fits the data — dictionary, run-length,
 //! frame-of-reference bitpacking, or plain — and carries a min/max zone map
-//! per block so cold scans can skip blocks a range predicate excludes.
+//! per block (written and CRC-checked; no reader prunes with it yet).
 //!
 //! ## File layout
 //!
@@ -32,10 +32,10 @@
 //!
 //! The layout is column-major and blocks chunk the live rows in
 //! [`BLOCK_ROWS`] groups, identically for every column — block *i* of every
-//! column covers the same rows, so zone-map pruning on one column skips
-//! that row range across all of them. Decoding goes straight into
-//! [`ColumnVec`]s (typed vectors + null mask), so a cold scan produces a
-//! [`Batch`] without ever pivoting through rows; recovery places the
+//! column covers the same rows, so a zone map on one column bounds that
+//! row range across all of them. Decoding goes straight into
+//! [`ColumnVec`]s (typed vectors + null mask) without ever pivoting
+//! through rows; recovery places the
 //! decoded values into table chunks through the live bitmap so every
 //! surviving row keeps the `RowId` it had when the segment was written.
 //!
@@ -50,7 +50,7 @@ use std::path::Path;
 
 use serde_json::{Map, Number, Value as Json};
 
-use crate::batch::{Batch, ColumnVec};
+use crate::batch::ColumnVec;
 use crate::error::{DbError, DbResult};
 use crate::persist::write_atomic;
 use crate::schema::{Column, Schema};
@@ -65,7 +65,7 @@ pub const SEGMENT_MAGIC: &[u8; 4] = b"OSG1";
 pub const SEGMENT_VERSION: u32 = 1;
 
 /// Storage's one size constant. Live rows per block: one block of every
-/// column covers the same rows, so this is also the zone-map pruning
+/// column covers the same rows, so this is also the zone-map
 /// granularity. Row ids per table chunk, and so the rows of one scan
 /// morsel, which is the executor's unit of parallel work.
 pub const BLOCK_ROWS: usize = 4096;
@@ -1003,90 +1003,6 @@ pub(crate) fn read_segment(path: &Path) -> DbResult<(Table, u64)> {
     Ok((table, header.last_lsn))
 }
 
-/// Result of a cold columnar scan over one segment file.
-#[derive(Debug)]
-pub struct SegmentScan {
-    /// The table the segment captures.
-    pub table: String,
-    /// Live rows of the decoded chunks, as typed columns — no row pivot.
-    /// With pruning active this is a *superset* of the matching rows (zone
-    /// maps are block-granular); the caller re-applies its predicate.
-    pub batch: Batch,
-    /// Row chunks in the segment (each [`BLOCK_ROWS`] rows).
-    pub chunks_total: usize,
-    /// Chunks actually decoded (the rest were pruned by zone maps).
-    pub chunks_decoded: usize,
-}
-
-/// Scan a segment straight into a [`Batch`] without materializing rows.
-///
-/// `prune` is an optional `(column, lo, hi)` range predicate: any chunk
-/// whose zone map on `column` proves every value falls outside `[lo, hi]`
-/// is skipped — for *all* columns, since block *i* of each column covers
-/// the same rows. Bounds are inclusive; `None` leaves that side open.
-/// Chunks whose predicate column is all-null are kept (NULL handling is the
-/// caller's filter semantics, not the scan's).
-pub fn scan_segment(
-    path: impl AsRef<Path>,
-    prune: Option<(usize, Option<&Value>, Option<&Value>)>,
-) -> DbResult<SegmentScan> {
-    let path = path.as_ref();
-    let bytes = std::fs::read(path)?;
-    let header = parse_header(&bytes, path)?;
-    let chunks_total = header.blocks.first().map_or(0, Vec::len);
-    if let Some((col, _, _)) = prune {
-        if col >= header.ncols {
-            return Err(DbError::Invalid(format!(
-                "prune column {col} out of range ({} columns)",
-                header.ncols
-            )));
-        }
-    }
-
-    // decide which chunks survive, reading only the predicate column's
-    // zone maps (decode verifies the CRC of each block it touches)
-    let mut keep = vec![true; chunks_total];
-    if let Some((col, lo, hi)) = prune {
-        for (chunk, keep_slot) in keep.iter_mut().enumerate() {
-            let (start, _) = header.blocks[col][chunk];
-            let mut pos = start;
-            let block = decode_block(&bytes, &mut pos)?;
-            if let (Some(bmin), Some(bmax)) = (&block.min, &block.max) {
-                let below = hi.is_some_and(|h| bmin.cmp_total(h) == std::cmp::Ordering::Greater);
-                let above = lo.is_some_and(|l| bmax.cmp_total(l) == std::cmp::Ordering::Less);
-                if below || above {
-                    *keep_slot = false;
-                }
-            }
-        }
-    }
-    let chunks_decoded = keep.iter().filter(|k| **k).count();
-
-    let mut cols = Vec::with_capacity(header.ncols);
-    for col_blocks in &header.blocks {
-        let mut values = Vec::new();
-        for (chunk, &(start, _)) in col_blocks.iter().enumerate() {
-            if !keep[chunk] {
-                continue;
-            }
-            let mut pos = start;
-            values.extend(decode_block(&bytes, &mut pos)?.values);
-        }
-        cols.push(ColumnVec::from_values(values));
-    }
-    let batch = if cols.is_empty() {
-        Batch::from_rows(0, Vec::new())?
-    } else {
-        Batch::from_columns(cols)?
-    };
-    Ok(SegmentScan {
-        table: header.name,
-        batch,
-        chunks_total,
-        chunks_decoded,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1170,8 +1086,7 @@ mod tests {
         let (back, lsn) = read_segment(&path).unwrap();
         assert_eq!(lsn, 7);
         assert_eq!(back.row_count(), 0);
-        let scan = scan_segment(&path, None).unwrap();
-        assert_eq!(scan.batch.num_rows(), 0);
+        assert_eq!(back.scan_batch().num_rows(), 0);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1271,50 +1186,25 @@ mod tests {
     }
 
     #[test]
-    fn cold_scan_decodes_into_batch_columns() {
+    fn read_segment_decodes_into_typed_batch_columns() {
         let t = wide_table(200);
         let path = tmp("scan");
         write_segment(&t, &path, 9).unwrap();
-        let scan = scan_segment(&path, None).unwrap();
-        assert_eq!(scan.table, "wide");
-        assert_eq!(scan.batch.num_rows(), 200);
-        assert_eq!(scan.batch.columns().len(), 6);
+        let (back, _) = read_segment(&path).unwrap();
+        let batch = back.scan_batch();
+        assert_eq!(batch.num_rows(), 200);
+        assert_eq!(batch.columns().len(), 6);
         // typed decode: the int column comes back as a typed vector
         assert!(matches!(
-            scan.batch.columns()[0].data(),
+            batch.columns()[0].data(),
             crate::batch::ColumnData::Int(_)
         ));
         let live = t.scan_batch();
         for c in 0..6 {
             for r in 0..200 {
-                assert_eq!(scan.batch.value(c, r), live.value(c, r));
+                assert_eq!(batch.value(c, r), live.value(c, r));
             }
         }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn zone_maps_prune_chunks_on_sorted_column() {
-        let schema = Schema::new(vec![Column::new("id", DataType::Int)]).unwrap();
-        let mut t = Table::new("sorted", schema);
-        for i in 0..(BLOCK_ROWS as i64 * 4) {
-            t.insert(vec![i.into()]).unwrap();
-        }
-        let path = tmp("prune");
-        write_segment(&t, &path, 1).unwrap();
-        let lo = Value::Int(BLOCK_ROWS as i64 + 10);
-        let hi = Value::Int(BLOCK_ROWS as i64 + 20);
-        let scan = scan_segment(&path, Some((0, Some(&lo), Some(&hi)))).unwrap();
-        assert_eq!(scan.chunks_total, 4);
-        assert_eq!(scan.chunks_decoded, 1, "three chunks must be pruned");
-        assert_eq!(scan.batch.num_rows(), BLOCK_ROWS);
-        // the surviving chunk contains the requested range
-        let col = &scan.batch.columns()[0];
-        let vals: Vec<Value> = col.values();
-        assert!(vals.contains(&lo) && vals.contains(&hi));
-        // unpruned scan decodes everything
-        let all = scan_segment(&path, None).unwrap();
-        assert_eq!(all.chunks_decoded, 4);
         let _ = std::fs::remove_file(&path);
     }
 

@@ -715,10 +715,11 @@ fn full_range_dates_hash_in_distinct_and_joins() {
     }
 }
 
-/// Rows equal cell for cell, floats to a relative 1e-9: the merge-tree
-/// shape changes with the worker count and float addition is not
-/// associative. Everything else — integer aggregates, keys, row order —
-/// is exact.
+/// Rows equal cell for cell, floats to a relative 1e-9: only aggregates
+/// over float *inputs* need the tolerance, because the merge-tree shape
+/// changes with the worker count and float addition is not associative.
+/// Everything else — every aggregate over INT inputs, a Float AVG or an
+/// overflowed SUM included, keys, row order — is exact.
 fn assert_rows_close(expected: &QueryResult, got: &QueryResult, label: &str) {
     assert_eq!(expected.columns, got.columns, "{label}");
     assert_eq!(expected.rows.len(), got.rows.len(), "{label}");
@@ -739,9 +740,11 @@ fn assert_rows_close(expected: &QueryResult, got: &QueryResult, label: &str) {
 /// every worker of two, four or eight folds several, exercising the
 /// per-worker partial states (which live across a worker's morsels) and
 /// the ordered merge. Against the row oracle, at
-/// every worker count: integer aggregates (COUNT/SUM-of-INT/MIN/MAX) and
-/// the first-seen group order — no ORDER BY on the wide cases — must be
-/// *exactly* equal; float SUM/AVG to a relative tolerance.
+/// every worker count: aggregates over INT inputs and the first-seen
+/// group order — no ORDER BY on the wide cases — must be *exactly* equal;
+/// SUM/AVG over float inputs to a relative tolerance. INT values above
+/// 2^53, which an f64 cannot hold, must give the same bits on every
+/// walker and worker count: the exact sum, rounded once.
 #[test]
 fn multi_morsel_aggregates_agree_across_parallelism() {
     let db = workloads::healthcare_db(70_000, 11);
@@ -780,6 +783,19 @@ fn multi_morsel_aggregates_agree_across_parallelism() {
         })
         .collect();
     db.insert_many("wide", rows).unwrap();
+    // `big`: five morsels of INT values above 2^53 in three groups; every
+    // group's SUM and the global one pass i64::MAX
+    Engine::new()
+        .execute(&db, "CREATE TABLE big (id INT PRIMARY KEY, g INT, x INT)")
+        .unwrap();
+    let big: Vec<i64> = (0..20_000)
+        .map(|_| (1i64 << 53) + rng.random_range(0..1i64 << 20))
+        .collect();
+    let big_rows = big.iter().enumerate().map(|(id, &x)| {
+        let id = id as i64;
+        vec![Value::Int(id), Value::Int(id % 3), Value::Int(x)]
+    });
+    db.insert_many("big", big_rows.collect()).unwrap();
     let db = Arc::new(db);
     let queries = [
         "SELECT dept_id, COUNT(*) AS n, SUM(stay_days) AS days, MIN(id) AS lo, MAX(id) AS hi \
@@ -823,6 +839,42 @@ fn multi_morsel_aggregates_agree_across_parallelism() {
     }
     let groups = oracle.execute(&db, queries[3]).unwrap().rows.len();
     assert!(groups >= 2_000, "{groups} cust groups");
+
+    // the exact answers, computed in i128 and rounded once
+    let (mut sums, mut counts) = ([0i128; 3], [0i64; 3]);
+    for (id, &x) in big.iter().enumerate() {
+        sums[id % 3] += i128::from(x);
+        counts[id % 3] += 1;
+    }
+    let per_group: Vec<Vec<Value>> = (0..3)
+        .map(|g| {
+            let n = counts[g];
+            vec![
+                Value::Int(g as i64),
+                Value::Int(n),
+                Value::Float(sums[g] as f64),
+                Value::Float(sums[g] as f64 / n as f64),
+            ]
+        })
+        .collect();
+    let total = vec![vec![Value::Float(sums.iter().sum::<i128>() as f64)]];
+    for (sql, exact) in [
+        (
+            "SELECT g, COUNT(x) AS n, SUM(x) AS s, AVG(x) AS mean FROM big GROUP BY g ORDER BY g",
+            per_group,
+        ),
+        ("SELECT SUM(x) AS s FROM big", total),
+    ] {
+        assert_eq!(
+            oracle.execute(&db, sql).unwrap().rows,
+            exact,
+            "row oracle: {sql}"
+        );
+        for workers in [1usize, 2, 4, 8] {
+            let got = Engine::new().with_parallelism(workers).execute(&db, sql);
+            assert_eq!(got.unwrap().rows, exact, "workers={workers}: {sql}");
+        }
+    }
 }
 
 #[test]
