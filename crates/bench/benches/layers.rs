@@ -79,27 +79,6 @@ fn fig4_layer_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
-/// ESB delivery throughput: send+pump through a transformer into a sink.
-fn esb_throughput(c: &mut Criterion) {
-    use odbis_esb::{Endpoint, Message, MessageBus, Payload};
-    let bus = MessageBus::new();
-    bus.create_channel("in").unwrap();
-    bus.create_channel("out").unwrap();
-    bus.subscribe(
-        "in",
-        Endpoint::Transformer {
-            to: "out".into(),
-            transform: Box::new(|m| m.derive(Payload::Text("done".into()))),
-        },
-    )
-    .unwrap();
-    bus.subscribe("out", Endpoint::ServiceActivator(Box::new(|_| Ok(()))))
-        .unwrap();
-    c.bench_function("esb_send_transform_sink", |b| {
-        b.iter(|| bus.send_and_pump("in", Message::text("payload")).unwrap())
-    });
-}
-
 /// Raw web-tier throughput: a trivial handler over the loopback socket.
 fn web_server_throughput(c: &mut Criterion) {
     use odbis_web::{HttpResponse, HttpServer, Method, Router};
@@ -118,6 +97,6 @@ fn web_server_throughput(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = configured();
-    targets = fig4_layer_roundtrip, esb_throughput, web_server_throughput
+    targets = fig4_layer_roundtrip, web_server_throughput
 }
 criterion_main!(benches);

@@ -14,7 +14,7 @@
 //! | `err-with-prob(p[,s])`  | each pass fails with probability `p`, from a
 //! |                         | deterministic per-site RNG seeded with `s`  |
 //!
-//! Sites are strings so lower layers (storage, web, esb) need no shared
+//! Sites are strings so lower layers (storage, web) need no shared
 //! enum; the registry is process-global. The fast path is a single relaxed
 //! atomic load: when no site is armed, [`check`] costs one load and a
 //! predictable branch, so instrumented hot paths (WAL append, HTTP accept)
@@ -366,7 +366,7 @@ pub fn triggered_count(site: &str) -> u64 {
 }
 
 /// Record that `op` was retried after a classified-transient failure
-/// (checkpoint retry, ESB redelivery, ...).
+/// (the platform's in-place checkpoint retry counts as `checkpoint`).
 pub fn count_retry(op: &str) {
     let mut guard = registry();
     let reg = guard.as_mut().expect("registry initialized");
@@ -573,14 +573,12 @@ mod tests {
         clear();
         count_retry("checkpoint");
         count_retry("checkpoint");
-        count_retry("esb.redeliver");
         assert_eq!(retry_count("checkpoint"), 2);
         let _g = ScopedFailpoint::new("t.render", FailPolicy::ReturnErr);
         let _ = check("t.render");
         let text = render_prometheus();
         assert!(text.contains("odbis_failpoint_triggered_total{site=\"t.render\"} 1"));
         assert!(text.contains("odbis_retries_total{op=\"checkpoint\"} 2"));
-        assert!(text.contains("odbis_retries_total{op=\"esb.redeliver\"} 1"));
         clear();
     }
 }

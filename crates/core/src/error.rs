@@ -19,8 +19,6 @@ pub enum PlatformError {
     Olap(String),
     /// Reporting failure.
     Reporting(String),
-    /// Delivery failure.
-    Delivery(String),
     /// MDDWS failure.
     Mddws(String),
     /// Storage-engine/durability failure (WAL, snapshot, recovery).
@@ -58,7 +56,6 @@ impl PlatformError {
             PlatformError::Etl(_) => "etl",
             PlatformError::Olap(_) => "olap",
             PlatformError::Reporting(_) => "reporting",
-            PlatformError::Delivery(_) => "delivery",
             PlatformError::Mddws(_) => "mddws",
             PlatformError::Storage(_) => "storage",
             PlatformError::NotFound(_) => "not_found",
@@ -78,7 +75,6 @@ impl PlatformError {
             | PlatformError::Etl(m)
             | PlatformError::Olap(m)
             | PlatformError::Reporting(m)
-            | PlatformError::Delivery(m)
             | PlatformError::Mddws(m)
             | PlatformError::Storage(m)
             | PlatformError::NotFound(m)
@@ -172,12 +168,6 @@ impl From<odbis_olap::OlapError> for PlatformError {
 impl From<odbis_reporting::ReportError> for PlatformError {
     fn from(e: odbis_reporting::ReportError) -> Self {
         PlatformError::Reporting(e.to_string())
-    }
-}
-
-impl From<odbis_delivery::DeliveryError> for PlatformError {
-    fn from(e: odbis_delivery::DeliveryError) -> Self {
-        PlatformError::Delivery(e.to_string())
     }
 }
 

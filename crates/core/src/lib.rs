@@ -4,8 +4,9 @@
 //! paper's Figure 1, wired end to end:
 //!
 //! 1. **technical resources**: the embedded storage engine and SQL engine
-//!    ([`odbis_storage`], [`odbis_sql`]), the ESB ([`odbis_esb`]) and the
-//!    rules engine ([`odbis_rules`]);
+//!    ([`odbis_storage`], [`odbis_sql`]); the ORM and the rules engine
+//!    (`odbis-orm`, `odbis-rules`) are workspace crates the façade does
+//!    not wire in yet;
 //! 2. **DW design & management**: MDDWS projects ([`odbis_mddws`]) living
 //!    inside each tenant workspace;
 //! 3. **administration & configuration**: [`OdbisPlatform::admin`]
@@ -16,7 +17,8 @@
 //!    and bytes, which `/api/v1/metrics` reads at scrape time
 //!    ([`OdbisPlatform::wal_stats`]);
 //! 4. **core BI services**: MDS, IS, AS, RS and IDS per tenant
-//!    ([`TenantWorkspace`]);
+//!    ([`TenantWorkspace`]); IDS deliveries land in a bounded outbox that
+//!    the workspace [`WatchHub`] long-poll reads;
 //! 5. **end-user access**: the HTTP API ([`build_router`]) served by
 //!    [`odbis_web`].
 //!
@@ -43,7 +45,7 @@ mod web_api;
 pub use cluster::{Cluster, ClusterMap, ClusterNode, ClusterRoute, MigrationReport};
 pub use error::{PlatformError, PlatformResult};
 pub use platform::{OdbisPlatform, TenantWorkspace};
-pub use watch::{WatchHub, WatchOutcome};
+pub use watch::{DeliveryPoll, WatchHub, WatchKey, WatchOutcome};
 pub use web_api::{
     build_router, serve_platform, API_PREFIX, DEFAULT_PAGE_LIMIT, MAX_PAGE_LIMIT,
     MAX_WATCH_TIMEOUT_MS,

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use odbis_admin::{AdminService, CheckpointOutcome, DurabilityStatus};
 use odbis_delivery::{Channel, DeliveryService, ReportPayload};
-use odbis_esb::MessageBus;
 use odbis_etl::{EtlJob, JobReport, JobRunner, JobScheduler};
 use odbis_mddws::DwProject;
 use odbis_metadata::{DataSet, DataSource, MetadataService};
@@ -31,7 +30,7 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::cluster::{Cluster, ClusterMap, ClusterNode, ClusterRoute};
 use crate::error::{PlatformError, PlatformResult};
-use crate::watch::WatchHub;
+use crate::watch::{DeliveryPoll, WatchHub, WatchKey};
 
 /// Per-tenant workspace: the tenant's logical slice of the shared backend
 /// — its warehouse, metadata, cubes, jobs and DW projects. Physically the
@@ -54,13 +53,15 @@ pub struct TenantWorkspace {
     /// Materialized-aggregate cache consulted by MDX queries, maintained
     /// incrementally by [`TenantWorkspace::publish_deltas`].
     pub agg_cache: RwLock<AggregateCache>,
-    /// The tenant's delivery service (it owns the tenant's service bus).
+    /// The tenant's delivery service; each delivery bumps the recipient's
+    /// [`WatchKey::Deliveries`] on `watch`.
     pub delivery: Arc<DeliveryService>,
     /// Journaled-but-unpublished warehouse mutations, drained by
     /// [`TenantWorkspace::publish_deltas`]. Deltas land here from the
     /// WAL sink, i.e. only once the write is acknowledged.
     pub deltas: Arc<DeltaBuffer>,
-    /// The workspace watch hub long-poll subscriptions park on.
+    /// The workspace watch hub long-poll subscriptions park on: dataset
+    /// watches on tables, delivery polls on their user's outbox.
     pub watch: Arc<WatchHub>,
     /// Held while the delta buffer is drained into the aggregate cache,
     /// so batches apply in commit order, and while an aggregate is built,
@@ -196,7 +197,11 @@ impl TenantWorkspace {
         let etl = Arc::new(JobRunner::new(Arc::clone(&warehouse)));
         let scheduler = Arc::new(JobScheduler::new(Arc::clone(&etl)));
         let cubes = Arc::new(CubeEngine::new(Arc::clone(&warehouse)));
-        let delivery = Arc::new(DeliveryService::new(Arc::new(MessageBus::new()))?);
+        let watch = Arc::new(WatchHub::new());
+        let hub = Arc::clone(&watch);
+        let delivery = Arc::new(DeliveryService::notifying(move |user| {
+            hub.bump(&[WatchKey::Deliveries(user.to_string())]);
+        }));
         Ok(TenantWorkspace {
             warehouse,
             mds,
@@ -208,7 +213,7 @@ impl TenantWorkspace {
             agg_cache: RwLock::new(AggregateCache::new()),
             delivery,
             deltas,
-            watch: Arc::new(WatchHub::new()),
+            watch,
             publish_lock: Mutex::new(DeltaReport::default()),
             projects: Mutex::new(HashMap::new()),
             durable,
@@ -258,10 +263,11 @@ impl TenantWorkspace {
             return 0;
         }
         let applied = deltas.len();
-        let mut touched: Vec<String> = Vec::new();
+        let mut touched: Vec<WatchKey> = Vec::new();
         for d in &deltas {
-            if !touched.iter().any(|t| t == d.table()) {
-                touched.push(d.table().to_string());
+            let key = WatchKey::table(d.table());
+            if !touched.contains(&key) {
+                touched.push(key);
             }
         }
         **totals += self
@@ -301,7 +307,7 @@ fn checkpoint_with_retry(store: &DurableStore, db: &Database) -> PlatformResult<
     )))
 }
 
-/// The platform: administration layer, SaaS kernel, ESB, and one
+/// The platform: administration layer, SaaS kernel, and one
 /// [`TenantWorkspace`] per tenant.
 pub struct OdbisPlatform {
     /// Administration & configuration layer.
@@ -818,14 +824,14 @@ impl OdbisPlatform {
 
     /// Resolve a watch subscription for a data set: authorize the caller,
     /// look the data set up, and return the workspace watch hub plus the
-    /// (lower-cased) tables the data set's SQL reads — the set whose
+    /// keys of the tables the data set's SQL reads — the set whose
     /// changes complete a parked `GET /datasets/:name/watch` long-poll.
     pub fn watch_dataset(
         &self,
         tenant: &str,
         token: &str,
         name: &str,
-    ) -> PlatformResult<(Arc<WatchHub>, Vec<String>)> {
+    ) -> PlatformResult<(Arc<WatchHub>, Vec<WatchKey>)> {
         self.traced(tenant, ServiceKind::Metadata, "dataset.watch", |span| {
             span.set_detail(name);
             self.authorize(tenant, token, "DATASET_RUN")?;
@@ -833,7 +839,8 @@ impl OdbisPlatform {
             let dataset = ws.mds.dataset(name)?;
             let tables = odbis_sql::referenced_tables(&dataset.sql)?;
             self.admin.meter_usage(tenant, ServiceKind::Metadata, 1);
-            Ok((Arc::clone(&ws.watch), tables))
+            let keys = tables.iter().map(|t| WatchKey::table(t)).collect();
+            Ok((Arc::clone(&ws.watch), keys))
         })
     }
 
@@ -951,10 +958,29 @@ impl OdbisPlatform {
             span.set_detail(report);
             self.authorize(tenant, token, "REPORT_VIEW")?;
             let ws = self.workspace(tenant)?;
-            let delivered = ws.delivery.deliver(user, report, channel, payload)?;
+            let delivered = ws.delivery.deliver(user, report, channel, payload);
             span.set_bytes(delivered.body.len() as u64);
             self.admin.meter_usage(tenant, ServiceKind::Delivery, 1);
             Ok(delivered.body)
+        })
+    }
+
+    /// The caller's own deliveries after `cursor`
+    /// ([`DeliveryService::read`]), with what a `GET /api/v1/deliveries`
+    /// long-poll parks on when there are none.
+    pub fn deliveries(
+        &self,
+        tenant: &str,
+        token: &str,
+        cursor: u64,
+    ) -> PlatformResult<DeliveryPoll> {
+        self.traced(tenant, ServiceKind::Delivery, "deliveries", |span| {
+            let user = self.authorize(tenant, token, "REPORT_VIEW")?;
+            let ws = self.workspace(tenant)?;
+            let poll = DeliveryPoll::new(&ws.watch, &ws.delivery, user, cursor);
+            span.set_rows(poll.read.entries.len() as u64);
+            self.admin.meter_usage(tenant, ServiceKind::Delivery, 1);
+            Ok(poll)
         })
     }
 

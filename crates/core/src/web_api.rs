@@ -56,8 +56,9 @@ pub const DEFAULT_PAGE_LIMIT: usize = 100;
 /// Largest accepted `?limit=`; bigger asks are a 400, not a silent clamp.
 pub const MAX_PAGE_LIMIT: usize = 1_000;
 
-/// Longest a `/datasets/:name/watch` long-poll may park (`?timeout_ms=`,
-/// default 30 000). Bigger asks are a 400, mirroring [`MAX_PAGE_LIMIT`].
+/// Longest a `/datasets/:name/watch` or `/deliveries` long-poll may park
+/// (`?timeout_ms=`, default 30 000). Bigger asks are a 400, mirroring
+/// [`MAX_PAGE_LIMIT`].
 pub const MAX_WATCH_TIMEOUT_MS: u64 = 60_000;
 
 /// Route registrar: every registration goes through here so the route
@@ -416,45 +417,20 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                 return error_envelope(400, "bad_request", "missing dataset name");
             };
             let (tenant, token) = creds(req);
-            // cursor: where the client's previous poll left off (0 = any
-            // change ever recorded counts); timeout: how long to park,
-            // bounded so a watcher cannot hold its slot forever
-            let cursor = match req.query_param("cursor") {
-                None => 0,
-                Some(s) => match s.parse::<u64>() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return error_envelope(
-                            400,
-                            "bad_request",
-                            "cursor must be an unsigned integer",
-                        )
-                    }
-                },
+            let (cursor, timeout) = match long_poll_params(req) {
+                Ok(params) => params,
+                Err(resp) => return resp,
             };
-            let timeout_ms = match req.query_param("timeout_ms") {
-                None => 30_000,
-                Some(s) => match s.parse::<u64>() {
-                    Ok(n) if n <= MAX_WATCH_TIMEOUT_MS => n,
-                    _ => {
-                        return error_envelope(
-                            400,
-                            "bad_request",
-                            &format!("timeout_ms must be an integer in 0..={MAX_WATCH_TIMEOUT_MS}"),
-                        )
-                    }
-                },
-            };
-            let (hub, tables) = match p.watch_dataset(&tenant, &token, name) {
+            let (hub, keys) = match p.watch_dataset(&tenant, &token, name) {
                 Ok(sub) => sub,
                 Err(e) => return error_response(&e),
             };
             let (placeholder, slot) = HttpResponse::deferred();
             let dataset = name.to_string();
             hub.subscribe(
-                tables,
+                keys,
                 cursor,
-                std::time::Duration::from_millis(timeout_ms),
+                timeout,
                 Box::new(move |outcome| {
                     let cursor_text = outcome.cursor.to_string();
                     let response = if outcome.changed {
@@ -478,6 +454,35 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
             placeholder
         },
     );
+
+    // the caller's own deliveries after `?cursor=` (an outbox seq): at once
+    // when there are any, else parked until the next one or the timeout
+    // (204, cursor echoed), on the same contract as the dataset watch
+    let p = Arc::clone(&platform);
+    api.route(Method::Get, "/deliveries", "REPORT_VIEW", move |req, _| {
+        let (tenant, token) = creds(req);
+        let (cursor, timeout) = match long_poll_params(req) {
+            Ok(params) => params,
+            Err(resp) => return resp,
+        };
+        let poll = match p.deliveries(&tenant, &token, cursor) {
+            Ok(poll) => poll,
+            Err(e) => return error_response(&e),
+        };
+        if poll.is_news() {
+            return deliveries_response(&poll.read);
+        }
+        let (placeholder, slot) = HttpResponse::deferred();
+        poll.park(timeout, move |read| {
+            slot.fulfill(match read {
+                Some(read) => deliveries_response(&read),
+                None => {
+                    HttpResponse::status(204).with_header("X-Watch-Cursor", &cursor.to_string())
+                }
+            })
+        });
+        placeholder
+    });
 
     let p = Arc::clone(&platform);
     api.route(Method::Post, "/mdx", "CUBE_QUERY", move |req, _| {
@@ -855,6 +860,56 @@ pub fn serve_platform(
         .workers(workers)
         .admission(Arc::clone(&platform.admission))
         .start()
+}
+
+/// A long-poll's `?cursor=` (where the client's previous poll left off;
+/// default 0) and `?timeout_ms=` (how long to park, default 30 000 and at
+/// most [`MAX_WATCH_TIMEOUT_MS`] so a watcher cannot hold its slot
+/// forever), or the 400 envelope naming the bad one.
+fn long_poll_params(req: &HttpRequest) -> Result<(u64, std::time::Duration), HttpResponse> {
+    let cursor = match req.query_param("cursor") {
+        None => 0,
+        Some(s) => s.parse::<u64>().map_err(|_| {
+            error_envelope(400, "bad_request", "cursor must be an unsigned integer")
+        })?,
+    };
+    let timeout_ms = match req.query_param("timeout_ms") {
+        None => 30_000,
+        Some(s) => s
+            .parse::<u64>()
+            .ok()
+            .filter(|n| *n <= MAX_WATCH_TIMEOUT_MS)
+            .ok_or_else(|| {
+                error_envelope(
+                    400,
+                    "bad_request",
+                    &format!("timeout_ms must be an integer in 0..={MAX_WATCH_TIMEOUT_MS}"),
+                )
+            })?,
+    };
+    Ok((cursor, std::time::Duration::from_millis(timeout_ms)))
+}
+
+/// `{"entries":[{"seq","report","contentType","body"}],"missed","cursor"}`
+/// with the next cursor in `X-Watch-Cursor`.
+fn deliveries_response(read: &odbis_delivery::OutboxRead) -> HttpResponse {
+    let entries: Vec<serde_json::Value> = read
+        .entries
+        .iter()
+        .map(|e| {
+            serde_json::json!({
+                "seq": e.seq,
+                "report": e.report,
+                "contentType": e.delivered.content_type,
+                "body": e.delivered.body,
+            })
+        })
+        .collect();
+    HttpResponse::json(
+        serde_json::json!({ "entries": entries, "missed": read.missed, "cursor": read.cursor })
+            .to_string(),
+    )
+    .with_header("X-Watch-Cursor", &read.cursor.to_string())
 }
 
 /// Parse a login body: JSON `{"tenant","user","password"}`.

@@ -40,18 +40,6 @@ impl Channel {
             Channel::Email => "text/plain; charset=utf-8",
         }
     }
-
-    /// Parse from a name (subscription configuration).
-    pub fn parse(s: &str) -> Option<Channel> {
-        match s.to_ascii_lowercase().as_str() {
-            "web" | "browser" | "webbrowser" => Some(Channel::WebBrowser),
-            "webservice" | "api" | "ws" => Some(Channel::WebService),
-            "mobile" => Some(Channel::Mobile),
-            "office" | "csv" | "officetool" => Some(Channel::OfficeTool),
-            "email" | "mail" => Some(Channel::Email),
-            _ => None,
-        }
-    }
 }
 
 /// A report payload ready for delivery.
@@ -238,12 +226,5 @@ mod tests {
         assert_eq!(d.body, "region,total\nr0,0\n");
         let d = format_for(Channel::Email, &payload(1));
         assert!(d.body.starts_with("== Sales =="));
-    }
-
-    #[test]
-    fn channel_parsing() {
-        assert_eq!(Channel::parse("API"), Some(Channel::WebService));
-        assert_eq!(Channel::parse("csv"), Some(Channel::OfficeTool));
-        assert_eq!(Channel::parse("fax"), None);
     }
 }

@@ -6,9 +6,10 @@
 //! presented as a web services for more flexibility" (§3.1).
 //!
 //! Payloads format per [`Channel`] (HTML, JSON, compact mobile JSON, CSV,
-//! text e-mail digests) and dispatch over the platform ESB into an
-//! auditable outbox; users subscribe to reports and [`DeliveryService::burst`]
-//! fans a report out to every subscriber on their own channel.
+//! text e-mail digests) and land in a bounded outbox that each recipient
+//! reads by cursor; users subscribe to reports and
+//! [`DeliveryService::burst`] fans a report out to every subscriber on
+//! their own channel.
 
 #![warn(missing_docs)]
 
@@ -16,4 +17,4 @@ mod format;
 mod service;
 
 pub use format::{format_for, Channel, Delivered, ReportPayload, MOBILE_ROW_CAP};
-pub use service::{DeliveryError, DeliveryService, OutboxEntry, Subscription};
+pub use service::{DeliveryService, OutboxEntry, OutboxRead, Subscription, OUTBOX_CAPACITY};

@@ -1,31 +1,14 @@
-//! The delivery service: subscriptions, bursting and ESB dispatch.
+//! The delivery service: subscriptions, bursting and the bounded outbox.
 
-use std::sync::Arc;
+use std::collections::{HashMap, VecDeque};
 
-use odbis_esb::{Endpoint, Message, MessageBus};
 use parking_lot::Mutex;
 
 use crate::format::{format_for, Channel, Delivered, ReportPayload};
 
-/// Delivery errors.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DeliveryError {
-    /// Unknown subscription/report.
-    NotFound(String),
-    /// ESB dispatch failure.
-    Bus(String),
-}
-
-impl std::fmt::Display for DeliveryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DeliveryError::NotFound(e) => write!(f, "not found: {e}"),
-            DeliveryError::Bus(e) => write!(f, "bus error: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for DeliveryError {}
+/// Entries one outbox holds. Appending to a full outbox evicts the oldest
+/// entry; a reader whose cursor predates it is told how many it missed.
+pub const OUTBOX_CAPACITY: usize = 256;
 
 /// A subscription: a user wants a report on a channel.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,10 +21,14 @@ pub struct Subscription {
     pub channel: Channel,
 }
 
-/// A delivery that reached a subscriber (kept in the outbox for audit and
-/// for the simulated e-mail/mobile channels).
+/// A delivery that reached a subscriber, held in the outbox until its
+/// recipient reads it by cursor (and for audit).
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutboxEntry {
+    /// Position in the recipient's own delivery stream: 1 for the first
+    /// delivery to `user`, then 2, 3, ... — a recipient's cursor is the
+    /// `seq` of the last entry it read.
+    pub seq: u64,
     /// Recipient.
     pub user: String,
     /// Report name.
@@ -50,69 +37,79 @@ pub struct OutboxEntry {
     pub delivered: Delivered,
 }
 
+/// One user's read of the outbox after a cursor.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OutboxRead {
+    /// The user's entries after the cursor that the outbox still holds,
+    /// oldest first.
+    pub entries: Vec<OutboxEntry>,
+    /// The user's entries after the cursor that the outbox evicted before
+    /// this read: a reader is told what it lost, never skipped silently.
+    pub missed: u64,
+    /// The cursor to read from next: the `seq` of the user's newest
+    /// delivery (0 if there is none).
+    pub cursor: u64,
+}
+
+#[derive(Default)]
+struct Outbox {
+    ring: VecDeque<OutboxEntry>,
+    /// Deliveries appended per recipient, i.e. each recipient's newest `seq`.
+    appended: HashMap<String, u64>,
+}
+
+/// Runs after each append, with the recipient's name.
+type Notify = Box<dyn Fn(&str) + Send + Sync>;
+
 /// The Information Delivery Service (IDS).
 ///
-/// Formatting is channel-specific ([`format_for`]); dispatch rides the
-/// platform's ESB: each channel kind has a bus channel (`deliver.web`,
-/// `deliver.email`, ...) whose service activator appends to the outbox —
-/// so delivery is observable, auditable and replayable.
+/// Formatting is channel-specific ([`format_for`]); a delivery is then an
+/// [`OutboxEntry`] appended to a ring of [`OUTBOX_CAPACITY`] entries, which
+/// each recipient reads by cursor ([`DeliveryService::read`]).
 pub struct DeliveryService {
-    bus: Arc<MessageBus>,
     subscriptions: Mutex<Vec<Subscription>>,
-    outbox: Arc<Mutex<Vec<OutboxEntry>>>,
+    outbox: Mutex<Outbox>,
+    notify: Notify,
+}
+
+impl Default for DeliveryService {
+    fn default() -> Self {
+        Self::notifying(|_| {})
+    }
 }
 
 impl DeliveryService {
-    /// Build the service and wire its bus channels.
-    pub fn new(bus: Arc<MessageBus>) -> Result<Self, DeliveryError> {
-        let outbox = Arc::new(Mutex::new(Vec::new()));
-        for ch in Channel::ALL {
-            let name = bus_channel(ch);
-            bus.create_channel(&name)
-                .map_err(|e| DeliveryError::Bus(e.to_string()))?;
-            let sink = Arc::clone(&outbox);
-            bus.subscribe(
-                &name,
-                Endpoint::ServiceActivator(Box::new(move |m: &Message| {
-                    let user = m.header("user").unwrap_or("?").to_string();
-                    let report = m.header("report").unwrap_or("?").to_string();
-                    let channel = m
-                        .header("channel")
-                        .and_then(Channel::parse)
-                        .ok_or_else(|| "missing channel header".to_string())?;
-                    let body = m
-                        .payload
-                        .as_text()
-                        .ok_or_else(|| "binary payload unsupported".to_string())?
-                        .to_string();
-                    sink.lock().push(OutboxEntry {
-                        user,
-                        report,
-                        delivered: Delivered {
-                            channel,
-                            content_type: channel.content_type().to_string(),
-                            body,
-                        },
-                    });
-                    Ok(())
-                })),
-            )
-            .map_err(|e| DeliveryError::Bus(e.to_string()))?;
-        }
-        Ok(DeliveryService {
-            bus,
-            subscriptions: Mutex::new(Vec::new()),
-            outbox,
-        })
+    /// A service with no subscriptions and an empty outbox.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Subscribe a user to a report on a channel.
+    /// [`DeliveryService::new`], calling `notify` with the recipient after
+    /// every append. It runs outside the outbox lock, so it may read the
+    /// outbox (a woken reader does).
+    pub fn notifying(notify: impl Fn(&str) + Send + Sync + 'static) -> Self {
+        DeliveryService {
+            subscriptions: Mutex::new(Vec::new()),
+            outbox: Mutex::new(Outbox::default()),
+            notify: Box::new(notify),
+        }
+    }
+
+    /// Subscribe a user to a report on a channel. A user holds at most one
+    /// subscription per report: subscribing again replaces its channel.
     pub fn subscribe(&self, user: &str, report: &str, channel: Channel) {
-        self.subscriptions.lock().push(Subscription {
-            user: user.to_string(),
-            report: report.to_string(),
-            channel,
-        });
+        let mut subs = self.subscriptions.lock();
+        match subs
+            .iter_mut()
+            .find(|s| s.user == user && s.report == report)
+        {
+            Some(s) => s.channel = channel,
+            None => subs.push(Subscription {
+                user: user.to_string(),
+                report: report.to_string(),
+                channel,
+            }),
+        }
     }
 
     /// Remove a user's subscription to a report. Returns whether one
@@ -141,58 +138,67 @@ impl DeliveryService {
         report: &str,
         channel: Channel,
         payload: &ReportPayload,
-    ) -> Result<Delivered, DeliveryError> {
+    ) -> Delivered {
         let mut span = odbis_telemetry::child_span("delivery", "deliver");
         span.set_detail(report);
         let formatted = format_for(channel, payload);
         span.set_bytes(formatted.body.len() as u64);
-        let msg = Message::text(formatted.body.clone())
-            .with_header("user", user)
-            .with_header("report", report)
-            .with_header("channel", channel_code(channel));
-        if let Err(e) = self
-            .bus
-            .send_and_pump(&bus_channel(channel), msg)
-            .map_err(|e| DeliveryError::Bus(e.to_string()))
         {
-            span.fail();
-            return Err(e);
+            let mut outbox = self.outbox.lock();
+            let seq = outbox.appended.entry(user.to_string()).or_insert(0);
+            *seq += 1;
+            let entry = OutboxEntry {
+                seq: *seq,
+                user: user.to_string(),
+                report: report.to_string(),
+                delivered: formatted.clone(),
+            };
+            if outbox.ring.len() == OUTBOX_CAPACITY {
+                outbox.ring.pop_front();
+            }
+            outbox.ring.push_back(entry);
         }
-        Ok(formatted)
+        (self.notify)(user);
+        formatted
     }
 
     /// Burst: deliver a report payload to every subscriber, each on their
     /// own channel. Returns the number of deliveries.
-    pub fn burst(&self, report: &str, payload: &ReportPayload) -> Result<usize, DeliveryError> {
+    pub fn burst(&self, report: &str, payload: &ReportPayload) -> usize {
         let subs = self.subscribers(report);
         for s in &subs {
-            self.deliver(&s.user, report, s.channel, payload)?;
+            self.deliver(&s.user, report, s.channel, payload);
         }
-        Ok(subs.len())
+        subs.len()
     }
 
-    /// Snapshot of the outbox.
+    /// Snapshot of the outbox, every recipient's entries, oldest first.
     pub fn outbox(&self) -> Vec<OutboxEntry> {
-        self.outbox.lock().clone()
+        self.outbox.lock().ring.iter().cloned().collect()
     }
 
-    /// Clear the outbox; returns the drained entries.
-    pub fn drain_outbox(&self) -> Vec<OutboxEntry> {
-        std::mem::take(&mut self.outbox.lock())
-    }
-}
-
-fn bus_channel(ch: Channel) -> String {
-    format!("deliver.{}", channel_code(ch))
-}
-
-fn channel_code(ch: Channel) -> &'static str {
-    match ch {
-        Channel::WebBrowser => "web",
-        Channel::WebService => "api",
-        Channel::Mobile => "mobile",
-        Channel::OfficeTool => "office",
-        Channel::Email => "email",
+    /// `user`'s deliveries after `cursor`. Reading does not consume: a
+    /// client that lost a response reads from the same cursor again and
+    /// gets the same entries. A cursor ahead of the user's newest `seq`
+    /// (issued before the outbox restarted) reads from 0, so the client
+    /// resynchronises instead of waiting for a `seq` that will not come.
+    pub fn read(&self, user: &str, cursor: u64) -> OutboxRead {
+        let outbox = self.outbox.lock();
+        let newest = outbox.appended.get(user).copied().unwrap_or(0);
+        let from = if cursor > newest { 0 } else { cursor };
+        let entries: Vec<OutboxEntry> = outbox
+            .ring
+            .iter()
+            .filter(|e| e.user == user && e.seq > from)
+            .cloned()
+            .collect();
+        OutboxRead {
+            // a user's seqs are dense and eviction is oldest-first, so
+            // what is not held of (from, newest] was evicted
+            missed: newest - from - entries.len() as u64,
+            entries,
+            cursor: newest,
+        }
     }
 }
 
@@ -201,6 +207,7 @@ mod tests {
     use super::*;
     use odbis_sql::QueryResult;
     use odbis_storage::Value;
+    use std::sync::Arc;
 
     fn payload() -> ReportPayload {
         ReportPayload {
@@ -213,33 +220,30 @@ mod tests {
         }
     }
 
-    fn service() -> DeliveryService {
-        DeliveryService::new(Arc::new(MessageBus::new())).unwrap()
+    fn seqs(read: &OutboxRead) -> Vec<u64> {
+        read.entries.iter().map(|e| e.seq).collect()
     }
 
     #[test]
-    fn deliver_lands_in_outbox_via_bus() {
-        let ids = service();
-        let d = ids
-            .deliver("alice", "daily-report", Channel::Email, &payload())
-            .unwrap();
+    fn deliver_lands_in_outbox() {
+        let ids = DeliveryService::new();
+        let d = ids.deliver("alice", "daily-report", Channel::Email, &payload());
         assert!(d.body.contains("Daily"));
         let outbox = ids.outbox();
         assert_eq!(outbox.len(), 1);
+        assert_eq!(outbox[0].seq, 1);
         assert_eq!(outbox[0].user, "alice");
         assert_eq!(outbox[0].report, "daily-report");
-        assert_eq!(outbox[0].delivered.channel, Channel::Email);
-        assert_eq!(outbox[0].delivered.body, d.body);
+        assert_eq!(outbox[0].delivered, d);
     }
 
     #[test]
     fn burst_reaches_each_subscriber_once_on_their_channel() {
-        let ids = service();
+        let ids = DeliveryService::new();
         ids.subscribe("alice", "daily", Channel::Email);
         ids.subscribe("bob", "daily", Channel::Mobile);
         ids.subscribe("carol", "other", Channel::WebService);
-        let n = ids.burst("daily", &payload()).unwrap();
-        assert_eq!(n, 2);
+        assert_eq!(ids.burst("daily", &payload()), 2);
         let outbox = ids.outbox();
         assert_eq!(outbox.len(), 2);
         let users: Vec<&str> = outbox.iter().map(|e| e.user.as_str()).collect();
@@ -250,21 +254,126 @@ mod tests {
     }
 
     #[test]
+    fn resubscribing_replaces_the_channel_and_delivers_once() {
+        let ids = DeliveryService::new();
+        ids.subscribe("alice", "daily", Channel::Email);
+        ids.subscribe("alice", "daily", Channel::OfficeTool);
+        assert_eq!(ids.subscribers("daily").len(), 1);
+        assert_eq!(ids.burst("daily", &payload()), 1);
+        let outbox = ids.outbox();
+        assert_eq!(outbox.len(), 1);
+        assert_eq!(outbox[0].delivered.channel, Channel::OfficeTool);
+    }
+
+    #[test]
     fn unsubscribe_stops_delivery() {
-        let ids = service();
+        let ids = DeliveryService::new();
         ids.subscribe("alice", "daily", Channel::Email);
         assert!(ids.unsubscribe("alice", "daily"));
         assert!(!ids.unsubscribe("alice", "daily"));
-        assert_eq!(ids.burst("daily", &payload()).unwrap(), 0);
+        assert_eq!(ids.burst("daily", &payload()), 0);
         assert!(ids.outbox().is_empty());
     }
 
     #[test]
-    fn drain_outbox_empties() {
-        let ids = service();
-        ids.deliver("a", "r", Channel::OfficeTool, &payload())
-            .unwrap();
-        assert_eq!(ids.drain_outbox().len(), 1);
-        assert!(ids.outbox().is_empty());
+    fn reads_return_only_the_users_entries_after_the_cursor() {
+        let ids = DeliveryService::new();
+        ids.deliver("alice", "r1", Channel::Email, &payload());
+        ids.deliver("bob", "r1", Channel::Email, &payload());
+        ids.deliver("alice", "r2", Channel::OfficeTool, &payload());
+        let read = ids.read("alice", 0);
+        assert_eq!(seqs(&read), [1, 2]);
+        assert!(read.entries.iter().all(|e| e.user == "alice"));
+        assert_eq!((read.missed, read.cursor), (0, 2));
+        let read = ids.read("alice", 1);
+        assert_eq!(read.entries[0].report, "r2");
+        let read = ids.read("alice", 2);
+        assert!(read.entries.is_empty());
+        assert_eq!((read.missed, read.cursor), (0, 2));
+        assert_eq!(seqs(&ids.read("bob", 0)), [1]);
+        assert_eq!(ids.read("carol", 0).cursor, 0);
+    }
+
+    /// Reading does not consume: a client that dropped a response re-reads
+    /// from its old cursor and gets the same entries (at-least-once).
+    #[test]
+    fn rereading_an_old_cursor_returns_the_same_entries() {
+        let ids = DeliveryService::new();
+        for _ in 0..3 {
+            ids.deliver("alice", "r", Channel::Email, &payload());
+        }
+        let first = ids.read("alice", 1);
+        assert_eq!(seqs(&first), [2, 3]);
+        assert_eq!(ids.read("alice", 1), first);
+    }
+
+    #[test]
+    fn the_outbox_is_bounded_and_evicts_oldest_first() {
+        let ids = DeliveryService::new();
+        let extra = 10;
+        for i in 0..OUTBOX_CAPACITY + extra {
+            let user = if i % 2 == 0 { "alice" } else { "bob" };
+            ids.deliver(user, "r", Channel::Email, &payload());
+        }
+        let outbox = ids.outbox();
+        assert_eq!(outbox.len(), OUTBOX_CAPACITY);
+        // the first `extra` deliveries (five each) are gone
+        let alice = ids.read("alice", 0);
+        let newest = (OUTBOX_CAPACITY + extra) as u64 / 2;
+        assert_eq!(alice.cursor, newest);
+        assert_eq!(alice.missed, 5);
+        assert_eq!(alice.entries.len() as u64, newest - 5);
+        assert_eq!(alice.entries[0].seq, 6);
+        // a cursor inside the evicted range misses only what follows it
+        let alice = ids.read("alice", 3);
+        assert_eq!((alice.missed, alice.entries[0].seq), (2, 6));
+        // a cursor at or past the oldest held entry misses nothing
+        let alice = ids.read("alice", 5);
+        assert_eq!((alice.missed, alice.entries[0].seq), (0, 6));
+        // a user all of whose entries were evicted still learns of them
+        let ids = DeliveryService::new();
+        ids.deliver("carol", "r", Channel::Email, &payload());
+        for _ in 0..OUTBOX_CAPACITY {
+            ids.deliver("dave", "r", Channel::Email, &payload());
+        }
+        let carol = ids.read("carol", 0);
+        assert!(carol.entries.is_empty());
+        assert_eq!((carol.missed, carol.cursor), (1, 1));
+    }
+
+    /// A cursor ahead of the user's newest seq (the outbox restarted since
+    /// the client read) resynchronises from 0 instead of waiting forever.
+    #[test]
+    fn an_ahead_cursor_resyncs_from_the_start() {
+        let ids = DeliveryService::new();
+        let read = ids.read("alice", 40);
+        assert!(read.entries.is_empty());
+        assert_eq!((read.missed, read.cursor), (0, 0));
+        ids.deliver("alice", "r", Channel::Email, &payload());
+        ids.deliver("alice", "r", Channel::Email, &payload());
+        let read = ids.read("alice", 40);
+        assert_eq!(seqs(&read), [1, 2]);
+        assert_eq!((read.missed, read.cursor), (0, 2));
+    }
+
+    #[test]
+    fn every_append_notifies_with_its_recipient_outside_the_lock() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let ids = Arc::new_cyclic(|weak: &std::sync::Weak<DeliveryService>| {
+            let (seen, weak) = (Arc::clone(&seen), weak.clone());
+            DeliveryService::notifying(move |user| {
+                // a notified reader reads the outbox: no deadlock
+                let newest = weak.upgrade().unwrap().read(user, 0).cursor;
+                seen.lock().push((user.to_string(), newest));
+            })
+        });
+        ids.subscribe("alice", "daily", Channel::Email);
+        ids.subscribe("bob", "daily", Channel::Email);
+        ids.burst("daily", &payload());
+        ids.deliver("alice", "r", Channel::Email, &payload());
+        assert_eq!(
+            *seen.lock(),
+            [("alice".into(), 1), ("bob".into(), 1), ("alice".into(), 2)]
+        );
     }
 }

@@ -68,7 +68,7 @@ pub struct SpanRecord {
     /// Whether the traced call failed.
     pub error: bool,
     /// The HTTP request id the span served, empty outside a request (ETL
-    /// schedules, ESB deliveries, tests).
+    /// schedules, tests).
     pub request_id: String,
 }
 

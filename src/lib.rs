@@ -9,7 +9,6 @@
 pub use odbis;
 pub use odbis_admin as admin;
 pub use odbis_delivery as delivery;
-pub use odbis_esb as esb;
 pub use odbis_etl as etl;
 pub use odbis_mddws as mddws;
 pub use odbis_metadata as metadata;

@@ -714,6 +714,168 @@ fn watch_rejects_bad_parameters_and_unknown_datasets() {
     server.shutdown();
 }
 
+// ------------------------------------------------------- deliveries API
+//
+// `GET /api/v1/deliveries`: the caller's own outbox, read by cursor (the
+// `seq` of the last entry read). Entries after the cursor come back at
+// once as `{"entries","missed","cursor"}`; with none the poll parks until
+// the caller's next delivery, or answers 204 with its cursor echoed when
+// the timeout lapses. Both shapes carry `X-Watch-Cursor`.
+
+fn deliver_to(platform: &OdbisPlatform, tenant: &str, token: &str, user: &str, report: &str) {
+    let payload = odbis_delivery::ReportPayload {
+        title: report.into(),
+        data: QueryResult {
+            columns: vec!["n".into()],
+            rows: vec![vec![odbis_storage::Value::Int(1)]],
+            rows_affected: 0,
+        },
+    };
+    platform
+        .deliver(tenant, token, user, report, Channel::OfficeTool, &payload)
+        .unwrap();
+}
+
+fn deliveries_at(
+    addr: &str,
+    token: &str,
+    query: &str,
+) -> (u16, std::collections::BTreeMap<String, String>, String) {
+    auth(
+        addr,
+        "GET",
+        &format!("/api/v1/deliveries?{query}"),
+        token,
+        "",
+    )
+}
+
+fn reports_of(body: &str) -> Vec<String> {
+    let v: serde_json::Value = serde_json::from_str(body).unwrap();
+    v["entries"]
+        .as_array()
+        .unwrap()
+        .iter()
+        .map(|e| e["report"].as_str().unwrap().to_string())
+        .collect()
+}
+
+#[test]
+fn deliveries_long_poll_wakes_only_on_the_callers_own_delivery() {
+    let platform = Arc::new(OdbisPlatform::new());
+    let token = drive_traffic(&platform); // delivered "exec" to cio
+    platform
+        .create_user("clinic", &token, "nurse", "pw", "ROLE_ANALYST")
+        .unwrap();
+    let nurse = platform.login("clinic", "nurse", "pw").unwrap();
+    // a second tenant with a user of the same name
+    platform
+        .provision_tenant("lab", "Lab", SubscriptionPlan::standard(), "cio", "pw")
+        .unwrap();
+    let lab = platform.login("lab", "cio", "pw").unwrap();
+    // a table named like the user, from a quoted identifier
+    platform
+        .sql("clinic", &token, "CREATE TABLE \"cio\" (x INT)")
+        .unwrap();
+    let server = HttpServer::start(build_router(Arc::clone(&platform)), 2).unwrap();
+    let addr = server.addr().to_string();
+
+    // entries after the cursor answer at once
+    let (status, headers, body) = deliveries_at(&addr, &token, "cursor=0");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(reports_of(&body), ["exec"]);
+    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(
+        (v["cursor"].as_u64(), v["missed"].as_u64()),
+        (Some(1), Some(0))
+    );
+    assert_eq!(headers["x-watch-cursor"], "1");
+
+    let hub = Arc::clone(&platform.workspace("clinic").unwrap().watch);
+    let poller = {
+        let (addr, token) = (addr.clone(), token.clone());
+        std::thread::spawn(move || deliveries_at(&addr, &token, "cursor=1&timeout_ms=10000"))
+    };
+    for _ in 0..200 {
+        if hub.parked() > 0 {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    assert_eq!(hub.parked(), 1, "poll never parked");
+    // none of these is a delivery to clinic's cio: the poll stays parked
+    deliver_to(&platform, "clinic", &token, "nurse", "ward");
+    deliver_to(&platform, "lab", &lab, "cio", "assay");
+    platform
+        .sql("clinic", &token, "INSERT INTO \"cio\" VALUES (1)")
+        .unwrap();
+    assert_eq!(hub.parked(), 1, "woken by someone else's change");
+
+    deliver_to(&platform, "clinic", &token, "cio", "daily");
+    let (status, headers, body) = poller.join().unwrap();
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(reports_of(&body), ["daily"]);
+    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(v["entries"][0]["seq"], 2);
+    assert_eq!(v["entries"][0]["contentType"], "text/csv");
+    assert_eq!(v["entries"][0]["body"], "n\n1\n");
+    assert_eq!(headers["x-watch-cursor"], "2");
+
+    // nothing new: 204 with the cursor echoed
+    let (status, headers, _) = deliveries_at(&addr, &token, "cursor=2&timeout_ms=50");
+    assert_eq!(status, 204);
+    assert_eq!(headers["x-watch-cursor"], "2");
+    // re-reading an old cursor returns the same entries (at-least-once)
+    let (_, _, again) = deliveries_at(&addr, &token, "cursor=1");
+    assert_eq!(reports_of(&again), ["daily"]);
+    // a cursor ahead of the outbox resynchronises from the start
+    let (status, headers, body) = deliveries_at(&addr, &token, "cursor=99");
+    assert_eq!(status, 200);
+    assert_eq!(reports_of(&body), ["exec", "daily"]);
+    assert_eq!(headers["x-watch-cursor"], "2");
+    // every user, in every tenant, reads only their own outbox
+    let (_, _, body) = deliveries_at(&addr, &nurse, "cursor=0");
+    assert_eq!(reports_of(&body), ["ward"]);
+    let (_, _, body) = http_request(
+        &addr,
+        "GET",
+        "/api/v1/deliveries?cursor=0",
+        &[
+            ("x-tenant", "lab"),
+            ("Authorization", &format!("Bearer {lab}")),
+        ],
+        b"",
+    )
+    .unwrap();
+    assert_eq!(reports_of(&body), ["assay"]);
+    server.shutdown();
+}
+
+#[test]
+fn deliveries_report_what_the_bounded_outbox_evicted() {
+    let platform = Arc::new(OdbisPlatform::new());
+    let token = drive_traffic(&platform);
+    for i in 0..odbis_delivery::OUTBOX_CAPACITY {
+        deliver_to(&platform, "clinic", &token, "cio", &format!("r{i}"));
+    }
+    let server = HttpServer::start(build_router(Arc::clone(&platform)), 2).unwrap();
+    let addr = server.addr().to_string();
+    // "exec" (seq 1) was evicted: the reader is told, not skipped past it
+    let (status, _, body) = deliveries_at(&addr, &token, "cursor=0");
+    assert_eq!(status, 200);
+    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(v["missed"], 1);
+    let entries = v["entries"].as_array().unwrap();
+    assert_eq!(entries.len(), odbis_delivery::OUTBOX_CAPACITY);
+    assert_eq!(entries[0]["seq"], 2);
+    // bad parameters are 400 envelopes, as on the dataset watch
+    for query in ["cursor=abc", "timeout_ms=3600000"] {
+        let (status, _, body) = deliveries_at(&addr, &token, query);
+        assert_eq!(status, 400, "{query}: {body}");
+    }
+    server.shutdown();
+}
+
 // ------------------------------------------------- watch across migration
 //
 // The migration contract for watchers: version cursors are per-node. A

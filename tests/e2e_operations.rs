@@ -135,8 +135,7 @@ fn warehouse_snapshot_round_trip() {
 /// their preferred channel, with correct per-channel formats.
 #[test]
 fn burst_formats_per_channel() {
-    let bus = Arc::new(odbis_esb::MessageBus::new());
-    let ids = odbis_delivery::DeliveryService::new(bus).unwrap();
+    let ids = odbis_delivery::DeliveryService::new();
     ids.subscribe("ceo", "weekly", Channel::Email);
     ids.subscribe("analyst", "weekly", Channel::WebService);
     ids.subscribe("field-rep", "weekly", Channel::Mobile);
@@ -152,7 +151,7 @@ fn burst_formats_per_channel() {
             rows_affected: 0,
         },
     };
-    assert_eq!(ids.burst("weekly", &payload).unwrap(), 4);
+    assert_eq!(ids.burst("weekly", &payload), 4);
     let outbox = ids.outbox();
     assert_eq!(outbox.len(), 4);
     let by_user = |u: &str| {

@@ -1,12 +1,12 @@
 //! E5 (Figure 5): every box of the ODBIS technical architecture has a
 //! working substitute, exercised together in one wired scenario —
 //! PostgreSQL→storage, JPA/Hibernate→ORM, JMI/MDR→metamodel repository,
-//! Drools→rules, Spring integration→ESB, Spring Security→security,
-//! JSF/Tomcat→web.
+//! Drools→rules, Spring Integration→an in-process call into the delivery
+//! outbox, Spring Security→security, JSF/Tomcat→web.
 
 use std::sync::Arc;
 
-use odbis_esb::{Endpoint, Message, MessageBus};
+use odbis_delivery::{Channel, DeliveryService, ReportPayload};
 use odbis_metamodel::{cwm, AttrValue, ModelRepository};
 use odbis_orm::{Entity, EntityMeta, OrmResult, Repository};
 use odbis_rules::{tconst, tvar, Action, Fact, Pattern, Rule, RuleEngine, TestOp, WorkingMemory};
@@ -113,31 +113,27 @@ fn all_stack_boxes_work_together() {
     let fired = rules.run(&mut wm).unwrap();
     assert_eq!(fired.firings(), 1);
 
-    // -- ESB (Spring Integration substitute): alerts flow to an audit sink
-    let bus = MessageBus::new();
-    bus.create_channel("alerts").unwrap();
-    let audit: Arc<std::sync::Mutex<Vec<String>>> = Arc::new(std::sync::Mutex::new(Vec::new()));
-    let sink = Arc::clone(&audit);
-    bus.subscribe(
-        "alerts",
-        Endpoint::ServiceActivator(Box::new(move |m| {
-            sink.lock()
-                .unwrap()
-                .push(m.payload.as_text().unwrap_or("").to_string());
-            Ok(())
-        })),
-    )
-    .unwrap();
+    // -- delivery (Spring Integration substitute): each alert is a call
+    //    into the delivery service, landing in the on-call user's outbox
+    let ids = DeliveryService::new();
     for id in wm.ids_of_type("Alert").to_vec() {
         let alert = wm.get(id).unwrap();
-        bus.send(
-            "alerts",
-            Message::text(format!("alert for {}", alert.get("report").render())),
-        )
-        .unwrap();
+        let payload = ReportPayload {
+            title: format!("alert for {}", alert.get("report").render()),
+            data: odbis_sql::QueryResult {
+                columns: vec![],
+                rows: vec![],
+                rows_affected: 0,
+            },
+        };
+        ids.deliver("on-call", "alerts", Channel::Email, &payload);
     }
-    bus.pump().unwrap();
-    assert_eq!(audit.lock().unwrap().len(), 1);
+    let alerts = ids.read("on-call", 0);
+    assert_eq!(alerts.entries.len(), 1);
+    assert!(alerts.entries[0]
+        .delivered
+        .body
+        .contains("alert for monthly-costs"));
 
     // -- web tier (Tomcat/JSF substitute): serve the report over HTTP -----
     let mut router = Router::new();
