@@ -944,7 +944,8 @@ impl OdbisPlatform {
         })
     }
 
-    /// Deliver a report payload to a user over a channel.
+    /// Deliver a report payload to a user of the tenant's realm over a
+    /// channel; any other recipient is [`PlatformError::NotFound`].
     pub fn deliver(
         &self,
         tenant: &str,
@@ -957,6 +958,9 @@ impl OdbisPlatform {
         self.traced(tenant, ServiceKind::Delivery, "deliver", |span| {
             span.set_detail(report);
             self.authorize(tenant, token, "REPORT_VIEW")?;
+            if !self.admin.registry().realm(tenant)?.has_user(user) {
+                return Err(PlatformError::NotFound(format!("user {user}")));
+            }
             let ws = self.workspace(tenant)?;
             let delivered = ws.delivery.deliver(user, report, channel, payload);
             span.set_bytes(delivered.body.len() as u64);

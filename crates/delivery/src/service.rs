@@ -1,13 +1,15 @@
 //! The delivery service: subscriptions, bursting and the bounded outbox.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use parking_lot::Mutex;
 
 use crate::format::{format_for, Channel, Delivered, ReportPayload};
 
-/// Entries one outbox holds. Appending to a full outbox evicts the oldest
-/// entry; a reader whose cursor predates it is told how many it missed.
+/// Entries one recipient's outbox holds. Appending to a full outbox evicts
+/// its oldest entry; a reader whose cursor predates it is told how many it
+/// missed. Each recipient has an outbox of its own, so a delivery never
+/// evicts another recipient's entry.
 pub const OUTBOX_CAPACITY: usize = 256;
 
 /// A subscription: a user wants a report on a channel.
@@ -51,11 +53,14 @@ pub struct OutboxRead {
     pub cursor: u64,
 }
 
+/// One recipient's deliveries.
 #[derive(Default)]
 struct Outbox {
+    /// The newest [`OUTBOX_CAPACITY`] entries, oldest first; their `seq`s
+    /// are consecutive.
     ring: VecDeque<OutboxEntry>,
-    /// Deliveries appended per recipient, i.e. each recipient's newest `seq`.
-    appended: HashMap<String, u64>,
+    /// Deliveries appended, i.e. the newest `seq`.
+    appended: u64,
 }
 
 /// Runs after each append, with the recipient's name.
@@ -64,11 +69,14 @@ type Notify = Box<dyn Fn(&str) + Send + Sync>;
 /// The Information Delivery Service (IDS).
 ///
 /// Formatting is channel-specific ([`format_for`]); a delivery is then an
-/// [`OutboxEntry`] appended to a ring of [`OUTBOX_CAPACITY`] entries, which
-/// each recipient reads by cursor ([`DeliveryService::read`]).
+/// [`OutboxEntry`] appended to its recipient's ring of [`OUTBOX_CAPACITY`]
+/// entries, which the recipient reads by cursor ([`DeliveryService::read`]).
+/// The service takes any recipient name: the platform admits only the
+/// users of the tenant's realm.
 pub struct DeliveryService {
     subscriptions: Mutex<Vec<Subscription>>,
-    outbox: Mutex<Outbox>,
+    /// Per recipient.
+    outboxes: Mutex<BTreeMap<String, Outbox>>,
     notify: Notify,
 }
 
@@ -90,7 +98,7 @@ impl DeliveryService {
     pub fn notifying(notify: impl Fn(&str) + Send + Sync + 'static) -> Self {
         DeliveryService {
             subscriptions: Mutex::new(Vec::new()),
-            outbox: Mutex::new(Outbox::default()),
+            outboxes: Mutex::new(BTreeMap::new()),
             notify: Box::new(notify),
         }
     }
@@ -144,11 +152,11 @@ impl DeliveryService {
         let formatted = format_for(channel, payload);
         span.set_bytes(formatted.body.len() as u64);
         {
-            let mut outbox = self.outbox.lock();
-            let seq = outbox.appended.entry(user.to_string()).or_insert(0);
-            *seq += 1;
+            let mut outboxes = self.outboxes.lock();
+            let outbox = outboxes.entry(user.to_string()).or_default();
+            outbox.appended += 1;
             let entry = OutboxEntry {
-                seq: *seq,
+                seq: outbox.appended,
                 user: user.to_string(),
                 report: report.to_string(),
                 delivered: formatted.clone(),
@@ -172,9 +180,14 @@ impl DeliveryService {
         subs.len()
     }
 
-    /// Snapshot of the outbox, every recipient's entries, oldest first.
+    /// Snapshot of every recipient's entries, by recipient name, each
+    /// recipient's oldest first.
     pub fn outbox(&self) -> Vec<OutboxEntry> {
-        self.outbox.lock().ring.iter().cloned().collect()
+        let outboxes = self.outboxes.lock();
+        outboxes
+            .values()
+            .flat_map(|o| o.ring.iter().cloned())
+            .collect()
     }
 
     /// `user`'s deliveries after `cursor`. Reading does not consume: a
@@ -183,13 +196,13 @@ impl DeliveryService {
     /// (issued before the outbox restarted) reads from 0, so the client
     /// resynchronises instead of waiting for a `seq` that will not come.
     pub fn read(&self, user: &str, cursor: u64) -> OutboxRead {
-        let outbox = self.outbox.lock();
-        let newest = outbox.appended.get(user).copied().unwrap_or(0);
+        let outboxes = self.outboxes.lock();
+        let outbox = outboxes.get(user);
+        let newest = outbox.map_or(0, |o| o.appended);
         let from = if cursor > newest { 0 } else { cursor };
-        let entries: Vec<OutboxEntry> = outbox
-            .ring
-            .iter()
-            .filter(|e| e.user == user && e.seq > from)
+        let entries: Vec<OutboxEntry> = (outbox.into_iter())
+            .flat_map(|o| &o.ring)
+            .filter(|e| e.seq > from)
             .cloned()
             .collect();
         OutboxRead {
@@ -307,38 +320,38 @@ mod tests {
         assert_eq!(ids.read("alice", 1), first);
     }
 
+    /// Each recipient's outbox holds its newest [`OUTBOX_CAPACITY`]
+    /// entries: a recipient that gets more learns what it missed, and a
+    /// burst of deliveries to other names evicts nothing of its own.
     #[test]
     fn the_outbox_is_bounded_and_evicts_oldest_first() {
         let ids = DeliveryService::new();
         let extra = 10;
+        ids.deliver("carol", "r", Channel::Email, &payload());
         for i in 0..OUTBOX_CAPACITY + extra {
-            let user = if i % 2 == 0 { "alice" } else { "bob" };
-            ids.deliver(user, "r", Channel::Email, &payload());
+            ids.deliver("alice", "r", Channel::Email, &payload());
+            ids.deliver(&format!("ghost{i}"), "r", Channel::Email, &payload());
         }
-        let outbox = ids.outbox();
-        assert_eq!(outbox.len(), OUTBOX_CAPACITY);
-        // the first `extra` deliveries (five each) are gone
+        assert_eq!(ids.outbox().len(), 1 + 2 * OUTBOX_CAPACITY + extra);
+        // alice's first `extra` deliveries are gone
         let alice = ids.read("alice", 0);
-        let newest = (OUTBOX_CAPACITY + extra) as u64 / 2;
-        assert_eq!(alice.cursor, newest);
-        assert_eq!(alice.missed, 5);
-        assert_eq!(alice.entries.len() as u64, newest - 5);
-        assert_eq!(alice.entries[0].seq, 6);
+        assert_eq!(alice.cursor, (OUTBOX_CAPACITY + extra) as u64);
+        assert_eq!(alice.missed, extra as u64);
+        assert_eq!(alice.entries.len(), OUTBOX_CAPACITY);
+        assert_eq!(alice.entries[0].seq, extra as u64 + 1);
         // a cursor inside the evicted range misses only what follows it
         let alice = ids.read("alice", 3);
-        assert_eq!((alice.missed, alice.entries[0].seq), (2, 6));
+        assert_eq!((alice.missed, alice.entries[0].seq), (7, 11));
         // a cursor at or past the oldest held entry misses nothing
-        let alice = ids.read("alice", 5);
-        assert_eq!((alice.missed, alice.entries[0].seq), (0, 6));
-        // a user all of whose entries were evicted still learns of them
-        let ids = DeliveryService::new();
-        ids.deliver("carol", "r", Channel::Email, &payload());
-        for _ in 0..OUTBOX_CAPACITY {
-            ids.deliver("dave", "r", Channel::Email, &payload());
-        }
+        let alice = ids.read("alice", 10);
+        assert_eq!((alice.missed, alice.entries[0].seq), (0, 11));
+        let alice = ids.read("alice", 200);
+        assert_eq!((alice.missed, alice.entries.len()), (0, 66));
+        assert_eq!(alice.entries[0].seq, 201);
+        // hundreds of deliveries to other names left carol's entry alone
         let carol = ids.read("carol", 0);
-        assert!(carol.entries.is_empty());
-        assert_eq!((carol.missed, carol.cursor), (1, 1));
+        assert_eq!(seqs(&carol), [1]);
+        assert_eq!((carol.missed, carol.cursor), (0, 1));
     }
 
     /// A cursor ahead of the user's newest seq (the outbox restarted since

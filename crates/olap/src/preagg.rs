@@ -3,99 +3,51 @@
 //!
 //! A stored cell is one [`Accumulator`] per measure — the SQL executor's
 //! own aggregate state, so a cell answers what the SQL GROUP BY does, to
-//! the bit for INT measures. Everything here is built from its two
-//! operations: `add` one fact value, and `merge` two partial
-//! accumulators.
+//! the bit for INT measures. Cells are computed by the SQL executor's own
+//! kernels: fact rows join each snowflaked dimension through a stored
+//! [`JoinTable`], and the joined rows fold into groups through
+//! [`aggregate_columns`], whose accumulators `merge` into the cells.
 //! - a build or rebuild folds every live chunk of the fact table, split
 //!   over the machine's workers, and merges the workers' cell maps;
 //! - [`MaterializedAggregate::apply_delta`] folds inserted fact rows
-//!   through the same per-row kernel, so a warehouse write costs one cell
+//!   through the same kernels, so a warehouse write costs one cell
 //!   update instead of a rebuild; writes a fold cannot express — updates,
 //!   deletes, truncates, dimension-table changes — mark the aggregate
 //!   stale, and it is rebuilt;
 //! - a roll-up merges the stored cells onto the query's coarser key; AVG
 //!   merges its sum and count, as the SQL's two-phase merge does.
 //!
-//! Nothing here runs SQL. The ROLAP SQL the cube engine generates for the
-//! same query is the oracle the tests compare the cells with.
+//! No SQL text is planned here. The ROLAP SQL the cube engine generates
+//! for the same query is the oracle the tests compare the cells with.
 //!
 //! What a fold reads besides the fact rows — the fact column or the
-//! dimension each axis takes its coordinate from, and each snowflaked
-//! dimension's key → members map — is the aggregate's fold plan. It is
-//! resolved from the warehouse when the cells are built or rebuilt, and
-//! `apply_delta` takes no database: a fold only probes the plan's maps,
-//! so a fact insert costs O(delta rows), not O(dimension rows). The maps
-//! cannot go out of date while the aggregate is fresh, because every
-//! write to a dimension table makes it stale. [`AggregateCache::apply_deltas`]
+//! dimension column each axis takes its coordinate from, and each
+//! snowflaked dimension's key and level columns with their join build
+//! side — is the aggregate's fold plan. It is resolved from the warehouse
+//! when the cells are built or rebuilt, and `apply_delta` takes no
+//! database: a fold only probes the plan's build sides, so a fact insert
+//! costs O(delta rows), not O(dimension rows). The build sides cannot go
+//! out of date while the aggregate is fresh, because every write to a
+//! dimension table makes it stale. [`AggregateCache::apply_deltas`]
 //! takes a whole batch of deltas at once: it applies all of them, then
 //! rebuilds each stale aggregate once, so a rebuild never reads a row
 //! that a later delta in the batch would fold in a second time.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::BuildHasherDefault;
+use std::sync::Arc;
 
-use odbis_sql::{par_chunks, Accumulator, Engine};
+use odbis_sql::{
+    aggregate_columns, par_chunks, Accumulator, Engine, FastHasher, JoinTable, SqlResult,
+};
 use odbis_storage::{Batch, Database, Schema, Value};
 
 use crate::cube::{Aggregator, CellSet, CubeDef, CubeQuery, DimensionDef, LevelRef};
 use crate::OlapError;
 
 /// Stored cells: axis coordinates → one accumulator per stored measure.
-type Cells = HashMap<Vec<Value>, Vec<Accumulator>>;
-
-/// The maps a fold probes once per row or more.
-type FoldMap<K, V> = HashMap<K, V, BuildHasherDefault<FoldHasher>>;
-
-/// FxHash's multiply-xor step per word, finished with MurmurHash3's
-/// mixer: [`Value`] hashes an Int through its f64 bits, which differ only
-/// in their high bits for the small integers keys usually are, and a map
-/// takes its bucket from the low bits of the hash and its tag from the
-/// top seven. Not DoS-resistant; it hashes only the tenant's own keys, as
-/// the SQL executor's group tables do.
-#[derive(Default)]
-struct FoldHasher(u64);
-
-impl Hasher for FoldHasher {
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^ (h >> 33)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.add(u64::from_le_bytes(w.try_into().expect("8 bytes")));
-        }
-        for &b in words.remainder() {
-            self.add(u64::from(b));
-        }
-    }
-
-    // `Value` hashes a one-byte tag and then a word
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-
-    // a `Vec<u32>` key hashes its length, then its bytes
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-}
-
-impl FoldHasher {
-    fn add(&mut self, v: u64) {
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
+type Cells = HashMap<Vec<Value>, Vec<Accumulator>, BuildHasherDefault<FastHasher>>;
 
 /// What [`MaterializedAggregate::apply_delta`] did with a write event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,48 +97,40 @@ impl TableDelta {
     }
 }
 
-/// How one axis coordinate is read off a fact row.
+/// One snowflaked dimension the aggregate joins, as a fold probes it.
 #[derive(Debug, Clone)]
-enum AxisSrc {
-    /// Degenerate level: the fact column's index.
-    Fact(usize),
-    /// Snowflaked level: level `col` of a member of `FoldPlan::joins[join]`.
-    Dim { join: usize, col: usize },
-}
-
-/// One snowflaked dimension the aggregate joins, as the fold probes it.
-#[derive(Debug, Clone)]
-struct DimJoin {
+struct Dim {
     /// Fact column holding the foreign key.
     fk: usize,
-    /// Dimension key → the members with that key: per dimension row, the
-    /// code of each level an axis reads, back to back. NULL keys are left
-    /// out: the inner join never matches them.
-    members: FoldMap<Value, Vec<u32>>,
-    /// Per level an axis reads, its distinct values, indexed by code.
-    levels: Vec<Vec<Value>>,
+    /// The dimension's key column, then each level column an axis reads.
+    rows: Batch,
+    /// `rows` hashed on its key column.
+    join: JoinTable,
 }
 
 /// Everything a fold reads, resolved against the warehouse when the cells
-/// are built, so a fold probes these maps and never reads a table.
+/// are built, so a fold probes these build sides and never reads a table.
 #[derive(Debug, Clone)]
 struct FoldPlan {
     /// The fact table, then each joined dimension table once.
     tables: Vec<String>,
     /// Column count of the fact table; a delta of another width rebuilds.
     arity: usize,
-    axes: Vec<AxisSrc>,
-    joins: Vec<DimJoin>,
+    /// Where each axis reads its coordinate: `(0, c)` is fact column `c`,
+    /// `(j + 1, c)` is column `c` of `dims[j].rows`.
+    axes: Vec<(usize, usize)>,
+    dims: Vec<Dim>,
     /// Fact column of each stored measure.
     measures: Vec<usize>,
-    /// The accumulators a new cell starts from.
-    empty: Vec<Accumulator>,
+    /// Aggregator of each stored measure.
+    funcs: Vec<Aggregator>,
 }
 
 impl FoldPlan {
     /// Resolve the plan of an aggregate over `def` from the live tables:
     /// column indices from the schemas, and each snowflaked dimension's
-    /// key → members map from a scan of its key and level columns.
+    /// key and level columns, with the build side of its join, from a scan
+    /// of those columns.
     fn resolve(
         db: &Database,
         def: &CubeDef,
@@ -201,9 +145,9 @@ impl FoldPlan {
         let schema = db.table_schema(&def.fact_table).map_err(invalid)?;
         let mut tables = vec![def.fact_table.clone()];
         let mut srcs = Vec::with_capacity(axes.len());
-        // per joined dimension: its def and table, the table's schema and
-        // key column, and the level columns its axes read, in member order
-        let mut joins: Vec<(&DimensionDef, &str, Schema, usize, Vec<usize>)> = Vec::new();
+        // per joined dimension: its def and table, the table's schema, and
+        // the columns its rows keep: the key, then the levels axes read
+        let mut joins: Vec<(&DimensionDef, &str, Schema, Vec<usize>)> = Vec::new();
         for lr in axes {
             let dim = def.dimension(&lr.dimension)?;
             let level = dim
@@ -212,7 +156,7 @@ impl FoldPlan {
                 .find(|l| l.name.eq_ignore_ascii_case(&lr.level))
                 .ok_or_else(|| OlapError::UnknownLevel(format!("{}.{}", lr.dimension, lr.level)))?;
             let Some(t) = &dim.table else {
-                srcs.push(AxisSrc::Fact(index(&schema, &level.column, "fact column")?));
+                srcs.push((0, index(&schema, &level.column, "fact column")?));
                 continue;
             };
             // one join per dimension, as the cube engine's SQL has it
@@ -224,143 +168,85 @@ impl FoldPlan {
                     if !tables.iter().any(|x| x.eq_ignore_ascii_case(t)) {
                         tables.push(t.clone());
                     }
-                    joins.push((dim, t, dschema, key, Vec::new()));
+                    joins.push((dim, t, dschema, vec![key]));
                     joins.len() - 1
                 }
             };
-            let (_, _, dschema, _, cols) = &mut joins[join];
+            let (_, _, dschema, cols) = &mut joins[join];
             let col = index(dschema, &level.column, &format!("{t} column"))?;
-            srcs.push(AxisSrc::Dim {
-                join,
-                col: cols.len(),
-            });
+            srcs.push((join + 1, cols.len()));
             cols.push(col);
         }
-        let mut plan_joins = Vec::with_capacity(joins.len());
-        for (dim, t, _, key, cols) in joins {
-            let fk = index(&schema, &dim.fact_fk, "fact fk")?;
-            let projection: Vec<usize> = std::iter::once(key).chain(cols.iter().copied()).collect();
+        let mut dims = Vec::with_capacity(joins.len());
+        for (dim, t, _, projection) in joins {
             let chunks = db.scan_partitions(t, Some(&projection)).map_err(invalid)?;
-            let mut levels = vec![Dictionary::default(); cols.len()];
-            let rows = chunks.iter().map(Batch::num_rows).sum();
-            let mut members: FoldMap<Value, Vec<u32>> =
-                FoldMap::with_capacity_and_hasher(rows, Default::default());
-            for m in chunks {
-                for r in 0..m.num_rows() {
-                    let k = m.value(0, r);
-                    if k.is_null() {
-                        continue;
-                    }
-                    let member = levels
-                        .iter_mut()
-                        .zip(1..)
-                        .map(|(d, c)| d.code(m.value(c, r)));
-                    match members.entry(k) {
-                        Entry::Occupied(mut e) => e.get_mut().extend(member),
-                        Entry::Vacant(e) => {
-                            e.insert(member.collect());
-                        }
-                    }
-                }
-            }
-            plan_joins.push(DimJoin {
-                fk,
-                members,
-                levels: levels.into_iter().map(|d| d.values).collect(),
+            let rows = Batch::concat(projection.len(), &chunks).map_err(invalid)?;
+            dims.push(Dim {
+                fk: index(&schema, &dim.fact_fk, "fact fk")?,
+                join: JoinTable::build(&rows, &[0]),
+                rows,
             });
         }
         Ok(FoldPlan {
             tables,
             arity: schema.columns().len(),
             axes: srcs,
-            joins: plan_joins,
+            dims,
             measures: measures
                 .iter()
                 .map(|(name, _)| index(&schema, &def.measure(name)?.column, "measure column"))
                 .collect::<Result<_, _>>()?,
-            empty: measures
-                .iter()
-                .map(|&(_, agg)| Accumulator::new(agg, false))
-                .collect(),
+            funcs: measures.iter().map(|&(_, agg)| agg).collect(),
         })
     }
 
-    /// Fold fact rows (full width) into `cells` — the one per-row kernel,
-    /// run by a build over the whole table and by a fold of inserted rows.
+    /// Fold fact rows (full width) into `cells`, as a build does with each
+    /// chunk of the fact table and a fold with the inserted rows: join
+    /// them with every dimension, then fold the joined rows' coordinates
+    /// and measure inputs into groups with the SQL executor's partial
+    /// aggregation, and merge each group into its cell. Nothing is merged
+    /// unless the whole batch folded.
+    fn fold(&self, cells: &mut Cells, facts: &Batch) -> SqlResult<()> {
+        let joined = self.join(facts)?;
+        let groups =
+            aggregate_columns(std::slice::from_ref(&joined), self.axes.len(), &self.funcs)?;
+        for (key, accs) in groups {
+            merge_cell(cells, key, accs);
+        }
+        Ok(())
+    }
+
+    /// The inner join of `facts` with each dimension, as the columns a
+    /// fold groups: every axis's coordinate, then every measure's input.
     ///
-    /// A row folds as the ROLAP SQL's inner joins see it: a foreign key
-    /// that is NULL or has no dimension row hides the row, and a key
-    /// shared by several dimension rows folds the row once per
-    /// combination of matching members.
-    ///
-    /// Rows first fold into groups keyed by the codes of their
-    /// coordinates — a snowflaked level's code comes with its member, a
-    /// fact column's from a dictionary of this call — so a row costs no
-    /// allocation; each group's key is built, and its accumulators merged
-    /// into `cells`, once at the end.
-    fn fold(&self, cells: &mut Cells, rows: &Batch) {
-        let mut facts: Vec<Dictionary> = vec![Dictionary::default(); self.axes.len()];
-        let mut groups: FoldMap<Vec<u32>, usize> = FoldMap::default();
-        let mut accs: Vec<Vec<Accumulator>> = Vec::new();
-        let mut codes: Vec<u32> = Vec::with_capacity(self.axes.len());
-        // per join: the matching members of the current row, and which
-        // of them the current combination takes
-        let mut hits: Vec<&[u32]> = Vec::with_capacity(self.joins.len());
-        let mut pick = vec![0usize; self.joins.len()];
-        'rows: for r in 0..rows.num_rows() {
-            hits.clear();
-            for j in &self.joins {
-                match j.members.get(&rows.value(j.fk, r)) {
-                    Some(m) => hits.push(m),
-                    None => continue 'rows,
-                }
+    /// The probes chain as the SQL's joins do: each dimension's build side
+    /// is probed with the foreign keys of the rows the joins before it
+    /// kept, so a foreign key that is NULL or has no dimension row drops
+    /// the fact row, and a key shared by several dimension rows keeps it
+    /// once per match.
+    fn join(&self, facts: &Batch) -> SqlResult<Batch> {
+        // per side (the facts, then each dimension): each joined row's row
+        let mut rows: Vec<Vec<u32>> = vec![(0..facts.num_rows() as u32).collect()];
+        for dim in &self.dims {
+            let fk = facts.column(dim.fk).gather(&rows[0]);
+            let fk = Batch::new(vec![Arc::new(fk)], rows[0].len())?;
+            let (kept, matched) = dim.join.probe(&fk, &[0], 0, fk.num_rows());
+            for side in &mut rows {
+                *side = kept.iter().map(|&k| side[k as usize]).collect();
             }
-            pick.fill(0);
-            loop {
-                codes.clear();
-                for (src, dict) in self.axes.iter().zip(&mut facts) {
-                    codes.push(match *src {
-                        AxisSrc::Fact(i) => dict.code(rows.value(i, r)),
-                        AxisSrc::Dim { join, col } => {
-                            hits[join][pick[join] * self.joins[join].levels.len() + col]
-                        }
-                    });
-                }
-                let g = match groups.get(codes.as_slice()) {
-                    Some(&g) => g,
-                    None => {
-                        groups.insert(codes.clone(), accs.len());
-                        accs.push(self.empty.clone());
-                        accs.len() - 1
-                    }
+            rows.push(matched);
+        }
+        let measures = self.measures.iter().map(|&c| (0, c));
+        let columns = (self.axes.iter().copied().chain(measures))
+            .map(|(side, c)| {
+                let source = match side {
+                    0 => facts,
+                    _ => &self.dims[side - 1].rows,
                 };
-                for (acc, &col) in accs[g].iter_mut().zip(&self.measures) {
-                    acc.add(&rows.value(col, r));
-                }
-                // the next combination, odometer-style; done after the last
-                let mut j = 0;
-                while j < pick.len() {
-                    pick[j] += 1;
-                    if pick[j] * self.joins[j].levels.len() < hits[j].len() {
-                        break;
-                    }
-                    pick[j] = 0;
-                    j += 1;
-                }
-                if j == pick.len() {
-                    break;
-                }
-            }
-        }
-        for (codes, g) in groups {
-            let key = (self.axes.iter().zip(&facts).zip(codes))
-                .map(|((src, dict), c)| match *src {
-                    AxisSrc::Fact(_) => dict.values[c as usize].clone(),
-                    AxisSrc::Dim { join, col } => self.joins[join].levels[col][c as usize].clone(),
-                })
-                .collect();
-            merge_cell(cells, key, std::mem::take(&mut accs[g]));
-        }
+                Arc::new(source.column(c).gather(&rows[side]))
+            })
+            .collect();
+        Ok(Batch::new(columns, rows[0].len())?)
     }
 
     /// Fold the whole fact table into new cells. Its live chunks are split
@@ -369,13 +255,16 @@ impl FoldPlan {
     fn fold_table(&self, db: &Database) -> Result<Cells, OlapError> {
         let chunks = db.scan_partitions(&self.tables[0], None).map_err(invalid)?;
         let parts = par_chunks(chunks, Engine::new().parallelism(), |chunks| {
-            let mut cells = Cells::new();
+            let mut cells = Cells::default();
             for c in &chunks {
-                self.fold(&mut cells, c);
+                self.fold(&mut cells, c)?;
             }
-            cells
+            SqlResult::Ok(cells)
         });
-        let mut parts = parts.into_iter();
+        let parts = parts.into_iter().collect::<SqlResult<Vec<_>>>();
+        let mut parts = parts
+            .map_err(|e| OlapError::Execution(e.to_string()))?
+            .into_iter();
         let mut cells = parts.next().unwrap_or_default();
         for part in parts {
             for (key, accs) in part {
@@ -396,26 +285,6 @@ fn merge_cell(cells: &mut Cells, key: Vec<Value>, accs: Vec<Accumulator>) {
         }
         Entry::Vacant(e) => {
             e.insert(accs);
-        }
-    }
-}
-
-/// Distinct values in first-seen order, each coded by its position.
-#[derive(Debug, Clone, Default)]
-struct Dictionary {
-    codes: FoldMap<Value, u32>,
-    values: Vec<Value>,
-}
-
-impl Dictionary {
-    /// The code of `v`, assigned now if `v` is new.
-    fn code(&mut self, v: Value) -> u32 {
-        match self.codes.entry(v) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                self.values.push(e.key().clone());
-                *e.insert(self.values.len() as u32 - 1)
-            }
         }
     }
 }
@@ -527,8 +396,10 @@ impl MaterializedAggregate {
     /// Fold a batch of rows inserted into `table` into the stored cells.
     ///
     /// A fold reads only the inserted rows and the fold plan resolved at
-    /// the last build: each snowflaked axis probes its key → members map,
-    /// so it costs O(delta rows), whatever the size of the dimensions.
+    /// the last build: each snowflaked dimension's join build side is
+    /// probed with the rows' foreign keys, whatever the layout of their
+    /// column, so it costs O(delta rows), whatever the size of the
+    /// dimensions.
     /// The rows fold through the same kernel as a build, with the same
     /// inner-join rules: a row whose foreign key is NULL or matches no
     /// dimension row folds nowhere, and one whose key matches several
@@ -552,8 +423,14 @@ impl MaterializedAggregate {
         if self.stale || (rows.num_rows() > 0 && rows.num_columns() != self.plan.arity) {
             return DeltaOutcome::NeedsRebuild;
         }
-        self.plan.fold(&mut self.cells, rows);
-        DeltaOutcome::Folded
+        // an empty batch folds nothing, and may have no columns to join
+        if rows.is_empty() {
+            return DeltaOutcome::Folded;
+        }
+        match self.plan.fold(&mut self.cells, rows) {
+            Ok(()) => DeltaOutcome::Folded,
+            Err(_) => DeltaOutcome::NeedsRebuild,
+        }
     }
 
     /// Where `query`'s axes, slices and measures sit in the stored cells,
@@ -589,10 +466,9 @@ impl MaterializedAggregate {
         // hides the fact rows it does not match: a query that reads none of
         // a joined dimension's axes counts rows the cells never saw
         let joined = |j: usize| {
-            (self.plan.axes.iter().enumerate())
-                .any(|(i, a)| matches!(*a, AxisSrc::Dim { join, .. } if join == j) && read(i))
+            (self.plan.axes.iter().enumerate()).any(|(i, &(side, _))| side == j + 1 && read(i))
         };
-        if !(0..self.plan.joins.len()).all(joined) {
+        if !(0..self.plan.dims.len()).all(joined) {
             return None;
         }
         Some(at)
@@ -619,7 +495,7 @@ impl MaterializedAggregate {
         let at = self
             .positions(query)
             .ok_or_else(|| OlapError::Invalid("aggregate does not cover this query".into()))?;
-        let mut grouped = Cells::new();
+        let mut grouped = Cells::default();
         for (coords, accs) in &self.cells {
             if !at.slices.iter().all(|&(i, v)| coords[i] == *v) {
                 continue;
@@ -638,7 +514,7 @@ impl MaterializedAggregate {
         }
         // with no axes the SQL is a global aggregate: one row, even of none
         if query.axes.is_empty() && grouped.is_empty() {
-            let empty = at.measures.iter().map(|&i| self.plan.empty[i].clone());
+            let empty = (at.measures.iter()).map(|&i| Accumulator::new(self.plan.funcs[i], false));
             grouped.insert(Vec::new(), empty.collect());
         }
         let mut cells = Vec::with_capacity(grouped.len());
@@ -1486,9 +1362,12 @@ mod tests {
     }
 
     /// What only a build that folds the fact table can get wrong. Each
-    /// case's warehouse gets two aggregates; each answers its exact query
-    /// and a roll-up from its cells, equal to the live SQL, and refuses
-    /// the roll-up whose SQL would not join the dimension it joins.
+    /// case's warehouse gets three aggregates, of one to four axes; each
+    /// answers its exact query and a roll-up from its cells, equal to the
+    /// live SQL, and refuses the roll-up whose SQL would not join the
+    /// dimension it joins — once built, and again after folding inserted
+    /// rows whose foreign keys arrive in layouts the dimension's `INT` key
+    /// column does not have.
     #[test]
     fn fold_build_matches_live_query_on_every_table_shape() {
         // fact `id` of the base rows: k = id % 4 (k = 0 has no dimension
@@ -1533,19 +1412,19 @@ mod tests {
         let cube = CubeDef {
             name: "c".into(),
             fact_table: "f".into(),
-            dimensions: vec![
-                DimensionDef {
-                    name: "d".into(),
-                    table: Some("dim".into()),
-                    fact_fk: "k".into(),
-                    dim_key: "k".into(),
-                    levels: vec![LevelDef {
-                        name: "g".into(),
-                        column: "g".into(),
-                    }],
-                },
-                degenerate_cube(&["yr"], vec![]).dimensions.remove(0),
-            ],
+            dimensions: vec![DimensionDef {
+                name: "d".into(),
+                table: Some("dim".into()),
+                fact_fk: "k".into(),
+                dim_key: "k".into(),
+                levels: vec![LevelDef {
+                    name: "g".into(),
+                    column: "g".into(),
+                }],
+            }]
+            .into_iter()
+            .chain(degenerate_cube(&["yr", "qty", "name"], vec![]).dimensions)
+            .collect(),
             measures: vec![
                 measure("n", "id", Aggregator::Count),
                 measure("qty", "qty", Aggregator::Sum),
@@ -1558,6 +1437,7 @@ mod tests {
         let names = |ms: &[&str]| ms.iter().map(|m| m.to_string()).collect::<Vec<_>>();
         let all = names(&["n", "qty", "amt", "lo", "hi", "mean"]);
         let (g, yr) = (LevelRef::new("d", "g"), LevelRef::new("yr", "yr"));
+        let (qty, name) = (LevelRef::new("qty", "qty"), LevelRef::new("name", "name"));
         // stored axes, then (query axes, measures, answered from the cells)
         let shapes = [
             (
@@ -1574,6 +1454,25 @@ mod tests {
                 vec![yr.clone()],
                 vec![(vec![yr.clone()], &all, true), (vec![], &all, true)],
             ),
+            (
+                vec![g.clone(), yr.clone(), qty.clone(), name.clone()],
+                vec![
+                    (
+                        vec![g.clone(), yr.clone(), qty.clone(), name.clone()],
+                        &all,
+                        true,
+                    ),
+                    (vec![name.clone(), g.clone()], &all, true),
+                    (vec![yr.clone(), qty.clone()], &all, false),
+                ],
+            ),
+        ];
+        // the foreign keys of rows inserted after the build, as their delta
+        // carries them: all NULL (a `Mixed` column), and `FLOAT` values the
+        // warehouse holds as the `INT`s SQL equality matches them with
+        let deltas = [
+            vec![Value::Null, Value::Null],
+            vec![Value::Float(1.0), Value::Float(2.0), Value::Float(9.0)],
         ];
         for (case, rows, script) in cases {
             let db = Arc::new(Database::new());
@@ -1592,23 +1491,57 @@ mod tests {
                 Engine::new().execute(&db, script).unwrap();
             }
             let engine = CubeEngine::new(Arc::clone(&db));
-            for (stored, queries) in &shapes {
-                let agg =
-                    MaterializedAggregate::build(&db, &cube, stored.clone(), all.clone()).unwrap();
-                for (axes, measures, answered) in queries {
-                    let q = CubeQuery {
-                        axes: axes.clone(),
-                        slices: vec![],
-                        measures: measures.to_vec(),
-                    };
-                    let what = format!("{case}: {stored:?} answering {axes:?}");
-                    assert_eq!(agg.answers(&q), *answered, "{what}");
-                    if *answered {
-                        let live = engine.query(&cube, &q).unwrap();
-                        assert_same_cells(&agg.execute(&q).unwrap(), &live, &what);
+            let mut aggs: Vec<MaterializedAggregate> = (shapes.iter())
+                .map(|(stored, _)| {
+                    MaterializedAggregate::build(&db, &cube, stored.clone(), all.clone()).unwrap()
+                })
+                .collect();
+            let check = |aggs: &[MaterializedAggregate], when: &str| {
+                for ((stored, queries), agg) in shapes.iter().zip(aggs) {
+                    for (axes, measures, answered) in queries {
+                        let q = CubeQuery {
+                            axes: axes.clone(),
+                            slices: vec![],
+                            measures: measures.to_vec(),
+                        };
+                        let what = format!("{case}, {when}: {stored:?} answering {axes:?}");
+                        assert_eq!(agg.answers(&q), *answered, "{what}");
+                        if *answered {
+                            let live = engine.query(&cube, &q).unwrap();
+                            assert_same_cells(&agg.execute(&q).unwrap(), &live, &what);
+                        }
                     }
                 }
+            };
+            check(&aggs, "built");
+            // an INSERT of no rows: no columns either
+            let nothing = Batch::from_rows(0, vec![]).unwrap();
+            for agg in &mut aggs {
+                assert_eq!(
+                    agg.apply_delta("f", &nothing),
+                    DeltaOutcome::Folded,
+                    "{case}"
+                );
             }
+            for (i, keys) in deltas.iter().enumerate() {
+                let rows: Vec<Vec<Value>> = (keys.iter().zip(0..))
+                    .map(|(k, j)| {
+                        let mut row = fact(10_000 + 10 * i as i64 + j);
+                        row[1] = k.clone();
+                        row
+                    })
+                    .collect();
+                for row in &rows {
+                    let mut stored = row.clone();
+                    stored[1] = stored[1].as_i64().map_or(Value::Null, Value::Int);
+                    db.insert("f", stored).unwrap();
+                }
+                let delta = Batch::from_rows(6, rows).unwrap();
+                for agg in &mut aggs {
+                    assert_eq!(agg.apply_delta("f", &delta), DeltaOutcome::Folded, "{case}");
+                }
+            }
+            check(&aggs, "after folds");
         }
     }
 }

@@ -258,6 +258,11 @@ impl SecurityManager {
         Ok(())
     }
 
+    /// Whether `username` is a user of this realm.
+    pub fn has_user(&self, username: &str) -> bool {
+        self.inner.lock().users.contains_key(username)
+    }
+
     /// List usernames (sorted).
     pub fn usernames(&self) -> Vec<String> {
         self.inner.lock().users.keys().cloned().collect()

@@ -30,7 +30,7 @@ use odbis_storage::{
 };
 
 use crate::accumulator::Accumulator;
-use crate::ast::JoinKind;
+use crate::ast::{AggFunc, JoinKind};
 use crate::error::{SqlError, SqlResult};
 use crate::expr::{keep_mask, truth, BExpr};
 use crate::plan::{equi_pairs, AggExpr, Plan, PlanNode};
@@ -418,7 +418,7 @@ fn parallel_join(
         // concatenates the probe side too.
         let lbatch = Batch::concat(l_arity, &lmorsels)?;
         let rbatch = Batch::concat(r_arity, &rmorsels)?;
-        let table = JoinTable::build(&lbatch, &lkeys, std::slice::from_ref(&rbatch), &rkeys);
+        let table = JoinTable::build(&lbatch, &lkeys);
         let chunks = par_map(morsel_ranges(r_rows), threads, |(lo, hi)| {
             let (mut ri, mut li) = table.probe(&rbatch, &rkeys, lo, hi);
             if let Some(residual) = &residual {
@@ -438,7 +438,7 @@ fn parallel_join(
     // joins always take this path: the unmatched rows (and their NULL
     // extension) are morsel-local.
     let rbatch = Batch::concat(r_arity, &rmorsels)?;
-    let table = JoinTable::build(&rbatch, &rkeys, &lmorsels, &lkeys);
+    let table = JoinTable::build(&rbatch, &rkeys);
     par_map(lmorsels, threads, |m| {
         let (mut li, mut ri) = table.probe(&m, &lkeys, 0, m.num_rows());
         if let Some(residual) = &residual {
@@ -530,36 +530,35 @@ fn null_extend(probe: &mut Vec<u32>, build: &mut Vec<u32>, n: usize) {
     *build = out_b;
 }
 
-/// Whether a key column pair hashes and compares on its raw typed data:
-/// both sides hold the same hashable variant. Any other pairing (`Int` =
-/// `Float`, `Date` = `Timestamp`, anything `Mixed`) goes through [`Value`],
-/// whose `Hash`/`Eq` define the cross-type matches.
-fn typed_key_pair(a: &ColumnData, b: &ColumnData) -> bool {
-    std::mem::discriminant(a) == std::mem::discriminant(b)
-        && !matches!(a, ColumnData::Float(_) | ColumnData::Mixed(_))
-}
-
 /// Hash the key of rows `lo..hi`, one column at a time, alongside a flag
-/// for keys holding a NULL (which never match).
-fn hash_keys(cols: &[&ColumnVec], typed: &[bool], lo: usize, hi: usize) -> (Vec<u64>, Vec<bool>) {
+/// for keys holding a NULL (which never match). A raw typed key hashes as
+/// its [`Value`] does, so two keys that SQL equality matches (`1 = 1.0`, a
+/// date and its midnight timestamp) hash alike whatever the layouts of
+/// their columns: a build side can be probed by a batch it has never seen.
+fn hash_keys(cols: &[&ColumnVec], lo: usize, hi: usize) -> (Vec<u64>, Vec<bool>) {
     let mut hashes = vec![0u64; hi - lo];
     let mut null = vec![false; hi - lo];
-    for (col, &typed) in cols.iter().zip(typed) {
+    for col in cols {
         macro_rules! fold {
             ($keys:expr) => {
                 for (h, key) in hashes.iter_mut().zip($keys) {
                     let mut state = FastHasher(*h);
                     key.hash(&mut state);
-                    *h = state.finish();
+                    // a build side takes its bucket from the top bits,
+                    // which the multiply-xor step mixes: no finish
+                    *h = state.0;
                 }
             };
         }
-        match (typed, col.data()) {
-            (true, ColumnData::Int(v) | ColumnData::Timestamp(v)) => fold!(&v[lo..hi]),
-            (true, ColumnData::Date(v)) => fold!(&v[lo..hi]),
-            (true, ColumnData::Bool(v)) => fold!(&v[lo..hi]),
-            (true, ColumnData::Text(v)) => fold!(&v[lo..hi]),
-            _ => fold!((lo..hi).map(|i| col.value(i))),
+        match col.data() {
+            ColumnData::Int(v) => fold!(v[lo..hi].iter().map(|&x| Value::Int(x))),
+            ColumnData::Float(v) => fold!(v[lo..hi].iter().map(|&x| Value::Float(x))),
+            ColumnData::Timestamp(v) => fold!(v[lo..hi].iter().map(|&x| Value::Timestamp(x))),
+            ColumnData::Date(v) => fold!(v[lo..hi].iter().map(|&x| Value::Date(x))),
+            ColumnData::Bool(v) => fold!(v[lo..hi].iter().map(|&x| Value::Bool(x))),
+            // `Value::Text`'s tag, then the string, without cloning it
+            ColumnData::Text(v) => fold!(v[lo..hi].iter().map(|x| (3u8, x.as_str()))),
+            ColumnData::Mixed(v) => fold!(&v[lo..hi]),
         }
         for (flag, i) in null.iter_mut().zip(lo..hi) {
             *flag |= col.is_null(i);
@@ -568,8 +567,9 @@ fn hash_keys(cols: &[&ColumnVec], typed: &[bool], lo: usize, hi: usize) -> (Vec<
     (hashes, null)
 }
 
-/// SQL equality of two non-NULL key cells, on the raw data when the pair is
-/// typed (see [`typed_key_pair`]).
+/// SQL equality of two non-NULL key cells, on the raw data when both
+/// columns hold the same exact layout, else through [`Value`], whose `Eq`
+/// defines the cross-type matches.
 fn keys_equal(a: &ColumnVec, i: usize, b: &ColumnVec, j: usize) -> bool {
     match (a.data(), b.data()) {
         (ColumnData::Int(x), ColumnData::Int(y))
@@ -584,11 +584,12 @@ fn keys_equal(a: &ColumnVec, i: usize, b: &ColumnVec, j: usize) -> bool {
 /// The build side of a hash join: per-row key hashes threaded into bucket
 /// chains, so a build key costs no allocation and any number of key columns
 /// share one layout. Chains ascend by build row, which is the serial
-/// kernel's match order.
-struct JoinTable<'a> {
-    keys: Vec<&'a ColumnVec>,
-    /// Per key column: hashed on raw typed data (else through [`Value`]).
-    typed: Vec<bool>,
+/// kernel's match order. It holds its key columns, so it can outlive the
+/// statement that built it: a materialized aggregate keeps one per joined
+/// dimension and probes it with each batch of inserted fact rows.
+#[derive(Debug, Clone)]
+pub struct JoinTable {
+    keys: Vec<Arc<ColumnVec>>,
     hashes: Vec<u64>,
     /// Bucket (the top `64 - shift` hash bits) → first build row.
     heads: Vec<u32>,
@@ -597,29 +598,16 @@ struct JoinTable<'a> {
     shift: u32,
 }
 
-impl<'a> JoinTable<'a> {
-    /// Hash `build`'s `build_keys` columns. `probes` are the batches that
-    /// will be probed on their `probe_keys` columns: a key pair is typed
-    /// only if every one of them agrees with the build column's layout.
-    fn build(
-        build: &'a Batch,
-        build_keys: &[usize],
-        probes: &[Batch],
-        probe_keys: &[usize],
-    ) -> Self {
-        let keys: Vec<&ColumnVec> = build_keys.iter().map(|&c| &**build.column(c)).collect();
-        let typed: Vec<bool> = keys
+impl JoinTable {
+    /// Hash `build`'s `build_keys` columns. Rows with a NULL key are left
+    /// out: they never match.
+    pub fn build(build: &Batch, build_keys: &[usize]) -> Self {
+        let keys: Vec<Arc<ColumnVec>> = build_keys
             .iter()
-            .zip(probe_keys)
-            .map(|(key, &pc)| {
-                probes
-                    .iter()
-                    .filter(|p| !p.is_empty())
-                    .all(|p| typed_key_pair(key.data(), p.column(pc).data()))
-            })
+            .map(|&c| Arc::clone(build.column(c)))
             .collect();
         let n = build.num_rows();
-        let (hashes, null) = hash_keys(&keys, &typed, 0, n);
+        let (hashes, null) = hash_keys(&keys.iter().map(|k| &**k).collect::<Vec<_>>(), 0, n);
         let bits = (2 * n).next_power_of_two().trailing_zeros().max(4);
         let shift = u64::BITS - bits;
         let mut heads = vec![NULL_ROW; 1 << bits];
@@ -633,7 +621,6 @@ impl<'a> JoinTable<'a> {
         }
         JoinTable {
             keys,
-            typed,
             hashes,
             heads,
             next,
@@ -642,8 +629,9 @@ impl<'a> JoinTable<'a> {
     }
 
     /// Candidate pairs `(probe row, build row)` for `probe`'s rows
-    /// `lo..hi`: equal non-NULL keys, in probe order then build order.
-    fn probe(
+    /// `lo..hi` on its `probe_keys` columns, whatever their layouts: equal
+    /// non-NULL keys, in probe order then build order.
+    pub fn probe(
         &self,
         probe: &Batch,
         probe_keys: &[usize],
@@ -651,7 +639,7 @@ impl<'a> JoinTable<'a> {
         hi: usize,
     ) -> (Vec<u32>, Vec<u32>) {
         let cols: Vec<&ColumnVec> = probe_keys.iter().map(|&c| &**probe.column(c)).collect();
-        let (hashes, null) = hash_keys(&cols, &self.typed, lo, hi);
+        let (hashes, null) = hash_keys(&cols, lo, hi);
         let mut probe_rows = Vec::with_capacity(hi - lo);
         let mut build_rows = Vec::with_capacity(hi - lo);
         for (row, (hash, null)) in (lo..hi).zip(hashes.into_iter().zip(null)) {
@@ -937,36 +925,61 @@ fn aggregate(
     state.finish(group_exprs, aggs)
 }
 
-/// FxHash-style multiply-xor hasher for the aggregation hot path. Not
-/// DoS-resistant, which is fine for query-local tables that never outlive
-/// one statement.
+/// The workspace's hasher for the executor's group tables and join build
+/// sides, and for a materialized aggregate's cells, which are built from
+/// them: FxHash's multiply-xor step per word, finished with MurmurHash3's
+/// mixer. The step carries each key bit only into the hash bits at or
+/// above it, and a map takes its bucket from the low bits of the hash:
+/// without the finish, a [`Value`] Int, which hashes through its f64 bits,
+/// and a packed pair of codes `(a << 32) | b` would pick their buckets
+/// from a few low bits of their own. Not DoS-resistant; it hashes only the
+/// tenant's own keys.
 #[derive(Default)]
-struct FastHasher(u64);
+pub struct FastHasher(u64);
 
-impl std::hash::Hasher for FastHasher {
+impl Hasher for FastHasher {
     fn finish(&self) -> u64 {
-        self.0
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
     }
 
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.add(b as u64);
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("8 bytes")));
         }
+        let tail = words.remainder();
+        if !tail.is_empty() {
+            self.add(tail.iter().rev().fold(0, |w, &b| (w << 8) | u64::from(b)));
+        }
+    }
+
+    // `Value` hashes a one-byte tag and then a word
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
     }
 
     fn write_u64(&mut self, v: u64) {
         self.add(v);
     }
 
-    fn write_i64(&mut self, v: i64) {
+    // a slice key hashes its length, then its bytes
+    fn write_usize(&mut self, v: usize) {
         self.add(v as u64);
     }
 }
 
 impl FastHasher {
     fn add(&mut self, v: u64) {
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(K);
+        self.0 = (self.0.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
     }
 }
 
@@ -1073,16 +1086,19 @@ impl Dictionary {
     }
 }
 
-/// Dense-id aggregation state for one or two typed group columns, alive
-/// across a run of morsels: the typed key → group id maps, the first-seen
-/// key list and one flat accumulator vector per aggregate (indexed by group
-/// id), so the accumulation loops index vectors instead of hashing a
-/// `Vec<Value>` per row and nothing is allocated per group per morsel.
+/// Dense-id aggregation state for typed group columns, alive across a run
+/// of morsels: the typed key → code dictionaries, the code → group id
+/// maps, the first-seen key list and one flat accumulator vector per
+/// aggregate (indexed by group id), so the accumulation loops index vectors
+/// instead of hashing a `Vec<Value>` per row and nothing is allocated per
+/// group per morsel.
 struct DenseGroups {
     dicts: Vec<Dictionary>,
-    /// Two group columns: both codes fit in 32 bits, so packing them into
-    /// a `u64` is an exact composite key → group id.
-    pair_ids: FastMap<u64, u32>,
+    /// Per group column after the first: the id of the row's key up to the
+    /// column before and the column's code, packed into a `u64` (both fit
+    /// in 32 bits, so it is an exact composite key) → the id of the key up
+    /// to this column. The last map's ids are the group ids.
+    prefix_ids: Vec<FastMap<u64, u32>>,
     /// Group id → key, in first-seen order.
     keys: Vec<Vec<Value>>,
     /// `[aggregate][group id]`.
@@ -1090,50 +1106,61 @@ struct DenseGroups {
 }
 
 impl DenseGroups {
-    /// State for these (one or two) group columns' layouts; `None` when
-    /// one of them has no dictionary.
-    fn for_columns(group_cols: &[Arc<ColumnVec>], n_aggs: usize) -> Option<Self> {
+    /// State for these group columns' layouts and these aggregates; `None`
+    /// for a global aggregate, a DISTINCT aggregate, or a group column
+    /// with no dictionary. Any number of group columns is coded.
+    fn for_columns(group_cols: &[Arc<ColumnVec>], aggs: &[AggExpr]) -> Option<Self> {
+        if group_cols.is_empty() || aggs.iter().any(|a| a.distinct) {
+            return None;
+        }
         Some(DenseGroups {
             dicts: group_cols
                 .iter()
                 .map(|c| Dictionary::for_column(c))
                 .collect::<Option<_>>()?,
-            pair_ids: FastMap::default(),
+            prefix_ids: (1..group_cols.len()).map(|_| FastMap::default()).collect(),
             keys: Vec::new(),
-            accs: vec![Vec::new(); n_aggs],
+            accs: vec![Vec::new(); aggs.len()],
         })
     }
 
     /// Each row's group id, registering groups not seen before. `None`
     /// when a group column changed layout since this state was started.
     fn group_ids(&mut self, group_cols: &[Arc<ColumnVec>]) -> Option<Vec<u32>> {
-        let mut codes: Vec<Vec<u32>> = self
+        let codes: Vec<Vec<u32>> = self
             .dicts
             .iter_mut()
             .zip(group_cols)
             .map(|(d, c)| d.encode(c))
             .collect::<Option<_>>()?;
-        let gids = if let [c0, c1] = codes.as_slice() {
-            let (d0, d1) = (&self.dicts[0].values, &self.dicts[1].values);
-            let mut gids = Vec::with_capacity(c0.len());
-            for (&a, &b) in c0.iter().zip(c1) {
-                let packed = (u64::from(a) << 32) | u64::from(b);
-                gids.push(*self.pair_ids.entry(packed).or_insert_with(|| {
-                    self.keys
-                        .push(vec![d0[a as usize].clone(), d1[b as usize].clone()]);
-                    (self.keys.len() - 1) as u32
-                }));
-            }
-            gids
-        } else {
+        let pack = |id: u32, code: u32| (u64::from(id) << 32) | u64::from(code);
+        let mut ids = codes[0].clone();
+        let Some((last, inner)) = self.prefix_ids.split_last_mut() else {
             // one column: its dictionary code is the group id
             let values = &self.dicts[0].values;
             let known = self.keys.len();
             self.keys
                 .extend(values[known..].iter().map(|v| vec![v.clone()]));
-            codes.swap_remove(0)
+            return Some(ids);
         };
-        Some(gids)
+        for (map, col) in inner.iter_mut().zip(&codes[1..]) {
+            for (id, &code) in ids.iter_mut().zip(col) {
+                let next = map.len() as u32;
+                *id = *map.entry(pack(*id, code)).or_insert(next);
+            }
+        }
+        let (keys, dicts) = (&mut self.keys, &self.dicts);
+        for (row, (id, &code)) in ids.iter_mut().zip(&codes[codes.len() - 1]).enumerate() {
+            *id = *last.entry(pack(*id, code)).or_insert_with(|| {
+                let key = dicts.iter().zip(&codes);
+                keys.push(
+                    key.map(|(d, c)| d.values[c[row] as usize].clone())
+                        .collect(),
+                );
+                (keys.len() - 1) as u32
+            });
+        }
+        Some(ids)
     }
 
     /// Fold one morsel's aggregate arguments into the rows' groups.
@@ -1176,7 +1203,6 @@ fn aggregate_chunk(
     group_exprs: &[BExpr],
     aggs: &[AggExpr],
 ) -> SqlResult<GroupState> {
-    let dense_eligible = matches!(group_exprs.len(), 1 | 2) && aggs.iter().all(|a| !a.distinct);
     let mut state = GroupState::new();
     let mut dense: Option<DenseGroups> = None;
     let mut key = Vec::with_capacity(group_exprs.len());
@@ -1189,19 +1215,17 @@ fn aggregate_chunk(
             .iter()
             .map(|a| a.arg.as_ref().map(|e| e.eval_batch(input)).transpose())
             .collect::<SqlResult<_>>()?;
-        if dense_eligible {
-            let mut gids = dense.as_mut().and_then(|d| d.group_ids(&group_cols));
-            if gids.is_none() {
-                if let Some(run) = dense.take() {
-                    state.merge(run.into_state());
-                }
-                dense = DenseGroups::for_columns(&group_cols, aggs.len());
-                gids = dense.as_mut().and_then(|d| d.group_ids(&group_cols));
+        let mut gids = dense.as_mut().and_then(|d| d.group_ids(&group_cols));
+        if gids.is_none() {
+            if let Some(run) = dense.take() {
+                state.merge(run.into_state());
             }
-            if let (Some(run), Some(gids)) = (&mut dense, gids) {
-                run.fold(&gids, &arg_cols, aggs);
-                continue;
-            }
+            dense = DenseGroups::for_columns(&group_cols, aggs);
+            gids = dense.as_mut().and_then(|d| d.group_ids(&group_cols));
+        }
+        if let (Some(run), Some(gids)) = (&mut dense, gids) {
+            run.fold(&gids, &arg_cols, aggs);
+            continue;
         }
         for i in 0..input.num_rows() {
             key.clear();
@@ -1220,6 +1244,28 @@ fn aggregate_chunk(
         }
         None => Ok(state),
     }
+}
+
+/// The partial phase of a `GROUP BY` over the first `keys` columns of
+/// `batches`, with column `keys + i` folded into a `funcs[i]` accumulator
+/// per group: the kernel each worker of a SQL aggregation runs, for a
+/// caller that keeps the groups itself. Each group's key and
+/// accumulators, in no particular order.
+pub fn aggregate_columns(
+    batches: &[Batch],
+    keys: usize,
+    funcs: &[AggFunc],
+) -> SqlResult<impl Iterator<Item = (Vec<Value>, Vec<Accumulator>)>> {
+    let group_exprs: Vec<BExpr> = (0..keys).map(BExpr::Column).collect();
+    let aggs: Vec<AggExpr> = (funcs.iter().zip(keys..))
+        .map(|(&func, c)| AggExpr {
+            func,
+            arg: Some(BExpr::Column(c)),
+            distinct: false,
+        })
+        .collect();
+    let state = aggregate_chunk(batches, &group_exprs, &aggs)?;
+    Ok(state.groups.into_iter().map(|(key, (_, accs))| (key, accs)))
 }
 
 /// Fold one aggregate's argument column into its per-group accumulators.
@@ -1338,30 +1384,98 @@ mod tests {
         }
     }
 
-    /// A key column pair is hashed on its raw data only when both sides
-    /// hold the same hashable layout.
+    /// A raw typed key hashes as its `Value` does, and a `Mixed` column as
+    /// its values: a stored build side finds every match SQL equality
+    /// gives, whatever the layout of the column that probes it.
     #[test]
-    fn only_same_layout_hashable_pairs_are_typed() {
-        let int = ColumnData::Int(vec![1]);
-        assert!(typed_key_pair(&int, &ColumnData::Int(vec![2, 3])));
-        assert!(typed_key_pair(
-            &ColumnData::Text(vec![]),
-            &ColumnData::Text(vec!["a".into()])
-        ));
-        assert!(!typed_key_pair(&int, &ColumnData::Float(vec![1.0])));
-        assert!(!typed_key_pair(&int, &ColumnData::Timestamp(vec![1])));
-        assert!(!typed_key_pair(
-            &ColumnData::Date(vec![1]),
-            &ColumnData::Timestamp(vec![1])
-        ));
-        assert!(!typed_key_pair(
-            &ColumnData::Float(vec![1.0]),
-            &ColumnData::Float(vec![1.0])
-        ));
-        assert!(!typed_key_pair(
-            &ColumnData::Mixed(vec![Value::Int(1)]),
-            &ColumnData::Mixed(vec![Value::Int(1)])
-        ));
+    fn raw_typed_keys_hash_like_their_values() {
+        let day = 86_400_000_000i64;
+        let columns = [
+            (
+                ColumnData::Int(vec![1, -7]),
+                vec![Value::Float(1.0), Value::Int(-7)],
+            ),
+            (
+                ColumnData::Float(vec![1.0, 2.5]),
+                vec![Value::Int(1), Value::Float(2.5)],
+            ),
+            (
+                ColumnData::Date(vec![1, 0]),
+                vec![Value::Timestamp(day), Value::Date(0)],
+            ),
+            (ColumnData::Timestamp(vec![day]), vec![Value::Date(1)]),
+            (ColumnData::Bool(vec![true]), vec![Value::Bool(true)]),
+            (
+                ColumnData::Text(vec!["ab".into(), String::new()]),
+                vec!["ab".into(), "".into()],
+            ),
+        ];
+        for (data, values) in columns {
+            let typed = ColumnVec::new(data, None);
+            let mixed = ColumnVec::new(ColumnData::Mixed(values.clone()), None);
+            let n = values.len();
+            assert_eq!(
+                hash_keys(&[&typed], 0, n),
+                hash_keys(&[&mixed], 0, n),
+                "{typed:?}"
+            );
+            for (i, v) in values.iter().enumerate() {
+                assert_eq!(&typed.value(i), v, "{typed:?} row {i}");
+                assert!(keys_equal(&typed, i, &mixed, i), "{typed:?} row {i}");
+            }
+        }
+    }
+
+    /// Any number of typed group columns is keyed by its codes (the dense
+    /// path takes every such GROUP BY without DISTINCT): a row's group is
+    /// its whole key, NULL is a key value, and ids follow first sight
+    /// across morsels.
+    #[test]
+    fn dense_groups_key_any_number_of_columns() {
+        let morsel = |ints: Vec<i64>, texts: &[&str], nulls: Vec<bool>| -> Vec<Arc<ColumnVec>> {
+            let n = ints.len();
+            vec![
+                Arc::new(ColumnVec::new(ColumnData::Int(ints.clone()), None)),
+                Arc::new(ColumnVec::new(
+                    ColumnData::Text(texts.iter().map(|t| t.to_string()).collect()),
+                    None,
+                )),
+                Arc::new(ColumnVec::new(ColumnData::Int(ints), Some(nulls))),
+                Arc::new(ColumnVec::new(ColumnData::Date(vec![3; n]), None)),
+            ]
+        };
+        let first = morsel(
+            vec![1, 1, 2, 1, 1],
+            &["a", "a", "a", "b", "a"],
+            vec![false, false, false, false, true],
+        );
+        let mut dense = DenseGroups::for_columns(&first, &[]).expect("typed columns");
+        assert_eq!(dense.group_ids(&first), Some(vec![0, 0, 1, 2, 3]));
+        let second = morsel(vec![2, 1, 5], &["a", "a", "a"], vec![false, true, false]);
+        assert_eq!(dense.group_ids(&second), Some(vec![1, 3, 4]));
+        let key = |i: i64, t: &str, n: Value| vec![Value::Int(i), t.into(), n, Value::Date(3)];
+        assert_eq!(
+            dense.keys,
+            [
+                key(1, "a", Value::Int(1)),
+                key(2, "a", Value::Int(2)),
+                key(1, "b", Value::Int(1)),
+                key(1, "a", Value::Null),
+                key(5, "a", Value::Int(5)),
+            ]
+        );
+        // what stays on the generic path: no group column, a DISTINCT
+        // aggregate, a FLOAT group column
+        let distinct = AggExpr {
+            func: AggFunc::Count,
+            arg: Some(BExpr::Column(0)),
+            distinct: true,
+        };
+        assert!(DenseGroups::for_columns(&[], &[]).is_none());
+        assert!(DenseGroups::for_columns(&first, &[distinct]).is_none());
+        let float = Arc::new(ColumnVec::new(ColumnData::Float(vec![0.5; 5]), None));
+        let with_float = [first, vec![float]].concat();
+        assert!(DenseGroups::for_columns(&with_float, &[]).is_none());
     }
 
     #[test]

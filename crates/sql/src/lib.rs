@@ -39,7 +39,7 @@ pub mod planner;
 
 pub use accumulator::Accumulator;
 pub use error::{SqlError, SqlResult};
-pub use exec::par_chunks;
+pub use exec::{aggregate_columns, par_chunks, FastHasher, JoinTable};
 pub use expr::{like_match, BExpr};
 pub use functions::{cast_value, ScalarFunc};
 pub use parser::{parse, parse_script};

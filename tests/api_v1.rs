@@ -876,6 +876,45 @@ fn deliveries_report_what_the_bounded_outbox_evicted() {
     server.shutdown();
 }
 
+/// Deliveries go to the users of the tenant's realm: any other recipient
+/// is a 404, so a burst to made-up names can neither flush a user's
+/// unread entries nor grow the outbox.
+#[test]
+fn deliveries_refuse_recipients_outside_the_realm() {
+    let platform = Arc::new(OdbisPlatform::new());
+    let token = drive_traffic(&platform); // delivered "exec" to cio
+    let payload = odbis_delivery::ReportPayload {
+        title: "spam".into(),
+        data: QueryResult {
+            columns: vec![],
+            rows: vec![],
+            rows_affected: 0,
+        },
+    };
+    for i in 0..odbis_delivery::OUTBOX_CAPACITY {
+        let ghost = format!("ghost{i}");
+        let err = platform
+            .deliver("clinic", &token, &ghost, "spam", Channel::Email, &payload)
+            .unwrap_err();
+        assert_eq!(
+            (err.http_status(), err.kind()),
+            (404, "not_found"),
+            "{ghost}"
+        );
+    }
+    let server = HttpServer::start(build_router(Arc::clone(&platform)), 2).unwrap();
+    let addr = server.addr().to_string();
+    let (status, _, body) = deliveries_at(&addr, &token, "cursor=0");
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(reports_of(&body), ["exec"]);
+    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    assert_eq!(
+        (v["missed"].as_u64(), v["cursor"].as_u64()),
+        (Some(0), Some(1))
+    );
+    server.shutdown();
+}
+
 // ------------------------------------------------- watch across migration
 //
 // The migration contract for watchers: version cursors are per-node. A

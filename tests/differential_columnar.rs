@@ -783,6 +783,18 @@ fn multi_morsel_aggregates_agree_across_parallelism() {
         })
         .collect();
     db.insert_many("wide", rows).unwrap();
+    // `skew`: 10 000 `c` keys, each with the three `y` values
+    Engine::new()
+        .execute(&db, "CREATE TABLE skew (c INT, y INT, v INT)")
+        .unwrap();
+    let skew = (0..30_000i64).map(|i| {
+        vec![
+            Value::Int(i / 3),
+            Value::Int(2020 + i % 3),
+            Value::Int(i % 7),
+        ]
+    });
+    db.insert_many("skew", skew.collect()).unwrap();
     // `big`: five morsels of INT values above 2^53 in three groups; every
     // group's SUM and the global one pass i64::MAX
     Engine::new()
@@ -821,8 +833,12 @@ fn multi_morsel_aggregates_agree_across_parallelism() {
          FROM wide GROUP BY CASE WHEN id < 5000 THEN k2 ELSE seg END",
         // DISTINCT aggregates bypass the dense path
         "SELECT seg, COUNT(DISTINCT cust) AS custs, SUM(amount) AS s FROM wide GROUP BY seg",
-        // three group columns: more than the dense path packs
+        // three group columns, keyed by their codes as one or two are
         "SELECT seg, k2, gn, COUNT(*) AS n FROM wide GROUP BY seg, k2, gn",
+        // a many-valued key beside a three-valued one, in both orders: the
+        // pair of codes must not pick its hash bucket by the second alone
+        "SELECT c, y, COUNT(*) AS n, SUM(v) AS s FROM skew GROUP BY c, y",
+        "SELECT y, c, COUNT(*) AS n, SUM(v) AS s FROM skew GROUP BY y, c",
     ];
     let oracle = Engine::with_row_execution();
     for sql in queries {
