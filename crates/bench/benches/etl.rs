@@ -1,12 +1,12 @@
-//! A4 — ETL execution-mode ablation (operator-at-a-time vs fused row
-//! pipeline) and integration-job throughput.
+//! A4 — the ETL transform chain (the fused row pipeline that won the
+//! ablation, now the only path) and integration-job throughput.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use odbis_bench::workloads::etl_csv;
-use odbis_etl::{AggOp, EtlJob, ExecutionMode, Extractor, JobRunner, LoadMode, Loader, Transform};
+use odbis_etl::{AggFunc, EtlJob, Extractor, JobRunner, LoadMode, Loader, Transform};
 use odbis_storage::Database;
 
 fn configured() -> Criterion {
@@ -44,38 +44,18 @@ fn row_local_job(csv: String) -> EtlJob {
     }
 }
 
-/// A4: the same four-operator row-local chain in both execution modes.
+/// A4: a four-operator row-local chain, compiled once and streamed row
+/// by row.
 fn a4_pipeline_ablation(c: &mut Criterion) {
     let mut group = c.benchmark_group("a4_pipeline_ablation");
     for &n in &[2_000usize, 10_000] {
         let csv = etl_csv(n, 10, 42);
-        // sanity: the two modes load identical data
-        {
-            let db1 = Arc::new(Database::new());
-            let db2 = Arc::new(Database::new());
-            JobRunner::with_mode(Arc::clone(&db1), ExecutionMode::OperatorAtATime)
-                .run(&row_local_job(csv.clone()))
-                .unwrap();
-            JobRunner::with_mode(Arc::clone(&db2), ExecutionMode::FusedPipeline)
-                .run(&row_local_job(csv.clone()))
-                .unwrap();
-            assert_eq!(
-                db1.scan("clean_orders").unwrap(),
-                db2.scan("clean_orders").unwrap()
-            );
-        }
-        for (label, mode) in [
-            ("operator_at_a_time", ExecutionMode::OperatorAtATime),
-            ("fused_pipeline", ExecutionMode::FusedPipeline),
-        ] {
-            let csv = csv.clone();
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| {
-                    let runner = JobRunner::with_mode(Arc::new(Database::new()), mode);
-                    runner.run(&row_local_job(csv.clone())).unwrap()
-                })
-            });
-        }
+        group.bench_with_input(BenchmarkId::new("compiled_chain", n), &n, |b, _| {
+            b.iter(|| {
+                let runner = JobRunner::new(Arc::new(Database::new()));
+                runner.run(&row_local_job(csv.clone())).unwrap()
+            })
+        });
     }
     group.finish();
 }
@@ -96,8 +76,8 @@ fn etl_job_throughput(c: &mut Criterion) {
                         Transform::Aggregate {
                             group_by: vec!["region".into()],
                             aggs: vec![
-                                (AggOp::Count, "id".into(), "orders".into()),
-                                (AggOp::Sum, "amount".into(), "revenue".into()),
+                                (AggFunc::Count, "id".into(), "orders".into()),
+                                (AggFunc::Sum, "amount".into(), "revenue".into()),
                             ],
                         },
                     ],

@@ -40,7 +40,7 @@
 use std::sync::Arc;
 
 use odbis_olap::DeltaReport;
-use odbis_storage::WalStats;
+use odbis_storage::{push_csv_record, WalStats};
 use odbis_web::{HttpRequest, HttpResponse, Method, PathParams, Router};
 
 use crate::cluster::ClusterRoute;
@@ -1001,32 +1001,15 @@ fn negotiate(req: &HttpRequest) -> Negotiated {
     Negotiated::Unsupported
 }
 
-/// RFC-4180 field quoting: only fields containing a comma, quote, or line
-/// break are wrapped, with embedded quotes doubled.
-fn csv_field(s: &str) -> String {
-    if s.contains(',') || s.contains('"') || s.contains('\n') || s.contains('\r') {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
-    }
-}
-
 /// Serialize a columnar batch as CSV — header row of column names, then
 /// one line per row, values rendered column-at-a-time straight from the
 /// batch (no intermediate row pivot or JSON tree).
 fn csv_response(columns: &[String], batch: &odbis_storage::Batch) -> HttpResponse {
     let mut out = String::new();
-    let header: Vec<String> = columns.iter().map(|c| csv_field(c)).collect();
-    out.push_str(&header.join(","));
-    out.push_str("\r\n");
+    push_csv_record(&mut out, columns, "\r\n");
     for row in 0..batch.num_rows() {
-        for col in 0..batch.num_columns() {
-            if col > 0 {
-                out.push(',');
-            }
-            out.push_str(&csv_field(&batch.value(col, row).render()));
-        }
-        out.push_str("\r\n");
+        let fields = batch.columns().iter().map(|c| c.value(row).render());
+        push_csv_record(&mut out, fields, "\r\n");
     }
     HttpResponse::status(200)
         .with_header("Content-Type", "text/csv; charset=utf-8")

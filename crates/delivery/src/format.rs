@@ -137,29 +137,7 @@ fn json_body(payload: &ReportPayload, cap: Option<usize>) -> String {
 }
 
 fn csv_body(payload: &ReportPayload) -> String {
-    let mut out = String::new();
-    out.push_str(&payload.data.columns.join(","));
-    out.push('\n');
-    for row in &payload.data.rows {
-        let cells: Vec<String> = row
-            .iter()
-            .map(|v| {
-                let s = if v.is_null() {
-                    String::new()
-                } else {
-                    v.render()
-                };
-                if s.contains(',') || s.contains('"') || s.contains('\n') {
-                    format!("\"{}\"", s.replace('"', "\"\""))
-                } else {
-                    s
-                }
-            })
-            .collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    }
-    out
+    odbis_storage::csv_text(&payload.data.columns, &payload.data.rows)
 }
 
 fn text_body(payload: &ReportPayload) -> String {
@@ -224,6 +202,19 @@ mod tests {
     fn csv_and_email_bodies() {
         let d = format_for(Channel::OfficeTool, &payload(1));
         assert_eq!(d.body, "region,total\nr0,0\n");
+        // RFC 4180: a header name or value holding a comma, a quote or a
+        // line break (`\r` too) is quoted; NULL is an empty field
+        let mut p = payload(0);
+        p.data.columns[0] = "region, name".into();
+        p.data.rows = vec![
+            vec!["x\ry".into(), Value::Null],
+            vec!["say \"hi\"".into(), Value::Int(2)],
+        ];
+        let d = format_for(Channel::OfficeTool, &p);
+        assert_eq!(
+            d.body,
+            "\"region, name\",total\n\"x\ry\",\n\"say \"\"hi\"\"\",2\n"
+        );
         let d = format_for(Channel::Email, &payload(1));
         assert!(d.body.starts_with("== Sales =="));
     }

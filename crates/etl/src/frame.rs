@@ -15,14 +15,6 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Empty frame with the given columns.
-    pub fn new(columns: Vec<String>) -> Self {
-        Frame {
-            columns,
-            rows: Vec::new(),
-        }
-    }
-
     /// Frame from parts, checking row arity.
     pub fn from_rows(columns: Vec<String>, rows: Vec<Vec<Value>>) -> Result<Self, EtlError> {
         for (i, r) in rows.iter().enumerate() {
@@ -175,31 +167,10 @@ pub fn infer_value(s: &str) -> Value {
     Value::Text(t.to_string())
 }
 
-/// Render a frame back to CSV (for the delivery service's export channel).
+/// Render a frame as CSV text that [`parse_csv`] reads back (the rule of
+/// [`odbis_storage::csv_text`]).
 pub fn to_csv(frame: &Frame) -> String {
-    let mut out = String::new();
-    out.push_str(&frame.columns.join(","));
-    out.push('\n');
-    for row in &frame.rows {
-        let cells: Vec<String> = row
-            .iter()
-            .map(|v| {
-                let s = if v.is_null() {
-                    String::new()
-                } else {
-                    v.render()
-                };
-                if s.contains(',') || s.contains('"') || s.contains('\n') {
-                    format!("\"{}\"", s.replace('"', "\"\""))
-                } else {
-                    s
-                }
-            })
-            .collect();
-        out.push_str(&cells.join(","));
-        out.push('\n');
-    }
-    out
+    odbis_storage::csv_text(&frame.columns, &frame.rows)
 }
 
 #[cfg(test)]
@@ -241,6 +212,17 @@ mod tests {
         let csv = to_csv(&f);
         let f2 = parse_csv(&csv).unwrap();
         assert_eq!(f, f2);
+        // header names and fields holding a separator, a quote or a line
+        // break (`\r` too) are quoted; NULL is an empty field
+        let f = Frame::from_rows(
+            vec!["a,b".into(), "say \"c\"".into()],
+            vec![
+                vec!["x\ry".into(), "line\nbreak".into()],
+                vec![Value::Null, "\"q\", r".into()],
+            ],
+        )
+        .unwrap();
+        assert_eq!(parse_csv(&to_csv(&f)).unwrap(), f);
     }
 
     #[test]

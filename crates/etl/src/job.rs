@@ -1,13 +1,13 @@
-//! ETL jobs: extract → transform → load, with two execution modes.
+//! ETL jobs: extract → transform → load.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use odbis_sql::Engine;
-use odbis_storage::{Column, Database, DbError, Schema, Value};
+use odbis_storage::{Column, DataType, Database, DbError, Schema, Value};
 
 use crate::frame::{parse_csv, Frame};
-use crate::transform::Transform;
+use crate::transform::{compile, Transform};
 use crate::EtlError;
 
 /// Where a job reads from.
@@ -39,17 +39,6 @@ pub struct Loader {
     pub table: String,
     /// Append or replace.
     pub mode: LoadMode,
-}
-
-/// How the transform chain executes (ablation A4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// Materialize the full frame after every operator.
-    OperatorAtATime,
-    /// Fuse consecutive row-local operators into one pass per row;
-    /// blocking operators (aggregate, deduplicate) cut the pipeline.
-    #[default]
-    FusedPipeline,
 }
 
 /// A named integration job — the Integration Service's unit of work
@@ -85,8 +74,6 @@ pub struct JobReport {
 pub struct JobRunner {
     db: Arc<Database>,
     engine: Engine,
-    /// Execution mode (fused by default).
-    pub mode: ExecutionMode,
 }
 
 impl JobRunner {
@@ -95,16 +82,6 @@ impl JobRunner {
         JobRunner {
             db,
             engine: Engine::new(),
-            mode: ExecutionMode::default(),
-        }
-    }
-
-    /// Runner with an explicit execution mode.
-    pub fn with_mode(db: Arc<Database>, mode: ExecutionMode) -> Self {
-        JobRunner {
-            db,
-            engine: Engine::new(),
-            mode,
         }
     }
 
@@ -125,16 +102,8 @@ impl JobRunner {
         let frame = self.extract(&job.extractor)?;
         let extracted = frame.len();
         let mut rejects: Vec<Vec<Value>> = Vec::new();
-        let frame = match self.mode {
-            ExecutionMode::OperatorAtATime => {
-                let mut f = frame;
-                for t in &job.transforms {
-                    f = t.apply(f, &self.db, &mut rejects)?;
-                }
-                f
-            }
-            ExecutionMode::FusedPipeline => self.run_fused(frame, &job.transforms, &mut rejects)?,
-        };
+        let frame =
+            compile(&job.transforms, frame.columns, &self.db)?.run(frame.rows, &mut rejects)?;
         let loaded = self.load(&job.loader, &frame, &mut rejects)?;
         Ok(JobReport {
             job: job.name.clone(),
@@ -176,65 +145,6 @@ impl JobRunner {
         }
     }
 
-    /// Fused execution: split the chain at blocking operators; within each
-    /// segment of row-local operators, each row flows through the whole
-    /// segment before the next row is touched (no intermediate frames).
-    fn run_fused(
-        &self,
-        frame: Frame,
-        transforms: &[Transform],
-        rejects: &mut Vec<Vec<Value>>,
-    ) -> Result<Frame, EtlError> {
-        let mut current = frame;
-        let mut i = 0;
-        while i < transforms.len() {
-            if transforms[i].is_row_local() {
-                // collect the maximal run of row-local operators
-                let mut j = i;
-                while j < transforms.len() && transforms[j].is_row_local() {
-                    j += 1;
-                }
-                current = self.fuse_segment(current, &transforms[i..j], rejects)?;
-                i = j;
-            } else {
-                current = transforms[i].apply(current, &self.db, rejects)?;
-                i += 1;
-            }
-        }
-        Ok(current)
-    }
-
-    /// Execute a run of row-local transforms one row at a time.
-    ///
-    /// Each operator is compiled *once* against the evolving header
-    /// (expressions bound, column positions and lookup maps resolved);
-    /// every row then streams through the compiled chain without any
-    /// intermediate frame materialization — the whole point of fusion.
-    fn fuse_segment(
-        &self,
-        frame: Frame,
-        segment: &[Transform],
-        rejects: &mut Vec<Vec<Value>>,
-    ) -> Result<Frame, EtlError> {
-        let (ops, out_columns) =
-            crate::transform::compile_segment(segment, frame.columns.clone(), &self.db)?;
-        let mut out = Frame::new(out_columns);
-        'rows: for mut row in frame.rows {
-            for op in &ops {
-                match op.apply_row(&mut row)? {
-                    crate::transform::RowOutcome::Keep => {}
-                    crate::transform::RowOutcome::Drop => continue 'rows,
-                    crate::transform::RowOutcome::Reject => {
-                        rejects.push(row);
-                        continue 'rows;
-                    }
-                }
-            }
-            out.rows.push(row);
-        }
-        Ok(out)
-    }
-
     fn load(
         &self,
         loader: &Loader,
@@ -243,7 +153,8 @@ impl JobRunner {
     ) -> Result<usize, EtlError> {
         if !self.db.has_table(&loader.table) {
             // derive the target schema from the frame: type from the first
-            // non-null value per column, defaulting to TEXT
+            // non-null value per column, FLOAT where Ints and Floats mix,
+            // defaulting to TEXT
             let cols: Vec<Column> = frame
                 .columns
                 .iter()
@@ -252,8 +163,12 @@ impl JobRunner {
                     let ty = frame
                         .rows
                         .iter()
-                        .find_map(|r| r[i].data_type())
-                        .unwrap_or(odbis_storage::DataType::Text);
+                        .filter_map(|r| r[i].data_type())
+                        .reduce(|ty, t| match (ty, t) {
+                            (DataType::Int, DataType::Float) => DataType::Float,
+                            _ => ty,
+                        })
+                        .unwrap_or(DataType::Text);
                     Column::new(name.clone(), ty)
                 })
                 .collect();
@@ -285,7 +200,6 @@ impl JobRunner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transform::AggOp;
 
     fn sample_job() -> EtlJob {
         EtlJob {
@@ -326,24 +240,26 @@ mod tests {
     }
 
     #[test]
-    fn both_execution_modes_agree() {
-        let db1 = Arc::new(Database::new());
-        let db2 = Arc::new(Database::new());
-        let mut job = sample_job();
-        job.transforms.push(Transform::Aggregate {
-            group_by: vec!["region".into()],
-            aggs: vec![(AggOp::Sum, "amount_eur".into(), "total".into())],
-        });
-        let r1 = JobRunner::with_mode(Arc::clone(&db1), ExecutionMode::OperatorAtATime)
-            .run(&job)
-            .unwrap();
-        let r2 = JobRunner::with_mode(Arc::clone(&db2), ExecutionMode::FusedPipeline)
-            .run(&job)
-            .unwrap();
-        assert_eq!(r1.loaded, r2.loaded);
+    fn a_new_column_mixing_ints_and_floats_is_float() {
+        let db = Arc::new(Database::new());
+        let job = EtlJob {
+            name: "mixed".into(),
+            extractor: Extractor::Csv("n,m\n1,2.5\n2.5,1\n,3\n".into()),
+            transforms: vec![],
+            loader: Loader {
+                table: "mixed".into(),
+                mode: LoadMode::Append,
+            },
+        };
+        let report = JobRunner::new(Arc::clone(&db)).run(&job).unwrap();
+        assert_eq!((report.loaded, report.rejected), (3, 0));
+        let schema = db.table_schema("mixed").unwrap();
+        for c in schema.columns() {
+            assert_eq!(c.data_type, DataType::Float, "{}", c.name);
+        }
         assert_eq!(
-            db1.scan("clean_orders").unwrap(),
-            db2.scan("clean_orders").unwrap()
+            db.scan("mixed").unwrap()[0],
+            vec![Value::Float(1.0), Value::Float(2.5)]
         );
     }
 

@@ -7,11 +7,13 @@
 //!
 //! * [`Frame`] — the record batch flowing between operators, with CSV
 //!   ingestion and type inference;
-//! * [`Transform`] — declarative operators compiled against the frame
-//!   header (filters and derivations are real SQL expressions);
+//! * [`Transform`] — declarative operators (filters and derivations are
+//!   real SQL expressions, an aggregate is the SQL engine's GROUP BY);
 //! * [`EtlJob`] / [`JobRunner`] — extract → transform → load with bad-row
-//!   quarantine and two execution modes (operator-at-a-time vs fused row
-//!   pipeline — ablation A4);
+//!   quarantine. A run compiles its whole transform chain once against the
+//!   extracted header; a run of row-local operators streams row by row
+//!   (the fused pipeline that won ablation A4), while a deduplicate or an
+//!   aggregate takes the whole frame;
 //! * [`JobScheduler`] — deterministic logical-clock scheduling.
 
 #![warn(missing_docs)]
@@ -22,9 +24,10 @@ mod schedule;
 mod transform;
 
 pub use frame::{infer_value, parse_csv, to_csv, Frame};
-pub use job::{EtlJob, ExecutionMode, Extractor, JobReport, JobRunner, LoadMode, Loader};
+pub use job::{EtlJob, Extractor, JobReport, JobRunner, LoadMode, Loader};
+pub use odbis_sql::ast::AggFunc;
 pub use schedule::{JobScheduler, RunRecord, Schedule};
-pub use transform::{compile_expression, AggOp, Transform};
+pub use transform::{compile_expression, Transform};
 
 /// Errors raised by the integration service.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,24 +1,16 @@
-//! ETL transforms: declarative operators compiled against the frame header.
+//! ETL transforms: declarative operators, compiled once per run against
+//! the extracted header into a chain of steps.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
+use odbis_sql::ast::AggFunc;
 use odbis_sql::plan::PlanCol;
 use odbis_sql::{planner, BExpr};
-use odbis_storage::{DataType, Database, Value};
+use odbis_storage::{Batch, ColumnVec, DataType, Database, Value};
 
 use crate::frame::Frame;
 use crate::EtlError;
-
-/// Aggregation functions for the [`Transform::Aggregate`] operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // self-documenting
-pub enum AggOp {
-    Count,
-    Sum,
-    Avg,
-    Min,
-    Max,
-}
 
 /// A declarative transform step — the executable counterparts of the CWM
 /// `TransformationStep` operations (FILTER, MAP, JOIN/LOOKUP, AGGREGATE,
@@ -69,28 +61,20 @@ pub enum Transform {
     /// listed columns (empty = all columns).
     Deduplicate(Vec<String>),
     /// Group by columns and aggregate: output = group cols + one column per
-    /// aggregation `(op, column, output_name)`.
+    /// aggregation `(func, column, output_name)`, groups in first-seen
+    /// order. The aggregates are the SQL engine's: `SUM` over INT inputs
+    /// is an exact INT, and `SUM`/`AVG` over non-numeric input fails the
+    /// job with the SQL error.
     Aggregate {
         /// Grouping columns.
         group_by: Vec<String>,
         /// Aggregations.
-        aggs: Vec<(AggOp, String, String)>,
+        aggs: Vec<(AggFunc, String, String)>,
     },
 }
 
-fn frame_schema(frame: &Frame) -> Vec<PlanCol> {
-    frame
-        .columns
-        .iter()
-        .map(|c| PlanCol {
-            qualifier: None,
-            name: c.clone(),
-        })
-        .collect()
-}
-
-/// Compile a SQL scalar expression against a frame header.
-pub fn compile_expression(expr: &str, frame: &Frame) -> Result<BExpr, EtlError> {
+/// Compile a SQL scalar expression against a header.
+pub fn compile_expression(expr: &str, columns: &[String]) -> Result<BExpr, EtlError> {
     let sql = format!("SELECT {expr}");
     let stmt = odbis_sql::parse(&sql).map_err(|e| EtlError::Expression(format!("{expr}: {e}")))?;
     let odbis_sql::ast::Statement::Select(sel) = stmt else {
@@ -99,245 +83,48 @@ pub fn compile_expression(expr: &str, frame: &Frame) -> Result<BExpr, EtlError> 
     let odbis_sql::ast::SelectItem::Expr { expr: ast, .. } = &sel.items[0] else {
         return Err(EtlError::Expression(format!("{expr}: not an expression")));
     };
-    planner::bind(ast, &frame_schema(frame))
-        .map_err(|e| EtlError::Expression(format!("{expr}: {e}")))
+    let schema: Vec<PlanCol> = columns.iter().map(PlanCol::unqualified).collect();
+    planner::bind(ast, &schema).map_err(|e| EtlError::Expression(format!("{expr}: {e}")))
 }
 
-impl Transform {
-    /// Apply the transform to a whole frame. `db` resolves lookup tables.
-    /// Rows that fail a `Cast` are moved to `rejects`.
-    pub fn apply(
-        &self,
-        frame: Frame,
-        db: &Database,
-        rejects: &mut Vec<Vec<Value>>,
-    ) -> Result<Frame, EtlError> {
-        match self {
-            Transform::Filter(expr) => {
-                let pred = compile_expression(expr, &frame)?;
-                let mut out = Frame::new(frame.columns.clone());
-                for row in frame.rows {
-                    let keep = pred
-                        .eval(&row)
-                        .map_err(|e| EtlError::Expression(e.to_string()))?;
-                    if odbis_sql::expr::truth(&keep) == Some(true) {
-                        out.rows.push(row);
-                    }
-                }
-                Ok(out)
-            }
-            Transform::Derive { column, expression } => {
-                let e = compile_expression(expression, &frame)?;
-                let existing = frame.column_index(column);
-                let mut out = frame.clone();
-                if existing.is_none() {
-                    out.columns.push(column.clone());
-                }
-                for (i, row) in frame.rows.iter().enumerate() {
-                    let v = e
-                        .eval(row)
-                        .map_err(|e| EtlError::Expression(e.to_string()))?;
-                    match existing {
-                        Some(idx) => out.rows[i][idx] = v,
-                        None => out.rows[i].push(v),
-                    }
-                }
-                Ok(out)
-            }
-            Transform::Select(cols) => {
-                let idxs: Result<Vec<usize>, EtlError> = cols
-                    .iter()
-                    .map(|c| {
-                        frame
-                            .column_index(c)
-                            .ok_or_else(|| EtlError::UnknownColumn(c.clone()))
-                    })
-                    .collect();
-                let idxs = idxs?;
-                let rows = frame
-                    .rows
-                    .into_iter()
-                    .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
-                    .collect();
-                Ok(Frame {
-                    columns: cols.clone(),
-                    rows,
-                })
-            }
-            Transform::Rename { from, to } => {
-                let i = frame
-                    .column_index(from)
-                    .ok_or_else(|| EtlError::UnknownColumn(from.clone()))?;
-                let mut out = frame;
-                out.columns[i] = to.clone();
-                Ok(out)
-            }
-            Transform::Cast { column, to } => {
-                let i = frame
-                    .column_index(column)
-                    .ok_or_else(|| EtlError::UnknownColumn(column.clone()))?;
-                let mut out = Frame::new(frame.columns.clone());
-                for mut row in frame.rows {
-                    match odbis_sql::cast_value(&row[i], *to) {
-                        Ok(v) => {
-                            row[i] = v;
-                            out.rows.push(row);
-                        }
-                        Err(_) => rejects.push(row),
-                    }
-                }
-                Ok(out)
-            }
-            Transform::Lookup {
-                key_column,
-                table,
-                lookup_key,
-                lookup_value,
-                output,
-            } => {
-                let ki = frame
-                    .column_index(key_column)
-                    .ok_or_else(|| EtlError::UnknownColumn(key_column.clone()))?;
-                // build the lookup map once
-                let map: HashMap<Value, Value> = db
-                    .read_table(table, |t| {
-                        let lk = t.schema().index_of(lookup_key);
-                        let lv = t.schema().index_of(lookup_value);
-                        match (lk, lv) {
-                            (Some(lk), Some(lv)) => Ok(t
-                                .scan()
-                                .map(|(_, r)| (r[lk].clone(), r[lv].clone()))
-                                .collect()),
-                            _ => Err(EtlError::UnknownColumn(format!(
-                                "{lookup_key}/{lookup_value} in {table}"
-                            ))),
-                        }
-                    })
-                    .map_err(|e| EtlError::Storage(e.to_string()))??;
-                let mut out = frame.clone();
-                out.columns.push(output.clone());
-                for (i, row) in frame.rows.iter().enumerate() {
-                    let v = map.get(&row[ki]).cloned().unwrap_or(Value::Null);
-                    out.rows[i].push(v);
-                }
-                Ok(out)
-            }
-            Transform::Deduplicate(cols) => {
-                let idxs: Vec<usize> = if cols.is_empty() {
-                    (0..frame.columns.len()).collect()
-                } else {
-                    cols.iter()
-                        .map(|c| {
-                            frame
-                                .column_index(c)
-                                .ok_or_else(|| EtlError::UnknownColumn(c.clone()))
-                        })
-                        .collect::<Result<_, _>>()?
-                };
-                let mut seen = HashSet::new();
-                let mut out = Frame::new(frame.columns.clone());
-                for row in frame.rows {
-                    let key: Vec<Value> = idxs.iter().map(|&i| row[i].clone()).collect();
-                    if seen.insert(key) {
-                        out.rows.push(row);
-                    }
-                }
-                Ok(out)
-            }
-            Transform::Aggregate { group_by, aggs } => {
-                let gidx: Vec<usize> = group_by
-                    .iter()
-                    .map(|c| {
-                        frame
-                            .column_index(c)
-                            .ok_or_else(|| EtlError::UnknownColumn(c.clone()))
-                    })
-                    .collect::<Result<_, _>>()?;
-                let aidx: Vec<(AggOp, usize, String)> = aggs
-                    .iter()
-                    .map(|(op, c, name)| {
-                        frame
-                            .column_index(c)
-                            .map(|i| (*op, i, name.clone()))
-                            .ok_or_else(|| EtlError::UnknownColumn(c.clone()))
-                    })
-                    .collect::<Result<_, _>>()?;
-                // per-aggregation accumulator: (count, sum, min, max)
-                type Acc = (i64, f64, Option<Value>, Option<Value>);
-                let mut order: Vec<Vec<Value>> = Vec::new();
-                let mut state: HashMap<Vec<Value>, Vec<Acc>> = HashMap::new();
-                for row in &frame.rows {
-                    let key: Vec<Value> = gidx.iter().map(|&i| row[i].clone()).collect();
-                    let entry = state.entry(key.clone()).or_insert_with(|| {
-                        order.push(key.clone());
-                        vec![(0, 0.0, None, None); aidx.len()]
-                    });
-                    for (slot, (_, ci, _)) in entry.iter_mut().zip(&aidx) {
-                        let v = &row[*ci];
-                        if v.is_null() {
-                            continue;
-                        }
-                        slot.0 += 1;
-                        slot.1 += v.as_f64().unwrap_or(0.0);
-                        if slot.2.as_ref().is_none_or(|m| v < m) {
-                            slot.2 = Some(v.clone());
-                        }
-                        if slot.3.as_ref().is_none_or(|m| v > m) {
-                            slot.3 = Some(v.clone());
-                        }
-                    }
-                }
-                let mut columns = group_by.clone();
-                columns.extend(aidx.iter().map(|(_, _, n)| n.clone()));
-                let mut rows = Vec::with_capacity(order.len());
-                for key in order {
-                    let slots = &state[&key];
-                    let mut row = key.clone();
-                    for ((op, _, _), slot) in aidx.iter().zip(slots) {
-                        row.push(match op {
-                            AggOp::Count => Value::Int(slot.0),
-                            AggOp::Sum => {
-                                if slot.0 == 0 {
-                                    Value::Null
-                                } else {
-                                    Value::Float(slot.1)
-                                }
-                            }
-                            AggOp::Avg => {
-                                if slot.0 == 0 {
-                                    Value::Null
-                                } else {
-                                    Value::Float(slot.1 / slot.0 as f64)
-                                }
-                            }
-                            AggOp::Min => slot.2.clone().unwrap_or(Value::Null),
-                            AggOp::Max => slot.3.clone().unwrap_or(Value::Null),
-                        });
-                    }
-                    rows.push(row);
-                }
-                Ok(Frame { columns, rows })
-            }
+/// Position of `name` in a header, by the platform-wide
+/// [`odbis_storage::resolve_column`] rule.
+fn position(columns: &[String], name: &str) -> Result<usize, EtlError> {
+    odbis_storage::resolve_column(columns.iter().map(String::as_str), name)
+        .ok_or_else(|| EtlError::UnknownColumn(name.to_string()))
+}
+
+fn positions(columns: &[String], names: &[String]) -> Result<Vec<usize>, EtlError> {
+    names.iter().map(|n| position(columns, n)).collect()
+}
+
+/// The `lookup_key` → `lookup_value` map of a lookup table.
+fn lookup_map(
+    db: &Database,
+    table: &str,
+    lookup_key: &str,
+    lookup_value: &str,
+) -> Result<HashMap<Value, Value>, EtlError> {
+    db.read_table(table, |t| {
+        match (
+            t.schema().index_of(lookup_key),
+            t.schema().index_of(lookup_value),
+        ) {
+            (Some(lk), Some(lv)) => Ok(t
+                .scan()
+                .map(|(_, r)| (r[lk].clone(), r[lv].clone()))
+                .collect()),
+            _ => Err(EtlError::UnknownColumn(format!(
+                "{lookup_key}/{lookup_value} in {table}"
+            ))),
         }
-    }
-
-    /// Whether the transform is row-local (fusable into a per-row pipeline).
-    /// Aggregate and Deduplicate need the whole frame.
-    pub fn is_row_local(&self) -> bool {
-        !matches!(
-            self,
-            Transform::Aggregate { .. } | Transform::Deduplicate(_)
-        )
-    }
+    })
+    .map_err(|e| EtlError::Storage(e.to_string()))?
 }
-
-// ---------------------------------------------------------------------------
-// Fused (compiled) row-local execution
-// ---------------------------------------------------------------------------
 
 /// Result of pushing one row through a compiled operator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowOutcome {
+enum RowOutcome {
     /// Row continues down the pipeline.
     Keep,
     /// Row was filtered out.
@@ -347,39 +134,27 @@ pub enum RowOutcome {
 }
 
 /// A row-local transform compiled against a concrete header: expressions
-/// bound, column ordinals resolved, lookup maps materialized. Built once
-/// per job run; applied per row with no allocation beyond the row itself.
-pub enum CompiledOp {
-    /// Compiled filter predicate.
+/// bound, column ordinals resolved, lookup maps materialized. Applied per
+/// row with no allocation beyond the row itself.
+enum CompiledOp {
+    /// Filter predicate.
     Filter(BExpr),
-    /// Compiled derivation (`None` target = append).
-    Derive {
-        /// Existing column position, or append when `None`.
-        target: Option<usize>,
-        /// Bound expression.
-        expr: BExpr,
-    },
+    /// Derivation into an existing column, or appended when `None`.
+    Derive { target: Option<usize>, expr: BExpr },
     /// Column selection by ordinal.
     Select(Vec<usize>),
     /// Cast one column.
-    Cast {
-        /// Column position.
-        index: usize,
-        /// Target type.
-        to: DataType,
-    },
-    /// Append a looked-up value.
+    Cast { index: usize, to: DataType },
+    /// Append the value the key column maps to.
     Lookup {
-        /// Key column position.
         key: usize,
-        /// Materialized key→value map.
         map: HashMap<Value, Value>,
     },
 }
 
 impl CompiledOp {
     /// Apply to one row in place.
-    pub fn apply_row(&self, row: &mut Vec<Value>) -> Result<RowOutcome, EtlError> {
+    fn apply_row(&self, row: &mut Vec<Value>) -> Result<RowOutcome, EtlError> {
         match self {
             CompiledOp::Filter(pred) => {
                 let v = pred
@@ -421,53 +196,140 @@ impl CompiledOp {
     }
 }
 
-/// Compile a run of row-local transforms against an input header. Returns
-/// the compiled chain and the output header.
-pub fn compile_segment(
-    segment: &[Transform],
+/// One step of a compiled chain.
+enum Step {
+    /// A run of row-local operators: each row flows through the whole run
+    /// before the next row is touched, with no intermediate frame.
+    Rows(Vec<CompiledOp>),
+    /// Keep the first row per key (the key column positions).
+    Deduplicate(Vec<usize>),
+    /// GROUP BY the `keys` columns, folding column `args[i]` into a
+    /// `funcs[i]` accumulator per group.
+    Aggregate {
+        keys: Vec<usize>,
+        args: Vec<usize>,
+        funcs: Vec<AggFunc>,
+    },
+}
+
+impl Step {
+    fn run(
+        &self,
+        rows: Vec<Vec<Value>>,
+        rejects: &mut Vec<Vec<Value>>,
+    ) -> Result<Vec<Vec<Value>>, EtlError> {
+        match self {
+            Step::Rows(ops) => {
+                let mut out = Vec::with_capacity(rows.len());
+                'rows: for mut row in rows {
+                    for op in ops {
+                        match op.apply_row(&mut row)? {
+                            RowOutcome::Keep => {}
+                            RowOutcome::Drop => continue 'rows,
+                            RowOutcome::Reject => {
+                                rejects.push(row);
+                                continue 'rows;
+                            }
+                        }
+                    }
+                    out.push(row);
+                }
+                Ok(out)
+            }
+            Step::Deduplicate(key) => {
+                let mut seen = HashSet::new();
+                Ok(rows
+                    .into_iter()
+                    .filter(|row| {
+                        seen.insert(key.iter().map(|&i| row[i].clone()).collect::<Vec<_>>())
+                    })
+                    .collect())
+            }
+            Step::Aggregate { keys, args, funcs } => {
+                // the group and argument columns, packed for the SQL
+                // executor's partial GROUP BY
+                let column = |&i: &usize| {
+                    Arc::new(ColumnVec::from_values(
+                        rows.iter().map(|r| r[i].clone()).collect(),
+                    ))
+                };
+                let batch = Batch::new(keys.iter().chain(args).map(column).collect(), rows.len())
+                    .map_err(|e| EtlError::Shape(e.to_string()))?;
+                let sql_err = |e: odbis_sql::SqlError| EtlError::Expression(e.to_string());
+                odbis_sql::aggregate_columns(&[batch], keys.len(), funcs)
+                    .map_err(sql_err)?
+                    .map(|(mut row, accs)| {
+                        for acc in &accs {
+                            row.push(acc.finish().map_err(sql_err)?);
+                        }
+                        Ok(row)
+                    })
+                    .collect()
+            }
+        }
+    }
+}
+
+/// A transform chain compiled against its input header by [`compile`].
+pub(crate) struct Pipeline {
+    steps: Vec<Step>,
+    /// The header of the frame the chain produces.
+    columns: Vec<String>,
+}
+
+impl Pipeline {
+    /// Push the extracted rows through every step. Rows that fail a
+    /// `Cast` are moved to `rejects`.
+    pub(crate) fn run(
+        self,
+        mut rows: Vec<Vec<Value>>,
+        rejects: &mut Vec<Vec<Value>>,
+    ) -> Result<Frame, EtlError> {
+        for step in &self.steps {
+            rows = step.run(rows, rejects)?;
+        }
+        Ok(Frame {
+            columns: self.columns,
+            rows,
+        })
+    }
+}
+
+/// Compile a whole transform chain against the extracted header, once per
+/// run: expressions are bound, column positions resolved and lookup maps
+/// read from `db`. Consecutive row-local transforms share one
+/// [`Step::Rows`]; a `Rename` only changes the header.
+pub(crate) fn compile(
+    transforms: &[Transform],
     mut columns: Vec<String>,
     db: &Database,
-) -> Result<(Vec<CompiledOp>, Vec<String>), EtlError> {
-    let mut ops = Vec::with_capacity(segment.len());
-    for t in segment {
-        let header = Frame::new(columns.clone());
-        match t {
-            Transform::Filter(expr) => {
-                ops.push(CompiledOp::Filter(compile_expression(expr, &header)?));
-            }
+) -> Result<Pipeline, EtlError> {
+    let mut steps = Vec::new();
+    for t in transforms {
+        let op = match t {
+            Transform::Filter(expr) => CompiledOp::Filter(compile_expression(expr, &columns)?),
             Transform::Derive { column, expression } => {
-                let expr = compile_expression(expression, &header)?;
-                let target = header.column_index(column);
+                let expr = compile_expression(expression, &columns)?;
+                let target = position(&columns, column).ok();
                 if target.is_none() {
                     columns.push(column.clone());
                 }
-                ops.push(CompiledOp::Derive { target, expr });
+                CompiledOp::Derive { target, expr }
             }
             Transform::Select(cols) => {
-                let idxs: Vec<usize> = cols
-                    .iter()
-                    .map(|c| {
-                        header
-                            .column_index(c)
-                            .ok_or_else(|| EtlError::UnknownColumn(c.clone()))
-                    })
-                    .collect::<Result<_, _>>()?;
+                let idxs = positions(&columns, cols)?;
                 columns = cols.clone();
-                ops.push(CompiledOp::Select(idxs));
+                CompiledOp::Select(idxs)
             }
             Transform::Rename { from, to } => {
-                // pure header change: no row work at all
-                let i = header
-                    .column_index(from)
-                    .ok_or_else(|| EtlError::UnknownColumn(from.clone()))?;
+                let i = position(&columns, from)?;
                 columns[i] = to.clone();
+                continue;
             }
-            Transform::Cast { column, to } => {
-                let index = header
-                    .column_index(column)
-                    .ok_or_else(|| EtlError::UnknownColumn(column.clone()))?;
-                ops.push(CompiledOp::Cast { index, to: *to });
-            }
+            Transform::Cast { column, to } => CompiledOp::Cast {
+                index: position(&columns, column)?,
+                to: *to,
+            },
             Transform::Lookup {
                 key_column,
                 table,
@@ -475,53 +337,89 @@ pub fn compile_segment(
                 lookup_value,
                 output,
             } => {
-                let key = header
-                    .column_index(key_column)
-                    .ok_or_else(|| EtlError::UnknownColumn(key_column.clone()))?;
-                let map: HashMap<Value, Value> = db
-                    .read_table(table, |t| {
-                        let lk = t.schema().index_of(lookup_key);
-                        let lv = t.schema().index_of(lookup_value);
-                        match (lk, lv) {
-                            (Some(lk), Some(lv)) => Ok(t
-                                .scan()
-                                .map(|(_, r)| (r[lk].clone(), r[lv].clone()))
-                                .collect()),
-                            _ => Err(EtlError::UnknownColumn(format!(
-                                "{lookup_key}/{lookup_value} in {table}"
-                            ))),
-                        }
-                    })
-                    .map_err(|e| EtlError::Storage(e.to_string()))??;
+                let key = position(&columns, key_column)?;
+                let map = lookup_map(db, table, lookup_key, lookup_value)?;
                 columns.push(output.clone());
-                ops.push(CompiledOp::Lookup { key, map });
+                CompiledOp::Lookup { key, map }
             }
-            Transform::Deduplicate(_) | Transform::Aggregate { .. } => {
-                return Err(EtlError::Expression(
-                    "blocking operator in a fused segment".into(),
-                ));
+            Transform::Deduplicate(cols) => {
+                let key = if cols.is_empty() {
+                    (0..columns.len()).collect()
+                } else {
+                    positions(&columns, cols)?
+                };
+                steps.push(Step::Deduplicate(key));
+                continue;
             }
+            Transform::Aggregate { group_by, aggs } => {
+                steps.push(Step::Aggregate {
+                    keys: positions(&columns, group_by)?,
+                    args: aggs
+                        .iter()
+                        .map(|(_, column, _)| position(&columns, column))
+                        .collect::<Result<_, _>>()?,
+                    funcs: aggs.iter().map(|(func, _, _)| *func).collect(),
+                });
+                columns = group_by.clone();
+                columns.extend(aggs.iter().map(|(_, _, name)| name.clone()));
+                continue;
+            }
+        };
+        match steps.last_mut() {
+            Some(Step::Rows(ops)) => ops.push(op),
+            _ => steps.push(Step::Rows(vec![op])),
         }
     }
-    Ok((ops, columns))
+    Ok(Pipeline { steps, columns })
 }
 
 #[cfg(test)]
-mod fused_tests {
+mod tests {
     use super::*;
     use crate::frame::parse_csv;
+    use odbis_sql::Engine;
+
+    fn orders() -> Frame {
+        parse_csv(
+            "id,region,amount\n\
+             1,EU,100\n\
+             2,US,250\n\
+             3,EU,50\n\
+             4,EU,100\n",
+        )
+        .unwrap()
+    }
+
+    /// Compile `chain` against `f`'s header and run it: the output frame
+    /// and the quarantined rows.
+    fn run_chain(
+        chain: &[Transform],
+        f: Frame,
+        db: &Database,
+    ) -> Result<(Frame, Vec<Vec<Value>>), EtlError> {
+        let mut rejects = Vec::new();
+        let out = compile(chain, f.columns, db)?.run(f.rows, &mut rejects)?;
+        Ok((out, rejects))
+    }
+
+    /// One transform as a one-step chain.
+    fn apply(t: Transform, f: Frame) -> Frame {
+        run_chain(&[t], f, &Database::new()).unwrap().0
+    }
 
     #[test]
-    fn compiled_segment_matches_operator_at_a_time() {
+    fn compiled_chain_matches_sql() {
         let db = Database::new();
-        odbis_sql::Engine::new()
+        Engine::new()
             .execute_script(
                 &db,
                 "CREATE TABLE regions (code TEXT PRIMARY KEY, label TEXT);
-                 INSERT INTO regions VALUES ('EU', 'Europe'), ('US', 'United States');",
+                 INSERT INTO regions VALUES ('EU', 'Europe'), ('US', 'United States');
+                 CREATE TABLE src (id INT, region TEXT, amount INT);
+                 INSERT INTO src VALUES (1, 'EU', 10), (2, 'US', -5), (3, 'XX', 7);",
             )
             .unwrap();
-        let segment = vec![
+        let chain = vec![
             Transform::Filter("amount > 0".into()),
             Transform::Derive {
                 column: "double_amount".into(),
@@ -545,75 +443,18 @@ mod fused_tests {
             ]),
         ];
         let frame = parse_csv("id,region,amount\n1,EU,10\n2,US,-5\n3,XX,7\n").unwrap();
-        // reference: operator at a time
-        let mut r1 = Vec::new();
-        let mut reference = frame.clone();
-        for t in &segment {
-            reference = t.apply(reference, &db, &mut r1).unwrap();
-        }
-        // compiled
-        let (ops, columns) = compile_segment(&segment, frame.columns.clone(), &db).unwrap();
-        let mut fused = Frame::new(columns);
-        'rows: for mut row in frame.rows {
-            for op in &ops {
-                match op.apply_row(&mut row).unwrap() {
-                    RowOutcome::Keep => {}
-                    RowOutcome::Drop | RowOutcome::Reject => continue 'rows,
-                }
-            }
-            fused.rows.push(row);
-        }
-        assert_eq!(fused, reference);
-    }
-
-    #[test]
-    fn compiled_cast_rejects() {
-        let db = Database::new();
-        let segment = vec![Transform::Cast {
-            column: "v".into(),
-            to: DataType::Int,
-        }];
-        let frame = parse_csv("v\n12\noops\n").unwrap();
-        let (ops, _) = compile_segment(&segment, frame.columns.clone(), &db).unwrap();
-        let mut kept = 0;
-        let mut rejected = 0;
-        for mut row in frame.rows {
-            match ops[0].apply_row(&mut row).unwrap() {
-                RowOutcome::Keep => kept += 1,
-                RowOutcome::Reject => rejected += 1,
-                RowOutcome::Drop => unreachable!(),
-            }
-        }
-        assert_eq!((kept, rejected), (1, 1));
-    }
-
-    #[test]
-    fn blocking_ops_refused_in_segment() {
-        let db = Database::new();
-        assert!(compile_segment(&[Transform::Deduplicate(vec![])], vec!["a".into()], &db).is_err());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::frame::parse_csv;
-
-    fn orders() -> Frame {
-        parse_csv(
-            "id,region,amount\n\
-             1,EU,100\n\
-             2,US,250\n\
-             3,EU,50\n\
-             4,EU,100\n",
-        )
-        .unwrap()
-    }
-
-    fn apply(t: Transform, f: Frame) -> Frame {
-        let db = Database::new();
-        let mut rejects = Vec::new();
-        t.apply(f, &db, &mut rejects).unwrap()
+        let (out, rejects) = run_chain(&chain, frame, &db).unwrap();
+        let sql = Engine::new()
+            .execute(
+                &db,
+                "SELECT s.id AS id, r.label AS zone_label, s.amount * 2 AS double_amount
+                 FROM src s LEFT JOIN regions r ON s.region = r.code
+                 WHERE s.amount > 0 ORDER BY s.id",
+            )
+            .unwrap();
+        assert_eq!(out.columns, sql.columns);
+        assert_eq!(out.rows, sql.rows);
+        assert!(rejects.is_empty());
     }
 
     #[test]
@@ -660,23 +501,35 @@ mod tests {
     #[test]
     fn cast_quarantines_bad_rows() {
         let f = parse_csv("id,qty\n1,5\n2,oops\n3,7\n").unwrap();
-        let db = Database::new();
-        let mut rejects = Vec::new();
-        let out = Transform::Cast {
+        let cast = Transform::Cast {
             column: "qty".into(),
             to: DataType::Int,
-        }
-        .apply(f, &db, &mut rejects)
-        .unwrap();
+        };
+        let (out, rejects) = run_chain(&[cast], f, &Database::new()).unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(rejects.len(), 1);
         assert_eq!(rejects[0][0], Value::Int(2));
+        // a rejected row leaves the rest of the chain
+        let f = parse_csv("v\n12\noops\n").unwrap();
+        let chain = [
+            Transform::Cast {
+                column: "v".into(),
+                to: DataType::Int,
+            },
+            Transform::Derive {
+                column: "w".into(),
+                expression: "v + 1".into(),
+            },
+        ];
+        let (out, rejects) = run_chain(&chain, f, &Database::new()).unwrap();
+        assert_eq!(out.rows, vec![vec![Value::Int(12), Value::Int(13)]]);
+        assert_eq!(rejects, vec![vec![Value::from("oops")]]);
     }
 
     #[test]
     fn lookup_enriches_with_nulls_for_misses() {
         let db = Database::new();
-        odbis_sql::Engine::new()
+        Engine::new()
             .execute_script(
                 &db,
                 "CREATE TABLE regions (code TEXT PRIMARY KEY, label TEXT);
@@ -684,16 +537,14 @@ mod tests {
             )
             .unwrap();
         let f = parse_csv("id,region\n1,EU\n2,XX\n").unwrap();
-        let mut rejects = Vec::new();
-        let out = Transform::Lookup {
+        let lookup = Transform::Lookup {
             key_column: "region".into(),
             table: "regions".into(),
             lookup_key: "code".into(),
             lookup_value: "label".into(),
             output: "region_label".into(),
-        }
-        .apply(f, &db, &mut rejects)
-        .unwrap();
+        };
+        let (out, _) = run_chain(&[lookup], f, &db).unwrap();
         assert_eq!(out.rows[0][2], Value::from("Europe"));
         assert_eq!(out.rows[1][2], Value::Null);
     }
@@ -712,9 +563,9 @@ mod tests {
             Transform::Aggregate {
                 group_by: vec!["region".into()],
                 aggs: vec![
-                    (AggOp::Count, "id".into(), "n".into()),
-                    (AggOp::Sum, "amount".into(), "total".into()),
-                    (AggOp::Max, "amount".into(), "biggest".into()),
+                    (AggFunc::Count, "id".into(), "n".into()),
+                    (AggFunc::Sum, "amount".into(), "total".into()),
+                    (AggFunc::Max, "amount".into(), "biggest".into()),
                 ],
             },
             orders(),
@@ -722,38 +573,46 @@ mod tests {
         assert_eq!(f.columns, vec!["region", "n", "total", "biggest"]);
         assert_eq!(
             f.rows[0],
-            vec![
-                "EU".into(),
-                Value::Int(3),
-                Value::Float(250.0),
-                Value::Int(100)
-            ]
+            vec!["EU".into(), Value::Int(3), Value::Int(250), Value::Int(100)]
         );
         assert_eq!(f.rows[1][1], Value::Int(1));
     }
 
     #[test]
-    fn expression_errors_are_reported() {
-        let db = Database::new();
-        let mut r = Vec::new();
-        assert!(matches!(
-            Transform::Filter("nonexistent > 1".into()).apply(orders(), &db, &mut r),
-            Err(EtlError::Expression(_))
-        ));
-        assert!(matches!(
-            Transform::Select(vec!["ghost".into()]).apply(orders(), &db, &mut r),
-            Err(EtlError::UnknownColumn(_))
-        ));
+    fn aggregate_answers_and_errors_are_sqls() {
+        let big = (1i64 << 53) + 1;
+        let f = Frame::from_rows(
+            vec!["x".into(), "t".into()],
+            vec![vec![big.into(), "a".into()], vec![2.into(), "b".into()]],
+        )
+        .unwrap();
+        let sum = |column: &str| Transform::Aggregate {
+            group_by: vec![],
+            aggs: vec![(AggFunc::Sum, column.into(), "s".into())],
+        };
+        let (out, _) = run_chain(&[sum("x")], f.clone(), &Database::new()).unwrap();
+        assert_eq!(out.rows, vec![vec![Value::Int(big + 2)]]);
+        let err = run_chain(&[sum("t")], f, &Database::new()).unwrap_err();
+        assert!(
+            matches!(&err, EtlError::Expression(m) if m.contains("SUM over non-numeric")),
+            "{err:?}"
+        );
     }
 
     #[test]
-    fn row_local_classification() {
-        assert!(Transform::Filter("1".into()).is_row_local());
-        assert!(!Transform::Deduplicate(vec![]).is_row_local());
-        assert!(!Transform::Aggregate {
-            group_by: vec![],
-            aggs: vec![]
-        }
-        .is_row_local());
+    fn expression_errors_are_reported() {
+        let db = Database::new();
+        assert!(matches!(
+            run_chain(
+                &[Transform::Filter("nonexistent > 1".into())],
+                orders(),
+                &db
+            ),
+            Err(EtlError::Expression(_))
+        ));
+        assert!(matches!(
+            run_chain(&[Transform::Select(vec!["ghost".into()])], orders(), &db),
+            Err(EtlError::UnknownColumn(_))
+        ));
     }
 }

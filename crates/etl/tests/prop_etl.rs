@@ -1,36 +1,51 @@
 //! Property-based tests for the Integration Service: CSV round-trips,
-//! execution-mode equivalence, and conservation of rows.
+//! the SQL engine as the oracle of a transform chain, and conservation of
+//! rows.
 
 use std::sync::Arc;
 
 use odbis_etl::{
-    parse_csv, to_csv, AggOp, EtlJob, ExecutionMode, Extractor, Frame, JobRunner, LoadMode, Loader,
-    Transform,
+    parse_csv, to_csv, AggFunc, EtlJob, Extractor, Frame, JobRunner, LoadMode, Loader, Transform,
 };
+use odbis_sql::Engine;
 use odbis_storage::{Database, Value};
 use proptest::prelude::*;
+
+/// `rows` of `(g, x)` as a CREATE + INSERT script for a table `name`.
+fn table_script(name: &str, rows: &[(Option<i64>, Option<i64>)]) -> String {
+    let lit = |v: &Option<i64>| v.map_or("NULL".to_string(), |i| i.to_string());
+    let values: Vec<String> = rows
+        .iter()
+        .map(|(g, x)| format!("({}, {})", lit(g), lit(x)))
+        .collect();
+    format!(
+        "CREATE TABLE {name} (g INT, x INT); INSERT INTO {name} VALUES {};",
+        values.join(", ")
+    )
+}
 
 fn arb_cell() -> impl Strategy<Value = String> {
     prop_oneof![
         (-1_000i64..1_000).prop_map(|i| i.to_string()),
-        "[a-zA-Z ,\"]{0,10}",
+        "[a-zA-Z ,\"\r\n]{0,10}",
         Just(String::new()),
     ]
 }
 
 proptest! {
     /// CSV writer output always re-parses to the same frame (quoting is
-    /// correct for commas, quotes, embedded text).
+    /// correct for commas, quotes and line breaks, in header names too).
     #[test]
     fn csv_round_trip(
         rows in prop::collection::vec(prop::collection::vec(arb_cell(), 3), 1..20)
     ) {
         let frame = Frame::from_rows(
-            vec!["a".into(), "b".into(), "c".into()],
+            vec!["a,b".into(), "say \"b\"".into(), "c\rd".into()],
             rows.iter().map(|r| r.iter().map(|c| odbis_etl::infer_value(c)).collect()).collect(),
         ).unwrap();
         let csv = to_csv(&frame);
         let reparsed = parse_csv(&csv).unwrap();
+        prop_assert_eq!(&frame.columns, &reparsed.columns);
         // rendering collapses types to text; compare rendered forms
         prop_assert_eq!(frame.len(), reparsed.len());
         for (a, b) in frame.rows.iter().zip(&reparsed.rows) {
@@ -40,10 +55,10 @@ proptest! {
         }
     }
 
-    /// Both execution modes load identical data for any random filter
-    /// threshold and derivation, and extracted = loaded + filtered.
+    /// A filter and a derivation load what the equivalent SQL SELECT
+    /// answers over the same rows, and extracted = loaded + filtered.
     #[test]
-    fn execution_modes_agree(
+    fn filter_and_derive_match_sql(
         values in prop::collection::vec(-500i64..500, 1..80),
         threshold in -500i64..500,
     ) {
@@ -60,20 +75,62 @@ proptest! {
             ],
             loader: Loader { table: "out".into(), mode: LoadMode::Replace },
         };
-        let db1 = Arc::new(Database::new());
-        let db2 = Arc::new(Database::new());
-        let r1 = JobRunner::with_mode(Arc::clone(&db1), ExecutionMode::OperatorAtATime).run(&job).unwrap();
-        let r2 = JobRunner::with_mode(Arc::clone(&db2), ExecutionMode::FusedPipeline).run(&job).unwrap();
-        prop_assert_eq!(r1.loaded, r2.loaded);
-        prop_assert_eq!(db1.scan("out").unwrap(), db2.scan("out").unwrap());
-        let expected = values.iter().filter(|&&v| v > threshold).count();
-        prop_assert_eq!(r1.loaded, expected);
-        prop_assert_eq!(r1.extracted, values.len());
-        // derivation applied everywhere
-        for row in db1.scan("out").unwrap() {
-            let v = row[1].as_i64().unwrap();
-            prop_assert_eq!(row[2].clone(), Value::Int(v * 2 + 1));
-        }
+        let db = Arc::new(Database::new());
+        let report = JobRunner::new(Arc::clone(&db)).run(&job).unwrap();
+        let rows: Vec<String> = values.iter().enumerate().map(|(i, v)| format!("({i}, {v})")).collect();
+        let engine = Engine::new();
+        engine
+            .execute_script(&db, &format!("CREATE TABLE src (id INT, v INT); INSERT INTO src VALUES {};", rows.join(", ")))
+            .unwrap();
+        let sql = engine
+            .execute(&db, &format!("SELECT id, v, v * 2 + 1 AS w FROM src WHERE v > {threshold} ORDER BY id"))
+            .unwrap();
+        prop_assert_eq!(db.scan("out").unwrap(), sql.rows.clone());
+        prop_assert_eq!(report.loaded, sql.rows.len());
+        prop_assert_eq!(report.extracted, values.len());
+    }
+
+    /// An ETL aggregate loads what `SELECT g, COUNT(x), SUM(x), AVG(x),
+    /// MIN(x), MAX(x) ... GROUP BY g` answers, in first-seen group order:
+    /// exact sums of ints near 2^53, NULL arguments and NULL groups.
+    #[test]
+    fn aggregate_matches_sql_group_by(
+        draws in prop::collection::vec((-1i64..4, -9i64..8), 1..40),
+    ) {
+        // group -1 and offset -9 stand for NULL
+        let rows: Vec<(Option<i64>, Option<i64>)> = draws
+            .iter()
+            .map(|&(g, d)| ((g >= 0).then_some(g), (d > -9).then_some((1i64 << 53) + d)))
+            .collect();
+        let frame = Frame::from_rows(
+            vec!["g".into(), "x".into()],
+            rows.iter()
+                .map(|(g, x)| vec![g.map_or(Value::Null, Value::Int), x.map_or(Value::Null, Value::Int)])
+                .collect(),
+        ).unwrap();
+        let aggs = [
+            (AggFunc::Count, "n"),
+            (AggFunc::Sum, "total"),
+            (AggFunc::Avg, "mean"),
+            (AggFunc::Min, "lo"),
+            (AggFunc::Max, "hi"),
+        ];
+        let db = Arc::new(Database::new());
+        JobRunner::new(Arc::clone(&db)).run(&EtlJob {
+            name: "agg".into(),
+            extractor: Extractor::Inline(frame),
+            transforms: vec![Transform::Aggregate {
+                group_by: vec!["g".into()],
+                aggs: aggs.iter().map(|(f, name)| (*f, "x".into(), name.to_string())).collect(),
+            }],
+            loader: Loader { table: "mart".into(), mode: LoadMode::Replace },
+        }).unwrap();
+        let engine = Engine::new();
+        engine.execute_script(&db, &table_script("src", &rows)).unwrap();
+        let sql = engine
+            .execute(&db, "SELECT g, COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x) FROM src GROUP BY g")
+            .unwrap();
+        prop_assert_eq!(db.scan("mart").unwrap(), sql.rows);
     }
 
     /// Aggregation conserves the sum: SUM over groups equals SUM over rows.
@@ -90,7 +147,7 @@ proptest! {
             extractor: Extractor::Csv(csv),
             transforms: vec![Transform::Aggregate {
                 group_by: vec!["g".into()],
-                aggs: vec![(AggOp::Sum, "x".into(), "total".into())],
+                aggs: vec![(AggFunc::Sum, "x".into(), "total".into())],
             }],
             loader: Loader { table: "sums".into(), mode: LoadMode::Replace },
         }).unwrap();

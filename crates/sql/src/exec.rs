@@ -855,9 +855,7 @@ impl GroupState {
     /// visited in its first-seen order, so merging worker states in
     /// worker (= scan) order preserves the global first-seen order.
     fn merge(&mut self, other: GroupState) {
-        let mut theirs: Vec<_> = other.groups.into_iter().collect();
-        theirs.sort_unstable_by_key(|(_, (ord, _))| *ord);
-        for (key, (_, accs)) in theirs {
+        for (key, accs) in other.into_ordered() {
             let ord = self.groups.len();
             match self.groups.entry(key) {
                 Entry::Vacant(slot) => {
@@ -881,16 +879,21 @@ impl GroupState {
                 .collect::<SqlResult<_>>()?;
             return Ok(vec![row]);
         }
-        let mut out: Vec<(usize, Vec<Value>)> = Vec::with_capacity(self.groups.len());
-        for (key, (ord, accs)) in self.groups {
-            let mut row = key;
+        let mut out = Vec::with_capacity(self.groups.len());
+        for (mut row, accs) in self.into_ordered() {
             for acc in &accs {
                 row.push(acc.finish()?);
             }
-            out.push((ord, row));
+            out.push(row);
         }
-        out.sort_by_key(|(ord, _)| *ord);
-        Ok(out.into_iter().map(|(_, r)| r).collect())
+        Ok(out)
+    }
+
+    /// Each group's key and accumulators, in first-seen order.
+    fn into_ordered(self) -> impl Iterator<Item = (Vec<Value>, Vec<Accumulator>)> {
+        let mut groups: Vec<_> = self.groups.into_iter().collect();
+        groups.sort_unstable_by_key(|(_, (ord, _))| *ord);
+        groups.into_iter().map(|(key, (_, accs))| (key, accs))
     }
 }
 
@@ -1250,7 +1253,7 @@ fn aggregate_chunk(
 /// `batches`, with column `keys + i` folded into a `funcs[i]` accumulator
 /// per group: the kernel each worker of a SQL aggregation runs, for a
 /// caller that keeps the groups itself. Each group's key and
-/// accumulators, in no particular order.
+/// accumulators, in the order the groups were first seen.
 pub fn aggregate_columns(
     batches: &[Batch],
     keys: usize,
@@ -1264,8 +1267,7 @@ pub fn aggregate_columns(
             distinct: false,
         })
         .collect();
-    let state = aggregate_chunk(batches, &group_exprs, &aggs)?;
-    Ok(state.groups.into_iter().map(|(key, (_, accs))| (key, accs)))
+    Ok(aggregate_chunk(batches, &group_exprs, &aggs)?.into_ordered())
 }
 
 /// Fold one aggregate's argument column into its per-group accumulators.
@@ -1476,6 +1478,42 @@ mod tests {
         let float = Arc::new(ColumnVec::new(ColumnData::Float(vec![0.5; 5]), None));
         let with_float = [first, vec![float]].concat();
         assert!(DenseGroups::for_columns(&with_float, &[]).is_none());
+    }
+
+    /// A dense run, a generic morsel and a second dense run: the groups
+    /// come out in the order they were first seen.
+    #[test]
+    fn aggregate_columns_yields_groups_in_first_seen_order() {
+        let batch = |keys: Vec<Value>| {
+            let n = keys.len();
+            Batch::from_columns(vec![
+                ColumnVec::from_values(keys),
+                ColumnVec::from_values(vec![Value::Int(1); n]),
+            ])
+            .unwrap()
+        };
+        let ints = |v: &[i64]| batch(v.iter().map(|&i| Value::Int(i)).collect());
+        let batches = [
+            ints(&[5, 1, 5, 9, 1]),
+            batch(vec![Value::Int(7), "x".into()]),
+            ints(&[1, 8]),
+        ];
+        let groups: Vec<(Value, Value)> = aggregate_columns(&batches, 1, &[AggFunc::Count])
+            .unwrap()
+            .map(|(key, accs)| (key[0].clone(), accs[0].finish().unwrap()))
+            .collect();
+        let expected: Vec<(Value, Value)> = [
+            (Value::Int(5), 2),
+            (Value::Int(1), 3),
+            (Value::Int(9), 1),
+            (Value::Int(7), 1),
+            ("x".into(), 1),
+            (Value::Int(8), 1),
+        ]
+        .into_iter()
+        .map(|(k, n)| (k, Value::Int(n)))
+        .collect();
+        assert_eq!(groups, expected);
     }
 
     #[test]

@@ -226,6 +226,48 @@ impl Value {
     }
 }
 
+/// Append one CSV record to `out`: the fields separated by commas and
+/// ended by `eol`. By RFC 4180 a field holding a comma, a quote or a line
+/// break (`\n` or `\r`) is wrapped in quotes, with its quotes doubled.
+pub fn push_csv_record<S: AsRef<str>>(
+    out: &mut String,
+    fields: impl IntoIterator<Item = S>,
+    eol: &str,
+) {
+    for (i, field) in fields.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let field = field.as_ref();
+        if field.contains([',', '"', '\n', '\r']) {
+            out.push('"');
+            out.push_str(&field.replace('"', "\"\""));
+            out.push('"');
+        } else {
+            out.push_str(field);
+        }
+    }
+    out.push_str(eol);
+}
+
+/// A header and rows as CSV text: `\n`-ended records (see
+/// [`push_csv_record`]), NULL as an empty field.
+pub fn csv_text(columns: &[String], rows: &[Vec<Value>]) -> String {
+    let mut out = String::new();
+    push_csv_record(&mut out, columns, "\n");
+    for row in rows {
+        let fields = row.iter().map(|v| {
+            if v.is_null() {
+                String::new()
+            } else {
+                v.render()
+            }
+        });
+        push_csv_record(&mut out, fields, "\n");
+    }
+    out
+}
+
 fn type_rank(v: &Value) -> u8 {
     match v {
         Value::Null => 0,

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use odbis_bench::workloads;
-use odbis_etl::{AggOp, EtlJob, Extractor, JobRunner, LoadMode, Loader, Transform};
+use odbis_etl::{AggFunc, EtlJob, Extractor, JobRunner, LoadMode, Loader, Transform};
 use odbis_metadata::{DataSet, DataSource, MetadataService};
 use odbis_olap::{
     parse_mdx, Aggregator, CubeDef, CubeEngine, CubeView, DimensionDef, LevelDef, LevelRef,
@@ -37,9 +37,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Transform::Aggregate {
                 group_by: vec!["year".into(), "month".into()],
                 aggs: vec![
-                    (AggOp::Count, "id".into(), "admissions".into()),
-                    (AggOp::Sum, "cost".into(), "total_cost".into()),
-                    (AggOp::Avg, "stay_days".into(), "avg_stay".into()),
+                    (AggFunc::Count, "id".into(), "admissions".into()),
+                    (AggFunc::Sum, "cost".into(), "total_cost".into()),
+                    (AggFunc::Avg, "stay_days".into(), "avg_stay".into()),
                 ],
             },
         ],
