@@ -99,8 +99,6 @@ impl PlatformConfig {
     pub fn with_defaults() -> Self {
         let mut declared = BTreeMap::new();
         for (k, v) in [
-            // 0 = auto: let the engine size its worker pool to the machine.
-            ("sql.parallelism", ConfigValue::Int(0)),
             ("durability.fsync", ConfigValue::Str(fsync_default())),
             ("telemetry.slow_ms", ConfigValue::Int(250)),
             ("chaos.enabled", ConfigValue::Bool(false)),
@@ -112,9 +110,6 @@ impl PlatformConfig {
             ("limits.burst", ConfigValue::Int(0)),
             // in-flight requests a tenant may hold past its rate before 429
             ("limits.queue_depth", ConfigValue::Int(64)),
-            // shard router: answer non-local tenants with 307 + Location
-            // instead of proxying to the owner node
-            ("cluster.redirect", ConfigValue::Bool(false)),
         ] {
             declared.insert(k.to_string(), v);
         }
@@ -246,13 +241,14 @@ mod tests {
 
     /// The knobs that used to select the retired row executor and JSON
     /// checkpoint format, the six keys no code ever read, and the ROLAP-only
-    /// MDX switch, per-tenant optimizer rule set and telemetry off switch
-    /// no deployment set, are gone, not merely ignored: setting one is an
+    /// MDX switch, per-tenant optimizer rule set, telemetry off switch,
+    /// ad-hoc SQL worker count and shard-router redirect mode no
+    /// deployment set, are gone, not merely ignored: setting one is an
     /// error an operator sees.
     #[test]
     fn retired_twin_selectors_are_unknown_keys() {
         let cfg = PlatformConfig::with_defaults();
-        assert_eq!(cfg.keys().len(), 8);
+        assert_eq!(cfg.keys().len(), 6);
         for (key, value) in [
             ("sql.vectorized", ConfigValue::Bool(false)),
             ("durability.format", ConfigValue::from("json")),
@@ -265,6 +261,8 @@ mod tests {
             ("delivery.mobile_row_cap", ConfigValue::Int(20)),
             ("security.session_minutes", ConfigValue::Int(30)),
             ("platform.name", ConfigValue::from("ODBIS")),
+            ("sql.parallelism", ConfigValue::Int(2)),
+            ("cluster.redirect", ConfigValue::Bool(true)),
         ] {
             assert_eq!(
                 cfg.set_for_tenant("t", key, value.clone()),

@@ -17,8 +17,7 @@
 //! (always proxied); the p50 ratio is the proxy hop's cost. The same
 //! fleet workload funneled entirely through node-0 is also recorded:
 //! the entry node's 2-worker pool becomes the whole cluster's admission
-//! point, which is exactly the collapse the 307-redirect mode
-//! (`cluster.redirect=true`) exists to avoid.
+//! point.
 //!
 //! Phase 3 — live migration under load: writer threads hammer one
 //! tenant through its original owner's address while that tenant is
@@ -108,7 +107,7 @@ fn main() {
     let funneled = timed_write_throughput(&cluster, Routing::FixedEntry, warmup, window);
     cluster.teardown();
     println!(
-        "  fleet via node-0 only (2/3 proxied, entry pool = {WORKERS_PER_NODE}): {:.0}/s p99 {}us — the funnel redirect mode avoids",
+        "  fleet via node-0 only (2/3 proxied, entry pool = {WORKERS_PER_NODE}): {:.0}/s p99 {}us",
         funneled.acked_per_sec, funneled.p99_micros,
     );
 

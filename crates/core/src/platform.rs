@@ -1,16 +1,17 @@
 //! The ODBIS platform façade: the five-layer SaaS architecture of
 //! Figure 1, wired and tenant-aware.
 //!
-//! Every service call goes through the same gate: the tenant must be
-//! active, the session must resolve, the principal must hold the
-//! operation's authority — and the call is metered for pay-as-you-go
-//! billing. That gate *is* the platform's SaaS contract.
+//! Every tenant call goes through one gate, [`OdbisPlatform::gate`]: it
+//! fences the call against a migration cutover and opens its root span,
+//! the tenant must be active, the session must resolve, the principal must
+//! hold the operation's authority — and the call is metered for
+//! pay-as-you-go billing. That gate *is* the platform's SaaS contract.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use odbis_admin::{AdminService, CheckpointOutcome, DurabilityStatus};
+use odbis_admin::{AdminService, CheckpointOutcome, DurabilityStatus, UsageLine};
 use odbis_delivery::{Channel, DeliveryService, ReportPayload};
 use odbis_etl::{EtlJob, JobReport, JobRunner, JobScheduler};
 use odbis_mddws::DwProject;
@@ -25,6 +26,7 @@ use odbis_storage::{
     CheckpointReport, Database, DbError, DbResult, DurableStore, FsyncPolicy, Wal, WalRecord,
     WalSink, WalStats,
 };
+use odbis_telemetry::{CostLine, SlowEntry, Span};
 use odbis_tenancy::{ServiceKind, SubscriptionPlan, TenantRegistry, UsageMeter};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
@@ -279,6 +281,12 @@ impl TenantWorkspace {
     }
 }
 
+/// What most tenant calls run against: the tenant's workspace.
+type Workspace = Arc<TenantWorkspace>;
+
+/// A tenant's workspace and its durable store.
+type Durable = (Workspace, Arc<DurableStore>);
+
 /// Checkpoint `store`. A checkpoint that hits a transient I/O fault (fsync
 /// hiccup, disk stall, injected failpoint) is retried in place with a short
 /// backoff, three attempts in all, before it is `Unavailable`; only I/O
@@ -532,59 +540,48 @@ impl OdbisPlatform {
         tenant: &str,
         token: &str,
     ) -> PlatformResult<CheckpointOutcome> {
-        self.traced(
-            tenant,
-            ServiceKind::Admin,
-            "durability.checkpoint",
-            |span| {
-                span.set_detail(tenant);
-                self.authorize(tenant, token, "ADMIN_CONFIG")?;
-                let (ws, store) = self.durable_store(tenant)?;
-                let report = checkpoint_with_retry(&store, &ws.warehouse)?;
-                self.admin
-                    .telemetry
-                    .record_checkpoint(tenant, report.micros);
-                span.set_bytes(report.wal_bytes_folded);
-                self.admin.meter_usage(tenant, ServiceKind::Admin, 1);
-                Ok(CheckpointOutcome {
-                    tenant: tenant.to_string(),
-                    tables: report.tables,
-                    tables_flushed: report.tables_flushed,
-                    wal_bytes_folded: report.wal_bytes_folded,
-                    micros: report.micros,
-                })
-            },
-        )
+        let op = (ServiceKind::Admin, "durability.checkpoint", "ADMIN_CONFIG");
+        self.gate(tenant, token, op, tenant, |span, _, scope: Durable| {
+            let (ws, store) = scope;
+            let report = checkpoint_with_retry(&store, &ws.warehouse)?;
+            self.admin
+                .telemetry
+                .record_checkpoint(tenant, report.micros);
+            span.set_bytes(report.wal_bytes_folded);
+            let outcome = CheckpointOutcome {
+                tenant: tenant.to_string(),
+                tables: report.tables,
+                tables_flushed: report.tables_flushed,
+                wal_bytes_folded: report.wal_bytes_folded,
+                micros: report.micros,
+            };
+            Ok((outcome, 1))
+        })
     }
 
     /// A tenant's durability status: fsync policy, WAL append/byte counters
     /// and file length, next LSN.
     pub fn durability_status(&self, tenant: &str, token: &str) -> PlatformResult<DurabilityStatus> {
-        self.traced(tenant, ServiceKind::Admin, "durability.status", |span| {
-            span.set_detail(tenant);
-            self.authorize(tenant, token, "ADMIN_CONFIG")?;
-            let (_, store) = self.durable_store(tenant)?;
+        let op = (ServiceKind::Admin, "durability.status", "ADMIN_CONFIG");
+        self.gate(tenant, token, op, tenant, |span, _, (_, store): Durable| {
             let stats = store.wal().stats();
             span.set_bytes(stats.bytes);
-            self.admin.meter_usage(tenant, ServiceKind::Admin, 1);
-            Ok(DurabilityStatus {
+            let status = DurabilityStatus {
                 tenant: tenant.to_string(),
                 fsync: store.wal().policy().as_str().to_string(),
                 wal_appends: stats.appends,
                 wal_bytes: stats.bytes,
                 wal_file_len: stats.file_len,
                 next_lsn: stats.next_lsn,
-            })
+            };
+            Ok((status, 1))
         })
     }
 
     /// A tenant's workspace and durable store. An in-memory platform has
     /// none (`Storage`, HTTP 500); on a durable one a tenant with no
     /// workspace on this node has none either (`NotFound`, HTTP 404).
-    fn durable_store(
-        &self,
-        tenant: &str,
-    ) -> PlatformResult<(Arc<TenantWorkspace>, Arc<DurableStore>)> {
+    fn durable_store(&self, tenant: &str) -> PlatformResult<Durable> {
         if self.data_dir.is_none() {
             return Err(PlatformError::Storage("durability is not enabled".into()));
         }
@@ -673,17 +670,19 @@ impl OdbisPlatform {
         password: &str,
         role: &str,
     ) -> PlatformResult<()> {
-        let principal = self.authorize(tenant, admin_token, "ADMIN_USERS")?;
-        let _ = principal;
-        self.admin.registry().check_user_limit(tenant)?;
-        let realm = self.admin.registry().realm(tenant)?;
-        realm.create_user(user, password)?;
-        realm.assign_role(user, role)?;
-        Ok(())
+        let op = (ServiceKind::Admin, "user.create", "ADMIN_USERS");
+        self.gate(tenant, admin_token, op, user, |_, _, ()| {
+            self.admin.registry().check_user_limit(tenant)?;
+            let realm = self.admin.registry().realm(tenant)?;
+            realm.create_user(user, password)?;
+            realm.assign_role(user, role)?;
+            Ok(((), 0))
+        })
     }
 
-    /// The full platform gate: tenant active + session valid + authority
-    /// held. Returns the principal's username.
+    /// Tenant active + session valid + authority held. Returns the
+    /// principal's username. Every tenant call checks this inside the
+    /// platform's gate; the node-level admin routes call it bare.
     pub fn authorize(&self, tenant: &str, token: &str, authority: &str) -> PlatformResult<String> {
         self.admin.registry().require_active(tenant)?;
         let realm = self.admin.registry().realm(tenant)?;
@@ -692,97 +691,88 @@ impl OdbisPlatform {
         Ok(principal)
     }
 
-    // ---- telemetry -----------------------------------------------------------
+    // ---- the gate ------------------------------------------------------------
 
-    /// Open the root span for one gated service call, with the tenant's
-    /// `telemetry.slow_ms` slow-log threshold.
-    fn trace_root(
+    /// The one gate every tenant call runs through, in this order:
+    /// 1. the `platform.fence` failpoint, then the tenant's migration
+    ///    fence, held for reading until the call returns;
+    /// 2. the moved re-check;
+    /// 3. the root span, with the tenant's `telemetry.slow_ms` and
+    ///    `detail` for the slow log;
+    /// 4. [`Self::authorize`] against the authority in
+    ///    `op = (service, operation, authority)`;
+    /// 5. the lookup of the call's [`Scope`];
+    /// 6. the call, which gets the span, the principal and the scope, and
+    ///    reports its value and its billable units;
+    /// 7. on success only, metering of those units under `service`.
+    fn gate<S: Scope, R>(
         &self,
         tenant: &str,
-        service: ServiceKind,
-        operation: &'static str,
-    ) -> odbis_telemetry::Span {
+        token: &str,
+        (service, operation, authority): (ServiceKind, &'static str, &'static str),
+        detail: &str,
+        call: impl FnOnce(&mut Span, String, S) -> PlatformResult<(R, u64)>,
+    ) -> PlatformResult<R> {
+        // Failpoint between routing and the fence: the chaos suite uses a
+        // delay here to pin a dispatch inside the cutover window.
+        odbis_chaos::check("platform.fence")
+            .map_err(|e| PlatformError::Unavailable(format!("platform.fence: {e}")))?;
+        // A cutover takes the fence for writing, so it observes every
+        // in-flight call to completion before flipping ownership: an
+        // acknowledged write is either in the shipped WAL tail or never
+        // acknowledged. Recursive, so a gated call nested inside another
+        // never deadlocks behind a waiting cutover.
+        let fence = self.tenant_fence(tenant);
+        let _fenced = fence.read_recursive();
+        // A request routed here before a cutover flip resumes with the
+        // workspace already detached: answer with the new owner, not a
+        // workspace miss.
+        if let Some(moved) = self.moved_err(tenant) {
+            return Err(moved);
+        }
         let slow_ms = self
             .admin
             .config
             .get_int(tenant, "telemetry.slow_ms")
             .unwrap_or(250)
             .max(0) as u64;
-        self.admin
+        let mut span = self
+            .admin
             .telemetry
-            .span(tenant, service.code(), operation, slow_ms)
-    }
-
-    /// Run one gated service call under a root span: the span/trace
-    /// context every deeper layer (SQL, ETL, OLAP, reporting, delivery)
-    /// attaches its child spans to.
-    fn traced<R>(
-        &self,
-        tenant: &str,
-        service: ServiceKind,
-        operation: &'static str,
-        f: impl FnOnce(&mut odbis_telemetry::Span) -> PlatformResult<R>,
-    ) -> PlatformResult<R> {
-        // Failpoint between routing and the fence: the chaos suite uses a
-        // delay here to pin a dispatch inside the cutover window.
-        odbis_chaos::check("platform.fence")
-            .map_err(|e| PlatformError::Unavailable(format!("platform.fence: {e}")))?;
-        // The migration fence: held for reading across the whole gated
-        // call, so a cutover (which takes it for writing) observes every
-        // in-flight call to completion before flipping ownership — an
-        // acknowledged write is either in the shipped WAL tail or never
-        // acknowledged. Recursive, so a gated call nested inside another
-        // never deadlocks behind a waiting cutover.
-        let fence = self.tenant_fence(tenant);
-        let _gate = fence.read_recursive();
-        // Re-check the route now that the fence is held: a request routed
-        // here before a cutover flip resumes with the workspace already
-        // detached — answer with the new owner, not a workspace miss.
-        if let Some(moved) = self.moved_err(tenant) {
-            return Err(moved);
+            .span(tenant, service.code(), operation, slow_ms);
+        span.set_detail(detail);
+        let result = self
+            .authorize(tenant, token, authority)
+            .and_then(|user| call(&mut span, user, S::lookup(self, tenant)?));
+        match result {
+            Ok((value, units)) => {
+                self.admin.meter_usage(tenant, service, units);
+                Ok(value)
+            }
+            Err(e) => {
+                span.fail();
+                Err(e)
+            }
         }
-        let mut span = self.trace_root(tenant, service, operation);
-        let result = f(&mut span);
-        if result.is_err() {
-            span.fail();
-        }
-        result
     }
 
     // ---- core BI services (metered) -------------------------------------------
 
     /// Execute raw SQL in the tenant warehouse (designer capability).
-    ///
-    /// The per-tenant `sql.parallelism` setting sizes the engine's worker
-    /// pool for morsel-parallel execution (`0` = auto).
     pub fn sql(&self, tenant: &str, token: &str, sql: &str) -> PlatformResult<QueryResult> {
-        self.traced(tenant, ServiceKind::Metadata, "sql", |span| {
-            span.set_detail(sql);
-            self.authorize(tenant, token, "ETL_DESIGN")?;
-            let ws = self.workspace(tenant)?;
-            let mut engine = self.sql.clone();
-            if let Ok(odbis_admin::ConfigValue::Int(n)) =
-                self.admin.config.get(tenant, "sql.parallelism")
-            {
-                if n > 0 {
-                    engine = engine.with_parallelism(n as usize);
-                }
-            }
-            let result = engine.execute(&ws.warehouse, sql)?;
+        let op = (ServiceKind::Metadata, "sql", "ETL_DESIGN");
+        self.gate(tenant, token, op, sql, |span, _, ws: Workspace| {
+            let result = self.sql.execute(&ws.warehouse, sql)?;
             // Any write this statement journaled now rides the delta
             // pipeline: inserts fold into covered aggregates, other
             // mutations rebuild only the aggregates over the touched
             // tables, and watchers of those tables wake. Reads buffered
             // nothing, so this is a no-op for SELECTs.
             ws.publish_deltas();
-            span.set_rows((result.rows.len() + result.rows_affected) as u64);
+            let touched = (result.rows.len() + result.rows_affected) as u64;
+            span.set_rows(touched);
             // pay-as-you-go: one unit per call plus one per row touched
-            self.admin.meter_usage(
-                tenant,
-                ServiceKind::Metadata,
-                1 + result.rows.len() as u64 + result.rows_affected as u64,
-            );
-            Ok(result)
+            Ok((result, 1 + touched))
         })
     }
 
@@ -793,13 +783,19 @@ impl OdbisPlatform {
         token: &str,
         dataset: DataSet,
     ) -> PlatformResult<()> {
-        self.traced(tenant, ServiceKind::Metadata, "dataset.define", |span| {
+        let op = (ServiceKind::Metadata, "dataset.define", "ETL_DESIGN");
+        self.gate(tenant, token, op, "", |span, _, ws: Workspace| {
             span.set_detail(&dataset.name);
-            self.authorize(tenant, token, "ETL_DESIGN")?;
-            let ws = self.workspace(tenant)?;
             ws.mds.define_dataset(dataset)?;
-            self.admin.meter_usage(tenant, ServiceKind::Metadata, 1);
-            Ok(())
+            Ok(((), 1))
+        })
+    }
+
+    /// The names of the data sets in the tenant's MDS. Unmetered.
+    pub fn dataset_names(&self, tenant: &str, token: &str) -> PlatformResult<Vec<String>> {
+        let op = (ServiceKind::Metadata, "dataset.list", "DATASET_RUN");
+        self.gate(tenant, token, op, "", |_, _, ws: Workspace| {
+            Ok((ws.mds.dataset_names(), 0))
         })
     }
 
@@ -810,15 +806,12 @@ impl OdbisPlatform {
         token: &str,
         name: &str,
     ) -> PlatformResult<QueryResult> {
-        self.traced(tenant, ServiceKind::Metadata, "dataset.run", |span| {
-            span.set_detail(name);
-            self.authorize(tenant, token, "DATASET_RUN")?;
-            let ws = self.workspace(tenant)?;
+        let op = (ServiceKind::Metadata, "dataset.run", "DATASET_RUN");
+        self.gate(tenant, token, op, name, |span, _, ws: Workspace| {
             let result = ws.mds.execute_dataset(name)?;
             span.set_rows(result.rows.len() as u64);
-            self.admin
-                .meter_usage(tenant, ServiceKind::Metadata, 1 + result.rows.len() as u64);
-            Ok(result)
+            let units = 1 + result.rows.len() as u64;
+            Ok((result, units))
         })
     }
 
@@ -832,15 +825,12 @@ impl OdbisPlatform {
         token: &str,
         name: &str,
     ) -> PlatformResult<(Arc<WatchHub>, Vec<WatchKey>)> {
-        self.traced(tenant, ServiceKind::Metadata, "dataset.watch", |span| {
-            span.set_detail(name);
-            self.authorize(tenant, token, "DATASET_RUN")?;
-            let ws = self.workspace(tenant)?;
+        let op = (ServiceKind::Metadata, "dataset.watch", "DATASET_RUN");
+        self.gate(tenant, token, op, name, |_, _, ws: Workspace| {
             let dataset = ws.mds.dataset(name)?;
             let tables = odbis_sql::referenced_tables(&dataset.sql)?;
-            self.admin.meter_usage(tenant, ServiceKind::Metadata, 1);
             let keys = tables.iter().map(|t| WatchKey::table(t)).collect();
-            Ok((Arc::clone(&ws.watch), keys))
+            Ok(((Arc::clone(&ws.watch), keys), 1))
         })
     }
 
@@ -852,55 +842,45 @@ impl OdbisPlatform {
         token: &str,
         name: &str,
     ) -> PlatformResult<(Vec<String>, odbis_storage::Batch)> {
-        self.traced(tenant, ServiceKind::Metadata, "dataset.export", |span| {
-            span.set_detail(name);
-            self.authorize(tenant, token, "DATASET_RUN")?;
-            let ws = self.workspace(tenant)?;
+        let op = (ServiceKind::Metadata, "dataset.export", "DATASET_RUN");
+        self.gate(tenant, token, op, name, |span, _, ws: Workspace| {
             let (columns, batch) = ws.mds.execute_dataset_batch(name)?;
             span.set_rows(batch.num_rows() as u64);
-            self.admin
-                .meter_usage(tenant, ServiceKind::Metadata, 1 + batch.num_rows() as u64);
-            Ok((columns, batch))
+            let units = 1 + batch.num_rows() as u64;
+            Ok(((columns, batch), units))
         })
     }
 
     /// Run an integration job in the tenant warehouse.
     pub fn run_etl(&self, tenant: &str, token: &str, job: &EtlJob) -> PlatformResult<JobReport> {
-        self.traced(tenant, ServiceKind::Integration, "etl.run", |span| {
-            span.set_detail(&job.name);
-            self.authorize(tenant, token, "ETL_DESIGN")?;
-            let ws = self.workspace(tenant)?;
+        let op = (ServiceKind::Integration, "etl.run", "ETL_DESIGN");
+        self.gate(tenant, token, op, &job.name, |span, _, ws: Workspace| {
             let report = ws.etl.run(job).map_err(PlatformError::from)?;
             // ETL loads write the warehouse: publish the journaled deltas
             // so only aggregates over the loaded tables are maintained or
             // rebuilt — an unrelated cube's preagg survives the load.
             ws.publish_deltas();
             span.set_rows(report.loaded as u64);
-            self.admin
-                .meter_usage(tenant, ServiceKind::Integration, report.loaded as u64);
-            Ok(report)
+            let units = report.loaded as u64;
+            Ok((report, units))
         })
     }
 
     /// Register a cube definition (validated against the warehouse).
     pub fn register_cube(&self, tenant: &str, token: &str, cube: CubeDef) -> PlatformResult<()> {
-        self.traced(tenant, ServiceKind::Analysis, "cube.register", |span| {
+        let op = (ServiceKind::Analysis, "cube.register", "CUBE_DESIGN");
+        self.gate(tenant, token, op, "", |span, _, ws: Workspace| {
             span.set_detail(&cube.name);
-            self.authorize(tenant, token, "CUBE_DESIGN")?;
-            let ws = self.workspace(tenant)?;
             cube.validate(&ws.warehouse)?;
             ws.cube_defs.write().insert(cube.name.clone(), cube);
-            self.admin.meter_usage(tenant, ServiceKind::Analysis, 1);
-            Ok(())
+            Ok(((), 1))
         })
     }
 
     /// Run an MDX-lite query against a registered cube.
     pub fn mdx(&self, tenant: &str, token: &str, mdx: &str) -> PlatformResult<CellSet> {
-        self.traced(tenant, ServiceKind::Analysis, "mdx", |span| {
-            span.set_detail(mdx);
-            self.authorize(tenant, token, "CUBE_QUERY")?;
-            let ws = self.workspace(tenant)?;
+        let op = (ServiceKind::Analysis, "mdx", "CUBE_QUERY");
+        self.gate(tenant, token, op, mdx, |span, _, ws: Workspace| {
             let stmt = odbis_olap::parse_mdx(mdx)?;
             let cube = ws
                 .cube_defs
@@ -916,9 +896,8 @@ impl OdbisPlatform {
                 None => ws.cubes.query(&cube, &stmt.query)?,
             };
             span.set_rows(cells.len() as u64);
-            self.admin
-                .meter_usage(tenant, ServiceKind::Analysis, 1 + cells.len() as u64);
-            Ok(cells)
+            let units = 1 + cells.len() as u64;
+            Ok((cells, units))
         })
     }
 
@@ -929,18 +908,12 @@ impl OdbisPlatform {
         token: &str,
         dashboard: &Dashboard,
     ) -> PlatformResult<String> {
-        self.traced(tenant, ServiceKind::Reporting, "dashboard.render", |span| {
-            span.set_detail(&dashboard.title);
-            self.authorize(tenant, token, "REPORT_VIEW")?;
-            let ws = self.workspace(tenant)?;
+        let op = (ServiceKind::Reporting, "dashboard.render", "REPORT_VIEW");
+        let detail = &dashboard.title;
+        self.gate(tenant, token, op, detail, |span, _, ws: Workspace| {
             let html = ws.reporting.render_dashboard(dashboard)?;
             span.set_bytes(html.len() as u64);
-            self.admin.meter_usage(
-                tenant,
-                ServiceKind::Reporting,
-                dashboard.widget_count() as u64,
-            );
-            Ok(html)
+            Ok((html, dashboard.widget_count() as u64))
         })
     }
 
@@ -955,17 +928,14 @@ impl OdbisPlatform {
         channel: Channel,
         payload: &ReportPayload,
     ) -> PlatformResult<String> {
-        self.traced(tenant, ServiceKind::Delivery, "deliver", |span| {
-            span.set_detail(report);
-            self.authorize(tenant, token, "REPORT_VIEW")?;
+        let op = (ServiceKind::Delivery, "deliver", "REPORT_VIEW");
+        self.gate(tenant, token, op, report, |span, _, ws: Workspace| {
             if !self.admin.registry().realm(tenant)?.has_user(user) {
                 return Err(PlatformError::NotFound(format!("user {user}")));
             }
-            let ws = self.workspace(tenant)?;
             let delivered = ws.delivery.deliver(user, report, channel, payload);
             span.set_bytes(delivered.body.len() as u64);
-            self.admin.meter_usage(tenant, ServiceKind::Delivery, 1);
-            Ok(delivered.body)
+            Ok((delivered.body, 1))
         })
     }
 
@@ -978,13 +948,11 @@ impl OdbisPlatform {
         token: &str,
         cursor: u64,
     ) -> PlatformResult<DeliveryPoll> {
-        self.traced(tenant, ServiceKind::Delivery, "deliveries", |span| {
-            let user = self.authorize(tenant, token, "REPORT_VIEW")?;
-            let ws = self.workspace(tenant)?;
+        let op = (ServiceKind::Delivery, "deliveries", "REPORT_VIEW");
+        self.gate(tenant, token, op, "", |span, user, ws: Workspace| {
             let poll = DeliveryPoll::new(&ws.watch, &ws.delivery, user, cursor);
             span.set_rows(poll.read.entries.len() as u64);
-            self.admin.meter_usage(tenant, ServiceKind::Delivery, 1);
-            Ok(poll)
+            Ok((poll, 1))
         })
     }
 
@@ -998,27 +966,22 @@ impl OdbisPlatform {
         axes: Vec<LevelRef>,
         measures: Vec<String>,
     ) -> PlatformResult<usize> {
-        self.traced(
-            tenant,
+        let op = (
             ServiceKind::Analysis,
             "aggregate.materialize",
-            |span| {
-                span.set_detail(cube_name);
-                self.authorize(tenant, token, "CUBE_DESIGN")?;
-                let ws = self.workspace(tenant)?;
-                let cube = ws
-                    .cube_defs
-                    .read()
-                    .get(cube_name)
-                    .cloned()
-                    .ok_or_else(|| PlatformError::Olap(format!("unknown cube {cube_name}")))?;
-                let cells = ws.materialize(&cube, axes, measures)?;
-                span.set_rows(cells as u64);
-                self.admin
-                    .meter_usage(tenant, ServiceKind::Analysis, 1 + cells as u64);
-                Ok(cells)
-            },
-        )
+            "CUBE_DESIGN",
+        );
+        self.gate(tenant, token, op, cube_name, |span, _, ws: Workspace| {
+            let cube = ws
+                .cube_defs
+                .read()
+                .get(cube_name)
+                .cloned()
+                .ok_or_else(|| PlatformError::Olap(format!("unknown cube {cube_name}")))?;
+            let cells = ws.materialize(&cube, axes, measures)?;
+            span.set_rows(cells as u64);
+            Ok((cells, 1 + cells as u64))
+        })
     }
 
     /// Upload a report template into a tenant report group (the BIRT
@@ -1030,17 +993,15 @@ impl OdbisPlatform {
         group: &str,
         template: ReportTemplate,
     ) -> PlatformResult<()> {
-        self.traced(tenant, ServiceKind::Reporting, "template.upload", |span| {
+        let op = (ServiceKind::Reporting, "template.upload", "REPORT_DESIGN");
+        self.gate(tenant, token, op, "", |span, _, ws: Workspace| {
             span.set_detail(&template.name);
-            self.authorize(tenant, token, "REPORT_DESIGN")?;
-            let ws = self.workspace(tenant)?;
             if !ws.reporting.group_names().contains(&group.to_string()) {
                 ws.reporting.create_group(group)?;
             }
             ws.reporting
                 .register(group, odbis_reporting::Report::Template(template))?;
-            self.admin.meter_usage(tenant, ServiceKind::Reporting, 1);
-            Ok(())
+            Ok(((), 1))
         })
     }
 
@@ -1054,10 +1015,8 @@ impl OdbisPlatform {
         name: &str,
         params: &std::collections::BTreeMap<String, odbis_storage::Value>,
     ) -> PlatformResult<RenderedReport> {
-        self.traced(tenant, ServiceKind::Reporting, "template.run", |span| {
-            span.set_detail(name);
-            self.authorize(tenant, token, "REPORT_VIEW")?;
-            let ws = self.workspace(tenant)?;
+        let op = (ServiceKind::Reporting, "template.run", "REPORT_VIEW");
+        self.gate(tenant, token, op, name, |span, _, ws: Workspace| {
             let odbis_reporting::Report::Template(template) = ws.reporting.report(group, name)?
             else {
                 return Err(PlatformError::Reporting(format!(
@@ -1066,12 +1025,41 @@ impl OdbisPlatform {
             };
             let rendered = odbis_reporting::run_template(&template, params, &ws.warehouse)?;
             span.set_bytes(rendered.html.len() as u64);
-            self.admin.meter_usage(
-                tenant,
-                ServiceKind::Reporting,
-                1 + rendered.queries_run as u64,
-            );
-            Ok(rendered)
+            let units = 1 + rendered.queries_run as u64;
+            Ok((rendered, units))
+        })
+    }
+
+    // ---- administration (tenant-scoped reads) ---------------------------------
+
+    /// The caller's tenant's lines of the usage report. Unmetered.
+    pub fn tenant_usage(&self, tenant: &str, token: &str) -> PlatformResult<Vec<UsageLine>> {
+        let op = (ServiceKind::Admin, "usage.read", "ADMIN_USERS");
+        self.gate(tenant, token, op, "", |_, _, ()| {
+            let mut lines = self.admin.usage_report();
+            lines.retain(|l| l.tenant == tenant);
+            Ok((lines, 0))
+        })
+    }
+
+    /// The caller's tenant's lines of the pay-as-you-go invoice.
+    /// Unmetered.
+    pub fn tenant_invoice(&self, tenant: &str, token: &str) -> PlatformResult<Vec<CostLine>> {
+        let op = (ServiceKind::Admin, "invoice.read", "ADMIN_USERS");
+        self.gate(tenant, token, op, "", |_, _, ()| {
+            let mut lines = self.admin.invoice_report();
+            lines.retain(|l| l.tenant == tenant);
+            Ok((lines, 0))
+        })
+    }
+
+    /// The caller's tenant's slow-log entries, oldest first. Unmetered.
+    pub fn tenant_slowlog(&self, tenant: &str, token: &str) -> PlatformResult<Vec<SlowEntry>> {
+        let op = (ServiceKind::Admin, "slowlog.read", "ADMIN_USERS");
+        self.gate(tenant, token, op, "", |_, _, ()| {
+            let mut entries = self.admin.telemetry.slow_log();
+            entries.retain(|e| e.tenant == tenant);
+            Ok((entries, 0))
         })
     }
 
@@ -1079,17 +1067,14 @@ impl OdbisPlatform {
 
     /// Create a model-driven DW project in the tenant workspace.
     pub fn create_dw_project(&self, tenant: &str, token: &str, name: &str) -> PlatformResult<()> {
-        self.traced(tenant, ServiceKind::Admin, "dw.project.create", |span| {
-            span.set_detail(name);
-            self.authorize(tenant, token, "CUBE_DESIGN")?;
-            let ws = self.workspace(tenant)?;
+        let op = (ServiceKind::Admin, "dw.project.create", "CUBE_DESIGN");
+        self.gate(tenant, token, op, name, |_, _, ws: Workspace| {
             let mut projects = ws.projects.lock();
             if projects.contains_key(name) {
                 return Err(PlatformError::Mddws(format!("project {name} exists")));
             }
             projects.insert(name.to_string(), DwProject::new(name));
-            self.admin.meter_usage(tenant, ServiceKind::Admin, 1);
-            Ok(())
+            Ok(((), 1))
         })
     }
 
@@ -1101,18 +1086,44 @@ impl OdbisPlatform {
         name: &str,
         f: impl FnOnce(&mut DwProject) -> PlatformResult<R>,
     ) -> PlatformResult<R> {
-        self.traced(tenant, ServiceKind::Admin, "dw.project.run", |span| {
-            span.set_detail(name);
-            self.authorize(tenant, token, "CUBE_DESIGN")?;
-            let ws = self.workspace(tenant)?;
+        let op = (ServiceKind::Admin, "dw.project.run", "CUBE_DESIGN");
+        self.gate(tenant, token, op, name, |_, _, ws: Workspace| {
             let mut projects = ws.projects.lock();
             let project = projects
                 .get_mut(name)
                 .ok_or_else(|| PlatformError::Mddws(format!("unknown project {name}")))?;
-            let r = f(project)?;
-            self.admin.meter_usage(tenant, ServiceKind::Admin, 1);
-            Ok(r)
+            Ok((f(project)?, 1))
         })
+    }
+}
+
+/// What a tenant call runs against. [`OdbisPlatform::gate`] looks it up
+/// once the caller is authorized; a miss fails the call with the scope's
+/// own error.
+trait Scope: Sized {
+    fn lookup(platform: &OdbisPlatform, tenant: &str) -> PlatformResult<Self>;
+}
+
+/// The tenant's workspace; a miss is `Moved` (307) or `Tenancy` (402).
+impl Scope for Workspace {
+    fn lookup(platform: &OdbisPlatform, tenant: &str) -> PlatformResult<Self> {
+        platform.workspace(tenant)
+    }
+}
+
+/// The workspace and its durable store; a miss is `Storage` (500) on an
+/// in-memory platform, else `NotFound` (404).
+impl Scope for Durable {
+    fn lookup(platform: &OdbisPlatform, tenant: &str) -> PlatformResult<Self> {
+        platform.durable_store(tenant)
+    }
+}
+
+/// Nothing past the realm: a call over the tenant's users or this node's
+/// meters.
+impl Scope for () {
+    fn lookup(_: &OdbisPlatform, _: &str) -> PlatformResult<Self> {
+        Ok(())
     }
 }
 
@@ -1290,40 +1301,6 @@ mod tests {
             p.mdx("acme", &token, "SELECT revenue BY geo.region FROM nocube"),
             Err(PlatformError::Olap(_))
         ));
-    }
-
-    #[test]
-    fn sql_parallelism_config_applies_per_tenant() {
-        let (p, token) = boot();
-        p.sql("acme", &token, "CREATE TABLE t (x INT, y TEXT)")
-            .unwrap();
-        p.sql(
-            "acme",
-            &token,
-            "INSERT INTO t VALUES (1, 'a'), (2, 'b'), (3, 'b'), (4, NULL)",
-        )
-        .unwrap();
-        let q = "SELECT y, COUNT(*) AS n FROM t WHERE x > 1 GROUP BY y";
-        let baseline = p.sql("acme", &token, q).unwrap();
-        p.admin
-            .config
-            .set_for_tenant("acme", "sql.parallelism", odbis_admin::ConfigValue::Int(2))
-            .unwrap();
-        let tuned = p.sql("acme", &token, q).unwrap();
-        assert_eq!(baseline.columns, tuned.columns);
-        assert_eq!(baseline.rows, tuned.rows);
-        // Other tenants keep engine defaults: the override is scoped.
-        p.provision_tenant("beta", "Beta", SubscriptionPlan::standard(), "root", "pw")
-            .unwrap();
-        let beta_token = p.login("beta", "root", "pw").unwrap();
-        p.sql("beta", &beta_token, "CREATE TABLE t (x INT, y TEXT)")
-            .unwrap();
-        p.sql("beta", &beta_token, "INSERT INTO t VALUES (9, 'z')")
-            .unwrap();
-        let beta = p
-            .sql("beta", &beta_token, "SELECT y FROM t WHERE x > 1")
-            .unwrap();
-        assert_eq!(beta.rows.len(), 1);
     }
 
     #[test]
@@ -1693,6 +1670,65 @@ mod template_tests {
             ),
             Err(PlatformError::Reporting(_))
         ));
+    }
+
+    /// A template whose section writes is refused before any section
+    /// runs: the table, the MDX answer over its covering aggregate and
+    /// the delta buffer are as they were.
+    #[test]
+    fn template_with_a_write_section_is_refused_and_writes_nothing() {
+        let p = OdbisPlatform::new();
+        p.provision_tenant("acme", "Acme", SubscriptionPlan::standard(), "root", "pw")
+            .unwrap();
+        let token = p.login("acme", "root", "pw").unwrap();
+        p.sql(
+            "acme",
+            &token,
+            "CREATE TABLE f (region TEXT, amount DOUBLE)",
+        )
+        .unwrap();
+        p.sql("acme", &token, "INSERT INTO f VALUES ('EU', 10), ('US', 5)")
+            .unwrap();
+        p.register_cube("acme", &token, region_cube("c", "f"))
+            .unwrap();
+        let by_region = vec![LevelRef::new("geo", "region")];
+        p.materialize_aggregate("acme", &token, "c", by_region, vec!["revenue".into()])
+            .unwrap();
+        let query = |sql: &str| Section::QueryTable {
+            sql: sql.into(),
+            spec: TableSpec {
+                title: sql.into(),
+                columns: vec![],
+                max_rows: None,
+            },
+        };
+        let template = ReportTemplate {
+            name: "sneaky".into(),
+            title: "Sneaky".into(),
+            parameters: vec![],
+            sections: vec![
+                query("SELECT region, amount FROM f"),
+                query("INSERT INTO f VALUES ('EU', 100)"),
+            ],
+        };
+        p.upload_template("acme", &token, "reports", template)
+            .unwrap();
+        let mdx = "SELECT revenue BY geo.region FROM c";
+        let before = (
+            p.sql("acme", &token, "SELECT * FROM f").unwrap().rows,
+            p.mdx("acme", &token, mdx).unwrap(),
+        );
+        let refused = p.run_template("acme", &token, "reports", "sneaky", &Default::default());
+        assert!(
+            matches!(&refused, Err(PlatformError::Reporting(m)) if m.contains("only a SELECT")),
+            "{refused:?}"
+        );
+        assert_eq!(p.workspace("acme").unwrap().deltas.pending(), 0);
+        let after = (
+            p.sql("acme", &token, "SELECT * FROM f").unwrap().rows,
+            p.mdx("acme", &token, mdx).unwrap(),
+        );
+        assert_eq!(before, after);
     }
 }
 

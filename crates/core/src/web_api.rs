@@ -44,7 +44,7 @@ use odbis_storage::{push_csv_record, WalStats};
 use odbis_web::{HttpRequest, HttpResponse, Method, PathParams, Router};
 
 use crate::cluster::ClusterRoute;
-use crate::error::PlatformError;
+use crate::error::{PlatformError, PlatformResult};
 use crate::platform::OdbisPlatform;
 
 /// The current API version prefix.
@@ -88,11 +88,28 @@ impl ApiRoutes {
         handler: impl Fn(&HttpRequest, &PathParams) -> HttpResponse + Send + Sync + 'static,
     ) {
         let path = format!("{API_PREFIX}{path}");
-        self.router.route(method, &path, move |req, params| {
-            finish_moved_redirect(req, handler(req, params))
-        });
+        self.router.route(method, &path, handler);
         self.index
             .push(serde_json::json!({ "method": method.as_str(), "path": path, "auth": auth }));
+    }
+
+    /// Register a tenant route under `/api/v1`: `handler` gets the
+    /// caller's tenant and token, as the security filter stored them, and
+    /// an error it returns becomes the [`error_response`].
+    fn tenant(
+        &mut self,
+        method: Method,
+        path: &str,
+        auth: &'static str,
+        handler: impl Fn(&str, &str, &HttpRequest, &PathParams) -> PlatformResult<HttpResponse>
+            + Send
+            + Sync
+            + 'static,
+    ) {
+        self.route(method, path, auth, move |req, params| {
+            let (tenant, token) = creds(req);
+            handler(tenant, token, req, params).unwrap_or_else(|e| error_response(req, &e))
+        });
     }
 
     /// Mount the index (which lists itself) at `GET /api/v1`, consuming the
@@ -109,7 +126,7 @@ impl ApiRoutes {
 }
 
 /// The request's path plus its re-encoded query string — the target a
-/// proxy forwards to, or a redirect points at, on another node.
+/// proxy forwards to, or a `Moved` redirect points at, on another node.
 fn target_with_query(req: &HttpRequest) -> String {
     let mut target = req.path.clone();
     if !req.query.is_empty() {
@@ -121,22 +138,6 @@ fn target_with_query(req: &HttpRequest) -> String {
         target = format!("{target}?{}", qs.join("&"));
     }
     target
-}
-
-/// Upgrade a "tenant moved" handler response into a complete 307: the
-/// shard-router filter runs *before* dispatch, so a request routed here
-/// just before a migration cutover flip reaches its handler with the
-/// workspace already detached. The handler surfaces that as
-/// [`PlatformError::Moved`] (a 307 carrying the owner's address in
-/// `X-Odbis-Moved-To`), and this wrapper — which, unlike
-/// [`error_response`], sees the request — completes the redirect with
-/// the `Location` the filter would have produced.
-fn finish_moved_redirect(req: &HttpRequest, resp: HttpResponse) -> HttpResponse {
-    let Some(addr) = resp.headers.get("X-Odbis-Moved-To").cloned() else {
-        return resp;
-    };
-    let location = format!("http://{addr}{}", target_with_query(req));
-    resp.with_header("Location", &location)
 }
 
 /// Build the platform router. The returned router can be served with
@@ -189,8 +190,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     });
 
     // shard-router filter: on a clustered node, requests for tenants
-    // another node owns are proxied to their owner (or answered with a
-    // 307 redirect when the tenant sets `cluster.redirect = true`).
+    // another node owns are proxied to their owner.
     // Login bodies are parsed for their tenant so a client can log in
     // against any node and still land on the owner's realm (where the
     // minted session must live); health, metrics, the API index and the
@@ -223,17 +223,6 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
             return None;
         };
         let target = target_with_query(req);
-        if matches!(
-            p.admin.config.get(&tenant, "cluster.redirect"),
-            Ok(odbis_admin::ConfigValue::Bool(true))
-        ) {
-            return Some(
-                HttpResponse::status(307)
-                    .with_header("Location", &format!("http://{addr}{target}"))
-                    .with_header("X-Odbis-Owner", &owner)
-                    .with_body(String::new()),
-            );
-        }
         let mut fwd: Vec<(&str, &str)> = Vec::new();
         for h in [
             "x-tenant",
@@ -349,82 +338,72 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     });
 
     let p = Arc::clone(&platform);
-    api.route(Method::Post, "/sql", "ETL_DESIGN", move |req, _| {
-        let (tenant, token) = creds(req);
-        match p.sql(&tenant, &token, &req.body_text()) {
-            Ok(result) => HttpResponse::json(result_json(&result)),
-            Err(e) => error_response(&e),
-        }
-    });
+    api.tenant(
+        Method::Post,
+        "/sql",
+        "ETL_DESIGN",
+        move |tenant, token, req, _| {
+            let result = p.sql(tenant, token, &req.body_text())?;
+            Ok(HttpResponse::json(result_json(&result)))
+        },
+    );
 
     let p = Arc::clone(&platform);
-    api.route(Method::Get, "/datasets", "DATASET_RUN", move |req, _| {
-        let (tenant, token) = creds(req);
-        match p
-            .authorize(&tenant, &token, "DATASET_RUN")
-            .and_then(|_| p.workspace(&tenant))
-        {
-            Ok(ws) => {
-                let names: Vec<serde_json::Value> = ws
-                    .mds
-                    .dataset_names()
-                    .into_iter()
-                    .map(serde_json::Value::String)
-                    .collect();
-                paginate(req, names)
-            }
-            Err(e) => error_response(&e),
-        }
-    });
+    api.tenant(
+        Method::Get,
+        "/datasets",
+        "DATASET_RUN",
+        move |tenant, token, req, _| {
+            let names = p.dataset_names(tenant, token)?;
+            Ok(paginate(
+                req,
+                names.into_iter().map(serde_json::Value::String).collect(),
+            ))
+        },
+    );
 
     let p = Arc::clone(&platform);
-    api.route(
+    api.tenant(
         Method::Get,
         "/datasets/:name",
         "DATASET_RUN",
-        move |req, params| {
-            let (tenant, token) = creds(req);
+        move |tenant, token, req, params| {
             // `.get` rather than indexing: a route-table edit that renames
             // the segment must degrade to a 400, not a worker panic
             let Some(name) = params.get("name") else {
-                return error_envelope(400, "bad_request", "missing dataset name");
+                return Ok(error_envelope(400, "bad_request", "missing dataset name"));
             };
-            match negotiate(req) {
-                Negotiated::Json => match p.execute_dataset(&tenant, &token, name) {
-                    Ok(result) => HttpResponse::json(result_json(&result)),
-                    Err(e) => error_response(&e),
-                },
-                Negotiated::Csv => match p.execute_dataset_batch(&tenant, &token, name) {
-                    Ok((columns, batch)) => csv_response(&columns, &batch),
-                    Err(e) => error_response(&e),
-                },
+            Ok(match negotiate(req) {
+                Negotiated::Json => {
+                    HttpResponse::json(result_json(&p.execute_dataset(tenant, token, name)?))
+                }
+                Negotiated::Csv => {
+                    let (columns, batch) = p.execute_dataset_batch(tenant, token, name)?;
+                    csv_response(&columns, &batch)
+                }
                 Negotiated::Unsupported => error_envelope(
                     406,
                     "not_acceptable",
                     "unsupported Accept type; this route serves application/json or text/csv",
                 ),
-            }
+            })
         },
     );
 
     let p = Arc::clone(&platform);
-    api.route(
+    api.tenant(
         Method::Get,
         "/datasets/:name/watch",
         "DATASET_RUN",
-        move |req, params| {
+        move |tenant, token, req, params| {
             let Some(name) = params.get("name") else {
-                return error_envelope(400, "bad_request", "missing dataset name");
+                return Ok(error_envelope(400, "bad_request", "missing dataset name"));
             };
-            let (tenant, token) = creds(req);
             let (cursor, timeout) = match long_poll_params(req) {
                 Ok(params) => params,
-                Err(resp) => return resp,
+                Err(resp) => return Ok(resp),
             };
-            let (hub, keys) = match p.watch_dataset(&tenant, &token, name) {
-                Ok(sub) => sub,
-                Err(e) => return error_response(&e),
-            };
+            let (hub, keys) = p.watch_dataset(tenant, token, name)?;
             let (placeholder, slot) = HttpResponse::deferred();
             let dataset = name.to_string();
             hub.subscribe(
@@ -451,7 +430,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                     slot.fulfill(response.with_header("X-Watch-Cursor", &cursor_text));
                 }),
             );
-            placeholder
+            Ok(placeholder)
         },
     );
 
@@ -459,217 +438,199 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     // when there are any, else parked until the next one or the timeout
     // (204, cursor echoed), on the same contract as the dataset watch
     let p = Arc::clone(&platform);
-    api.route(Method::Get, "/deliveries", "REPORT_VIEW", move |req, _| {
-        let (tenant, token) = creds(req);
-        let (cursor, timeout) = match long_poll_params(req) {
-            Ok(params) => params,
-            Err(resp) => return resp,
-        };
-        let poll = match p.deliveries(&tenant, &token, cursor) {
-            Ok(poll) => poll,
-            Err(e) => return error_response(&e),
-        };
-        if poll.is_news() {
-            return deliveries_response(&poll.read);
-        }
-        let (placeholder, slot) = HttpResponse::deferred();
-        poll.park(timeout, move |read| {
-            slot.fulfill(match read {
-                Some(read) => deliveries_response(&read),
-                None => {
-                    HttpResponse::status(204).with_header("X-Watch-Cursor", &cursor.to_string())
-                }
-            })
-        });
-        placeholder
-    });
+    api.tenant(
+        Method::Get,
+        "/deliveries",
+        "REPORT_VIEW",
+        move |tenant, token, req, _| {
+            let (cursor, timeout) = match long_poll_params(req) {
+                Ok(params) => params,
+                Err(resp) => return Ok(resp),
+            };
+            let poll = p.deliveries(tenant, token, cursor)?;
+            if poll.is_news() {
+                return Ok(deliveries_response(&poll.read));
+            }
+            let (placeholder, slot) = HttpResponse::deferred();
+            poll.park(timeout, move |read| {
+                slot.fulfill(match read {
+                    Some(read) => deliveries_response(&read),
+                    None => {
+                        HttpResponse::status(204).with_header("X-Watch-Cursor", &cursor.to_string())
+                    }
+                })
+            });
+            Ok(placeholder)
+        },
+    );
 
     let p = Arc::clone(&platform);
-    api.route(Method::Post, "/mdx", "CUBE_QUERY", move |req, _| {
-        let (tenant, token) = creds(req);
-        match p.mdx(&tenant, &token, &req.body_text()) {
-            Ok(cells) => {
-                let rows: Vec<serde_json::Value> = cells
-                    .cells
-                    .iter()
-                    .map(|(coords, measures)| {
-                        serde_json::json!({
-                            "coords": coords.iter().map(|v| v.render()).collect::<Vec<_>>(),
-                            "measures": measures.iter().map(|v| v.render()).collect::<Vec<_>>(),
-                        })
-                    })
-                    .collect();
-                HttpResponse::json(
+    api.tenant(
+        Method::Post,
+        "/mdx",
+        "CUBE_QUERY",
+        move |tenant, token, req, _| {
+            let cells = p.mdx(tenant, token, &req.body_text())?;
+            let rows: Vec<serde_json::Value> = cells
+                .cells
+                .iter()
+                .map(|(coords, measures)| {
                     serde_json::json!({
-                        "axes": cells.axis_names,
-                        "measures": cells.measure_names,
-                        "cells": rows,
+                        "coords": coords.iter().map(|v| v.render()).collect::<Vec<_>>(),
+                        "measures": measures.iter().map(|v| v.render()).collect::<Vec<_>>(),
                     })
-                    .to_string(),
-                )
-            }
-            Err(e) => error_response(&e),
-        }
-    });
+                })
+                .collect();
+            Ok(HttpResponse::json(
+                serde_json::json!({
+                    "axes": cells.axis_names,
+                    "measures": cells.measure_names,
+                    "cells": rows,
+                })
+                .to_string(),
+            ))
+        },
+    );
+
+    // the three admin reads answer the caller's own tenant only
+    let p = Arc::clone(&platform);
+    api.tenant(
+        Method::Get,
+        "/admin/usage",
+        "ADMIN_USERS",
+        move |tenant, token, req, _| {
+            let lines = p.tenant_usage(tenant, token)?;
+            let lines = lines
+                .into_iter()
+                .map(|l| {
+                    serde_json::json!({
+                        "tenant": l.tenant,
+                        "service": l.service,
+                        "units": l.units,
+                    })
+                })
+                .collect();
+            Ok(paginate(req, lines))
+        },
+    );
 
     let p = Arc::clone(&platform);
-    api.route(Method::Get, "/admin/usage", "ADMIN_USERS", move |req, _| {
-        let (tenant, token) = creds(req);
-        match p.authorize(&tenant, &token, "ADMIN_USERS") {
-            Ok(_) => {
-                let lines: Vec<serde_json::Value> = p
-                    .admin
-                    .usage_report()
-                    .into_iter()
-                    .map(|l| {
-                        serde_json::json!({
-                            "tenant": l.tenant,
-                            "service": l.service,
-                            "units": l.units,
-                        })
-                    })
-                    .collect();
-                paginate(req, lines)
-            }
-            Err(e) => error_response(&e),
-        }
-    });
-
-    let p = Arc::clone(&platform);
-    api.route(
+    api.tenant(
         Method::Get,
         "/admin/invoice",
         "ADMIN_USERS",
-        move |req, _| {
-            let (tenant, token) = creds(req);
-            match p.authorize(&tenant, &token, "ADMIN_USERS") {
-                Ok(_) => {
-                    let lines: Vec<serde_json::Value> = p
-                        .admin
-                        .invoice_report()
-                        .into_iter()
-                        .map(|l| {
-                            serde_json::json!({
-                                "tenant": l.tenant,
-                                "service": l.service,
-                                "units": l.units,
-                                "requests": l.requests,
-                                "errors": l.errors,
-                                "rows": l.rows,
-                                "bytes": l.bytes,
-                                "cpuMicros": l.cpu_micros,
-                                "millicents": l.millicents,
-                            })
-                        })
-                        .collect();
-                    HttpResponse::json(serde_json::Value::Array(lines).to_string())
-                }
-                Err(e) => error_response(&e),
-            }
+        move |tenant, token, _, _| {
+            let lines: Vec<serde_json::Value> = p
+                .tenant_invoice(tenant, token)?
+                .into_iter()
+                .map(|l| {
+                    serde_json::json!({
+                        "tenant": l.tenant,
+                        "service": l.service,
+                        "units": l.units,
+                        "requests": l.requests,
+                        "errors": l.errors,
+                        "rows": l.rows,
+                        "bytes": l.bytes,
+                        "cpuMicros": l.cpu_micros,
+                        "millicents": l.millicents,
+                    })
+                })
+                .collect();
+            Ok(HttpResponse::json(
+                serde_json::Value::Array(lines).to_string(),
+            ))
         },
     );
 
     let p = Arc::clone(&platform);
-    api.route(
+    api.tenant(
         Method::Get,
         "/admin/slowlog",
         "ADMIN_USERS",
-        move |req, _| {
-            let (tenant, token) = creds(req);
-            match p.authorize(&tenant, &token, "ADMIN_USERS") {
-                Ok(_) => {
-                    let lines: Vec<serde_json::Value> = p
-                        .admin
-                        .telemetry
-                        .slow_log()
-                        .into_iter()
-                        .map(|e| {
-                            serde_json::json!({
-                                "tenant": e.tenant,
-                                "service": e.service,
-                                "operation": e.operation,
-                                "detail": e.detail,
-                                "durationMicros": e.duration_micros,
-                                "traceId": e.trace_id,
-                                "requestId": e.request_id,
-                            })
-                        })
-                        .collect();
-                    paginate(req, lines)
-                }
-                Err(e) => error_response(&e),
-            }
+        move |tenant, token, req, _| {
+            let entries = p.tenant_slowlog(tenant, token)?;
+            let entries = entries
+                .into_iter()
+                .map(|e| {
+                    serde_json::json!({
+                        "tenant": e.tenant,
+                        "service": e.service,
+                        "operation": e.operation,
+                        "detail": e.detail,
+                        "durationMicros": e.duration_micros,
+                        "traceId": e.trace_id,
+                        "requestId": e.request_id,
+                    })
+                })
+                .collect();
+            Ok(paginate(req, entries))
         },
     );
 
     let p = Arc::clone(&platform);
-    api.route(
+    api.tenant(
         Method::Get,
         "/admin/durability",
         "ADMIN_CONFIG",
-        move |req, _| {
-            let (tenant, token) = creds(req);
-            match p.durability_status(&tenant, &token) {
-                Ok(s) => HttpResponse::json(
-                    serde_json::json!({
-                        "tenant": s.tenant,
-                        "fsync": s.fsync,
-                        "walAppends": s.wal_appends,
-                        "walBytes": s.wal_bytes,
-                        "walFileLen": s.wal_file_len,
-                        "nextLsn": s.next_lsn,
-                    })
-                    .to_string(),
-                ),
-                Err(e) => error_response(&e),
-            }
+        move |tenant, token, _, _| {
+            let s = p.durability_status(tenant, token)?;
+            Ok(HttpResponse::json(
+                serde_json::json!({
+                    "tenant": s.tenant,
+                    "fsync": s.fsync,
+                    "walAppends": s.wal_appends,
+                    "walBytes": s.wal_bytes,
+                    "walFileLen": s.wal_file_len,
+                    "nextLsn": s.next_lsn,
+                })
+                .to_string(),
+            ))
         },
     );
 
     let p = Arc::clone(&platform);
-    api.route(
+    api.tenant(
         Method::Post,
         "/admin/checkpoint",
         "ADMIN_CONFIG",
-        move |req, _| {
-            let (tenant, token) = creds(req);
-            match p.checkpoint_tenant(&tenant, &token) {
-                Ok(o) => HttpResponse::json(
-                    serde_json::json!({
-                        "tenant": o.tenant,
-                        "tables": o.tables,
-                        "tablesFlushed": o.tables_flushed,
-                        "walBytesFolded": o.wal_bytes_folded,
-                        "micros": o.micros,
-                    })
-                    .to_string(),
-                ),
-                Err(e) => error_response(&e),
-            }
+        move |tenant, token, _, _| {
+            let o = p.checkpoint_tenant(tenant, token)?;
+            Ok(HttpResponse::json(
+                serde_json::json!({
+                    "tenant": o.tenant,
+                    "tables": o.tables,
+                    "tablesFlushed": o.tables_flushed,
+                    "walBytesFolded": o.wal_bytes_folded,
+                    "micros": o.micros,
+                })
+                .to_string(),
+            ))
         },
     );
 
+    // The three node-level admin routes authorize bare, outside the gate:
+    // failpoints and the cluster map belong to the node, not the tenant,
+    // and a migration takes the tenant's fence for writing, which it must
+    // not do from inside a read fence.
     let p = Arc::clone(&platform);
-    api.route(
+    api.tenant(
         Method::Post,
         "/admin/failpoints",
         "ADMIN_CONFIG",
-        move |req, _| {
-            let (tenant, token) = creds(req);
-            if let Err(e) = p.authorize(&tenant, &token, "ADMIN_CONFIG") {
-                return error_response(&e);
-            }
+        move |tenant, token, req, _| {
+            p.authorize(tenant, token, "ADMIN_CONFIG")?;
             // fault injection is opt-in: the endpoint is inert unless the
             // operator flipped `chaos.enabled` (never on by default)
             if !matches!(
-                p.admin.config.get(&tenant, "chaos.enabled"),
+                p.admin.config.get(tenant, "chaos.enabled"),
                 Ok(odbis_admin::ConfigValue::Bool(true))
             ) {
-                return error_envelope(
+                return Ok(error_envelope(
                     403,
                     "security",
                     "fault injection is disabled (set chaos.enabled = true)",
-                );
+                ));
             }
             let spec = req.body_text();
             let spec = spec.trim();
@@ -681,7 +642,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                 "list" => 0,
                 _ => match odbis_chaos::apply_spec(spec) {
                     Ok(n) => n,
-                    Err(e) => return error_envelope(400, "config", &e),
+                    Err(e) => return Ok(error_envelope(400, "config", &e)),
                 },
             };
             let sites: Vec<serde_json::Value> = odbis_chaos::snapshot()
@@ -695,24 +656,21 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                     })
                 })
                 .collect();
-            HttpResponse::json(
+            Ok(HttpResponse::json(
                 serde_json::json!({ "applied": applied, "sites": sites }).to_string(),
-            )
+            ))
         },
     );
 
     let p = Arc::clone(&platform);
-    api.route(
+    api.tenant(
         Method::Get,
         "/admin/cluster",
         "ADMIN_CONFIG",
-        move |req, _| {
-            let (tenant, token) = creds(req);
-            if let Err(e) = p.authorize(&tenant, &token, "ADMIN_CONFIG") {
-                return error_response(&e);
-            }
+        move |tenant, token, _, _| {
+            p.authorize(tenant, token, "ADMIN_CONFIG")?;
             let Some((node_id, map)) = p.cluster_node() else {
-                return HttpResponse::json(
+                return Ok(HttpResponse::json(
                     serde_json::json!({
                         "clustered": false,
                         "node": serde_json::Value::Null,
@@ -721,7 +679,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                         "pins": serde_json::Value::Object(serde_json::Map::new()),
                     })
                     .to_string(),
-                );
+                ));
             };
             let nodes: Vec<serde_json::Value> = map
                 .nodes()
@@ -736,7 +694,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                     .map(|(t, n)| (t, serde_json::Value::String(n)))
                     .collect(),
             );
-            HttpResponse::json(
+            Ok(HttpResponse::json(
                 serde_json::json!({
                     "clustered": true,
                     "node": node_id,
@@ -745,68 +703,69 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                     "pins": pins,
                 })
                 .to_string(),
-            )
+            ))
         },
     );
 
     let p = Arc::clone(&platform);
-    api.route(
+    api.tenant(
         Method::Post,
         "/admin/migrate",
         "ADMIN_CONFIG",
-        move |req, _| {
-            let (tenant, token) = creds(req);
-            if let Err(e) = p.authorize(&tenant, &token, "ADMIN_CONFIG") {
-                return error_response(&e);
-            }
+        move |tenant, token, req, _| {
+            p.authorize(tenant, token, "ADMIN_CONFIG")?;
             let body: serde_json::Value = match serde_json::from_str(&req.body_text()) {
                 Ok(v) => v,
                 Err(_) => {
-                    return error_envelope(
+                    return Ok(error_envelope(
                         400,
                         "bad_request",
                         "body must be JSON {\"target\": \"<node id>\"}",
-                    )
+                    ))
                 }
             };
             let Some(target) = body.get("target").and_then(|v| v.as_str()) else {
-                return error_envelope(400, "bad_request", "missing \"target\" node id");
+                return Ok(error_envelope(
+                    400,
+                    "bad_request",
+                    "missing \"target\" node id",
+                ));
             };
             // migration is tenant-scoped: the authenticated admin moves
             // their own tenant, so the shard router has already landed
             // this request on the source node
-            if let Some(t) = body.get("tenant").and_then(|v| v.as_str()) {
-                if t != tenant {
-                    return error_envelope(
-                        403,
-                        "security",
-                        "a tenant admin can only migrate their own tenant",
-                    );
-                }
+            if body
+                .get("tenant")
+                .and_then(|v| v.as_str())
+                .is_some_and(|t| t != tenant)
+            {
+                return Ok(error_envelope(
+                    403,
+                    "security",
+                    "a tenant admin can only migrate their own tenant",
+                ));
             }
             let Some(fabric) = p.cluster_fabric() else {
-                return error_envelope(
+                return Ok(error_envelope(
                     503,
                     "unavailable",
                     "this node is not part of a cluster fabric",
-                );
+                ));
             };
-            match fabric.migrate(&tenant, target) {
-                Ok(r) => HttpResponse::json(
-                    serde_json::json!({
-                        "tenant": r.tenant,
-                        "from": r.from,
-                        "to": r.to,
-                        "checkpointLsn": r.checkpoint_lsn,
-                        "tailFrames": r.tail_frames,
-                        "tailLastLsn": r.tail_last_lsn,
-                        "sessionsAdopted": r.sessions_adopted,
-                        "epoch": r.epoch,
-                    })
-                    .to_string(),
-                ),
-                Err(e) => error_response(&e),
-            }
+            let r = fabric.migrate(tenant, target)?;
+            Ok(HttpResponse::json(
+                serde_json::json!({
+                    "tenant": r.tenant,
+                    "from": r.from,
+                    "to": r.to,
+                    "checkpointLsn": r.checkpoint_lsn,
+                    "tailFrames": r.tail_frames,
+                    "tailLastLsn": r.tail_last_lsn,
+                    "sessionsAdopted": r.sessions_adopted,
+                    "epoch": r.epoch,
+                })
+                .to_string(),
+            ))
         },
     );
 
@@ -919,11 +878,11 @@ fn parse_login(body: &str) -> Option<(String, String, String)> {
     Some((field("tenant")?, field("user")?, field("password")?))
 }
 
-fn creds(req: &HttpRequest) -> (String, String) {
-    (
-        req.attributes.get("tenant").cloned().unwrap_or_default(),
-        req.attributes.get("token").cloned().unwrap_or_default(),
-    )
+/// The caller's tenant and session token, as the security filter stored
+/// them.
+fn creds(req: &HttpRequest) -> (&str, &str) {
+    let attribute = |key| req.attributes.get(key).map_or("", String::as_str);
+    (attribute("tenant"), attribute("token"))
 }
 
 /// Answer a collection route. Without `?limit=` or `?cursor=` the
@@ -1050,14 +1009,18 @@ fn error_envelope(status: u16, kind: &str, message: &str) -> HttpResponse {
         )
 }
 
-fn error_response(e: &PlatformError) -> HttpResponse {
+/// The response to a tenant route's error: its envelope, with the
+/// request at the owner node as the `Location` of a [`PlatformError::Moved`]
+/// 307. The shard-router filter runs *before* dispatch, so a request
+/// routed here just before a migration cutover flip reaches its handler
+/// with the workspace already detached.
+fn error_response(req: &HttpRequest, e: &PlatformError) -> HttpResponse {
     let mut resp = error_envelope(e.http_status(), e.kind(), e.message());
     if let PlatformError::Moved { node_id, addr, .. } = e {
-        // marker the route wrapper upgrades to a Location header (the
-        // full redirect target needs the request path, absent here)
+        let location = format!("http://{addr}{}", target_with_query(req));
         resp = resp
             .with_header("X-Odbis-Owner", node_id)
-            .with_header("X-Odbis-Moved-To", addr);
+            .with_header("Location", &location);
     }
     if e.is_retryable() {
         // a wedged store is transient: tell well-behaved clients when to
@@ -1601,28 +1564,6 @@ mod tests {
             Some(other_id)
         );
         assert!(body.contains('4'), "all four rows survived: {body}");
-
-        // redirect mode: the tenant opts out of proxying
-        node_a
-            .admin
-            .config
-            .set_for_tenant("acme", "cluster.redirect", true.into())
-            .unwrap();
-        node_b
-            .admin
-            .config
-            .set_for_tenant("acme", "cluster.redirect", true.into())
-            .unwrap();
-        let (status, headers, _) = http_request(
-            &owner_addr,
-            "POST",
-            "/api/v1/sql",
-            &[("x-tenant", "acme"), ("Authorization", &bearer)],
-            b"SELECT COUNT(*) FROM kv",
-        )
-        .unwrap();
-        assert_eq!(status, 307);
-        assert!(headers["location"].contains("/api/v1/sql"));
 
         let _ = std::fs::remove_dir_all(&root);
     }

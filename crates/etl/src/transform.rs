@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use odbis_sql::ast::AggFunc;
 use odbis_sql::plan::PlanCol;
-use odbis_sql::{planner, BExpr};
+use odbis_sql::{planner, Accumulator, BExpr};
 use odbis_storage::{Batch, ColumnVec, DataType, Database, Value};
 
 use crate::frame::Frame;
@@ -256,8 +256,16 @@ impl Step {
                 let batch = Batch::new(keys.iter().chain(args).map(column).collect(), rows.len())
                     .map_err(|e| EtlError::Shape(e.to_string()))?;
                 let sql_err = |e: odbis_sql::SqlError| EtlError::Expression(e.to_string());
-                odbis_sql::aggregate_columns(&[batch], keys.len(), funcs)
+                let mut groups: Vec<_> = odbis_sql::aggregate_columns(&[batch], keys.len(), funcs)
                     .map_err(sql_err)?
+                    .collect();
+                // a global aggregate over no rows is still one row, as in SQL
+                if keys.is_empty() && groups.is_empty() {
+                    let empty = funcs.iter().map(|&f| Accumulator::new(f, false));
+                    groups.push((Vec::new(), empty.collect()));
+                }
+                groups
+                    .into_iter()
                     .map(|(mut row, accs)| {
                         for acc in &accs {
                             row.push(acc.finish().map_err(sql_err)?);
@@ -592,6 +600,10 @@ mod tests {
         };
         let (out, _) = run_chain(&[sum("x")], f.clone(), &Database::new()).unwrap();
         assert_eq!(out.rows, vec![vec![Value::Int(big + 2)]]);
+        // over no rows, `SELECT SUM(x)` answers one NULL row, not none
+        let none = Frame::from_rows(f.columns.clone(), vec![]).unwrap();
+        let (out, _) = run_chain(&[sum("x")], none, &Database::new()).unwrap();
+        assert_eq!(out.rows, vec![vec![Value::Null]]);
         let err = run_chain(&[sum("t")], f, &Database::new()).unwrap_err();
         assert!(
             matches!(&err, EtlError::Expression(m) if m.contains("SUM over non-numeric")),

@@ -18,10 +18,14 @@ fn table_script(name: &str, rows: &[(Option<i64>, Option<i64>)]) -> String {
         .iter()
         .map(|(g, x)| format!("({}, {})", lit(g), lit(x)))
         .collect();
-    format!(
-        "CREATE TABLE {name} (g INT, x INT); INSERT INTO {name} VALUES {};",
-        values.join(", ")
-    )
+    let mut script = format!("CREATE TABLE {name} (g INT, x INT);");
+    if !values.is_empty() {
+        script.push_str(&format!(
+            " INSERT INTO {name} VALUES {};",
+            values.join(", ")
+        ));
+    }
+    script
 }
 
 fn arb_cell() -> impl Strategy<Value = String> {
@@ -92,10 +96,12 @@ proptest! {
 
     /// An ETL aggregate loads what `SELECT g, COUNT(x), SUM(x), AVG(x),
     /// MIN(x), MAX(x) ... GROUP BY g` answers, in first-seen group order:
-    /// exact sums of ints near 2^53, NULL arguments and NULL groups.
+    /// exact sums of ints near 2^53, NULL arguments and NULL groups. With
+    /// no GROUP BY it loads the one row the SQL answers, over no rows too.
     #[test]
     fn aggregate_matches_sql_group_by(
-        draws in prop::collection::vec((-1i64..4, -9i64..8), 1..40),
+        draws in prop::collection::vec((-1i64..4, -9i64..8), 0..40),
+        grouped in any::<bool>(),
     ) {
         // group -1 and offset -9 stand for NULL
         let rows: Vec<(Option<i64>, Option<i64>)> = draws
@@ -120,16 +126,20 @@ proptest! {
             name: "agg".into(),
             extractor: Extractor::Inline(frame),
             transforms: vec![Transform::Aggregate {
-                group_by: vec!["g".into()],
+                group_by: if grouped { vec!["g".into()] } else { vec![] },
                 aggs: aggs.iter().map(|(f, name)| (*f, "x".into(), name.to_string())).collect(),
             }],
             loader: Loader { table: "mart".into(), mode: LoadMode::Replace },
         }).unwrap();
         let engine = Engine::new();
         engine.execute_script(&db, &table_script("src", &rows)).unwrap();
-        let sql = engine
-            .execute(&db, "SELECT g, COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x) FROM src GROUP BY g")
-            .unwrap();
+        let aggregates = "COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x) FROM src";
+        let sql = if grouped {
+            format!("SELECT g, {aggregates} GROUP BY g")
+        } else {
+            format!("SELECT {aggregates}")
+        };
+        let sql = engine.execute(&db, &sql).unwrap();
         prop_assert_eq!(db.scan("mart").unwrap(), sql.rows);
     }
 

@@ -275,23 +275,13 @@ impl MetadataService {
         Ok(self.engine.execute_select_batch(&conn, &sql)?)
     }
 
-    /// Tables a data set reads from (lineage extracted from the SQL AST).
+    /// Tables a data set reads from ([`odbis_sql::referenced_tables`]),
+    /// lower-cased, sorted and deduplicated.
     pub fn lineage(&self, name: &str) -> MetadataResult<Vec<String>> {
         let ds = self.dataset(name)?;
-        let stmt =
-            odbis_sql::parse(&ds.sql).map_err(|e| MetadataError::InvalidDataSet(e.to_string()))?;
-        let odbis_sql::ast::Statement::Select(sel) = stmt else {
-            return Ok(Vec::new());
-        };
-        let mut tables = Vec::new();
-        if let Some(from) = &sel.from {
-            tables.push(from.table.clone());
-        }
-        for j in &sel.joins {
-            tables.push(j.table.table.clone());
-        }
+        let mut tables = odbis_sql::referenced_tables(&ds.sql)
+            .map_err(|e| MetadataError::InvalidDataSet(e.to_string()))?;
         tables.sort();
-        tables.dedup();
         Ok(tables)
     }
 
@@ -470,6 +460,15 @@ mod tests {
             mds.lineage("joined").unwrap(),
             vec!["regions".to_string(), "sales".to_string()]
         );
+        // names come back as the watch keys spell them: lower-cased, once
+        mds.define_dataset(DataSet {
+            name: "shouted".into(),
+            source: "warehouse".into(),
+            sql: "SELECT a.id FROM SALES a JOIN Sales b ON a.id = b.id".into(),
+            description: String::new(),
+        })
+        .unwrap();
+        assert_eq!(mds.lineage("shouted").unwrap(), vec!["sales".to_string()]);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use odbis_sql::ast::Statement;
 use odbis_sql::Engine;
 use odbis_storage::{DataType, Database, Value};
 
@@ -75,6 +76,8 @@ pub struct RenderedReport {
 /// Parameter substitution is *typed and literal-quoted*: values are
 /// validated against the declared type and rendered as SQL literals (text
 /// values quoted and escaped), so template parameters cannot inject SQL.
+/// A template only reads: one whose section holds anything but a single
+/// `SELECT` is refused before any section runs.
 pub fn run_template(
     template: &ReportTemplate,
     params: &BTreeMap<String, Value>,
@@ -117,6 +120,23 @@ fn run_template_inner(
     for name in params.keys() {
         if !template.parameters.iter().any(|d| &d.name == name) {
             return Err(ReportError::Parameter(format!("unknown parameter {name}")));
+        }
+    }
+
+    // A template only reads: refuse it before any section runs when one of
+    // its queries is not a single SELECT.
+    for section in &template.sections {
+        if let Section::QueryTable { sql, .. } | Section::QueryChart { sql, .. } = section {
+            let sql = substitute(sql, &resolved)?;
+            match odbis_sql::parse(&sql) {
+                Ok(Statement::Select(_)) => {}
+                Ok(_) => {
+                    return Err(ReportError::Execution(format!(
+                        "{sql}: a report section runs only a SELECT"
+                    )))
+                }
+                Err(e) => return Err(ReportError::Execution(format!("{sql}: {e}"))),
+            }
         }
     }
 

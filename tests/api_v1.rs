@@ -572,6 +572,69 @@ fn slowlog_endpoint_exposes_slow_operations() {
     server.shutdown();
 }
 
+/// Every tenant's first user holds `ADMIN_USERS`, so the admin reads must
+/// answer the caller's own tenant only: a second tenant's admin sees none
+/// of `clinic`'s usage or cost lines, operations or SQL text.
+#[test]
+fn admin_reads_answer_only_the_callers_tenant() {
+    let platform = Arc::new(OdbisPlatform::new());
+    let clinic = drive_traffic(&platform);
+    let secret = "INSERT INTO admissions VALUES ('Psychiatry', 2011, 1)";
+    for tenant in ["clinic", "lab"] {
+        platform
+            .admin
+            .config
+            .set_for_tenant(tenant, "telemetry.slow_ms", 1i64.into())
+            .unwrap();
+    }
+    let mut insert = String::from(secret);
+    for i in 0..20_000 {
+        insert.push_str(&format!(", ('Psychiatry', 2011, {i})"));
+    }
+    platform.sql("clinic", &clinic, &insert).unwrap();
+    platform
+        .provision_tenant("lab", "Lab", SubscriptionPlan::standard(), "boss", "pw")
+        .unwrap();
+    let lab = platform.login("lab", "boss", "pw").unwrap();
+    platform
+        .sql("lab", &lab, "CREATE TABLE samples (id INT)")
+        .unwrap();
+    let server = HttpServer::start(build_router(Arc::clone(&platform)), 2).unwrap();
+    let addr = server.addr().to_string();
+
+    let read = |tenant: &str, token: &str, path: &str| {
+        let bearer = format!("Bearer {token}");
+        let (status, _, body) = http_request(
+            &addr,
+            "GET",
+            path,
+            &[("x-tenant", tenant), ("Authorization", bearer.as_str())],
+            b"",
+        )
+        .unwrap();
+        assert_eq!(status, 200, "{tenant} {path}: {body}");
+        body
+    };
+    for path in [
+        "/api/v1/admin/usage",
+        "/api/v1/admin/invoice",
+        "/api/v1/admin/slowlog",
+    ] {
+        let body = read("lab", &lab, path);
+        assert!(!body.contains("clinic"), "{path} leaks clinic: {body}");
+        assert!(!body.contains("Psychiatry"), "{path} leaks SQL: {body}");
+        assert!(!body.contains("etl.run"), "{path} leaks operations: {body}");
+        let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+        let lines = v.as_array().unwrap();
+        assert!(lines.iter().all(|l| l["tenant"] == "lab"), "{path}: {body}");
+        // and the owner still reads its own
+        let own = read("clinic", &clinic, path);
+        assert!(own.contains("\"clinic\""), "{path}: {own}");
+    }
+    assert!(read("clinic", &clinic, "/api/v1/admin/slowlog").contains("Psychiatry"));
+    server.shutdown();
+}
+
 // --------------------------------------------------------------- watch API
 //
 // `GET /api/v1/datasets/:name/watch`: long-poll push delivery. The client
