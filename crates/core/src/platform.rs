@@ -15,16 +15,16 @@ use odbis_admin::{AdminService, CheckpointOutcome, DurabilityStatus, UsageLine};
 use odbis_delivery::{Channel, DeliveryService, ReportPayload};
 use odbis_etl::{EtlJob, JobReport, JobRunner, JobScheduler};
 use odbis_mddws::DwProject;
-use odbis_metadata::{DataSet, DataSource, MetadataService};
+use odbis_metadata::{DataSet, DataSource, DatasetViews, MetadataService};
 use odbis_olap::{
-    AggregateCache, CellSet, CubeDef, CubeEngine, DeltaReport, LevelRef, MaterializedAggregate,
-    OlapError, TableDelta,
+    AggregateCache, CellSet, CubeDef, CubeEngine, DatasetView, DeltaReport, LevelRef,
+    MaterializedAggregate, OlapError, TableDelta,
 };
 use odbis_reporting::{Dashboard, RenderedReport, ReportTemplate, ReportingService};
-use odbis_sql::{Engine, QueryResult};
+use odbis_sql::{Engine, QueryResult, SqlResult};
 use odbis_storage::{
-    CheckpointReport, Database, DbError, DbResult, DurableStore, FsyncPolicy, Wal, WalRecord,
-    WalSink, WalStats,
+    Batch, CheckpointReport, Database, DbError, DbResult, DurableStore, FsyncPolicy, Wal,
+    WalRecord, WalSink, WalStats,
 };
 use odbis_telemetry::{CostLine, SlowEntry, Span};
 use odbis_tenancy::{ServiceKind, SubscriptionPlan, TenantRegistry, UsageMeter};
@@ -52,9 +52,11 @@ pub struct TenantWorkspace {
     pub cubes: Arc<CubeEngine>,
     /// Registered cube definitions.
     pub cube_defs: RwLock<HashMap<String, CubeDef>>,
-    /// Materialized-aggregate cache consulted by MDX queries, maintained
-    /// incrementally by [`TenantWorkspace::publish_deltas`].
-    pub agg_cache: RwLock<AggregateCache>,
+    /// Materialized aggregates consulted by MDX queries and the views
+    /// data sets are read from, maintained incrementally by
+    /// [`TenantWorkspace::publish_deltas`]. A publication applies its whole
+    /// batch under the write lock, so a reader sees all of it or none.
+    pub agg_cache: Arc<RwLock<AggregateCache>>,
     /// The tenant's delivery service; each delivery bumps the recipient's
     /// [`WatchKey::Deliveries`] on `watch`.
     pub delivery: Arc<DeliveryService>,
@@ -66,9 +68,10 @@ pub struct TenantWorkspace {
     /// watches on tables, delivery polls on their user's outbox.
     pub watch: Arc<WatchHub>,
     /// Held while the delta buffer is drained into the aggregate cache,
-    /// so batches apply in commit order, and while an aggregate is built,
-    /// so no batch is drained between the build and its registration. It
-    /// guards what every publication so far did to the aggregates.
+    /// so batches apply in commit order, and while an aggregate or a view
+    /// is built, so no batch is drained between the build and its
+    /// registration. It guards what every publication so far did to the
+    /// aggregates and views.
     publish_lock: Mutex<DeltaReport>,
     /// MDDWS projects by name.
     pub projects: Mutex<HashMap<String, DwProject>>,
@@ -131,6 +134,46 @@ impl WalSink for DeltaBuffer {
     }
 }
 
+/// The name of the data source every workspace registers for its
+/// warehouse: the only database whose deltas reach the aggregate cache,
+/// so the only one a data set view may read.
+const WAREHOUSE: &str = "warehouse";
+
+/// The warehouse's data set views as the tenant's Meta-Data Service reads
+/// them: a fresh view of exactly the data set's definition answers it.
+struct WarehouseViews {
+    cache: Arc<RwLock<AggregateCache>>,
+    warehouse: Arc<Database>,
+    engine: Engine,
+}
+
+impl DatasetViews for WarehouseViews {
+    /// Finish the view's groups under the cache's read lock, then run the
+    /// plan above its aggregation over them with the lock released, in an
+    /// `olap`/`view.read` span.
+    fn read(&self, dataset: &DataSet) -> Option<SqlResult<(Vec<String>, Batch)>> {
+        if dataset.source != WAREHOUSE {
+            return None;
+        }
+        let cache = self.cache.read();
+        let view = cache.view(&dataset.name, &dataset.sql)?;
+        let mut span = odbis_telemetry::child_span("olap", "view.read");
+        span.set_detail(&dataset.name);
+        let answer = view.answer();
+        drop(cache);
+        let result = answer.and_then(|plan| self.engine.execute_plan(&self.warehouse, &plan));
+        match &result {
+            Ok((_, batch)) => span.set_rows(batch.num_rows() as u64),
+            Err(_) => span.fail(),
+        }
+        Some(result)
+    }
+
+    fn dropped(&self, name: &str) {
+        self.cache.write().drop_view(name);
+    }
+}
+
 /// The scope of one journaled mutation as seen by the maintenance layer:
 /// which table changed, and whether the change is row-additive (foldable),
 /// arbitrary (rebuild), or structural removal. Index maintenance does not
@@ -187,7 +230,7 @@ impl TenantWorkspace {
         let mds = Arc::new(MetadataService::new());
         mds.register_source(
             DataSource {
-                name: "warehouse".into(),
+                name: WAREHOUSE.into(),
                 url: format!("odbis://{tenant_id}/warehouse"),
                 user: "platform".into(),
                 password: String::new(),
@@ -199,6 +242,12 @@ impl TenantWorkspace {
         let etl = Arc::new(JobRunner::new(Arc::clone(&warehouse)));
         let scheduler = Arc::new(JobScheduler::new(Arc::clone(&etl)));
         let cubes = Arc::new(CubeEngine::new(Arc::clone(&warehouse)));
+        let agg_cache = Arc::new(RwLock::new(AggregateCache::new()));
+        mds.set_views(Arc::new(WarehouseViews {
+            cache: Arc::clone(&agg_cache),
+            warehouse: Arc::clone(&warehouse),
+            engine: Engine::new(),
+        }));
         let watch = Arc::new(WatchHub::new());
         let hub = Arc::clone(&watch);
         let delivery = Arc::new(DeliveryService::notifying(move |user| {
@@ -212,7 +261,7 @@ impl TenantWorkspace {
             scheduler,
             cubes,
             cube_defs: RwLock::new(HashMap::new()),
-            agg_cache: RwLock::new(AggregateCache::new()),
+            agg_cache,
             delivery,
             deltas,
             watch,
@@ -256,6 +305,33 @@ impl TenantWorkspace {
         let cells = agg.len();
         self.agg_cache.write().add(agg);
         Ok(cells)
+    }
+
+    /// Define a data set in the MDS and, when it reads the warehouse and
+    /// its plan is one a view keeps ([`DatasetView`]), build its view over
+    /// the current warehouse and register it in place of any view of that
+    /// name, as [`Self::materialize`] registers an aggregate. Returns the
+    /// verdict: `view`, or the clause that keeps the data set on its plan.
+    fn define_dataset(&self, dataset: DataSet) -> PlatformResult<String> {
+        let mut held = self.publish_lock.lock();
+        self.apply_buffered(&mut held);
+        let built = (dataset.source == WAREHOUSE)
+            .then(|| DatasetView::build(&self.warehouse, &dataset.name, &dataset.sql));
+        let name = dataset.name.clone();
+        self.mds.define_dataset(dataset)?;
+        let mut cache = self.agg_cache.write();
+        cache.drop_view(&name);
+        Ok(match built {
+            None => "a source other than the warehouse".to_string(),
+            Some(Err(why)) => why,
+            Some(Ok(mut view)) => {
+                if view.tables().iter().any(|t| self.deltas.touches(t)) {
+                    view.mark_stale();
+                }
+                cache.add_view(view);
+                "view".to_string()
+            }
+        })
     }
 
     /// [`Self::publish_deltas`], for a caller holding `publish_lock`.
@@ -786,7 +862,9 @@ impl OdbisPlatform {
         let op = (ServiceKind::Metadata, "dataset.define", "ETL_DESIGN");
         self.gate(tenant, token, op, "", |span, _, ws: Workspace| {
             span.set_detail(&dataset.name);
-            ws.mds.define_dataset(dataset)?;
+            let name = dataset.name.clone();
+            let verdict = ws.define_dataset(dataset)?;
+            span.set_detail(&format!("{name}: {verdict}"));
             Ok(((), 1))
         })
     }
@@ -827,8 +905,7 @@ impl OdbisPlatform {
     ) -> PlatformResult<(Arc<WatchHub>, Vec<WatchKey>)> {
         let op = (ServiceKind::Metadata, "dataset.watch", "DATASET_RUN");
         self.gate(tenant, token, op, name, |_, _, ws: Workspace| {
-            let dataset = ws.mds.dataset(name)?;
-            let tables = odbis_sql::referenced_tables(&dataset.sql)?;
+            let tables = ws.mds.dataset_tables(name)?;
             let keys = tables.iter().map(|t| WatchKey::table(t)).collect();
             Ok(((Arc::clone(&ws.watch), keys), 1))
         })
@@ -2011,5 +2088,195 @@ mod telemetry_tests {
         assert!(!slow.is_empty());
         assert_eq!(slow[0].tenant, "acme");
         assert!(slow[0].trace_id > 0);
+    }
+}
+
+#[cfg(test)]
+mod view_tests {
+    use super::*;
+    use odbis_reporting::{ChartKind, ChartSpec, KpiSpec, TableSpec, Widget};
+
+    const BY_REGION: &str = "SELECT d.region, COUNT(*) AS n, SUM(f.amount) AS revenue \
+         FROM f JOIN dim d ON f.k = d.k GROUP BY d.region ORDER BY d.region";
+    const TOP: &str = "SELECT k, SUM(amount) AS revenue FROM f \
+         GROUP BY k ORDER BY revenue DESC, k LIMIT 2";
+
+    /// A tenant with a fact table `f` over a dimension `dim`, and two data
+    /// sets a view keeps plus one (`late`, with a WHERE) it does not.
+    fn boot() -> (OdbisPlatform, String) {
+        let p = OdbisPlatform::new();
+        p.provision_tenant("acme", "Acme", SubscriptionPlan::standard(), "root", "pw")
+            .unwrap();
+        let token = p.login("acme", "root", "pw").unwrap();
+        for sql in [
+            "CREATE TABLE dim (k INT, region TEXT)",
+            "INSERT INTO dim VALUES (1, 'EU'), (2, 'US'), (3, 'EU')",
+            "CREATE TABLE f (id INT, k INT, amount INT)",
+            "INSERT INTO f VALUES (1, 1, 10), (2, 2, 20), (3, 3, 30), (4, NULL, 40), (5, 1, 5)",
+        ] {
+            p.sql("acme", &token, sql).unwrap();
+        }
+        let late = "SELECT k, COUNT(*) AS n FROM f WHERE amount > 15 GROUP BY k ORDER BY k";
+        for (name, sql) in [("by_region", BY_REGION), ("top", TOP), ("late", late)] {
+            let dataset = DataSet {
+                name: name.into(),
+                source: "warehouse".into(),
+                sql: sql.into(),
+                description: String::new(),
+            };
+            p.define_dataset("acme", &token, dataset).unwrap();
+        }
+        (p, token)
+    }
+
+    fn dashboard() -> Dashboard {
+        Dashboard {
+            name: "d".into(),
+            title: "Sales".into(),
+            rows: vec![vec![
+                Widget::Chart {
+                    dataset: "by_region".into(),
+                    spec: ChartSpec {
+                        title: "Revenue".into(),
+                        kind: ChartKind::Bar,
+                        category: "region".into(),
+                        series: vec!["revenue".into(), "n".into()],
+                    },
+                },
+                Widget::Table {
+                    dataset: "top".into(),
+                    spec: TableSpec {
+                        title: "Top".into(),
+                        columns: vec![],
+                        max_rows: None,
+                    },
+                },
+                Widget::Kpi {
+                    dataset: "by_region".into(),
+                    spec: KpiSpec {
+                        title: "EU orders".into(),
+                        value_column: "n".into(),
+                        unit: String::new(),
+                    },
+                },
+            ]],
+        }
+    }
+
+    /// The services and operations of the spans the last call recorded.
+    fn spans(p: &OdbisPlatform) -> Vec<(&'static str, String)> {
+        let spans = p.admin.telemetry.recent_spans();
+        spans
+            .into_iter()
+            .map(|s| (s.service, s.operation))
+            .collect()
+    }
+
+    #[test]
+    fn eligible_datasets_are_registered_as_views_and_the_rest_run_their_plan() {
+        let (p, _) = boot();
+        let ws = p.workspace("acme").unwrap();
+        let cache = ws.agg_cache.read();
+        assert!(cache.view("by_region", BY_REGION).is_some());
+        assert!(cache.view("top", TOP).is_some());
+        assert!(cache.view("late", "").is_none());
+        // a view answers only the SQL it was built from
+        assert!(cache.view("top", BY_REGION).is_none());
+        assert_eq!(cache.len(), 2);
+    }
+
+    /// A warm tile is a view read: an `olap`/`view.read` child of the
+    /// gate's span, and no `sql` span. A data set a view does not keep
+    /// still runs its plan.
+    #[test]
+    fn a_warm_tile_reads_its_view_and_runs_no_sql() {
+        let (p, token) = boot();
+        for (name, run) in [("dataset.run", true), ("dataset.export", false)] {
+            p.admin.telemetry.reset();
+            if run {
+                p.execute_dataset("acme", &token, "by_region").unwrap();
+            } else {
+                p.execute_dataset_batch("acme", &token, "by_region")
+                    .unwrap();
+            }
+            let recorded = p.admin.telemetry.recent_spans();
+            let root = (recorded.iter())
+                .find(|s| s.operation == name)
+                .expect("gate span");
+            let view = (recorded.iter())
+                .find(|s| s.service == "olap" && s.operation == "view.read")
+                .expect("view.read span");
+            assert_eq!(view.parent_id, Some(root.span_id), "{name}");
+            assert_eq!(view.rows, 2, "{name}");
+            assert!(!spans(&p).iter().any(|(s, _)| *s == "sql"), "{name}");
+        }
+        p.admin.telemetry.reset();
+        p.execute_dataset("acme", &token, "late").unwrap();
+        let ran = spans(&p);
+        assert!(ran.contains(&("sql", "execute.vectorized".to_string())));
+        assert!(!ran.iter().any(|(s, _)| *s == "olap"));
+    }
+
+    /// The Figure 6 path reads tiles through the same function: a render
+    /// over fresh views runs no SQL, and equals the render of the same
+    /// dashboard with the views stale, which runs every tile's plan.
+    #[test]
+    fn a_dashboard_over_views_renders_as_over_plans() {
+        let (p, token) = boot();
+        p.sql("acme", &token, "INSERT INTO f VALUES (6, 2, 7), (7, 9, 1)")
+            .unwrap();
+        p.admin.telemetry.reset();
+        let fresh = p.render_dashboard("acme", &token, &dashboard()).unwrap();
+        let ran = spans(&p);
+        assert!(!ran.iter().any(|(s, _)| *s == "sql"), "{ran:?}");
+        assert_eq!(
+            (ran.iter())
+                .filter(|(s, o)| *s == "olap" && o == "view.read")
+                .count(),
+            3
+        );
+
+        let ws = p.workspace("acme").unwrap();
+        ws.agg_cache.write().mark_stale_over("f");
+        p.admin.telemetry.reset();
+        let stale = p.render_dashboard("acme", &token, &dashboard()).unwrap();
+        let ran = spans(&p);
+        assert!(!ran.iter().any(|(s, _)| *s == "olap"), "{ran:?}");
+        assert_eq!(ran.iter().filter(|(s, _)| *s == "sql").count(), 3);
+        assert_eq!(fresh, stale);
+    }
+
+    /// Each fact INSERT folds into every view over its table and rebuilds
+    /// none; a dimension write rebuilds the views that join it.
+    #[test]
+    fn views_count_in_the_aggregate_fold_and_rebuild_totals() {
+        let (p, token) = boot();
+        let totals = || {
+            let stats = p.aggregate_stats();
+            let (_, report) = stats.iter().find(|(t, _)| t == "acme").unwrap();
+            (report.folded, report.rebuilt, report.dropped)
+        };
+        let before = totals();
+        p.sql("acme", &token, "INSERT INTO f VALUES (8, 1, 1)")
+            .unwrap();
+        assert_eq!(totals(), (before.0 + 2, before.1, before.2));
+        p.sql("acme", &token, "INSERT INTO dim VALUES (4, 'APAC')")
+            .unwrap();
+        assert_eq!(totals(), (before.0 + 2, before.1 + 1, before.2));
+        p.sql("acme", &token, "DROP TABLE dim").unwrap();
+        assert_eq!(totals(), (before.0 + 2, before.1 + 2, before.2 + 1));
+        let ws = p.workspace("acme").unwrap();
+        assert!(ws.agg_cache.read().view("by_region", BY_REGION).is_none());
+        assert!(p.execute_dataset("acme", &token, "by_region").is_err());
+        assert_eq!(
+            p.execute_dataset("acme", &token, "top").unwrap().rows,
+            p.sql("acme", &token, TOP).unwrap().rows
+        );
+        // a dropped data set's view is no longer maintained
+        ws.mds.drop_dataset("top").unwrap();
+        assert!(ws.agg_cache.read().is_empty());
+        p.sql("acme", &token, "INSERT INTO f VALUES (9, 1, 1)")
+            .unwrap();
+        assert_eq!(totals(), (before.0 + 2, before.1 + 2, before.2 + 1));
     }
 }

@@ -5,7 +5,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use odbis_sql::ast::AggFunc;
-use odbis_sql::plan::PlanCol;
+use odbis_sql::plan::{AggExpr, PlanCol};
 use odbis_sql::{planner, Accumulator, BExpr};
 use odbis_storage::{Batch, ColumnVec, DataType, Database, Value};
 
@@ -256,7 +256,14 @@ impl Step {
                 let batch = Batch::new(keys.iter().chain(args).map(column).collect(), rows.len())
                     .map_err(|e| EtlError::Shape(e.to_string()))?;
                 let sql_err = |e: odbis_sql::SqlError| EtlError::Expression(e.to_string());
-                let mut groups: Vec<_> = odbis_sql::aggregate_columns(&[batch], keys.len(), funcs)
+                let aggs: Vec<AggExpr> = (funcs.iter().zip(keys.len()..))
+                    .map(|(&func, c)| AggExpr {
+                        func,
+                        arg: Some(BExpr::Column(c)),
+                        distinct: false,
+                    })
+                    .collect();
+                let mut groups: Vec<_> = odbis_sql::aggregate_columns(&[batch], keys.len(), &aggs)
                     .map_err(sql_err)?
                     .collect();
                 // a global aggregate over no rows is still one row, as in SQL

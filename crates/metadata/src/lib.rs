@@ -19,4 +19,6 @@ mod glossary;
 mod service;
 
 pub use glossary::Glossary;
-pub use service::{DataSet, DataSource, MetadataError, MetadataResult, MetadataService};
+pub use service::{
+    DataSet, DataSource, DatasetViews, MetadataError, MetadataResult, MetadataService,
+};

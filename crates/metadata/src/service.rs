@@ -1,10 +1,10 @@
 //! The Meta-Data Service (MDS).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use odbis_sql::{Engine, QueryResult, SqlError};
-use odbis_storage::{Database, DbError};
+use odbis_sql::{Engine, QueryResult, SqlError, SqlResult};
+use odbis_storage::{Batch, Database, DbError};
 use parking_lot::RwLock;
 
 use crate::glossary::Glossary;
@@ -48,6 +48,19 @@ pub struct DataSet {
     pub sql: String,
     /// Business description.
     pub description: String,
+}
+
+/// Maintained answers of data sets. A [`MetadataService`] given views
+/// ([`MetadataService::set_views`]) asks them for a data set's answer
+/// before it runs the set's plan.
+pub trait DatasetViews: Send + Sync {
+    /// `dataset`'s output column names and rows from a fresh view of
+    /// exactly this definition; `None` when there is none, and the plan
+    /// runs.
+    fn read(&self, dataset: &DataSet) -> Option<SqlResult<(Vec<String>, Batch)>>;
+
+    /// Data set `name` was dropped: stop maintaining its view.
+    fn dropped(&self, name: &str);
 }
 
 /// Metadata-service errors.
@@ -104,13 +117,21 @@ pub type MetadataResult<T> = Result<T, MetadataError>;
 pub struct MetadataService {
     inner: RwLock<Inner>,
     engine: Engine,
+    views: OnceLock<Arc<dyn DatasetViews>>,
 }
 
 struct Inner {
     sources: BTreeMap<String, DataSource>,
     connections: BTreeMap<String, Arc<Database>>,
-    datasets: BTreeMap<String, DataSet>,
+    datasets: BTreeMap<String, Defined>,
     glossary: Glossary,
+}
+
+/// A defined data set and the tables its SQL reads, lower-cased, sorted
+/// and deduplicated, from the statement parsed at definition.
+struct Defined {
+    set: DataSet,
+    tables: Vec<String>,
 }
 
 impl Default for MetadataService {
@@ -130,7 +151,14 @@ impl MetadataService {
                 glossary: Glossary::new(),
             }),
             engine: Engine::new(),
+            views: OnceLock::new(),
         }
+    }
+
+    /// Serve data sets from `views` whenever they answer; a service has
+    /// one set of views, and a second call is ignored.
+    pub fn set_views(&self, views: Arc<dyn DatasetViews>) {
+        let _ = self.views.set(views);
     }
 
     // ---- data sources -------------------------------------------------------
@@ -178,10 +206,14 @@ impl MetadataService {
     // ---- data sets ----------------------------------------------------------
 
     /// Define a data set. The SQL is validated (must parse as a `SELECT`)
-    /// and the source must exist.
+    /// and the source must exist. The tables it reads are kept beside it.
     pub fn define_dataset(&self, dataset: DataSet) -> MetadataResult<()> {
+        let mut tables = Vec::new();
         match odbis_sql::parse(&dataset.sql) {
-            Ok(odbis_sql::ast::Statement::Select(_)) => {}
+            Ok(stmt @ odbis_sql::ast::Statement::Select(_)) => {
+                odbis_sql::statement_tables(&stmt, &mut tables);
+                tables.sort();
+            }
             Ok(_) => {
                 return Err(MetadataError::InvalidDataSet(format!(
                     "data set {} must be a SELECT",
@@ -205,17 +237,31 @@ impl MetadataService {
         if inner.datasets.contains_key(&dataset.name) {
             return Err(MetadataError::AlreadyExists(dataset.name));
         }
-        inner.datasets.insert(dataset.name.clone(), dataset);
+        let defined = Defined {
+            set: dataset,
+            tables,
+        };
+        inner.datasets.insert(defined.set.name.clone(), defined);
         Ok(())
     }
 
     /// Fetch a data set definition.
     pub fn dataset(&self, name: &str) -> MetadataResult<DataSet> {
+        self.with_dataset(name, |d| d.set.clone())
+    }
+
+    /// The tables data set `name` reads, lower-cased, sorted and
+    /// deduplicated, as its SQL named them when it was defined.
+    pub fn dataset_tables(&self, name: &str) -> MetadataResult<Vec<String>> {
+        self.with_dataset(name, |d| d.tables.clone())
+    }
+
+    fn with_dataset<R>(&self, name: &str, f: impl FnOnce(&Defined) -> R) -> MetadataResult<R> {
         self.inner
             .read()
             .datasets
             .get(name)
-            .cloned()
+            .map(f)
             .ok_or_else(|| MetadataError::NotFound(format!("data set {name}")))
     }
 
@@ -224,19 +270,31 @@ impl MetadataService {
         self.inner.read().datasets.keys().cloned().collect()
     }
 
-    /// Remove a data set.
+    /// Remove a data set, and its view.
     pub fn drop_dataset(&self, name: &str) -> MetadataResult<()> {
         self.inner
             .write()
             .datasets
             .remove(name)
-            .map(drop)
-            .ok_or_else(|| MetadataError::NotFound(format!("data set {name}")))
+            .ok_or_else(|| MetadataError::NotFound(format!("data set {name}")))?;
+        if let Some(views) = self.views.get() {
+            views.dropped(name);
+        }
+        Ok(())
     }
 
-    /// Execute a data set against its source connection.
+    /// Execute a data set: [`Self::execute_dataset_batch`], pivoted to rows.
     pub fn execute_dataset(&self, name: &str) -> MetadataResult<QueryResult> {
-        let (sql, conn) = {
+        let (columns, batch) = self.execute_dataset_batch(name)?;
+        Ok(QueryResult::from_batch(columns, &batch))
+    }
+
+    /// Execute a data set and return its columnar [`Batch`] without the
+    /// row pivot — the one read path of a data set: its view answers when
+    /// one is fresh, else its plan runs against its source connection.
+    /// Streamed exports (CSV downloads) serialize straight from the batch.
+    pub fn execute_dataset_batch(&self, name: &str) -> MetadataResult<(Vec<String>, Batch)> {
+        let (dataset, conn) = {
             let inner = self.inner.read();
             let ds = inner
                 .datasets
@@ -244,45 +302,27 @@ impl MetadataService {
                 .ok_or_else(|| MetadataError::NotFound(format!("data set {name}")))?;
             let conn = inner
                 .connections
-                .get(&ds.source)
+                .get(&ds.set.source)
                 .cloned()
-                .ok_or_else(|| MetadataError::NotFound(format!("data source {}", ds.source)))?;
-            (ds.sql.clone(), conn)
+                .ok_or_else(|| MetadataError::NotFound(format!("data source {}", ds.set.source)))?;
+            (ds.set.clone(), conn)
         };
-        Ok(self.engine.execute(&conn, &sql)?)
+        if let Some(answer) = self.views.get().and_then(|v| v.read(&dataset)) {
+            return Ok(answer?);
+        }
+        let mut span = odbis_telemetry::child_span("sql", "execute.vectorized");
+        span.set_detail(&dataset.sql);
+        let result = self.engine.execute_select_batch(&conn, &dataset.sql);
+        match &result {
+            Ok((_, batch)) => span.set_rows(batch.num_rows() as u64),
+            Err(_) => span.fail(),
+        }
+        Ok(result?)
     }
 
-    /// Execute a data set and return its columnar [`Batch`](odbis_storage::Batch) without the row
-    /// pivot — the entry point for streamed exports (CSV downloads) that
-    /// serialize straight from column storage.
-    pub fn execute_dataset_batch(
-        &self,
-        name: &str,
-    ) -> MetadataResult<(Vec<String>, odbis_storage::Batch)> {
-        let (sql, conn) = {
-            let inner = self.inner.read();
-            let ds = inner
-                .datasets
-                .get(name)
-                .ok_or_else(|| MetadataError::NotFound(format!("data set {name}")))?;
-            let conn = inner
-                .connections
-                .get(&ds.source)
-                .cloned()
-                .ok_or_else(|| MetadataError::NotFound(format!("data source {}", ds.source)))?;
-            (ds.sql.clone(), conn)
-        };
-        Ok(self.engine.execute_select_batch(&conn, &sql)?)
-    }
-
-    /// Tables a data set reads from ([`odbis_sql::referenced_tables`]),
-    /// lower-cased, sorted and deduplicated.
+    /// Tables a data set reads from ([`Self::dataset_tables`]).
     pub fn lineage(&self, name: &str) -> MetadataResult<Vec<String>> {
-        let ds = self.dataset(name)?;
-        let mut tables = odbis_sql::referenced_tables(&ds.sql)
-            .map_err(|e| MetadataError::InvalidDataSet(e.to_string()))?;
-        tables.sort();
-        Ok(tables)
+        self.dataset_tables(name)
     }
 
     // ---- glossary -----------------------------------------------------------
@@ -312,7 +352,7 @@ impl MetadataService {
         }
         for (name, ds) in &inner.datasets {
             if name.to_ascii_lowercase().contains(&needle)
-                || ds.description.to_ascii_lowercase().contains(&needle)
+                || ds.set.description.to_ascii_lowercase().contains(&needle)
             {
                 hits.push(format!("dataset: {name}"));
             }

@@ -30,7 +30,9 @@ pub use cube::{
     MeasureDef, Slice,
 };
 pub use mdx::{parse_mdx, MdxStatement};
-pub use preagg::{AggregateCache, DeltaOutcome, DeltaReport, MaterializedAggregate, TableDelta};
+pub use preagg::{
+    AggregateCache, DatasetView, DeltaOutcome, DeltaReport, MaterializedAggregate, TableDelta,
+};
 pub use view::CubeView;
 
 /// Errors raised by the analysis service.

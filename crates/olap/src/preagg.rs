@@ -1,5 +1,7 @@
-//! Materialized aggregates (ablation A2): pre-computed roll-ups that
-//! answer matching cube queries without touching the fact table.
+//! Materialized aggregates (ablation A2) and data set views: pre-computed
+//! GROUP BYs kept current over the warehouse's deltas. An aggregate
+//! answers the cube queries it covers without touching the fact table; a
+//! view answers its data set's SQL.
 //!
 //! A stored cell is one [`Accumulator`] per measure — the SQL executor's
 //! own aggregate state, so a cell answers what the SQL GROUP BY does, to
@@ -17,8 +19,12 @@
 //! - a roll-up merges the stored cells onto the query's coarser key; AVG
 //!   merges its sum and count, as the SQL's two-phase merge does.
 //!
-//! No SQL text is planned here. The ROLAP SQL the cube engine generates
-//! for the same query is the oracle the tests compare the cells with.
+//! No SQL text is planned for an aggregate. The ROLAP SQL the cube engine
+//! generates for the same query is the oracle the tests compare the cells
+//! with. A [`DatasetView`] is the same state with another producer: its
+//! fold plan comes from its data set's bound SQL plan instead of a cube
+//! definition, and a read finishes its cells in place of the plan's
+//! `Aggregate` node and runs the operators above it.
 //!
 //! What a fold reads besides the fact rows — the fact column or the
 //! dimension column each axis takes its coordinate from, and each
@@ -38,10 +44,13 @@ use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 use std::sync::Arc;
 
+use odbis_sql::ast::{JoinKind, Statement};
+use odbis_sql::plan::{equi_pairs, AggExpr, Plan, PlanNode};
 use odbis_sql::{
-    aggregate_columns, par_chunks, Accumulator, Engine, FastHasher, JoinTable, SqlResult,
+    aggregate_columns, par_chunks, planner, Accumulator, BExpr, Engine, FastHasher, JoinTable,
+    SqlError, SqlResult,
 };
-use odbis_storage::{Batch, Database, Schema, Value};
+use odbis_storage::{Batch, Database, DbError, Schema, Value};
 
 use crate::cube::{Aggregator, CellSet, CubeDef, CubeQuery, DimensionDef, LevelRef};
 use crate::OlapError;
@@ -97,15 +106,34 @@ impl TableDelta {
     }
 }
 
+/// Where a fold reads a column: `(0, c)` is fact column `c`, `(j + 1, c)`
+/// is column `c` of `dims[j].rows`.
+type Src = (usize, usize);
+
 /// One snowflaked dimension the aggregate joins, as a fold probes it.
 #[derive(Debug, Clone)]
 struct Dim {
     /// Fact column holding the foreign key.
     fk: usize,
-    /// The dimension's key column, then each level column an axis reads.
+    /// The dimension's key column, then each column an axis or an
+    /// aggregate reads.
     rows: Batch,
     /// `rows` hashed on its key column.
     join: JoinTable,
+}
+
+impl Dim {
+    /// Scan `columns` of `table`, its join key first, and hash them on
+    /// the key.
+    fn scan(db: &Database, table: &str, fk: usize, columns: &[usize]) -> Result<Dim, DbError> {
+        let chunks = db.scan_partitions(table, Some(columns))?;
+        let rows = Batch::concat(columns.len(), &chunks)?;
+        Ok(Dim {
+            fk,
+            join: JoinTable::build(&rows, &[0]),
+            rows,
+        })
+    }
 }
 
 /// Everything a fold reads, resolved against the warehouse when the cells
@@ -116,14 +144,15 @@ struct FoldPlan {
     tables: Vec<String>,
     /// Column count of the fact table; a delta of another width rebuilds.
     arity: usize,
-    /// Where each axis reads its coordinate: `(0, c)` is fact column `c`,
-    /// `(j + 1, c)` is column `c` of `dims[j].rows`.
-    axes: Vec<(usize, usize)>,
+    /// Where each axis reads its coordinate.
+    axes: Vec<Src>,
     dims: Vec<Dim>,
-    /// Fact column of each stored measure.
-    measures: Vec<usize>,
-    /// Aggregator of each stored measure.
-    funcs: Vec<Aggregator>,
+    /// Where each aggregate that has an argument reads it, in order;
+    /// `COUNT(*)` has none.
+    inputs: Vec<Src>,
+    /// One per stored measure, its argument bound over the joined columns
+    /// a fold groups: the axes, then the inputs.
+    aggs: Vec<AggExpr>,
 }
 
 impl FoldPlan {
@@ -179,37 +208,121 @@ impl FoldPlan {
         }
         let mut dims = Vec::with_capacity(joins.len());
         for (dim, t, _, projection) in joins {
-            let chunks = db.scan_partitions(t, Some(&projection)).map_err(invalid)?;
-            let rows = Batch::concat(projection.len(), &chunks).map_err(invalid)?;
-            dims.push(Dim {
-                fk: index(&schema, &dim.fact_fk, "fact fk")?,
-                join: JoinTable::build(&rows, &[0]),
-                rows,
-            });
+            let fk = index(&schema, &dim.fact_fk, "fact fk")?;
+            dims.push(Dim::scan(db, t, fk, &projection).map_err(invalid)?);
         }
+        let inputs = measures
+            .iter()
+            .map(|(name, _)| index(&schema, &def.measure(name)?.column, "measure column"))
+            .map(|c| c.map(|c| (0, c)))
+            .collect::<Result<_, _>>()?;
+        let aggs = (measures.iter().zip(axes.len()..))
+            .map(|(&(_, func), c)| AggExpr {
+                func,
+                arg: Some(BExpr::Column(c)),
+                distinct: false,
+            })
+            .collect();
         Ok(FoldPlan {
             tables,
             arity: schema.columns().len(),
             axes: srcs,
             dims,
-            measures: measures
-                .iter()
-                .map(|(name, _)| index(&schema, &def.measure(name)?.column, "measure column"))
-                .collect::<Result<_, _>>()?,
-            funcs: measures.iter().map(|&(_, agg)| agg).collect(),
+            inputs,
+            aggs,
+        })
+    }
+
+    /// The plan of a view over a bound `SELECT` (see [`DatasetView`]):
+    /// its GROUP BY columns are the axes, its aggregates the measures and
+    /// its joins the dimensions, their build sides scanned from `db`. The
+    /// refusal names the clause a view cannot keep.
+    fn for_select(db: &Database, plan: &Plan) -> Result<FoldPlan, String> {
+        let (input, group_exprs, aggs) = view_aggregate(plan)?;
+        let mut sides = Vec::new();
+        star(input, &mut sides)?;
+        let fact = sides[0].0;
+        if sides[1..]
+            .iter()
+            .any(|(t, ..)| t.eq_ignore_ascii_case(fact))
+        {
+            return Err("a self-join".into());
+        }
+        // each dimension's kept columns: its join key, then what is read
+        let mut kept: Vec<Vec<usize>> = sides[1..]
+            .iter()
+            .map(|&(_, _, (_, key))| vec![key])
+            .collect();
+        let mut src = |expr: &BExpr| -> Option<Src> {
+            let &BExpr::Column(mut c) = expr else {
+                return None;
+            };
+            for (side, &(_, arity, _)) in sides.iter().enumerate() {
+                if c >= arity {
+                    c -= arity;
+                    continue;
+                }
+                if side == 0 {
+                    return Some((0, c));
+                }
+                let cols = &mut kept[side - 1];
+                let at = cols.iter().position(|&x| x == c).unwrap_or_else(|| {
+                    cols.push(c);
+                    cols.len() - 1
+                });
+                return Some((side, at));
+            }
+            None
+        };
+        let axes: Vec<Src> = (group_exprs.iter().map(&mut src))
+            .collect::<Option<_>>()
+            .ok_or("a GROUP BY expression that is not a column")?;
+        let mut inputs = Vec::new();
+        let mut folded = Vec::with_capacity(aggs.len());
+        for agg in aggs {
+            if agg.distinct {
+                return Err("a DISTINCT aggregate".into());
+            }
+            let arg = match &agg.arg {
+                None => None,
+                Some(arg) => {
+                    inputs.push(src(arg).ok_or("an aggregate over an expression")?);
+                    Some(BExpr::Column(axes.len() + inputs.len() - 1))
+                }
+            };
+            folded.push(AggExpr {
+                func: agg.func,
+                arg,
+                distinct: false,
+            });
+        }
+        let mut tables = vec![fact.to_string()];
+        let mut dims = Vec::with_capacity(kept.len());
+        for (&(t, _, (fk, _)), cols) in sides[1..].iter().zip(&kept) {
+            if !tables.iter().any(|x| x.eq_ignore_ascii_case(t)) {
+                tables.push(t.to_string());
+            }
+            dims.push(Dim::scan(db, t, fk, cols).map_err(|e| e.to_string())?);
+        }
+        Ok(FoldPlan {
+            tables,
+            arity: sides[0].1,
+            axes,
+            dims,
+            inputs,
+            aggs: folded,
         })
     }
 
     /// Fold fact rows (full width) into `cells`, as a build does with each
     /// chunk of the fact table and a fold with the inserted rows: join
     /// them with every dimension, then fold the joined rows' coordinates
-    /// and measure inputs into groups with the SQL executor's partial
+    /// and aggregate inputs into groups with the SQL executor's partial
     /// aggregation, and merge each group into its cell. Nothing is merged
     /// unless the whole batch folded.
     fn fold(&self, cells: &mut Cells, facts: &Batch) -> SqlResult<()> {
         let joined = self.join(facts)?;
-        let groups =
-            aggregate_columns(std::slice::from_ref(&joined), self.axes.len(), &self.funcs)?;
+        let groups = aggregate_columns(std::slice::from_ref(&joined), self.axes.len(), &self.aggs)?;
         for (key, accs) in groups {
             merge_cell(cells, key, accs);
         }
@@ -217,36 +330,55 @@ impl FoldPlan {
     }
 
     /// The inner join of `facts` with each dimension, as the columns a
-    /// fold groups: every axis's coordinate, then every measure's input.
+    /// fold groups: every axis's coordinate, then every aggregate input.
     ///
     /// The probes chain as the SQL's joins do: each dimension's build side
     /// is probed with the foreign keys of the rows the joins before it
     /// kept, so a foreign key that is NULL or has no dimension row drops
     /// the fact row, and a key shared by several dimension rows keeps it
-    /// once per match.
+    /// once per match. While every probe keeps each fact row once and in
+    /// order — a one-row insert that matches — nothing is remapped, the
+    /// fact side is probed as it is, and its columns are taken whole.
     fn join(&self, facts: &Batch) -> SqlResult<Batch> {
-        // per side (the facts, then each dimension): each joined row's row
-        let mut rows: Vec<Vec<u32>> = vec![(0..facts.num_rows() as u32).collect()];
+        let n = facts.num_rows();
+        // per side (the facts, then each dimension): each joined row's
+        // row; `None` is every fact row once, in order
+        let mut rows: Vec<Option<Vec<u32>>> = vec![None];
         for dim in &self.dims {
-            let fk = facts.column(dim.fk).gather(&rows[0]);
-            let fk = Batch::new(vec![Arc::new(fk)], rows[0].len())?;
-            let (kept, matched) = dim.join.probe(&fk, &[0], 0, fk.num_rows());
-            for side in &mut rows {
-                *side = kept.iter().map(|&k| side[k as usize]).collect();
+            let (kept, matched) = match &rows[0] {
+                None => dim.join.probe(facts, &[dim.fk], 0, n),
+                Some(fact_rows) => {
+                    let fk = Arc::new(facts.column(dim.fk).gather(fact_rows));
+                    let fk = Batch::new(vec![fk], fact_rows.len())?;
+                    dim.join.probe(&fk, &[0], 0, fk.num_rows())
+                }
+            };
+            let len = rows[0].as_ref().map_or(n, Vec::len);
+            let moved = kept.len() != len || kept.iter().zip(0..).any(|(&k, i)| k != i);
+            if moved {
+                for side in &mut rows {
+                    let remapped = match side {
+                        None => kept.clone(),
+                        Some(r) => kept.iter().map(|&k| r[k as usize]).collect(),
+                    };
+                    *side = Some(remapped);
+                }
             }
-            rows.push(matched);
+            rows.push(Some(matched));
         }
-        let measures = self.measures.iter().map(|&c| (0, c));
-        let columns = (self.axes.iter().copied().chain(measures))
-            .map(|(side, c)| {
+        let columns = (self.axes.iter().chain(&self.inputs))
+            .map(|&(side, c)| {
                 let source = match side {
                     0 => facts,
                     _ => &self.dims[side - 1].rows,
                 };
-                Arc::new(source.column(c).gather(&rows[side]))
+                match &rows[side] {
+                    None => Arc::clone(source.column(c)),
+                    Some(r) => Arc::new(source.column(c).gather(r)),
+                }
             })
             .collect();
-        Ok(Batch::new(columns, rows[0].len())?)
+        Ok(Batch::new(columns, rows[0].as_ref().map_or(n, Vec::len))?)
     }
 
     /// Fold the whole fact table into new cells. Its live chunks are split
@@ -275,6 +407,93 @@ impl FoldPlan {
     }
 }
 
+/// The `Aggregate` node a view keeps — its input, GROUP BY expressions and
+/// aggregates — below a plan's chain of single-input operators (HAVING,
+/// the projection, DISTINCT, ORDER BY, LIMIT), or the clause that refuses
+/// the plan. The ORDER BY must sort on every GROUP BY column: the groups
+/// are then in one order however the cells come out.
+fn view_aggregate(plan: &Plan) -> Result<(&Plan, &[BExpr], &[AggExpr]), String> {
+    let mut node = plan;
+    // the sort keys, and the projection whose columns they index
+    let mut keys: &[(usize, bool)] = &[];
+    let mut sorted: Option<&[BExpr]> = None;
+    loop {
+        match &node.node {
+            PlanNode::Limit { input, .. }
+            | PlanNode::Distinct { input }
+            | PlanNode::Filter { input, .. } => node = input,
+            PlanNode::Sort { input, keys: k } => {
+                keys = k;
+                node = input;
+            }
+            PlanNode::Project { input, exprs } => {
+                if !keys.is_empty() && sorted.is_none() {
+                    sorted = Some(exprs);
+                }
+                node = input;
+            }
+            PlanNode::Aggregate {
+                input,
+                group_exprs,
+                aggs,
+            } if !group_exprs.is_empty() => {
+                let exprs = sorted.unwrap_or_default();
+                let ordered =
+                    |g| (keys.iter()).any(|&(k, _)| exprs.get(k) == Some(&BExpr::Column(g)));
+                if !(0..group_exprs.len()).all(ordered) {
+                    return Err("an ORDER BY that leaves out a GROUP BY column".into());
+                }
+                return Ok((input, group_exprs, aggs));
+            }
+            _ => return Err("no GROUP BY".into()),
+        }
+    }
+}
+
+/// One table of a view's FROM clause: its name, its column count and, for
+/// a dimension, its join's (fact column, dimension column).
+type Side<'p> = (&'p str, usize, (usize, usize));
+
+/// The tables of an aggregate's input into `sides`, the fact table (the
+/// first in FROM) first; or the clause that makes the input something
+/// other than that table inner-joined to each other table on one fact
+/// column = one column of that table.
+fn star<'p>(plan: &'p Plan, sides: &mut Vec<Side<'p>>) -> Result<(), String> {
+    match &plan.node {
+        PlanNode::TableScan {
+            table,
+            filter: None,
+            projection: None,
+        } => {
+            sides.push((table, plan.schema.len(), (0, 0)));
+            Ok(())
+        }
+        PlanNode::Join {
+            kind,
+            left,
+            right,
+            on,
+        } => {
+            if *kind == JoinKind::Left {
+                return Err("a LEFT JOIN".into());
+            }
+            star(left, sides)?;
+            let PlanNode::TableScan { table, .. } = &right.node else {
+                return Err("a join of something other than a table".into());
+            };
+            match equi_pairs(on, left.schema.len()) {
+                (pairs, None) if pairs.len() == 1 && pairs[0].0 < sides[0].1 => {
+                    sides.push((table, right.schema.len(), pairs[0]));
+                    Ok(())
+                }
+                _ => Err("a join condition other than fact column = table column".into()),
+            }
+        }
+        PlanNode::Filter { .. } => Err("WHERE".into()),
+        _ => Err("a FROM clause that is not tables".into()),
+    }
+}
+
 /// Merge one cell's accumulators into `cells`.
 fn merge_cell(cells: &mut Cells, key: Vec<Value>, accs: Vec<Accumulator>) {
     match cells.entry(key) {
@@ -289,8 +508,58 @@ fn merge_cell(cells: &mut Cells, key: Vec<Value>, accs: Vec<Accumulator>) {
     }
 }
 
-fn invalid(e: odbis_storage::DbError) -> OlapError {
+fn invalid(e: DbError) -> OlapError {
     OlapError::Invalid(e.to_string())
+}
+
+/// Cells folded through a fold plan, kept current by inserts into its fact
+/// table, and whether a write they cannot fold has made them stale.
+#[derive(Debug, Clone)]
+struct Folded {
+    /// Resolved together with `cells`; exact whenever they are fresh,
+    /// because every write to a table in `plan.tables` either folds (a
+    /// fact insert) or makes them stale.
+    plan: FoldPlan,
+    cells: Cells,
+    stale: bool,
+}
+
+impl Folded {
+    /// Fold every live row of the plan's fact table.
+    fn build(db: &Database, plan: FoldPlan) -> Result<Folded, OlapError> {
+        Ok(Folded {
+            cells: plan.fold_table(db)?,
+            plan,
+            stale: false,
+        })
+    }
+
+    /// Whether a write to `table` can change the cells.
+    fn depends_on(&self, table: &str) -> bool {
+        (self.plan.tables.iter()).any(|t| t.eq_ignore_ascii_case(table))
+    }
+
+    /// [`MaterializedAggregate::apply_delta`].
+    fn apply_delta(&mut self, table: &str, rows: &Batch) -> DeltaOutcome {
+        if !table.eq_ignore_ascii_case(&self.plan.tables[0]) {
+            return if self.depends_on(table) {
+                DeltaOutcome::NeedsRebuild
+            } else {
+                DeltaOutcome::Unrelated
+            };
+        }
+        if self.stale || (rows.num_rows() > 0 && rows.num_columns() != self.plan.arity) {
+            return DeltaOutcome::NeedsRebuild;
+        }
+        // an empty batch folds nothing, and may have no columns to join
+        if rows.is_empty() {
+            return DeltaOutcome::Folded;
+        }
+        match self.plan.fold(&mut self.cells, rows) {
+            Ok(()) => DeltaOutcome::Folded,
+            Err(_) => DeltaOutcome::NeedsRebuild,
+        }
+    }
 }
 
 /// Where a query's parts sit in an aggregate's cells.
@@ -316,12 +585,7 @@ pub struct MaterializedAggregate {
     /// The defining cube, retained so stale cells can be rebuilt without
     /// a registry lookup.
     def: CubeDef,
-    cells: Cells,
-    /// Resolved together with `cells`; exact whenever the aggregate is
-    /// fresh, because every write to a table in `plan.tables` either folds
-    /// (a fact insert) or makes the aggregate stale.
-    plan: FoldPlan,
-    stale: bool,
+    folded: Folded,
 }
 
 impl MaterializedAggregate {
@@ -339,57 +603,53 @@ impl MaterializedAggregate {
             .map(|m| cube.measure(m).map(|md| (md.name.clone(), md.aggregator)))
             .collect::<Result<Vec<_>, OlapError>>()?;
         let plan = FoldPlan::resolve(db, cube, &axes, &measures)?;
-        let cells = plan.fold_table(db)?;
         Ok(MaterializedAggregate {
             cube: cube.name.clone(),
             axes,
             measures,
             def: cube.clone(),
-            cells,
-            plan,
-            stale: false,
+            folded: Folded::build(db, plan)?,
         })
     }
 
     /// Number of stored cells.
     pub fn len(&self) -> usize {
-        self.cells.len()
+        self.folded.cells.len()
     }
 
     /// Whether the aggregate is empty.
     pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
+        self.folded.cells.is_empty()
     }
 
     /// Whether a non-foldable write has invalidated the cells. A stale
     /// aggregate refuses to answer queries until [`Self::rebuild`] runs.
     pub fn is_stale(&self) -> bool {
-        self.stale
+        self.folded.stale
     }
 
     /// Mark the cells invalid (a write arrived that a fold cannot
     /// express, or the cells may already hold rows a fold would add).
     pub fn mark_stale(&mut self) {
-        self.stale = true;
+        self.folded.stale = true;
     }
 
     /// Every warehouse table the stored cells depend on: the fact table
     /// plus the dimension tables of snowflaked axes.
     pub fn tables(&self) -> &[String] {
-        &self.plan.tables
+        &self.folded.plan.tables
     }
 
     /// Whether a write to `table` can change the stored cells.
     pub fn depends_on(&self, table: &str) -> bool {
-        self.tables().iter().any(|t| t.eq_ignore_ascii_case(table))
+        self.folded.depends_on(table)
     }
 
     /// Build again from `db`, as [`Self::build`] does: re-resolve the fold
     /// plan, fold the fact table into new cells, and replace both.
     pub fn rebuild(&mut self, db: &Database) -> Result<(), OlapError> {
-        self.plan = FoldPlan::resolve(db, &self.def, &self.axes, &self.measures)?;
-        self.cells = self.plan.fold_table(db)?;
-        self.stale = false;
+        let plan = FoldPlan::resolve(db, &self.def, &self.axes, &self.measures)?;
+        self.folded = Folded::build(db, plan)?;
         Ok(())
     }
 
@@ -413,24 +673,7 @@ impl MaterializedAggregate {
     /// at all — the scoped invalidation that lets unrelated cubes survive
     /// a load.
     pub fn apply_delta(&mut self, table: &str, rows: &Batch) -> DeltaOutcome {
-        if !table.eq_ignore_ascii_case(&self.def.fact_table) {
-            return if self.depends_on(table) {
-                DeltaOutcome::NeedsRebuild
-            } else {
-                DeltaOutcome::Unrelated
-            };
-        }
-        if self.stale || (rows.num_rows() > 0 && rows.num_columns() != self.plan.arity) {
-            return DeltaOutcome::NeedsRebuild;
-        }
-        // an empty batch folds nothing, and may have no columns to join
-        if rows.is_empty() {
-            return DeltaOutcome::Folded;
-        }
-        match self.plan.fold(&mut self.cells, rows) {
-            Ok(()) => DeltaOutcome::Folded,
-            Err(_) => DeltaOutcome::NeedsRebuild,
-        }
+        self.folded.apply_delta(table, rows)
     }
 
     /// Where `query`'s axes, slices and measures sit in the stored cells,
@@ -466,9 +709,10 @@ impl MaterializedAggregate {
         // hides the fact rows it does not match: a query that reads none of
         // a joined dimension's axes counts rows the cells never saw
         let joined = |j: usize| {
-            (self.plan.axes.iter().enumerate()).any(|(i, &(side, _))| side == j + 1 && read(i))
+            (self.folded.plan.axes.iter().enumerate())
+                .any(|(i, &(side, _))| side == j + 1 && read(i))
         };
-        if !(0..self.plan.dims.len()).all(joined) {
+        if !(0..self.folded.plan.dims.len()).all(joined) {
             return None;
         }
         Some(at)
@@ -496,7 +740,7 @@ impl MaterializedAggregate {
             .positions(query)
             .ok_or_else(|| OlapError::Invalid("aggregate does not cover this query".into()))?;
         let mut grouped = Cells::default();
-        for (coords, accs) in &self.cells {
+        for (coords, accs) in &self.folded.cells {
             if !at.slices.iter().all(|&(i, v)| coords[i] == *v) {
                 continue;
             }
@@ -514,7 +758,8 @@ impl MaterializedAggregate {
         }
         // with no axes the SQL is a global aggregate: one row, even of none
         if query.axes.is_empty() && grouped.is_empty() {
-            let empty = (at.measures.iter()).map(|&i| Accumulator::new(self.plan.funcs[i], false));
+            let funcs = &self.folded.plan.aggs;
+            let empty = (at.measures.iter()).map(|&i| Accumulator::new(funcs[i].func, false));
             grouped.insert(Vec::new(), empty.collect());
         }
         let mut cells = Vec::with_capacity(grouped.len());
@@ -561,11 +806,123 @@ impl std::ops::AddAssign for DeltaReport {
     }
 }
 
-/// A cache of materialized aggregates consulted before hitting the fact
-/// table, kept fresh by batches of warehouse deltas.
+/// A data set kept as a view: the groups of its SQL's GROUP BY, folded
+/// over the warehouse's deltas exactly as a [`MaterializedAggregate`]'s
+/// cells are, beside its bound plan. A read finishes the cells as rows in
+/// place of the plan's `Aggregate` node ([`Self::answer`]) and runs the
+/// operators above it — HAVING, the projection, ORDER BY, LIMIT — through
+/// the SQL executor.
+///
+/// A data set's plan is kept as a view when it aggregates one fact table,
+/// the first in FROM, inner-joined to each other table on one fact column
+/// = one column of that table, with no WHERE; groups by a non-empty list
+/// of plain columns; computes only SUM, COUNT, COUNT(*), AVG, MIN or MAX
+/// over plain columns, none DISTINCT; and orders by every GROUP BY column,
+/// so its rows come out in one order whatever order the cells are in.
+#[derive(Debug, Clone)]
+pub struct DatasetView {
+    name: String,
+    sql: String,
+    plan: Plan,
+    folded: Folded,
+}
+
+impl DatasetView {
+    /// Plan data set `name`'s `sql` against `db` and, when the plan is one
+    /// a view keeps, fold the fact table into it. The error is the clause
+    /// that refuses the plan, or why the SQL does not plan.
+    pub fn build(db: &Database, name: &str, sql: &str) -> Result<DatasetView, String> {
+        let Statement::Select(sel) = odbis_sql::parse(sql).map_err(|e| e.to_string())? else {
+            return Err("not a SELECT".into());
+        };
+        let plan = planner::plan_select(db, &sel).map_err(|e| e.to_string())?;
+        let fold = FoldPlan::for_select(db, &plan)?;
+        Ok(DatasetView {
+            name: name.to_string(),
+            sql: sql.to_string(),
+            plan,
+            folded: Folded::build(db, fold).map_err(|e| e.to_string())?,
+        })
+    }
+
+    /// Every warehouse table the view reads: the fact table, then the
+    /// joined ones.
+    pub fn tables(&self) -> &[String] {
+        &self.folded.plan.tables
+    }
+
+    /// Mark the view invalid: it answers nothing until it is rebuilt.
+    pub fn mark_stale(&mut self) {
+        self.folded.stale = true;
+    }
+
+    /// The data set's plan with the view's groups, finished, as the rows of
+    /// a `Values` leaf in place of its `Aggregate` node
+    /// ([`Plan::with_aggregate_rows`]): what is left to run is the plan
+    /// above its aggregation. A group whose aggregate the SQL refuses (SUM
+    /// over TEXT) is the SQL's error.
+    pub fn answer(&self) -> SqlResult<Plan> {
+        let mut rows = Vec::with_capacity(self.folded.cells.len());
+        for (key, accs) in &self.folded.cells {
+            let mut row = Vec::with_capacity(key.len() + accs.len());
+            row.extend_from_slice(key);
+            for acc in accs {
+                row.push(acc.finish()?);
+            }
+            rows.push(row);
+        }
+        (self.plan.with_aggregate_rows(rows))
+            .ok_or_else(|| SqlError::Bind(format!("view {} has no aggregation", self.name)))
+    }
+}
+
+/// One state the cache keeps current.
+#[derive(Debug, Clone)]
+enum Kept {
+    Aggregate(MaterializedAggregate),
+    View(DatasetView),
+}
+
+impl Kept {
+    fn folded(&self) -> &Folded {
+        match self {
+            Kept::Aggregate(a) => &a.folded,
+            Kept::View(v) => &v.folded,
+        }
+    }
+
+    fn folded_mut(&mut self) -> &mut Folded {
+        match self {
+            Kept::Aggregate(a) => &mut a.folded,
+            Kept::View(v) => &mut v.folded,
+        }
+    }
+
+    /// Build again from `db`: an aggregate from its cube definition, a
+    /// view by planning its SQL again, since a DROP and a CREATE may have
+    /// moved the columns it reads. `false` when that fails — a table is
+    /// gone, or the SQL no longer plans or no longer makes a view — and
+    /// the state is dropped.
+    fn rebuild(&mut self, db: &Database) -> bool {
+        match self {
+            Kept::Aggregate(a) => a.rebuild(db).is_ok(),
+            Kept::View(v) => match DatasetView::build(db, &v.name, &v.sql) {
+                Ok(fresh) => {
+                    *v = fresh;
+                    true
+                }
+                Err(_) => false,
+            },
+        }
+    }
+}
+
+/// The materialized aggregates consulted before a cube query hits the
+/// fact table and the views data sets are read from, kept fresh by
+/// batches of warehouse deltas.
 #[derive(Debug, Default)]
 pub struct AggregateCache {
-    aggregates: Vec<MaterializedAggregate>,
+    kept: Vec<Kept>,
 }
 
 impl AggregateCache {
@@ -576,41 +933,62 @@ impl AggregateCache {
 
     /// Register a materialized aggregate.
     pub fn add(&mut self, agg: MaterializedAggregate) {
-        self.aggregates.push(agg);
+        self.kept.push(Kept::Aggregate(agg));
     }
 
-    /// Number of registered aggregates.
+    /// Register a data set view, in place of any view of its name.
+    pub fn add_view(&mut self, view: DatasetView) {
+        self.drop_view(&view.name);
+        self.kept.push(Kept::View(view));
+    }
+
+    /// Drop data set `name`'s view, if there is one.
+    pub fn drop_view(&mut self, name: &str) {
+        self.kept
+            .retain(|k| !matches!(k, Kept::View(v) if v.name == name));
+    }
+
+    /// Data set `name`'s view, when it is fresh and was built from exactly
+    /// `sql`; a data set defined again with other SQL reads its plan.
+    pub fn view(&self, name: &str, sql: &str) -> Option<&DatasetView> {
+        self.kept.iter().find_map(|k| match k {
+            Kept::View(v) if v.name == name && v.sql == sql && !v.folded.stale => Some(v),
+            _ => None,
+        })
+    }
+
+    /// Number of registered aggregates and views.
     pub fn len(&self) -> usize {
-        self.aggregates.len()
+        self.kept.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.aggregates.is_empty()
+        self.kept.is_empty()
     }
 
-    /// Drop every aggregate. The platform never needs to: deltas keep the
-    /// cache current. The end-to-end benchmark's ladder clears it to time
-    /// a publication with no aggregate and a build from nothing.
+    /// Drop every aggregate and view. The platform never needs to: deltas
+    /// keep the cache current. The end-to-end benchmark's ladder clears it
+    /// to time a publication with nothing to fold and a build from nothing.
     pub fn clear(&mut self) {
-        self.aggregates.clear();
+        self.kept.clear();
     }
 
     /// Apply a batch of warehouse deltas, in commit order, to every
-    /// registered aggregate, then rebuild each aggregate the batch left
+    /// registered aggregate and view, then rebuild each one the batch left
     /// stale — once, after the whole batch.
     ///
     /// `Insert` rows move into one [`Batch`] that every fresh aggregate
-    /// over the table folds. `Mutate`, a dimension-table insert and a
-    /// ragged insert (rows of unequal arity) mark the dependent aggregates
-    /// stale; `Drop` of a fact table removes its aggregates. A stale
-    /// aggregate takes no folds: its rebuild reads those rows anyway.
+    /// and view over the table folds. `Mutate`, a dimension-table insert
+    /// and a ragged insert (rows of unequal arity) mark the dependent ones
+    /// stale; `Drop` of a fact table removes those over it. A stale one
+    /// takes no folds: its rebuild reads those rows anyway.
     ///
     /// A rebuild reads the live tables, which may already hold rows whose
     /// deltas are still waiting to be applied — `unapplied(table)` says
-    /// whether `table` has any. An aggregate rebuilt over such a table is
-    /// marked stale again, so those rows are not folded in a second time:
-    /// the next batch rebuilds it, and until then queries go live.
+    /// whether `table` has any. One rebuilt over such a table is marked
+    /// stale again, so those rows are not folded in a second time: the
+    /// next batch rebuilds it, and until then queries go live.
     pub fn apply_deltas(
         &mut self,
         db: &Database,
@@ -626,46 +1004,48 @@ impl AggregateCache {
                         self.mark_stale_over(&table);
                         continue;
                     };
-                    for a in self.aggregates.iter_mut().filter(|a| !a.is_stale()) {
-                        match a.apply_delta(&table, &batch) {
+                    for f in self.kept.iter_mut().map(Kept::folded_mut) {
+                        if f.stale {
+                            continue;
+                        }
+                        match f.apply_delta(&table, &batch) {
                             DeltaOutcome::Folded => report.folded += 1,
-                            DeltaOutcome::NeedsRebuild => a.mark_stale(),
+                            DeltaOutcome::NeedsRebuild => f.stale = true,
                             DeltaOutcome::Unrelated => {}
                         }
                     }
                 }
                 TableDelta::Mutate { table } => self.mark_stale_over(&table),
                 TableDelta::Drop { table } => {
-                    let before = self.aggregates.len();
-                    self.aggregates
-                        .retain(|a| !a.def.fact_table.eq_ignore_ascii_case(&table));
-                    report.dropped += before - self.aggregates.len();
+                    let before = self.kept.len();
+                    self.kept
+                        .retain(|k| !k.folded().plan.tables[0].eq_ignore_ascii_case(&table));
+                    report.dropped += before - self.kept.len();
                     self.mark_stale_over(&table);
                 }
             }
         }
-        self.aggregates.retain_mut(|a| {
-            if !a.is_stale() {
+        self.kept.retain_mut(|k| {
+            if !k.folded().stale {
                 return true;
             }
             report.rebuilt += 1;
-            if a.rebuild(db).is_err() {
+            if !k.rebuild(db) {
                 report.dropped += 1;
                 return false;
             }
-            if a.tables().iter().any(|t| unapplied(t)) {
-                a.mark_stale();
-            }
+            let f = k.folded_mut();
+            f.stale = f.plan.tables.iter().any(|t| unapplied(t));
             true
         });
         report
     }
 
-    /// Mark every aggregate that reads `table` stale.
-    fn mark_stale_over(&mut self, table: &str) {
-        for a in &mut self.aggregates {
-            if a.depends_on(table) {
-                a.mark_stale();
+    /// Mark every aggregate and view that reads `table` stale.
+    pub fn mark_stale_over(&mut self, table: &str) {
+        for f in self.kept.iter_mut().map(Kept::folded_mut) {
+            if f.depends_on(table) {
+                f.stale = true;
             }
         }
     }
@@ -674,9 +1054,14 @@ impl AggregateCache {
     /// `None` when none does, or when its answer is an error, which the
     /// live SQL then reports.
     pub fn try_answer(&self, cube: &str, query: &CubeQuery) -> Option<CellSet> {
-        self.aggregates
+        self.kept
             .iter()
-            .find(|a| !a.is_stale() && a.cube == cube && a.answers(query))
+            .find_map(|k| match k {
+                Kept::Aggregate(a) if !a.is_stale() && a.cube == cube && a.answers(query) => {
+                    Some(a)
+                }
+                _ => None,
+            })
             .and_then(|a| a.execute(query).ok())
     }
 }
@@ -1543,5 +1928,126 @@ mod tests {
             }
             check(&aggs, "after folds");
         }
+    }
+
+    // ------------------------------------------------ data set views
+
+    fn view_db() -> Arc<Database> {
+        let db = Arc::new(Database::new());
+        Engine::new()
+            .execute_script(
+                &db,
+                "CREATE TABLE dim (k INT, region TEXT);
+                 INSERT INTO dim VALUES (1, 'EU'), (2, 'US'), (3, 'EU'), (NULL, 'none');
+                 CREATE TABLE f (id INT, k INT, amount INT, tag TEXT);
+                 INSERT INTO f VALUES (1, 1, 10, 'a'), (2, 2, 20, 'b'), (3, NULL, 30, 'a');",
+            )
+            .unwrap();
+        db
+    }
+
+    #[test]
+    fn a_view_refuses_each_clause_it_cannot_keep() {
+        let db = view_db();
+        for (sql, clause) in [
+            ("SELECT k, COUNT(*) FROM f WHERE amount > 1 GROUP BY k ORDER BY k", "WHERE"),
+            (
+                "SELECT d.region, COUNT(*) FROM f LEFT JOIN dim d ON f.k = d.k \
+                 GROUP BY d.region ORDER BY d.region",
+                "LEFT JOIN",
+            ),
+            (
+                "SELECT k, COUNT(DISTINCT tag) FROM f GROUP BY k ORDER BY k",
+                "DISTINCT aggregate",
+            ),
+            ("SELECT COUNT(*), SUM(amount) FROM f", "no GROUP BY"),
+            ("SELECT id, amount FROM f ORDER BY id", "no GROUP BY"),
+            (
+                "SELECT k, tag, SUM(amount) FROM f GROUP BY k, tag ORDER BY k",
+                "ORDER BY",
+            ),
+            (
+                "SELECT k, SUM(amount) FROM f GROUP BY k ORDER BY SUM(amount)",
+                "ORDER BY",
+            ),
+            ("SELECT k, SUM(amount) FROM f GROUP BY k", "ORDER BY"),
+            (
+                "SELECT k % 2, COUNT(*) FROM f GROUP BY k % 2 ORDER BY k % 2",
+                "GROUP BY expression",
+            ),
+            (
+                "SELECT k, SUM(amount * 2) FROM f GROUP BY k ORDER BY k",
+                "aggregate over an expression",
+            ),
+            (
+                "SELECT d.region, COUNT(*) FROM f JOIN dim d ON f.k = d.k AND d.region <> 'x' \
+                 GROUP BY d.region ORDER BY d.region",
+                "join condition",
+            ),
+            (
+                "SELECT g.tag, COUNT(*) FROM f JOIN f g ON f.id = g.id GROUP BY g.tag ORDER BY g.tag",
+                "self-join",
+            ),
+            ("SELECT k FROM nowhere GROUP BY k ORDER BY k", "nowhere"),
+        ] {
+            let refused = DatasetView::build(&db, "d", sql).unwrap_err();
+            assert!(refused.contains(clause), "{sql}: {refused}");
+        }
+    }
+
+    /// A view answers what its SQL does: built, after a fold of a
+    /// multi-row insert with a NULL and an unmatched key, and after its
+    /// rebuild over a dimension whose columns moved.
+    #[test]
+    fn a_view_answers_its_sql_through_the_plan_above_its_aggregation() {
+        let db = view_db();
+        let engine = Engine::new();
+        let sqls = [
+            "SELECT d.region, COUNT(*) AS n, SUM(f.amount) AS s, AVG(f.amount) AS m, \
+             MIN(f.tag) AS lo, MAX(d.k) AS hi FROM f JOIN dim d ON d.k = f.k \
+             GROUP BY d.region HAVING COUNT(*) > 0 ORDER BY d.region DESC",
+            "SELECT tag, SUM(amount) AS s, COUNT(k) * 10 AS c FROM f \
+             GROUP BY tag ORDER BY s DESC, tag LIMIT 2",
+        ];
+        let mut cache = AggregateCache::new();
+        for (i, sql) in sqls.iter().enumerate() {
+            cache.add_view(DatasetView::build(&db, &format!("v{i}"), sql).unwrap());
+        }
+        let check = |cache: &AggregateCache, when: &str| {
+            for (i, sql) in sqls.iter().enumerate() {
+                let view = cache.view(&format!("v{i}"), sql).expect(when);
+                let (columns, batch) = engine.execute_plan(&db, &view.answer().unwrap()).unwrap();
+                let live = engine.execute(&db, sql).unwrap();
+                assert_eq!(columns, live.columns, "{when}: {sql}");
+                assert_eq!(batch.to_rows(), live.rows, "{when}: {sql}");
+            }
+        };
+        check(&cache, "built");
+        let rows = vec![
+            vec![4.into(), 3.into(), 7.into(), "c".into()],
+            vec![5.into(), Value::Null, 8.into(), "a".into()],
+            vec![6.into(), 9.into(), 9.into(), Value::Null],
+        ];
+        for row in &rows {
+            db.insert("f", row.clone()).unwrap();
+        }
+        let insert = TableDelta::Insert {
+            table: "f".into(),
+            rows,
+        };
+        let r = cache.apply_deltas(&db, vec![insert], |_| false);
+        assert_eq!((r.folded, r.rebuilt, r.dropped), (2, 0, 0));
+        check(&cache, "after a fold");
+        Engine::new()
+            .execute_script(
+                &db,
+                "DROP TABLE dim; CREATE TABLE dim (region TEXT, k INT);
+                 INSERT INTO dim VALUES ('APAC', 1), ('US', 3);",
+            )
+            .unwrap();
+        let replaced = ["dim", "dim"].map(|t| TableDelta::Mutate { table: t.into() });
+        let r = cache.apply_deltas(&db, replaced.to_vec(), |_| false);
+        assert_eq!((r.folded, r.rebuilt, r.dropped), (0, 1, 0));
+        check(&cache, "after the dimension moved its columns");
     }
 }

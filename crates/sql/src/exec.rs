@@ -30,7 +30,7 @@ use odbis_storage::{
 };
 
 use crate::accumulator::Accumulator;
-use crate::ast::{AggFunc, JoinKind};
+use crate::ast::JoinKind;
 use crate::error::{SqlError, SqlResult};
 use crate::expr::{keep_mask, truth, BExpr};
 use crate::plan::{equi_pairs, AggExpr, Plan, PlanNode};
@@ -827,13 +827,13 @@ fn join_rows(
 /// Running hash-aggregation state: group key → (first-seen order,
 /// one accumulator per aggregate).
 struct GroupState {
-    groups: HashMap<Vec<Value>, (usize, Vec<Accumulator>)>,
+    groups: FastMap<Vec<Value>, (usize, Vec<Accumulator>)>,
 }
 
 impl GroupState {
     fn new() -> Self {
         GroupState {
-            groups: HashMap::new(),
+            groups: FastMap::default(),
         }
     }
 
@@ -1192,6 +1192,12 @@ impl DenseGroups {
     }
 }
 
+/// A morsel of fewer rows than this that no [`DenseGroups`] run is open
+/// for takes the generic path: a dense run's dictionaries and code maps
+/// cost more to set up than hashing a few keys does, and a materialized
+/// aggregate folds most inserts as a morsel of one row.
+const DENSE_MIN_ROWS: usize = 64;
+
 /// Fold one worker's morsels into a [`GroupState`] (the partial phase of
 /// two-phase aggregation). Group keys and aggregate arguments are evaluated
 /// as whole columns per morsel; while the group columns stay typed and
@@ -1199,8 +1205,9 @@ impl DenseGroups {
 /// morsels and becomes a `GroupState` once, at the end. A morsel whose
 /// group columns have another layout closes that run (first-seen order is
 /// kept: earlier runs merge first) and either starts the next one or, for
-/// `Float`/`Mixed` keys, DISTINCT aggregates and global aggregates, takes
-/// the generic `Vec<Value>` hash path.
+/// `Float`/`Mixed` keys, DISTINCT aggregates, global aggregates and
+/// morsels under [`DENSE_MIN_ROWS`] rows, takes the generic `Vec<Value>`
+/// hash path.
 fn aggregate_chunk(
     chunk: &[Batch],
     group_exprs: &[BExpr],
@@ -1223,8 +1230,10 @@ fn aggregate_chunk(
             if let Some(run) = dense.take() {
                 state.merge(run.into_state());
             }
-            dense = DenseGroups::for_columns(&group_cols, aggs);
-            gids = dense.as_mut().and_then(|d| d.group_ids(&group_cols));
+            if input.num_rows() >= DENSE_MIN_ROWS {
+                dense = DenseGroups::for_columns(&group_cols, aggs);
+                gids = dense.as_mut().and_then(|d| d.group_ids(&group_cols));
+            }
         }
         if let (Some(run), Some(gids)) = (&mut dense, gids) {
             run.fold(&gids, &arg_cols, aggs);
@@ -1250,24 +1259,18 @@ fn aggregate_chunk(
 }
 
 /// The partial phase of a `GROUP BY` over the first `keys` columns of
-/// `batches`, with column `keys + i` folded into a `funcs[i]` accumulator
-/// per group: the kernel each worker of a SQL aggregation runs, for a
-/// caller that keeps the groups itself. Each group's key and
-/// accumulators, in the order the groups were first seen.
+/// `batches`, with one accumulator per group for each of `aggs`, whose
+/// arguments are bound over the batches' columns: the kernel each worker
+/// of a SQL aggregation runs, for a caller that keeps the groups itself.
+/// Each group's key and accumulators, in the order the groups were first
+/// seen.
 pub fn aggregate_columns(
     batches: &[Batch],
     keys: usize,
-    funcs: &[AggFunc],
+    aggs: &[AggExpr],
 ) -> SqlResult<impl Iterator<Item = (Vec<Value>, Vec<Accumulator>)>> {
     let group_exprs: Vec<BExpr> = (0..keys).map(BExpr::Column).collect();
-    let aggs: Vec<AggExpr> = (funcs.iter().zip(keys..))
-        .map(|(&func, c)| AggExpr {
-            func,
-            arg: Some(BExpr::Column(c)),
-            distinct: false,
-        })
-        .collect();
-    Ok(aggregate_chunk(batches, &group_exprs, &aggs)?.into_ordered())
+    Ok(aggregate_chunk(batches, &group_exprs, aggs)?.into_ordered())
 }
 
 /// Fold one aggregate's argument column into its per-group accumulators.
@@ -1300,7 +1303,7 @@ fn accumulate_column(gids: &[u32], col: &ColumnVec, accs: &mut [Accumulator]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::BinOp;
+    use crate::ast::{AggFunc, BinOp};
     use crate::plan::PlanCol;
 
     fn values(rows: Vec<Vec<Value>>) -> Plan {
@@ -1480,8 +1483,9 @@ mod tests {
         assert!(DenseGroups::for_columns(&with_float, &[]).is_none());
     }
 
-    /// A dense run, a generic morsel and a second dense run: the groups
-    /// come out in the order they were first seen.
+    /// A dense run, a generic morsel and a second dense run (each dense
+    /// morsel holds [`DENSE_MIN_ROWS`] rows): the groups come out in the
+    /// order they were first seen.
     #[test]
     fn aggregate_columns_yields_groups_in_first_seen_order() {
         let batch = |keys: Vec<Value>| {
@@ -1492,23 +1496,32 @@ mod tests {
             ])
             .unwrap()
         };
-        let ints = |v: &[i64]| batch(v.iter().map(|&i| Value::Int(i)).collect());
+        // `v`, then `pad` until the morsel is big enough to run dense
+        let ints = |v: &[i64], pad: i64| {
+            let padded = v.iter().copied().chain(std::iter::repeat(pad));
+            batch(padded.take(DENSE_MIN_ROWS).map(Value::Int).collect())
+        };
         let batches = [
-            ints(&[5, 1, 5, 9, 1]),
+            ints(&[5, 1, 5, 9], 1),
             batch(vec![Value::Int(7), "x".into()]),
-            ints(&[1, 8]),
+            ints(&[1, 8], 8),
         ];
-        let groups: Vec<(Value, Value)> = aggregate_columns(&batches, 1, &[AggFunc::Count])
+        let count = AggExpr {
+            func: AggFunc::Count,
+            arg: Some(BExpr::Column(1)),
+            distinct: false,
+        };
+        let groups: Vec<(Value, Value)> = aggregate_columns(&batches, 1, &[count])
             .unwrap()
             .map(|(key, accs)| (key[0].clone(), accs[0].finish().unwrap()))
             .collect();
         let expected: Vec<(Value, Value)> = [
             (Value::Int(5), 2),
-            (Value::Int(1), 3),
+            (Value::Int(1), DENSE_MIN_ROWS as i64 - 3 + 1),
             (Value::Int(9), 1),
             (Value::Int(7), 1),
             ("x".into(), 1),
-            (Value::Int(8), 1),
+            (Value::Int(8), DENSE_MIN_ROWS as i64 - 1),
         ]
         .into_iter()
         .map(|(k, n)| (k, Value::Int(n)))

@@ -131,38 +131,34 @@ impl QueryResult {
     }
 }
 
-/// Warehouse tables a SQL text reads or writes, in first-mention order
-/// (lower-cased, deduplicated). Used by the streaming layer to key watch
-/// subscriptions: a dataset's watchers wake when any of its referenced
-/// tables changes. Errors if the text does not parse.
-pub fn referenced_tables(sql: &str) -> SqlResult<Vec<String>> {
-    let mut out: Vec<String> = Vec::new();
+/// Append the tables `stmt` reads or writes to `out`, lower-cased, each
+/// once, in first-mention order. The Meta-Data Service keeps a data set's
+/// tables from the statement it parses at definition, so a watch on the
+/// set wakes when any of them changes without parsing its SQL again.
+pub fn statement_tables(stmt: &Statement, out: &mut Vec<String>) {
     let mut push = |name: &str| {
         let lower = name.to_ascii_lowercase();
         if !out.contains(&lower) {
             out.push(lower);
         }
     };
-    for stmt in parse_script(sql)? {
-        match &stmt {
-            Statement::Select(sel) => {
-                if let Some(t) = &sel.from {
-                    push(&t.table);
-                }
-                for j in &sel.joins {
-                    push(&j.table.table);
-                }
+    match stmt {
+        Statement::Select(sel) => {
+            if let Some(t) = &sel.from {
+                push(&t.table);
             }
-            Statement::CreateTable { name, .. }
-            | Statement::DropTable { name, .. }
-            | Statement::Insert { table: name, .. }
-            | Statement::Update { table: name, .. }
-            | Statement::Delete { table: name, .. }
-            | Statement::CreateIndex { table: name, .. }
-            | Statement::DropIndex { table: name, .. } => push(name),
+            for j in &sel.joins {
+                push(&j.table.table);
+            }
         }
+        Statement::CreateTable { name, .. }
+        | Statement::DropTable { name, .. }
+        | Statement::Insert { table: name, .. }
+        | Statement::Update { table: name, .. }
+        | Statement::Delete { table: name, .. }
+        | Statement::CreateIndex { table: name, .. }
+        | Statement::DropIndex { table: name, .. } => push(name),
     }
-    Ok(out)
 }
 
 /// The SQL engine. Stateless apart from configuration; cheap to clone.
@@ -368,6 +364,20 @@ impl Engine {
         let columns: Vec<String> = plan.schema.iter().map(|c| c.name.clone()).collect();
         let batch = exec::run_columnar(db, &plan, self.parallelism)?;
         Ok((columns, batch))
+    }
+
+    /// Execute a plan that is already bound, as it stands: no planning and
+    /// no optimizing. Returns its output column names and its columnar
+    /// result. A data set served from a view runs the operators above its
+    /// aggregation this way, over the view's rows
+    /// ([`plan::Plan::with_aggregate_rows`]).
+    pub fn execute_plan(
+        &self,
+        db: &Database,
+        plan: &plan::Plan,
+    ) -> SqlResult<(Vec<String>, Batch)> {
+        let columns = plan.schema.iter().map(|c| c.name.clone()).collect();
+        Ok((columns, exec::run_columnar(db, plan, self.parallelism)?))
     }
 
     /// Produce the optimized plan for a `SELECT`, rendered as text.
@@ -995,21 +1005,23 @@ mod tests {
     }
 
     #[test]
-    fn referenced_tables_walks_statements() {
+    fn statement_tables_walks_statements() {
+        let tables = |sql: &str| {
+            let mut out = Vec::new();
+            for stmt in parse_script(sql).unwrap() {
+                statement_tables(&stmt, &mut out);
+            }
+            out
+        };
         assert_eq!(
-            referenced_tables("SELECT e.name, d.name FROM emp e JOIN dept d ON e.dept_id = d.id")
-                .unwrap(),
+            tables("SELECT e.name, d.name FROM emp e JOIN dept d ON e.dept_id = d.id"),
             vec!["emp", "dept"]
         );
         assert_eq!(
-            referenced_tables("INSERT INTO Emp VALUES (1); DELETE FROM emp").unwrap(),
+            tables("INSERT INTO Emp VALUES (1); DELETE FROM emp"),
             vec!["emp"]
         );
-        assert_eq!(
-            referenced_tables("SELECT 1 + 1").unwrap(),
-            Vec::<String>::new()
-        );
-        assert!(referenced_tables("NOT SQL AT ALL").is_err());
+        assert_eq!(tables("SELECT 1 + 1"), Vec::<String>::new());
     }
 
     #[test]

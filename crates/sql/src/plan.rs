@@ -139,6 +139,49 @@ pub fn equi_pairs(on: &BExpr, l_arity: usize) -> (Vec<(usize, usize)>, Option<BE
 }
 
 impl Plan {
+    /// This plan with its aggregation answered by `rows`: the `Aggregate`
+    /// node at the bottom of its chain of single-input operators becomes a
+    /// `Values` leaf of the aggregate's schema holding `rows`, one per
+    /// group, its keys then its aggregates. The operators above it are
+    /// cloned; nothing below it is. `None` when the chain ends elsewhere.
+    pub fn with_aggregate_rows(&self, rows: Vec<Vec<Value>>) -> Option<Plan> {
+        let node = match &self.node {
+            PlanNode::Aggregate { .. } => PlanNode::Values { rows },
+            PlanNode::Filter { input, predicate } => PlanNode::Filter {
+                input: Box::new(input.with_aggregate_rows(rows)?),
+                predicate: predicate.clone(),
+            },
+            PlanNode::Project { input, exprs } => PlanNode::Project {
+                input: Box::new(input.with_aggregate_rows(rows)?),
+                exprs: exprs.clone(),
+            },
+            PlanNode::Sort { input, keys } => PlanNode::Sort {
+                input: Box::new(input.with_aggregate_rows(rows)?),
+                keys: keys.clone(),
+            },
+            PlanNode::Distinct { input } => PlanNode::Distinct {
+                input: Box::new(input.with_aggregate_rows(rows)?),
+            },
+            PlanNode::Limit {
+                input,
+                limit,
+                offset,
+            } => PlanNode::Limit {
+                input: Box::new(input.with_aggregate_rows(rows)?),
+                limit: *limit,
+                offset: *offset,
+            },
+            PlanNode::TableScan { .. }
+            | PlanNode::IndexScan { .. }
+            | PlanNode::Join { .. }
+            | PlanNode::Values { .. } => return None,
+        };
+        Some(Plan {
+            node,
+            schema: self.schema.clone(),
+        })
+    }
+
     /// Render the plan as an indented tree (the `EXPLAIN` output).
     pub fn explain(&self) -> String {
         let mut out = String::new();
