@@ -2172,17 +2172,19 @@ mod view_tests {
             .collect()
     }
 
+    /// Each definition's span records its verdict: `view`, or the clause
+    /// that refuses one.
     #[test]
     fn eligible_datasets_are_registered_as_views_and_the_rest_run_their_plan() {
         let (p, _) = boot();
-        let ws = p.workspace("acme").unwrap();
-        let cache = ws.agg_cache.read();
-        assert!(cache.view("by_region", BY_REGION).is_some());
-        assert!(cache.view("top", TOP).is_some());
-        assert!(cache.view("late", "").is_none());
+        let verdicts: Vec<String> = (p.admin.telemetry.recent_spans().into_iter())
+            .filter(|s| s.operation == "dataset.define")
+            .map(|s| s.detail)
+            .collect();
+        assert_eq!(verdicts, ["by_region: view", "top: view", "late: WHERE"]);
         // a view answers only the SQL it was built from
-        assert!(cache.view("top", BY_REGION).is_none());
-        assert_eq!(cache.len(), 2);
+        let ws = p.workspace("acme").unwrap();
+        assert!(ws.agg_cache.read().view("top", BY_REGION).is_none());
     }
 
     /// A warm tile is a view read: an `olap`/`view.read` child of the
@@ -2208,6 +2210,7 @@ mod view_tests {
                 .expect("view.read span");
             assert_eq!(view.parent_id, Some(root.span_id), "{name}");
             assert_eq!(view.rows, 2, "{name}");
+            assert_eq!(view.detail, "by_region", "{name}");
             assert!(!spans(&p).iter().any(|(s, _)| *s == "sql"), "{name}");
         }
         p.admin.telemetry.reset();

@@ -47,8 +47,8 @@ use std::sync::Arc;
 use odbis_sql::ast::{JoinKind, Statement};
 use odbis_sql::plan::{equi_pairs, AggExpr, Plan, PlanNode};
 use odbis_sql::{
-    aggregate_columns, par_chunks, planner, Accumulator, BExpr, Engine, FastHasher, JoinTable,
-    SqlError, SqlResult,
+    aggregate_columns, finish_groups, par_chunks, planner, Accumulator, BExpr, Engine, FastHasher,
+    JoinTable, SqlError, SqlResult,
 };
 use odbis_storage::{Batch, Database, DbError, Schema, Value};
 
@@ -808,7 +808,7 @@ impl std::ops::AddAssign for DeltaReport {
 
 /// A data set kept as a view: the groups of its SQL's GROUP BY, folded
 /// over the warehouse's deltas exactly as a [`MaterializedAggregate`]'s
-/// cells are, beside its bound plan. A read finishes the cells as rows in
+/// cells are, beside its bound plan. A read finishes the cells as columns in
 /// place of the plan's `Aggregate` node ([`Self::answer`]) and runs the
 /// operators above it — HAVING, the projection, ORDER BY, LIMIT — through
 /// the SQL executor.
@@ -856,22 +856,15 @@ impl DatasetView {
         self.folded.stale = true;
     }
 
-    /// The data set's plan with the view's groups, finished, as the rows of
-    /// a `Values` leaf in place of its `Aggregate` node
-    /// ([`Plan::with_aggregate_rows`]): what is left to run is the plan
+    /// The data set's plan with the view's groups, finished into columns,
+    /// as the batch of a `Values` leaf in place of its `Aggregate` node
+    /// ([`Plan::with_aggregate_batch`]): what is left to run is the plan
     /// above its aggregation. A group whose aggregate the SQL refuses (SUM
     /// over TEXT) is the SQL's error.
     pub fn answer(&self) -> SqlResult<Plan> {
-        let mut rows = Vec::with_capacity(self.folded.cells.len());
-        for (key, accs) in &self.folded.cells {
-            let mut row = Vec::with_capacity(key.len() + accs.len());
-            row.extend_from_slice(key);
-            for acc in accs {
-                row.push(acc.finish()?);
-            }
-            rows.push(row);
-        }
-        (self.plan.with_aggregate_rows(rows))
+        let plan = &self.folded.plan;
+        let batch = finish_groups(&self.folded.cells, (plan.axes.len(), plan.aggs.len()))?;
+        (self.plan.with_aggregate_batch(batch))
             .ok_or_else(|| SqlError::Bind(format!("view {} has no aggregation", self.name)))
     }
 }

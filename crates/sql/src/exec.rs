@@ -9,16 +9,20 @@
 //! morsels into row-index pairs and materialise the output late with
 //! [`Batch::gather`], and aggregation runs two-phase (one partial state per
 //! worker, alive across all of that worker's morsels, merged in worker
-//! order). The calling thread is the pool's first worker, so with one
+//! order) and finishes its groups into columns. Sorts and top-k permute row
+//! indices over the typed sort-key columns and gather once. The calling
+//! thread is the pool's first worker, so with one
 //! worker the pool runs inline: the serial executor is this same walker at
 //! `threads = 1`, and every parallel operator reproduces the serial output
 //! ordering exactly. [`run`] is the
 //! row-at-a-time interpreter over `Vec<Vec<Value>>`, reachable only through
 //! [`crate::Engine::with_row_execution`]: the differential suites use it as
-//! their oracle. Sorts, DISTINCT and top-k (which run on post-aggregate row
-//! counts), index probes and the no-equi-key nested-loop join pivot to rows
-//! at their boundary and share row-level kernels with the oracle.
+//! their oracle, and it keeps its own row sort and top-k heap to check the
+//! index sort against. DISTINCT, index probes and the no-equi-key
+//! nested-loop join pivot to rows at their boundary and share row-level
+//! kernels with the oracle.
 
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
@@ -160,7 +164,7 @@ pub fn run(db: &Database, plan: &Plan) -> SqlResult<Vec<Vec<Value>>> {
             let start = (*offset).min(rows.len());
             Ok(rows[start..end.max(start)].to_vec())
         }
-        PlanNode::Values { rows } => Ok(rows.clone()),
+        PlanNode::Values { batch } => Ok(batch.to_rows()),
     }
 }
 
@@ -233,14 +237,13 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
         } => {
             let morsels = exec_morsels(db, input, threads)?;
             let state = parallel_aggregate(morsels, group_exprs, aggs, threads)?;
-            let rows = state.finish(group_exprs, aggs)?;
-            Ok(vec![Batch::from_rows(arity, rows)?])
+            Ok(vec![state.finish(group_exprs, aggs)?])
         }
         PlanNode::Sort { input, keys } => {
             let morsels = exec_morsels(db, input, threads)?;
-            let mut rows = Batch::concat(input.schema.len(), &morsels)?.to_rows();
-            sort_rows(&mut rows, keys);
-            Ok(vec![Batch::from_rows(arity, rows)?])
+            let batch = Batch::concat(input.schema.len(), &morsels)?;
+            let order = SortKeys::new(&batch, keys)?.sorted();
+            Ok(vec![batch.gather(&order)])
         }
         PlanNode::Distinct { input } => {
             // Whole-row dedup keeps first occurrences: inherently ordered,
@@ -270,10 +273,10 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
             ) = (&input.node, limit)
             {
                 let morsels = exec_morsels(db, sort_input, threads)?;
-                let rows = Batch::concat(sort_input.schema.len(), &morsels)?.to_rows();
-                let top = top_k(rows, keys, offset.saturating_add(*l));
-                let out: Vec<Vec<Value>> = top.into_iter().skip(*offset).collect();
-                return Ok(vec![Batch::from_rows(arity, out)?]);
+                let batch = Batch::concat(sort_input.schema.len(), &morsels)?;
+                let mut top = SortKeys::new(&batch, keys)?.top(offset.saturating_add(*l));
+                top.drain(..(*offset).min(top.len()));
+                return Ok(vec![batch.gather(&top)]);
             }
             let morsels = exec_morsels(db, input, threads)?;
             let batch = Batch::concat(input.schema.len(), &morsels)?;
@@ -298,7 +301,7 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
                 Some(pred) => batch.filter(&keep_mask(pred, &batch)?),
             }])
         }
-        PlanNode::Values { rows } => Ok(vec![Batch::from_rows(arity, rows.clone())?]),
+        PlanNode::Values { batch } => Ok(vec![batch.clone()]),
     }
 }
 
@@ -688,15 +691,15 @@ fn parallel_aggregate(
 }
 
 /// Compare two rows on the given `(column, descending)` sort keys.
-fn compare_rows(a: &[Value], b: &[Value], keys: &[(usize, bool)]) -> std::cmp::Ordering {
+fn compare_rows(a: &[Value], b: &[Value], keys: &[(usize, bool)]) -> Ordering {
     for (k, desc) in keys {
         let ord = a[*k].cmp_total(&b[*k]);
         let ord = if *desc { ord.reverse() } else { ord };
-        if ord != std::cmp::Ordering::Equal {
+        if ord != Ordering::Equal {
             return ord;
         }
     }
-    std::cmp::Ordering::Equal
+    Ordering::Equal
 }
 
 fn sort_rows(rows: &mut [Vec<Value>], keys: &[(usize, bool)]) {
@@ -716,18 +719,18 @@ fn top_k(rows: Vec<Vec<Value>>, keys: &[(usize, bool)], k: usize) -> Vec<Vec<Val
         keys: &'a [(usize, bool)],
     }
     impl Ord for Entry<'_> {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        fn cmp(&self, other: &Self) -> Ordering {
             compare_rows(&self.row, &other.row, self.keys).then(self.seq.cmp(&other.seq))
         }
     }
     impl PartialOrd for Entry<'_> {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
             Some(self.cmp(other))
         }
     }
     impl PartialEq for Entry<'_> {
         fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == std::cmp::Ordering::Equal
+            self.cmp(other) == Ordering::Equal
         }
     }
     impl Eq for Entry<'_> {}
@@ -740,6 +743,84 @@ fn top_k(rows: Vec<Vec<Value>>, keys: &[(usize, bool)], k: usize) -> Vec<Vec<Val
         }
     }
     heap.into_sorted_vec().into_iter().map(|e| e.row).collect()
+}
+
+/// A batch's sort keys, compared where they lie: a comparison reads two
+/// rows' cells from their typed key columns, and a sort moves `u32` row
+/// indices, never rows, so one [`Batch::gather`] of the indices is the
+/// sorted batch. The order is [`compare_rows`]' exactly: NULLs first,
+/// floats by `total_cmp`, `Mixed` cells by [`Value::cmp_total`], each key
+/// reversed when descending.
+struct SortKeys<'a> {
+    keys: Vec<(&'a ColumnVec, bool)>,
+    rows: u32,
+}
+
+impl<'a> SortKeys<'a> {
+    /// The `(column, descending)` keys of `batch`.
+    fn new(batch: &'a Batch, keys: &[(usize, bool)]) -> SqlResult<Self> {
+        let rows = u32::try_from(batch.num_rows())
+            .ok()
+            .filter(|&n| n < NULL_ROW)
+            .ok_or_else(|| SqlError::Eval("sort input exceeds the 32-bit row index".into()))?;
+        Ok(SortKeys {
+            keys: keys
+                .iter()
+                .map(|&(c, desc)| (&**batch.column(c), desc))
+                .collect(),
+            rows,
+        })
+    }
+
+    fn cmp(&self, a: u32, b: u32) -> Ordering {
+        for &(col, desc) in &self.keys {
+            let ord = cmp_cells(col, a as usize, b as usize);
+            if ord != Ordering::Equal {
+                return if desc { ord.reverse() } else { ord };
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// Every row index, in the order of a stable sort by the keys.
+    fn sorted(&self) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.rows).collect();
+        order.sort_by(|&a, &b| self.cmp(a, b));
+        order
+    }
+
+    /// The first `k` indices of [`Self::sorted`], by selection: with the
+    /// row position as the last key the order is total, so the `k` least
+    /// indices are the stable sort's prefix, and only they are sorted.
+    fn top(&self, k: usize) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..self.rows).collect();
+        let by_key = |a: &u32, b: &u32| self.cmp(*a, *b).then(a.cmp(b));
+        if k < order.len() {
+            order.select_nth_unstable_by(k, by_key);
+            order.truncate(k);
+        }
+        order.sort_unstable_by(by_key);
+        order
+    }
+}
+
+/// [`Value::cmp_total`] of rows `i` and `j` of `col`, read from its raw
+/// data.
+fn cmp_cells(col: &ColumnVec, i: usize, j: usize) -> Ordering {
+    if let Some(nulls) = col.nulls() {
+        match (nulls[i], nulls[j]) {
+            (false, false) => {}
+            (a, b) => return b.cmp(&a),
+        }
+    }
+    match col.data() {
+        ColumnData::Int(v) | ColumnData::Timestamp(v) => v[i].cmp(&v[j]),
+        ColumnData::Float(v) => v[i].total_cmp(&v[j]),
+        ColumnData::Text(v) => v[i].cmp(&v[j]),
+        ColumnData::Date(v) => v[i].cmp(&v[j]),
+        ColumnData::Bool(v) => v[i].cmp(&v[j]),
+        ColumnData::Mixed(v) => v[i].cmp_total(&v[j]),
+    }
 }
 
 fn join(
@@ -870,23 +951,18 @@ impl GroupState {
         }
     }
 
-    fn finish(self, group_exprs: &[BExpr], aggs: &[AggExpr]) -> SqlResult<Vec<Vec<Value>>> {
+    /// The groups, finished into columns ([`finish_groups`]).
+    fn finish(self, group_exprs: &[BExpr], aggs: &[AggExpr]) -> SqlResult<Batch> {
+        let width = (group_exprs.len(), aggs.len());
         // Global aggregation over an empty input still yields one row.
         if group_exprs.is_empty() && self.groups.is_empty() {
-            let row = aggs
+            let accs: Vec<Accumulator> = aggs
                 .iter()
-                .map(|a| Accumulator::new(a.func, a.distinct).finish())
-                .collect::<SqlResult<_>>()?;
-            return Ok(vec![row]);
+                .map(|a| Accumulator::new(a.func, a.distinct))
+                .collect();
+            return finish_groups(std::iter::once((Vec::new(), accs)), width);
         }
-        let mut out = Vec::with_capacity(self.groups.len());
-        for (mut row, accs) in self.into_ordered() {
-            for acc in &accs {
-                row.push(acc.finish()?);
-            }
-            out.push(row);
-        }
-        Ok(out)
+        finish_groups(self.into_ordered(), width)
     }
 
     /// Each group's key and accumulators, in first-seen order.
@@ -895,6 +971,39 @@ impl GroupState {
         groups.sort_unstable_by_key(|(_, (ord, _))| *ord);
         groups.into_iter().map(|(key, (_, accs))| (key, accs))
     }
+}
+
+/// Finish `(key, accumulators)` groups into a batch of `keys` key columns
+/// then `aggs` aggregate columns, one row per group in the order given:
+/// each value goes straight into its column, and no row is built. A column
+/// is typed by [`ColumnVec::from_values`], so it is `Mixed` when its values
+/// come out with more than one type (a SUM that went inexact in some
+/// groups). A group whose aggregate fails to finish (SUM over TEXT) is the
+/// error.
+pub fn finish_groups<K, A>(
+    groups: impl IntoIterator<Item = (K, A)>,
+    (keys, aggs): (usize, usize),
+) -> SqlResult<Batch>
+where
+    K: AsRef<[Value]>,
+    A: AsRef<[Accumulator]>,
+{
+    let mut cols: Vec<Vec<Value>> = vec![Vec::new(); keys + aggs];
+    let mut rows = 0;
+    for (key, accs) in groups {
+        let (key_cols, agg_cols) = cols.split_at_mut(keys);
+        for (col, v) in key_cols.iter_mut().zip(key.as_ref()) {
+            col.push(v.clone());
+        }
+        for (col, acc) in agg_cols.iter_mut().zip(accs.as_ref()) {
+            col.push(acc.finish()?);
+        }
+        rows += 1;
+    }
+    let cols = cols
+        .into_iter()
+        .map(|c| Arc::new(ColumnVec::from_values(c)));
+    Ok(Batch::new(cols.collect(), rows)?)
 }
 
 /// Add one row's argument to an accumulator: `None` is `COUNT(*)`'s.
@@ -925,7 +1034,7 @@ fn aggregate(
             add_arg(acc, arg.as_ref());
         }
     }
-    state.finish(group_exprs, aggs)
+    Ok(state.finish(group_exprs, aggs)?.to_rows())
 }
 
 /// The workspace's hasher for the executor's group tables and join build
@@ -1309,7 +1418,9 @@ mod tests {
     fn values(rows: Vec<Vec<Value>>) -> Plan {
         let arity = rows.first().map_or(0, Vec::len);
         Plan {
-            node: PlanNode::Values { rows },
+            node: PlanNode::Values {
+                batch: Batch::from_rows(arity, rows).unwrap(),
+            },
             schema: (0..arity)
                 .map(|c| PlanCol::unqualified(format!("c{c}")))
                 .collect(),

@@ -39,7 +39,7 @@ pub mod planner;
 
 pub use accumulator::Accumulator;
 pub use error::{SqlError, SqlResult};
-pub use exec::{aggregate_columns, par_chunks, FastHasher, JoinTable};
+pub use exec::{aggregate_columns, finish_groups, par_chunks, FastHasher, JoinTable};
 pub use expr::{like_match, BExpr};
 pub use functions::{cast_value, ScalarFunc};
 pub use parser::{parse, parse_script};
@@ -369,8 +369,8 @@ impl Engine {
     /// Execute a plan that is already bound, as it stands: no planning and
     /// no optimizing. Returns its output column names and its columnar
     /// result. A data set served from a view runs the operators above its
-    /// aggregation this way, over the view's rows
-    /// ([`plan::Plan::with_aggregate_rows`]).
+    /// aggregation this way, over the view's groups as columns
+    /// ([`plan::Plan::with_aggregate_batch`]).
     pub fn execute_plan(
         &self,
         db: &Database,

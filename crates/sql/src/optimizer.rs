@@ -539,7 +539,7 @@ fn estimate_rows(plan: &Plan, db: &Database) -> usize {
         }
         PlanNode::Aggregate { input, .. } => estimate_rows(input, db) / 2 + 1,
         PlanNode::Join { left, right, .. } => estimate_rows(left, db).max(estimate_rows(right, db)),
-        PlanNode::Values { rows } => rows.len(),
+        PlanNode::Values { batch } => batch.num_rows(),
     }
 }
 

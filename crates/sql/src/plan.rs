@@ -1,6 +1,6 @@
 //! Logical/physical query plans.
 
-use odbis_storage::Value;
+use odbis_storage::{Batch, Value};
 
 use crate::ast::{AggFunc, BinOp, JoinKind};
 use crate::expr::{and_all, conjuncts, BExpr};
@@ -104,8 +104,9 @@ pub enum PlanNode {
         limit: Option<usize>,
         offset: usize,
     },
-    /// Inline constant rows (FROM-less SELECT).
-    Values { rows: Vec<Vec<Value>> },
+    /// Inline constant rows, as columns: a FROM-less SELECT's one row, or
+    /// a view's finished groups ([`Plan::with_aggregate_batch`]).
+    Values { batch: Batch },
 }
 
 /// What makes a join hash-joinable: the equi-conjuncts of `on` as pairs
@@ -139,35 +140,37 @@ pub fn equi_pairs(on: &BExpr, l_arity: usize) -> (Vec<(usize, usize)>, Option<BE
 }
 
 impl Plan {
-    /// This plan with its aggregation answered by `rows`: the `Aggregate`
+    /// This plan with its aggregation answered by `batch`: the `Aggregate`
     /// node at the bottom of its chain of single-input operators becomes a
-    /// `Values` leaf of the aggregate's schema holding `rows`, one per
-    /// group, its keys then its aggregates. The operators above it are
+    /// `Values` leaf of the aggregate's schema holding `batch`, one row per
+    /// group, its key columns then its aggregates. The executor hands the
+    /// leaf on as it is, so a view's groups reach the operators above its
+    /// aggregation as columns, never as rows. The operators above it are
     /// cloned; nothing below it is. `None` when the chain ends elsewhere.
-    pub fn with_aggregate_rows(&self, rows: Vec<Vec<Value>>) -> Option<Plan> {
+    pub fn with_aggregate_batch(&self, batch: Batch) -> Option<Plan> {
         let node = match &self.node {
-            PlanNode::Aggregate { .. } => PlanNode::Values { rows },
+            PlanNode::Aggregate { .. } => PlanNode::Values { batch },
             PlanNode::Filter { input, predicate } => PlanNode::Filter {
-                input: Box::new(input.with_aggregate_rows(rows)?),
+                input: Box::new(input.with_aggregate_batch(batch)?),
                 predicate: predicate.clone(),
             },
             PlanNode::Project { input, exprs } => PlanNode::Project {
-                input: Box::new(input.with_aggregate_rows(rows)?),
+                input: Box::new(input.with_aggregate_batch(batch)?),
                 exprs: exprs.clone(),
             },
             PlanNode::Sort { input, keys } => PlanNode::Sort {
-                input: Box::new(input.with_aggregate_rows(rows)?),
+                input: Box::new(input.with_aggregate_batch(batch)?),
                 keys: keys.clone(),
             },
             PlanNode::Distinct { input } => PlanNode::Distinct {
-                input: Box::new(input.with_aggregate_rows(rows)?),
+                input: Box::new(input.with_aggregate_batch(batch)?),
             },
             PlanNode::Limit {
                 input,
                 limit,
                 offset,
             } => PlanNode::Limit {
-                input: Box::new(input.with_aggregate_rows(rows)?),
+                input: Box::new(input.with_aggregate_batch(batch)?),
                 limit: *limit,
                 offset: *offset,
             },
@@ -298,8 +301,8 @@ impl Plan {
                 out.push_str(&format!("{pad}Limit limit={limit:?} offset={offset}\n"));
                 input.fmt_into(out, depth + 1);
             }
-            PlanNode::Values { rows } => {
-                out.push_str(&format!("{pad}Values rows={}\n", rows.len()));
+            PlanNode::Values { batch } => {
+                out.push_str(&format!("{pad}Values rows={}\n", batch.num_rows()));
             }
         }
     }

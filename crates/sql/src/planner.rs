@@ -1,6 +1,6 @@
 //! Binder + planner + rule-based optimizer: AST → [`Plan`].
 
-use odbis_storage::Database;
+use odbis_storage::{Batch, Database};
 
 use crate::ast::{self, AggFunc, BinOp, Expr, SelectItem, SelectStmt};
 use crate::error::{SqlError, SqlResult};
@@ -285,7 +285,9 @@ impl<'a> Planner<'a> {
             ));
         }
         Ok(Plan {
-            node: PlanNode::Values { rows: vec![row] },
+            node: PlanNode::Values {
+                batch: Batch::from_rows(schema.len(), vec![row])?,
+            },
             schema,
         })
     }
@@ -401,7 +403,9 @@ impl<'a> Planner<'a> {
         let old = std::mem::replace(
             plan,
             Plan {
-                node: PlanNode::Values { rows: vec![] },
+                node: PlanNode::Values {
+                    batch: Batch::default(),
+                },
                 schema: vec![],
             },
         );

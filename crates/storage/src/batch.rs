@@ -390,8 +390,9 @@ impl ColumnVec {
 /// A columnar batch: equal-length [`ColumnVec`]s sharing one row count.
 ///
 /// Columns are reference-counted, so cloning a batch or projecting a column
-/// through an operator is O(1) per column.
-#[derive(Debug, Clone, PartialEq)]
+/// through an operator is O(1) per column. The default batch has no
+/// columns and no rows.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Batch {
     columns: Vec<Arc<ColumnVec>>,
     rows: usize,

@@ -137,7 +137,7 @@ impl Telemetry {
         self.next_span.fetch_add(1, Ordering::Relaxed)
     }
 
-    pub(crate) fn record(&self, rec: SpanRecord, detail: Option<String>, slow_ms: u64) {
+    pub(crate) fn record(&self, rec: SpanRecord, slow_ms: u64) {
         let key = MetricKey {
             tenant: rec.tenant.clone(),
             service: rec.service,
@@ -152,7 +152,7 @@ impl Telemetry {
                 tenant: rec.tenant.clone(),
                 service: rec.service,
                 operation: rec.operation.clone(),
-                detail: detail.unwrap_or_default(),
+                detail: rec.detail.clone(),
                 duration_micros: rec.duration_micros,
                 trace_id: rec.trace_id,
                 request_id: rec.request_id.clone(),

@@ -70,6 +70,10 @@ pub struct SpanRecord {
     /// The HTTP request id the span served, empty outside a request (ETL
     /// schedules, tests).
     pub request_id: String,
+    /// What the service attached with [`Span::set_detail`] (the SQL text, a
+    /// data set's name, a data set definition's view verdict), empty when
+    /// nothing was.
+    pub detail: String,
 }
 
 struct SpanInner {
@@ -84,7 +88,7 @@ struct SpanInner {
     rows: u64,
     bytes: u64,
     error: bool,
-    detail: Option<String>,
+    detail: String,
     slow_ms: u64,
 }
 
@@ -130,7 +134,7 @@ pub(crate) fn start(
         rows: 0,
         bytes: 0,
         error: false,
-        detail: None,
+        detail: String::new(),
         slow_ms,
     }))
 }
@@ -176,7 +180,7 @@ pub fn child_span(service: &'static str, operation: impl Into<String>) -> Span {
         rows: 0,
         bytes: 0,
         error: false,
-        detail: None,
+        detail: String::new(),
         slow_ms,
     }))
 }
@@ -223,10 +227,11 @@ impl Span {
         }
     }
 
-    /// Attach operation detail shown in the slow log (e.g. the SQL text).
+    /// Attach operation detail, shown in the span's record and in the slow
+    /// log (e.g. the SQL text). The last call wins.
     pub fn set_detail(&mut self, detail: &str) {
         if let Some(i) = &mut self.0 {
-            i.detail = Some(detail.to_string());
+            i.detail = detail.to_string();
         }
     }
 
@@ -266,8 +271,9 @@ impl Drop for Span {
             bytes: inner.bytes,
             error: inner.error,
             request_id: ambient_request_id().unwrap_or_default(),
+            detail: inner.detail,
         };
-        inner.telemetry.record(rec, inner.detail, inner.slow_ms);
+        inner.telemetry.record(rec, inner.slow_ms);
     }
 }
 
@@ -320,6 +326,19 @@ mod tests {
         assert_eq!(spans[0].request_id, "req-abc"); // child
         assert_eq!(spans[1].request_id, "req-abc"); // root
         assert_eq!(spans[2].request_id, ""); // outside any request
+    }
+
+    #[test]
+    fn a_record_carries_the_last_detail_set() {
+        let t = Arc::new(Telemetry::new());
+        {
+            let mut root = t.span("acme", "MDS", "dataset.define", 0);
+            root.set_detail("sales");
+            root.set_detail("sales: view");
+            let _child = child_span("olap", "view.build");
+        }
+        let details: Vec<String> = t.recent_spans().into_iter().map(|s| s.detail).collect();
+        assert_eq!(details, ["", "sales: view"]);
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //! counters the metrics endpoint serves are checked after every step: a
 //! fact insert folds into every view once and rebuilds none.
 //!
+//! Pinned steps then reach what the random mix reaches only by chance: two
+//! groups tie on the sorted measure, a measure that is NULL in some groups
+//! is sorted, and a group crosses a `LIMIT 20` boundary in each direction.
+//!
 //! One data set per clause a view refuses (WHERE, LEFT JOIN, a DISTINCT
 //! aggregate, no GROUP BY, an ORDER BY without every GROUP BY column, a
 //! source other than the warehouse) rides along: it must have no view and
@@ -42,7 +46,7 @@ const TENANT: &str = "acme";
 
 /// The data sets a view keeps: name, SQL, and the dimension tables it
 /// joins.
-const VIEWS: [(&str, &str, &[&str]); 5] = [
+const VIEWS: [(&str, &str, &[&str]); 7] = [
     (
         "by_ga",
         "SELECT d.ga, COUNT(*) AS n, SUM(f.v) AS s, AVG(f.w) AS m \
@@ -72,6 +76,16 @@ const VIEWS: [(&str, &str, &[&str]); 5] = [
         "SELECT f.b, COUNT(*) * 2 AS twice, MAX(d.ha) AS top \
          FROM f JOIN dim_a d ON f.a = d.ka GROUP BY f.b ORDER BY f.b",
         &["dim_a"],
+    ),
+    (
+        "top_20",
+        "SELECT a, SUM(v) AS s FROM f GROUP BY a ORDER BY s DESC, a LIMIT 20",
+        &[],
+    ),
+    (
+        "null_measure",
+        "SELECT b, SUM(w) AS sw, MIN(t) AS lo FROM f GROUP BY b ORDER BY sw DESC, lo, b",
+        &[],
     ),
 ];
 
@@ -428,4 +442,78 @@ fn each_refused_clause_keeps_its_data_set_on_its_plan() {
     assert_eq!(cache.len(), VIEWS.len());
     drop(cache);
     h.check("defined");
+}
+
+/// The rows of `top_20` (`a`, `s`) through the platform.
+fn top_20(h: &Harness) -> Vec<(Value, Value)> {
+    let answer = h.p.execute_dataset(TENANT, &h.token, "top_20").unwrap();
+    (answer.rows.into_iter())
+        .map(|r| (r[0].clone(), r[1].clone()))
+        .collect()
+}
+
+/// Ties on the sorted measure, a sorted measure that is NULL in some
+/// groups, and a group crossing `top_20`'s `LIMIT 20` in and out: each
+/// step is checked as a random one is, and its effect on the order is
+/// asserted.
+#[test]
+fn ties_null_measures_and_the_limit_boundary_answer_their_sql() {
+    let mut h = Harness::boot();
+    let insert = |h: &mut Harness, rows: &[(i64, &str, i64, &str)]| {
+        let values: Vec<String> = (rows.iter())
+            .map(|(a, b, v, w)| {
+                h.next_id += 1;
+                format!("({}, {a}, {b}, {v}, {w}, NULL)", h.next_id)
+            })
+            .collect();
+        h.sql(&format!("INSERT INTO f VALUES {}", values.join(", ")));
+    };
+    // 25 groups a = 100..=124 with sums 0, 10, ..., 240: a = 104 (40) is
+    // the first left out
+    let groups: Vec<(i64, &str, i64, &str)> =
+        (0..25).map(|i| (100 + i, "1", 10 * i, "1")).collect();
+    insert(&mut h, &groups);
+    h.check("25 groups");
+    let ranked = top_20(&h);
+    assert_eq!(ranked.len(), 20);
+    assert_eq!(ranked[19], (Value::Int(105), Value::Int(50)));
+
+    // a tie: a = 103 reaches a = 110's 100, and the lower key goes first
+    insert(&mut h, &[(103, "1", 70, "1")]);
+    h.check("tie on revenue");
+    let ranked = top_20(&h);
+    let tied: Vec<&Value> = (ranked.iter())
+        .filter(|(_, s)| *s == Value::Int(100))
+        .map(|(a, _)| a)
+        .collect();
+    assert_eq!(tied, [&Value::Int(103), &Value::Int(110)]);
+
+    // a tie across the cut: a = 104 reaches a = 106's 60, the twentieth
+    // sum, and only the lower key makes the cut
+    insert(&mut h, &[(104, "1", 20, "1")]);
+    h.check("tie across the LIMIT boundary");
+    let ranked = top_20(&h);
+    assert_eq!(ranked[19], (Value::Int(104), Value::Int(60)));
+    assert!(!ranked.iter().any(|(a, _)| *a == Value::Int(106)));
+
+    // in: the last group jumps to the top
+    insert(&mut h, &[(100, "1", 1_000, "1")]);
+    h.check("a group crosses into the LIMIT");
+    assert_eq!(top_20(&h)[0], (Value::Int(100), Value::Int(1_000)));
+
+    // out: the leader falls below every other group
+    insert(&mut h, &[(124, "1", -1_000, "1")]);
+    h.check("a group crosses out of the LIMIT");
+    assert!(!top_20(&h).iter().any(|(a, _)| *a == Value::Int(124)));
+
+    // NULL measures: b = 7 has only NULL w, so its SUM is NULL and sorts
+    // last under DESC; b = 8 has one w
+    insert(
+        &mut h,
+        &[(1, "7", 1, "NULL"), (2, "7", 1, "NULL"), (1, "8", 1, "3")],
+    );
+    h.check("a NULL measure is sorted");
+    let answer = (h.p.execute_dataset(TENANT, &h.token, "null_measure")).unwrap();
+    let last = answer.rows.last().unwrap();
+    assert_eq!((&last[0], &last[1]), (&Value::Int(7), &Value::Null));
 }
