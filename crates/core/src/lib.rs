@@ -36,12 +36,14 @@
 
 #![warn(missing_docs)]
 
+mod body;
 mod cluster;
 mod error;
 mod platform;
 mod watch;
 mod web_api;
 
+pub use body::{batch_csv, batch_json, cellset_json, query_json};
 pub use cluster::{Cluster, ClusterMap, ClusterNode, ClusterRoute, MigrationReport};
 pub use error::{PlatformError, PlatformResult};
 pub use platform::{OdbisPlatform, TenantWorkspace};

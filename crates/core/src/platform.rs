@@ -877,20 +877,17 @@ impl OdbisPlatform {
         })
     }
 
-    /// Execute a data set.
+    /// Execute a data set and pivot its answer to rows: the gated read of
+    /// [`OdbisPlatform::execute_dataset_batch`] plus
+    /// [`QueryResult::from_batch`].
     pub fn execute_dataset(
         &self,
         tenant: &str,
         token: &str,
         name: &str,
     ) -> PlatformResult<QueryResult> {
-        let op = (ServiceKind::Metadata, "dataset.run", "DATASET_RUN");
-        self.gate(tenant, token, op, name, |span, _, ws: Workspace| {
-            let result = ws.mds.execute_dataset(name)?;
-            span.set_rows(result.rows.len() as u64);
-            let units = 1 + result.rows.len() as u64;
-            Ok((result, units))
-        })
+        let (columns, batch) = self.execute_dataset_batch(tenant, token, name)?;
+        Ok(QueryResult::from_batch(columns, &batch))
     }
 
     /// Resolve a watch subscription for a data set: authorize the caller,
@@ -912,14 +909,15 @@ impl OdbisPlatform {
     }
 
     /// Execute a data set and return its columnar batch (no row pivot) —
-    /// the path streamed exports such as CSV downloads serialize from.
+    /// what every `GET /datasets/:name` body is written from. The one
+    /// gated data set read (`dataset.run`), metered at `1 + rows` units.
     pub fn execute_dataset_batch(
         &self,
         tenant: &str,
         token: &str,
         name: &str,
     ) -> PlatformResult<(Vec<String>, odbis_storage::Batch)> {
-        let op = (ServiceKind::Metadata, "dataset.export", "DATASET_RUN");
+        let op = (ServiceKind::Metadata, "dataset.run", "DATASET_RUN");
         self.gate(tenant, token, op, name, |span, _, ws: Workspace| {
             let (columns, batch) = ws.mds.execute_dataset_batch(name)?;
             span.set_rows(batch.num_rows() as u64);
@@ -1140,6 +1138,83 @@ impl OdbisPlatform {
         })
     }
 
+    /// The caller's tenant's metric series, as Prometheus text, labelled
+    /// `tenant="..."` (`GET /api/v1/admin/metrics`). Unmetered.
+    pub fn tenant_metrics(&self, tenant: &str, token: &str) -> PlatformResult<String> {
+        let op = (ServiceKind::Admin, "metrics.read", "ADMIN_USERS");
+        self.gate(tenant, token, op, "", |_, _, ()| {
+            Ok((self.render_metrics(Some(tenant)), 0))
+        })
+    }
+
+    /// The platform's metric families in the Prometheus text format: the
+    /// telemetry spine's, live sessions, WAL volume, aggregate maintenance
+    /// and admission verdicts. With `Some(tenant)` they are that tenant's
+    /// series, labelled `tenant="..."`; with `None` they are the node's
+    /// totals, and no series names a tenant — what the public scrape
+    /// serves.
+    pub(crate) fn render_metrics(&self, tenant: Option<&str>) -> String {
+        let mut body = self.admin.telemetry.render_prometheus(tenant);
+        // live sessions per tenant realm (expired sessions are swept on
+        // login and excluded from the count either way)
+        let sessions: Vec<(String, u64)> = (self.admin.registry().tenant_ids().into_iter())
+            .filter_map(|id| {
+                let realm = self.admin.registry().realm(&id).ok()?;
+                Some((id, realm.session_count() as u64))
+            })
+            .collect();
+        push_tenant_series(
+            &mut body,
+            "gauge",
+            &[("odbis_sessions_active", "Live sessions.", |n: &u64| *n)],
+            &sessions,
+            tenant,
+        );
+        // WAL volume per attached durable workspace, read from the log
+        // that counts it
+        push_tenant_series(
+            &mut body,
+            "counter",
+            &[
+                (
+                    "odbis_wal_appends_total",
+                    "WAL statements appended (one frame each).",
+                    |s: &WalStats| s.appends,
+                ),
+                (
+                    "odbis_wal_bytes_total",
+                    "WAL bytes appended (frames included).",
+                    |s| s.bytes,
+                ),
+            ],
+            &self.wal_stats(),
+            tenant,
+        );
+        // aggregate maintenance per workspace, summed where publications
+        // apply their deltas
+        push_tenant_series(
+            &mut body,
+            "counter",
+            &[
+                (
+                    "odbis_aggregate_folds_total",
+                    "Insert deltas folded into materialized aggregates (once per aggregate).",
+                    |r: &DeltaReport| r.folded as u64,
+                ),
+                (
+                    "odbis_aggregate_rebuilds_total",
+                    "Materialized aggregates rebuilt from the warehouse.",
+                    |r| r.rebuilt as u64,
+                ),
+            ],
+            &self.aggregate_stats(),
+            tenant,
+        );
+        // admission-control verdicts, counted at the server edge
+        body.push_str(&self.admission.render_prometheus(tenant));
+        body
+    }
+
     // ---- MDDWS -----------------------------------------------------------------
 
     /// Create a model-driven DW project in the tenant workspace.
@@ -1201,6 +1276,36 @@ impl Scope for Durable {
 impl Scope for () {
     fn lookup(_: &OdbisPlatform, _: &str) -> PlatformResult<Self> {
         Ok(())
+    }
+}
+
+/// A Prometheus family: name, help text, and how to read a tenant's
+/// sample off its stats.
+type Family<S> = (&'static str, &'static str, fn(&S) -> u64);
+
+/// Append one Prometheus family of `kind` per `(name, help, read)`: with
+/// `Some(tenant)` that tenant's sample, labelled; with `None` one
+/// unlabelled sample, the sum over every tenant.
+fn push_tenant_series<S>(
+    body: &mut String,
+    kind: &str,
+    families: &[Family<S>],
+    per_tenant: &[(String, S)],
+    tenant: Option<&str>,
+) {
+    for (name, help, read) in families {
+        body.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        match tenant {
+            None => {
+                let total: u64 = per_tenant.iter().map(|(_, s)| read(s)).sum();
+                body.push_str(&format!("{name} {total}\n"));
+            }
+            Some(t) => {
+                for (_, stats) in per_tenant.iter().filter(|(id, _)| id == t) {
+                    body.push_str(&format!("{name}{{tenant=\"{t}\"}} {}\n", read(stats)));
+                }
+            }
+        }
     }
 }
 
@@ -1888,7 +1993,7 @@ mod durability_tests {
         assert_eq!(after.wal_file_len, 0);
         // the checkpoint is metered into telemetry; the WAL counters the
         // metrics endpoint serves are the log's own
-        let prom = p.admin.telemetry.render_prometheus();
+        let prom = p.admin.telemetry.render_prometheus(Some("acme"));
         assert!(prom.contains("odbis_checkpoints_total{tenant=\"acme\"} 1"));
         let wal = p.wal_stats();
         assert_eq!(wal.len(), 1);
@@ -2193,25 +2298,29 @@ mod view_tests {
     #[test]
     fn a_warm_tile_reads_its_view_and_runs_no_sql() {
         let (p, token) = boot();
-        for (name, run) in [("dataset.run", true), ("dataset.export", false)] {
+        // both reads are the one gated read, under one operation name
+        for rows in [true, false] {
             p.admin.telemetry.reset();
-            if run {
+            if rows {
                 p.execute_dataset("acme", &token, "by_region").unwrap();
             } else {
                 p.execute_dataset_batch("acme", &token, "by_region")
                     .unwrap();
             }
             let recorded = p.admin.telemetry.recent_spans();
-            let root = (recorded.iter())
-                .find(|s| s.operation == name)
-                .expect("gate span");
+            let gated: Vec<_> = (recorded.iter())
+                .filter(|s| s.parent_id.is_none())
+                .collect();
+            assert_eq!(gated.len(), 1, "{rows}");
+            let root = gated[0];
+            assert_eq!(root.operation, "dataset.run", "{rows}");
             let view = (recorded.iter())
                 .find(|s| s.service == "olap" && s.operation == "view.read")
                 .expect("view.read span");
-            assert_eq!(view.parent_id, Some(root.span_id), "{name}");
-            assert_eq!(view.rows, 2, "{name}");
-            assert_eq!(view.detail, "by_region", "{name}");
-            assert!(!spans(&p).iter().any(|(s, _)| *s == "sql"), "{name}");
+            assert_eq!(view.parent_id, Some(root.span_id), "{rows}");
+            assert_eq!(view.rows, 2, "{rows}");
+            assert_eq!(view.detail, "by_region", "{rows}");
+            assert!(!spans(&p).iter().any(|(s, _)| *s == "sql"), "{rows}");
         }
         p.admin.telemetry.reset();
         p.execute_dataset("acme", &token, "late").unwrap();

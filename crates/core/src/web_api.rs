@@ -27,9 +27,10 @@
 //! clients.
 //!
 //! `GET /api/v1/datasets/:name` content-negotiates: `Accept: text/csv`
-//! streams the result as RFC-4180 CSV serialized straight from the
-//! columnar batch (no row pivot); JSON (the default) answers the
-//! `{"columns","rows"}` shape; any other type is a 406.
+//! answers RFC-4180 CSV, JSON (the default) the
+//! `{"columns","rows","rowsAffected"}` shape, both written straight from
+//! the columnar batch by the [`crate::body`] writers (no row pivot, no
+//! JSON tree); any other type is a 406.
 //!
 //! Errors are a uniform JSON envelope
 //! `{"error":{"kind","message","request_id"}}`; the status code comes
@@ -39,10 +40,9 @@
 
 use std::sync::Arc;
 
-use odbis_olap::DeltaReport;
-use odbis_storage::{push_csv_record, WalStats};
 use odbis_web::{HttpRequest, HttpResponse, Method, PathParams, Router};
 
+use crate::body::{batch_csv, batch_json, cellset_json, query_json};
 use crate::cluster::ClusterRoute;
 use crate::error::{PlatformError, PlatformResult};
 use crate::platform::OdbisPlatform;
@@ -278,63 +278,14 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
         }
     });
 
+    // the public scrape: node totals, no series names a tenant (each
+    // tenant's own series are behind `GET /admin/metrics`), plus the
+    // process-global fault-injection counters
     let p = Arc::clone(&platform);
     api.route(Method::Get, "/metrics", "public", move |_, _| {
-        let mut body = p.admin.telemetry.render_prometheus();
-        // live-session gauge per tenant realm (expired sessions are swept
-        // on login and excluded from the count either way)
-        body.push_str("# TYPE odbis_sessions_active gauge\n");
-        for tenant in p.admin.registry().tenant_ids() {
-            if let Ok(realm) = p.admin.registry().realm(&tenant) {
-                body.push_str(&format!(
-                    "odbis_sessions_active{{tenant=\"{tenant}\"}} {}\n",
-                    realm.session_count()
-                ));
-            }
-        }
-        // WAL volume per attached durable workspace, read from the log
-        // that counts it
-        push_tenant_counters(
-            &mut body,
-            &[
-                (
-                    "odbis_wal_appends_total",
-                    "WAL statements appended (one frame each), by tenant.",
-                    |s: &WalStats| s.appends,
-                ),
-                (
-                    "odbis_wal_bytes_total",
-                    "WAL bytes appended (frames included), by tenant.",
-                    |s| s.bytes,
-                ),
-            ],
-            &p.wal_stats(),
-        );
-        // aggregate maintenance per workspace, summed where publications
-        // apply their deltas
-        push_tenant_counters(
-            &mut body,
-            &[
-                (
-                    "odbis_aggregate_folds_total",
-                    "Insert deltas folded into materialized aggregates (once per aggregate), by tenant.",
-                    |r: &DeltaReport| r.folded as u64,
-                ),
-                (
-                    "odbis_aggregate_rebuilds_total",
-                    "Materialized aggregates rebuilt from the warehouse, by tenant.",
-                    |r| r.rebuilt as u64,
-                ),
-            ],
-            &p.aggregate_stats(),
-        );
-        // admission-control verdicts per tenant, counted at the server edge
-        body.push_str(&p.admission.render_prometheus());
-        // fault-injection counters ride on the same scrape endpoint
+        let mut body = p.render_metrics(None);
         body.push_str(&odbis_chaos::render_prometheus());
-        HttpResponse::status(200)
-            .with_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-            .with_body(body)
+        prometheus_response(body)
     });
 
     let p = Arc::clone(&platform);
@@ -344,7 +295,7 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
         "ETL_DESIGN",
         move |tenant, token, req, _| {
             let result = p.sql(tenant, token, &req.body_text())?;
-            Ok(HttpResponse::json(result_json(&result)))
+            Ok(HttpResponse::json(query_json(&result)))
         },
     );
 
@@ -373,19 +324,20 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
             let Some(name) = params.get("name") else {
                 return Ok(error_envelope(400, "bad_request", "missing dataset name"));
             };
-            Ok(match negotiate(req) {
-                Negotiated::Json => {
-                    HttpResponse::json(result_json(&p.execute_dataset(tenant, token, name)?))
-                }
-                Negotiated::Csv => {
-                    let (columns, batch) = p.execute_dataset_batch(tenant, token, name)?;
-                    csv_response(&columns, &batch)
-                }
-                Negotiated::Unsupported => error_envelope(
+            let negotiated = negotiate(req);
+            if let Negotiated::Unsupported = negotiated {
+                return Ok(error_envelope(
                     406,
                     "not_acceptable",
                     "unsupported Accept type; this route serves application/json or text/csv",
-                ),
+                ));
+            }
+            let (columns, batch) = p.execute_dataset_batch(tenant, token, name)?;
+            Ok(match negotiated {
+                Negotiated::Csv => HttpResponse::status(200)
+                    .with_header("Content-Type", "text/csv; charset=utf-8")
+                    .with_body(batch_csv(&columns, &batch)),
+                _ => HttpResponse::json(batch_json(&columns, &batch)),
             })
         },
     );
@@ -471,28 +423,11 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
         "CUBE_QUERY",
         move |tenant, token, req, _| {
             let cells = p.mdx(tenant, token, &req.body_text())?;
-            let rows: Vec<serde_json::Value> = cells
-                .cells
-                .iter()
-                .map(|(coords, measures)| {
-                    serde_json::json!({
-                        "coords": coords.iter().map(|v| v.render()).collect::<Vec<_>>(),
-                        "measures": measures.iter().map(|v| v.render()).collect::<Vec<_>>(),
-                    })
-                })
-                .collect();
-            Ok(HttpResponse::json(
-                serde_json::json!({
-                    "axes": cells.axis_names,
-                    "measures": cells.measure_names,
-                    "cells": rows,
-                })
-                .to_string(),
-            ))
+            Ok(HttpResponse::json(cellset_json(&cells)))
         },
     );
 
-    // the three admin reads answer the caller's own tenant only
+    // the four admin reads answer the caller's own tenant only
     let p = Arc::clone(&platform);
     api.tenant(
         Method::Get,
@@ -566,6 +501,14 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
                 .collect();
             Ok(paginate(req, entries))
         },
+    );
+
+    let p = Arc::clone(&platform);
+    api.tenant(
+        Method::Get,
+        "/admin/metrics",
+        "ADMIN_USERS",
+        move |tenant, token, _, _| Ok(prometheus_response(p.tenant_metrics(tenant, token)?)),
     );
 
     let p = Arc::clone(&platform);
@@ -772,23 +715,11 @@ pub fn build_router(platform: Arc<OdbisPlatform>) -> Router {
     api.finish()
 }
 
-/// A Prometheus counter family: name, help text, and how to read a
-/// tenant's sample off its stats.
-type CounterFamily<S> = (&'static str, &'static str, fn(&S) -> u64);
-
-/// Append one Prometheus counter family per `(name, help, read)`, with
-/// one sample per `(tenant, stats)`.
-fn push_tenant_counters<S>(
-    body: &mut String,
-    families: &[CounterFamily<S>],
-    per_tenant: &[(String, S)],
-) {
-    for (name, help, read) in families {
-        body.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n"));
-        for (tenant, stats) in per_tenant {
-            body.push_str(&format!("{name}{{tenant=\"{tenant}\"}} {}\n", read(stats)));
-        }
-    }
+/// A Prometheus text exposition body.
+fn prometheus_response(body: String) -> HttpResponse {
+    HttpResponse::status(200)
+        .with_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+        .with_body(body)
 }
 
 /// Percent-encode a query key/value for the proxy's re-assembled
@@ -958,35 +889,6 @@ fn negotiate(req: &HttpRequest) -> Negotiated {
         }
     }
     Negotiated::Unsupported
-}
-
-/// Serialize a columnar batch as CSV — header row of column names, then
-/// one line per row, values rendered column-at-a-time straight from the
-/// batch (no intermediate row pivot or JSON tree).
-fn csv_response(columns: &[String], batch: &odbis_storage::Batch) -> HttpResponse {
-    let mut out = String::new();
-    push_csv_record(&mut out, columns, "\r\n");
-    for row in 0..batch.num_rows() {
-        let fields = batch.columns().iter().map(|c| c.value(row).render());
-        push_csv_record(&mut out, fields, "\r\n");
-    }
-    HttpResponse::status(200)
-        .with_header("Content-Type", "text/csv; charset=utf-8")
-        .with_body(out)
-}
-
-fn result_json(result: &odbis_sql::QueryResult) -> String {
-    let rows: Vec<Vec<String>> = result
-        .rows
-        .iter()
-        .map(|r| r.iter().map(|v| v.render()).collect())
-        .collect();
-    serde_json::json!({
-        "columns": result.columns,
-        "rows": rows,
-        "rowsAffected": result.rows_affected,
-    })
-    .to_string()
 }
 
 /// The single place HTTP error bodies are produced: a JSON envelope
@@ -1243,12 +1145,102 @@ mod tests {
         let addr = server.addr().to_string();
         let (status, _, _) = with_auth(&addr, "POST", "/api/v1/sql", &token, "SELECT 1");
         assert_eq!(status, 200);
-        let (status, body) = http_get(&addr, "/api/v1/metrics").unwrap();
+        let (status, body, _) = with_auth(&addr, "GET", "/api/v1/admin/metrics", &token, "");
         assert_eq!(status, 200);
         assert!(body.contains("# TYPE odbis_requests_total counter"));
         assert!(body.contains("tenant=\"acme\""));
         assert!(body.contains("service=\"MDS\""));
         assert!(body.contains("odbis_latency_seconds_bucket"));
+    }
+
+    /// The public scrape is the node's totals: after two tenants' traffic
+    /// it counts both and names neither, and each tenant's admin reads
+    /// only its own series on the gated route.
+    #[test]
+    fn public_scrape_names_no_tenant() {
+        let (server, platform, acme) = serve();
+        platform
+            .provision_tenant(
+                "zenith",
+                "Zenith",
+                SubscriptionPlan::standard(),
+                "root",
+                "pw",
+            )
+            .unwrap();
+        let zenith = platform.login("zenith", "root", "pw").unwrap();
+        let addr = server.addr().to_string();
+        let bearer = format!("Bearer {zenith}");
+        let as_zenith = [("x-tenant", "zenith"), ("Authorization", bearer.as_str())];
+        let sql = "CREATE TABLE t (x INT)";
+        assert_eq!(with_auth(&addr, "POST", "/api/v1/sql", &acme, sql).0, 200);
+        let (status, _, _) =
+            http_request(&addr, "POST", "/api/v1/sql", &as_zenith, sql.as_bytes()).unwrap();
+        assert_eq!(status, 200);
+        let (status, body) = http_get(&addr, "/api/v1/metrics").unwrap();
+        assert_eq!(status, 200);
+        for tenant in ["acme", "zenith", "tenant="] {
+            assert!(
+                !body.contains(tenant),
+                "public scrape names {tenant}: {body}"
+            );
+        }
+        assert!(
+            body.contains("odbis_requests_total{service=\"MDS\",operation=\"sql\"} 2\n"),
+            "{body}"
+        );
+        assert!(body.contains("odbis_sessions_active 2\n"), "{body}");
+        let (status, _, mine) =
+            http_request(&addr, "GET", "/api/v1/admin/metrics", &as_zenith, b"").unwrap();
+        assert_eq!(status, 200);
+        assert!(mine.contains("tenant=\"zenith\""), "{mine}");
+        assert!(!mine.contains("acme"), "{mine}");
+        // the gated route needs a session
+        let (status, _) = http_get(&addr, "/api/v1/admin/metrics").unwrap();
+        assert_eq!(status, 401);
+    }
+
+    /// A NULL cell is served as the text `NULL`: a JSON string, and a
+    /// bare CSV field.
+    #[test]
+    fn dataset_bodies_serve_null_as_the_null_text() {
+        let (server, platform, token) = serve();
+        let addr = server.addr().to_string();
+        for sql in [
+            "CREATE TABLE n (k TEXT, v INT)",
+            "INSERT INTO n VALUES ('a', NULL), (NULL, 2)",
+        ] {
+            assert_eq!(with_auth(&addr, "POST", "/api/v1/sql", &token, sql).0, 200);
+        }
+        platform
+            .define_dataset(
+                "acme",
+                &token,
+                DataSet {
+                    name: "n".into(),
+                    source: "warehouse".into(),
+                    sql: "SELECT k, v FROM n".into(),
+                    description: String::new(),
+                },
+            )
+            .unwrap();
+        let bearer = format!("Bearer {token}");
+        let get = |accept: &str| {
+            let headers = [
+                ("x-tenant", "acme"),
+                ("Authorization", bearer.as_str()),
+                ("Accept", accept),
+            ];
+            let (status, _, body) =
+                http_request(&addr, "GET", "/api/v1/datasets/n", &headers, b"").unwrap();
+            assert_eq!(status, 200, "{body}");
+            body
+        };
+        assert_eq!(
+            get("application/json"),
+            r#"{"columns":["k","v"],"rows":[["a","NULL"],["NULL","2"]],"rowsAffected":0}"#
+        );
+        assert_eq!(get("text/csv"), "k,v\r\na,NULL\r\nNULL,2\r\n");
     }
 
     /// Every route family, fed garbage: the answer is always a structured
@@ -1305,11 +1297,11 @@ mod tests {
 
     #[test]
     fn metrics_exposes_live_session_gauge() {
-        let (server, platform, _token) = serve();
+        let (server, platform, _) = serve();
         let addr = server.addr().to_string();
         // serve() already logged root in once; a second login adds one more
-        let _ = platform.login("acme", "root", "pw").unwrap();
-        let (status, body) = http_get(&addr, "/api/v1/metrics").unwrap();
+        let token = platform.login("acme", "root", "pw").unwrap();
+        let (status, body, _) = with_auth(&addr, "GET", "/api/v1/admin/metrics", &token, "");
         assert_eq!(status, 200);
         assert!(body.contains("# TYPE odbis_sessions_active gauge"));
         assert!(

@@ -59,8 +59,8 @@ pub use schema::{resolve_column, Column, Schema};
 pub use segment::{Encoding, BLOCK_ROWS};
 pub use table::{Index, RowId, Table};
 pub use value::{
-    csv_text, date_to_days, days_to_date, format_date, format_timestamp, is_leap_year, parse_date,
-    parse_timestamp, push_csv_record, DataType, Value,
+    csv_text, date_to_days, days_to_date, is_leap_year, parse_date, parse_timestamp,
+    push_csv_field, push_csv_record, push_json_str, DataType, Value,
 };
 pub use wal::{
     decode_records, encode_record, read_wal, replay_record, CheckpointImage, CheckpointReport,

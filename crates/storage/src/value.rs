@@ -6,7 +6,7 @@
 //! static [`DataType`] that inserted values must be coercible to.
 
 use std::cmp::Ordering;
-use std::fmt;
+use std::fmt::{self, Write};
 
 use serde::{Deserialize, Serialize};
 
@@ -208,27 +208,78 @@ impl Value {
     /// Render the value the way a SQL shell would (`NULL`, unquoted numbers,
     /// ISO dates).
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Append [`Value::render`]'s text to `out`, with no `String` of its
+    /// own: `NULL`, `TRUE`/`FALSE`, integers digit by digit, integral
+    /// floats under 1e15 with one decimal (`2.0`), other floats as Rust
+    /// prints them, ISO dates and `YYYY-MM-DD HH:MM:SS` timestamps. Only a
+    /// `Text` value's output can hold a quote, a backslash, a comma or a
+    /// control character.
+    pub fn render_into(&self, out: &mut String) {
         match self {
-            Value::Null => "NULL".to_string(),
-            Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_string(),
-            Value::Int(i) => i.to_string(),
+            Value::Null => out.push_str("NULL"),
+            Value::Bool(b) => out.push_str(if *b { "TRUE" } else { "FALSE" }),
+            Value::Int(i) => push_int(out, *i),
             Value::Float(f) => {
-                if f.fract() == 0.0 && f.abs() < 1e15 {
-                    format!("{f:.1}")
+                // writing into a `String` cannot fail
+                let _ = if f.fract() == 0.0 && f.abs() < 1e15 {
+                    write!(out, "{f:.1}")
                 } else {
-                    format!("{f}")
-                }
+                    write!(out, "{f}")
+                };
             }
-            Value::Text(s) => s.clone(),
-            Value::Date(d) => format_date(*d),
-            Value::Timestamp(t) => format_timestamp(*t),
+            Value::Text(s) => out.push_str(s),
+            Value::Date(d) => push_date(out, *d),
+            Value::Timestamp(t) => push_timestamp(out, *t),
         }
     }
 }
 
-/// Append one CSV record to `out`: the fields separated by commas and
-/// ended by `eol`. By RFC 4180 a field holding a comma, a quote or a line
-/// break (`\n` or `\r`) is wrapped in quotes, with its quotes doubled.
+/// Append `i` in decimal, digit by digit.
+fn push_int(out: &mut String, i: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = i.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    if i < 0 {
+        out.push('-');
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Append one CSV field: as it is, or, when it holds a comma, a quote or
+/// a line break (`\n` or `\r`), wrapped in quotes with its quotes doubled
+/// (RFC 4180).
+pub fn push_csv_field(out: &mut String, field: &str) {
+    if !field.contains([',', '"', '\n', '\r']) {
+        out.push_str(field);
+        return;
+    }
+    out.push('"');
+    for (i, part) in field.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(part);
+    }
+    out.push('"');
+}
+
+/// Append one CSV record to `out`: the fields (see [`push_csv_field`])
+/// separated by commas and ended by `eol`.
 pub fn push_csv_record<S: AsRef<str>>(
     out: &mut String,
     fields: impl IntoIterator<Item = S>,
@@ -238,16 +289,44 @@ pub fn push_csv_record<S: AsRef<str>>(
         if i > 0 {
             out.push(',');
         }
-        let field = field.as_ref();
-        if field.contains([',', '"', '\n', '\r']) {
-            out.push('"');
-            out.push_str(&field.replace('"', "\"\""));
-            out.push('"');
-        } else {
-            out.push_str(field);
-        }
+        push_csv_field(out, field.as_ref());
     }
     out.push_str(eol);
+}
+
+/// Append `s` as a quoted JSON string. `"`, `\\`, `\n`, `\r`, `\t`,
+/// backspace and form feed get their short escapes, every other control
+/// character below U+0020 a lowercase `\u00xx`; everything else,
+/// non-ASCII included, is copied as it is.
+pub fn push_json_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let short = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `b` is ASCII, so `i` is a char boundary
+        out.push_str(&s[start..i]);
+        if short.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(short);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
 }
 
 /// A header and rows as CSV text: `\n`-ended records (see
@@ -425,19 +504,20 @@ pub fn days_to_date(days: i32) -> (i32, u32, u32) {
     ((y + i64::from(m <= 2)) as i32, m as u32, d as u32)
 }
 
-/// Format days-since-epoch as `YYYY-MM-DD`.
-pub fn format_date(days: i32) -> String {
+/// Append days-since-epoch as `YYYY-MM-DD`.
+fn push_date(out: &mut String, days: i32) {
     let (y, m, d) = days_to_date(days);
-    format!("{y:04}-{m:02}-{d:02}")
+    let _ = write!(out, "{y:04}-{m:02}-{d:02}");
 }
 
-/// Format microseconds-since-epoch as `YYYY-MM-DD HH:MM:SS`.
-pub fn format_timestamp(micros: i64) -> String {
+/// Append microseconds-since-epoch as `YYYY-MM-DD HH:MM:SS`.
+fn push_timestamp(out: &mut String, micros: i64) {
     let days = micros.div_euclid(86_400_000_000);
     let rem = micros.rem_euclid(86_400_000_000);
     let secs = rem / 1_000_000;
     let (h, m, s) = (secs / 3600, (secs % 3600) / 60, secs % 60);
-    format!("{} {h:02}:{m:02}:{s:02}", format_date(days as i32))
+    push_date(out, days as i32);
+    let _ = write!(out, " {h:02}:{m:02}:{s:02}");
 }
 
 /// Parse `YYYY-MM-DD` into days since epoch.
@@ -578,7 +658,7 @@ mod tests {
     #[test]
     fn date_parse_and_format() {
         let d = parse_date("2010-03-22").unwrap();
-        assert_eq!(format_date(d), "2010-03-22");
+        assert_eq!(Value::Date(d).render(), "2010-03-22");
         assert!(parse_date("2010-3").is_none());
         assert!(parse_date("garbage").is_none());
     }
@@ -586,9 +666,9 @@ mod tests {
     #[test]
     fn timestamp_parse_and_format() {
         let t = parse_timestamp("2010-03-22 16:30:00").unwrap();
-        assert_eq!(format_timestamp(t), "2010-03-22 16:30:00");
+        assert_eq!(Value::Timestamp(t).render(), "2010-03-22 16:30:00");
         let t2 = parse_timestamp("2010-03-22").unwrap();
-        assert_eq!(format_timestamp(t2), "2010-03-22 00:00:00");
+        assert_eq!(Value::Timestamp(t2).render(), "2010-03-22 00:00:00");
         assert!(parse_timestamp("2010-03-22 25:00:00").is_none());
     }
 

@@ -45,8 +45,11 @@
 //!     let child = child_span("sql", "execute.vectorized");
 //!     drop(child);
 //! }
-//! let text = telemetry.render_prometheus();
+//! let text = telemetry.render_prometheus(Some("acme"));
 //! assert!(text.contains("odbis_requests_total{tenant=\"acme\",service=\"MDS\",operation=\"sql\"} 1"));
+//! // the node's totals name no tenant
+//! let node = telemetry.render_prometheus(None);
+//! assert!(node.contains("odbis_requests_total{service=\"MDS\",operation=\"sql\"} 1"));
 //! ```
 
 #![warn(missing_docs)]
@@ -236,10 +239,20 @@ impl Telemetry {
 
     /// Render every counter and histogram in the Prometheus text
     /// exposition format (`text/plain; version=0.0.4`), deterministically
-    /// ordered.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = metrics::render_prometheus(&self.snapshot());
-        out.push_str(&metrics::render_wal(&self.wal_snapshot()));
+    /// ordered: with `Some(tenant)` that tenant's series, labelled
+    /// `tenant="..."`; with `None` the node's totals, summed over tenants
+    /// per service and operation, which name no tenant.
+    pub fn render_prometheus(&self, tenant: Option<&str>) -> String {
+        let (snaps, wal) = (self.snapshot(), self.wal_snapshot());
+        let (snaps, wal) = match tenant {
+            None => (metrics::node_totals(&snaps), metrics::wal_node_totals(&wal)),
+            Some(t) => (
+                snaps.into_iter().filter(|s| s.key.tenant == t).collect(),
+                wal.into_iter().filter(|(id, _)| id == t).collect(),
+            ),
+        };
+        let mut out = metrics::render_prometheus(&snaps);
+        out.push_str(&metrics::render_wal(&wal));
         out
     }
 }
@@ -344,9 +357,16 @@ mod tests {
         assert_eq!(snap[0].0, "acme");
         assert_eq!(snap[0].1.checkpoints, 1);
         assert_eq!(snap[0].1.checkpoint_micros_total, 1500);
-        let text = t.render_prometheus();
+        let text = t.render_prometheus(Some("acme"));
         assert!(text.contains("odbis_checkpoints_total{tenant=\"acme\"} 1"));
-        assert!(text.contains("odbis_checkpoints_total{tenant=\"beta\"} 1"));
+        assert!(!text.contains("beta"));
+        let node = t.render_prometheus(None);
+        assert!(node.contains("odbis_checkpoints_total 2\n"), "{node}");
+        assert!(
+            node.contains("odbis_checkpoint_seconds_count 2\n"),
+            "{node}"
+        );
+        assert!(!node.contains("tenant="), "{node}");
         assert!(text.contains("# TYPE odbis_checkpoint_seconds histogram"));
         // 1500µs < 2^11µs → cumulative 1 at le=0.002048
         assert!(text.contains("odbis_checkpoint_seconds_bucket{tenant=\"acme\",le=\"0.002048\"} 1"));

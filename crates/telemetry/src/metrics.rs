@@ -191,45 +191,86 @@ impl WalCounters {
         self.checkpoint_micros_total += micros;
         self.checkpoint_hist[bucket_index(micros)] += 1;
     }
+
+    fn merge(&mut self, other: &WalCounters) {
+        self.checkpoints += other.checkpoints;
+        self.checkpoint_micros_total += other.checkpoint_micros_total;
+        for (a, b) in self.checkpoint_hist.iter_mut().zip(&other.checkpoint_hist) {
+            *a += b;
+        }
+    }
 }
 
-/// Render per-tenant checkpoint counters in Prometheus exposition format
-/// (appended after the request-path families).
+/// The node's totals: every tenant's checkpoint counters summed under the
+/// empty tenant, which renders with no `tenant` label.
+pub(crate) fn wal_node_totals(tenants: &[(String, WalCounters)]) -> Vec<(String, WalCounters)> {
+    let mut total = WalCounters::default();
+    for (_, w) in tenants {
+        total.merge(w);
+    }
+    vec![(String::new(), total)]
+}
+
+/// The node's totals: every tenant's snapshot summed per `(service,
+/// operation)` under the empty tenant, which renders with no `tenant`
+/// label. Sorted by key.
+pub(crate) fn node_totals(snaps: &[MetricSnapshot]) -> Vec<MetricSnapshot> {
+    let mut totals: std::collections::BTreeMap<(&'static str, &str), MetricSnapshot> =
+        std::collections::BTreeMap::new();
+    for s in snaps {
+        let t = totals
+            .entry((s.key.service, s.key.operation.as_str()))
+            .or_insert_with(|| MetricSnapshot {
+                key: MetricKey {
+                    tenant: String::new(),
+                    service: s.key.service,
+                    operation: s.key.operation.clone(),
+                },
+                requests: 0,
+                errors: 0,
+                rows: 0,
+                bytes: 0,
+                duration_micros_total: 0,
+                hist: [0; BUCKETS],
+            });
+        t.requests += s.requests;
+        t.errors += s.errors;
+        t.rows += s.rows;
+        t.bytes += s.bytes;
+        t.duration_micros_total += s.duration_micros_total;
+        for (a, b) in t.hist.iter_mut().zip(&s.hist) {
+            *a += b;
+        }
+    }
+    totals.into_values().collect()
+}
+
+/// Render checkpoint counters in Prometheus exposition format (appended
+/// after the request-path families), one series per tenant; the empty
+/// tenant's series carry no `tenant` label.
 pub(crate) fn render_wal(tenants: &[(String, WalCounters)]) -> String {
     let mut out = String::new();
     let name = "odbis_checkpoints_total";
     out.push_str(&format!(
-        "# HELP {name} Durability checkpoints taken, by tenant.\n# TYPE {name} counter\n"
+        "# HELP {name} Durability checkpoints taken.\n# TYPE {name} counter\n"
     ));
     for (tenant, w) in tenants {
-        out.push_str(&format!(
-            "{name}{{tenant=\"{}\"}} {}\n",
-            escape_label(tenant),
-            w.checkpoints
-        ));
+        let l = tenant_label(tenant);
+        out.push_str(&format!("{name}{} {}\n", braced(&l), w.checkpoints));
     }
     let name = "odbis_checkpoint_seconds";
     out.push_str(&format!(
         "# HELP {name} Checkpoint latency, log2 buckets.\n# TYPE {name} histogram\n"
     ));
     for (tenant, w) in tenants {
-        let l = format!("tenant=\"{}\"", escape_label(tenant));
-        let mut cumulative = 0u64;
-        for (i, count) in w.checkpoint_hist.iter().enumerate() {
-            cumulative += count;
-            if *count == 0 && i != BUCKETS - 1 {
-                continue;
-            }
-            out.push_str(&format!(
-                "{name}_bucket{{{l},le=\"{}\"}} {cumulative}\n",
-                format_le(bucket_upper_seconds(i)),
-            ));
-        }
-        out.push_str(&format!(
-            "{name}_sum{{{l}}} {}\n{name}_count{{{l}}} {}\n",
-            w.checkpoint_micros_total as f64 / 1e6,
-            w.checkpoints
-        ));
+        push_histogram(
+            &mut out,
+            name,
+            &tenant_label(tenant),
+            &w.checkpoint_hist,
+            w.checkpoint_micros_total,
+            w.checkpoints,
+        );
     }
     out
 }
@@ -256,13 +297,62 @@ fn escape_label(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
+/// `tenant="..."`, or nothing for the empty tenant of the node totals.
+fn tenant_label(tenant: &str) -> String {
+    if tenant.is_empty() {
+        String::new()
+    } else {
+        format!("tenant=\"{}\"", escape_label(tenant))
+    }
+}
+
 fn labels(key: &MetricKey) -> String {
+    let tenant = tenant_label(&key.tenant);
+    let sep = if tenant.is_empty() { "" } else { "," };
     format!(
-        "tenant=\"{}\",service=\"{}\",operation=\"{}\"",
-        escape_label(&key.tenant),
+        "{tenant}{sep}service=\"{}\",operation=\"{}\"",
         escape_label(key.service),
         escape_label(&key.operation)
     )
+}
+
+/// A label set in braces, or nothing when it is empty.
+fn braced(labels: &str) -> String {
+    if labels.is_empty() {
+        String::new()
+    } else {
+        format!("{{{labels}}}")
+    }
+}
+
+/// One histogram series: its non-empty buckets (and the mandatory +Inf),
+/// cumulative, then `_sum` in seconds and `_count`.
+fn push_histogram(
+    out: &mut String,
+    name: &str,
+    labels: &str,
+    hist: &[u64; BUCKETS],
+    micros_total: u64,
+    count: u64,
+) {
+    let sep = if labels.is_empty() { "" } else { "," };
+    let mut cumulative = 0u64;
+    for (i, n) in hist.iter().enumerate() {
+        cumulative += n;
+        // elide empty leading/interior buckets except the mandatory +Inf
+        if *n == 0 && i != BUCKETS - 1 {
+            continue;
+        }
+        out.push_str(&format!(
+            "{name}_bucket{{{labels}{sep}le=\"{}\"}} {cumulative}\n",
+            format_le(bucket_upper_seconds(i)),
+        ));
+    }
+    let l = braced(labels);
+    out.push_str(&format!(
+        "{name}_sum{l} {}\n{name}_count{l} {count}\n",
+        micros_total as f64 / 1e6,
+    ));
 }
 
 /// Format an `le` bound the way Prometheus clients expect.
@@ -284,7 +374,7 @@ pub(crate) fn render_prometheus(snaps: &[MetricSnapshot]) -> String {
     let counters: [CounterFamily; 4] = [
         (
             "odbis_requests_total",
-            "Platform service calls finished, by tenant/service/operation.",
+            "Platform service calls finished, by service and operation.",
             |s| s.requests,
         ),
         (
@@ -312,24 +402,14 @@ pub(crate) fn render_prometheus(snaps: &[MetricSnapshot]) -> String {
         "# HELP {name} Service call latency, log2 buckets.\n# TYPE {name} histogram\n"
     ));
     for s in snaps {
-        let l = labels(&s.key);
-        let mut cumulative = 0u64;
-        for (i, count) in s.hist.iter().enumerate() {
-            cumulative += count;
-            // elide empty leading/interior buckets except the mandatory +Inf
-            if *count == 0 && i != BUCKETS - 1 {
-                continue;
-            }
-            out.push_str(&format!(
-                "{name}_bucket{{{l},le=\"{}\"}} {cumulative}\n",
-                format_le(bucket_upper_seconds(i)),
-            ));
-        }
-        out.push_str(&format!(
-            "{name}_sum{{{l}}} {}\n{name}_count{{{l}}} {}\n",
-            s.duration_micros_total as f64 / 1e6,
-            s.requests
-        ));
+        push_histogram(
+            &mut out,
+            name,
+            &labels(&s.key),
+            &s.hist,
+            s.duration_micros_total,
+            s.requests,
+        );
     }
     out
 }
@@ -398,6 +478,23 @@ mod tests {
         assert!(text.contains(
             "odbis_latency_seconds_sum{tenant=\"acme\",service=\"MDS\",operation=\"sql\"} 0.0015"
         ));
+    }
+
+    #[test]
+    fn node_totals_sum_tenants_and_name_none() {
+        let mut shard = Shard::default();
+        shard.record(key("acme", "sql"), 3, 2, 0, false);
+        shard.record(key("beta", "sql"), 5, 1, 0, true);
+        shard.record(key("beta", "mdx"), 9, 0, 0, false);
+        let text = render_prometheus(&node_totals(&shard.snapshot()));
+        assert!(text.contains("odbis_requests_total{service=\"MDS\",operation=\"sql\"} 2\n"));
+        assert!(text.contains("odbis_errors_total{service=\"MDS\",operation=\"sql\"} 1\n"));
+        assert!(text.contains("odbis_rows_total{service=\"MDS\",operation=\"mdx\"} 0\n"));
+        assert!(text.contains("odbis_latency_seconds_count{service=\"MDS\",operation=\"sql\"} 2\n"));
+        assert!(text.contains(
+            "odbis_latency_seconds_bucket{service=\"MDS\",operation=\"sql\",le=\"+Inf\"} 2\n"
+        ));
+        assert!(!text.contains("tenant="), "{text}");
     }
 
     #[test]

@@ -212,22 +212,30 @@ impl AdmissionControl {
         rows
     }
 
-    /// Render the admission counters in Prometheus text format.
-    pub fn render_prometheus(&self) -> String {
-        let snap = self.snapshot();
+    /// Render the admission counters in Prometheus text format: with
+    /// `Some(tenant)` that tenant's series, labelled `tenant="..."`; with
+    /// `None` the node's totals, which name no tenant.
+    pub fn render_prometheus(&self, tenant: Option<&str>) -> String {
+        let rows: Vec<(String, u64, u64, u64)> = match tenant {
+            Some(t) => self.snapshot().into_iter().filter(|r| r.0 == t).collect(),
+            None => {
+                let total = (self.snapshot().iter()).fold((0, 0, 0), |(a, q, r), row| {
+                    (a + row.1, q + row.2, r + row.3)
+                });
+                vec![(String::new(), total.0, total.1, total.2)]
+            }
+        };
         let mut out = String::new();
-        for (metric, pick) in [
-            ("admitted", 1usize),
-            ("queued", 2usize),
-            ("rejected", 3usize),
-        ] {
+        for (metric, pick) in [("admitted", 0usize), ("queued", 1), ("rejected", 2)] {
             out.push_str(&format!("# TYPE odbis_admission_{metric}_total counter\n"));
-            for row in &snap {
-                let value = [row.1, row.2, row.3][pick - 1];
-                out.push_str(&format!(
-                    "odbis_admission_{metric}_total{{tenant=\"{}\"}} {value}\n",
-                    row.0
-                ));
+            for (tenant, admitted, queued, rejected) in &rows {
+                let value = [admitted, queued, rejected][pick];
+                let label = if tenant.is_empty() {
+                    String::new()
+                } else {
+                    format!("{{tenant=\"{tenant}\"}}")
+                };
+                out.push_str(&format!("odbis_admission_{metric}_total{label} {value}\n"));
             }
         }
         out
@@ -373,10 +381,22 @@ mod tests {
         let ac = AdmissionControl::with_uniform_limits(limits(1.0, 1.0, 0));
         let _ = ac.admit("t");
         let _ = ac.admit("t");
-        let text = ac.render_prometheus();
+        let _ = ac.admit("u");
+        let text = ac.render_prometheus(Some("t"));
+        assert!(!text.contains("\"u\""), "{text}");
         assert!(text.contains("# TYPE odbis_admission_admitted_total counter"));
         assert!(text.contains("odbis_admission_admitted_total{tenant=\"t\"} 1"));
         assert!(text.contains("odbis_admission_rejected_total{tenant=\"t\"} 1"));
         assert!(text.contains("odbis_admission_queued_total{tenant=\"t\"} 0"));
+        let node = ac.render_prometheus(None);
+        assert!(
+            node.contains("odbis_admission_admitted_total 2\n"),
+            "{node}"
+        );
+        assert!(
+            node.contains("odbis_admission_rejected_total 1\n"),
+            "{node}"
+        );
+        assert!(!node.contains("tenant="), "{node}");
     }
 }

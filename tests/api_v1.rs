@@ -1,7 +1,7 @@
 //! Versioned-API + telemetry-spine end-to-end: drive every service of the
 //! platform (SQL, ETL, OLAP/MDX, reporting, delivery) through the gate,
 //! then read the telemetry back out through the `/api/v1` surface — the
-//! Prometheus metrics scrape and the pay-as-you-go invoice.
+//! tenant's Prometheus metrics and the pay-as-you-go invoice.
 
 use std::sync::Arc;
 
@@ -169,12 +169,13 @@ fn drive_traffic(platform: &Arc<OdbisPlatform>) -> String {
 #[test]
 fn metrics_scrape_covers_every_service() {
     let platform = Arc::new(OdbisPlatform::new());
-    drive_traffic(&platform);
+    let token = drive_traffic(&platform);
     let server = HttpServer::start(build_router(Arc::clone(&platform)), 2).unwrap();
     let addr = server.addr().to_string();
 
-    // the scrape is public (monitoring agents hold no tenant session)
-    let (status, body) = http_get(&addr, "/api/v1/metrics").unwrap();
+    // a tenant's own series are behind its admin's session (the public
+    // scrape serves node totals only)
+    let (status, _, body) = auth(&addr, "GET", "/api/v1/admin/metrics", &token, "");
     assert_eq!(status, 200);
     assert!(body.contains("# TYPE odbis_requests_total counter"));
     assert!(body.contains("# TYPE odbis_latency_seconds histogram"));

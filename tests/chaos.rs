@@ -406,13 +406,16 @@ fn wal_counters_on_metrics_equal_the_durability_report() {
             v["walAppends"].as_u64().unwrap(),
             v["walBytes"].as_u64().unwrap(),
         );
-        let (status, metrics) = http_get(&addr, "/api/v1/metrics").unwrap();
+        let (status, _, metrics) = auth(&addr, "GET", "/api/v1/admin/metrics", &token, "");
         assert_eq!(status, 200);
         let scrape = (
             scraped(&metrics, "odbis_wal_appends_total"),
             scraped(&metrics, "odbis_wal_bytes_total"),
         );
-        assert_eq!(scrape, report, "{step}: /metrics vs /admin/durability");
+        assert_eq!(
+            scrape, report,
+            "{step}: /admin/metrics vs /admin/durability"
+        );
         report
     };
     let sql = |body: &str| auth(&addr, "POST", "/api/v1/sql", &token, body).0;
@@ -463,7 +466,7 @@ fn aggregate_fold_and_rebuild_counters_follow_each_publication() {
     let server = HttpServer::start(build_router(Arc::clone(&p)), 2).unwrap();
     let addr = server.addr().to_string();
     let counted = || {
-        let (status, metrics) = http_get(&addr, "/api/v1/metrics").unwrap();
+        let (status, _, metrics) = auth(&addr, "GET", "/api/v1/admin/metrics", &token, "");
         assert_eq!(status, 200);
         for family in [
             "odbis_aggregate_folds_total",

@@ -425,13 +425,43 @@ fn noisy_tenant_throttled_while_quiet_tenant_sails_through() {
         "blasting past the limit must throttle: ok={ok} throttled={throttled}"
     );
 
-    // rejections are visible on the scrape, labelled by tenant
+    // rejections are visible on each tenant's own scrape, labelled by
+    // tenant, and as a node total that names no tenant on the public one
     let (status, body) = http_get(&addr, "/api/v1/metrics").unwrap();
     assert_eq!(status, 200);
+    let node_rejected: u32 = body
+        .lines()
+        .find_map(|l| l.strip_prefix("odbis_admission_rejected_total "))
+        .unwrap_or_else(|| panic!("no node total of rejections: {body}"))
+        .parse()
+        .unwrap();
+    assert!(node_rejected >= throttled, "{node_rejected} < {throttled}");
+    let scrape = |tenant: &str| -> String {
+        let token = platform.login(tenant, "root", "pw").unwrap();
+        let bearer = format!("Bearer {token}");
+        let headers = [("x-tenant", tenant), ("Authorization", bearer.as_str())];
+        // the noisy tenant's own scrape is rate-gated too: wait out its
+        // Retry-After
+        for _ in 0..10 {
+            let (status, resp_headers, body) =
+                http_request(&addr, "GET", "/api/v1/admin/metrics", &headers, b"").unwrap();
+            match status {
+                200 => return body,
+                429 => {
+                    let secs: u64 = resp_headers["retry-after"].parse().unwrap();
+                    std::thread::sleep(std::time::Duration::from_secs(secs));
+                }
+                other => panic!("{tenant} scrape answered {other}: {body}"),
+            }
+        }
+        panic!("{tenant} scrape stayed throttled")
+    };
+    let body = scrape("noisy");
     assert!(
         body.contains("odbis_admission_rejected_total{tenant=\"noisy\"}"),
         "scrape must count noisy rejections"
     );
+    let body = scrape("quiet");
     assert!(
         !body.contains("odbis_admission_rejected_total{tenant=\"quiet\"}")
             || body.contains("odbis_admission_rejected_total{tenant=\"quiet\"} 0"),

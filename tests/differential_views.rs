@@ -210,12 +210,9 @@ impl Harness {
         )
     }
 
-    /// (folds, rebuilds) the metrics endpoint counts for the tenant.
+    /// (folds, rebuilds) the tenant's metrics endpoint counts for it.
     fn counters(&self) -> (u64, u64) {
-        let metrics = self
-            .router
-            .dispatch(HttpRequest::new(Method::Get, "/api/v1/metrics"));
-        let body = metrics.body_text();
+        let body = String::from_utf8(self.get("/api/v1/admin/metrics", "text/plain")).unwrap();
         let scraped = |family: &str| {
             let prefix = format!("{family}{{tenant=\"{TENANT}\"}} ");
             body.lines()
