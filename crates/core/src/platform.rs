@@ -18,7 +18,7 @@ use odbis_mddws::DwProject;
 use odbis_metadata::{DataSet, DataSource, DatasetViews, MetadataService};
 use odbis_olap::{
     AggregateCache, CellSet, CubeDef, CubeEngine, DatasetView, DeltaReport, LevelRef,
-    MaterializedAggregate, OlapError, TableDelta,
+    MaterializedAggregate, TableDelta,
 };
 use odbis_reporting::{Dashboard, RenderedReport, ReportTemplate, ReportingService};
 use odbis_sql::{Engine, QueryResult, SqlResult};
@@ -285,51 +285,68 @@ impl TenantWorkspace {
         *self.publish_lock.lock()
     }
 
-    /// Build an aggregate over the current warehouse and register it. The
-    /// buffered deltas are applied first, so the build does not read a
-    /// row that a later publication would fold in again; if rows commit
-    /// while it builds, it is registered stale and the next publication
-    /// rebuilds it. Returns the number of cells built.
-    fn materialize(
-        &self,
-        cube: &CubeDef,
-        axes: Vec<LevelRef>,
-        measures: Vec<String>,
-    ) -> Result<usize, OlapError> {
+    /// Apply the buffered deltas, build a view over the current warehouse
+    /// with `build`, and register it in place of any view with its key
+    /// ([`AggregateCache::add_view`]). The deltas go first, so the build
+    /// does not read a row that a later publication would fold in again;
+    /// if rows commit while it builds, it is registered stale and the next
+    /// publication rebuilds it. Returns the number of groups built.
+    fn keep<E>(&self, build: impl FnOnce(&Database) -> Result<DatasetView, E>) -> Result<usize, E> {
         let mut held = self.publish_lock.lock();
         self.apply_buffered(&mut held);
-        let mut agg = MaterializedAggregate::build(self.cubes.database(), cube, axes, measures)?;
-        if agg.tables().iter().any(|t| self.deltas.touches(t)) {
-            agg.mark_stale();
+        let mut view = build(&self.warehouse)?;
+        if view.tables().iter().any(|t| self.deltas.touches(t)) {
+            view.mark_stale();
         }
-        let cells = agg.len();
-        self.agg_cache.write().add(agg);
-        Ok(cells)
+        let groups = view.len();
+        self.agg_cache.write().add_view(view);
+        Ok(groups)
+    }
+
+    /// Register cube `cube` in place of any of its name, and drop the
+    /// aggregates built from the old definition. Under `publish_lock`, so
+    /// no aggregate of the old definition registers after the drop.
+    fn register_cube(&self, cube: CubeDef) {
+        let _held = self.publish_lock.lock();
+        self.agg_cache.write().drop_cube(&cube.name);
+        self.cube_defs.write().insert(cube.name.clone(), cube);
+    }
+
+    /// Materialize an aggregate of registered cube `cube`
+    /// ([`MaterializedAggregate::build`]) through [`Self::keep`]. Returns
+    /// the number of cells built.
+    fn materialize(
+        &self,
+        cube: &str,
+        axes: Vec<LevelRef>,
+        measures: Vec<String>,
+    ) -> PlatformResult<usize> {
+        self.keep(|db| {
+            let def = (self.cube_defs.read().get(cube).cloned())
+                .ok_or_else(|| PlatformError::Olap(format!("unknown cube {cube}")))?;
+            Ok(MaterializedAggregate::build(db, &def, axes, measures)?.into())
+        })
     }
 
     /// Define a data set in the MDS and, when it reads the warehouse and
-    /// its plan is one a view keeps ([`DatasetView`]), build its view over
-    /// the current warehouse and register it in place of any view of that
-    /// name, as [`Self::materialize`] registers an aggregate. Returns the
-    /// verdict: `view`, or the clause that keeps the data set on its plan.
+    /// its plan is one a view keeps ([`DatasetView`]), keep its view
+    /// through [`Self::keep`]; otherwise drop any view of that name.
+    /// Returns the verdict: `view`, or the clause that keeps the data set
+    /// on its plan.
     fn define_dataset(&self, dataset: DataSet) -> PlatformResult<String> {
-        let mut held = self.publish_lock.lock();
-        self.apply_buffered(&mut held);
-        let built = (dataset.source == WAREHOUSE)
-            .then(|| DatasetView::build(&self.warehouse, &dataset.name, &dataset.sql));
-        let name = dataset.name.clone();
+        let (name, sql) = (dataset.name.clone(), dataset.sql.clone());
+        let warehouse = dataset.source == WAREHOUSE;
         self.mds.define_dataset(dataset)?;
-        let mut cache = self.agg_cache.write();
-        cache.drop_view(&name);
-        Ok(match built {
-            None => "a source other than the warehouse".to_string(),
-            Some(Err(why)) => why,
-            Some(Ok(mut view)) => {
-                if view.tables().iter().any(|t| self.deltas.touches(t)) {
-                    view.mark_stale();
-                }
-                cache.add_view(view);
-                "view".to_string()
+        let kept = if warehouse {
+            self.keep(|db| DatasetView::build(db, &name, &sql))
+        } else {
+            Err("a source other than the warehouse".to_string())
+        };
+        Ok(match kept {
+            Ok(_) => "view".to_string(),
+            Err(why) => {
+                self.agg_cache.write().drop_view(&name);
+                why
             }
         })
     }
@@ -947,7 +964,7 @@ impl OdbisPlatform {
         self.gate(tenant, token, op, "", |span, _, ws: Workspace| {
             span.set_detail(&cube.name);
             cube.validate(&ws.warehouse)?;
-            ws.cube_defs.write().insert(cube.name.clone(), cube);
+            ws.register_cube(cube);
             Ok(((), 1))
         })
     }
@@ -1047,13 +1064,7 @@ impl OdbisPlatform {
             "CUBE_DESIGN",
         );
         self.gate(tenant, token, op, cube_name, |span, _, ws: Workspace| {
-            let cube = ws
-                .cube_defs
-                .read()
-                .get(cube_name)
-                .cloned()
-                .ok_or_else(|| PlatformError::Olap(format!("unknown cube {cube_name}")))?;
-            let cells = ws.materialize(&cube, axes, measures)?;
+            let cells = ws.materialize(cube_name, axes, measures)?;
             span.set_rows(cells as u64);
             Ok((cells, 1 + cells as u64))
         })
@@ -1791,6 +1802,71 @@ mod preagg_tests {
         materialize(&p, &token, "c");
         ws.publish_deltas();
         assert_eq!(eu_revenue(&p), (Some(Value::Float(6.0)), Value::Float(6.0)));
+    }
+
+    /// A cube registered again answers from its new definition: the
+    /// aggregates of the old one go with it, where they used to answer
+    /// the old measure's sums under the new measure's name.
+    #[test]
+    fn a_cube_registered_again_answers_from_its_new_definition() {
+        let p = OdbisPlatform::new();
+        p.provision_tenant("acme", "Acme", SubscriptionPlan::standard(), "root", "pw")
+            .unwrap();
+        let token = p.login("acme", "root", "pw").unwrap();
+        for sql in [
+            "CREATE TABLE f (region TEXT, amount DOUBLE, qty DOUBLE)",
+            "INSERT INTO f VALUES ('EU', 10, 1), ('US', 5, 2)",
+        ] {
+            p.sql("acme", &token, sql).unwrap();
+        }
+        p.register_cube("acme", &token, region_cube("c", "f"))
+            .unwrap();
+        materialize(&p, &token, "c");
+        let mut by_qty = region_cube("c", "f");
+        by_qty.measures[0].column = "qty".into();
+        p.register_cube("acme", &token, by_qty.clone()).unwrap();
+        let mdx = "SELECT revenue BY geo.region FROM c";
+        let answered = p.mdx("acme", &token, mdx).unwrap();
+        let ws = p.workspace("acme").unwrap();
+        let query = odbis_olap::parse_mdx(mdx).unwrap().query;
+        assert_eq!(
+            answered.cells,
+            ws.cubes.query(&by_qty, &query).unwrap().cells
+        );
+        assert_eq!(answered.cell(&["EU".into()]).unwrap(), &[Value::Float(1.0)]);
+        assert!(ws.agg_cache.read().is_empty());
+    }
+
+    /// The same aggregate materialized again replaces the one kept, so a
+    /// fact INSERT folds once, not once per call.
+    #[test]
+    fn the_same_aggregate_materialized_twice_is_kept_once() {
+        let (p, token) = region_fact("('EU', 10), ('US', 5)");
+        materialize(&p, &token, "c");
+        materialize(&p, &token, "c");
+        let ws = p.workspace("acme").unwrap();
+        assert_eq!(ws.agg_cache.read().len(), 1);
+        let before = ws.aggregate_totals();
+        p.sql("acme", &token, "INSERT INTO f VALUES ('EU', 1)")
+            .unwrap();
+        assert_eq!(ws.aggregate_totals().folded - before.folded, 1);
+        assert_eq!(
+            eu_revenue(&p),
+            (Some(Value::Float(11.0)), Value::Float(11.0))
+        );
+    }
+
+    /// An aggregate with no axes is refused, as a view refuses SQL with
+    /// no GROUP BY, and nothing is registered.
+    #[test]
+    fn an_aggregate_with_no_axes_is_refused_and_registers_nothing() {
+        let (p, token) = region_fact("('EU', 10)");
+        let refused = p
+            .materialize_aggregate("acme", &token, "c", vec![], vec!["revenue".into()])
+            .unwrap_err();
+        assert!(refused.to_string().contains("no GROUP BY"), "{refused}");
+        let ws = p.workspace("acme").unwrap();
+        assert!(ws.agg_cache.read().is_empty());
     }
 }
 

@@ -238,9 +238,9 @@ impl CubeEngine {
         &self.db
     }
 
-    /// Generate the ROLAP SQL for a query (exposed for EXPLAIN-style
-    /// inspection and tests).
-    pub fn generate_sql(&self, cube: &CubeDef, query: &CubeQuery) -> Result<String, OlapError> {
+    /// Generate the ROLAP SQL for a query: what [`Self::query`] runs, and
+    /// what a [`crate::MaterializedAggregate`] keeps as a view.
+    pub fn generate_sql(cube: &CubeDef, query: &CubeQuery) -> Result<String, OlapError> {
         let mut select_parts = Vec::new();
         let mut group_parts = Vec::new();
         let mut joins: Vec<String> = Vec::new();
@@ -326,7 +326,7 @@ impl CubeEngine {
     pub fn query(&self, cube: &CubeDef, query: &CubeQuery) -> Result<CellSet, OlapError> {
         let mut span = odbis_telemetry::child_span("olap", "cube.query");
         span.set_detail(&cube.name);
-        let sql = self.generate_sql(cube, query)?;
+        let sql = Self::generate_sql(cube, query)?;
         let batch = match self.engine.execute_select_batch(&self.db, &sql) {
             Ok((_, batch)) => batch,
             Err(e) => {
@@ -457,19 +457,16 @@ mod tests {
 
     #[test]
     fn generated_sql_is_inspectable() {
-        let db = Arc::new(sales_db());
-        let engine = CubeEngine::new(db);
         let cube = sales_cube();
-        let sql = engine
-            .generate_sql(
-                &cube,
-                &CubeQuery {
-                    axes: vec![LevelRef::new("store", "region")],
-                    slices: vec![],
-                    measures: vec!["revenue".into()],
-                },
-            )
-            .unwrap();
+        let sql = CubeEngine::generate_sql(
+            &cube,
+            &CubeQuery {
+                axes: vec![LevelRef::new("store", "region")],
+                slices: vec![],
+                measures: vec!["revenue".into()],
+            },
+        )
+        .unwrap();
         assert!(sql.contains("JOIN dim_store"));
         assert!(sql.contains("GROUP BY"));
         assert!(sql.contains("SUM(f.amount)"));

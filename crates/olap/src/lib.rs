@@ -12,9 +12,12 @@
 //! * [`CubeView`] — stateful navigation: drill-down, roll-up, slice, dice,
 //!   pivot;
 //! * [`parse_mdx`] — MDX-lite (`SELECT m BY d.l FROM cube WHERE ...`);
-//! * [`MaterializedAggregate`] / [`AggregateCache`] — pre-aggregation
-//!   (ablation A2): cells hold the SQL engine's [`odbis_sql::Accumulator`]s,
-//!   so a roll-up, AVG included, answers what the SQL would;
+//! * [`DatasetView`] / [`AggregateCache`] — maintained GROUP BYs kept
+//!   current over warehouse deltas; cells hold the SQL engine's
+//!   [`odbis_sql::Accumulator`]s, so a roll-up, AVG included, answers
+//!   what the SQL would. A [`MaterializedAggregate`] (ablation A2) is the
+//!   view of the SQL [`CubeEngine::generate_sql`] writes for its axes and
+//!   measures;
 //! * [`mining`] — k-means, linear regression and association rules.
 
 #![warn(missing_docs)]

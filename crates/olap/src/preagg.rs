@@ -1,43 +1,42 @@
-//! Materialized aggregates (ablation A2) and data set views: pre-computed
-//! GROUP BYs kept current over the warehouse's deltas. An aggregate
-//! answers the cube queries it covers without touching the fact table; a
-//! view answers its data set's SQL.
+//! Maintained GROUP BYs: materialized cube aggregates (ablation A2) and
+//! data set views, kept current over the warehouse's deltas. Both are one
+//! kind of state, a [`DatasetView`]: a `SELECT` whose groups are folded and
+//! kept. A data set's view answers its data set's SQL. A
+//! [`MaterializedAggregate`] is the view of the SQL
+//! [`CubeEngine::generate_sql`] writes for its axes and measures, and
+//! answers the cube queries it covers without touching the fact table.
 //!
-//! A stored cell is one [`Accumulator`] per measure — the SQL executor's
-//! own aggregate state, so a cell answers what the SQL GROUP BY does, to
-//! the bit for INT measures. Cells are computed by the SQL executor's own
-//! kernels: fact rows join each snowflaked dimension through a stored
-//! [`JoinTable`], and the joined rows fold into groups through
-//! [`aggregate_columns`], whose accumulators `merge` into the cells.
-//! - a build or rebuild folds every live chunk of the fact table, split
-//!   over the machine's workers, and merges the workers' cell maps;
+//! A stored cell is one [`Accumulator`] per aggregate of the SQL — the SQL
+//! executor's own aggregate state, so a cell answers what the SQL GROUP BY
+//! does, to the bit for INT measures. Cells are computed by the SQL
+//! executor's own kernels: fact rows join each snowflaked dimension
+//! through a stored [`JoinTable`], and the joined rows fold into groups
+//! through [`aggregate_columns`], whose accumulators `merge` into the
+//! cells.
+//! - a build folds every live chunk of the fact table, split over the
+//!   machine's workers, and merges the workers' cell maps;
 //! - [`MaterializedAggregate::apply_delta`] folds inserted fact rows
-//!   through the same kernels, so a warehouse write costs one cell
-//!   update instead of a rebuild; writes a fold cannot express — updates,
-//!   deletes, truncates, dimension-table changes — mark the aggregate
-//!   stale, and it is rebuilt;
-//! - a roll-up merges the stored cells onto the query's coarser key; AVG
-//!   merges its sum and count, as the SQL's two-phase merge does.
-//!
-//! No SQL text is planned for an aggregate. The ROLAP SQL the cube engine
-//! generates for the same query is the oracle the tests compare the cells
-//! with. A [`DatasetView`] is the same state with another producer: its
-//! fold plan comes from its data set's bound SQL plan instead of a cube
-//! definition, and a read finishes its cells in place of the plan's
-//! `Aggregate` node and runs the operators above it.
+//!   through the same kernels, so a warehouse write costs one cell update
+//!   instead of a rebuild; writes a fold cannot express — updates,
+//!   deletes, truncates, dimension-table changes — mark the state stale,
+//!   and it is rebuilt: its SQL is planned and its cells built again;
+//! - a data set read finishes the cells in place of the plan's `Aggregate`
+//!   node and runs the operators above it; an MDX roll-up merges the
+//!   stored cells onto the query's coarser key, AVG by its sum and count,
+//!   as the SQL's two-phase merge does.
 //!
 //! What a fold reads besides the fact rows — the fact column or the
-//! dimension column each axis takes its coordinate from, and each
-//! snowflaked dimension's key and level columns with their join build
-//! side — is the aggregate's fold plan. It is resolved from the warehouse
-//! when the cells are built or rebuilt, and `apply_delta` takes no
-//! database: a fold only probes the plan's build sides, so a fact insert
-//! costs O(delta rows), not O(dimension rows). The build sides cannot go
-//! out of date while the aggregate is fresh, because every write to a
-//! dimension table makes it stale. [`AggregateCache::apply_deltas`]
-//! takes a whole batch of deltas at once: it applies all of them, then
-//! rebuilds each stale aggregate once, so a rebuild never reads a row
-//! that a later delta in the batch would fold in a second time.
+//! dimension column each GROUP BY column and each aggregate argument comes
+//! from, and each joined dimension's key and read columns with their join
+//! build side — is the state's fold plan, taken from its bound SQL plan
+//! when the cells are built. `apply_delta` takes no database: a fold only
+//! probes the plan's build sides, so a fact insert costs O(delta rows),
+//! not O(dimension rows). The build sides cannot go out of date while the
+//! state is fresh, because every write to a dimension table makes it
+//! stale. [`AggregateCache::apply_deltas`] takes a whole batch of deltas
+//! at once: it applies all of them, then rebuilds each stale state once,
+//! so a rebuild never reads a row that a later delta in the batch would
+//! fold in a second time.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -50,12 +49,12 @@ use odbis_sql::{
     aggregate_columns, finish_groups, par_chunks, planner, Accumulator, BExpr, Engine, FastHasher,
     JoinTable, SqlError, SqlResult,
 };
-use odbis_storage::{Batch, Database, DbError, Schema, Value};
+use odbis_storage::{Batch, Database, DbError, Value};
 
-use crate::cube::{Aggregator, CellSet, CubeDef, CubeQuery, DimensionDef, LevelRef};
+use crate::cube::{CellSet, CubeDef, CubeEngine, CubeQuery, LevelRef};
 use crate::OlapError;
 
-/// Stored cells: axis coordinates → one accumulator per stored measure.
+/// Stored cells: GROUP BY values → one accumulator per aggregate.
 type Cells = HashMap<Vec<Value>, Vec<Accumulator>, BuildHasherDefault<FastHasher>>;
 
 /// What [`MaterializedAggregate::apply_delta`] did with a write event.
@@ -136,103 +135,26 @@ impl Dim {
     }
 }
 
-/// Everything a fold reads, resolved against the warehouse when the cells
-/// are built, so a fold probes these build sides and never reads a table.
+/// Everything a fold reads, taken from a bound SQL plan when the cells are
+/// built, so a fold probes these build sides and never reads a table.
 #[derive(Debug, Clone)]
 struct FoldPlan {
     /// The fact table, then each joined dimension table once.
     tables: Vec<String>,
     /// Column count of the fact table; a delta of another width rebuilds.
     arity: usize,
-    /// Where each axis reads its coordinate.
+    /// Where each GROUP BY column reads its value.
     axes: Vec<Src>,
     dims: Vec<Dim>,
     /// Where each aggregate that has an argument reads it, in order;
     /// `COUNT(*)` has none.
     inputs: Vec<Src>,
-    /// One per stored measure, its argument bound over the joined columns
+    /// The plan's aggregates, each argument bound over the joined columns
     /// a fold groups: the axes, then the inputs.
     aggs: Vec<AggExpr>,
 }
 
 impl FoldPlan {
-    /// Resolve the plan of an aggregate over `def` from the live tables:
-    /// column indices from the schemas, and each snowflaked dimension's
-    /// key and level columns, with the build side of its join, from a scan
-    /// of those columns.
-    fn resolve(
-        db: &Database,
-        def: &CubeDef,
-        axes: &[LevelRef],
-        measures: &[(String, Aggregator)],
-    ) -> Result<FoldPlan, OlapError> {
-        let index = |schema: &Schema, column: &str, what: &str| {
-            schema
-                .index_of(column)
-                .ok_or_else(|| OlapError::Invalid(format!("{what} {column} missing")))
-        };
-        let schema = db.table_schema(&def.fact_table).map_err(invalid)?;
-        let mut tables = vec![def.fact_table.clone()];
-        let mut srcs = Vec::with_capacity(axes.len());
-        // per joined dimension: its def and table, the table's schema, and
-        // the columns its rows keep: the key, then the levels axes read
-        let mut joins: Vec<(&DimensionDef, &str, Schema, Vec<usize>)> = Vec::new();
-        for lr in axes {
-            let dim = def.dimension(&lr.dimension)?;
-            let level = dim
-                .levels
-                .iter()
-                .find(|l| l.name.eq_ignore_ascii_case(&lr.level))
-                .ok_or_else(|| OlapError::UnknownLevel(format!("{}.{}", lr.dimension, lr.level)))?;
-            let Some(t) = &dim.table else {
-                srcs.push((0, index(&schema, &level.column, "fact column")?));
-                continue;
-            };
-            // one join per dimension, as the cube engine's SQL has it
-            let join = match joins.iter().position(|(d, ..)| d.name == dim.name) {
-                Some(j) => j,
-                None => {
-                    let dschema = db.table_schema(t).map_err(invalid)?;
-                    let key = index(&dschema, &dim.dim_key, &format!("{t} key"))?;
-                    if !tables.iter().any(|x| x.eq_ignore_ascii_case(t)) {
-                        tables.push(t.clone());
-                    }
-                    joins.push((dim, t, dschema, vec![key]));
-                    joins.len() - 1
-                }
-            };
-            let (_, _, dschema, cols) = &mut joins[join];
-            let col = index(dschema, &level.column, &format!("{t} column"))?;
-            srcs.push((join + 1, cols.len()));
-            cols.push(col);
-        }
-        let mut dims = Vec::with_capacity(joins.len());
-        for (dim, t, _, projection) in joins {
-            let fk = index(&schema, &dim.fact_fk, "fact fk")?;
-            dims.push(Dim::scan(db, t, fk, &projection).map_err(invalid)?);
-        }
-        let inputs = measures
-            .iter()
-            .map(|(name, _)| index(&schema, &def.measure(name)?.column, "measure column"))
-            .map(|c| c.map(|c| (0, c)))
-            .collect::<Result<_, _>>()?;
-        let aggs = (measures.iter().zip(axes.len()..))
-            .map(|(&(_, func), c)| AggExpr {
-                func,
-                arg: Some(BExpr::Column(c)),
-                distinct: false,
-            })
-            .collect();
-        Ok(FoldPlan {
-            tables,
-            arity: schema.columns().len(),
-            axes: srcs,
-            dims,
-            inputs,
-            aggs,
-        })
-    }
-
     /// The plan of a view over a bound `SELECT` (see [`DatasetView`]):
     /// its GROUP BY columns are the axes, its aggregates the measures and
     /// its joins the dimensions, their build sides scanned from `db`. The
@@ -384,8 +306,8 @@ impl FoldPlan {
     /// Fold the whole fact table into new cells. Its live chunks are split
     /// over as many workers as [`Engine::new`] runs SQL on; each worker
     /// folds its share into a map of its own, and the maps merge.
-    fn fold_table(&self, db: &Database) -> Result<Cells, OlapError> {
-        let chunks = db.scan_partitions(&self.tables[0], None).map_err(invalid)?;
+    fn fold_table(&self, db: &Database) -> Result<Cells, String> {
+        let chunks = (db.scan_partitions(&self.tables[0], None)).map_err(|e| e.to_string())?;
         let parts = par_chunks(chunks, Engine::new().parallelism(), |chunks| {
             let mut cells = Cells::default();
             for c in &chunks {
@@ -394,9 +316,7 @@ impl FoldPlan {
             SqlResult::Ok(cells)
         });
         let parts = parts.into_iter().collect::<SqlResult<Vec<_>>>();
-        let mut parts = parts
-            .map_err(|e| OlapError::Execution(e.to_string()))?
-            .into_iter();
+        let mut parts = parts.map_err(|e| e.to_string())?.into_iter();
         let mut cells = parts.next().unwrap_or_default();
         for part in parts {
             for (key, accs) in part {
@@ -508,15 +428,11 @@ fn merge_cell(cells: &mut Cells, key: Vec<Value>, accs: Vec<Accumulator>) {
     }
 }
 
-fn invalid(e: DbError) -> OlapError {
-    OlapError::Invalid(e.to_string())
-}
-
 /// Cells folded through a fold plan, kept current by inserts into its fact
 /// table, and whether a write they cannot fold has made them stale.
 #[derive(Debug, Clone)]
 struct Folded {
-    /// Resolved together with `cells`; exact whenever they are fresh,
+    /// Taken together with `cells`; exact whenever they are fresh,
     /// because every write to a table in `plan.tables` either folds (a
     /// fact insert) or makes them stale.
     plan: FoldPlan,
@@ -526,7 +442,7 @@ struct Folded {
 
 impl Folded {
     /// Fold every live row of the plan's fact table.
-    fn build(db: &Database, plan: FoldPlan) -> Result<Folded, OlapError> {
+    fn build(db: &Database, plan: FoldPlan) -> Result<Folded, String> {
         Ok(Folded {
             cells: plan.fold_table(db)?,
             plan,
@@ -568,119 +484,26 @@ struct Positions<'q> {
     axes: Vec<usize>,
     /// Stored axis of each slice, and the member it keeps.
     slices: Vec<(usize, &'q Value)>,
-    /// Stored measure of each query measure.
+    /// Aggregate of each query measure.
     measures: Vec<usize>,
 }
 
-/// A materialized aggregate: the cell set of one (axes, measures)
-/// combination, indexed for point lookups and further roll-ups.
-#[derive(Debug, Clone)]
-pub struct MaterializedAggregate {
-    /// Cube the aggregate belongs to.
-    pub cube: String,
-    /// Axes the aggregate is grouped by.
-    pub axes: Vec<LevelRef>,
-    /// Measures stored, with their aggregators.
-    pub measures: Vec<(String, Aggregator)>,
-    /// The defining cube, retained so stale cells can be rebuilt without
-    /// a registry lookup.
-    def: CubeDef,
-    folded: Folded,
+/// What MDX needs to find a cube aggregate's cells among its view's
+/// groups: the axes its SQL groups by, GROUP BY column `i` being axis `i`,
+/// and each measure with the index of the aggregate that computes it. The
+/// planner computes equal aggregates once, so two measures may share one.
+#[derive(Debug, Clone, PartialEq)]
+struct Cover {
+    axes: Vec<LevelRef>,
+    measures: Vec<(String, usize)>,
 }
 
-impl MaterializedAggregate {
-    /// Build by folding the fact table: resolve the fold plan from `db`,
-    /// then fold every live row of the fact table through the kernel
-    /// [`Self::apply_delta`] runs, split over the machine's workers.
-    pub fn build(
-        db: &Database,
-        cube: &CubeDef,
-        axes: Vec<LevelRef>,
-        measure_names: Vec<String>,
-    ) -> Result<Self, OlapError> {
-        let measures = measure_names
-            .iter()
-            .map(|m| cube.measure(m).map(|md| (md.name.clone(), md.aggregator)))
-            .collect::<Result<Vec<_>, OlapError>>()?;
-        let plan = FoldPlan::resolve(db, cube, &axes, &measures)?;
-        Ok(MaterializedAggregate {
-            cube: cube.name.clone(),
-            axes,
-            measures,
-            def: cube.clone(),
-            folded: Folded::build(db, plan)?,
-        })
-    }
-
-    /// Number of stored cells.
-    pub fn len(&self) -> usize {
-        self.folded.cells.len()
-    }
-
-    /// Whether the aggregate is empty.
-    pub fn is_empty(&self) -> bool {
-        self.folded.cells.is_empty()
-    }
-
-    /// Whether a non-foldable write has invalidated the cells. A stale
-    /// aggregate refuses to answer queries until [`Self::rebuild`] runs.
-    pub fn is_stale(&self) -> bool {
-        self.folded.stale
-    }
-
-    /// Mark the cells invalid (a write arrived that a fold cannot
-    /// express, or the cells may already hold rows a fold would add).
-    pub fn mark_stale(&mut self) {
-        self.folded.stale = true;
-    }
-
-    /// Every warehouse table the stored cells depend on: the fact table
-    /// plus the dimension tables of snowflaked axes.
-    pub fn tables(&self) -> &[String] {
-        &self.folded.plan.tables
-    }
-
-    /// Whether a write to `table` can change the stored cells.
-    pub fn depends_on(&self, table: &str) -> bool {
-        self.folded.depends_on(table)
-    }
-
-    /// Build again from `db`, as [`Self::build`] does: re-resolve the fold
-    /// plan, fold the fact table into new cells, and replace both.
-    pub fn rebuild(&mut self, db: &Database) -> Result<(), OlapError> {
-        let plan = FoldPlan::resolve(db, &self.def, &self.axes, &self.measures)?;
-        self.folded = Folded::build(db, plan)?;
-        Ok(())
-    }
-
-    /// Fold a batch of rows inserted into `table` into the stored cells.
-    ///
-    /// A fold reads only the inserted rows and the fold plan resolved at
-    /// the last build: each snowflaked dimension's join build side is
-    /// probed with the rows' foreign keys, whatever the layout of their
-    /// column, so it costs O(delta rows), whatever the size of the
-    /// dimensions.
-    /// The rows fold through the same kernel as a build, with the same
-    /// inner-join rules: a row whose foreign key is NULL or matches no
-    /// dimension row folds nowhere, and one whose key matches several
-    /// dimension rows folds once per match.
-    ///
-    /// Returns [`DeltaOutcome::Folded`] when the cells now reflect the
-    /// insert, [`DeltaOutcome::NeedsRebuild`] when the write touches a
-    /// dependent table but cannot be folded (dimension-table insert, a
-    /// row of the wrong width, or the aggregate is already stale), and
-    /// [`DeltaOutcome::Unrelated`] when the write cannot affect the cells
-    /// at all — the scoped invalidation that lets unrelated cubes survive
-    /// a load.
-    pub fn apply_delta(&mut self, table: &str, rows: &Batch) -> DeltaOutcome {
-        self.folded.apply_delta(table, rows)
-    }
-
-    /// Where `query`'s axes, slices and measures sit in the stored cells,
-    /// or `None` when the aggregate cannot answer it exactly (see
-    /// [`Self::answers`]). A roll-up is a query that slices, or that
-    /// leaves a stored axis out, so stored cells merge.
-    fn positions<'q>(&self, query: &'q CubeQuery) -> Option<Positions<'q>> {
+impl Cover {
+    /// Where `query`'s axes, slices and measures sit in `folded`'s cells,
+    /// or `None` when they cannot answer it exactly (see
+    /// [`MaterializedAggregate::answers`]). A roll-up is a query that
+    /// slices, or that leaves a stored axis out, so stored cells merge.
+    fn positions<'q>(&self, folded: &Folded, query: &'q CubeQuery) -> Option<Positions<'q>> {
         let axis = |lr: &LevelRef| {
             self.axes.iter().position(|a| {
                 a.dimension.eq_ignore_ascii_case(&lr.dimension)
@@ -698,9 +521,8 @@ impl MaterializedAggregate {
                 .measures
                 .iter()
                 .map(|name| {
-                    self.measures
-                        .iter()
-                        .position(|(m, _)| m.eq_ignore_ascii_case(name))
+                    let mut stored = self.measures.iter();
+                    stored.find_map(|(m, agg)| m.eq_ignore_ascii_case(name).then_some(*agg))
                 })
                 .collect::<Option<_>>()?,
         };
@@ -709,38 +531,21 @@ impl MaterializedAggregate {
         // hides the fact rows it does not match: a query that reads none of
         // a joined dimension's axes counts rows the cells never saw
         let joined = |j: usize| {
-            (self.folded.plan.axes.iter().enumerate())
-                .any(|(i, &(side, _))| side == j + 1 && read(i))
+            (folded.plan.axes.iter().enumerate()).any(|(i, &(side, _))| side == j + 1 && read(i))
         };
-        if !(0..self.folded.plan.dims.len()).all(joined) {
+        if !(0..folded.plan.dims.len()).all(joined) {
             return None;
         }
         Some(at)
     }
 
-    /// Can this aggregate answer `query` exactly?
-    ///
-    /// Conditions: every query axis and every slice level is one of our
-    /// axes, every requested measure is stored, and the query reads an
-    /// axis of every dimension table we join (its SQL would not join the
-    /// others, so rows they hide would count). A roll-up — a query that
-    /// slices, or leaves one of our axes out — merges the cells'
-    /// accumulators, AVG included.
-    pub fn answers(&self, query: &CubeQuery) -> bool {
-        self.positions(query).is_some()
-    }
-
-    /// Answer a query from the materialized cells (must satisfy
-    /// [`MaterializedAggregate::answers`]): the stored cells that pass the
-    /// slices merge by the query's key. A cell whose aggregate the SQL
-    /// refuses (SUM or AVG over a value that is not a number) is the SQL's
-    /// error.
-    pub fn execute(&self, query: &CubeQuery) -> Result<CellSet, OlapError> {
+    /// [`MaterializedAggregate::execute`] over `folded`'s cells.
+    fn execute(&self, folded: &Folded, query: &CubeQuery) -> Result<CellSet, OlapError> {
         let at = self
-            .positions(query)
+            .positions(folded, query)
             .ok_or_else(|| OlapError::Invalid("aggregate does not cover this query".into()))?;
         let mut grouped = Cells::default();
-        for (coords, accs) in &self.folded.cells {
+        for (coords, accs) in &folded.cells {
             if !at.slices.iter().all(|&(i, v)| coords[i] == *v) {
                 continue;
             }
@@ -758,7 +563,7 @@ impl MaterializedAggregate {
         }
         // with no axes the SQL is a global aggregate: one row, even of none
         if query.axes.is_empty() && grouped.is_empty() {
-            let funcs = &self.folded.plan.aggs;
+            let funcs = &folded.plan.aggs;
             let empty = (at.measures.iter()).map(|&i| Accumulator::new(funcs[i].func, false));
             grouped.insert(Vec::new(), empty.collect());
         }
@@ -786,6 +591,114 @@ impl MaterializedAggregate {
     }
 }
 
+/// A materialized aggregate: the view of the SQL the cube engine writes
+/// for one (axes, measures) combination, whose groups are the cells a
+/// covered query rolls up.
+#[derive(Debug, Clone)]
+pub struct MaterializedAggregate {
+    cover: Cover,
+    view: DatasetView,
+}
+
+impl MaterializedAggregate {
+    /// Build the view of the SQL [`CubeEngine::generate_sql`] writes for
+    /// a query of `axes` and `measures` over `cube`, and map each measure
+    /// to its aggregate through the plan's projection. With no axes the
+    /// SQL has no GROUP BY, and the view refuses it.
+    pub fn build(
+        db: &Database,
+        cube: &CubeDef,
+        axes: Vec<LevelRef>,
+        measures: Vec<String>,
+    ) -> Result<Self, OlapError> {
+        let query = CubeQuery {
+            axes,
+            slices: vec![],
+            measures,
+        };
+        let sql = CubeEngine::generate_sql(cube, &query)?;
+        let view = DatasetView::build(db, &cube.name, &sql).map_err(OlapError::Invalid)?;
+        // the SQL sorts its projection: output `axes + j` is measure `j`,
+        // column `axes + a` of the groups is aggregate `a`
+        let mut node = &view.plan;
+        while let PlanNode::Sort { input, .. } = &node.node {
+            node = input;
+        }
+        let PlanNode::Project { exprs, .. } = &node.node else {
+            return Err(OlapError::Invalid(format!("{sql} has no projection")));
+        };
+        let n = query.axes.len();
+        let measures = (query.measures.iter().zip(&exprs[n..]))
+            .map(|(name, expr)| match *expr {
+                BExpr::Column(c) if c >= n => Ok((cube.measure(name)?.name.clone(), c - n)),
+                _ => Err(OlapError::Invalid(format!(
+                    "measure {name} is not an aggregate"
+                ))),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(MaterializedAggregate {
+            cover: Cover {
+                axes: query.axes,
+                measures,
+            },
+            view,
+        })
+    }
+
+    /// Number of stored cells.
+    pub fn len(&self) -> usize {
+        self.view.len()
+    }
+
+    /// Whether the aggregate is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Fold a batch of rows inserted into `table` into the stored cells.
+    ///
+    /// A fold reads only the inserted rows and the fold plan taken at the
+    /// last build: each snowflaked dimension's join build side is probed
+    /// with the rows' foreign keys, whatever the layout of their column,
+    /// so it costs O(delta rows), whatever the size of the dimensions.
+    /// The rows fold through the same kernel as a build, with the same
+    /// inner-join rules: a row whose foreign key is NULL or matches no
+    /// dimension row folds nowhere, and one whose key matches several
+    /// dimension rows folds once per match.
+    ///
+    /// Returns [`DeltaOutcome::Folded`] when the cells now reflect the
+    /// insert, [`DeltaOutcome::NeedsRebuild`] when the write touches a
+    /// dependent table but cannot be folded (dimension-table insert, a
+    /// row of the wrong width, or the aggregate is already stale), and
+    /// [`DeltaOutcome::Unrelated`] when the write cannot affect the cells
+    /// at all — the scoped invalidation that lets unrelated cubes survive
+    /// a load.
+    pub fn apply_delta(&mut self, table: &str, rows: &Batch) -> DeltaOutcome {
+        self.view.folded.apply_delta(table, rows)
+    }
+
+    /// Can this aggregate answer `query` exactly?
+    ///
+    /// Conditions: every query axis and every slice level is one of our
+    /// axes, every requested measure is stored, and the query reads an
+    /// axis of every dimension table we join (its SQL would not join the
+    /// others, so rows they hide would count). A roll-up — a query that
+    /// slices, or leaves one of our axes out — merges the cells'
+    /// accumulators, AVG included.
+    pub fn answers(&self, query: &CubeQuery) -> bool {
+        self.cover.positions(&self.view.folded, query).is_some()
+    }
+
+    /// Answer a query from the materialized cells (must satisfy
+    /// [`MaterializedAggregate::answers`]): the stored cells that pass the
+    /// slices merge by the query's key. A cell whose aggregate the SQL
+    /// refuses (SUM or AVG over a value that is not a number) is the SQL's
+    /// error.
+    pub fn execute(&self, query: &CubeQuery) -> Result<CellSet, OlapError> {
+        self.cover.execute(&self.view.folded, query)
+    }
+}
+
 /// What one [`AggregateCache::apply_deltas`] call did, for telemetry and
 /// tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -806,22 +719,25 @@ impl std::ops::AddAssign for DeltaReport {
     }
 }
 
-/// A data set kept as a view: the groups of its SQL's GROUP BY, folded
-/// over the warehouse's deltas exactly as a [`MaterializedAggregate`]'s
-/// cells are, beside its bound plan. A read finishes the cells as columns in
-/// place of the plan's `Aggregate` node ([`Self::answer`]) and runs the
-/// operators above it — HAVING, the projection, ORDER BY, LIMIT — through
-/// the SQL executor.
+/// A `SELECT` kept as a view: the groups of its GROUP BY, folded over the
+/// warehouse's deltas, beside its bound plan. A data set's view is read by
+/// finishing the cells as columns in place of the plan's `Aggregate` node
+/// ([`Self::answer`]) and running the operators above it — HAVING, the
+/// projection, ORDER BY, LIMIT — through the SQL executor. A cube
+/// aggregate's view is read by MDX through its cover.
 ///
-/// A data set's plan is kept as a view when it aggregates one fact table,
-/// the first in FROM, inner-joined to each other table on one fact column
-/// = one column of that table, with no WHERE; groups by a non-empty list
-/// of plain columns; computes only SUM, COUNT, COUNT(*), AVG, MIN or MAX
-/// over plain columns, none DISTINCT; and orders by every GROUP BY column,
-/// so its rows come out in one order whatever order the cells are in.
+/// A plan is kept as a view when it aggregates one fact table, the first
+/// in FROM, inner-joined to each other table on one fact column = one
+/// column of that table, with no WHERE; groups by a non-empty list of
+/// plain columns; computes only SUM, COUNT, COUNT(*), AVG, MIN or MAX over
+/// plain columns, none DISTINCT; and orders by every GROUP BY column, so
+/// its rows come out in one order whatever order the cells are in.
 #[derive(Debug, Clone)]
 pub struct DatasetView {
+    /// The data set's name, or the cube's for an aggregate.
     name: String,
+    /// How MDX finds a cube aggregate's cells; `None` for a data set.
+    cover: Option<Cover>,
     sql: String,
     plan: Plan,
     folded: Folded,
@@ -839,9 +755,10 @@ impl DatasetView {
         let fold = FoldPlan::for_select(db, &plan)?;
         Ok(DatasetView {
             name: name.to_string(),
+            cover: None,
             sql: sql.to_string(),
             plan,
-            folded: Folded::build(db, fold).map_err(|e| e.to_string())?,
+            folded: Folded::build(db, fold)?,
         })
     }
 
@@ -849,6 +766,16 @@ impl DatasetView {
     /// joined ones.
     pub fn tables(&self) -> &[String] {
         &self.folded.plan.tables
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.folded.cells.len()
+    }
+
+    /// Whether the view has no group.
+    pub fn is_empty(&self) -> bool {
+        self.folded.cells.is_empty()
     }
 
     /// Mark the view invalid: it answers nothing until it is rebuilt.
@@ -869,53 +796,23 @@ impl DatasetView {
     }
 }
 
-/// One state the cache keeps current.
-#[derive(Debug, Clone)]
-enum Kept {
-    Aggregate(MaterializedAggregate),
-    View(DatasetView),
-}
-
-impl Kept {
-    fn folded(&self) -> &Folded {
-        match self {
-            Kept::Aggregate(a) => &a.folded,
-            Kept::View(v) => &v.folded,
-        }
-    }
-
-    fn folded_mut(&mut self) -> &mut Folded {
-        match self {
-            Kept::Aggregate(a) => &mut a.folded,
-            Kept::View(v) => &mut v.folded,
-        }
-    }
-
-    /// Build again from `db`: an aggregate from its cube definition, a
-    /// view by planning its SQL again, since a DROP and a CREATE may have
-    /// moved the columns it reads. `false` when that fails — a table is
-    /// gone, or the SQL no longer plans or no longer makes a view — and
-    /// the state is dropped.
-    fn rebuild(&mut self, db: &Database) -> bool {
-        match self {
-            Kept::Aggregate(a) => a.rebuild(db).is_ok(),
-            Kept::View(v) => match DatasetView::build(db, &v.name, &v.sql) {
-                Ok(fresh) => {
-                    *v = fresh;
-                    true
-                }
-                Err(_) => false,
-            },
+impl From<MaterializedAggregate> for DatasetView {
+    /// The aggregate's view, carrying its cover: what the cache keeps.
+    fn from(agg: MaterializedAggregate) -> DatasetView {
+        DatasetView {
+            cover: Some(agg.cover),
+            ..agg.view
         }
     }
 }
 
-/// The materialized aggregates consulted before a cube query hits the
-/// fact table and the views data sets are read from, kept fresh by
-/// batches of warehouse deltas.
+/// The views kept current by batches of warehouse deltas: data sets are
+/// read from them, and a cube query one covers is answered without
+/// touching the fact table. One view is kept per key — a data set's name,
+/// or a cube with its axes and measures.
 #[derive(Debug, Default)]
 pub struct AggregateCache {
-    kept: Vec<Kept>,
+    kept: Vec<DatasetView>,
 }
 
 impl AggregateCache {
@@ -924,33 +821,37 @@ impl AggregateCache {
         AggregateCache::default()
     }
 
-    /// Register a materialized aggregate.
+    /// Register a materialized aggregate, in place of any of its cube,
+    /// axes and measures.
     pub fn add(&mut self, agg: MaterializedAggregate) {
-        self.kept.push(Kept::Aggregate(agg));
+        self.add_view(agg.into());
     }
 
-    /// Register a data set view, in place of any view of its name.
+    /// Register a view in place of any that answers the same: the data
+    /// set of its name, or its cube's aggregate of its axes and measures.
     pub fn add_view(&mut self, view: DatasetView) {
-        self.drop_view(&view.name);
-        self.kept.push(Kept::View(view));
+        (self.kept).retain(|k| (&k.name, &k.cover) != (&view.name, &view.cover));
+        self.kept.push(view);
     }
 
     /// Drop data set `name`'s view, if there is one.
     pub fn drop_view(&mut self, name: &str) {
-        self.kept
-            .retain(|k| !matches!(k, Kept::View(v) if v.name == name));
+        (self.kept).retain(|k| k.cover.is_some() || k.name != name);
+    }
+
+    /// Drop every aggregate of cube `cube`, as when it is defined again.
+    pub fn drop_cube(&mut self, cube: &str) {
+        (self.kept).retain(|k| k.cover.is_none() || k.name != cube);
     }
 
     /// Data set `name`'s view, when it is fresh and was built from exactly
     /// `sql`; a data set defined again with other SQL reads its plan.
     pub fn view(&self, name: &str, sql: &str) -> Option<&DatasetView> {
-        self.kept.iter().find_map(|k| match k {
-            Kept::View(v) if v.name == name && v.sql == sql && !v.folded.stale => Some(v),
-            _ => None,
-        })
+        (self.kept.iter())
+            .find(|v| v.cover.is_none() && v.name == name && v.sql == sql && !v.folded.stale)
     }
 
-    /// Number of registered aggregates and views.
+    /// Number of kept views, aggregates included.
     pub fn len(&self) -> usize {
         self.kept.len()
     }
@@ -960,22 +861,24 @@ impl AggregateCache {
         self.kept.is_empty()
     }
 
-    /// Drop every aggregate and view. The platform never needs to: deltas
-    /// keep the cache current. The end-to-end benchmark's ladder clears it
-    /// to time a publication with nothing to fold and a build from nothing.
+    /// Drop every view. The platform never needs to: deltas keep the cache
+    /// current. The end-to-end benchmark's ladder clears it to time a
+    /// publication with nothing to fold and a build from nothing.
     pub fn clear(&mut self) {
         self.kept.clear();
     }
 
-    /// Apply a batch of warehouse deltas, in commit order, to every
-    /// registered aggregate and view, then rebuild each one the batch left
-    /// stale — once, after the whole batch.
+    /// Apply a batch of warehouse deltas, in commit order, to every kept
+    /// view, then rebuild each one the batch left stale — once, after the
+    /// whole batch, by planning its SQL again, since a DROP and a CREATE
+    /// may have moved the columns it reads. One whose SQL no longer plans,
+    /// or no longer makes a view, is dropped.
     ///
-    /// `Insert` rows move into one [`Batch`] that every fresh aggregate
-    /// and view over the table folds. `Mutate`, a dimension-table insert
-    /// and a ragged insert (rows of unequal arity) mark the dependent ones
-    /// stale; `Drop` of a fact table removes those over it. A stale one
-    /// takes no folds: its rebuild reads those rows anyway.
+    /// `Insert` rows move into one [`Batch`] that every fresh view over
+    /// the table folds. `Mutate`, a dimension-table insert and a ragged
+    /// insert (rows of unequal arity) mark the dependent ones stale;
+    /// `Drop` of a fact table removes those over it. A stale one takes no
+    /// folds: its rebuild reads those rows anyway.
     ///
     /// A rebuild reads the live tables, which may already hold rows whose
     /// deltas are still waiting to be applied — `unapplied(table)` says
@@ -997,7 +900,7 @@ impl AggregateCache {
                         self.mark_stale_over(&table);
                         continue;
                     };
-                    for f in self.kept.iter_mut().map(Kept::folded_mut) {
+                    for f in self.kept.iter_mut().map(|v| &mut v.folded) {
                         if f.stale {
                             continue;
                         }
@@ -1011,58 +914,59 @@ impl AggregateCache {
                 TableDelta::Mutate { table } => self.mark_stale_over(&table),
                 TableDelta::Drop { table } => {
                     let before = self.kept.len();
-                    self.kept
-                        .retain(|k| !k.folded().plan.tables[0].eq_ignore_ascii_case(&table));
+                    (self.kept).retain(|v| !v.folded.plan.tables[0].eq_ignore_ascii_case(&table));
                     report.dropped += before - self.kept.len();
                     self.mark_stale_over(&table);
                 }
             }
         }
-        self.kept.retain_mut(|k| {
-            if !k.folded().stale {
+        self.kept.retain_mut(|v| {
+            if !v.folded.stale {
                 return true;
             }
             report.rebuilt += 1;
-            if !k.rebuild(db) {
+            let Ok(fresh) = DatasetView::build(db, &v.name, &v.sql) else {
                 report.dropped += 1;
                 return false;
-            }
-            let f = k.folded_mut();
-            f.stale = f.plan.tables.iter().any(|t| unapplied(t));
+            };
+            v.plan = fresh.plan;
+            v.folded = fresh.folded;
+            v.folded.stale = v.folded.plan.tables.iter().any(|t| unapplied(t));
             true
         });
         report
     }
 
-    /// Mark every aggregate and view that reads `table` stale.
+    /// Mark every view that reads `table` stale.
     pub fn mark_stale_over(&mut self, table: &str) {
-        for f in self.kept.iter_mut().map(Kept::folded_mut) {
+        for f in self.kept.iter_mut().map(|v| &mut v.folded) {
             if f.depends_on(table) {
                 f.stale = true;
             }
         }
     }
 
-    /// Answer from the cache if any fresh aggregate covers the query;
-    /// `None` when none does, or when its answer is an error, which the
-    /// live SQL then reports.
+    /// Answer from the cache if a fresh aggregate of `cube` covers the
+    /// query; `None` when none does, or when its answer is an error, which
+    /// the live SQL then reports.
     pub fn try_answer(&self, cube: &str, query: &CubeQuery) -> Option<CellSet> {
-        self.kept
-            .iter()
-            .find_map(|k| match k {
-                Kept::Aggregate(a) if !a.is_stale() && a.cube == cube && a.answers(query) => {
-                    Some(a)
-                }
-                _ => None,
-            })
-            .and_then(|a| a.execute(query).ok())
+        let (cover, folded) = self.kept.iter().find_map(|v| {
+            let cover = v
+                .cover
+                .as_ref()
+                .filter(|_| v.name == cube && !v.folded.stale)?;
+            cover
+                .positions(&v.folded, query)
+                .map(|_| (cover, &v.folded))
+        })?;
+        cover.execute(folded, query).ok()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cube::{CubeEngine, DimensionDef, LevelDef, MeasureDef, Slice};
+    use crate::cube::{Aggregator, DimensionDef, LevelDef, MeasureDef, Slice};
     use crate::test_fixtures::{sales_cube, sales_db};
     use odbis_sql::Engine;
     use std::sync::Arc;
@@ -1160,13 +1064,14 @@ mod tests {
             column: "amount".into(),
             aggregator: Aggregator::Avg,
         });
+        let stored = vec![
+            LevelRef::new("time", "year"),
+            LevelRef::new("store", "region"),
+        ];
         let agg = MaterializedAggregate::build(
             engine.database(),
             &cube,
-            vec![
-                LevelRef::new("time", "year"),
-                LevelRef::new("store", "region"),
-            ],
+            stored.clone(),
             vec!["avg_amount".into()],
         )
         .unwrap();
@@ -1181,7 +1086,7 @@ mod tests {
             member: "EU".into(),
         };
         for q in [
-            query(agg.axes.clone(), vec![]),
+            query(stored, vec![]),
             query(vec![region()], vec![]),
             query(vec![LevelRef::new("time", "year")], vec![eu()]),
             query(vec![], vec![eu()]),
@@ -1268,6 +1173,84 @@ mod tests {
         };
         assert!(cache.try_answer("sales", &uncovered).is_none());
         assert!(cache.try_answer("other_cube", &covered).is_none());
+    }
+
+    /// Two measures with one aggregator over one column are one aggregate
+    /// of the planned SQL: each measure finds its aggregate through the
+    /// projection, not by its position, built and after a fold.
+    #[test]
+    fn equal_measures_share_an_aggregate_and_each_answers_its_own() {
+        let db = Arc::new(sales_db());
+        let engine = CubeEngine::new(Arc::clone(&db));
+        let mut cube = sales_cube();
+        cube.measures.push(MeasureDef {
+            name: "rev2".into(),
+            column: "amount".into(),
+            aggregator: Aggregator::Sum,
+        });
+        let axes = vec![
+            LevelRef::new("store", "region"),
+            LevelRef::new("time", "year"),
+        ];
+        let measures = ["revenue", "units", "rev2"].map(String::from).to_vec();
+        let mut cache = AggregateCache::new();
+        cache
+            .add(MaterializedAggregate::build(&db, &cube, axes.clone(), measures.clone()).unwrap());
+        let check = |cache: &AggregateCache, when: &str| {
+            let asked = [
+                measures.clone(),
+                vec!["rev2".into()],
+                vec!["units".into(), "rev2".into(), "revenue".into()],
+            ];
+            for measures in asked {
+                for axes in [axes.clone(), vec![axes[0].clone()]] {
+                    let q = CubeQuery {
+                        axes,
+                        slices: vec![],
+                        measures: measures.clone(),
+                    };
+                    assert_eq!(
+                        cache.try_answer("sales", &q).expect(when).cells,
+                        engine.query(&cube, &q).unwrap().cells,
+                        "{when}: {q:?}"
+                    );
+                }
+            }
+        };
+        check(&cache, "built");
+        let row = vec![
+            5.into(),
+            3.into(),
+            2009.into(),
+            4.into(),
+            Value::Float(7.0),
+            Value::Null,
+        ];
+        db.insert("fact_sales", row.clone()).unwrap();
+        let insert = TableDelta::Insert {
+            table: "fact_sales".into(),
+            rows: vec![row],
+        };
+        let r = cache.apply_deltas(&db, vec![insert], |_| false);
+        assert_eq!((r.folded, r.rebuilt), (1, 0));
+        check(&cache, "after a fold");
+    }
+
+    /// The SQL of an aggregate with no axes has no GROUP BY, which a view
+    /// refuses.
+    #[test]
+    fn an_aggregate_with_no_axes_is_refused_like_sql_with_no_group_by() {
+        let refused = MaterializedAggregate::build(
+            &sales_db(),
+            &sales_cube(),
+            vec![],
+            vec!["revenue".into()],
+        )
+        .unwrap_err();
+        assert!(
+            matches!(&refused, OlapError::Invalid(m) if m.contains("no GROUP BY")),
+            "{refused:?}"
+        );
     }
 
     // ------------------------------------------------ delta maintenance
