@@ -4,8 +4,11 @@
 //!
 //! A JSON cell is a string holding the value's [`Value::render`] text; a
 //! CSV field is that text, quoted only when it holds a comma, a quote or
-//! a line break. Only a `Text` value can need an escape or a quote, so
-//! every other cell is written through [`Value::render_into`] as it is.
+//! a line break, and a NULL is an empty CSV field (the rule of
+//! [`odbis_storage::csv_text`], so the platform's own CSV loader reads a
+//! download back with its NULLs). Only a `Text` value can need an escape or
+//! a quote, so every other cell is written through [`Value::render_into`]
+//! as it is.
 
 use std::fmt::Write;
 use std::sync::Arc;
@@ -30,7 +33,7 @@ pub fn batch_json(columns: &[String], batch: &Batch) -> String {
 }
 
 /// The `GET /datasets/:name` CSV body: a header of column names, then one
-/// record per row, every record ended by `\r\n`.
+/// record per row, every record ended by `\r\n`, a NULL an empty field.
 pub fn batch_csv(columns: &[String], batch: &Batch) -> String {
     let cells = batch.columns();
     let mut out = String::with_capacity(64 + batch.num_rows() * (2 + cells.len() * CELL_BYTES));
@@ -150,7 +153,7 @@ impl Dialect {
     /// Row `row` of `col`, read in its typed representation.
     fn cell(self, out: &mut String, col: &ColumnVec, row: usize) {
         if col.is_null(row) {
-            return self.rendered(out, &Value::Null);
+            return self.null(out);
         }
         match col.data() {
             ColumnData::Int(v) => self.rendered(out, &Value::Int(v[row])),
@@ -165,8 +168,16 @@ impl Dialect {
 
     fn value(self, out: &mut String, v: &Value) {
         match v {
+            Value::Null => self.null(out),
             Value::Text(s) => self.text(out, s),
             v => self.rendered(out, v),
+        }
+    }
+
+    /// The `NULL` text in JSON, nothing in CSV.
+    fn null(self, out: &mut String) {
+        if let Dialect::Json = self {
+            out.push_str("\"NULL\"");
         }
     }
 

@@ -937,6 +937,7 @@ fn error_response(req: &HttpRequest, e: &PlatformError) -> HttpResponse {
 mod tests {
     use super::*;
     use odbis_metadata::DataSet;
+    use odbis_storage::Value;
     use odbis_tenancy::SubscriptionPlan;
     use odbis_web::{http_get, http_request, HttpServer};
 
@@ -1200,32 +1201,23 @@ mod tests {
         assert_eq!(status, 401);
     }
 
-    /// A NULL cell is served as the text `NULL`: a JSON string, and a
-    /// bare CSV field.
-    #[test]
-    fn dataset_bodies_serve_null_as_the_null_text() {
+    /// Serve a data set `n` over the rows `inserts` of a table `n (k TEXT,
+    /// v INT, f DOUBLE)`; `get(accept)` downloads its body.
+    fn serve_null_dataset(inserts: &str) -> (HttpServer, impl Fn(&str) -> String) {
         let (server, platform, token) = serve();
         let addr = server.addr().to_string();
-        for sql in [
-            "CREATE TABLE n (k TEXT, v INT)",
-            "INSERT INTO n VALUES ('a', NULL), (NULL, 2)",
-        ] {
+        for sql in ["CREATE TABLE n (k TEXT, v INT, f DOUBLE)", inserts] {
             assert_eq!(with_auth(&addr, "POST", "/api/v1/sql", &token, sql).0, 200);
         }
-        platform
-            .define_dataset(
-                "acme",
-                &token,
-                DataSet {
-                    name: "n".into(),
-                    source: "warehouse".into(),
-                    sql: "SELECT k, v FROM n".into(),
-                    description: String::new(),
-                },
-            )
-            .unwrap();
+        let data_set = DataSet {
+            name: "n".into(),
+            source: "warehouse".into(),
+            sql: "SELECT k, v, f FROM n".into(),
+            description: String::new(),
+        };
+        platform.define_dataset("acme", &token, data_set).unwrap();
         let bearer = format!("Bearer {token}");
-        let get = |accept: &str| {
+        let get = move |accept: &str| {
             let headers = [
                 ("x-tenant", "acme"),
                 ("Authorization", bearer.as_str()),
@@ -1236,11 +1228,39 @@ mod tests {
             assert_eq!(status, 200, "{body}");
             body
         };
+        (server, get)
+    }
+
+    /// A NULL cell is served as the text `NULL` in a JSON string, and as
+    /// an empty CSV field.
+    #[test]
+    fn dataset_bodies_serve_null_as_json_text_and_an_empty_csv_field() {
+        let (_server, get) =
+            serve_null_dataset("INSERT INTO n VALUES ('a', NULL, 1.5), (NULL, 2, NULL)");
         assert_eq!(
             get("application/json"),
-            r#"{"columns":["k","v"],"rows":[["a","NULL"],["NULL","2"]],"rowsAffected":0}"#
+            r#"{"columns":["k","v","f"],"rows":[["a","NULL","1.5"],["NULL","2","NULL"]],"rowsAffected":0}"#
         );
-        assert_eq!(get("text/csv"), "k,v\r\na,NULL\r\nNULL,2\r\n");
+        assert_eq!(get("text/csv"), "k,v,f\r\na,,1.5\r\n,2,\r\n");
+    }
+
+    /// A CSV download loads back through the platform's own CSV reader
+    /// with its NULLs, as an ETL export does.
+    #[test]
+    fn a_csv_download_reads_back_with_its_nulls() {
+        let (_server, get) = serve_null_dataset(
+            "INSERT INTO n VALUES ('a', NULL, 1.5), (NULL, 2, NULL), (NULL, NULL, NULL)",
+        );
+        let frame = odbis_etl::parse_csv(&get("text/csv")).unwrap();
+        assert_eq!(frame.columns, ["k", "v", "f"]);
+        assert_eq!(
+            frame.rows,
+            [
+                vec![Value::from("a"), Value::Null, Value::Float(1.5)],
+                vec![Value::Null, Value::Int(2), Value::Null],
+                vec![Value::Null; 3],
+            ]
+        );
     }
 
     /// Every route family, fed garbage: the answer is always a structured

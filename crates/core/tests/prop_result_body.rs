@@ -1,7 +1,7 @@
 //! The result body writers (`batch_json`, `batch_csv`, `query_json`,
 //! `cellset_json`) against oracles kept here: a `serde_json::json!` tree
 //! over `render()`ed rows for JSON, and `push_csv_record` over
-//! `render()`ed fields for CSV. Random typed batches on two seeds cover
+//! `render()`ed fields for CSV, a NULL an empty field. Random typed batches on two seeds cover
 //! every column type with its edge values (`i64::MIN`, `-0.0`, NaN, ±inf,
 //! `1e15`, text needing JSON escapes and CSV quotes, non-ASCII), null
 //! bitmaps over placeholder data, `Mixed` columns, zero rows and one
@@ -37,7 +37,11 @@ fn oracle_csv(columns: &[String], rows: &[Vec<Value>]) -> String {
     let mut out = String::new();
     push_csv_record(&mut out, columns, "\r\n");
     for row in rows {
-        push_csv_record(&mut out, row.iter().map(Value::render), "\r\n");
+        let fields = row.iter().map(|v| match v {
+            Value::Null => String::new(),
+            v => v.render(),
+        });
+        push_csv_record(&mut out, fields, "\r\n");
     }
     out
 }
@@ -269,7 +273,7 @@ fn pinned_bodies_spell_the_formatting_rule() {
             "i,f,\"t,\"\"\",m,g,b\r\n",
             "-9223372036854775808,2.0,\"a,\"\"b\"\"\",1970-01-01,1000000000000000,TRUE\r\n",
             "0,-0.0,\u{1}\\\u{1f}é,1970-01-02 00:00:00,NaN,FALSE\r\n",
-            "NULL,0.1,\"x\r\",\"y\n\",-inf,TRUE\r\n",
+            ",0.1,\"x\r\",\"y\n\",-inf,TRUE\r\n",
         )
     );
 }

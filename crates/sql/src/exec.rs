@@ -4,7 +4,12 @@
 //! the executor every production SELECT takes: table scans emit one morsel
 //! per table chunk (at most [`BLOCK_ROWS`] rows) as columnar [`Batch`]es
 //! that flow through filters and projections column-wise on a scoped
-//! worker pool, equi-joins
+//! worker pool. A filter (a scan's, a `Filter`'s, an index probe's
+//! residual, a join's residual) is a selection, [`BExpr::select`]: the
+//! row indices where the predicate is TRUE, kept by one
+//! [`Batch::gather`], and a morsel every row of which passes goes on
+//! untouched. A projection of bare columns picks its input's columns
+//! inline, with no pool dispatch. Equi-joins
 //! hash the typed key columns of the smaller side, probe the other side's
 //! morsels into row-index pairs and materialise the output late with
 //! [`Batch::gather`], and aggregation runs two-phase (one partial state per
@@ -36,7 +41,7 @@ use odbis_storage::{
 use crate::accumulator::Accumulator;
 use crate::ast::JoinKind;
 use crate::error::{SqlError, SqlResult};
-use crate::expr::{keep_mask, truth, BExpr};
+use crate::expr::{truth, BExpr};
 use crate::plan::{equi_pairs, AggExpr, Plan, PlanNode};
 
 /// Execute a read-only plan, producing materialized rows.
@@ -205,24 +210,27 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
             let morsels = db.scan_partitions(table, projection.as_deref())?;
             match filter {
                 None => Ok(morsels),
-                Some(pred) => par_map(morsels, threads, |m| Ok(m.filter(&keep_mask(pred, &m)?))),
+                Some(pred) => par_map(morsels, threads, |m| selected(pred, m)),
             }
         }
         PlanNode::Filter { input, predicate } => {
             let morsels = exec_morsels(db, input, threads)?;
-            par_map(morsels, threads, |m| {
-                Ok(m.filter(&keep_mask(predicate, &m)?))
-            })
+            par_map(morsels, threads, |m| selected(predicate, m))
         }
         PlanNode::Project { input, exprs } => {
             let morsels = exec_morsels(db, input, threads)?;
-            par_map(morsels, threads, |m| {
+            let project = |m: Batch| {
                 let cols: Vec<Arc<ColumnVec>> = exprs
                     .iter()
                     .map(|e| e.eval_batch(&m))
                     .collect::<SqlResult<_>>()?;
                 Ok(Batch::new(cols, m.num_rows())?)
-            })
+            };
+            // picking columns costs an `Arc` clone each: no worker to wake
+            match exprs.iter().all(|e| matches!(e, BExpr::Column(_))) {
+                true => morsels.into_iter().map(project).collect(),
+                false => par_map(morsels, threads, project),
+            }
         }
         PlanNode::Join {
             kind,
@@ -298,11 +306,21 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
             let batch = Batch::from_rows(arity, rows)?;
             Ok(vec![match residual {
                 None => batch,
-                Some(pred) => batch.filter(&keep_mask(pred, &batch)?),
+                Some(pred) => selected(pred, batch)?,
             }])
         }
         PlanNode::Values { batch } => Ok(vec![batch.clone()]),
     }
+}
+
+/// The rows of `batch` where `pred` is TRUE, gathered once; `batch` itself,
+/// its columns shared, when every row is.
+fn selected(pred: &BExpr, batch: Batch) -> SqlResult<Batch> {
+    let rows = pred.select(&batch)?;
+    Ok(match rows.len() == batch.num_rows() {
+        true => batch,
+        false => batch.gather(&rows),
+    })
 }
 
 /// Split `items` into at most `parts` contiguous chunks of near-equal size.
@@ -425,7 +443,7 @@ fn parallel_join(
         let chunks = par_map(morsel_ranges(r_rows), threads, |(lo, hi)| {
             let (mut ri, mut li) = table.probe(&rbatch, &rkeys, lo, hi);
             if let Some(residual) = &residual {
-                let keep = residual.keep(&lbatch, &li, &rbatch, &ri)?;
+                let keep = residual.select(&lbatch, &li, &rbatch, &ri)?;
                 retain_pairs(&mut li, &mut ri, &keep);
             }
             Ok(li.into_iter().zip(ri).collect::<Vec<(u32, u32)>>())
@@ -445,7 +463,7 @@ fn parallel_join(
     par_map(lmorsels, threads, |m| {
         let (mut li, mut ri) = table.probe(&m, &lkeys, 0, m.num_rows());
         if let Some(residual) = &residual {
-            let keep = residual.keep(&m, &li, &rbatch, &ri)?;
+            let keep = residual.select(&m, &li, &rbatch, &ri)?;
             retain_pairs(&mut li, &mut ri, &keep);
         }
         if kind == JoinKind::Left {
@@ -488,8 +506,9 @@ impl Residual {
         }
     }
 
-    /// One flag per candidate pair `(left[li[k]], right[ri[k]])`.
-    fn keep(&self, left: &Batch, li: &[u32], right: &Batch, ri: &[u32]) -> SqlResult<Vec<bool>> {
+    /// The positions `k` of the candidate pairs `(left[li[k]], right[ri[k]])`
+    /// the predicate holds for, ascending.
+    fn select(&self, left: &Batch, li: &[u32], right: &Batch, ri: &[u32]) -> SqlResult<Vec<u32>> {
         let cols = self
             .cols
             .iter()
@@ -498,15 +517,14 @@ impl Residual {
                 Some(c) => Arc::new(right.column(c).gather(ri)),
             })
             .collect();
-        keep_mask(&self.pred, &Batch::new(cols, li.len())?)
+        self.pred.select(&Batch::new(cols, li.len())?)
     }
 }
 
-/// Drop the candidate pairs whose residual flag is false.
-fn retain_pairs(a: &mut Vec<u32>, b: &mut Vec<u32>, keep: &[bool]) {
+/// Keep only the candidate pairs at the positions `keep`.
+fn retain_pairs(a: &mut Vec<u32>, b: &mut Vec<u32>, keep: &[u32]) {
     for side in [a, b] {
-        let mut flags = keep.iter();
-        side.retain(|_| *flags.next().expect("one flag per pair"));
+        *side = keep.iter().map(|&k| side[k as usize]).collect();
     }
 }
 

@@ -552,20 +552,138 @@ pub fn truth_column(col: &ColumnVec) -> Vec<Option<bool>> {
                 }
             })
             .collect(),
-        ColumnData::Mixed(vals) => vals.iter().map(truth).collect(),
+        ColumnData::Mixed(vals) => (0..n)
+            .map(|i| {
+                if col.is_null(i) {
+                    None
+                } else {
+                    truth(&vals[i])
+                }
+            })
+            .collect(),
         _ => (0..n)
             .map(|i| if col.is_null(i) { None } else { Some(true) })
             .collect(),
     }
 }
 
-/// Keep-mask of a predicate over a batch: true exactly where the
-/// predicate's SQL truth is TRUE (the vectorized `WHERE` filter).
-pub fn keep_mask(pred: &BExpr, batch: &Batch) -> SqlResult<Vec<bool>> {
-    Ok(truth_column(&*pred.eval_batch(batch)?)
-        .into_iter()
-        .map(|t| t == Some(true))
-        .collect())
+impl BExpr {
+    /// The selection of a predicate over a batch: the ascending indices of
+    /// the rows where it is TRUE, so dropping the rest is one
+    /// [`Batch::gather`] (the vectorized `WHERE`).
+    ///
+    /// A comparison of an `Int` or `Float` column with an `Int` or `Float`
+    /// literal compares the raw data where it lies (`compare`): the
+    /// literal is never broadcast and a NULL row is never selected.
+    /// Anything else is evaluated by [`BExpr::eval_batch`] and its truth
+    /// read, so a predicate fails on exactly the inputs `eval_batch` does.
+    pub fn select(&self, batch: &Batch) -> SqlResult<Vec<u32>> {
+        if let BExpr::Binary { op, left, right } = self {
+            if let (BExpr::Column(c), BExpr::Literal(v)) = (&**left, &**right) {
+                if let Some(col) = batch.columns().get(*c) {
+                    if let Some(rows) = compare(*op, col.data(), Operand::Literal(v), col.nulls()) {
+                        return Ok(rows);
+                    }
+                }
+            }
+        }
+        let truths = truth_column(&*self.eval_batch(batch)?);
+        Ok(select_where(truths.len(), |i| truths[i] == Some(true)))
+    }
+}
+
+/// The rows `0..n` where `hit` holds, ascending. Every row is written and
+/// the end only moves past a hit, so the loop has no branch on `hit`.
+fn select_where(n: usize, hit: impl Fn(usize) -> bool) -> Vec<u32> {
+    let mut out = vec![0u32; n];
+    let mut end = 0;
+    for row in 0..n {
+        out[end] = row as u32;
+        end += usize::from(hit(row));
+    }
+    out.truncate(end);
+    out
+}
+
+/// The right side of a typed comparison with a column.
+#[derive(Debug, Clone, Copy)]
+enum Operand<'a> {
+    /// A column of the left side's length.
+    Column(&'a ColumnData),
+    /// A literal, which every row reads.
+    Literal(&'a Value),
+}
+
+/// The rows where `left op right` is TRUE, compared on the raw `Int` and
+/// `Float` data where it lies: `Int` against `Float` widens and floats
+/// order by `total_cmp`, as [`Value::cmp_total`] does. A row `nulls` flags
+/// is never selected. `None` when `op` is no comparison or an operand is
+/// neither `Int` nor `Float`. This is the one typed comparison kernel: a
+/// selection reads it directly and [`binary_columns`] builds its `Bool`
+/// column from it.
+fn compare(
+    op: BinOp,
+    left: &ColumnData,
+    right: Operand,
+    nulls: Option<&[bool]>,
+) -> Option<Vec<u32>> {
+    use BinOp::*;
+    use ColumnData::{Float, Int};
+    if !matches!(op, Eq | Neq | Lt | Lte | Gt | Gte) {
+        return None;
+    }
+    let n = left.len();
+    Some(match (left, right) {
+        (Int(a), Operand::Column(Int(b))) => select_cmp(op, n, nulls, |i| a[i].cmp(&b[i])),
+        (Float(a), Operand::Column(Float(b))) => {
+            select_cmp(op, n, nulls, |i| a[i].total_cmp(&b[i]))
+        }
+        (Int(a), Operand::Column(Float(b))) => {
+            select_cmp(op, n, nulls, |i| (a[i] as f64).total_cmp(&b[i]))
+        }
+        (Float(a), Operand::Column(Int(b))) => {
+            select_cmp(op, n, nulls, |i| a[i].total_cmp(&(b[i] as f64)))
+        }
+        (Int(a), Operand::Literal(Value::Int(x))) => select_cmp(op, n, nulls, |i| a[i].cmp(x)),
+        (Float(a), Operand::Literal(Value::Float(x))) => {
+            select_cmp(op, n, nulls, |i| a[i].total_cmp(x))
+        }
+        (Int(a), Operand::Literal(Value::Float(x))) => {
+            select_cmp(op, n, nulls, |i| (a[i] as f64).total_cmp(x))
+        }
+        (Float(a), Operand::Literal(Value::Int(x))) => {
+            let x = *x as f64;
+            select_cmp(op, n, nulls, |i| a[i].total_cmp(&x))
+        }
+        _ => return None,
+    })
+}
+
+/// The rows `0..n` whose ordering `ord_at(row)` satisfies the comparison
+/// `op`, less those `nulls` flags. The operator is matched once, outside
+/// the loop; a flagged row's placeholder data is compared too (it is a
+/// valid number) but never selected, so the loop has no branch on it.
+fn select_cmp(
+    op: BinOp,
+    n: usize,
+    nulls: Option<&[bool]>,
+    ord_at: impl Fn(usize) -> std::cmp::Ordering,
+) -> Vec<u32> {
+    use std::cmp::Ordering::*;
+    fn by(n: usize, nulls: Option<&[bool]>, test: impl Fn(usize) -> bool) -> Vec<u32> {
+        match nulls {
+            None => select_where(n, test),
+            Some(nulls) => select_where(n, |i| !nulls[i] & test(i)),
+        }
+    }
+    match op {
+        BinOp::Eq => by(n, nulls, |i| ord_at(i) == Equal),
+        BinOp::Neq => by(n, nulls, |i| ord_at(i) != Equal),
+        BinOp::Lt => by(n, nulls, |i| ord_at(i) == Less),
+        BinOp::Lte => by(n, nulls, |i| ord_at(i) != Greater),
+        BinOp::Gt => by(n, nulls, |i| ord_at(i) == Greater),
+        _ => by(n, nulls, |i| ord_at(i) != Less),
+    }
 }
 
 /// Vectorized three-valued AND/OR with short-circuit semantics: the right
@@ -579,75 +697,46 @@ fn eval_logical_batch(
 ) -> SqlResult<Arc<ColumnVec>> {
     // AND is decided by a FALSE left operand, OR by a TRUE one.
     let sc = Some(op == BinOp::Or);
-    let lt = truth_column(&*left.eval_batch(batch)?);
-    let need: Vec<bool> = lt.iter().map(|t| *t != sc).collect();
-    let rt = if need.iter().any(|&b| b) {
-        truth_column(&*right.eval_batch(&batch.filter(&need))?)
-    } else {
-        Vec::new()
-    };
-    let mut data = Vec::with_capacity(lt.len());
-    let mut nulls = vec![false; lt.len()];
-    let mut any_null = false;
-    let mut k = 0;
-    for (i, lt_i) in lt.iter().enumerate() {
-        let combined = if !need[i] {
-            sc
-        } else {
-            let r = rt[k];
-            k += 1;
-            if op == BinOp::And {
-                match (lt_i, r) {
-                    (_, Some(false)) => Some(false),
-                    (Some(true), Some(true)) => Some(true),
-                    _ => None,
-                }
-            } else {
-                match (lt_i, r) {
-                    (_, Some(true)) => Some(true),
-                    (Some(false), Some(false)) => Some(false),
-                    _ => None,
-                }
-            }
-        };
-        match combined {
-            Some(b) => data.push(b),
-            None => {
-                data.push(false);
-                nulls[i] = true;
-                any_null = true;
-            }
+    let mut truths = truth_column(&*left.eval_batch(batch)?);
+    let open = select_where(truths.len(), |i| truths[i] != sc);
+    if !open.is_empty() {
+        let rt = truth_column(&*right.eval_batch(&batch.gather(&open))?);
+        for (&row, r) in open.iter().zip(rt) {
+            let l = &mut truths[row as usize];
+            *l = match (op, *l, r) {
+                (BinOp::And, _, Some(false)) => Some(false),
+                (BinOp::And, Some(true), Some(true)) => Some(true),
+                (BinOp::Or, _, Some(true)) => Some(true),
+                (BinOp::Or, Some(false), Some(false)) => Some(false),
+                _ => None,
+            };
         }
     }
+    let nulls: Vec<bool> = truths.iter().map(Option::is_none).collect();
+    let data = truths.into_iter().map(|t| t.unwrap_or(false)).collect();
     Ok(Arc::new(ColumnVec::new(
         ColumnData::Bool(data),
-        any_null.then_some(nulls),
+        nulls.contains(&true).then_some(nulls),
     )))
 }
 
 /// Column-wise binary operator with typed fast paths for Int/Float
-/// comparisons and arithmetic; any other operand shape falls back to
-/// element-wise [`eval_binary`] over boxed values.
+/// comparisons (the selection kernel [`compare`]) and arithmetic; any other
+/// operand shape falls back to element-wise [`eval_binary`] over boxed
+/// values.
 fn binary_columns(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> SqlResult<Arc<ColumnVec>> {
     use BinOp::*;
     let n = l.len();
+    if matches!(op, Eq | Neq | Lt | Lte | Gt | Gte) {
+        let nulls: Vec<bool> = (0..n).map(|i| l.is_null(i) || r.is_null(i)).collect();
+        let nulls = nulls.contains(&true).then_some(nulls);
+        if let Some(hits) = compare(op, l.data(), Operand::Column(r.data()), nulls.as_deref()) {
+            let mut data = vec![false; n];
+            hits.into_iter().for_each(|row| data[row as usize] = true);
+            return Ok(Arc::new(ColumnVec::new(ColumnData::Bool(data), nulls)));
+        }
+    }
     match (op, l.data(), r.data()) {
-        (Eq | Neq | Lt | Lte | Gt | Gte, ColumnData::Int(a), ColumnData::Int(b)) => {
-            return Ok(Arc::new(cmp_fast(op, n, l, r, |i| a[i].cmp(&b[i]))));
-        }
-        (Eq | Neq | Lt | Lte | Gt | Gte, ColumnData::Float(a), ColumnData::Float(b)) => {
-            return Ok(Arc::new(cmp_fast(op, n, l, r, |i| a[i].total_cmp(&b[i]))));
-        }
-        (Eq | Neq | Lt | Lte | Gt | Gte, ColumnData::Int(a), ColumnData::Float(b)) => {
-            return Ok(Arc::new(cmp_fast(op, n, l, r, |i| {
-                (a[i] as f64).total_cmp(&b[i])
-            })));
-        }
-        (Eq | Neq | Lt | Lte | Gt | Gte, ColumnData::Float(a), ColumnData::Int(b)) => {
-            return Ok(Arc::new(cmp_fast(op, n, l, r, |i| {
-                a[i].total_cmp(&(b[i] as f64))
-            })));
-        }
         (Add | Sub | Mul | Div | Mod, ColumnData::Int(a), ColumnData::Int(b)) => {
             return int_arith_fast(op, n, l, r, a, b).map(Arc::new);
         }
@@ -666,37 +755,6 @@ fn binary_columns(op: BinOp, l: &ColumnVec, r: &ColumnVec) -> SqlResult<Arc<Colu
         vals.push(eval_binary(op, &l.value(i), &r.value(i))?);
     }
     Ok(Arc::new(ColumnVec::from_values(vals)))
-}
-
-fn cmp_fast(
-    op: BinOp,
-    n: usize,
-    l: &ColumnVec,
-    r: &ColumnVec,
-    ord_at: impl Fn(usize) -> std::cmp::Ordering,
-) -> ColumnVec {
-    use std::cmp::Ordering::*;
-    let mut data = Vec::with_capacity(n);
-    let mut nulls = vec![false; n];
-    let mut any_null = false;
-    for (i, null_slot) in nulls.iter_mut().enumerate().take(n) {
-        if l.is_null(i) || r.is_null(i) {
-            data.push(false);
-            *null_slot = true;
-            any_null = true;
-        } else {
-            let ord = ord_at(i);
-            data.push(match op {
-                BinOp::Eq => ord == Equal,
-                BinOp::Neq => ord != Equal,
-                BinOp::Lt => ord == Less,
-                BinOp::Lte => ord != Greater,
-                BinOp::Gt => ord == Greater,
-                _ => ord != Less,
-            });
-        }
-    }
-    ColumnVec::new(ColumnData::Bool(data), any_null.then_some(nulls))
 }
 
 fn int_arith_fast(
@@ -818,7 +876,7 @@ fn neg_column(v: &ColumnVec) -> SqlResult<Arc<ColumnVec>> {
 
 /// Vectorized CASE: each WHEN condition is evaluated only over the rows no
 /// earlier branch decided, and each THEN result only over the rows its
-/// condition matched — preserving the row path's lazy-branch semantics.
+/// condition selected — preserving the row path's lazy-branch semantics.
 fn eval_case_batch(
     branches: &[(BExpr, BExpr)],
     else_expr: Option<&BExpr>,
@@ -826,43 +884,33 @@ fn eval_case_batch(
 ) -> SqlResult<Arc<ColumnVec>> {
     let n = batch.num_rows();
     let mut out: Vec<Value> = vec![Value::Null; n];
-    let mut pending: Vec<usize> = (0..n).collect();
-    let mut cur = batch.clone();
+    let mut pending: Vec<u32> = (0..n as u32).collect();
+    let mut fill = |rows: &[u32], result: &BExpr| -> SqlResult<()> {
+        if !rows.is_empty() {
+            let vals = result.eval_batch(&batch.gather(rows))?;
+            for (k, &row) in rows.iter().enumerate() {
+                out[row as usize] = vals.value(k);
+            }
+        }
+        Ok(())
+    };
     for (cond, result) in branches {
         if pending.is_empty() {
             break;
         }
-        let hits: Vec<bool> = truth_column(&*cond.eval_batch(&cur)?)
-            .into_iter()
-            .map(|t| t == Some(true))
-            .collect();
-        if hits.iter().any(|&h| h) {
-            let taken = cur.filter(&hits);
-            let vals = result.eval_batch(&taken)?;
-            let mut k = 0;
-            for (j, &h) in hits.iter().enumerate() {
-                if h {
-                    out[pending[j]] = vals.value(k);
-                    k += 1;
-                }
+        let hits = match pending.len() == n {
+            true => cond.select(batch)?,
+            false => {
+                let at = cond.select(&batch.gather(&pending))?;
+                at.into_iter().map(|k| pending[k as usize]).collect()
             }
-        }
-        let keep: Vec<bool> = hits.iter().map(|&h| !h).collect();
-        pending = pending
-            .iter()
-            .zip(&keep)
-            .filter(|&(_, &kp)| kp)
-            .map(|(&p, _)| p)
-            .collect();
-        cur = cur.filter(&keep);
+        };
+        fill(&hits, result)?;
+        let mut taken = hits.iter().peekable();
+        pending.retain(|row| taken.next_if_eq(&row).is_none());
     }
     if let Some(e) = else_expr {
-        if !pending.is_empty() {
-            let vals = e.eval_batch(&cur)?;
-            for (k, &ri) in pending.iter().enumerate() {
-                out[ri] = vals.value(k);
-            }
-        }
+        fill(&pending, e)?;
     }
     Ok(Arc::new(ColumnVec::from_values(out)))
 }

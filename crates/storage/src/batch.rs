@@ -75,25 +75,6 @@ impl ColumnData {
         }
     }
 
-    fn filter(&self, keep: &[bool]) -> ColumnData {
-        fn pick<T: Clone>(v: &[T], keep: &[bool]) -> Vec<T> {
-            v.iter()
-                .zip(keep)
-                .filter(|(_, &k)| k)
-                .map(|(x, _)| x.clone())
-                .collect()
-        }
-        match self {
-            ColumnData::Bool(v) => ColumnData::Bool(pick(v, keep)),
-            ColumnData::Int(v) => ColumnData::Int(pick(v, keep)),
-            ColumnData::Float(v) => ColumnData::Float(pick(v, keep)),
-            ColumnData::Text(v) => ColumnData::Text(pick(v, keep)),
-            ColumnData::Date(v) => ColumnData::Date(pick(v, keep)),
-            ColumnData::Timestamp(v) => ColumnData::Timestamp(pick(v, keep)),
-            ColumnData::Mixed(v) => ColumnData::Mixed(pick(v, keep)),
-        }
-    }
-
     fn gather(&self, idx: &[u32]) -> ColumnData {
         fn take<T: Clone + Default>(v: &[T], idx: &[u32]) -> Vec<T> {
             idx.iter()
@@ -296,22 +277,19 @@ impl ColumnVec {
         self.nulls.as_deref()
     }
 
-    /// Whether row `i` is NULL.
+    /// Whether row `i` is NULL: flagged in the bitmap, or (in a `Mixed`
+    /// column, which may have both) a NULL value inline.
     pub fn is_null(&self, i: usize) -> bool {
-        match &self.nulls {
-            Some(n) => n[i],
-            None => matches!(&self.data, ColumnData::Mixed(v) if v[i].is_null()),
-        }
+        self.nulls.as_ref().is_some_and(|n| n[i])
+            || matches!(&self.data, ColumnData::Mixed(v) if v[i].is_null())
     }
 
     /// Number of NULL rows.
     pub fn null_count(&self) -> usize {
-        match &self.nulls {
-            Some(n) => n.iter().filter(|&&b| b).count(),
-            None => match &self.data {
-                ColumnData::Mixed(v) => v.iter().filter(|v| v.is_null()).count(),
-                _ => 0,
-            },
+        match (&self.data, &self.nulls) {
+            (ColumnData::Mixed(_), _) => (0..self.len()).filter(|&i| self.is_null(i)).count(),
+            (_, Some(n)) => n.iter().filter(|&&b| b).count(),
+            (_, None) => 0,
         }
     }
 
@@ -340,23 +318,6 @@ impl ColumnVec {
             ColumnData::Timestamp(_) => Some(DataType::Timestamp),
             ColumnData::Mixed(_) => None,
         }
-    }
-
-    /// Keep only the rows where `keep` is true.
-    ///
-    /// # Panics
-    /// Panics if `keep.len() != self.len()`.
-    pub fn filter(&self, keep: &[bool]) -> ColumnVec {
-        assert_eq!(keep.len(), self.len(), "filter mask length mismatch");
-        let data = self.data.filter(keep);
-        let nulls = self.nulls.as_ref().map(|n| {
-            n.iter()
-                .zip(keep)
-                .filter(|(_, &k)| k)
-                .map(|(&b, _)| b)
-                .collect()
-        });
-        ColumnVec { data, nulls }
     }
 
     /// The rows at `idx`, in that order and with repeats (late
@@ -483,23 +444,6 @@ impl Batch {
     /// joins, sorts, and the final `QueryResult`).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
         (0..self.rows).map(|i| self.row(i)).collect()
-    }
-
-    /// Keep only the rows where `keep` is true (vectorized selection).
-    ///
-    /// # Panics
-    /// Panics if `keep.len() != self.num_rows()`.
-    pub fn filter(&self, keep: &[bool]) -> Batch {
-        assert_eq!(keep.len(), self.rows, "filter mask length mismatch");
-        let rows = keep.iter().filter(|&&k| k).count();
-        Batch {
-            columns: self
-                .columns
-                .iter()
-                .map(|c| Arc::new(c.filter(keep)))
-                .collect(),
-            rows,
-        }
     }
 
     /// The rows at `idx`, column by column (see [`ColumnVec::gather`]).
@@ -691,12 +635,12 @@ mod tests {
     }
 
     #[test]
-    fn filter_and_slice() {
+    fn selection_gather_and_slice() {
         let batch = Batch::from_rows(3, sample_rows()).unwrap();
-        let filtered = batch.filter(&[true, false, true]);
-        assert_eq!(filtered.num_rows(), 2);
-        assert_eq!(filtered.value(0, 1), Value::Null);
-        assert_eq!(filtered.value(1, 0), Value::from("a"));
+        let selected = batch.gather(&[0, 2]);
+        assert_eq!(selected.num_rows(), 2);
+        assert_eq!(selected.value(0, 1), Value::Null);
+        assert_eq!(selected.value(1, 0), Value::from("a"));
         let sliced = batch.slice(1, 3);
         assert_eq!(sliced.num_rows(), 2);
         assert_eq!(sliced.value(2, 0), Value::Float(2.5));

@@ -10,7 +10,7 @@
 //! touches.
 //!
 //! A scan hands out one [`Batch`] per chunk: `Arc` clones of its columns
-//! when every slot is live, its live rows filtered out otherwise. So the
+//! when every slot is live, its live slots gathered otherwise. So the
 //! chunk is also the morsel the SQL executor parallelises over, and the
 //! one size constant, [`BLOCK_ROWS`], is the chunk, the morsel and the
 //! live-row block of a segment.
@@ -156,15 +156,21 @@ impl Chunk {
         Chunk::new(columns.collect(), Vec::new())
     }
 
-    /// The live rows of columns `cols`, in slot order.
+    /// The live rows of columns `cols`, in slot order: the columns
+    /// themselves when no slot is tombstoned, else the live slots gathered.
     fn morsel(&self, cols: &[usize]) -> Batch {
-        let rows = self.live.iter().filter(|&&l| l).count();
-        let column = |c: usize| match rows == self.live.len() {
-            true => Arc::clone(&self.columns[c]),
-            false => Arc::new(self.columns[c].filter(&self.live)),
-        };
-        Batch::new(cols.iter().map(|&c| column(c)).collect(), rows)
-            .expect("chunk columns cover every slot")
+        let columns = cols.iter().map(|&c| Arc::clone(&self.columns[c]));
+        let all =
+            Batch::new(columns.collect(), self.live.len()).expect("chunk columns cover every slot");
+        if !self.live.contains(&false) {
+            return all;
+        }
+        let live: Vec<u32> = (0..)
+            .zip(&self.live)
+            .filter(|(_, &l)| l)
+            .map(|(i, _)| i)
+            .collect();
+        all.gather(&live)
     }
 }
 

@@ -369,7 +369,12 @@ impl Harness {
             let mut csv = String::new();
             push_csv_record(&mut csv, &oracle.columns, "\r\n");
             for row in &oracle.rows {
-                push_csv_record(&mut csv, row.iter().map(Value::render), "\r\n");
+                // a NULL is an empty field
+                let fields = row.iter().map(|v| match v {
+                    Value::Null => String::new(),
+                    v => v.render(),
+                });
+                push_csv_record(&mut csv, fields, "\r\n");
             }
             assert_eq!(self.bodies(name).1, csv.into_bytes(), "{what}: CSV");
         }
