@@ -5,9 +5,7 @@ use std::sync::Arc;
 
 use odbis_security::Role;
 use odbis_telemetry::{CostLine, CostModel, Telemetry};
-use odbis_tenancy::{
-    Invoice, ServiceKind, SubscriptionPlan, TenancyError, TenantRegistry, UsageMeter,
-};
+use odbis_tenancy::{Invoice, ServiceKind, SubscriptionPlan, TenancyError, Tenant, TenantRegistry};
 
 use crate::config::PlatformConfig;
 
@@ -22,10 +20,20 @@ pub struct UsageLine {
     pub units: u64,
 }
 
+impl UsageLine {
+    /// A tenant's lines of the open period, one per service it called.
+    pub fn of(tenant: &Tenant) -> impl Iterator<Item = UsageLine> + '_ {
+        (tenant.usage.lines().into_iter()).map(|(service, units)| UsageLine {
+            tenant: tenant.id.clone(),
+            service: service.code(),
+            units,
+        })
+    }
+}
+
 /// The administration & configuration service of the ODBIS platform.
 pub struct AdminService {
     registry: Arc<TenantRegistry>,
-    meter: Arc<UsageMeter>,
     /// Platform configuration store — shared (`Arc`) so cross-cutting
     /// consumers like the web tier's admission-control resolver can read
     /// live limits without holding the whole service.
@@ -33,16 +41,15 @@ pub struct AdminService {
     /// The telemetry spine: spans, histograms, slow log (shared with every
     /// layer through the thread-local trace context).
     pub telemetry: Arc<Telemetry>,
-    /// The pay-as-you-go cost model joining meter units with telemetry.
+    /// The pay-as-you-go cost model joining metered units with telemetry.
     pub cost_model: CostModel,
 }
 
 impl AdminService {
     /// Build over shared tenancy infrastructure.
-    pub fn new(registry: Arc<TenantRegistry>, meter: Arc<UsageMeter>) -> Self {
+    pub fn new(registry: Arc<TenantRegistry>) -> Self {
         AdminService {
             registry,
-            meter,
             config: Arc::new(PlatformConfig::with_defaults()),
             telemetry: Arc::new(Telemetry::new()),
             cost_model: CostModel::default(),
@@ -59,7 +66,8 @@ impl AdminService {
         admin_user: &str,
         admin_password: &str,
     ) -> Result<(), TenancyError> {
-        let realm = self.registry.provision(id, display_name, plan)?;
+        let tenant = self.registry.provision(id, display_name, plan)?;
+        let realm = &tenant.realm;
         let wrap = |e: odbis_security::SecurityError| TenancyError::PlanLimit(e.to_string());
         realm
             .create_role(Role::new("ROLE_USER").grant("PLATFORM_LOGIN"))
@@ -99,49 +107,42 @@ impl AdminService {
         Ok(())
     }
 
-    /// The usage report: one line per (tenant, service) with usage, sorted.
+    /// The usage report: one line per (tenant, service) the tenant called
+    /// this period, sorted.
     pub fn usage_report(&self) -> Vec<UsageLine> {
-        self.meter
-            .summary()
-            .into_iter()
-            .map(|((tenant, service), units)| UsageLine {
-                tenant,
-                service: service.code(),
-                units,
+        let tenants = self.registry.tenants();
+        tenants.iter().flat_map(|t| UsageLine::of(t)).collect()
+    }
+
+    /// Run billing for the period: one invoice per tenant from its metered
+    /// usage, closing each tenant's period as it is read.
+    pub fn billing_run(&self) -> Vec<Invoice> {
+        let tenants = self.registry.tenants();
+        (tenants.iter())
+            .map(|t| {
+                let units = t.usage.close_period().iter().map(|(_, units)| units).sum();
+                Invoice::compute(&t.id, &t.plan(), units)
             })
             .collect()
     }
 
-    /// Run billing for the period: one invoice per tenant from the metered
-    /// usage, then reset the meters.
-    pub fn billing_run(&self) -> Vec<Invoice> {
-        let mut invoices = Vec::new();
-        for id in self.registry.tenant_ids() {
-            let Ok(tenant) = self.registry.get(&id) else {
-                continue;
-            };
-            let units = self.meter.tenant_total(&id);
-            invoices.push(Invoice::compute(&id, &tenant.plan, units));
-        }
-        self.meter.close_period();
-        invoices
-    }
-
-    /// The pay-as-you-go invoice: an outer join of metered units
-    /// (`UsageMeter`) with measured resource consumption (telemetry
-    /// requests, rows, bytes, CPU time) per `(tenant, service)`, priced by
-    /// the cost model. Non-destructive — neither the meter nor the
-    /// telemetry registry is reset (that stays `billing_run`'s job).
+    /// The pay-as-you-go invoice: an outer join of metered units (the
+    /// registry's usage counters) with measured resource consumption
+    /// (telemetry requests, rows, bytes, CPU time) per `(tenant, service)`,
+    /// priced by the cost model. Non-destructive — neither the counters
+    /// nor the telemetry registry is reset (that stays `billing_run`'s
+    /// job).
     pub fn invoice_report(&self) -> Vec<CostLine> {
-        let usage = self.meter.summary();
         let mut totals = self.telemetry.totals();
         let mut lines = Vec::new();
-        for ((tenant, service), units) in usage {
-            let code = service.code();
+        for usage in self.usage_report() {
             let t = totals
-                .remove(&(tenant.clone(), code.to_string()))
+                .remove(&(usage.tenant.clone(), usage.service.to_string()))
                 .unwrap_or_default();
-            lines.push(self.cost_model.line(&tenant, code, units, t));
+            lines.push(
+                self.cost_model
+                    .line(&usage.tenant, usage.service, usage.units, t),
+            );
         }
         // telemetry-only pairs (e.g. calls that failed before metering).
         // Child spans carry layer labels (`sql`, `olap`, ...) whose time is
@@ -156,20 +157,17 @@ impl AdminService {
         lines
     }
 
-    /// Record usage on behalf of a service (the platform layer calls this
-    /// on every service invocation).
+    /// Record usage on behalf of a service, on the tenant's registry
+    /// entry. A tenant no one provisioned has none, and is not metered.
     pub fn meter_usage(&self, tenant: &str, service: ServiceKind, units: u64) {
-        self.meter.record(tenant, service, units);
+        if let Ok(t) = self.registry.get(tenant) {
+            t.usage.record(service, units);
+        }
     }
 
     /// Shared registry handle.
     pub fn registry(&self) -> &Arc<TenantRegistry> {
         &self.registry
-    }
-
-    /// Shared meter handle.
-    pub fn meter(&self) -> &Arc<UsageMeter> {
-        &self.meter
     }
 }
 
@@ -178,7 +176,7 @@ mod tests {
     use super::*;
 
     fn admin() -> AdminService {
-        AdminService::new(Arc::new(TenantRegistry::new()), Arc::new(UsageMeter::new()))
+        AdminService::new(Arc::new(TenantRegistry::new()))
     }
 
     #[test]
@@ -186,7 +184,8 @@ mod tests {
         let a = admin();
         a.provision_tenant("acme", "Acme", SubscriptionPlan::standard(), "root", "pw")
             .unwrap();
-        let realm = a.registry().realm("acme").unwrap();
+        let acme = a.registry().get("acme").unwrap();
+        let realm = &acme.realm;
         let session = realm.login("root", "pw").unwrap();
         assert_eq!(realm.authenticate(&session.token).unwrap(), "root");
         // the tenant admin transitively holds every standard authority
@@ -221,8 +220,12 @@ mod tests {
         assert!(t1.overage_cents > 0);
         let t2 = invoices.iter().find(|i| i.tenant == "t2").unwrap();
         assert_eq!(t2.total_cents, 0);
-        // meters reset after the run
+        // counters reset after the run
         assert!(a.usage_report().is_empty());
+        // a tenant no one provisioned is not metered
+        a.meter_usage("ghost", ServiceKind::Reporting, 5);
+        assert!(a.usage_report().is_empty());
+        assert_eq!(a.registry().len(), 2);
     }
 
     #[test]
@@ -251,7 +254,8 @@ mod tests {
         assert_eq!((t2.tenant.as_str(), t2.service.as_str()), ("t2", "AS"));
         assert_eq!(t2.units, 0);
         assert_eq!(t2.requests, 1);
-        // the meter is untouched by the report
-        assert_eq!(a.meter().usage("t1", ServiceKind::Metadata), 100);
+        // the counters are untouched by the report
+        let t1 = a.registry().get("t1").unwrap();
+        assert_eq!(t1.usage.get(ServiceKind::Metadata), 100);
     }
 }

@@ -7,7 +7,9 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use odbis_storage::{Column, DataType, Database, Schema, Value};
-use odbis_tenancy::{DedicatedInstances, ServiceKind, SharedSchema, UsageMeter};
+use odbis_tenancy::{
+    DedicatedInstances, ServiceKind, SharedSchema, SubscriptionPlan, TenantRegistry,
+};
 
 fn configured() -> Criterion {
     Criterion::default()
@@ -94,12 +96,15 @@ fn c1_economies_of_scale(c: &mut Criterion) {
 }
 
 /// C2: the marginal cost of metering — the same loop with and without a
-/// usage-record per operation.
+/// usage-record per operation, an atomic add on the tenant's registry
+/// entry the gate already resolved.
 fn c2_metering_overhead(c: &mut Criterion) {
     let mut group = c.benchmark_group("c2_metering_overhead");
-    let meter = UsageMeter::new();
+    let registry = TenantRegistry::new();
+    let tenant = (registry.provision("tenant-1", "T1", SubscriptionPlan::standard()))
+        .expect("fresh registry");
     group.bench_function("record_usage", |b| {
-        b.iter(|| meter.record("tenant-1", ServiceKind::Reporting, 1))
+        b.iter(|| tenant.usage.record(ServiceKind::Reporting, 1))
     });
     group.bench_function("workload_unmetered_1k", |b| {
         b.iter(|| {
@@ -111,12 +116,11 @@ fn c2_metering_overhead(c: &mut Criterion) {
         })
     });
     group.bench_function("workload_metered_1k", |b| {
-        let meter = UsageMeter::new();
         b.iter(|| {
             let mut acc = 0u64;
             for i in 0..1_000u64 {
                 acc = acc.wrapping_add(i);
-                meter.record("tenant-1", ServiceKind::Reporting, 1);
+                tenant.usage.record(ServiceKind::Reporting, 1);
             }
             acc
         })

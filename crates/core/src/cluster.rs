@@ -350,6 +350,7 @@ impl Cluster {
             .node(to)
             .ok_or_else(|| PlatformError::NotFound(format!("no node {to}")))?;
         let ws = source.workspace(tenant)?;
+        let entry = source.admin.registry().get(tenant)?;
         let store = ws.durable.clone().ok_or_else(|| {
             PlatformError::Tenancy(format!("tenant {tenant} has no durable store to migrate"))
         })?;
@@ -376,8 +377,7 @@ impl Cluster {
             // waits out in-flight ones; `read_recursive` on the read side
             // means a reader never deadlocks behind this writer.
             gate("migrate.drain")?;
-            let fence = source.tenant_fence(tenant);
-            let _drained = fence.write();
+            let _drained = entry.fence.write();
 
             // A tenant checkpoint that raced the ship phase (gated calls
             // only exclude each other at the fence, taken just now)
@@ -404,12 +404,9 @@ impl Cluster {
             gate("migrate.cutover")?;
             target.attach_workspace(tenant)?;
             let mut adopted = 0usize;
-            if let (Ok(src_realm), Ok(dst_realm)) = (
-                source.admin.registry().realm(tenant),
-                target.admin.registry().realm(tenant),
-            ) {
-                for session in src_realm.active_sessions() {
-                    dst_realm.adopt_session(session);
+            if let Ok(dst) = target.admin.registry().get(tenant) {
+                for session in entry.realm.active_sessions() {
+                    dst.realm.adopt_session(session);
                     adopted += 1;
                 }
             }

@@ -2,10 +2,11 @@
 //! Figure 1, wired and tenant-aware.
 //!
 //! Every tenant call goes through one gate, [`OdbisPlatform::gate`]: it
-//! fences the call against a migration cutover and opens its root span,
-//! the tenant must be active, the session must resolve, the principal must
-//! hold the operation's authority — and the call is metered for
-//! pay-as-you-go billing. That gate *is* the platform's SaaS contract.
+//! resolves the tenant's registry entry once, fences the call against a
+//! migration cutover and opens its root span, the tenant must be active,
+//! the session must resolve, the principal must hold the operation's
+//! authority — and the call is metered on the entry for pay-as-you-go
+//! billing. That gate *is* the platform's SaaS contract.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -27,7 +28,7 @@ use odbis_storage::{
     WalRecord, WalSink, WalStats,
 };
 use odbis_telemetry::{CostLine, SlowEntry, Span};
-use odbis_tenancy::{ServiceKind, SubscriptionPlan, TenantRegistry, UsageMeter};
+use odbis_tenancy::{ServiceKind, SubscriptionPlan, Tenant, TenantRegistry};
 use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::cluster::{Cluster, ClusterMap, ClusterNode, ClusterRoute};
@@ -380,6 +381,9 @@ type Workspace = Arc<TenantWorkspace>;
 /// A tenant's workspace and its durable store.
 type Durable = (Workspace, Arc<DurableStore>);
 
+/// A tenant's registry entry.
+type Entry = Arc<Tenant>;
+
 /// Checkpoint `store`. A checkpoint that hits a transient I/O fault (fsync
 /// hiccup, disk stall, injected failpoint) is retried in place with a short
 /// backoff, three attempts in all, before it is `Unavailable`; only I/O
@@ -423,12 +427,6 @@ pub struct OdbisPlatform {
     /// Cluster membership, `None` for a standalone node. Set once by
     /// [`OdbisPlatform::join_cluster`].
     cluster: RwLock<Option<ClusterNode>>,
-    /// Per-tenant migration write fences. Every gated call holds the
-    /// tenant's fence for reading (recursively — nested gated calls on
-    /// one thread must not self-deadlock behind a waiting writer);
-    /// migration cutover holds it for writing, which drains in-flight
-    /// calls and blocks new ones for the duration of the flip.
-    fences: Mutex<HashMap<String, Arc<RwLock<()>>>>,
 }
 
 impl Default for OdbisPlatform {
@@ -453,18 +451,18 @@ impl OdbisPlatform {
 
     fn build(data_dir: Option<PathBuf>) -> Self {
         let registry = Arc::new(TenantRegistry::new());
-        let meter = Arc::new(UsageMeter::new());
-        let admin = AdminService::new(registry, meter);
+        let admin = AdminService::new(Arc::clone(&registry));
         let config = Arc::clone(&admin.config);
         let admission = Arc::new(odbis_web::AdmissionControl::new(move |tenant| {
-            odbis_web::TenantLimits {
+            registry.get(tenant).ok()?;
+            Some(odbis_web::TenantLimits {
                 rate: config.get_int(tenant, "limits.rate").unwrap_or(0).max(0) as f64,
                 burst: config.get_int(tenant, "limits.burst").unwrap_or(0).max(0) as f64,
                 queue_depth: config
                     .get_int(tenant, "limits.queue_depth")
                     .unwrap_or(64)
                     .max(0) as u64,
-            }
+            })
         }));
         OdbisPlatform {
             admin,
@@ -473,7 +471,6 @@ impl OdbisPlatform {
             workspaces: RwLock::new(HashMap::new()),
             data_dir,
             cluster: RwLock::new(None),
-            fences: Mutex::new(HashMap::new()),
         }
     }
 
@@ -533,18 +530,6 @@ impl OdbisPlatform {
             }
             _ => ClusterRoute::Local,
         }
-    }
-
-    /// The per-tenant migration fence (created on first use). Gated
-    /// calls take it for reading; migration cutover takes it for
-    /// writing.
-    pub fn tenant_fence(&self, tenant: &str) -> Arc<RwLock<()>> {
-        Arc::clone(
-            self.fences
-                .lock()
-                .entry(tenant.to_string())
-                .or_insert_with(|| Arc::new(RwLock::new(()))),
-        )
     }
 
     /// The data directory this platform journals tenants under (`None`
@@ -748,9 +733,9 @@ impl OdbisPlatform {
 
     /// Authenticate a tenant user; returns the session token.
     pub fn login(&self, tenant: &str, user: &str, password: &str) -> PlatformResult<String> {
-        self.admin.registry().require_active(tenant)?;
-        let realm = self.admin.registry().realm(tenant)?;
-        Ok(realm.login(user, password)?.token)
+        let tenant = self.admin.registry().get(tenant)?;
+        tenant.require_active()?;
+        Ok(tenant.realm.login(user, password)?.token)
     }
 
     /// Create an additional user in a tenant (enforces the plan's user
@@ -764,40 +749,39 @@ impl OdbisPlatform {
         role: &str,
     ) -> PlatformResult<()> {
         let op = (ServiceKind::Admin, "user.create", "ADMIN_USERS");
-        self.gate(tenant, admin_token, op, user, |_, _, ()| {
-            self.admin.registry().check_user_limit(tenant)?;
-            let realm = self.admin.registry().realm(tenant)?;
-            realm.create_user(user, password)?;
-            realm.assign_role(user, role)?;
+        self.gate(tenant, admin_token, op, user, |_, _, entry: Entry| {
+            entry.check_user_limit()?;
+            entry.realm.create_user(user, password)?;
+            entry.realm.assign_role(user, role)?;
             Ok(((), 0))
         })
     }
 
     /// Tenant active + session valid + authority held. Returns the
-    /// principal's username. Every tenant call checks this inside the
-    /// platform's gate; the node-level admin routes call it bare.
+    /// principal's username. The gate runs the same check on the entry it
+    /// resolved; the node-level admin routes call this bare.
     pub fn authorize(&self, tenant: &str, token: &str, authority: &str) -> PlatformResult<String> {
-        self.admin.registry().require_active(tenant)?;
-        let realm = self.admin.registry().realm(tenant)?;
-        let principal = realm.authenticate(token)?;
-        realm.require_authority(&principal, authority)?;
-        Ok(principal)
+        let tenant = self.admin.registry().get(tenant)?;
+        authorize(&tenant, token, authority)
     }
 
     // ---- the gate ------------------------------------------------------------
 
     /// The one gate every tenant call runs through, in this order:
-    /// 1. the `platform.fence` failpoint, then the tenant's migration
+    /// 1. the tenant's registry entry, resolved once: an id no one
+    ///    provisioned is a `Tenancy` error here, and nothing is kept for it;
+    /// 2. the `platform.fence` failpoint, then the entry's migration
     ///    fence, held for reading until the call returns;
-    /// 2. the moved re-check;
-    /// 3. the root span, with the tenant's `telemetry.slow_ms` and
+    /// 3. the moved re-check;
+    /// 4. the root span, with the tenant's `telemetry.slow_ms` and
     ///    `detail` for the slow log;
-    /// 4. [`Self::authorize`] against the authority in
+    /// 5. authorization on the entry against the authority in
     ///    `op = (service, operation, authority)`;
-    /// 5. the lookup of the call's [`Scope`];
-    /// 6. the call, which gets the span, the principal and the scope, and
+    /// 6. the lookup of the call's [`Scope`];
+    /// 7. the call, which gets the span, the principal and the scope, and
     ///    reports its value and its billable units;
-    /// 7. on success only, metering of those units under `service`.
+    /// 8. on success only, metering of those units under `service`, an
+    ///    atomic add on the entry.
     fn gate<S: Scope, R>(
         &self,
         tenant: &str,
@@ -806,6 +790,7 @@ impl OdbisPlatform {
         detail: &str,
         call: impl FnOnce(&mut Span, String, S) -> PlatformResult<(R, u64)>,
     ) -> PlatformResult<R> {
+        let entry = self.admin.registry().get(tenant)?;
         // Failpoint between routing and the fence: the chaos suite uses a
         // delay here to pin a dispatch inside the cutover window.
         odbis_chaos::check("platform.fence")
@@ -815,8 +800,7 @@ impl OdbisPlatform {
         // acknowledged write is either in the shipped WAL tail or never
         // acknowledged. Recursive, so a gated call nested inside another
         // never deadlocks behind a waiting cutover.
-        let fence = self.tenant_fence(tenant);
-        let _fenced = fence.read_recursive();
+        let _fenced = entry.fence.read_recursive();
         // A request routed here before a cutover flip resumes with the
         // workspace already detached: answer with the new owner, not a
         // workspace miss.
@@ -834,12 +818,11 @@ impl OdbisPlatform {
             .telemetry
             .span(tenant, service.code(), operation, slow_ms);
         span.set_detail(detail);
-        let result = self
-            .authorize(tenant, token, authority)
-            .and_then(|user| call(&mut span, user, S::lookup(self, tenant)?));
+        let result = authorize(&entry, token, authority)
+            .and_then(|user| call(&mut span, user, S::lookup(self, &entry)?));
         match result {
             Ok((value, units)) => {
-                self.admin.meter_usage(tenant, service, units);
+                entry.usage.record(service, units);
                 Ok(value)
             }
             Err(e) => {
@@ -1021,8 +1004,9 @@ impl OdbisPlatform {
         payload: &ReportPayload,
     ) -> PlatformResult<String> {
         let op = (ServiceKind::Delivery, "deliver", "REPORT_VIEW");
-        self.gate(tenant, token, op, report, |span, _, ws: Workspace| {
-            if !self.admin.registry().realm(tenant)?.has_user(user) {
+        self.gate(tenant, token, op, report, |span, _, t: Entry| {
+            let ws = self.workspace(tenant)?;
+            if !t.realm.has_user(user) {
                 return Err(PlatformError::NotFound(format!("user {user}")));
             }
             let delivered = ws.delivery.deliver(user, report, channel, payload);
@@ -1121,10 +1105,8 @@ impl OdbisPlatform {
     /// The caller's tenant's lines of the usage report. Unmetered.
     pub fn tenant_usage(&self, tenant: &str, token: &str) -> PlatformResult<Vec<UsageLine>> {
         let op = (ServiceKind::Admin, "usage.read", "ADMIN_USERS");
-        self.gate(tenant, token, op, "", |_, _, ()| {
-            let mut lines = self.admin.usage_report();
-            lines.retain(|l| l.tenant == tenant);
-            Ok((lines, 0))
+        self.gate(tenant, token, op, "", |_, _, entry: Entry| {
+            Ok((UsageLine::of(&entry).collect(), 0))
         })
     }
 
@@ -1132,7 +1114,7 @@ impl OdbisPlatform {
     /// Unmetered.
     pub fn tenant_invoice(&self, tenant: &str, token: &str) -> PlatformResult<Vec<CostLine>> {
         let op = (ServiceKind::Admin, "invoice.read", "ADMIN_USERS");
-        self.gate(tenant, token, op, "", |_, _, ()| {
+        self.gate(tenant, token, op, "", |_, _, _: Entry| {
             let mut lines = self.admin.invoice_report();
             lines.retain(|l| l.tenant == tenant);
             Ok((lines, 0))
@@ -1142,7 +1124,7 @@ impl OdbisPlatform {
     /// The caller's tenant's slow-log entries, oldest first. Unmetered.
     pub fn tenant_slowlog(&self, tenant: &str, token: &str) -> PlatformResult<Vec<SlowEntry>> {
         let op = (ServiceKind::Admin, "slowlog.read", "ADMIN_USERS");
-        self.gate(tenant, token, op, "", |_, _, ()| {
+        self.gate(tenant, token, op, "", |_, _, _: Entry| {
             let mut entries = self.admin.telemetry.slow_log();
             entries.retain(|e| e.tenant == tenant);
             Ok((entries, 0))
@@ -1153,7 +1135,7 @@ impl OdbisPlatform {
     /// `tenant="..."` (`GET /api/v1/admin/metrics`). Unmetered.
     pub fn tenant_metrics(&self, tenant: &str, token: &str) -> PlatformResult<String> {
         let op = (ServiceKind::Admin, "metrics.read", "ADMIN_USERS");
-        self.gate(tenant, token, op, "", |_, _, ()| {
+        self.gate(tenant, token, op, "", |_, _, _: Entry| {
             Ok((self.render_metrics(Some(tenant)), 0))
         })
     }
@@ -1168,11 +1150,8 @@ impl OdbisPlatform {
         let mut body = self.admin.telemetry.render_prometheus(tenant);
         // live sessions per tenant realm (expired sessions are swept on
         // login and excluded from the count either way)
-        let sessions: Vec<(String, u64)> = (self.admin.registry().tenant_ids().into_iter())
-            .filter_map(|id| {
-                let realm = self.admin.registry().realm(&id).ok()?;
-                Some((id, realm.session_count() as u64))
-            })
+        let sessions: Vec<(String, u64)> = (self.admin.registry().tenants().iter())
+            .map(|t| (t.id.clone(), t.realm.session_count() as u64))
             .collect();
         push_tenant_series(
             &mut body,
@@ -1260,33 +1239,42 @@ impl OdbisPlatform {
     }
 }
 
+/// Tenant active + session valid + authority held, on the tenant's
+/// resolved entry. Returns the principal's username.
+fn authorize(tenant: &Tenant, token: &str, authority: &str) -> PlatformResult<String> {
+    tenant.require_active()?;
+    let principal = tenant.realm.authenticate(token)?;
+    tenant.realm.require_authority(&principal, authority)?;
+    Ok(principal)
+}
+
 /// What a tenant call runs against. [`OdbisPlatform::gate`] looks it up
-/// once the caller is authorized; a miss fails the call with the scope's
-/// own error.
+/// on the tenant's entry once the caller is authorized; a miss fails the
+/// call with the scope's own error.
 trait Scope: Sized {
-    fn lookup(platform: &OdbisPlatform, tenant: &str) -> PlatformResult<Self>;
+    fn lookup(platform: &OdbisPlatform, tenant: &Entry) -> PlatformResult<Self>;
 }
 
 /// The tenant's workspace; a miss is `Moved` (307) or `Tenancy` (402).
 impl Scope for Workspace {
-    fn lookup(platform: &OdbisPlatform, tenant: &str) -> PlatformResult<Self> {
-        platform.workspace(tenant)
+    fn lookup(platform: &OdbisPlatform, tenant: &Entry) -> PlatformResult<Self> {
+        platform.workspace(&tenant.id)
     }
 }
 
 /// The workspace and its durable store; a miss is `Storage` (500) on an
 /// in-memory platform, else `NotFound` (404).
 impl Scope for Durable {
-    fn lookup(platform: &OdbisPlatform, tenant: &str) -> PlatformResult<Self> {
-        platform.durable_store(tenant)
+    fn lookup(platform: &OdbisPlatform, tenant: &Entry) -> PlatformResult<Self> {
+        platform.durable_store(&tenant.id)
     }
 }
 
-/// Nothing past the realm: a call over the tenant's users or this node's
-/// meters.
-impl Scope for () {
-    fn lookup(_: &OdbisPlatform, _: &str) -> PlatformResult<Self> {
-        Ok(())
+/// The entry itself: a call over the tenant's realm or usage, or this
+/// node's reports.
+impl Scope for Entry {
+    fn lookup(_: &OdbisPlatform, tenant: &Entry) -> PlatformResult<Self> {
+        Ok(Arc::clone(tenant))
     }
 }
 
@@ -1378,7 +1366,8 @@ mod tests {
         .unwrap();
         let r = p.execute_dataset("acme", &token, "by_region").unwrap();
         assert_eq!(r.rows.len(), 2);
-        assert!(p.admin.meter().usage("acme", ServiceKind::Metadata) >= 4);
+        let acme = p.admin.registry().get("acme").unwrap();
+        assert!(acme.usage.get(ServiceKind::Metadata) >= 4);
     }
 
     #[test]
@@ -1401,10 +1390,8 @@ mod tests {
     #[test]
     fn suspended_tenant_is_locked_out() {
         let (p, token) = boot();
-        p.admin
-            .registry()
-            .set_status("acme", odbis_tenancy::TenantStatus::Suspended)
-            .unwrap();
+        (p.admin.registry().get("acme").unwrap())
+            .set_status(odbis_tenancy::TenantStatus::Suspended);
         assert!(matches!(
             p.sql("acme", &token, "SELECT 1"),
             Err(PlatformError::Tenancy(_))
@@ -1508,6 +1495,19 @@ mod tests {
         assert_eq!(invoices.len(), 1);
         assert!(invoices[0].units >= 11);
         assert_eq!(invoices[0].plan, "standard");
+    }
+
+    #[test]
+    fn a_call_metered_at_zero_units_keeps_its_usage_line() {
+        let (p, token) = boot();
+        assert!(p.tenant_usage("acme", &token).unwrap().is_empty());
+        let adm = UsageLine {
+            tenant: "acme".into(),
+            service: "ADM",
+            units: 0,
+        };
+        assert_eq!(p.tenant_usage("acme", &token).unwrap(), vec![adm.clone()]);
+        assert_eq!(p.admin.usage_report(), vec![adm]);
     }
 
     #[test]

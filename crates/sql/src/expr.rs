@@ -241,41 +241,7 @@ impl BExpr {
                 expr,
                 list,
                 negated,
-            } => {
-                let v = expr.eval_batch(batch)?;
-                let items: Vec<Arc<ColumnVec>> = list
-                    .iter()
-                    .map(|e| e.eval_batch(batch))
-                    .collect::<SqlResult<_>>()?;
-                let mut vals = Vec::with_capacity(n);
-                for i in 0..n {
-                    let x = v.value(i);
-                    if x.is_null() {
-                        vals.push(Value::Null);
-                        continue;
-                    }
-                    let mut hit = false;
-                    let mut saw_null = false;
-                    for item in &items {
-                        match x.sql_eq(&item.value(i)) {
-                            Some(true) => {
-                                hit = true;
-                                break;
-                            }
-                            Some(false) => {}
-                            None => saw_null = true,
-                        }
-                    }
-                    vals.push(if hit {
-                        Value::Bool(!*negated)
-                    } else if saw_null {
-                        Value::Null
-                    } else {
-                        Value::Bool(*negated)
-                    });
-                }
-                Ok(Arc::new(ColumnVec::from_values(vals)))
-            }
+            } => eval_in_list_batch(expr, list, *negated, batch),
             BExpr::Between {
                 expr,
                 lo,
@@ -872,6 +838,49 @@ fn neg_column(v: &ColumnVec) -> SqlResult<Arc<ColumnVec>> {
             Ok(Arc::new(ColumnVec::from_values(vals)))
         }
     }
+}
+
+/// Vectorized IN: each list item is evaluated only over the rows the
+/// subject and the earlier items left undecided (a non-NULL subject with no
+/// hit yet), as the row path stops at the first hit — so an item that
+/// fails on a row an earlier item already matched never runs there.
+fn eval_in_list_batch(
+    expr: &BExpr,
+    list: &[BExpr],
+    negated: bool,
+    batch: &Batch,
+) -> SqlResult<Arc<ColumnVec>> {
+    let n = batch.num_rows();
+    let v = expr.eval_batch(batch)?;
+    let mut out: Vec<Value> = (0..n)
+        .map(|i| match v.is_null(i) {
+            true => Value::Null,
+            false => Value::Bool(negated),
+        })
+        .collect();
+    let mut open = select_where(n, |i| !v.is_null(i));
+    for item in list {
+        if open.is_empty() {
+            break;
+        }
+        let items = match open.len() == n {
+            true => item.eval_batch(batch)?,
+            false => item.eval_batch(&batch.gather(&open))?,
+        };
+        let mut k = 0;
+        open.retain(|&row| {
+            let i = row as usize;
+            let eq = v.value(i).sql_eq(&items.value(k));
+            k += 1;
+            match eq {
+                Some(true) => out[i] = Value::Bool(!negated),
+                Some(false) => {}
+                None => out[i] = Value::Null,
+            }
+            eq != Some(true)
+        });
+    }
+    Ok(Arc::new(ColumnVec::from_values(out)))
 }
 
 /// Vectorized CASE: each WHEN condition is evaluated only over the rows no

@@ -11,10 +11,10 @@
 //! (of one layout, `Int` with `Float`, or layouts that only `Value`
 //! compares), arithmetic that can divide by zero or meet a TEXT operand,
 //! and nest those under AND, OR, NOT, IS NULL, BETWEEN, IN, LIKE and CASE.
-//! An IN list holds literals only: `eval_batch` evaluates every list item
-//! on every row, where the row path stops at the first hit, so a failing
-//! item makes the two disagree on errors whatever the selection does. A
-//! failure prints the seed, the batch and the predicate.
+//! An IN list holds literals, columns and arithmetic that can fail, so an
+//! item must only run on the rows no earlier item matched, as the row path
+//! stops at the first hit. A failure prints the seed, the batch and the
+//! predicate.
 
 use odbis_sql::ast::{BinOp, UnOp};
 use odbis_sql::expr::truth;
@@ -254,7 +254,11 @@ fn predicate(rng: &mut StdRng, depth: u32) -> BExpr {
         3 => {
             let (c, layout) = col(rng);
             let list = (0..rng.random_range(1..4))
-                .map(|_| lit(rng, layout))
+                .map(|_| match rng.random_range(0..4) {
+                    0 => col_of(rng, layout),
+                    1 => arith(rng),
+                    _ => lit(rng, layout),
+                })
                 .collect();
             BExpr::InList {
                 expr: Box::new(c),
@@ -358,8 +362,9 @@ fn selection_equals_the_row_oracle() {
 
 /// The cases the mutations of the kernels hinge on, pinned: a NULL slot
 /// whose placeholder passes, NaN against a literal, a literal on the left,
-/// and an AND whose right side fails only on a row where its left side
-/// is NULL.
+/// an AND whose right side fails only on a row where its left side
+/// is NULL, and an IN list whose second item fails only on a row its first
+/// item matched.
 #[test]
 fn pinned_kernel_edges_equal_the_row_oracle() {
     let ints = ColumnVec::new(
@@ -394,6 +399,15 @@ fn pinned_kernel_edges_equal_the_row_oracle() {
                 bin(BinOp::Gt, bin(BinOp::Div, int(1), c(1)), int(0)),
             ),
             None,
+        ),
+        // x IN (0, 1 / x): row 3 is 0, matched before 1 / x divides by it
+        (
+            BExpr::InList {
+                expr: Box::new(c(0)),
+                list: vec![int(0), bin(BinOp::Div, int(1), c(0))],
+                negated: false,
+            },
+            Some(vec![1, 3]),
         ),
     ];
     for (pred, expected) in cases {

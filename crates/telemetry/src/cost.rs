@@ -2,8 +2,8 @@
 //! resource consumption (CPU time, rows, bytes) into per-tenant cost
 //! lines.
 //!
-//! ODBIS §2 claims the platform "aligns cost with usage". The
-//! `UsageMeter` counts abstract units per `(tenant, service)`; telemetry
+//! ODBIS §2 claims the platform "aligns cost with usage". Each tenant's
+//! registry entry counts abstract units per service; telemetry
 //! measures what those units actually cost in latency, rows and bytes.
 //! A [`CostModel`] joins the two sides into [`CostLine`]s — the body of
 //! the `GET /api/v1/admin/invoice` response.
@@ -14,7 +14,8 @@ use crate::metrics::ServiceTotals;
 /// produce non-zero, integer-exact charges.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
-    /// Price per metered unit (the `UsageMeter` currency).
+    /// Price per metered unit (the currency of the tenants' usage
+    /// counters).
     pub millicents_per_unit: u64,
     /// Price per CPU-second of measured service time.
     pub millicents_per_cpu_second: u64,

@@ -1,8 +1,8 @@
 //! # odbis-telemetry
 //!
 //! The platform telemetry spine: the observability counterpart of the
-//! paper's pay-as-you-go claim (ODBIS §1–2). `UsageMeter` counts *units*;
-//! this crate measures *what a request cost* — latency, rows, bytes — and
+//! paper's pay-as-you-go claim (ODBIS §1–2). The tenant registry counts
+//! *units*; this crate measures *what a request cost* — latency, rows, bytes — and
 //! joins the two into per-tenant cost lines.
 //!
 //! Four pieces, each its own module:
@@ -181,7 +181,7 @@ impl Telemetry {
     }
 
     /// Totals aggregated over operations, keyed by `(tenant, service)` —
-    /// the join key shared with `UsageMeter`'s summary.
+    /// the join key shared with the usage report.
     pub fn totals(&self) -> BTreeMap<(String, String), ServiceTotals> {
         let mut out: BTreeMap<(String, String), ServiceTotals> = BTreeMap::new();
         for snap in self.snapshot() {

@@ -276,7 +276,7 @@ pub(crate) fn render_wal(tenants: &[(String, WalCounters)]) -> String {
 }
 
 /// Per-`(tenant, service)` totals aggregated over operations — the shape
-/// the cost pipeline joins against `UsageMeter` units.
+/// the cost pipeline joins against metered units.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceTotals {
     /// Finished spans.

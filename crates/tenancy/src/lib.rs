@@ -4,25 +4,25 @@
 //! on-demand/pay-as-you-go model and economies-of-scale machinery the
 //! paper's §2 describes.
 //!
-//! * [`TenantRegistry`] — tenant lifecycle, per-tenant security realms,
-//!   plan limits;
+//! * [`TenantRegistry`] — one [`Tenant`] entry per tenant: lifecycle,
+//!   plan, security realm, migration fence and per-service usage
+//!   counters;
 //! * [`SubscriptionPlan`] / [`Invoice`] — pay-as-you-go pricing: "costs are
 //!   directly aligned with usage";
-//! * [`UsageMeter`] — per-(tenant, service) usage counters;
 //! * [`SharedSchema`] vs [`DedicatedInstances`] — "one database is used to
 //!   store all customers data" vs the traditional per-customer deployment,
 //!   so the economies-of-scale claim (experiment C1) is measurable.
 //!
 //! ```
-//! use odbis_tenancy::{ServiceKind, SubscriptionPlan, TenantRegistry, UsageMeter, Invoice};
+//! use odbis_tenancy::{Invoice, ServiceKind, SubscriptionPlan, TenantRegistry};
 //!
 //! let registry = TenantRegistry::new();
 //! registry.provision("acme", "Acme Corp", SubscriptionPlan::standard()).unwrap();
-//! let meter = UsageMeter::new();
-//! meter.record("acme", ServiceKind::Reporting, 120_000);
 //! let tenant = registry.get("acme").unwrap();
-//! let invoice = Invoice::compute("acme", &tenant.plan, meter.tenant_total("acme"));
-//! assert!(invoice.total_cents > tenant.plan.monthly_fee_cents); // overage billed
+//! tenant.usage.record(ServiceKind::Reporting, 120_000);
+//! let units = tenant.usage.close_period().iter().map(|(_, units)| units).sum();
+//! let invoice = Invoice::compute("acme", &tenant.plan(), units);
+//! assert!(invoice.total_cents > tenant.plan().monthly_fee_cents); // overage billed
 //! ```
 
 #![warn(missing_docs)]
@@ -33,6 +33,6 @@ mod plan;
 mod registry;
 
 pub use isolation::{scope_select, DedicatedInstances, SharedSchema, TENANT_COLUMN};
-pub use metering::{ServiceKind, UsageMeter, UsageSummary};
+pub use metering::{ServiceKind, Usage};
 pub use plan::{Invoice, SubscriptionPlan};
 pub use registry::{TenancyError, TenancyResult, Tenant, TenantRegistry, TenantStatus};

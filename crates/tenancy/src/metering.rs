@@ -1,8 +1,6 @@
 //! Usage metering: the mechanism that aligns cost with usage.
 
-use std::collections::BTreeMap;
-
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The five core BI services plus administration (ODBIS §3.1) — the
 /// dimensions along which usage is metered.
@@ -46,72 +44,51 @@ impl ServiceKind {
     }
 }
 
-/// Aggregated usage per (tenant, service).
-pub type UsageSummary = BTreeMap<(String, ServiceKind), u64>;
-
-/// Thread-safe usage meter: one counter per (tenant, service), keyed by
-/// tenant and then service, so recording borrows the tenant id and
-/// allocates nothing after the tenant's first call.
+/// One tenant's usage counters: units per service, and which services it
+/// called, so a call metered at 0 units still gets its usage line. They
+/// live on the tenant's registry entry, so recording is an atomic add and
+/// there is no node-wide meter to lock.
 #[derive(Debug, Default)]
-pub struct UsageMeter {
-    counters: Mutex<BTreeMap<String, BTreeMap<ServiceKind, u64>>>,
+pub struct Usage {
+    units: [AtomicU64; ServiceKind::ALL.len()],
+    called: AtomicU64,
 }
 
-impl UsageMeter {
-    /// Empty meter.
-    pub fn new() -> Self {
-        UsageMeter::default()
+impl Usage {
+    /// Meter `units` of `service`.
+    pub fn record(&self, service: ServiceKind, units: u64) {
+        let bit = 1 << service as u64;
+        self.units[service as usize].fetch_add(units, Ordering::Relaxed);
+        if self.called.load(Ordering::Relaxed) & bit == 0 {
+            self.called.fetch_or(bit, Ordering::Relaxed);
+        }
     }
 
-    /// Record usage.
-    pub fn record(&self, tenant: &str, service: ServiceKind, units: u64) {
-        let mut counters = self.counters.lock();
-        let services = match counters.get_mut(tenant) {
-            Some(services) => services,
-            None => counters.entry(tenant.to_string()).or_default(),
-        };
-        *services.entry(service).or_insert(0) += units;
+    /// Units metered for `service` in the open billing period.
+    pub fn get(&self, service: ServiceKind) -> u64 {
+        self.units[service as usize].load(Ordering::Relaxed)
     }
 
-    /// Total units for a tenant across all services.
-    pub fn tenant_total(&self, tenant: &str) -> u64 {
-        self.counters
-            .lock()
-            .get(tenant)
-            .map_or(0, |services| services.values().sum())
+    /// The open period: one `(service, units)` per service called, 0 units
+    /// included, in service order.
+    pub fn lines(&self) -> Vec<(ServiceKind, u64)> {
+        self.read(|a| a.load(Ordering::Relaxed))
     }
 
-    /// Units for one (tenant, service).
-    pub fn usage(&self, tenant: &str, service: ServiceKind) -> u64 {
-        self.counters
-            .lock()
-            .get(tenant)
-            .and_then(|services| services.get(&service))
-            .copied()
-            .unwrap_or(0)
+    /// Close the billing period: its lines, with every counter swapped to
+    /// zero as it is read, so each unit lands in exactly one period.
+    pub fn close_period(&self) -> Vec<(ServiceKind, u64)> {
+        self.read(|a| a.swap(0, Ordering::Relaxed))
     }
 
-    /// Snapshot of all counters.
-    pub fn summary(&self) -> UsageSummary {
-        flatten(&self.counters.lock())
+    fn read(&self, read: impl Fn(&AtomicU64) -> u64) -> Vec<(ServiceKind, u64)> {
+        let called = read(&self.called);
+        let called = |service: ServiceKind| called & 1 << service as u64 != 0;
+        (ServiceKind::ALL.into_iter())
+            .map(|service| (service, read(&self.units[service as usize])))
+            .filter(|&(service, units)| called(service) || units > 0)
+            .collect()
     }
-
-    /// Drain the counters (close of a billing period). Returns the final
-    /// summary.
-    pub fn close_period(&self) -> UsageSummary {
-        flatten(&std::mem::take(&mut *self.counters.lock()))
-    }
-}
-
-fn flatten(counters: &BTreeMap<String, BTreeMap<ServiceKind, u64>>) -> UsageSummary {
-    counters
-        .iter()
-        .flat_map(|(tenant, services)| {
-            services
-                .iter()
-                .map(move |(service, units)| ((tenant.clone(), *service), *units))
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -119,51 +96,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_aggregate_exactly() {
-        let m = UsageMeter::new();
-        m.record("t1", ServiceKind::Reporting, 3);
-        m.record("t1", ServiceKind::Reporting, 4);
-        m.record("t1", ServiceKind::Analysis, 10);
-        m.record("t2", ServiceKind::Reporting, 100);
-        assert_eq!(m.usage("t1", ServiceKind::Reporting), 7);
-        assert_eq!(m.tenant_total("t1"), 17);
-        assert_eq!(m.tenant_total("t2"), 100);
-        assert_eq!(m.tenant_total("ghost"), 0);
-        assert_eq!(m.summary().len(), 3);
-    }
-
-    #[test]
-    fn close_period_resets() {
-        let m = UsageMeter::new();
-        m.record("t", ServiceKind::Admin, 5);
-        let summary = m.close_period();
-        assert_eq!(summary[&("t".to_string(), ServiceKind::Admin)], 5);
-        assert_eq!(m.tenant_total("t"), 0);
-        assert!(m.summary().is_empty());
-    }
-
-    #[test]
-    fn concurrent_recording_is_exact() {
-        use std::sync::Arc;
-        let m = Arc::new(UsageMeter::new());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let m = Arc::clone(&m);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    m.record("t", ServiceKind::Analysis, 1);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(m.usage("t", ServiceKind::Analysis), 4000);
-    }
-
-    #[test]
     fn service_codes() {
         assert_eq!(ServiceKind::Metadata.code(), "MDS");
         assert_eq!(ServiceKind::ALL.len(), 6);
+        // `Usage` indexes its counters by declaration order
+        for (i, service) in ServiceKind::ALL.into_iter().enumerate() {
+            assert_eq!(service as usize, i);
+        }
     }
 }

@@ -1,11 +1,14 @@
-//! Tenant registry and lifecycle.
+//! Tenant registry and lifecycle: one entry per tenant, the one record a
+//! node keeps for it.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
 use odbis_security::SecurityManager;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 
+use crate::metering::Usage;
 use crate::plan::SubscriptionPlan;
 
 /// Tenant lifecycle states.
@@ -19,17 +22,63 @@ pub enum TenantStatus {
     Closed,
 }
 
-/// One tenant of the multi-tenant platform.
-#[derive(Debug, Clone)]
+/// One tenant of the multi-tenant platform, and everything a node keeps
+/// for it: its record (name, plan, status), its security realm (its
+/// users, roles and sessions are its own even though the process is
+/// shared — ODBIS §2), its migration fence and its usage counters. The
+/// registry hands out shared handles, so a call resolves its tenant once
+/// and then checks, fences and meters it without another lookup.
 pub struct Tenant {
     /// Stable tenant id (also the discriminator value in shared tables).
     pub id: String,
     /// Display name.
     pub name: String,
-    /// Current subscription plan.
-    pub plan: SubscriptionPlan,
-    /// Lifecycle status.
-    pub status: TenantStatus,
+    /// The tenant's security realm.
+    pub realm: SecurityManager,
+    /// The migration fence: calls hold it for reading, a migration's
+    /// cutover for writing, which drains in-flight calls and blocks new
+    /// ones for the duration of the flip.
+    pub fence: RwLock<()>,
+    /// Usage metered in the open billing period.
+    pub usage: Usage,
+    plan: Mutex<SubscriptionPlan>,
+    status: AtomicU8,
+}
+
+impl Tenant {
+    /// The current subscription plan.
+    pub fn plan(&self) -> SubscriptionPlan {
+        self.plan.lock().clone()
+    }
+
+    /// Switch the tenant's plan.
+    pub fn change_plan(&self, plan: SubscriptionPlan) {
+        *self.plan.lock() = plan;
+    }
+
+    /// Change the lifecycle status.
+    pub fn set_status(&self, status: TenantStatus) {
+        self.status.store(status as u8, Ordering::Relaxed);
+    }
+
+    /// Require the tenant to be active (gate for every service call).
+    pub fn require_active(&self) -> TenancyResult<()> {
+        match self.status.load(Ordering::Relaxed) == TenantStatus::Active as u8 {
+            true => Ok(()),
+            false => Err(TenancyError::NotActive(self.id.clone())),
+        }
+    }
+
+    /// Enforce the plan's user limit before adding a user to the realm.
+    pub fn check_user_limit(&self) -> TenancyResult<()> {
+        let plan = self.plan.lock();
+        match plan.max_users {
+            Some(max) if self.realm.usernames().len() as u32 >= max => Err(
+                TenancyError::PlanLimit(format!("plan {} allows at most {max} users", plan.name)),
+            ),
+            _ => Ok(()),
+        }
+    }
 }
 
 /// Tenancy errors.
@@ -61,25 +110,18 @@ impl std::error::Error for TenancyError {}
 /// Result alias for tenancy operations.
 pub type TenancyResult<T> = Result<T, TenancyError>;
 
-/// Registry of all tenants. Each tenant gets its own security realm (its
-/// users/roles/groups are logically isolated even though the backend
-/// infrastructure is shared — the multi-tenant architecture of ODBIS §2).
+/// Registry of all tenants, keyed by id. It is the only per-tenant map a
+/// node keeps: an id no one provisioned has no entry, and nothing is
+/// created for it by looking it up.
+#[derive(Default)]
 pub struct TenantRegistry {
-    inner: Mutex<BTreeMap<String, (Tenant, Arc<SecurityManager>)>>,
-}
-
-impl Default for TenantRegistry {
-    fn default() -> Self {
-        TenantRegistry::new()
-    }
+    tenants: RwLock<BTreeMap<String, Arc<Tenant>>>,
 }
 
 impl TenantRegistry {
     /// Empty registry.
     pub fn new() -> Self {
-        TenantRegistry {
-            inner: Mutex::new(BTreeMap::new()),
-        }
+        TenantRegistry::default()
     }
 
     /// Provision a tenant: registers it and creates its security realm.
@@ -88,106 +130,54 @@ impl TenantRegistry {
         id: &str,
         name: &str,
         plan: SubscriptionPlan,
-    ) -> TenancyResult<Arc<SecurityManager>> {
-        let mut inner = self.inner.lock();
-        if inner.contains_key(id) {
+    ) -> TenancyResult<Arc<Tenant>> {
+        let mut tenants = self.tenants.write();
+        if tenants.contains_key(id) {
             return Err(TenancyError::AlreadyExists(id.to_string()));
         }
-        let tenant = Tenant {
+        let tenant = Arc::new(Tenant {
             id: id.to_string(),
             name: name.to_string(),
-            plan,
-            status: TenantStatus::Active,
-        };
-        let realm = Arc::new(SecurityManager::new());
-        inner.insert(id.to_string(), (tenant, Arc::clone(&realm)));
-        Ok(realm)
+            realm: SecurityManager::new(),
+            fence: RwLock::new(()),
+            usage: Usage::default(),
+            plan: Mutex::new(plan),
+            status: AtomicU8::new(TenantStatus::Active as u8),
+        });
+        tenants.insert(id.to_string(), Arc::clone(&tenant));
+        Ok(tenant)
     }
 
-    /// Fetch a tenant descriptor.
-    pub fn get(&self, id: &str) -> TenancyResult<Tenant> {
-        self.inner
-            .lock()
+    /// Resolve a tenant's entry: one read lock, and no allocation when the
+    /// tenant exists.
+    pub fn get(&self, id: &str) -> TenancyResult<Arc<Tenant>> {
+        self.tenants
+            .read()
             .get(id)
-            .map(|(t, _)| t.clone())
+            .cloned()
             .ok_or_else(|| TenancyError::NotFound(id.to_string()))
     }
 
-    /// Fetch a tenant's security realm.
-    pub fn realm(&self, id: &str) -> TenancyResult<Arc<SecurityManager>> {
-        self.inner
-            .lock()
-            .get(id)
-            .map(|(_, r)| Arc::clone(r))
-            .ok_or_else(|| TenancyError::NotFound(id.to_string()))
-    }
-
-    /// Require the tenant to be active (gate for every service call).
-    pub fn require_active(&self, id: &str) -> TenancyResult<Tenant> {
-        let t = self.get(id)?;
-        if t.status == TenantStatus::Active {
-            Ok(t)
-        } else {
-            Err(TenancyError::NotActive(id.to_string()))
-        }
-    }
-
-    /// Change a tenant's status.
-    pub fn set_status(&self, id: &str, status: TenantStatus) -> TenancyResult<()> {
-        let mut inner = self.inner.lock();
-        let (t, _) = inner
-            .get_mut(id)
-            .ok_or_else(|| TenancyError::NotFound(id.to_string()))?;
-        t.status = status;
-        Ok(())
-    }
-
-    /// Switch a tenant's plan.
-    pub fn change_plan(&self, id: &str, plan: SubscriptionPlan) -> TenancyResult<()> {
-        let mut inner = self.inner.lock();
-        let (t, _) = inner
-            .get_mut(id)
-            .ok_or_else(|| TenancyError::NotFound(id.to_string()))?;
-        t.plan = plan;
-        Ok(())
-    }
-
-    /// Enforce the plan's user limit before adding a user to the realm.
-    pub fn check_user_limit(&self, id: &str) -> TenancyResult<()> {
-        let inner = self.inner.lock();
-        let (t, realm) = inner
-            .get(id)
-            .ok_or_else(|| TenancyError::NotFound(id.to_string()))?;
-        if let Some(max) = t.plan.max_users {
-            if realm.usernames().len() as u32 >= max {
-                return Err(TenancyError::PlanLimit(format!(
-                    "plan {} allows at most {max} users",
-                    t.plan.name
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// All tenant ids, sorted.
-    pub fn tenant_ids(&self) -> Vec<String> {
-        self.inner.lock().keys().cloned().collect()
+    /// Every tenant, sorted by id.
+    pub fn tenants(&self) -> Vec<Arc<Tenant>> {
+        self.tenants.read().values().cloned().collect()
     }
 
     /// Number of tenants.
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.tenants.read().len()
     }
 
     /// Whether no tenants are registered.
     pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
+        self.tenants.read().is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ServiceKind;
 
     #[test]
     fn provision_and_lifecycle() {
@@ -198,25 +188,31 @@ mod tests {
             reg.provision("acme", "again", SubscriptionPlan::free()),
             Err(TenancyError::AlreadyExists(_))
         ));
-        assert_eq!(reg.get("acme").unwrap().name, "Acme Corp");
-        reg.require_active("acme").unwrap();
-        reg.set_status("acme", TenantStatus::Suspended).unwrap();
+        let acme = reg.get("acme").unwrap();
+        assert_eq!(acme.name, "Acme Corp");
+        acme.require_active().unwrap();
+        acme.set_status(TenantStatus::Suspended);
         assert!(matches!(
-            reg.require_active("acme"),
+            reg.get("acme").unwrap().require_active(),
             Err(TenancyError::NotActive(_))
         ));
+        acme.set_status(TenantStatus::Active);
+        acme.require_active().unwrap();
         assert!(matches!(reg.get("ghost"), Err(TenancyError::NotFound(_))));
+        // looking an id up creates nothing
+        assert_eq!(reg.len(), 1);
     }
 
     #[test]
     fn realms_are_isolated_per_tenant() {
         let reg = TenantRegistry::new();
-        let r1 = reg
+        let t1 = reg
             .provision("t1", "T1", SubscriptionPlan::standard())
             .unwrap();
-        let r2 = reg
+        let t2 = reg
             .provision("t2", "T2", SubscriptionPlan::standard())
             .unwrap();
+        let (r1, r2) = (&t1.realm, &t2.realm);
         r1.create_user("alice", "pw").unwrap();
         // the same username can exist in another tenant's realm
         r2.create_user("alice", "other-pw").unwrap();
@@ -228,19 +224,73 @@ mod tests {
     #[test]
     fn plan_user_limits_enforced() {
         let reg = TenantRegistry::new();
-        let realm = reg
+        let small = reg
             .provision("small", "S", SubscriptionPlan::free())
             .unwrap();
         for i in 0..3 {
-            reg.check_user_limit("small").unwrap();
-            realm.create_user(&format!("u{i}"), "pw").unwrap();
+            small.check_user_limit().unwrap();
+            small.realm.create_user(&format!("u{i}"), "pw").unwrap();
         }
         assert!(matches!(
-            reg.check_user_limit("small"),
+            small.check_user_limit(),
             Err(TenancyError::PlanLimit(_))
         ));
-        reg.change_plan("small", SubscriptionPlan::enterprise())
-            .unwrap();
-        reg.check_user_limit("small").unwrap();
+        small.change_plan(SubscriptionPlan::enterprise());
+        small.check_user_limit().unwrap();
+    }
+
+    fn two_tenants() -> (Arc<Tenant>, Arc<Tenant>) {
+        let reg = TenantRegistry::new();
+        let t1 = reg.provision("t1", "T1", SubscriptionPlan::free()).unwrap();
+        let t2 = reg.provision("t2", "T2", SubscriptionPlan::free()).unwrap();
+        (t1, t2)
+    }
+
+    #[test]
+    fn counters_aggregate_exactly() {
+        let (t1, t2) = two_tenants();
+        t1.usage.record(ServiceKind::Reporting, 3);
+        t1.usage.record(ServiceKind::Reporting, 4);
+        t1.usage.record(ServiceKind::Analysis, 10);
+        t2.usage.record(ServiceKind::Reporting, 100);
+        assert_eq!(t1.usage.get(ServiceKind::Reporting), 7);
+        assert_eq!(
+            t1.usage.lines(),
+            vec![(ServiceKind::Analysis, 10), (ServiceKind::Reporting, 7)]
+        );
+        assert_eq!(t2.usage.lines(), vec![(ServiceKind::Reporting, 100)]);
+    }
+
+    #[test]
+    fn a_call_metered_at_zero_units_keeps_its_line() {
+        let (t1, t2) = two_tenants();
+        t1.usage.record(ServiceKind::Admin, 0);
+        assert_eq!(t1.usage.lines(), vec![(ServiceKind::Admin, 0)]);
+        assert!(t2.usage.lines().is_empty());
+    }
+
+    #[test]
+    fn close_period_resets() {
+        let (t, _) = two_tenants();
+        t.usage.record(ServiceKind::Admin, 5);
+        assert_eq!(t.usage.close_period(), vec![(ServiceKind::Admin, 5)]);
+        assert_eq!(t.usage.get(ServiceKind::Admin), 0);
+        assert!(t.usage.lines().is_empty());
+        assert!(t.usage.close_period().is_empty());
+    }
+
+    #[test]
+    fn concurrent_recording_is_exact() {
+        let (t, _) = two_tenants();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..1000 {
+                        t.usage.record(ServiceKind::Analysis, 1);
+                    }
+                });
+            }
+        });
+        assert_eq!(t.usage.get(ServiceKind::Analysis), 4000);
     }
 }

@@ -1,6 +1,6 @@
 //! Property-based tests for the SaaS kernel: billing math and metering.
 
-use odbis_tenancy::{Invoice, ServiceKind, SubscriptionPlan, UsageMeter};
+use odbis_tenancy::{Invoice, ServiceKind, SubscriptionPlan, TenantRegistry};
 use proptest::prelude::*;
 
 fn arb_plan() -> impl Strategy<Value = SubscriptionPlan> {
@@ -33,28 +33,40 @@ proptest! {
         prop_assert_eq!(inv_hi.total_cents, plan.monthly_cost_cents(hi));
     }
 
-    /// Meter counters equal the sum of recorded events, per tenant and per
-    /// service, regardless of interleaving.
+    /// Each tenant entry's counters equal the sum of the usage recorded
+    /// on it, per tenant and per service, regardless of interleaving; a
+    /// closed period returns everything and the next one starts empty.
     #[test]
     fn metering_is_exact(events in prop::collection::vec((0u8..4, 0u8..6, 0u64..1_000), 0..120)) {
-        let meter = UsageMeter::new();
+        let registry = TenantRegistry::new();
+        for t in 0..4 {
+            registry.provision(&format!("t{t}"), "T", SubscriptionPlan::standard()).unwrap();
+        }
         let mut expected = std::collections::HashMap::new();
         for (t, s, units) in &events {
             let tenant = format!("t{t}");
             let service = ServiceKind::ALL[(*s as usize) % ServiceKind::ALL.len()];
-            meter.record(&tenant, service, *units);
+            registry.get(&tenant).unwrap().usage.record(service, *units);
             *expected.entry((tenant, service)).or_insert(0u64) += units;
         }
         for ((tenant, service), total) in &expected {
-            prop_assert_eq!(meter.usage(tenant, *service), *total);
+            prop_assert_eq!(registry.get(tenant).unwrap().usage.get(*service), *total);
         }
+        let sum = |lines: Vec<(ServiceKind, u64)>| lines.iter().map(|(_, u)| u).sum::<u64>();
         let grand: u64 = expected.values().sum();
-        let measured: u64 = (0..4).map(|t| meter.tenant_total(&format!("t{t}"))).sum();
+        let tenants = registry.tenants();
+        let measured: u64 = tenants.iter().map(|t| sum(t.usage.lines())).sum();
         prop_assert_eq!(measured, grand);
+        // every service called has its line, and only those
+        let lines: usize = tenants.iter().map(|t| t.usage.lines().len()).sum();
+        prop_assert_eq!(lines, expected.len());
         // closing the period returns everything and resets
-        let summary = meter.close_period();
-        let closed: u64 = summary.values().sum();
+        let closed: u64 = tenants.iter().map(|t| sum(t.usage.close_period())).sum();
         prop_assert_eq!(closed, grand);
-        prop_assert_eq!(meter.tenant_total("t0"), 0);
+        prop_assert_eq!(sum(registry.get("t0").unwrap().usage.lines()), 0);
+        // periods are disjoint: the next one holds only what came after
+        registry.get("t0").unwrap().usage.record(ServiceKind::Admin, 7);
+        let next: u64 = tenants.iter().map(|t| sum(t.usage.close_period())).sum();
+        prop_assert_eq!(next, 7);
     }
 }

@@ -11,7 +11,8 @@
 //! Limits resolve per tenant through a caller-supplied resolver (the
 //! platform wires this to `limits.rate` / `limits.burst` /
 //! `limits.queue_depth` configuration). A rate of 0 means the tenant is
-//! unlimited.
+//! unlimited; a tenant the resolver does not know is admitted untracked,
+//! so a name no one provisioned takes no bucket.
 
 use std::collections::HashMap;
 use std::time::Instant;
@@ -84,7 +85,7 @@ struct TenantState {
     rejected: u64,
 }
 
-type LimitsResolver = dyn Fn(&str) -> TenantLimits + Send + Sync;
+type LimitsResolver = dyn Fn(&str) -> Option<TenantLimits> + Send + Sync;
 
 /// Token-bucket admission control keyed by tenant.
 pub struct AdmissionControl {
@@ -94,8 +95,9 @@ pub struct AdmissionControl {
 
 impl AdmissionControl {
     /// Build with a limits resolver — called on every admission decision,
-    /// so configuration changes apply to the next request.
-    pub fn new(resolver: impl Fn(&str) -> TenantLimits + Send + Sync + 'static) -> Self {
+    /// so configuration changes apply to the next request. It answers
+    /// `None` for a tenant it does not know.
+    pub fn new(resolver: impl Fn(&str) -> Option<TenantLimits> + Send + Sync + 'static) -> Self {
         AdmissionControl {
             resolver: Box::new(resolver),
             state: Mutex::new(HashMap::new()),
@@ -104,14 +106,17 @@ impl AdmissionControl {
 
     /// Fixed limits for every tenant (tests, benches).
     pub fn with_uniform_limits(limits: TenantLimits) -> Self {
-        AdmissionControl::new(move |_| limits)
+        AdmissionControl::new(move |_| Some(limits))
     }
 
     /// Decide whether to serve a request for `tenant` right now. Callers
     /// must pair every `Admit`/`Queued` verdict with a later
-    /// [`complete`](Self::complete).
+    /// [`complete`](Self::complete). A tenant the resolver does not know
+    /// is admitted and keeps no state.
     pub fn admit(&self, tenant: &str) -> Admission {
-        let limits = (self.resolver)(tenant);
+        let Some(limits) = (self.resolver)(tenant) else {
+            return Admission::Admit;
+        };
         let mut map = self.state.lock();
         let state = map
             .entry(tenant.to_string())
@@ -352,6 +357,17 @@ mod tests {
         assert!(matches!(ac.admit("t"), Admission::Reject { .. }));
         std::thread::sleep(std::time::Duration::from_millis(5));
         assert_eq!(ac.admit("t"), Admission::Admit, "token should have accrued");
+    }
+
+    #[test]
+    fn an_unknown_tenant_is_admitted_and_takes_no_bucket() {
+        let ac = AdmissionControl::new(|t| (t == "acme").then(TenantLimits::unlimited));
+        for _ in 0..3 {
+            assert_eq!(ac.admit("ghost"), Admission::Admit);
+            ac.complete("ghost");
+        }
+        assert_eq!(ac.admit("acme"), Admission::Admit);
+        assert_eq!(ac.snapshot(), vec![("acme".to_string(), 1, 0, 0)]);
     }
 
     #[test]

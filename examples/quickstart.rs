@@ -7,7 +7,7 @@
 use odbis::OdbisPlatform;
 use odbis_metadata::DataSet;
 use odbis_reporting::{render_text, ChartKind, ChartSpec, Dashboard, KpiSpec, TableSpec, Widget};
-use odbis_tenancy::{ServiceKind, SubscriptionPlan};
+use odbis_tenancy::SubscriptionPlan;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. boot the platform and provision a tenant (SaaS layer)
@@ -109,8 +109,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 6. pay-as-you-go: see what this session will be billed
-    for service in ServiceKind::ALL {
-        let units = platform.admin.meter().usage("acme", service);
+    let acme = platform.admin.registry().get("acme")?;
+    for (service, units) in acme.usage.lines() {
         if units > 0 {
             println!("metered usage  {:>4}: {units} units", service.code());
         }

@@ -69,7 +69,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // logically unique per tenant: identical dataset names, disjoint data
     println!(
         "tenants registered: {:?}",
-        platform.admin.registry().tenant_ids()
+        (platform.admin.registry().tenants().iter())
+            .map(|t| t.id.as_str())
+            .collect::<Vec<_>>()
     );
 
     // usage report: each tenant's metered activity differs with its load
@@ -80,7 +82,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             line.tenant, line.service, line.units
         );
     }
-    let mds = |t: &str| platform.admin.meter().usage(t, ServiceKind::Metadata);
+    let registry = platform.admin.registry();
+    let mds = |t: &str| registry.get(t).unwrap().usage.get(ServiceKind::Metadata);
     assert!(mds("nordwind") > mds("contoso"));
     assert!(mds("contoso") > mds("tailspin"));
 

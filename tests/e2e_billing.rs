@@ -45,10 +45,8 @@ fn billed_units_match_actual_service_calls_exactly() {
     //   1 dataset definition                         = 1
     //   5 dataset runs x (1 call + 10 rows)          = 55
     let expected = 1 + 20 + 1 + 5 * 11;
-    assert_eq!(
-        p.admin.meter().usage("acme", ServiceKind::Metadata),
-        expected
-    );
+    let acme = p.admin.registry().get("acme").unwrap();
+    assert_eq!(acme.usage.get(ServiceKind::Metadata), expected);
 
     // plan math: under the allowance, the invoice is exactly the base fee
     let invoices = p.admin.billing_run();

@@ -103,10 +103,8 @@ fn request_traverses_all_five_layers() {
     assert_eq!(v["rows"][0][1], "2000.0");
 
     // layer 3 again: the calls above were metered for pay-as-you-go
-    let mds_units = platform
-        .admin
-        .meter()
-        .usage("clinic", ServiceKind::Metadata);
+    let clinic = platform.admin.registry().get("clinic").unwrap();
+    let mds_units = clinic.usage.get(ServiceKind::Metadata);
     assert!(mds_units > 0, "usage must be metered");
     let (status, usage) = auth_get(&addr, "/api/v1/admin/usage", &token);
     assert_eq!(status, 200);

@@ -1,12 +1,15 @@
 //! C4 (§3.3 claim): "enterprise-grade security" — authorization enforced
 //! at every service boundary, tenant isolation, audit.
 
-use odbis::{OdbisPlatform, PlatformError};
+use std::sync::Arc;
+
+use odbis::{serve_platform, OdbisPlatform, PlatformError};
 use odbis_delivery::Channel;
 use odbis_metadata::DataSet;
 use odbis_reporting::{Dashboard, KpiSpec, Widget};
 use odbis_sql::QueryResult;
 use odbis_tenancy::SubscriptionPlan;
+use odbis_web::http_request;
 
 fn boot() -> (OdbisPlatform, String) {
     let p = OdbisPlatform::new();
@@ -108,7 +111,8 @@ fn every_service_boundary_checks_authority() {
     );
     denied(p.create_dw_project("acme", &intern, "proj").map(drop));
     // every denial was audited
-    let realm = p.admin.registry().realm("acme").unwrap();
+    let acme = p.admin.registry().get("acme").unwrap();
+    let realm = &acme.realm;
     let audit = realm.audit_log();
     assert!(
         audit.iter().filter(|e| e.kind == "ACCESS_DENIED").count() >= 8,
@@ -132,7 +136,8 @@ fn analyst_can_view_but_not_design() {
 #[test]
 fn sessions_expire_and_logout_works() {
     let (p, _token) = boot();
-    let realm = p.admin.registry().realm("acme").unwrap();
+    let acme = p.admin.registry().get("acme").unwrap();
+    let realm = &acme.realm;
     let session = realm.login("root", "pw").unwrap();
     realm.logout(&session.token);
     assert!(matches!(
@@ -164,4 +169,49 @@ fn password_hashes_are_salted_per_user() {
     assert!(sm.login("a", "same-password").is_ok());
     assert!(sm.login("b", "same-password").is_ok());
     assert!(sm.login("a", "other").is_err());
+}
+
+/// An id no one provisioned is answered with the 402 `tenancy` envelope,
+/// through the platform and over HTTP, and leaves nothing behind: no
+/// telemetry series, no admission bucket, no registry entry. A provisioned
+/// tenant's forged token still fails inside the gate, on a recorded span.
+#[test]
+fn an_unprovisioned_tenant_leaves_nothing_behind() {
+    const N: usize = 50;
+    let (p, _) = boot();
+    let p = Arc::new(p);
+    let server = serve_platform(&p, 2).unwrap();
+    let addr = server.addr().to_string();
+    let sql = |tenant: &str, bearer: &str| {
+        let headers = [("x-tenant", tenant), ("Authorization", bearer)];
+        http_request(&addr, "POST", "/api/v1/sql", &headers, b"SELECT 1").unwrap()
+    };
+    let telemetry = p.admin.telemetry.totals();
+    let admission = p.admission.render_prometheus(None);
+    let tenants = p.admin.registry().len();
+    for i in 0..N {
+        let err = p.sql(&format!("ghost-{i}"), "some-bearer", "SELECT 1");
+        let err = err.unwrap_err();
+        assert_eq!((err.kind(), err.http_status()), ("tenancy", 402), "{err}");
+        let (status, _, body) = sql(&format!("ghost-http-{i}"), "Bearer some-bearer");
+        assert_eq!(status, 402, "{body}");
+        assert!(body.contains(r#""kind":"tenancy""#), "{body}");
+    }
+    assert_eq!(p.admin.telemetry.totals(), telemetry);
+    assert_eq!(p.admission.render_prometheus(None), admission);
+    assert_eq!(p.admin.registry().len(), tenants);
+    assert!(p.admin.usage_report().iter().all(|l| l.tenant == "acme"));
+
+    // a provisioned tenant with a forged token fails on a recorded span
+    let key = ("acme".to_string(), "MDS".to_string());
+    let errors = |p: &OdbisPlatform| p.admin.telemetry.totals()[&key].errors;
+    let before = errors(&p);
+    assert!(matches!(
+        p.sql("acme", "forged", "SELECT 1"),
+        Err(PlatformError::Security(_))
+    ));
+    let (status, _, body) = sql("acme", "Bearer forged");
+    assert_eq!(status, 403, "{body}");
+    assert_eq!(errors(&p), before + 2);
+    server.shutdown();
 }
