@@ -1,13 +1,9 @@
-//! `query` group — optimizer + parallel-executor benchmarks on the paper's
-//! Figure 6 healthcare-dashboard query shape (filtered star join with a
-//! grouped aggregate).
+//! `query` group — the optimizer ablation on the paper's Figure 6
+//! healthcare-dashboard query shape (a filtered star join).
 //!
-//! Two columns:
-//! * `parallelism_N`: the same dashboard aggregate with the morsel pool
-//!   pinned to 1/2/4/8 workers (`Engine::with_parallelism`);
-//! * `pushdown_{on,off}`: a filtered join with the full rule pipeline vs
-//!   `-pushdown,-prune` ablated, isolating what predicate pushdown through
-//!   the join plus projection pruning buy.
+//! One column, `pushdown_{on,off}`: a filtered join with the full rule
+//! pipeline vs `-pushdown,-prune` ablated, isolating what predicate
+//! pushdown through the join plus projection pruning buy.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,7 +11,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use odbis_bench::workloads;
 use odbis_sql::Engine;
-use odbis_storage::{Database, Value};
+use odbis_storage::Database;
 
 fn configured() -> Criterion {
     Criterion::default()
@@ -24,64 +20,15 @@ fn configured() -> Criterion {
         .warm_up_time(Duration::from_millis(300))
 }
 
-/// The Figure 6 dashboard body: per-department admission counts and cost
-/// totals for one year, joined to the department dimension.
-const DASHBOARD: &str = "SELECT d.name, COUNT(*) AS admissions, SUM(f.cost) AS total, \
-     AVG(f.cost) AS mean FROM fact_admission f \
-     JOIN dim_department d ON f.dept_id = d.dept_id \
-     WHERE f.year = 2009 GROUP BY d.name ORDER BY d.name";
-
 /// A selective filtered join where pushdown + pruning have the most to cut:
 /// without them every fact row crosses the join before filtering.
 const FILTERED_JOIN: &str = "SELECT f.id, d.name FROM fact_admission f \
      JOIN dim_department d ON f.dept_id = d.dept_id \
      WHERE f.cost > 2400.0 AND f.stay_days < 5 AND d.head_count > 60";
 
-/// Row equality with a relative tolerance on floats: the two-phase merge
-/// tree changes shape with the worker count, so float SUM/AVG agree only up
-/// to non-associativity (integer, count, min/max and text cells are exact).
-fn assert_rows_close(left: &[Vec<Value>], right: &[Vec<Value>], label: &str) {
-    assert_eq!(left.len(), right.len(), "row count diverges: {label}");
-    for (l, r) in left.iter().zip(right) {
-        assert_eq!(l.len(), r.len(), "row width diverges: {label}");
-        for (a, b) in l.iter().zip(r) {
-            match (a, b) {
-                (Value::Float(x), Value::Float(y)) => {
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    assert!(
-                        (x - y).abs() <= 1e-9 * scale,
-                        "float diverges beyond tolerance ({label}): {x} vs {y}"
-                    );
-                }
-                _ => assert_eq!(a, b, "cell diverges ({label})"),
-            }
-        }
-    }
-}
-
 fn query_group(c: &mut Criterion) {
     let db: Arc<Database> = Arc::new(workloads::healthcare_db(50_000, 7));
     let mut group = c.benchmark_group("query");
-
-    let reference = Engine::new()
-        .with_parallelism(1)
-        .execute(&db, DASHBOARD)
-        .expect("dashboard query");
-    for workers in [1usize, 2, 4, 8] {
-        let engine = Engine::new().with_parallelism(workers);
-        // all pool sizes must agree before their timings mean anything
-        let out = engine.execute(&db, DASHBOARD).expect("dashboard query");
-        assert_rows_close(
-            &out.rows,
-            &reference.rows,
-            &format!("parallelism {workers}"),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("parallelism", workers),
-            &workers,
-            |b, _| b.iter(|| engine.execute(&db, DASHBOARD).unwrap()),
-        );
-    }
 
     let optimized = Engine::new();
     let ablated = Engine::new().with_optimizer_rules("-pushdown,-prune");

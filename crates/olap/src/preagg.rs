@@ -13,8 +13,8 @@
 //! through a stored [`JoinTable`], and the joined rows fold into groups
 //! through [`aggregate_columns`], whose accumulators `merge` into the
 //! cells.
-//! - a build folds every live chunk of the fact table, split over the
-//!   machine's workers, and merges the workers' cell maps;
+//! - a build folds every live chunk of the fact table, in order, into one
+//!   cell map;
 //! - [`MaterializedAggregate::apply_delta`] folds inserted fact rows
 //!   through the same kernels, so a warehouse write costs one cell update
 //!   instead of a rebuild; writes a fold cannot express — updates,
@@ -22,8 +22,7 @@
 //!   and it is rebuilt: its SQL is planned and its cells built again;
 //! - a data set read finishes the cells in place of the plan's `Aggregate`
 //!   node and runs the operators above it; an MDX roll-up merges the
-//!   stored cells onto the query's coarser key, AVG by its sum and count,
-//!   as the SQL's two-phase merge does.
+//!   stored cells onto the query's coarser key, AVG by its sum and count.
 //!
 //! What a fold reads besides the fact rows — the fact column or the
 //! dimension column each GROUP BY column and each aggregate argument comes
@@ -46,8 +45,8 @@ use std::sync::Arc;
 use odbis_sql::ast::{JoinKind, Statement};
 use odbis_sql::plan::{equi_pairs, AggExpr, Plan, PlanNode};
 use odbis_sql::{
-    aggregate_columns, finish_groups, par_chunks, planner, Accumulator, BExpr, Engine, FastHasher,
-    JoinTable, SqlError, SqlResult,
+    aggregate_columns, finish_groups, planner, Accumulator, BExpr, FastHasher, JoinTable, SqlError,
+    SqlResult,
 };
 use odbis_storage::{Batch, Database, DbError, Value};
 
@@ -303,27 +302,15 @@ impl FoldPlan {
         Ok(Batch::new(columns, rows[0].as_ref().map_or(n, Vec::len))?)
     }
 
-    /// Fold the whole fact table into new cells. Its live chunks are split
-    /// over as many workers as [`Engine::new`] runs SQL on; each worker
-    /// folds its share into a map of its own, and the maps merge.
+    /// Fold the whole fact table into new cells: each live chunk joins
+    /// the dimensions, and the joined chunks fold in order into one set of
+    /// groups, as the SQL's aggregation folds its morsels.
     fn fold_table(&self, db: &Database) -> Result<Cells, String> {
         let chunks = (db.scan_partitions(&self.tables[0], None)).map_err(|e| e.to_string())?;
-        let parts = par_chunks(chunks, Engine::new().parallelism(), |chunks| {
-            let mut cells = Cells::default();
-            for c in &chunks {
-                self.fold(&mut cells, c)?;
-            }
-            SqlResult::Ok(cells)
-        });
-        let parts = parts.into_iter().collect::<SqlResult<Vec<_>>>();
-        let mut parts = parts.map_err(|e| e.to_string())?.into_iter();
-        let mut cells = parts.next().unwrap_or_default();
-        for part in parts {
-            for (key, accs) in part {
-                merge_cell(&mut cells, key, accs);
-            }
-        }
-        Ok(cells)
+        let joined = chunks.iter().map(|c| self.join(c));
+        let joined = joined.collect::<SqlResult<Vec<_>>>();
+        let groups = joined.and_then(|j| aggregate_columns(&j, self.axes.len(), &self.aggs));
+        Ok(groups.map_err(|e| e.to_string())?.collect())
     }
 }
 

@@ -13,8 +13,8 @@ use crate::error::{SqlError, SqlResult};
 /// far.
 ///
 /// `add` folds one value in, `merge` folds in another accumulator of the
-/// same function (the merge phase of two-phase aggregation, or a cube
-/// roll-up), and `finish` gives the SQL answer. NULL inputs are skipped.
+/// same function (a view's delta fold, or a cube roll-up), and `finish`
+/// gives the SQL answer. NULL inputs are skipped.
 /// Integer inputs sum exactly, so the answer over INT inputs is the same
 /// whatever way the inputs were split and merged; float inputs sum in an
 /// `f64`, whose last bits depend on the order of the additions.

@@ -1,25 +1,21 @@
-//! Plan execution: materialized, operator-at-a-time.
+//! Plan execution: materialized, operator-at-a-time, on the calling thread.
 //!
 //! Two walkers over [`PlanNode`] exist. [`run_columnar`] → `exec_morsels` is
 //! the executor every production SELECT takes: table scans emit one morsel
-//! per table chunk (at most [`BLOCK_ROWS`] rows) as columnar [`Batch`]es
-//! that flow through filters and projections column-wise on a scoped
-//! worker pool. A filter (a scan's, a `Filter`'s, an index probe's
+//! per table chunk (at most [`odbis_storage::BLOCK_ROWS`] rows) as columnar
+//! [`Batch`]es that flow through filters and projections column-wise, one
+//! morsel after the other. A filter (a scan's, a `Filter`'s, an index probe's
 //! residual, a join's residual) is a selection, [`BExpr::select`]: the
 //! row indices where the predicate is TRUE, kept by one
 //! [`Batch::gather`], and a morsel every row of which passes goes on
-//! untouched. A projection of bare columns picks its input's columns
-//! inline, with no pool dispatch. Equi-joins
-//! hash the typed key columns of the smaller side, probe the other side's
-//! morsels into row-index pairs and materialise the output late with
-//! [`Batch::gather`], and aggregation runs two-phase (one partial state per
-//! worker, alive across all of that worker's morsels, merged in worker
-//! order) and finishes its groups into columns. Sorts and top-k permute row
-//! indices over the typed sort-key columns and gather once. The calling
-//! thread is the pool's first worker, so with one
-//! worker the pool runs inline: the serial executor is this same walker at
-//! `threads = 1`, and every parallel operator reproduces the serial output
-//! ordering exactly. [`run`] is the
+//! untouched. A projection of bare columns picks its input's columns.
+//! Equi-joins hash the typed key columns of the smaller side, probe the
+//! other side into row-index pairs and materialise the output late with
+//! [`Batch::gather`]. Aggregation folds every morsel into one group state
+//! that lives across the scan and finishes its groups into columns, so a
+//! float SUM adds its inputs in scan order and an answer depends on the
+//! data alone. Sorts and top-k permute row indices over the typed
+//! sort-key columns and gather once. [`run`] is the
 //! row-at-a-time interpreter over `Vec<Vec<Value>>`, reachable only through
 //! [`crate::Engine::with_row_execution`]: the differential suites use it as
 //! their oracle, and it keeps its own row sort and top-k heap to check the
@@ -34,8 +30,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use odbis_storage::{
-    Batch, ColumnData, ColumnVec, DataType, Database, DbError, DbResult, Table, Value, BLOCK_ROWS,
-    NULL_ROW,
+    Batch, ColumnData, ColumnVec, DataType, Database, DbError, DbResult, Table, Value, NULL_ROW,
 };
 
 use crate::accumulator::Accumulator;
@@ -190,16 +185,16 @@ fn index_rows(
         .collect()
 }
 
-/// Execute a read-only plan column-wise on `threads` workers, producing a
-/// [`Batch`]: the in-order concatenation of the plan's output morsels.
-pub fn run_columnar(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Batch> {
-    let morsels = exec_morsels(db, plan, threads)?;
+/// Execute a read-only plan column-wise, producing a [`Batch`]: the
+/// in-order concatenation of the plan's output morsels.
+pub fn run_columnar(db: &Database, plan: &Plan) -> SqlResult<Batch> {
+    let morsels = exec_morsels(db, plan)?;
     Ok(Batch::concat(plan.schema.len(), &morsels)?)
 }
 
-/// Morsel-parallel execution: returns the plan's output as ordered
-/// morsels whose in-order concatenation equals the serial result.
-fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Batch>> {
+/// Returns the plan's output as ordered morsels, whose in-order
+/// concatenation is the result.
+fn exec_morsels(db: &Database, plan: &Plan) -> SqlResult<Vec<Batch>> {
     let arity = plan.schema.len();
     match &plan.node {
         PlanNode::TableScan {
@@ -210,45 +205,46 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
             let morsels = db.scan_partitions(table, projection.as_deref())?;
             match filter {
                 None => Ok(morsels),
-                Some(pred) => par_map(morsels, threads, |m| selected(pred, m)),
+                Some(pred) => morsels.into_iter().map(|m| selected(pred, m)).collect(),
             }
         }
         PlanNode::Filter { input, predicate } => {
-            let morsels = exec_morsels(db, input, threads)?;
-            par_map(morsels, threads, |m| selected(predicate, m))
+            let morsels = exec_morsels(db, input)?;
+            morsels
+                .into_iter()
+                .map(|m| selected(predicate, m))
+                .collect()
         }
         PlanNode::Project { input, exprs } => {
-            let morsels = exec_morsels(db, input, threads)?;
-            let project = |m: Batch| {
-                let cols: Vec<Arc<ColumnVec>> = exprs
-                    .iter()
-                    .map(|e| e.eval_batch(&m))
-                    .collect::<SqlResult<_>>()?;
-                Ok(Batch::new(cols, m.num_rows())?)
-            };
-            // picking columns costs an `Arc` clone each: no worker to wake
-            match exprs.iter().all(|e| matches!(e, BExpr::Column(_))) {
-                true => morsels.into_iter().map(project).collect(),
-                false => par_map(morsels, threads, project),
-            }
+            let morsels = exec_morsels(db, input)?;
+            morsels
+                .into_iter()
+                .map(|m| {
+                    let cols: Vec<Arc<ColumnVec>> = exprs
+                        .iter()
+                        .map(|e| e.eval_batch(&m))
+                        .collect::<SqlResult<_>>()?;
+                    Ok(Batch::new(cols, m.num_rows())?)
+                })
+                .collect()
         }
         PlanNode::Join {
             kind,
             left,
             right,
             on,
-        } => parallel_join(db, *kind, left, right, on, threads),
+        } => hash_join(db, *kind, left, right, on),
         PlanNode::Aggregate {
             input,
             group_exprs,
             aggs,
         } => {
-            let morsels = exec_morsels(db, input, threads)?;
-            let state = parallel_aggregate(morsels, group_exprs, aggs, threads)?;
+            let morsels = exec_morsels(db, input)?;
+            let state = aggregate_chunk(&morsels, group_exprs, aggs)?;
             Ok(vec![state.finish(group_exprs, aggs)?])
         }
         PlanNode::Sort { input, keys } => {
-            let morsels = exec_morsels(db, input, threads)?;
+            let morsels = exec_morsels(db, input)?;
             let batch = Batch::concat(input.schema.len(), &morsels)?;
             let order = SortKeys::new(&batch, keys)?.sorted();
             Ok(vec![batch.gather(&order)])
@@ -256,7 +252,7 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
         PlanNode::Distinct { input } => {
             // Whole-row dedup keeps first occurrences: inherently ordered,
             // so it runs serially over the concatenated input.
-            let morsels = exec_morsels(db, input, threads)?;
+            let morsels = exec_morsels(db, input)?;
             let rows = Batch::concat(input.schema.len(), &morsels)?.to_rows();
             let mut seen = HashSet::new();
             let mut out = Vec::new();
@@ -280,13 +276,13 @@ fn exec_morsels(db: &Database, plan: &Plan, threads: usize) -> SqlResult<Vec<Bat
                 Some(l),
             ) = (&input.node, limit)
             {
-                let morsels = exec_morsels(db, sort_input, threads)?;
+                let morsels = exec_morsels(db, sort_input)?;
                 let batch = Batch::concat(sort_input.schema.len(), &morsels)?;
                 let mut top = SortKeys::new(&batch, keys)?.top(offset.saturating_add(*l));
                 top.drain(..(*offset).min(top.len()));
                 return Ok(vec![batch.gather(&top)]);
             }
-            let morsels = exec_morsels(db, input, threads)?;
+            let morsels = exec_morsels(db, input)?;
             let batch = Batch::concat(input.schema.len(), &morsels)?;
             let n = batch.num_rows();
             let end = limit.map_or(n, |l| (offset + l).min(n));
@@ -323,101 +319,29 @@ fn selected(pred: &BExpr, batch: Batch) -> SqlResult<Batch> {
     })
 }
 
-/// Split `items` into at most `parts` contiguous chunks of near-equal size.
-fn split_chunks<T>(items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let parts = parts.clamp(1, n);
-    let chunk = n.div_ceil(parts);
-    let mut out = Vec::with_capacity(parts);
-    let mut it = items.into_iter();
-    loop {
-        let c: Vec<T> = it.by_ref().take(chunk).collect();
-        if c.is_empty() {
-            break;
-        }
-        out.push(c);
-    }
-    out
-}
-
-/// Contiguous `[lo, hi)` index ranges of at most [`BLOCK_ROWS`] rows.
-fn morsel_ranges(n: usize) -> Vec<(usize, usize)> {
-    (0..n)
-        .step_by(BLOCK_ROWS)
-        .map(|lo| (lo, (lo + BLOCK_ROWS).min(n)))
-        .collect()
-}
-
-/// Split `items` into one contiguous chunk per worker and map `f` over the
-/// chunks on a scoped worker pool, preserving chunk order. The calling
-/// thread is the first worker — it maps the first chunk itself instead of
-/// sleeping until the others finish — so `threads` workers cost
-/// `threads - 1` spawns, and one worker (or one item) spawns nothing.
-pub fn par_chunks<T: Send, R: Send>(
-    items: Vec<T>,
-    threads: usize,
-    f: impl Fn(Vec<T>) -> R + Sync,
-) -> Vec<R> {
-    let mut chunks = split_chunks(items, threads).into_iter();
-    let Some(first) = chunks.next() else {
-        return Vec::new();
-    };
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = chunks.map(|c| s.spawn(move || f(c))).collect();
-        let mut out = Vec::with_capacity(handles.len() + 1);
-        out.push(f(first));
-        out.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("morsel worker panicked")),
-        );
-        out
-    })
-}
-
-/// Map `f` over `items` on the worker pool ([`par_chunks`]), preserving
-/// item order. Errors are reported deterministically: the first failing
-/// item (by input position) wins, regardless of which worker hit it first.
-fn par_map<T: Send, R: Send>(
-    items: Vec<T>,
-    threads: usize,
-    f: impl Fn(T) -> SqlResult<R> + Sync,
-) -> SqlResult<Vec<R>> {
-    let per_chunk = par_chunks(items, threads, |chunk| {
-        chunk.into_iter().map(&f).collect::<SqlResult<Vec<R>>>()
-    });
-    let per_chunk = per_chunk.into_iter().collect::<SqlResult<Vec<_>>>()?;
-    Ok(per_chunk.into_iter().flatten().collect())
-}
-
-/// Columnar hash join: both sides execute morsel-parallel, the smaller
-/// side is concatenated and becomes the build table, probing fans out over
-/// morsels into `(probe row, build row)` index pairs, and output columns
-/// are gathered from those pairs only once the residual (whatever `on`
-/// holds beyond the equi-conjuncts) has been evaluated column-wise over the
-/// candidates. Output order matches the serial kernel ([`join_rows`])
-/// exactly: probing the left side preserves its natural order, and the
-/// build-left variant canonicalizes via a `(left, right)` pair sort.
-fn parallel_join(
+/// Columnar hash join: the smaller side is concatenated and becomes the
+/// build table, the other side probes it into `(probe row, build row)`
+/// index pairs, and output columns are gathered from those pairs only once
+/// the residual (whatever `on` holds beyond the equi-conjuncts) has been
+/// evaluated column-wise over the candidates. Output order matches the row
+/// kernel ([`join_rows`]) exactly: probing the left side preserves its
+/// natural order, and the build-left variant canonicalizes via a
+/// `(left, right)` pair sort.
+fn hash_join(
     db: &Database,
     kind: JoinKind,
     left: &Plan,
     right: &Plan,
     on: &BExpr,
-    threads: usize,
 ) -> SqlResult<Vec<Batch>> {
     let l_arity = left.schema.len();
     let r_arity = right.schema.len();
-    let lmorsels = exec_morsels(db, left, threads)?;
-    let rmorsels = exec_morsels(db, right, threads)?;
+    let lmorsels = exec_morsels(db, left)?;
+    let rmorsels = exec_morsels(db, right)?;
     let (pairs, residual) = equi_pairs(on, l_arity);
     let residual = residual.map(|pred| Residual::new(pred, l_arity));
     if pairs.is_empty() {
-        // No equi-keys: fall back to the serial nested-loop kernel.
+        // No equi-keys: fall back to the nested-loop row kernel.
         let lrows = Batch::concat(l_arity, &lmorsels)?.to_rows();
         let rrows = Batch::concat(r_arity, &rmorsels)?.to_rows();
         let rows = join_rows(kind, &lrows, &rrows, l_arity, r_arity, on)?;
@@ -432,45 +356,41 @@ fn parallel_join(
         ));
     }
     if kind == JoinKind::Inner && l_rows < r_rows {
-        // Build on the (smaller) left side, probe right morsels, then
-        // canonicalize: the serial kernel emits matches ordered by
+        // Build on the (smaller) left side, probe the whole right side,
+        // then canonicalize: the row kernel emits matches ordered by
         // (left row, right row), which is exactly the sorted pair order.
-        // The sort scatters right rows across morsels, so this variant
-        // concatenates the probe side too.
         let lbatch = Batch::concat(l_arity, &lmorsels)?;
         let rbatch = Batch::concat(r_arity, &rmorsels)?;
         let table = JoinTable::build(&lbatch, &lkeys);
-        let chunks = par_map(morsel_ranges(r_rows), threads, |(lo, hi)| {
-            let (mut ri, mut li) = table.probe(&rbatch, &rkeys, lo, hi);
-            if let Some(residual) = &residual {
-                let keep = residual.select(&lbatch, &li, &rbatch, &ri)?;
-                retain_pairs(&mut li, &mut ri, &keep);
-            }
-            Ok(li.into_iter().zip(ri).collect::<Vec<(u32, u32)>>())
-        })?;
-        let mut pairs: Vec<(u32, u32)> = chunks.into_iter().flatten().collect();
+        let (mut ri, mut li) = table.probe(&rbatch, &rkeys, 0, r_rows);
+        if let Some(residual) = &residual {
+            let keep = residual.select(&lbatch, &li, &rbatch, &ri)?;
+            retain_pairs(&mut li, &mut ri, &keep);
+        }
+        let mut pairs: Vec<(u32, u32)> = li.into_iter().zip(ri).collect();
         pairs.sort_unstable();
-        return par_map(morsel_ranges(pairs.len()), threads, |(lo, hi)| {
-            let (li, ri): (Vec<u32>, Vec<u32>) = pairs[lo..hi].iter().copied().unzip();
-            joined(&lbatch, &li, &rbatch, &ri)
-        });
+        let (li, ri): (Vec<u32>, Vec<u32>) = pairs.into_iter().unzip();
+        return Ok(vec![joined(&lbatch, &li, &rbatch, &ri)?]);
     }
     // Build on the right side, probe left morsels in natural order. LEFT
     // joins always take this path: the unmatched rows (and their NULL
     // extension) are morsel-local.
     let rbatch = Batch::concat(r_arity, &rmorsels)?;
     let table = JoinTable::build(&rbatch, &rkeys);
-    par_map(lmorsels, threads, |m| {
-        let (mut li, mut ri) = table.probe(&m, &lkeys, 0, m.num_rows());
-        if let Some(residual) = &residual {
-            let keep = residual.select(&m, &li, &rbatch, &ri)?;
-            retain_pairs(&mut li, &mut ri, &keep);
-        }
-        if kind == JoinKind::Left {
-            null_extend(&mut li, &mut ri, m.num_rows());
-        }
-        joined(&m, &li, &rbatch, &ri)
-    })
+    lmorsels
+        .iter()
+        .map(|m| {
+            let (mut li, mut ri) = table.probe(m, &lkeys, 0, m.num_rows());
+            if let Some(residual) = &residual {
+                let keep = residual.select(m, &li, &rbatch, &ri)?;
+                retain_pairs(&mut li, &mut ri, &keep);
+            }
+            if kind == JoinKind::Left {
+                null_extend(&mut li, &mut ri, m.num_rows());
+            }
+            joined(m, &li, &rbatch, &ri)
+        })
+        .collect()
 }
 
 /// Late materialisation of join output: row `k` is `left[li[k]]` followed
@@ -685,27 +605,6 @@ impl JoinTable {
         }
         (probe_rows, build_rows)
     }
-}
-
-/// Two-phase parallel aggregation: workers fold contiguous morsel chunks
-/// into private [`GroupState`]s, which merge in worker order — a group's
-/// first-seen position is decided by the earliest chunk containing it, so
-/// the merged order equals the serial scan's first-seen order.
-fn parallel_aggregate(
-    morsels: Vec<Batch>,
-    group_exprs: &[BExpr],
-    aggs: &[AggExpr],
-    threads: usize,
-) -> SqlResult<GroupState> {
-    let mut states = par_chunks(morsels, threads, |chunk| {
-        aggregate_chunk(&chunk, group_exprs, aggs)
-    })
-    .into_iter();
-    let mut global = states.next().unwrap_or_else(|| Ok(GroupState::new()))?;
-    for state in states {
-        global.merge(state?);
-    }
-    Ok(global)
 }
 
 /// Compare two rows on the given `(column, descending)` sort keys.
@@ -950,9 +849,9 @@ impl GroupState {
         &mut self.groups.get_mut(key).expect("entry just ensured").1
     }
 
-    /// Merge another partial state into this one. `other`'s groups are
-    /// visited in its first-seen order, so merging worker states in
-    /// worker (= scan) order preserves the global first-seen order.
+    /// Merge a closed dense run's state into this one. `other`'s groups
+    /// are visited in its first-seen order, so merging runs in scan order
+    /// preserves the global first-seen order.
     fn merge(&mut self, other: GroupState) {
         for (key, accs) in other.into_ordered() {
             let ord = self.groups.len();
@@ -1325,25 +1224,24 @@ impl DenseGroups {
 /// aggregate folds most inserts as a morsel of one row.
 const DENSE_MIN_ROWS: usize = 64;
 
-/// Fold one worker's morsels into a [`GroupState`] (the partial phase of
-/// two-phase aggregation). Group keys and aggregate arguments are evaluated
-/// as whole columns per morsel; while the group columns stay typed and
-/// hashable the rows fold into one [`DenseGroups`] that lives across the
-/// morsels and becomes a `GroupState` once, at the end. A morsel whose
+/// Fold a scan's morsels, in order, into one [`GroupState`]. Group keys
+/// and aggregate arguments are evaluated as whole columns per morsel;
+/// while the group columns stay typed and hashable the rows fold into one
+/// [`DenseGroups`] that lives across the morsels and becomes a `GroupState` once, at the end. A morsel whose
 /// group columns have another layout closes that run (first-seen order is
 /// kept: earlier runs merge first) and either starts the next one or, for
 /// `Float`/`Mixed` keys, DISTINCT aggregates, global aggregates and
 /// morsels under [`DENSE_MIN_ROWS`] rows, takes the generic `Vec<Value>`
 /// hash path.
 fn aggregate_chunk(
-    chunk: &[Batch],
+    morsels: &[Batch],
     group_exprs: &[BExpr],
     aggs: &[AggExpr],
 ) -> SqlResult<GroupState> {
     let mut state = GroupState::new();
     let mut dense: Option<DenseGroups> = None;
     let mut key = Vec::with_capacity(group_exprs.len());
-    for input in chunk {
+    for input in morsels {
         let group_cols: Vec<Arc<ColumnVec>> = group_exprs
             .iter()
             .map(|g| g.eval_batch(input))
@@ -1385,10 +1283,10 @@ fn aggregate_chunk(
     }
 }
 
-/// The partial phase of a `GROUP BY` over the first `keys` columns of
-/// `batches`, with one accumulator per group for each of `aggs`, whose
-/// arguments are bound over the batches' columns: the kernel each worker
-/// of a SQL aggregation runs, for a caller that keeps the groups itself.
+/// A `GROUP BY` over the first `keys` columns of `batches`, with one
+/// accumulator per group for each of `aggs`, whose arguments are bound
+/// over the batches' columns: the kernel a SQL aggregation runs, for a
+/// caller that keeps the groups itself.
 /// Each group's key and accumulators, in the order the groups were first
 /// seen.
 pub fn aggregate_columns(
@@ -1510,10 +1408,8 @@ mod tests {
                 // 1 (twice) × {1.0, 1}, 2.0 × 2, 'x', the date, TRUE
                 let matches = expected.iter().filter(|r| !r[2].is_null()).count();
                 assert_eq!(matches, 8, "{kind:?}");
-                for threads in [1, 4] {
-                    let got = run_columnar(&db, &plan, threads).unwrap().to_rows();
-                    assert_eq!(expected, got, "{kind:?} at {threads} threads");
-                }
+                let got = run_columnar(&db, &plan).unwrap().to_rows();
+                assert_eq!(expected, got, "{kind:?}");
             }
         }
     }
@@ -1667,35 +1563,5 @@ mod tests {
         let (mut p, mut b) = (Vec::new(), Vec::new());
         null_extend(&mut p, &mut b, 2);
         assert_eq!((p, b), (vec![0, 1], vec![NULL_ROW, NULL_ROW]));
-    }
-
-    /// The pool keeps item order at every worker count, maps the first
-    /// chunk on the calling thread, and reports the error of the first
-    /// failing item by position, whichever worker reached one first.
-    #[test]
-    fn pool_keeps_order_and_the_first_error_by_position() {
-        let caller = std::thread::current().id();
-        for threads in [1, 2, 3, 4, 8, 40] {
-            let items: Vec<usize> = (0..37).collect();
-            let doubled = par_map(items.clone(), threads, |i| Ok(i * 2)).unwrap();
-            assert_eq!(doubled, (0..37).map(|i| i * 2).collect::<Vec<_>>());
-            let on_caller = par_chunks(items.clone(), threads, |chunk| {
-                (chunk[0], std::thread::current().id() == caller)
-            });
-            assert_eq!(on_caller.len(), threads.min(37));
-            for (first_item, same_thread) in on_caller {
-                assert_eq!(same_thread, first_item == 0, "{threads} threads");
-            }
-            // items 9, 20 and 36 fail; the later ones fail sooner
-            let failed = par_map(items, threads, |i| {
-                if matches!(i, 9 | 20 | 36) {
-                    std::thread::sleep(std::time::Duration::from_millis(36 - i as u64));
-                    return Err(SqlError::Eval(format!("item {i}")));
-                }
-                Ok(i)
-            });
-            assert_eq!(failed, Err(SqlError::Eval("item 9".into())), "{threads}");
-        }
-        assert!(par_chunks(Vec::<u8>::new(), 4, |c| c.len()).is_empty());
     }
 }

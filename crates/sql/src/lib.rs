@@ -9,7 +9,7 @@
 //! Pipeline: [`parse`] → bind/plan ([`planner`]) → optimize (an ordered
 //! rule pipeline — constant folding, filter pushdown, join reordering,
 //! index selection, projection pruning; see [`optimizer`]) → execute
-//! (vectorized, optionally morsel-parallel).
+//! (vectorized, over morsels, on the calling thread).
 //!
 //! ```
 //! use odbis_sql::Engine;
@@ -39,7 +39,7 @@ pub mod planner;
 
 pub use accumulator::Accumulator;
 pub use error::{SqlError, SqlResult};
-pub use exec::{aggregate_columns, finish_groups, par_chunks, FastHasher, JoinTable};
+pub use exec::{aggregate_columns, finish_groups, FastHasher, JoinTable};
 pub use expr::{like_match, BExpr};
 pub use functions::{cast_value, ScalarFunc};
 pub use parser::{parse, parse_script};
@@ -166,7 +166,6 @@ pub fn statement_tables(stmt: &Statement, out: &mut Vec<String>) {
 pub struct Engine {
     use_indexes: bool,
     vectorized: bool,
-    parallelism: usize,
     rules: optimizer::RuleSet,
 }
 
@@ -178,13 +177,11 @@ impl Default for Engine {
 
 impl Engine {
     /// Engine with all optimizations enabled (vectorized columnar
-    /// execution, the full optimizer rule pipeline, index selection, and
-    /// morsel-parallel execution sized to the machine).
+    /// execution, the full optimizer rule pipeline and index selection).
     pub fn new() -> Self {
         Engine {
             use_indexes: true,
             vectorized: true,
-            parallelism: std::thread::available_parallelism().map_or(1, |n| n.get()),
             rules: optimizer::RuleSet::all(),
         }
     }
@@ -208,24 +205,12 @@ impl Engine {
         }
     }
 
-    /// Set the worker count for morsel-parallel execution (`<= 1` runs the
-    /// same operators inline on the calling thread).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism.max(1);
-        self
-    }
-
     /// Set the optimizer rule set from a spec string (see
     /// [`optimizer::RuleSet::from_spec`]), e.g. `"all"`, `"none"`, or
     /// `"-reorder,-prune"`.
     pub fn with_optimizer_rules(mut self, spec: &str) -> Self {
         self.rules = optimizer::RuleSet::from_spec(spec);
         self
-    }
-
-    /// Worker count used by morsel-parallel execution.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Parse, plan, optimize and execute one statement.
@@ -264,7 +249,7 @@ impl Engine {
                 let plan = optimizer::optimize(plan, db, self.use_indexes, &self.rules);
                 let columns: Vec<String> = plan.schema.iter().map(|c| c.name.clone()).collect();
                 if self.vectorized {
-                    let batch = exec::run_columnar(db, &plan, self.parallelism)?;
+                    let batch = exec::run_columnar(db, &plan)?;
                     Ok(QueryResult::from_batch(columns, &batch))
                 } else {
                     Ok(QueryResult {
@@ -362,7 +347,7 @@ impl Engine {
         let plan = planner::plan_select(db, &sel)?;
         let plan = optimizer::optimize(plan, db, self.use_indexes, &self.rules);
         let columns: Vec<String> = plan.schema.iter().map(|c| c.name.clone()).collect();
-        let batch = exec::run_columnar(db, &plan, self.parallelism)?;
+        let batch = exec::run_columnar(db, &plan)?;
         Ok((columns, batch))
     }
 
@@ -377,7 +362,7 @@ impl Engine {
         plan: &plan::Plan,
     ) -> SqlResult<(Vec<String>, Batch)> {
         let columns = plan.schema.iter().map(|c| c.name.clone()).collect();
-        Ok((columns, exec::run_columnar(db, plan, self.parallelism)?))
+        Ok((columns, exec::run_columnar(db, plan)?))
     }
 
     /// Produce the optimized plan for a `SELECT`, rendered as text.

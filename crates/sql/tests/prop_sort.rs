@@ -122,10 +122,7 @@ fn rendered(rows: &[Vec<Value>]) -> Vec<String> {
 #[test]
 fn columnar_sort_and_top_k_equal_the_row_oracle() {
     let oracle = Engine::with_row_execution();
-    let engines = [
-        Engine::new().with_parallelism(1),
-        Engine::new().with_parallelism(2),
-    ];
+    let engine = Engine::new();
     let mut top_k = 0;
     for seed in SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -137,13 +134,11 @@ fn columnar_sort_and_top_k_equal_the_row_oracle() {
                 let expected = oracle
                     .execute(&db, &sql)
                     .unwrap_or_else(|e| panic!("{at}: row oracle: {e}"));
-                for engine in &engines {
-                    let got = engine
-                        .execute(&db, &sql)
-                        .unwrap_or_else(|e| panic!("{at}: {e}"));
-                    assert_eq!(got.columns, expected.columns, "{at}");
-                    assert_eq!(rendered(&got.rows), rendered(&expected.rows), "{at}");
-                }
+                let got = engine
+                    .execute(&db, &sql)
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                assert_eq!(got.columns, expected.columns, "{at}");
+                assert_eq!(rendered(&got.rows), rendered(&expected.rows), "{at}");
                 top_k += usize::from(sql.contains("LIMIT"));
             }
         }

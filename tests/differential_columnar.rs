@@ -136,10 +136,6 @@ fn assert_same_unordered(sql: &str, reference: &QueryResult, candidate: &QueryRe
     );
 }
 
-/// Worker counts every corpus test runs under: inline on the calling
-/// thread, and the morsel pool.
-const THREADS: [usize; 2] = [1, 4];
-
 #[test]
 fn vectorized_path_matches_row_path() {
     let db = corpus_db();
@@ -148,13 +144,10 @@ fn vectorized_path_matches_row_path() {
         let reference = row_engine
             .execute(&db, sql)
             .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
-        for threads in THREADS {
-            let candidate = Engine::new()
-                .with_parallelism(threads)
-                .execute(&db, sql)
-                .unwrap_or_else(|e| panic!("vectorized path failed for {sql}: {e}"));
-            assert_same(sql, &reference, &candidate, "vectorized+indexes");
-        }
+        let candidate = Engine::new()
+            .execute(&db, sql)
+            .unwrap_or_else(|e| panic!("vectorized path failed for {sql}: {e}"));
+        assert_same(sql, &reference, &candidate, "vectorized+indexes");
     }
 }
 
@@ -168,13 +161,10 @@ fn vectorized_path_matches_row_path_without_indexes() {
         let reference = row_engine
             .execute(&db, sql)
             .unwrap_or_else(|e| panic!("row path failed for {sql}: {e}"));
-        for threads in THREADS {
-            let candidate = Engine::without_index_selection()
-                .with_parallelism(threads)
-                .execute(&db, sql)
-                .unwrap_or_else(|e| panic!("vectorized (no index) path failed for {sql}: {e}"));
-            assert_same_unordered(sql, &reference, &candidate, "vectorized-no-indexes");
-        }
+        let candidate = Engine::without_index_selection()
+            .execute(&db, sql)
+            .unwrap_or_else(|e| panic!("vectorized (no index) path failed for {sql}: {e}"));
+        assert_same_unordered(sql, &reference, &candidate, "vectorized-no-indexes");
     }
 }
 
@@ -202,31 +192,24 @@ fn both_paths_agree_on_errors() {
     for sql in &failing {
         let row = row_engine.execute(&db, sql);
         assert!(row.is_err(), "row path unexpectedly succeeded for: {sql}");
-        for threads in THREADS {
-            let vec = Engine::new().with_parallelism(threads).execute(&db, sql);
-            assert!(
-                vec.is_err(),
-                "vectorized path ({threads} threads) unexpectedly succeeded for: {sql}"
-            );
-        }
+        let vec = Engine::new().execute(&db, sql);
+        assert!(
+            vec.is_err(),
+            "vectorized path unexpectedly succeeded for: {sql}"
+        );
     }
-    // The same residual error raised on the worker pool only: `ja` is two
-    // morsels, and the rows that divide by zero all sit in the second, which
-    // a spawned worker probes while the calling thread's morsel succeeds.
+    // The same residual error raised past a morsel boundary: `ja` is two
+    // morsels, and the rows that divide by zero all sit in the second, so
+    // the first morsel's probe succeeds.
     let db = join_db(GENERATOR_SEEDS[0], 0);
-    let pooled = "SELECT a.id FROM ja a JOIN jb b \
+    let second = "SELECT a.id FROM ja a JOIN jb b \
                   ON a.ki = b.ki AND 100 / (CASE WHEN a.id >= 4200 THEN 0 ELSE 1 END) > 5";
-    let engines = [
-        row_engine,
-        Engine::new().with_parallelism(1),
-        Engine::new().with_parallelism(4),
-    ];
-    for engine in &engines {
+    for engine in [row_engine, Engine::new()] {
         assert!(matches!(
-            engine.execute(&db, pooled),
+            engine.execute(&db, second),
             Err(odbis_sql::SqlError::Eval(_))
         ));
-        let below = pooled.replace("4200", "9000"); // no such row: no error
+        let below = second.replace("4200", "9000"); // no such row: no error
         assert!(!engine.execute(&db, &below).unwrap().rows.is_empty());
     }
 }
@@ -234,7 +217,7 @@ fn both_paths_agree_on_errors() {
 /// `IndexScan` and `Values` leaves, which the batch walker executes itself
 /// (one fetched morsel, residual evaluated column-wise): every shape of
 /// range and residual must match the row oracle exactly — same rows, same
-/// index order — inline (1 thread) and on the worker pool (4).
+/// index order.
 #[test]
 fn index_scan_and_values_leaves_match_the_row_oracle() {
     let db = corpus_db();
@@ -285,31 +268,26 @@ fn index_scan_and_values_leaves_match_the_row_oracle() {
         let plan = oracle.explain(&db, sql).unwrap();
         assert!(plan.contains("Values"), "not a VALUES plan: {sql}\n{plan}");
     }
-    for threads in THREADS {
-        let engine = Engine::new().with_parallelism(threads);
-        for sql in index_queries.iter().chain(&values_queries) {
-            let reference = oracle
-                .execute(&db, sql)
-                .unwrap_or_else(|e| panic!("row oracle failed for {sql}: {e}"));
-            let candidate = engine.execute(&db, sql).unwrap_or_else(|e| {
-                panic!("batch walker ({threads} threads) failed for {sql}: {e}")
-            });
-            assert_same(sql, &reference, &candidate, &format!("{threads} threads"));
-        }
+    let engine = Engine::new();
+    for sql in index_queries.iter().chain(&values_queries) {
+        let reference = oracle
+            .execute(&db, sql)
+            .unwrap_or_else(|e| panic!("row oracle failed for {sql}: {e}"));
+        let candidate = engine
+            .execute(&db, sql)
+            .unwrap_or_else(|e| panic!("batch walker failed for {sql}: {e}"));
+        assert_same(sql, &reference, &candidate, "batch walker");
     }
     // a residual that errors on a fetched row errors on both walkers
     let failing = "SELECT id FROM edge WHERE val >= 0 AND 100 / val > 5";
     assert!(oracle.explain(&db, failing).unwrap().contains("IndexScan"));
     assert!(oracle.execute(&db, failing).is_err());
-    assert!(Engine::new()
-        .with_parallelism(1)
-        .execute(&db, failing)
-        .is_err());
+    assert!(engine.execute(&db, failing).is_err());
 }
 
 // ---------------------------------------------------------------------------
 // Seeded random-query generator: star-schema queries (joins, group-by,
-// order/limit) checked across four engine configurations. The seeds are the
+// order/limit) checked across three engine configurations. The seeds are the
 // chaos suite's replay constants — rerun a failure by grepping the printed
 // query.
 // ---------------------------------------------------------------------------
@@ -419,15 +397,14 @@ fn gen_query(rng: &mut StdRng) -> String {
     }
 }
 
-/// Every generated query must agree across all four engine configurations:
-/// row-at-a-time oracle, the batch walker on one worker, on four workers,
-/// and vectorized with the whole optimizer pipeline disabled.
+/// Every generated query must agree across all three engine configurations:
+/// the row-at-a-time oracle, the batch walker, and the batch walker with
+/// the whole optimizer pipeline disabled.
 #[test]
 fn random_star_queries_agree_across_engine_configs() {
     let db = corpus_db();
     let row_engine = Engine::with_row_execution();
-    let serial = Engine::new().with_parallelism(1);
-    let parallel = Engine::new().with_parallelism(4);
+    let vectorized = Engine::new();
     let unoptimized = Engine::new().with_optimizer_rules("none");
     for seed in GENERATOR_SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -437,8 +414,7 @@ fn random_star_queries_agree_across_engine_configs() {
                 .execute(&db, &sql)
                 .unwrap_or_else(|e| panic!("row path failed (seed {seed}, #{i}) for {sql}: {e}"));
             for (engine, label) in [
-                (&serial, "serial-vectorized"),
-                (&parallel, "parallel-vectorized"),
+                (&vectorized, "vectorized"),
                 (&unoptimized, "optimizer-disabled"),
             ] {
                 let candidate = engine.execute(&db, &sql).unwrap_or_else(|e| {
@@ -455,10 +431,9 @@ fn random_star_queries_agree_across_engine_configs() {
 // kernel, ordered — the join defines its output order, so no ORDER BY.
 // ---------------------------------------------------------------------------
 
-/// Tables with the same columns — `ja` spans two 4096-row morsels (one per
-/// worker when a probe of it fans out), `jb` is a fraction of one, `je` is
-/// empty — so either can be the left side and both build orientations run;
-/// `jx` is as long as the caller asks (several morsels per worker). Every
+/// Tables with the same columns — `ja` spans two 4096-row morsels, `jb` is
+/// a fraction of one, `je` is empty — so either can be the left side and
+/// both build orientations run; `jx` is as long as the caller asks. Every
 /// key column draws from a small domain (N:M duplicates) and is NULL one
 /// time in ten; `kf` and `kts` are `ki` and
 /// `kd` in the wider type, off by a fraction half the time; `kn` is NULL
@@ -569,12 +544,12 @@ fn gen_join(rng: &mut StdRng) -> String {
     )
 }
 
-/// Every generated join, inline and on four workers, equals the row
-/// oracle's `join_rows` row for row and in order.
+/// Every generated join equals the row oracle's `join_rows` row for row
+/// and in order.
 #[test]
 fn random_joins_match_the_row_oracle_in_order() {
     let oracle = Engine::with_row_execution();
-    let engines = THREADS.map(|t| (t, Engine::new().with_parallelism(t)));
+    let engine = Engine::new();
     for seed in GENERATOR_SEEDS {
         let db = join_db(seed, 0);
         let mut rng = StdRng::seed_from_u64(seed);
@@ -586,12 +561,10 @@ fn random_joins_match_the_row_oracle_in_order() {
                 .unwrap_or_else(|e| panic!("row oracle failed (seed {seed}, #{i}) for {sql}: {e}"));
             matched += reference.rows.iter().filter(|r| !r[1].is_null()).count();
             extended += reference.rows.iter().filter(|r| r[1].is_null()).count();
-            for (threads, engine) in &engines {
-                let candidate = engine.execute(&db, &sql).unwrap_or_else(|e| {
-                    panic!("hash join ({threads} threads, seed {seed}, #{i}) failed for {sql}: {e}")
-                });
-                assert_same(&sql, &reference, &candidate, &format!("{threads} threads"));
-            }
+            let candidate = engine
+                .execute(&db, &sql)
+                .unwrap_or_else(|e| panic!("hash join (seed {seed}, #{i}) failed for {sql}: {e}"));
+            assert_same(&sql, &reference, &candidate, "hash join");
         }
         // the corpus is not vacuous: pairs were produced and LEFT rows extended
         assert!(
@@ -604,8 +577,8 @@ fn random_joins_match_the_row_oracle_in_order() {
 /// The shapes the generator may not draw every run, pinned: each key
 /// pairing on each side of a morsel boundary, the build-left orientation,
 /// an index-probed (row-pivoted, `Mixed` where all NULL) side, a LEFT
-/// join whose every candidate fails the residual, and probes that give
-/// each of four workers several morsels.
+/// join whose every candidate fails the residual, and probes over many
+/// morsels.
 #[test]
 fn pinned_join_shapes_match_the_row_oracle_in_order() {
     let db = join_db(GENERATOR_SEEDS[0], 70_000);
@@ -626,7 +599,7 @@ fn pinned_join_shapes_match_the_row_oracle_in_order() {
         "SELECT a.id, b.id FROM je a JOIN ja b ON a.kt = b.kt",
         "SELECT a.id, b.id, c.id FROM ja a JOIN jb b ON a.ki = b.ki JOIN jb c ON b.kt = c.kt \
          WHERE a.id < 500",
-        // eighteen probe morsels: four or five per worker at four threads
+        // eighteen probe morsels
         "SELECT a.id, b.id FROM jx a JOIN jb b ON a.ki = b.id",
         "SELECT a.id, b.id FROM jx a LEFT JOIN jb b ON a.ki = b.id AND a.v < b.v",
         "SELECT a.id, b.id FROM jb a JOIN jx b ON a.ki = b.ki",
@@ -638,13 +611,10 @@ fn pinned_join_shapes_match_the_row_oracle_in_order() {
         let reference = oracle
             .execute(&db, sql)
             .unwrap_or_else(|e| panic!("row oracle failed for {sql}: {e}"));
-        for threads in THREADS {
-            let candidate = Engine::new()
-                .with_parallelism(threads)
-                .execute(&db, sql)
-                .unwrap_or_else(|e| panic!("hash join ({threads} threads) failed for {sql}: {e}"));
-            assert_same(sql, &reference, &candidate, &format!("{threads} threads"));
-        }
+        let candidate = Engine::new()
+            .execute(&db, sql)
+            .unwrap_or_else(|e| panic!("hash join failed for {sql}: {e}"));
+        assert_same(sql, &reference, &candidate, "hash join");
     }
     let all_fail = &queries[8];
     let rows = oracle.execute(&db, all_fail).unwrap().rows;
@@ -683,12 +653,7 @@ fn full_range_dates_hash_in_distinct_and_joins() {
         ],
     )
     .unwrap();
-    let engines = [
-        Engine::with_row_execution(),
-        Engine::new().with_parallelism(1),
-        Engine::new().with_parallelism(4),
-    ];
-    for engine in &engines {
+    for engine in [Engine::with_row_execution(), Engine::new()] {
         let distinct = engine.execute(&db, "SELECT DISTINCT d FROM span").unwrap();
         assert_eq!(
             distinct.rows,
@@ -715,38 +680,16 @@ fn full_range_dates_hash_in_distinct_and_joins() {
     }
 }
 
-/// Rows equal cell for cell, floats to a relative 1e-9: only aggregates
-/// over float *inputs* need the tolerance, because the merge-tree shape
-/// changes with the worker count and float addition is not associative.
-/// Everything else — every aggregate over INT inputs, a Float AVG or an
-/// overflowed SUM included, keys, row order — is exact.
-fn assert_rows_close(expected: &QueryResult, got: &QueryResult, label: &str) {
-    assert_eq!(expected.columns, got.columns, "{label}");
-    assert_eq!(expected.rows.len(), got.rows.len(), "{label}");
-    for (e, g) in expected.rows.iter().zip(&got.rows) {
-        for (a, b) in e.iter().zip(g) {
-            match (a, b) {
-                (Value::Float(x), Value::Float(y)) => {
-                    let scale = x.abs().max(y.abs()).max(1.0);
-                    assert!((x - y).abs() <= 1e-9 * scale, "{label}: {x} vs {y}");
-                }
-                _ => assert_eq!(a, b, "{label}: {e:?} vs {g:?}"),
-            }
-        }
-    }
-}
-
-/// Multi-morsel check: at 70k rows a scan splits into eighteen morsels, so
-/// every worker of two, four or eight folds several, exercising the
-/// per-worker partial states (which live across a worker's morsels) and
-/// the ordered merge. Against the row oracle, at
-/// every worker count: aggregates over INT inputs and the first-seen
-/// group order — no ORDER BY on the wide cases — must be *exactly* equal;
-/// SUM/AVG over float inputs to a relative tolerance. INT values above
-/// 2^53, which an f64 cannot hold, must give the same bits on every
-/// walker and worker count: the exact sum, rounded once.
+/// Multi-morsel check: at 70k rows a scan splits into eighteen morsels,
+/// which fold into one group state that lives across the scan. Against
+/// the row oracle every cell must be *exactly* equal — the first-seen
+/// group order (no ORDER BY on the wide cases), every aggregate over INT
+/// inputs, and SUM/AVG over float inputs to the last bit, since both
+/// walkers add in scan order. INT values above 2^53, which an f64 cannot
+/// hold, must give the same bits on both walkers: the exact sum, rounded
+/// once.
 #[test]
-fn multi_morsel_aggregates_agree_across_parallelism() {
+fn multi_morsel_aggregates_match_the_row_oracle_exactly() {
     let db = workloads::healthcare_db(70_000, 11);
     // `wide`: eighteen morsels. `cust` has 8 750 keys whose first sightings
     // spread over every morsel, `seg` × `k2` is a two-column key, `gn` is
@@ -841,17 +784,15 @@ fn multi_morsel_aggregates_agree_across_parallelism() {
         "SELECT y, c, COUNT(*) AS n, SUM(v) AS s FROM skew GROUP BY y, c",
     ];
     let oracle = Engine::with_row_execution();
+    let engine = Engine::new();
     for sql in queries {
         let expected = oracle
             .execute(&db, sql)
             .unwrap_or_else(|e| panic!("row oracle failed for {sql}: {e}"));
-        for workers in [1usize, 2, 4, 8] {
-            let got = Engine::new()
-                .with_parallelism(workers)
-                .execute(&db, sql)
-                .unwrap_or_else(|e| panic!("workers={workers} failed for {sql}: {e}"));
-            assert_rows_close(&expected, &got, &format!("workers={workers} for: {sql}"));
-        }
+        let got = engine
+            .execute(&db, sql)
+            .unwrap_or_else(|e| panic!("batch walker failed for {sql}: {e}"));
+        assert_same(sql, &expected, &got, "batch walker");
     }
     let groups = oracle.execute(&db, queries[3]).unwrap().rows.len();
     assert!(groups >= 2_000, "{groups} cust groups");
@@ -886,23 +827,19 @@ fn multi_morsel_aggregates_agree_across_parallelism() {
             exact,
             "row oracle: {sql}"
         );
-        for workers in [1usize, 2, 4, 8] {
-            let got = Engine::new().with_parallelism(workers).execute(&db, sql);
-            assert_eq!(got.unwrap().rows, exact, "workers={workers}: {sql}");
-        }
+        let got = engine.execute(&db, sql);
+        assert_eq!(got.unwrap().rows, exact, "batch walker: {sql}");
     }
 }
 
 #[test]
 fn batch_entry_point_matches_row_pivoted_result() {
     let db = corpus_db();
-    for threads in THREADS {
-        let engine = Engine::new().with_parallelism(threads);
-        for sql in CORPUS.iter().filter(|s| s.starts_with("SELECT")) {
-            let result = engine.execute(&db, sql).unwrap();
-            let (columns, batch) = engine.execute_select_batch(&db, sql).unwrap();
-            assert_eq!(result.columns, columns, "columns for: {sql}");
-            assert_eq!(result.rows, batch.to_rows(), "rows for: {sql}");
-        }
+    let engine = Engine::new();
+    for sql in CORPUS.iter().filter(|s| s.starts_with("SELECT")) {
+        let result = engine.execute(&db, sql).unwrap();
+        let (columns, batch) = engine.execute_select_batch(&db, sql).unwrap();
+        assert_eq!(result.columns, columns, "columns for: {sql}");
+        assert_eq!(result.rows, batch.to_rows(), "rows for: {sql}");
     }
 }
